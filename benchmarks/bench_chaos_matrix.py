@@ -18,7 +18,8 @@ Aggregate recovery times land in ``benchmark.extra_info``.
 
 from __future__ import annotations
 
-from repro.chaos import SCENARIOS, run_scenario
+from repro.chaos import run_scenario
+from repro.registry import fault_scenarios
 
 from conftest import record_rows
 
@@ -28,7 +29,7 @@ SEEDS = (0, 1, 2)
 def run_matrix() -> tuple[dict, list[str]]:
     rows: dict[str, float] = {}
     failures: list[str] = []
-    for name in sorted(SCENARIOS):
+    for name in fault_scenarios():
         worst_recovery = 0.0
         for seed in SEEDS:
             result = run_scenario(name, seed=seed)

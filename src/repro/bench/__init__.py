@@ -2,8 +2,8 @@
 
 * :mod:`repro.bench.calibration` — Pi-class cost model constants fitted to
   the paper's Tables II/III;
-* :mod:`repro.bench.scenarios` — builders for the Fig. 7/9 testbed and its
-  variants (scaling, broker placement, strategies);
+* :mod:`repro.bench.scenarios` — builders for the Fig. 7/9 and Fig. 5
+  testbeds and the ``paper`` / ``fig5`` scenarios declared on them;
 * :mod:`repro.bench.harness` — run an experiment, collect sensing-to-X
   latency samples, summarize;
 * :mod:`repro.bench.reporting` — paper-vs-measured tables.

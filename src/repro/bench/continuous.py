@@ -175,46 +175,34 @@ def _tracer_flows(tracer: Any) -> dict[str, dict[str, Any]]:
 
 def _bench_fig5() -> BenchRecord:
     """The Fig. 5 watching experiment, profiled under the Pi calibration."""
-    from repro.bench.calibration import pi_cost_model
-    from repro.bench.scenarios import run_fig5_experiment
-    from repro.prof import enable_profiling, profile_digest
+    from repro.bench.scenarios import FIG5
+    from repro.prof import profile_digest
+    from repro.scenario import run
 
     started = time.perf_counter()  # repro: lint-ok[DET001] - wall-clock half of the bench record
-    runtime = run_fig5_experiment(
-        seed=55,
-        duration_s=30.0,
-        observe=False,
-        prepare=lambda rt: enable_profiling(rt),
-        cost_model=pi_cost_model(),
-    )
+    outcome = run(FIG5, profile=True)
     elapsed = time.perf_counter() - started  # repro: lint-ok[DET001] - wall-clock half of the bench record
-    profiler = runtime.prof
+    profiler = outcome.runtime.prof
     record = BenchRecord(name="fig5")
     record.sim = {
-        "seed": 55,
-        "duration_s": 30.0,
-        "trace_records": len(runtime.tracer),
-        "events_executed": profiler.events_profiled if profiler else 0,
-        "profile_digest": profile_digest(profiler) if profiler else "",
+        "seed": outcome.seed,
+        "duration_s": outcome.duration_s,
+        "trace_records": len(outcome.runtime.tracer),
+        "events_executed": profiler.events_profiled,
+        "profile_digest": profile_digest(profiler),
         "cpu_utilization": {
             node: round(profiler.cpu_utilization(node), 9)
             for node in profiler.cpu_nodes()
-        }
-        if profiler
-        else {},
-        "wlan_utilization": round(profiler.wlan_utilization(), 9)
-        if profiler
-        else 0.0,
-        "op_busy": _op_busy(profiler) if profiler else {},
+        },
+        "wlan_utilization": round(profiler.wlan_utilization(), 9),
+        "op_busy": _op_busy(profiler),
+        "flows": _tracer_flows(run(FIG5, observe=True).runtime.tracer),
     }
-    observed = run_fig5_experiment(
-        seed=55, duration_s=30.0, observe=True, cost_model=pi_cost_model()
-    )
-    record.sim["flows"] = _tracer_flows(observed.tracer)
-    events = record.sim["events_executed"]
     record.wall = {
         "elapsed_s": round(elapsed, 4),
-        "events_per_s": round(events / elapsed, 1) if elapsed > 0 else 0.0,
+        "events_per_s": round(profiler.events_profiled / elapsed, 1)
+        if elapsed > 0
+        else 0.0,
     }
     return record
 
@@ -273,10 +261,8 @@ def _bench_failover() -> BenchRecord:
     elapsed = time.perf_counter() - started  # repro: lint-ok[DET001] - wall-clock half of the bench record
     metrics = result.report.metrics
     tracer = result.tracer
-    migrations_done = len(list(tracer.select(event="migrate.done"))) if tracer else 0
-    failover_moves = (
-        len(list(tracer.select(event="mgmt.failover_moved"))) if tracer else 0
-    )
+    migrations_done = len(tracer.select(event="migrate.done"))
+    failover_moves = len(tracer.select(event="mgmt.failover_moved"))
     record = BenchRecord(name="failover")
     profiler = result.profiler
     record.sim = {
@@ -304,16 +290,16 @@ def _bench_failover() -> BenchRecord:
         ),
         "failover_moves": failover_moves,
         "migrations_completed": migrations_done,
-        "op_busy": _op_busy(profiler) if profiler else {},
+        "op_busy": _op_busy(profiler),
+        "flows": _tracer_flows(
+            run_scenario("failover", seed=0, observe=True).tracer
+        ),
     }
-    observed = run_scenario("failover", seed=0, observe=True)
-    record.sim["flows"] = (
-        _tracer_flows(observed.tracer) if observed.tracer else {}
-    )
-    events = profiler.events_profiled if profiler else 0
     record.wall = {
         "elapsed_s": round(elapsed, 4),
-        "events_per_s": round(events / elapsed, 1) if elapsed > 0 else 0.0,
+        "events_per_s": round(profiler.events_profiled / elapsed, 1)
+        if elapsed > 0
+        else 0.0,
     }
     return record
 

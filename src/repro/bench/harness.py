@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.bench.scenarios import build_paper_testbed
+from repro.bench.scenarios import paper_scenario
+from repro.scenario import run
 from repro.util.stats import LatencyRecorder
 
 __all__ = ["ExperimentResult", "run_paper_experiment", "run_rate_sweep"]
@@ -75,7 +76,6 @@ def run_paper_experiment(
     rate_hz: float,
     duration_s: float = 2.5,
     seed: int = 0,
-    settle_s: float = 2.0,
     qos: int = 0,
     broker_cpu_speed: float = 1.0,
     observe: bool = False,
@@ -84,75 +84,53 @@ def run_paper_experiment(
 ) -> ExperimentResult:
     """Run the Fig. 7/9 experiment at one sensing rate.
 
-    ``duration_s`` of measured sensing follows ``settle_s`` of deployment
-    settling. Latency samples cover every batch completed during the run,
+    ``duration_s`` of measured sensing follows 2 s of deployment settling.
+    Latency samples cover every batch completed during the run,
     including the cold-start ones — the paper's max column clearly includes
     warm-up (max is ~6x the average at 5 Hz), so ours does too. The default
     window is short (2.5 s): the paper's overloaded rows are transient
     buffer-fill measurements, and their 80/40 Hz latency ratio (~1.46) pins
     the observation window to a few seconds of saturated operation.
 
-    ``profile=True`` attaches the sim-time profiler (``repro.prof``) and
+    The instrument flags are the run pipeline's. ``profile=True`` also
     fills ``result.cpu_utilization`` with each node's busy share over the
     *measured* window — the numbers behind the paper's §V-C capacity
     story (training saturates its node between 20 and 40 Hz).
     """
-    testbed = build_paper_testbed(
-        rate_hz, seed=seed, broker_cpu_speed=broker_cpu_speed
-    )
-    testbed.qos = qos
-    runtime = testbed.runtime
-    if observe or slo:
-        from repro.obs import enable_observability
-
-        # The bench testbed keeps trace storage off for speed; an observed
-        # run exists to produce the trace, so turn it back on.
-        runtime.tracer.enabled = True
-        enable_observability(runtime)
-    if slo:
-        from repro.bench.scenarios import build_paper_recipe
-        from repro.obs.slo import enable_slo
-
-        # Same recipe the testbed will submit: the engine derives its
-        # policy from the declared deadlines before deployment.
-        enable_slo(
-            runtime,
-            recipe=build_paper_recipe(rate_hz, qos=qos),
-            cluster=testbed.cluster,
-        )
-    profiler = None
-    if profile:
-        from repro.prof import enable_profiling
-
-        # Storage back on so the sampled utilization timeline
-        # (``prof.sample`` records) survives for export.
-        runtime.tracer.enabled = True
-        profiler = enable_profiling(runtime)
     result = ExperimentResult(rate_hz=rate_hz, duration_s=duration_s)
-
     sensed = {"count": 0}
-    runtime.tracer.tap(
-        "sensor.sample", lambda record: sensed.__setitem__("count", sensed["count"] + 1)
-    )
-    runtime.tracer.tap(
-        "ml.trained",
-        lambda record: result.training.add(record["latency_s"] * 1000.0),
-    )
-    runtime.tracer.tap(
-        "ml.judged",
-        lambda record: result.predicting.add(record["latency_s"] * 1000.0),
-    )
 
-    application = testbed.submit()
-    testbed.cluster.settle(settle_s)
-    measure_from = runtime.now
-    runtime.run(until=runtime.now + duration_s)
-    application.stop()
+    def install_taps(runtime: Any) -> None:
+        runtime.tracer.tap(
+            "sensor.sample",
+            lambda record: sensed.__setitem__("count", sensed["count"] + 1),
+        )
+        runtime.tracer.tap(
+            "ml.trained",
+            lambda record: result.training.add(record["latency_s"] * 1000.0),
+        )
+        runtime.tracer.tap(
+            "ml.judged",
+            lambda record: result.predicting.add(record["latency_s"] * 1000.0),
+        )
 
+    outcome = run(
+        paper_scenario(rate_hz, qos=qos, broker_cpu_speed=broker_cpu_speed),
+        seed=seed,
+        duration_s=duration_s,
+        observe=observe,
+        profile=profile,
+        slo=slo,
+        prepare=install_taps,
+    )
+    runtime = outcome.runtime
+    profiler = runtime.prof
     if profiler is not None:
         result.profiler = profiler
         result.cpu_utilization = {
-            node: round(profiler.cpu_utilization(node, since=measure_from), 9)
+            node: round(
+                profiler.cpu_utilization(node, since=outcome.measure_from), 9
+            )
             for node in profiler.cpu_nodes()
         }
     result.samples_sensed = sensed["count"]

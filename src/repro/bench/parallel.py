@@ -3,16 +3,18 @@
 The simulations themselves are single-threaded and deterministic, so the
 only safe parallelism is *across* runs: each seed is an independent
 simulation executed in its own worker process, and the merged result is
-a pure function of the (task, spec, seeds) request — byte-identical
+a pure function of the (scenario, seeds) request — byte-identical
 whether it ran serially or on any number of workers.
 
 Two contracts make that safe:
 
-* **Tasks are module-level functions** registered in :data:`PARALLEL_TASKS`
-  under a short name. They take ``(spec, seed)`` and return a JSON-able
-  summary dict. Module-level is not a style preference: worker processes
-  receive the function by pickled reference, so closures and lambdas
-  cannot cross the process boundary.
+* **Workers get a scenario by name.** The one task, :func:`seed_row`, is
+  a module-level function taking the registry name and a seed and
+  returning a JSON-able summary dict. Neither is a style preference:
+  worker processes receive the function by pickled reference and resolve
+  the name in their own interpreter, so closures, lambdas and
+  :class:`~repro.scenario.Scenario` objects never cross the process
+  boundary.
 * **Merging is keyed by seed.** Results are reassembled in the caller's
   seed order regardless of worker completion order, and a worker failure
   (an exception *or* a dead process) is a hard :class:`ParallelRunError`
@@ -25,15 +27,15 @@ import hashlib
 import json
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.errors import ConfigurationError, IFoTError
 
 __all__ = [
-    "PARALLEL_TASKS",
     "ParallelRunError",
     "merge_digest",
     "run_parallel",
+    "seed_row",
 ]
 
 
@@ -41,66 +43,51 @@ class ParallelRunError(IFoTError):
     """A worker process failed; the merged result would be incomplete."""
 
 
-def _chaos_task(spec: str, seed: int) -> dict[str, Any]:
-    """Run one chaos scenario at one seed; summarize the run."""
-    from repro.chaos import run_scenario
+def seed_row(
+    name: str, seed: int, duration_s: float | None = None, profile: bool = False
+) -> dict[str, Any]:
+    """Run scenario ``name`` at one seed; summarize the run.
 
-    result = run_scenario(spec, seed=seed)
-    return {
-        "scenario": result.name,
-        "seed": result.seed,
-        "duration_s": result.duration_s,
-        "faults_applied": result.faults_applied,
-        "trace_records": result.trace_records,
-        "trace_digest": result.trace_digest,
-        "invariants_ok": result.report.ok,
-    }
-
-
-def _fig5_task(spec: str, seed: int) -> dict[str, Any]:
-    """Run the Fig. 5 experiment at one seed; summarize the profiled run.
-
-    ``spec`` is the duration in seconds (empty string for the default).
+    A fault scenario's row carries its invariant verdict; with
+    ``profile`` the row carries the profile fingerprint too.
     """
-    from repro.bench.calibration import pi_cost_model
-    from repro.bench.scenarios import run_fig5_experiment
-    from repro.prof import enable_profiling, profile_digest
+    from repro.chaos.invariants import Invariants
+    from repro.chaos.scenarios import trace_digest
+    from repro.registry import resolve
+    from repro.scenario import run
 
-    duration_s = float(spec) if spec else 30.0
-    runtime = run_fig5_experiment(
-        seed=seed,
-        duration_s=duration_s,
-        observe=False,
-        prepare=lambda rt: enable_profiling(rt),
-        cost_model=pi_cost_model(),
-    )
-    profiler = runtime.prof
-    assert profiler is not None
-    return {
-        "scenario": "fig5",
+    scenario = resolve(name)
+    outcome = run(scenario, seed=seed, duration_s=duration_s, profile=profile)
+    tracer = outcome.runtime.tracer
+    row: dict[str, Any] = {
+        "scenario": scenario.name,
         "seed": seed,
-        "duration_s": duration_s,
-        "trace_records": len(runtime.tracer),
-        "events_executed": profiler.events_profiled,
-        "profile_digest": profile_digest(profiler),
-        "wlan_utilization": round(profiler.wlan_utilization(), 9),
+        "duration_s": outcome.duration_s,
+        "trace_records": len(tracer),
+        "trace_digest": trace_digest(tracer),
     }
+    if scenario.fault_plan is not None:
+        report = Invariants(tracer, outcome.cluster).check(recovery=scenario.recovery)
+        row["faults_applied"] = outcome.faults_applied
+        row["invariants_ok"] = report.ok
+    if profile:
+        from repro.prof import profile_digest
 
-
-#: name -> module-level task function ``(spec, seed) -> summary dict``.
-PARALLEL_TASKS: dict[str, Callable[[str, int], dict[str, Any]]] = {
-    "chaos": _chaos_task,
-    "fig5": _fig5_task,
-}
+        profiler = outcome.runtime.prof
+        row["events_executed"] = profiler.events_profiled
+        row["profile_digest"] = profile_digest(profiler)
+        row["wlan_utilization"] = round(profiler.wlan_utilization(), 9)
+    return row
 
 
 def run_parallel(
-    task: str,
-    spec: str,
+    name: str,
     seeds: Sequence[int],
     workers: int = 1,
+    duration_s: float | None = None,
+    profile: bool = False,
 ) -> list[dict[str, Any]]:
-    """Run ``task`` once per seed and merge the results keyed by seed.
+    """Run scenario ``name`` once per seed and merge the rows keyed by seed.
 
     ``workers <= 1`` runs serially in-process (the reference execution);
     otherwise seeds are distributed over a pool of worker processes. The
@@ -110,20 +97,17 @@ def run_parallel(
     Raises :class:`ParallelRunError` if any worker raises or dies — the
     merged list never silently drops a seed.
     """
-    try:
-        fn = PARALLEL_TASKS[task]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown parallel task {task!r} (known: {sorted(PARALLEL_TASKS)})"
-        ) from None
     seeds = list(seeds)
     if len(set(seeds)) != len(seeds):
         raise ConfigurationError(f"duplicate seeds in {seeds!r}")
     if workers <= 1:
-        return [fn(spec, seed) for seed in seeds]
+        return [seed_row(name, seed, duration_s, profile) for seed in seeds]
     results: dict[int, dict[str, Any]] = {}
     with ProcessPoolExecutor(max_workers=min(workers, len(seeds) or 1)) as pool:
-        futures = {seed: pool.submit(fn, spec, seed) for seed in seeds}
+        futures = {
+            seed: pool.submit(seed_row, name, seed, duration_s, profile)
+            for seed in seeds
+        }
         wait(futures.values(), return_when=FIRST_EXCEPTION)
         for seed, future in futures.items():
             try:
@@ -134,11 +118,8 @@ def run_parallel(
                 ) from exc
             except Exception as exc:
                 raise ParallelRunError(
-                    f"task {task!r} failed for seed {seed}: {exc}"
+                    f"scenario {name!r} failed for seed {seed}: {exc}"
                 ) from exc
-    missing = [seed for seed in seeds if seed not in results]
-    if missing:  # pragma: no cover - futures either resolve or raise above
-        raise ParallelRunError(f"no result for seeds {missing!r}")
     return [results[seed] for seed in seeds]
 
 

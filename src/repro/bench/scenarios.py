@@ -1,17 +1,18 @@
-"""Testbed builders: the paper's Fig. 7/9 system and its variants.
+"""The paper's two testbeds and the scenarios declared on them.
 
 The paper's evaluation system: six Raspberry Pi neuron modules on one
 wireless LAN plus a management laptop. Modules A-C generate sensor data at
 a fixed rate; module D runs the Mosquitto broker; module E subscribes to
 all three sensor flows, aggregates them into ``[data]`` batches, and
-trains; module F does the same but predicts (Fig. 9).
+trains; module F does the same but predicts (Fig. 9). The Fig. 5 "start
+watching" cluster is the application-level counterpart. Each builder is
+what a :class:`~repro.scenario.Scenario` (``PAPER``, ``FIG5``) points at.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from repro.bench.calibration import (
     BROKER_QUEUE_LIMIT,
@@ -19,21 +20,31 @@ from repro.bench.calibration import (
     pi_cost_model,
     pi_wlan_config,
 )
+from repro.core.dsl import parse_recipe
 from repro.core.middleware import Application, IFoTCluster
 from repro.core.recipe import Recipe, TaskSpec
-from repro.runtime.costs import CostModel
+from repro.runtime.costs import NULL_COST_MODEL, CostModel
 from repro.runtime.sim import SimRuntime
+from repro.scenario import PrepareHook, Scenario, attach_instruments
+from repro.sensors import (
+    AccelerometerModel,
+    AlertActuator,
+    CameraModel,
+    EnvironmentSensorModel,
+    EventSchedule,
+    SensorModel,
+)
 from repro.sensors.devices import FixedPayloadModel
 
 __all__ = [
     "PaperTestbed",
     "build_paper_testbed",
     "build_paper_recipe",
-    "paper_device_keys",
+    "paper_scenario",
+    "PAPER",
     "FIG5_RECIPE_PATH",
     "build_fig5_testbed",
-    "fig5_device_keys",
-    "run_fig5_experiment",
+    "FIG5",
 ]
 
 #: Module names of Fig. 7 (the management node is created by the cluster).
@@ -41,6 +52,11 @@ SENSOR_MODULES = ("module-a", "module-b", "module-c")
 BROKER_MODULE = "module-d"
 TRAIN_MODULE = "module-e"
 PREDICT_MODULE = "module-f"
+
+
+def paper_devices() -> dict[str, SensorModel]:
+    """The devices every sensor module (A-C) of the paper testbed carries."""
+    return {"sample": FixedPayloadModel(values=3)}
 
 
 @dataclass
@@ -51,11 +67,9 @@ class PaperTestbed:
     cluster: IFoTCluster
     rate_hz: float
 
-    qos: int = 0
-
     def submit(self) -> Application:
         """Deploy the experiment recipe (Fig. 9 class wiring)."""
-        return self.cluster.submit(build_paper_recipe(self.rate_hz, qos=self.qos))
+        return self.cluster.submit(build_paper_recipe(self.rate_hz))
 
 
 def build_paper_testbed(
@@ -64,13 +78,15 @@ def build_paper_testbed(
     management_heartbeat_s: float = 5.0,
     trace: bool = False,
     broker_cpu_speed: float = 1.0,
+    prepare: PrepareHook | None = None,
 ) -> PaperTestbed:
     """Construct the six-Pi testbed at sensing rate ``rate_hz``.
 
     ``trace=False`` keeps the full event trace off (taps still fire), which
     is what the benchmark harness wants for long runs. ``broker_cpu_speed``
     scales module D's CPU (the broker-placement ablation moves the broker
-    onto laptop-class hardware by raising it).
+    onto laptop-class hardware by raising it). ``prepare`` runs on the
+    bare runtime before any component exists.
     """
     runtime = SimRuntime(
         seed=seed,
@@ -78,6 +94,8 @@ def build_paper_testbed(
         cost_model=pi_cost_model(),
     )
     runtime.tracer.enabled = trace
+    if prepare is not None:
+        prepare(runtime)
     # The broker runs ON module D, a Raspberry Pi (Fig. 9) — its routing
     # work shares that Pi's CPU and bounded queue.
     cluster = IFoTCluster(
@@ -94,7 +112,8 @@ def build_paper_testbed(
     )
     for name in SENSOR_MODULES:
         module = cluster.add_module(name, queue_limit=PI_QUEUE_LIMIT)
-        module.attach_sensor("sample", FixedPayloadModel(values=3))
+        for device, model in paper_devices().items():
+            module.attach_sensor(device, model)
     cluster.add_module(TRAIN_MODULE, queue_limit=PI_QUEUE_LIMIT)
     cluster.add_module(PREDICT_MODULE, queue_limit=PI_QUEUE_LIMIT)
     # Let MQTT sessions, announcements and heartbeats settle before use.
@@ -169,21 +188,42 @@ def build_paper_recipe(rate_hz: float, qos: int = 0) -> Recipe:
     return Recipe("paper-exp", tasks)
 
 
-def paper_device_keys() -> dict[str, tuple[str, ...]]:
-    """Device -> channel keys for the paper testbed, as the static payload
-    checker (:func:`repro.lint.dataflow.check_recipe_payloads`) wants them.
+def paper_scenario(
+    rate_hz: float = 5.0, qos: int = 0, broker_cpu_speed: float = 1.0
+) -> Scenario:
+    """The Fig. 7/9 experiment at one operating point.
 
-    Built from the same device models :func:`build_paper_testbed` attaches,
-    so the checker's view cannot drift from what actually runs.
+    The registered ``paper`` scenario is the 5 Hz reference point the
+    lint gate and the declared deadlines assume; the rate sweep and the
+    QoS / broker-placement ablations are variants built here.
     """
-    keys = FixedPayloadModel(values=3).channel_keys()
-    assert keys is not None
-    return {"sample": keys}
+
+    def build(seed: int, prepare: PrepareHook | None) -> tuple[SimRuntime, IFoTCluster]:
+        testbed = build_paper_testbed(
+            rate_hz, seed=seed, broker_cpu_speed=broker_cpu_speed, prepare=prepare
+        )
+        return testbed.runtime, testbed.cluster
+
+    return Scenario(
+        name="paper",
+        description=f"the paper's Fig. 7/9 six-Pi testbed at {rate_hz:g} Hz",
+        build=build,
+        recipe=lambda: build_paper_recipe(rate_hz, qos=qos),
+        recipe_origin=f"<built-in paper recipe @ {rate_hz:g} Hz>",
+        devices=paper_devices,
+        # The calibration the testbed itself runs under.
+        lint={"cost_model": pi_cost_model(), "wlan": pi_wlan_config()},
+        seed=0,
+        duration_s=2.5,
+        at_rate=lambda rate: paper_scenario(rate, qos, broker_cpu_speed),
+    )
+
+
+PAPER = paper_scenario()
 
 
 # ---------------------------------------------------------------------------
-# Fig. 5 "start watching" testbed (shared by `repro trace` and the
-# golden-trace tests, which fingerprint a run of exactly this build).
+# Fig. 5 "start watching" testbed
 # ---------------------------------------------------------------------------
 
 FIG5_RECIPE_PATH = (
@@ -194,52 +234,48 @@ FIG5_RECIPE_PATH = (
 FIG5_FALL_AT = 20.0
 FIG5_FALL_LEN = 2.0
 
+#: Fig. 5 sensors: device -> (hosting module, model over the event schedule).
+FIG5_SENSORS = {
+    "accel-wrist": ("pi-wrist", AccelerometerModel),
+    "accel-waist": ("pi-waist", lambda events: AccelerometerModel(events, sway_sigma=0.06)),
+    "environment": ("pi-room", EnvironmentSensorModel),
+    "camera": ("pi-room", CameraModel),
+}
+
+
+def fig5_devices() -> dict[str, SensorModel]:
+    events = EventSchedule()
+    return {device: model(events) for device, (_host, model) in FIG5_SENSORS.items()}
+
 
 def build_fig5_testbed(
     seed: int = 55,
     observe: bool = False,
-    prepare: "Callable[[SimRuntime], None] | None" = None,
-    cost_model: "CostModel | None" = None,
+    prepare: PrepareHook | None = None,
+    cost_model: CostModel = NULL_COST_MODEL,
 ) -> tuple[SimRuntime, IFoTCluster]:
     """The Fig. 5 cluster: wrist/waist accelerometers, room sensors +
     camera, an analysis module and a pager, with a fall planted at t=20 s.
 
-    With ``observe=True`` flow tracing and metrics are enabled *before*
-    any component exists, so the span trees cover the whole run.
-    ``prepare`` likewise runs on the bare runtime first (the schedule
-    sanitizer installs its kernel monitor / tie-break perturbation there).
+    ``prepare`` runs on the bare runtime before any component exists (the
+    schedule sanitizer installs its kernel monitor / tie-break
+    perturbation there); with ``observe=True`` flow tracing and metrics
+    go on at the same point, so the span trees cover the whole run.
     ``cost_model`` defaults to the historical zero-cost model — the
-    golden-trace digests fingerprint that build — but ``repro prof``
-    passes the Pi calibration so CPU utilization is meaningful.
+    golden-trace digests fingerprint that build — while the ``fig5``
+    scenario declares the Pi calibration.
     """
-    from repro.sensors import (
-        AccelerometerModel,
-        AlertActuator,
-        CameraModel,
-        EnvironmentSensorModel,
-        EventSchedule,
-    )
-
     events = EventSchedule()
     events.add(FIG5_FALL_AT, FIG5_FALL_LEN, "fall", intensity=1.2)
-    if cost_model is None:
-        runtime = SimRuntime(seed=seed)
-    else:
-        runtime = SimRuntime(seed=seed, cost_model=cost_model)
+    runtime = SimRuntime(seed=seed, cost_model=cost_model)
     if prepare is not None:
         prepare(runtime)
-    if observe:
-        from repro.obs import enable_observability
-
-        enable_observability(runtime)
+    attach_instruments(runtime, observe=observe)
     cluster = IFoTCluster(runtime)
-    wrist = cluster.add_module("pi-wrist")
-    wrist.attach_sensor("accel-wrist", AccelerometerModel(events))
-    waist = cluster.add_module("pi-waist")
-    waist.attach_sensor("accel-waist", AccelerometerModel(events, sway_sigma=0.06))
-    room = cluster.add_module("pi-room")
-    room.attach_sensor("environment", EnvironmentSensorModel(events))
-    room.attach_sensor("camera", CameraModel(events))
+    for device, (host, model) in FIG5_SENSORS.items():
+        if host not in cluster.modules:
+            cluster.add_module(host)
+        cluster.module(host).attach_sensor(device, model(events))
     cluster.add_module("pi-analysis")
     pager_module = cluster.add_module("pi-pager")
     pager_module.attach_actuator("pager", AlertActuator())
@@ -247,60 +283,19 @@ def build_fig5_testbed(
     return runtime, cluster
 
 
-def fig5_device_keys() -> dict[str, tuple[str, ...]]:
-    """Device -> channel keys for the Fig. 5 cluster (see
-    :func:`paper_device_keys` for why this mirrors the testbed builder)."""
-    from repro.sensors import (
-        AccelerometerModel,
-        CameraModel,
-        EnvironmentSensorModel,
-        EventSchedule,
-    )
-
-    events = EventSchedule()
-    mapping: dict[str, tuple[str, ...]] = {}
-    for device, model in (
-        ("accel-wrist", AccelerometerModel(events)),
-        ("accel-waist", AccelerometerModel(events, sway_sigma=0.06)),
-        ("environment", EnvironmentSensorModel(events)),
-        ("camera", CameraModel(events)),
-    ):
-        keys = model.channel_keys()
-        assert keys is not None
-        mapping[device] = keys
-    return mapping
-
-
-def run_fig5_experiment(
-    seed: int = 55,
-    duration_s: float = 30.0,
-    observe: bool = True,
-    prepare: "Callable[[SimRuntime], None] | None" = None,
-    cost_model: "CostModel | None" = None,
-    slo: bool = False,
-) -> SimRuntime:
-    """Deploy the shipped Fig. 5 recipe and run for ``duration_s``.
-
-    Returns the runtime; its tracer carries the full event trace (span
-    trees and metric scrapes included when ``observe`` is on).
-    ``prepare`` and ``cost_model`` are forwarded to
-    :func:`build_fig5_testbed`. ``slo=True`` installs the online SLO
-    engine on the recipe's declared deadlines before deployment (it
-    implies ``observe`` — the engine consumes the span stream); the
-    engine stays reachable as ``runtime.slo``.
-    """
-    from repro.core.dsl import parse_recipe
-
-    runtime, cluster = build_fig5_testbed(
-        seed=seed, observe=observe or slo, prepare=prepare, cost_model=cost_model
-    )
-    recipe = parse_recipe(FIG5_RECIPE_PATH.read_text())
-    if slo:
-        from repro.obs.slo import enable_slo
-
-        enable_slo(runtime, recipe=recipe, cluster=cluster)
-    app = cluster.submit(recipe)
-    cluster.settle(2.0)
-    runtime.run(until=runtime.now + duration_s)
-    app.stop()
-    return runtime
+FIG5 = Scenario(
+    name="fig5",
+    description="the Fig. 5 watching experiment (fall at t=20 s), Pi calibration",
+    # The Pi cost model on the default WLAN: what the declared deadlines
+    # and the committed BENCH baselines assume.
+    build=lambda seed, prepare: build_fig5_testbed(
+        seed, prepare=prepare, cost_model=pi_cost_model()
+    ),
+    recipe=lambda: parse_recipe(FIG5_RECIPE_PATH.read_text()),
+    recipe_origin=str(FIG5_RECIPE_PATH),
+    devices=fig5_devices,
+    lint={"cost_model": pi_cost_model()},
+    seed=55,
+    duration_s=30.0,
+    attach="runtime",
+)

@@ -29,20 +29,18 @@ from repro.chaos.plan import (
     SensorFlap,
 )
 from repro.chaos.scenarios import (
+    CHAOS_SCENARIOS,
     MODULE_RECOVERY_BOUND_S,
-    SCENARIOS,
-    ChaosScenario,
     ScenarioResult,
     build_chaos_cluster,
     build_chaos_recipe,
-    get_scenario,
     run_scenario,
     trace_digest,
 )
 
 __all__ = [
     "BrokerRestart",
-    "ChaosScenario",
+    "CHAOS_SCENARIOS",
     "CheckResult",
     "FaultEvent",
     "FaultPlan",
@@ -57,12 +55,10 @@ __all__ = [
     "NodeRestart",
     "Partition",
     "RecoveryCheck",
-    "SCENARIOS",
     "ScenarioResult",
     "SensorFlap",
     "build_chaos_cluster",
     "build_chaos_recipe",
-    "get_scenario",
     "run_scenario",
     "trace_digest",
 ]

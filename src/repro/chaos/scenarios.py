@@ -20,7 +20,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.chaos.injector import Injector
+from repro.bench.calibration import pi_cost_model
 from repro.chaos.invariants import InvariantReport, Invariants, RecoveryCheck
 from repro.chaos.plan import (
     BrokerRestart,
@@ -34,9 +34,10 @@ from repro.chaos.plan import (
 )
 from repro.core.middleware import Application, IFoTCluster
 from repro.core.recipe import Recipe, TaskSpec
-from repro.errors import ConfigurationError
 from repro.net.wlan import GilbertElliottConfig
 from repro.runtime.sim import SimRuntime
+from repro.scenario import PrepareHook, Scenario, run
+from repro.sensors.base import SensorModel
 from repro.sensors.devices import FixedPayloadModel
 from repro.sim.trace import Tracer
 
@@ -45,12 +46,10 @@ __all__ = [
     "SWEEP_S",
     "HEARTBEAT_S",
     "MODULE_RECOVERY_BOUND_S",
-    "ChaosScenario",
+    "CHAOS_SCENARIOS",
     "ScenarioResult",
-    "SCENARIOS",
     "build_chaos_cluster",
     "build_chaos_recipe",
-    "get_scenario",
     "run_scenario",
     "trace_digest",
 ]
@@ -74,10 +73,17 @@ COMPUTE_MODULES = ("module-c", "module-d")
 BROKER_NODE = "broker-node"
 APP_NAME = "chaos-app"
 RATE_HZ = 2.0
+#: The ``bursty_wlan`` scenario's loss process on the sensor uplinks.
+BURSTY_LINK = GilbertElliottConfig(p_enter=0.05, p_exit=0.25, loss_bad=0.9)
+
+
+def chaos_devices() -> dict[str, SensorModel]:
+    """The devices both sensor modules of the chaos testbed carry."""
+    return {"sample": FixedPayloadModel(values=3)}
 
 
 def build_chaos_cluster(
-    seed: int = 0, prepare: Callable[[SimRuntime], None] | None = None
+    seed: int = 0, prepare: PrepareHook | None = None
 ) -> tuple[SimRuntime, IFoTCluster]:
     """The standard chaos testbed: 2 sensor + 2 compute modules.
 
@@ -107,7 +113,8 @@ def build_chaos_cluster(
     )
     for name in SENSOR_MODULES:
         module = cluster.add_module(name)
-        module.attach_sensor("sample", FixedPayloadModel(values=3))
+        for device, model in chaos_devices().items():
+            module.attach_sensor(device, model)
     for name in COMPUTE_MODULES:
         cluster.add_module(name, extra_capabilities={"compute"})
     cluster.settle(3.0)
@@ -164,17 +171,6 @@ def build_chaos_recipe() -> Recipe:
         ),
     ]
     return Recipe(APP_NAME, tasks)
-
-
-@dataclass(frozen=True)
-class ChaosScenario:
-    """A fault plan plus the invariant bounds it must satisfy."""
-
-    name: str
-    description: str
-    duration_s: float
-    build_plan: Callable[[IFoTCluster, Application], FaultPlan]
-    recovery: tuple[RecoveryCheck, ...] = ()
 
 
 @dataclass
@@ -270,9 +266,7 @@ def _bursty_wlan_plan(cluster: IFoTCluster, app: Application) -> FaultPlan:
                 duration_s=10.0,
                 stations=SENSOR_MODULES,
                 bitrate_factor=0.5,
-                burst=GilbertElliottConfig(
-                    p_enter=0.05, p_exit=0.25, loss_bad=0.9
-                ),
+                burst=BURSTY_LINK,
             ),
         ),
     )
@@ -285,213 +279,217 @@ def _sensor_flap_plan(cluster: IFoTCluster, app: Application) -> FaultPlan:
     )
 
 
-SCENARIOS: dict[str, ChaosScenario] = {
-    scenario.name: scenario
-    for scenario in (
-        ChaosScenario(
-            name="partition_heal",
-            description=(
-                "module-a loses layer-2 reachability to the broker for 6 s; "
-                "after the heal its session re-establishes and replays its "
-                "subscriptions"
-            ),
-            duration_s=30.0,
-            build_plan=_partition_heal_plan,
-            recovery=(
-                RecoveryCheck(
-                    fault_kind="partition",
-                    signal_event="mqtt.client.resubscribed",
-                    bound_s=MODULE_RECOVERY_BOUND_S,
-                    measure_from="restored",
-                    source_contains="module-a",
-                ),
-            ),
-        ),
-        ChaosScenario(
-            name="module_crash_failover",
-            description=(
-                "the module hosting the learner crash-stops and stays down; "
-                "management must detect the death and re-place the analysis "
-                "subtasks on the surviving compute module"
-            ),
-            duration_s=30.0,
-            build_plan=_module_crash_plan,
-            recovery=(
-                RecoveryCheck(
-                    fault_kind="node_crash",
-                    signal_event="mgmt.failover_moved",
-                    bound_s=MODULE_RECOVERY_BOUND_S,
-                ),
-            ),
-        ),
-        ChaosScenario(
-            name="node_restart_rejoin",
-            description=(
-                "the module hosting the learner power-cycles (amnesia "
-                "restart, new incarnation); the directory must observe a "
-                "leave-then-join and management must re-place its subtasks"
-            ),
-            duration_s=30.0,
-            build_plan=_node_restart_plan,
-            recovery=(
-                RecoveryCheck(
-                    fault_kind="node_restart",
-                    signal_event="mgmt.failover_moved",
-                    bound_s=MODULE_RECOVERY_BOUND_S,
-                ),
-            ),
-        ),
-        ChaosScenario(
-            name="failover",
-            description=(
-                "the module hosting the learner crash-stops; management "
-                "must detect it and re-place the analysis subtasks, then "
-                "the host power-cycles back and the subtasks migrate home "
-                "live (pause/drain/transfer/resume) with zero QoS 1 loss "
-                "and no sample processed by two instances"
-            ),
-            duration_s=34.0,
-            build_plan=_failover_plan,
-            recovery=(
-                RecoveryCheck(
-                    fault_kind="node_crash",
-                    signal_event="mgmt.failover_moved",
-                    bound_s=MODULE_RECOVERY_BOUND_S,
-                ),
-                RecoveryCheck(
-                    fault_kind="node_restart",
-                    signal_event="migrate.done",
-                    bound_s=MODULE_RECOVERY_BOUND_S,
-                    measure_from="restored",
-                ),
-            ),
-        ),
-        ChaosScenario(
-            name="broker_restart",
-            description=(
-                "the broker node power-cycles, losing every session and "
-                "subscription; all clients must detect the silence, back "
-                "off, reconnect, and replay their subscriptions"
-            ),
-            duration_s=34.0,
-            build_plan=_broker_restart_plan,
-            # Detection is watchdog-quantised (up to 2x keep-alive of
-            # silence + one watchdog period) and reconnect adds one
-            # backoff step, so the bound is wider than the crash bound.
-            recovery=(
-                RecoveryCheck(
-                    fault_kind="broker_restart",
-                    signal_event="mqtt.client.resubscribed",
-                    bound_s=8.0,
-                ),
-            ),
-        ),
-        ChaosScenario(
-            name="bursty_wlan",
-            description=(
-                "10 s of Gilbert-Elliott bursty loss and halved bitrate on "
-                "the sensor uplinks; QoS 1 must retransmit through the "
-                "bursts and dedup must keep training effectively-once"
-            ),
-            duration_s=30.0,
-            build_plan=_bursty_wlan_plan,
-            recovery=(
-                RecoveryCheck(
-                    fault_kind="link_degrade",
-                    signal_event="ml.trained",
-                    bound_s=MODULE_RECOVERY_BOUND_S,
-                    measure_from="restored",
-                ),
-            ),
-        ),
-        ChaosScenario(
-            name="sensor_flap",
-            description=(
-                "module-a's sensor device stops producing for 6 s, then "
-                "resumes phase-aligned; sampling must restart within one "
-                "period of the restore"
-            ),
-            duration_s=30.0,
-            build_plan=_sensor_flap_plan,
-            recovery=(
-                RecoveryCheck(
-                    fault_kind="sensor_flap",
-                    signal_event="sensor.sample",
-                    bound_s=2.0,
-                    measure_from="restored",
-                    source_contains="sense-a@module-a",
-                ),
-            ),
-        ),
-    )
+#: Static-analysis calibration of the chaos *recipe* — all seven fault
+#: scenarios deploy it, so they share this context. The Pi cost model is
+#: a sound upper bound over the testbed's zero-cost one; QoS 1 retry
+#: amplification uses ``BURSTY_LINK.stationary_loss()`` (written as the
+#: literal 0.15 — the derived float is 0.15000000000000002 and would
+#: perturb printed bounds; a test pins the two together); the
+#: module-recovery bound is the one-off disruption allowance.
+CHAOS_LINT = {
+    "cost_model": pi_cost_model(),
+    "loss_rate": 0.15,
+    "disruption_allowance_s": MODULE_RECOVERY_BOUND_S,
 }
 
 
-def get_scenario(name: str) -> ChaosScenario:
-    try:
-        return SCENARIOS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown chaos scenario {name!r} (known: {sorted(SCENARIOS)})"
-        ) from None
+def _chaos_scenario(
+    name: str,
+    description: str,
+    duration_s: float,
+    fault_plan: Callable[[IFoTCluster, Application], FaultPlan],
+    recovery: tuple[RecoveryCheck, ...],
+) -> Scenario:
+    """A fault plan and its recovery bounds on the standard chaos testbed."""
+    return Scenario(
+        name=name,
+        description=description,
+        build=build_chaos_cluster,
+        recipe=build_chaos_recipe,
+        recipe_origin="<built-in chaos recipe>",
+        devices=chaos_devices,
+        lint=CHAOS_LINT,
+        seed=0,
+        duration_s=duration_s,
+        fault_plan=fault_plan,
+        recovery=recovery,
+    )
+
+
+CHAOS_SCENARIOS: tuple[Scenario, ...] = (
+    _chaos_scenario(
+        name="partition_heal",
+        description=(
+            "module-a loses layer-2 reachability to the broker for 6 s; "
+            "after the heal its session re-establishes and replays its "
+            "subscriptions"
+        ),
+        duration_s=30.0,
+        fault_plan=_partition_heal_plan,
+        recovery=(
+            RecoveryCheck(
+                fault_kind="partition",
+                signal_event="mqtt.client.resubscribed",
+                bound_s=MODULE_RECOVERY_BOUND_S,
+                measure_from="restored",
+                source_contains="module-a",
+            ),
+        ),
+    ),
+    _chaos_scenario(
+        name="module_crash_failover",
+        description=(
+            "the module hosting the learner crash-stops and stays down; "
+            "management must detect the death and re-place the analysis "
+            "subtasks on the surviving compute module"
+        ),
+        duration_s=30.0,
+        fault_plan=_module_crash_plan,
+        recovery=(
+            RecoveryCheck(
+                fault_kind="node_crash",
+                signal_event="mgmt.failover_moved",
+                bound_s=MODULE_RECOVERY_BOUND_S,
+            ),
+        ),
+    ),
+    _chaos_scenario(
+        name="node_restart_rejoin",
+        description=(
+            "the module hosting the learner power-cycles (amnesia "
+            "restart, new incarnation); the directory must observe a "
+            "leave-then-join and management must re-place its subtasks"
+        ),
+        duration_s=30.0,
+        fault_plan=_node_restart_plan,
+        recovery=(
+            RecoveryCheck(
+                fault_kind="node_restart",
+                signal_event="mgmt.failover_moved",
+                bound_s=MODULE_RECOVERY_BOUND_S,
+            ),
+        ),
+    ),
+    _chaos_scenario(
+        name="failover",
+        description=(
+            "the module hosting the learner crash-stops; management "
+            "must detect it and re-place the analysis subtasks, then "
+            "the host power-cycles back and the subtasks migrate home "
+            "live (pause/drain/transfer/resume) with zero QoS 1 loss "
+            "and no sample processed by two instances"
+        ),
+        duration_s=34.0,
+        fault_plan=_failover_plan,
+        recovery=(
+            RecoveryCheck(
+                fault_kind="node_crash",
+                signal_event="mgmt.failover_moved",
+                bound_s=MODULE_RECOVERY_BOUND_S,
+            ),
+            RecoveryCheck(
+                fault_kind="node_restart",
+                signal_event="migrate.done",
+                bound_s=MODULE_RECOVERY_BOUND_S,
+                measure_from="restored",
+            ),
+        ),
+    ),
+    _chaos_scenario(
+        name="broker_restart",
+        description=(
+            "the broker node power-cycles, losing every session and "
+            "subscription; all clients must detect the silence, back "
+            "off, reconnect, and replay their subscriptions"
+        ),
+        duration_s=34.0,
+        fault_plan=_broker_restart_plan,
+        # Detection is watchdog-quantised (up to 2x keep-alive of
+        # silence + one watchdog period) and reconnect adds one
+        # backoff step, so the bound is wider than the crash bound.
+        recovery=(
+            RecoveryCheck(
+                fault_kind="broker_restart",
+                signal_event="mqtt.client.resubscribed",
+                bound_s=8.0,
+            ),
+        ),
+    ),
+    _chaos_scenario(
+        name="bursty_wlan",
+        description=(
+            "10 s of Gilbert-Elliott bursty loss and halved bitrate on "
+            "the sensor uplinks; QoS 1 must retransmit through the "
+            "bursts and dedup must keep training effectively-once"
+        ),
+        duration_s=30.0,
+        fault_plan=_bursty_wlan_plan,
+        recovery=(
+            RecoveryCheck(
+                fault_kind="link_degrade",
+                signal_event="ml.trained",
+                bound_s=MODULE_RECOVERY_BOUND_S,
+                measure_from="restored",
+            ),
+        ),
+    ),
+    _chaos_scenario(
+        name="sensor_flap",
+        description=(
+            "module-a's sensor device stops producing for 6 s, then "
+            "resumes phase-aligned; sampling must restart within one "
+            "period of the restore"
+        ),
+        duration_s=30.0,
+        fault_plan=_sensor_flap_plan,
+        recovery=(
+            RecoveryCheck(
+                fault_kind="sensor_flap",
+                signal_event="sensor.sample",
+                bound_s=2.0,
+                measure_from="restored",
+                source_contains="sense-a@module-a",
+            ),
+        ),
+    ),
+)
 
 
 def run_scenario(
-    scenario: ChaosScenario | str,
+    scenario: Scenario | str,
     seed: int = 0,
     observe: bool = False,
-    prepare: Callable[[SimRuntime], None] | None = None,
+    prepare: PrepareHook | None = None,
     profile: bool = False,
     slo: bool = False,
 ) -> ScenarioResult:
-    """Build the testbed, inject the scenario's plan, check invariants.
+    """Run a fault scenario through the pipeline, then check invariants.
 
-    ``observe=True`` enables flow tracing + metrics (``repro.obs``) before
-    the workload starts, so the resulting trace carries span trees through
-    the injected faults — the golden-trace tests fingerprint exactly that.
-    ``prepare`` is forwarded to :func:`build_chaos_cluster` (sanitizer
-    hook installation). ``profile=True`` attaches the sim-time profiler
-    so fault-window utilization shows up in the result's profiler.
-    ``slo=True`` installs the online SLO engine (``repro.obs.slo``) on
-    the recipe's declared deadlines before the workload starts; it
-    implies ``observe`` (the engine consumes the span stream) and leaves
-    the engine on ``result.slo_engine``.
+    The instrument flags and ``prepare`` are :func:`repro.scenario.run`'s;
+    the plan is injected there. What this adds is the verdict: the
+    end-to-end delivery invariants plus the scenario's recovery bounds,
+    and the trace digest the determinism tests compare.
     """
     if isinstance(scenario, str):
-        scenario = get_scenario(scenario)
-    runtime, cluster = build_chaos_cluster(seed, prepare=prepare)
-    if observe or slo:
-        from repro.obs import enable_observability
+        from repro.registry import resolve  # late: the registry imports this module
 
-        enable_observability(runtime)
-    profiler = None
-    if profile:
-        from repro.prof import enable_profiling
-
-        profiler = enable_profiling(runtime)
-    recipe = build_chaos_recipe()
-    if slo:
-        from repro.obs.slo import enable_slo
-
-        enable_slo(runtime, recipe=recipe, cluster=cluster)
-    app = cluster.submit(recipe)
-    cluster.settle(2.0)
-    plan = scenario.build_plan(cluster, app).validate()
-    injector = Injector(runtime, cluster=cluster)
-    injector.schedule(plan)
-    runtime.run(until=scenario.duration_s)
-    report = Invariants(runtime.tracer, cluster).check(
+        scenario = resolve(scenario, faults=True)
+    outcome = run(
+        scenario, seed=seed, observe=observe, profile=profile, slo=slo, prepare=prepare
+    )
+    runtime = outcome.runtime
+    report = Invariants(runtime.tracer, outcome.cluster).check(
         recovery=scenario.recovery
     )
     return ScenarioResult(
         name=scenario.name,
         seed=seed,
-        duration_s=scenario.duration_s,
+        duration_s=outcome.duration_s,
         report=report,
         trace_digest=trace_digest(runtime.tracer),
         trace_records=len(runtime.tracer),
-        faults_applied=injector.faults_applied,
+        faults_applied=outcome.faults_applied,
         tracer=runtime.tracer,
-        profiler=profiler,
+        profiler=runtime.prof,
         slo_engine=runtime.slo,
     )

@@ -1,5 +1,9 @@
 """Command-line interface: ``python -m repro <command>``.
 
+Every scenario argument (``chaos``, ``heal``, ``san``, ``prof``, ``slo``,
+``trace --pipeline``, ``lint --recipe``) is a name from
+:mod:`repro.registry`, run through :func:`repro.scenario.run`.
+
 Commands
 --------
 ``paper-exp``
@@ -65,13 +69,15 @@ from repro.bench import (
 )
 from repro.bench.reporting import write_results_csv, write_results_json
 from repro.bench.calibration import PAPER_RATES_HZ
-from repro.chaos import SCENARIOS, run_scenario
+from repro.chaos import run_scenario
 from repro.core.assignment import ModuleInfo, TaskAssignment
 from repro.core.dsl import format_recipe, parse_recipe
 from repro.core.operators import registered_operators
 from repro.core.recipe import Recipe
 from repro.core.splitter import RecipeSplit
 from repro.errors import ConfigurationError, IFoTError
+from repro.registry import SCENARIOS, UnknownScenarioError, fault_scenarios, resolve
+from repro.scenario import Run, Scenario, run
 
 __all__ = ["main"]
 
@@ -81,6 +87,42 @@ def _load_recipe(path: Path) -> Recipe:
     if path.suffix == ".json":
         return Recipe.from_json(text)
     return parse_recipe(text)
+
+
+def _list_scenarios(names: list[str]) -> int:
+    width = max(len(name) for name in names)
+    for name in names:
+        print(f"{name:<{width}}  {SCENARIOS[name].description}")
+    return 0
+
+
+def _run(
+    args: argparse.Namespace, name: str, rate_hz: float | None, **instruments: bool
+) -> "tuple[Run, str]":
+    """Resolve and run a scenario for ``trace`` / ``prof`` / ``slo``;
+    returns the run and its label. ``--seed`` / ``--duration`` default to
+    the scenario's own, ``--rate`` selects the variant at that rate."""
+    scenario = resolve(name)
+    if rate_hz is not None:
+        if scenario.at_rate is None:
+            raise ConfigurationError(
+                f"scenario {scenario.name!r} declares no sensing rate "
+                "(--rate/--rates do not apply)"
+            )
+        scenario = scenario.at_rate(rate_hz)
+    print(f"running {scenario.description}...", file=sys.stderr)
+    outcome = run(scenario, seed=args.seed, duration_s=args.duration, **instruments)
+    return outcome, f"{name} (seed {outcome.seed}, {outcome.duration_s:g}s)"
+
+
+def _recipe_source(name_or_path: str) -> "tuple[Recipe, Scenario | None]":
+    """Resolve ``--recipe`` to a recipe and, when it names one, the
+    scenario that declares it (a recipe file has none)."""
+    path = Path(name_or_path)
+    if name_or_path not in SCENARIOS and path.is_file():
+        return _load_recipe(path), None
+    scenario = resolve(name_or_path)
+    return scenario.recipe(), scenario
 
 
 def _cmd_paper_exp(args: argparse.Namespace) -> int:
@@ -160,16 +202,17 @@ def _cmd_operators(_args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.list:
-        width = max(len(name) for name in SCENARIOS)
-        for name in sorted(SCENARIOS):
-            print(f"{name:<{width}}  {SCENARIOS[name].description}")
-        return 0
-    names = [args.scenario] if args.scenario else sorted(SCENARIOS)
+        return _list_scenarios(fault_scenarios())
+    names = (
+        [resolve(args.scenario, faults=True).name]
+        if args.scenario
+        else fault_scenarios()
+    )
     if args.seeds:
         return _chaos_multi_seed(names, args)
     all_ok = True
     for name in names:
-        result = run_scenario(name, seed=args.seed, profile=args.profile)
+        result = run_scenario(name, seed=args.seed)
         all_ok = all_ok and result.report.ok
         print(
             f"scenario {result.name} (seed {result.seed}, "
@@ -179,15 +222,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print(f"  trace digest: {result.trace_digest[:16]}")
         for line in result.report.render().splitlines():
             print(f"  {line}")
-        if args.profile and result.profiler is not None:
-            from repro.prof import format_profile_tree
-
-            print()
-            for line in format_profile_tree(
-                result.profiler, title=f"Profile — chaos {result.name}"
-            ).splitlines():
-                print(f"  {line}")
-        if getattr(args, "recover", False) and result.tracer is not None:
+        if args.recover:
             from repro.core.healing import recovery_report
 
             print()
@@ -204,7 +239,7 @@ def _chaos_multi_seed(names: list[str], args: argparse.Namespace) -> int:
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     all_ok = True
     for name in names:
-        rows = run_parallel("chaos", name, seeds, workers=args.workers)
+        rows = run_parallel(name, seeds, workers=args.workers)
         print(
             f"scenario {name}: {len(rows)} seeds on "
             f"{max(1, args.workers)} worker(s)"
@@ -245,58 +280,44 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import spans_from_tracer, to_chrome_trace
     from repro.sim.trace import Tracer
 
+    scenario = None
     if args.input:
         tracer = Tracer.from_jsonl(Path(args.input))
         title = f"Latency breakdown — {args.input}"
-    elif args.pipeline == "fig5":
-        from repro.bench.scenarios import run_fig5_experiment
-
-        print(
-            f"running the Fig. 5 recipe with tracing on "
-            f"(duration {args.duration:g}s, seed {args.seed})..."
-        )
-        runtime = run_fig5_experiment(
-            seed=args.seed, duration_s=args.duration, observe=True
-        )
-        tracer = runtime.tracer
-        title = "Latency breakdown — Fig. 5 'start watching' pipeline"
     else:
-        from repro.bench.harness import run_paper_experiment
-
-        print(
-            f"running the Fig. 7/9 testbed with tracing on "
-            f"({args.rate:g} Hz, duration {args.duration:g}s, seed {args.seed})..."
-        )
-        result = run_paper_experiment(
-            args.rate, duration_s=args.duration, seed=args.seed, observe=True
-        )
-        tracer = result.tracer
-        title = f"Latency breakdown — paper pipeline at {args.rate:g} Hz"
+        outcome, label = _run(args, args.pipeline, args.rate, observe=True)
+        tracer, scenario = outcome.runtime.tracer, outcome.scenario
+        title = f"Latency breakdown — {label}"
+    spans = spans_from_tracer(tracer)
     print()
     if args.summary:
         from repro.obs import flow_latency_summary, stage_breakdown
         from repro.obs.slo import format_flow_summary
 
-        deadlines_ms = None
+        # Deadlines for the verdict column: --recipe, else the scenario just run.
+        recipe = None
         if args.recipe:
-            recipe, _origin, _keys = _lint_recipe(args.recipe)
-            deadlines_ms = {
-                task_id: task.deadline_ms
-                for task_id, task in recipe.tasks.items()
-                if task.deadline_ms is not None
-            }
-        flows = flow_latency_summary(
-            stage_breakdown(spans_from_tracer(tracer))
-        )
+            recipe = _recipe_source(args.recipe)[0]
+        elif scenario is not None:
+            recipe = scenario.recipe()
+        deadlines_ms = {
+            task_id: task.deadline_ms
+            for task_id, task in (recipe.tasks.items() if recipe else ())
+            if task.deadline_ms is not None
+        }
         print(title)
-        print(format_flow_summary(flows, deadlines_ms))
+        print(
+            format_flow_summary(
+                flow_latency_summary(stage_breakdown(spans)), deadlines_ms
+            )
+        )
     else:
         print(format_trace_breakdown(tracer, title=title))
     if args.jsonl:
         count = tracer.to_jsonl(args.jsonl)
         print(f"wrote {count} trace records to {args.jsonl}")
     if args.chrome:
-        chrome = to_chrome_trace(spans_from_tracer(tracer))
+        chrome = to_chrome_trace(spans)
         Path(args.chrome).write_text(  # repro: lint-ok[DET005] - CLI export
             json.dumps(chrome, sort_keys=True), encoding="utf-8"
         )
@@ -304,79 +325,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             f"wrote {len(chrome['traceEvents'])} trace events to {args.chrome} "
             "(load in chrome://tracing or Perfetto)"
         )
-    return 0 if spans_from_tracer(tracer) else 1
-
-
-def _lint_recipe(name_or_path: str) -> "tuple[Recipe, str, dict | None]":
-    """Resolve ``--recipe`` to (recipe, origin, device channel keys).
-
-    Built-in shortcuts carry the channel-key map of the testbed they run
-    on, so the payload checker sees the same devices the scenario
-    attaches; recipes loaded from files get ``None`` (open sensor
-    schemas).
-    """
-    if name_or_path == "fig5":
-        from repro.bench.scenarios import FIG5_RECIPE_PATH, fig5_device_keys
-
-        return _load_recipe(FIG5_RECIPE_PATH), str(FIG5_RECIPE_PATH), fig5_device_keys()
-    if name_or_path == "paper":
-        from repro.bench.scenarios import build_paper_recipe, paper_device_keys
-
-        return (
-            build_paper_recipe(rate_hz=5.0),
-            "<built-in paper recipe @ 5 Hz>",
-            paper_device_keys(),
-        )
-    if name_or_path == "failover":
-        from repro.bench.scenarios import paper_device_keys
-        from repro.chaos.scenarios import build_chaos_recipe
-
-        # The chaos testbed attaches the same FixedPayloadModel devices
-        # as the paper testbed.
-        return build_chaos_recipe(), "<built-in failover chaos recipe>", paper_device_keys()
-    path = Path(name_or_path)
-    return _load_recipe(path), str(path), None
-
-
-def _lint_latency_context(name_or_path: str) -> "LatencyContext":
-    """The :class:`LatencyContext` matching a ``--recipe`` argument.
-
-    Built-ins get the calibration their committed BENCH baselines were
-    measured under, so ``--validate`` compares like with like:
-
-    * ``fig5`` — Pi cost model on the default WLAN (what ``repro bench``
-      runs the Fig. 5 scenario with);
-    * ``paper`` — Pi cost model on the paper's measured WLAN;
-    * ``failover`` — Pi cost model (a sound upper bound over the chaos
-      testbed's zero-cost model), the chaos link's stationary
-      Gilbert–Elliott loss for QoS 1 retry amplification, and the
-      module-recovery bound as a one-off disruption allowance.
-
-    File recipes get the default context (generic cost model, default
-    WLAN).
-    """
-    from repro.lint import LatencyContext
-
-    if name_or_path == "fig5":
-        from repro.bench.calibration import pi_cost_model
-
-        return LatencyContext(cost_model=pi_cost_model())
-    if name_or_path == "paper":
-        from repro.bench.calibration import pi_cost_model, pi_wlan_config
-
-        return LatencyContext(cost_model=pi_cost_model(), wlan=pi_wlan_config())
-    if name_or_path == "failover":
-        from repro.bench.calibration import pi_cost_model
-        from repro.chaos.scenarios import MODULE_RECOVERY_BOUND_S
-
-        # Stationary loss of the chaos scenario's Gilbert-Elliott link
-        # (p_enter=0.05, p_exit=0.25, loss_bad=0.9).
-        return LatencyContext(
-            cost_model=pi_cost_model(),
-            loss_rate=0.15,
-            disruption_allowance_s=MODULE_RECOVERY_BOUND_S,
-        )
-    return LatencyContext()
+    return 0 if spans else 1
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -417,14 +366,21 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         if args.dataflow:
             run.merge(analyze_state_soundness(args.paths))
     if args.recipe:
-        recipe, origin, device_keys = _lint_recipe(args.recipe)
+        # A scenario brings the channel keys of the devices its testbed
+        # attaches and the calibration its deadlines assume; a recipe file
+        # gets open sensor schemas and the default context.
+        recipe, scenario = _recipe_source(args.recipe)
+        origin = scenario.recipe_origin if scenario else str(Path(args.recipe))
         checks = (
             check_recipe(recipe)
             + check_rate_feasibility(recipe)
-            + check_recipe_payloads(recipe, device_keys)
+            + check_recipe_payloads(
+                recipe, scenario.device_keys() if scenario else None
+            )
         )
         if args.deadline or args.validate:
             from repro.lint import (
+                LatencyContext,
                 analyze_latency,
                 check_bound_soundness,
                 check_deadlines,
@@ -432,7 +388,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 flows_from_trace,
             )
 
-            context = _lint_latency_context(args.recipe)
+            context = scenario.lint_context() if scenario else LatencyContext()
             analysis = analyze_latency(recipe, context)
             checks += check_deadlines(recipe, context, analysis)
             if args.validate:
@@ -457,12 +413,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         for diag in checks:
             run.diagnostics.append(diag.replace(file=origin))
     if args.calibrate:
-        import json as _json
-
         from repro.bench.continuous import BenchRecord
 
         baseline = BenchRecord.from_dict(
-            _json.loads(Path(args.calibrate).read_text())
+            json.loads(Path(args.calibrate).read_text())
         )
         for diag in check_cost_drift(baseline):
             run.diagnostics.append(diag.replace(file=args.calibrate))
@@ -489,71 +443,24 @@ def _cmd_prof(args: argparse.Namespace) -> int:
         profile_to_dict,
     )
 
-    if args.scenario == "paper" and args.rates:
-        return _prof_paper_sweep(args)
-    if args.scenario == "fig5":
-        from repro.bench.calibration import pi_cost_model
-        from repro.bench.scenarios import run_fig5_experiment
-        from repro.prof import enable_profiling
-
-        print(
-            f"profiling the Fig. 5 pipeline (duration {args.duration:g}s, "
-            f"seed {args.seed}, Pi cost calibration)..."
-        )
-        runtime = run_fig5_experiment(
-            seed=args.seed,
-            duration_s=args.duration,
-            observe=False,
-            prepare=lambda rt: enable_profiling(rt),
-            cost_model=pi_cost_model(),
-        )
-        profiler = runtime.prof
-        tracer = runtime.tracer
-        title = "Fig. 5 'start watching' pipeline"
-    elif args.scenario == "paper":
-        from repro.bench.harness import run_paper_experiment
-
-        print(
-            f"profiling the paper testbed ({args.rate:g} Hz, duration "
-            f"{args.duration:g}s, seed {args.seed})..."
-        )
-        result = run_paper_experiment(
-            args.rate, duration_s=args.duration, seed=args.seed, profile=True
-        )
-        profiler = result.profiler
-        tracer = result.tracer
-        title = f"paper pipeline at {args.rate:g} Hz"
-    elif args.scenario.startswith("chaos:"):
-        name = args.scenario[len("chaos:") :]
-        print(f"profiling chaos scenario {name!r} (seed {args.seed})...")
-        result = run_scenario(name, seed=args.seed, profile=True)
-        profiler = result.profiler
-        tracer = result.tracer
-        title = f"chaos scenario {name}"
-    else:
-        print(
-            f"error: unknown scenario {args.scenario!r} "
-            "(use fig5, paper, or chaos:<name>)",
-            file=sys.stderr,
-        )
-        return 2
-    if profiler is None:
-        print("error: profiling unavailable for this runtime", file=sys.stderr)
-        return 1
+    if args.rates:
+        return _prof_rate_sweep(args)
+    outcome, label = _run(args, args.scenario, args.rate, profile=True)
+    profiler = outcome.runtime.prof
     print()
     if args.format == "folded":
         sys.stdout.write(folded_stacks(profiler))
     elif args.format == "json":
         print(json.dumps(profile_to_dict(profiler), indent=2, sort_keys=True))
     else:
-        print(format_profile_tree(profiler, title=f"Profile — {title}"))
+        print(format_profile_tree(profiler, title=f"Profile — {label}"))
     if args.folded:
         Path(args.folded).write_text(  # repro: lint-ok[DET005] - CLI export
             folded_stacks(profiler), encoding="utf-8"
         )
         print(f"\nwrote folded stacks to {args.folded} (flamegraph.pl / speedscope)")
     if args.chrome:
-        events = chrome_counter_events(tracer)
+        events = chrome_counter_events(outcome.runtime.tracer)
         Path(args.chrome).write_text(  # repro: lint-ok[DET005] - CLI export
             json.dumps({"traceEvents": events}, sort_keys=True), encoding="utf-8"
         )
@@ -561,22 +468,12 @@ def _cmd_prof(args: argparse.Namespace) -> int:
     return 0
 
 
-def _prof_paper_sweep(args: argparse.Namespace) -> int:
+def _prof_rate_sweep(args: argparse.Namespace) -> int:
     """Per-rate utilization table: the saturation knee at a glance."""
-    from repro.bench.harness import run_paper_experiment
-
     rates = tuple(float(r) for r in args.rates.split(","))
-    print(
-        f"profiling the paper testbed at rates {[f'{r:g}' for r in rates]} Hz "
-        f"(duration {args.duration:g}s, seed {args.seed})..."
-    )
-    results = [
-        run_paper_experiment(
-            rate, duration_s=args.duration, seed=args.seed, profile=True
-        )
-        for rate in rates
-    ]
-    nodes = sorted({node for r in results for node in r.cpu_utilization})
+    outcomes = [_run(args, args.scenario, rate, profile=True)[0] for rate in rates]
+    profilers = [o.runtime.prof for o in outcomes]
+    nodes = sorted({node for prof in profilers for node in prof.cpu_nodes()})
     print()
     header = f"{'node':<12}" + "".join(f"{f'{r:g} Hz':>10}" for r in rates)
     print("CPU utilization over the measured window (busy share, 1.0 = saturated)")
@@ -584,73 +481,14 @@ def _prof_paper_sweep(args: argparse.Namespace) -> int:
     print("-" * len(header))
     for node in nodes:
         row = f"{node:<12}"
-        for result in results:
-            row += f"{result.cpu_utilization.get(node, 0.0):>10.3f}"
+        for o, prof in zip(outcomes, profilers):
+            row += f"{prof.cpu_utilization(node, since=o.measure_from):>10.3f}"
         print(row)
     wlan_row = f"{'wlan':<12}" + "".join(
-        f"{r.wlan_utilization:>10.3f}" for r in results
+        f"{o.runtime.wlan.utilization():>10.3f}" for o in outcomes
     )
     print(wlan_row)
     return 0
-
-
-def _run_slo_scenario(args: argparse.Namespace) -> "tuple[str, object]":
-    """Run the requested scenario with the SLO engine on; returns
-    ``(label, engine)``. Profiling rides along so the drift watch and
-    node watermarks have data."""
-    scenario = args.scenario
-    if scenario.startswith("chaos:"):
-        scenario = scenario[len("chaos:") :]
-    if scenario == "fig5":
-        from repro.bench.calibration import pi_cost_model
-        from repro.bench.scenarios import run_fig5_experiment
-        from repro.prof import enable_profiling
-
-        seed = 55 if args.seed is None else args.seed
-        duration = 30.0 if args.duration is None else args.duration
-        print(
-            f"running fig5 with the SLO engine online "
-            f"(duration {duration:g}s, seed {seed})...",
-            file=sys.stderr,
-        )
-        runtime = run_fig5_experiment(
-            seed=seed,
-            duration_s=duration,
-            prepare=lambda rt: enable_profiling(rt),
-            cost_model=pi_cost_model(),
-            slo=True,
-        )
-        return f"fig5 (seed {seed}, {duration:g}s)", runtime.slo
-    if scenario == "paper":
-        from repro.bench.harness import run_paper_experiment
-
-        seed = 0 if args.seed is None else args.seed
-        duration = 2.5 if args.duration is None else args.duration
-        print(
-            f"running the paper testbed with the SLO engine online "
-            f"({args.rate:g} Hz, duration {duration:g}s, seed {seed})...",
-            file=sys.stderr,
-        )
-        result = run_paper_experiment(
-            args.rate,
-            duration_s=duration,
-            seed=seed,
-            profile=True,
-            slo=True,
-        )
-        return f"paper @ {args.rate:g} Hz (seed {seed})", result.slo_engine
-    if scenario in SCENARIOS:
-        seed = 0 if args.seed is None else args.seed
-        print(
-            f"running chaos scenario {scenario!r} with the SLO engine online...",
-            file=sys.stderr,
-        )
-        result = run_scenario(scenario, seed=seed, slo=True, profile=True)
-        return f"chaos:{scenario} (seed {seed})", result.slo_engine
-    raise ConfigurationError(
-        f"unknown slo scenario {args.scenario!r} "
-        f"(known: fig5, paper, chaos:<{'|'.join(sorted(SCENARIOS))}>)"
-    )
 
 
 def _cmd_slo(args: argparse.Namespace) -> int:
@@ -660,7 +498,9 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     from repro.obs.slo import format_flow_summary
     from repro.util.validate import blocking
 
-    label, engine = _run_slo_scenario(args)
+    # Profiling rides along so the drift watch and node watermarks have data.
+    outcome, label = _run(args, args.scenario, args.rate, slo=True, profile=True)
+    engine = outcome.runtime.slo
     if engine is None:
         print("the SLO engine is disabled (REPRO_SLO=0 or kill switch)")
         return 2
@@ -812,20 +652,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_san(args: argparse.Namespace) -> int:
-    import json as _json
-
     from repro.lint.report import render_text
-    from repro.san import SAN_SCENARIOS, run_sanitizer
+    from repro.san import run_sanitizer
     from repro.util.validate import blocking
 
     if args.list:
-        width = max(len(name) for name in SAN_SCENARIOS)
-        for name in sorted(SAN_SCENARIOS):
-            print(f"{name:<{width}}  {SAN_SCENARIOS[name].description}")
-        return 0
-    names = args.scenarios or None
+        return _list_scenarios(sorted(SCENARIOS))
     report = run_sanitizer(
-        scenarios=names, perturb=args.perturb, profile=args.profile
+        scenarios=args.scenarios, perturb=args.perturb, profile=args.profile
     )
     diagnostics = report.diagnostics
     if args.format == "json":
@@ -833,7 +667,7 @@ def _cmd_san(args: argparse.Namespace) -> int:
         payload["ok"] = not blocking(diagnostics, strict=args.strict)
         payload["strict"] = args.strict
         payload["perturb"] = args.perturb
-        print(_json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for result in report.results:
             status = "diverged" if result.diverged_seeds else "stable"
@@ -851,6 +685,19 @@ def _cmd_san(args: argparse.Namespace) -> int:
             )
         )
     return 0 if not blocking(diagnostics, strict=args.strict) else 1
+
+
+def _add_run_arguments(sub: argparse.ArgumentParser) -> None:
+    """``--seed`` / ``--duration`` / ``--rate`` of a pipeline run; each
+    defaults to what the scenario declares."""
+    sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument("--duration", type=float, default=None, help="run length (s)")
+    sub.add_argument(
+        "--rate",
+        type=float,
+        default=None,
+        help="sensing rate (Hz), for scenarios that declare one (paper)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -904,18 +751,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--seeds",
         default="",
         help="comma-separated seed sweep: run each seed in its own worker "
-        "process and merge deterministically (ignores --seed/--profile)",
+        "process and merge deterministically (ignores --seed)",
     )
     chaos.add_argument(
         "--workers",
         type=int,
         default=1,
         help="worker processes for --seeds (default: 1 = serial reference)",
-    )
-    chaos.add_argument(
-        "--profile",
-        action="store_true",
-        help="attach the sim-time profiler and print the busy-time tree",
     )
     chaos.add_argument(
         "--recover",
@@ -945,13 +787,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--pipeline",
-        choices=("paper", "fig5"),
         default="paper",
-        help="which pipeline to run (default: paper Fig. 7/9 testbed)",
+        help="scenario to run (default: paper); see 'repro san --list'",
     )
-    trace.add_argument("--rate", type=float, default=5.0, help="sensing rate (paper)")
-    trace.add_argument("--duration", type=float, default=2.5)
-    trace.add_argument("--seed", type=int, default=1)
+    _add_run_arguments(trace)
     trace.add_argument(
         "--input", default="", help="analyze an existing trace JSONL instead of running"
     )
@@ -968,8 +807,9 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--recipe",
         default="",
-        help="with --summary: recipe (fig5|paper|failover|path) supplying "
-        "deadline_ms for the SLO verdict column",
+        help="with --summary: scenario name or recipe file supplying "
+        "deadline_ms for the SLO verdict column (default: the scenario "
+        "just run; needed with --input)",
     )
     trace.set_defaults(fn=_cmd_trace)
 
@@ -983,9 +823,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--recipe",
         default="",
         help=(
-            "also statically check a recipe: a file, 'fig5', 'paper', or "
-            "'failover' (built-ins include payload schemas from their "
-            "testbed's devices)"
+            "also statically check a recipe: a file or a scenario name "
+            "(scenarios bring the payload schemas of their testbed's "
+            "devices and their calibration)"
         ),
     )
     lint.add_argument(
@@ -1078,17 +918,13 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument(
         "--scenario",
         default="fig5",
-        help="fig5, paper, or chaos:<name> (default: fig5)",
+        help="scenario to profile (default: fig5); see 'repro san --list'",
     )
-    prof.add_argument("--seed", type=int, default=55)
-    prof.add_argument("--duration", type=float, default=30.0)
-    prof.add_argument(
-        "--rate", type=float, default=40.0, help="sensing rate (paper scenario)"
-    )
+    _add_run_arguments(prof)
     prof.add_argument(
         "--rates",
         default="",
-        help="comma-separated Hz list (paper): per-rate utilization table",
+        help="comma-separated Hz list: per-rate utilization table",
     )
     prof.add_argument(
         "--format",
@@ -1133,15 +969,8 @@ def build_parser() -> argparse.ArgumentParser:
     slo = sub.add_parser(
         "slo", help="run a scenario with the online SLO engine and report"
     )
-    slo.add_argument(
-        "scenario",
-        help="fig5 | paper | chaos:<name> (or a bare chaos scenario name)",
-    )
-    slo.add_argument("--seed", type=int, default=None)
-    slo.add_argument(
-        "--duration", type=float, default=None, help="fig5/paper run length (s)"
-    )
-    slo.add_argument("--rate", type=float, default=5.0, help="sensing rate (paper)")
+    slo.add_argument("scenario", help="scenario name; see 'repro san --list'")
+    _add_run_arguments(slo)
     slo.add_argument(
         "--strict",
         action="store_true",
@@ -1184,7 +1013,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except BrokenPipeError:  # e.g. piped into `head`
         return 0
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, UnknownScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IFoTError as exc:

@@ -303,7 +303,7 @@ def propagate_schemas(
     """Abstract-interpret the task graph; returns schema per stream.
 
     ``device_keys`` maps sensor device names to their channel keys (see
-    e.g. :func:`repro.bench.scenarios.fig5_device_keys`); sensors whose
+    :meth:`repro.scenario.Scenario.device_keys`); sensors whose
     device is absent from the map seed an open schema.
     """
     schemas: dict[str, StreamSchema] = {}

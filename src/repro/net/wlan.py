@@ -122,6 +122,12 @@ class GilbertElliottConfig:
         require_in_range(self.loss_good, 0.0, 1.0, "loss_good")
         return self
 
+    def stationary_loss(self) -> float:
+        """Long-run frame loss rate: each state's loss weighted by the
+        stationary probability of being in it."""
+        bad = self.p_enter / (self.p_enter + self.p_exit)
+        return bad * self.loss_bad + (1.0 - bad) * self.loss_good
+
 
 class _GilbertElliott:
     """Mutable state machine for one :class:`GilbertElliottConfig`."""

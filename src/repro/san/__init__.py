@@ -26,12 +26,10 @@ from repro.san.recorder import RaceFinding, SimSan
 from repro.san.replay import schedule_stable_digest
 from repro.san.rules import SAN_RULES, SanRule
 from repro.san.runner import (
-    SAN_SCENARIOS,
     SanReport,
-    SanScenario,
     ScenarioSanResult,
-    get_san_scenario,
     run_sanitizer,
+    sanitize,
     sanitize_scenario,
 )
 from repro.san.suppress import SanOkRegistry
@@ -39,15 +37,13 @@ from repro.san.suppress import SanOkRegistry
 __all__ = [
     "RaceFinding",
     "SAN_RULES",
-    "SAN_SCENARIOS",
     "SanOkRegistry",
     "SanReport",
     "SanRule",
-    "SanScenario",
     "ScenarioSanResult",
     "SimSan",
-    "get_san_scenario",
     "run_sanitizer",
+    "sanitize",
     "sanitize_scenario",
     "schedule_stable_digest",
 ]

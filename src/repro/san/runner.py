@@ -1,8 +1,8 @@
-"""Scenario registry and orchestration for ``repro san``.
+"""Orchestration for ``repro san``.
 
-A *sanitizer scenario* is a named, deterministic simulation the sanitizer
-knows how to run under a prepare hook: the Fig. 5 watching experiment
-plus every chaos scenario. For each requested scenario the runner does
+Any registered scenario (:mod:`repro.registry`) can be sanitized: the
+runner drives it through the run pipeline under a prepare hook. For each
+requested scenario it does
 
 1. a **base run** with :class:`~repro.san.recorder.SimSan` installed —
    the happens-before pass, yielding SAN001/SAN002 race diagnostics;
@@ -19,87 +19,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.errors import ConfigurationError
+from repro.registry import SCENARIOS, resolve
 from repro.san.recorder import RaceFinding, SimSan
 from repro.san.replay import schedule_stable_digest
 from repro.san.rules import SAN_RULES
+from repro.scenario import PrepareHook, Scenario, run
 from repro.sim.trace import Tracer
 from repro.util.validate import Diagnostic
 
 __all__ = [
-    "SanScenario",
-    "SAN_SCENARIOS",
     "ScenarioSanResult",
     "SanReport",
-    "get_san_scenario",
+    "sanitize",
     "sanitize_scenario",
     "run_sanitizer",
 ]
-
-#: Hook the runner passes into a scenario builder; receives the bare
-#: SimRuntime before any component exists.
-PrepareHook = Callable[[Any], None]
-
-
-@dataclass(frozen=True)
-class SanScenario:
-    """One named simulation the sanitizer can drive."""
-
-    name: str
-    description: str
-    #: Build and run the scenario under ``prepare``; return its tracer.
-    run: Callable[[PrepareHook], Tracer]
-
-
-def _run_fig5(prepare: PrepareHook) -> Tracer:
-    from repro.bench.scenarios import run_fig5_experiment
-
-    # observe=False: the sanitizer fingerprints the raw event trace; span
-    # scaffolding would only slow the replay runs down.
-    runtime = run_fig5_experiment(observe=False, prepare=prepare)
-    return runtime.tracer
-
-
-def _chaos_runner(name: str) -> Callable[[PrepareHook], Tracer]:
-    def run(prepare: PrepareHook) -> Tracer:
-        from repro.chaos.scenarios import run_scenario
-
-        result = run_scenario(name, seed=0, observe=False, prepare=prepare)
-        assert result.tracer is not None
-        return result.tracer
-
-    return run
-
-
-def _build_registry() -> dict[str, SanScenario]:
-    from repro.chaos.scenarios import SCENARIOS as CHAOS_SCENARIOS
-
-    registry = {
-        "fig5": SanScenario(
-            name="fig5",
-            description="the Fig. 5 watching experiment (fall at t=20 s)",
-            run=_run_fig5,
-        )
-    }
-    for name, chaos in CHAOS_SCENARIOS.items():
-        registry[name] = SanScenario(
-            name=name,
-            description=f"chaos: {chaos.description}",
-            run=_chaos_runner(name),
-        )
-    return registry
-
-
-SAN_SCENARIOS: dict[str, SanScenario] = _build_registry()
-
-
-def get_san_scenario(name: str) -> SanScenario:
-    try:
-        return SAN_SCENARIOS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown sanitizer scenario {name!r} (known: {sorted(SAN_SCENARIOS)})"
-        ) from None
 
 
 @dataclass
@@ -158,45 +92,19 @@ class SanReport:
         }
 
 
-def _with_profiling(prepare: PrepareHook) -> PrepareHook:
-    """Compose a prepare hook with profiler installation.
-
-    The profiler's ``prof.sample`` records land in the trace, so running
-    it under both the base and every perturbed run folds profile
-    determinism into the schedule-stable digest: a profiler whose output
-    depended on tie-break order would surface as SAN010.
-    """
-
-    def hook(runtime: Any) -> None:
-        prepare(runtime)
-        from repro.prof import enable_profiling
-
-        enable_profiling(runtime)
-
-    return hook
-
-
-def sanitize_scenario(
-    scenario: SanScenario | str, perturb: int = 3, profile: bool = False
+def sanitize(
+    name: str, run_under: Callable[[PrepareHook], Tracer], perturb: int = 3
 ) -> ScenarioSanResult:
-    """Run the HB pass and ``perturb`` replay runs for one scenario.
-
-    ``profile=True`` additionally installs the sim-time profiler in every
-    run (base and perturbed), proving profiles are race-free under
-    tie-break perturbation.
-    """
-    if isinstance(scenario, str):
-        scenario = get_san_scenario(scenario)
+    """Run the HB pass and ``perturb`` replay runs over ``run_under``, a
+    deterministic simulation that calls the hook it is given on its bare
+    runtime and returns the trace it produced."""
     san = SimSan()
-    base_prepare: PrepareHook = san.install
-    if profile:
-        base_prepare = _with_profiling(base_prepare)
-    tracer = scenario.run(base_prepare)
+    tracer = run_under(san.install)
     findings = san.analyze()
     diagnostics, suppressed = san.diagnostics(findings)
     base_digest = schedule_stable_digest(tracer)
     result = ScenarioSanResult(
-        scenario=scenario.name,
+        scenario=name,
         events=san.events_observed,
         cells=san.cells_touched,
         findings=findings,
@@ -205,12 +113,9 @@ def sanitize_scenario(
         base_digest=base_digest,
     )
     for seed in range(1, perturb + 1):
-        replay_prepare: PrepareHook = (
+        perturbed_tracer = run_under(
             lambda runtime, _seed=seed: runtime.kernel.perturb_ties(_seed)
         )
-        if profile:
-            replay_prepare = _with_profiling(replay_prepare)
-        perturbed_tracer = scenario.run(replay_prepare)
         digest = schedule_stable_digest(perturbed_tracer)
         result.perturbed.append((seed, digest))
         if digest != base_digest:
@@ -220,25 +125,48 @@ def sanitize_scenario(
                     rule="SAN010",
                     severity=rule.severity,
                     message=(
-                        f"scenario {scenario.name!r}: tie-break perturbation "
+                        f"scenario {name!r}: tie-break perturbation "
                         f"seed {seed} diverged (base {base_digest[:12]}…, "
                         f"perturbed {digest[:12]}…)"
                     ),
-                    where=f"scenario {scenario.name}",
+                    where=f"scenario {name}",
                     hint=rule.hint,
                 )
             )
     return result
 
 
+def sanitize_scenario(
+    scenario: Scenario | str, perturb: int = 3, profile: bool = False
+) -> ScenarioSanResult:
+    """Sanitize one registered scenario at its default seed and duration.
+
+    ``profile=True`` additionally runs the sim-time profiler in every run
+    (base and perturbed): its ``prof.sample`` records land in the trace,
+    so a profile that depended on tie-break order would surface as SAN010.
+    """
+    if isinstance(scenario, str):
+        scenario = resolve(scenario)
+
+    def run_under(prepare: PrepareHook) -> Tracer:
+        def hook(runtime: Any) -> None:
+            # The replay digests are taken over the stored trace, and the
+            # paper testbed builds with storage off.
+            runtime.tracer.enabled = True
+            prepare(runtime)
+
+        return run(scenario, prepare=hook, profile=profile).runtime.tracer
+
+    return sanitize(scenario.name, run_under, perturb)
+
+
 def run_sanitizer(
     scenarios: "list[str] | None" = None, perturb: int = 3, profile: bool = False
 ) -> SanReport:
     """Sanitize the named scenarios (default: every registered one)."""
-    names = scenarios if scenarios else sorted(SAN_SCENARIOS)
     return SanReport(
         results=[
             sanitize_scenario(name, perturb=perturb, profile=profile)
-            for name in names
+            for name in scenarios or sorted(SCENARIOS)
         ]
     )

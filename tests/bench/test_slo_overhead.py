@@ -9,13 +9,17 @@ span), not a micro-benchmark; wall-clock on shared CI is noisy.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import pytest
 
-from repro.bench.scenarios import run_fig5_experiment
+from repro.bench.scenarios import FIG5, build_fig5_testbed
+from repro.scenario import run
 
 DURATION_S = 8.0
+#: The zero-cost build these bands were set on.
+FIG5_ZERO_COST = dataclasses.replace(FIG5, build=build_fig5_testbed)
 
 #: SLO-on may cost at most this multiple of observe-only (plus a fixed
 #: floor so sub-100ms baselines don't amplify scheduler noise).
@@ -25,7 +29,7 @@ FLOOR_S = 0.25
 
 def _timed(slo: bool) -> float:
     start = time.perf_counter()
-    run_fig5_experiment(seed=55, duration_s=DURATION_S, observe=True, slo=slo)
+    run(FIG5_ZERO_COST, duration_s=DURATION_S, observe=True, slo=slo)
     return time.perf_counter() - start
 
 
@@ -44,10 +48,7 @@ def test_slo_overhead_within_band():
 @pytest.mark.slow
 def test_slo_state_stays_bounded():
     """Run-length-independent memory: pending/root bookkeeping is purged."""
-    runtime = run_fig5_experiment(
-        seed=55, duration_s=30.0, observe=True, slo=True
-    )
-    engine = runtime.slo
+    engine = run(FIG5_ZERO_COST, observe=True, slo=True).runtime.slo
     assert engine is not None
     assert len(engine._pending) == 0 or len(engine._pending) < 100
     # Root starts are purged past the horizon, not accumulated all run.

@@ -12,12 +12,11 @@ from repro.chaos import (
     Partition,
     build_chaos_cluster,
     build_chaos_recipe,
-    get_scenario,
     run_scenario,
     trace_digest,
 )
-from repro.chaos.scenarios import SCENARIOS
 from repro.errors import ConfigurationError
+from repro.registry import fault_scenarios, resolve
 
 
 def run_combo(seed: int):
@@ -71,7 +70,7 @@ def test_combo_plan_satisfies_delivery_invariants():
     assert report.metrics["qos1_forwarded"] > 0
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@pytest.mark.parametrize("name", fault_scenarios())
 def test_scenario_invariants_hold(name):
     result = run_scenario(name, seed=0)
     assert result.report.ok, result.report.render()
@@ -86,5 +85,5 @@ def test_run_scenario_is_deterministic():
 
 
 def test_unknown_scenario_rejected():
-    with pytest.raises(ConfigurationError, match="unknown chaos scenario"):
-        get_scenario("meteor-strike")
+    with pytest.raises(ConfigurationError, match="unknown scenario"):
+        resolve("meteor-strike")

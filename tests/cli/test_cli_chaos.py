@@ -8,17 +8,17 @@ from repro.cli import main
 
 
 def test_list_prints_every_scenario(capsys):
-    from repro.chaos import SCENARIOS
+    from repro.registry import fault_scenarios
 
     assert main(["chaos", "--list"]) == 0
     out = capsys.readouterr().out
-    for name in SCENARIOS:
+    for name in fault_scenarios():
         assert name in out
 
 
-def test_unknown_scenario_exits_one(capsys):
-    assert main(["chaos", "no-such-scenario"]) == 1
-    assert "unknown chaos scenario" in capsys.readouterr().err
+def test_unknown_scenario_exits_two(capsys):
+    assert main(["chaos", "no-such-scenario"]) == 2
+    assert "unknown scenario 'no-such-scenario' (known: " in capsys.readouterr().err
 
 
 @pytest.mark.slow
@@ -93,7 +93,5 @@ def test_any_failure_fails_the_whole_run(capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "run_scenario", lambda name, seed, profile=False: next(results)
     )
-    monkeypatch.setattr(
-        cli, "SCENARIOS", {"a": None, "b": None, "c": None}
-    )
+    monkeypatch.setattr(cli, "fault_scenarios", lambda: ["a", "b", "c"])
     assert main(["chaos"]) == 1

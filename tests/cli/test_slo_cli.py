@@ -43,8 +43,8 @@ def test_slo_fig5_strict_passes_clean(capsys):
 
 def test_slo_unknown_scenario_errors(capsys):
     code = main(["slo", "nonsense"])
-    assert code != 0
-    assert "unknown slo scenario" in capsys.readouterr().err
+    assert code == 2
+    assert "unknown scenario 'nonsense' (known: " in capsys.readouterr().err
 
 
 def test_slo_disabled_engine_exits_two(monkeypatch, capsys):

@@ -234,37 +234,35 @@ class TestRealRecipes:
     """The shipped recipes under the real device maps (the CI gate)."""
 
     def test_fig5_recipe_has_no_errors(self):
-        from repro.bench.scenarios import FIG5_RECIPE_PATH, fig5_device_keys
-        from repro.core.dsl import parse_recipe
+        from repro.bench.scenarios import FIG5
         from repro.util.validate import Severity
 
-        recipe = parse_recipe(FIG5_RECIPE_PATH.read_text())
-        diags = check_recipe_payloads(recipe, fig5_device_keys())
+        diags = check_recipe_payloads(FIG5.recipe(), FIG5.device_keys())
         assert [d for d in diags if d.severity >= Severity.WARNING] == []
 
     def test_paper_recipe_at_qos0_has_no_errors(self):
-        from repro.bench.scenarios import build_paper_recipe, paper_device_keys
+        from repro.bench.scenarios import PAPER, build_paper_recipe
         from repro.util.validate import Severity
 
-        diags = check_recipe_payloads(build_paper_recipe(5.0), paper_device_keys())
+        diags = check_recipe_payloads(build_paper_recipe(5.0), PAPER.device_keys())
         assert [d for d in diags if d.severity >= Severity.WARNING] == []
 
     def test_paper_recipe_at_qos1_trips_rcp210(self):
         # Exactly the class of recipe the RCP1xx checker accepts (QoS is
         # coherent) but whose learner state a redelivery corrupts.
-        from repro.bench.scenarios import build_paper_recipe, paper_device_keys
+        from repro.bench.scenarios import PAPER, build_paper_recipe
 
         diags = check_recipe_payloads(
-            build_paper_recipe(5.0, qos=1), paper_device_keys()
+            build_paper_recipe(5.0, qos=1), PAPER.device_keys()
         )
         assert "RCP210" in rules_of(diags)
 
     def test_failover_chaos_recipe_is_clean(self):
         # QoS 1 end to end, but the dedup stage guards the learner.
-        from repro.bench.scenarios import paper_device_keys
-        from repro.chaos.scenarios import build_chaos_recipe
+        from repro.registry import resolve
 
-        assert check_recipe_payloads(build_chaos_recipe(), paper_device_keys()) == []
+        failover = resolve("failover")
+        assert check_recipe_payloads(failover.recipe(), failover.device_keys()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,18 @@ GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden"
 REGEN = flag_enabled("REPRO_REGEN_GOLDEN")
 
 
+def _run_fig5_zero_cost(duration_s: float):
+    """The golden fingerprints the historical zero-cost build explicitly;
+    the registered ``fig5`` scenario runs under the Pi calibration."""
+    import dataclasses
+
+    from repro.bench.scenarios import FIG5, build_fig5_testbed
+    from repro.scenario import run
+
+    zero_cost = dataclasses.replace(FIG5, build=build_fig5_testbed)
+    return run(zero_cost, seed=55, duration_s=duration_s, observe=True)
+
+
 def _digests(tracer, tmp_path: Path) -> dict:
     dump = tmp_path / "trace.jsonl"
     tracer.to_jsonl(dump)
@@ -61,10 +73,8 @@ def _check_golden(name: str, digests: dict) -> None:
 
 @pytest.mark.slow
 def test_fig5_trace_is_golden(tmp_path):
-    from repro.bench.scenarios import run_fig5_experiment
-
-    runtime = run_fig5_experiment(seed=55, duration_s=10.0, observe=True)
-    _check_golden("fig5_seed55.json", _digests(runtime.tracer, tmp_path))
+    outcome = _run_fig5_zero_cost(10.0)
+    _check_golden("fig5_seed55.json", _digests(outcome.runtime.tracer, tmp_path))
 
 
 @pytest.mark.slow
@@ -80,12 +90,9 @@ def test_chaos_partition_heal_trace_is_golden(tmp_path):
 @pytest.mark.slow
 def test_fig5_trace_reproduces_in_process(tmp_path):
     """Same seed twice in one interpreter ⇒ byte-identical JSONL dumps."""
-    from repro.bench.scenarios import run_fig5_experiment
-
     dumps = []
     for i in range(2):
-        runtime = run_fig5_experiment(seed=55, duration_s=5.0, observe=True)
         dump = tmp_path / f"run{i}.jsonl"
-        runtime.tracer.to_jsonl(dump)
+        _run_fig5_zero_cost(5.0).runtime.tracer.to_jsonl(dump)
         dumps.append(dump.read_bytes())
     assert dumps[0] == dumps[1]

@@ -326,10 +326,13 @@ def test_failover_slo_run_is_deterministic(failover_slo):
 
 @pytest.mark.slow
 def test_clean_fig5_run_stays_silent():
-    from repro.bench.scenarios import run_fig5_experiment
+    import dataclasses
 
-    runtime = run_fig5_experiment(seed=55, duration_s=8.0, slo=True)
-    engine = runtime.slo
+    from repro.bench.scenarios import FIG5, build_fig5_testbed
+    from repro.scenario import run
+
+    zero_cost = dataclasses.replace(FIG5, build=build_fig5_testbed)
+    engine = run(zero_cost, duration_s=8.0, slo=True).runtime.slo
     assert engine is not None
     assert engine.alerts == []
     assert all(v == 0 for v in engine.violations.values())

@@ -92,19 +92,12 @@ def test_saturation_story_matches_paper():
 
 @pytest.mark.slow
 def test_fig5_profile_reproduces_and_diverges_by_seed():
-    from repro.bench.calibration import pi_cost_model
-    from repro.bench.scenarios import run_fig5_experiment
-    from repro.prof import enable_profiling
+    from repro.bench.scenarios import FIG5
+    from repro.scenario import run
 
     def profile(seed: int) -> str:
-        runtime = run_fig5_experiment(
-            seed=seed,
-            duration_s=5.0,
-            observe=False,
-            prepare=lambda rt: enable_profiling(rt),
-            cost_model=pi_cost_model(),
-        )
-        return profile_digest(runtime.prof)
+        outcome = run(FIG5, seed=seed, duration_s=5.0, profile=True)
+        return profile_digest(outcome.runtime.prof)
 
     assert profile(55) == profile(55)
     assert profile(55) != profile(56)

@@ -8,17 +8,17 @@ from repro.cli import main
 
 
 def test_list_prints_every_scenario(capsys):
-    from repro.san import SAN_SCENARIOS
+    from repro.registry import SCENARIOS
 
     assert main(["san", "--list"]) == 0
     out = capsys.readouterr().out
-    for name in SAN_SCENARIOS:
+    for name in SCENARIOS:
         assert name in out
 
 
-def test_unknown_scenario_exits_one(capsys):
-    assert main(["san", "no-such-scenario"]) == 1
-    assert "unknown sanitizer scenario" in capsys.readouterr().err
+def test_unknown_scenario_exits_two(capsys):
+    assert main(["san", "no-such-scenario"]) == 2
+    assert "unknown scenario 'no-such-scenario' (known: " in capsys.readouterr().err
 
 
 @pytest.mark.slow

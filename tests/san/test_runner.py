@@ -10,13 +10,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.runtime.state import tracked_state
-from repro.san.runner import (
-    SAN_SCENARIOS,
-    SanScenario,
-    get_san_scenario,
-    run_sanitizer,
-    sanitize_scenario,
-)
+from repro.registry import SCENARIOS, resolve
+from repro.san.runner import run_sanitizer, sanitize, sanitize_scenario
 from repro.sim.kernel import SimKernel
 from repro.sim.trace import Tracer
 
@@ -49,13 +44,6 @@ def _racy_run(prepare):
     return tracer
 
 
-RACY = SanScenario(
-    name="toy-racy",
-    description="deliberate same-instant write-write race",
-    run=_racy_run,
-)
-
-
 def _clean_run(prepare):
     """Same-instant writers on independent cells: commutative by design."""
     runtime = _ToyRuntime()
@@ -74,18 +62,11 @@ def _clean_run(prepare):
     return tracer
 
 
-CLEAN = SanScenario(
-    name="toy-clean",
-    description="independent same-instant writers",
-    run=_clean_run,
-)
-
-
 def test_racy_scenario_is_caught_by_both_passes():
     # Enough replay seeds that (deterministically, seeds 1..6) at least
     # one permutes the two writers; all inputs are fixed, so this test
     # cannot flake.
-    result = sanitize_scenario(RACY, perturb=6)
+    result = sanitize("toy-racy", _racy_run, perturb=6)
     assert any(f.rule == "SAN001" and not f.suppressed for f in result.findings)
     assert result.diverged_seeds  # observable divergence under replay
     rules = {d.rule for d in result.diagnostics}
@@ -96,7 +77,7 @@ def test_racy_scenario_is_caught_by_both_passes():
 
 
 def test_clean_scenario_passes_both_passes():
-    result = sanitize_scenario(CLEAN, perturb=6)
+    result = sanitize("toy-clean", _clean_run, perturb=6)
     assert [f for f in result.findings if not f.suppressed] == []
     assert result.diverged_seeds == []
     assert result.diagnostics == []
@@ -105,7 +86,7 @@ def test_clean_scenario_passes_both_passes():
 
 
 def test_perturbed_digests_are_recorded_per_seed():
-    result = sanitize_scenario(CLEAN, perturb=3)
+    result = sanitize("toy-clean", _clean_run, perturb=3)
     assert [seed for seed, _digest in result.perturbed] == [1, 2, 3]
     assert all(digest == result.base_digest for _seed, digest in result.perturbed)
 
@@ -126,17 +107,17 @@ def test_profiled_fig5_is_schedule_stable():
 
 
 def test_registry_contains_fig5_and_every_chaos_scenario():
-    from repro.chaos.scenarios import SCENARIOS as CHAOS_SCENARIOS
+    from repro.chaos.scenarios import CHAOS_SCENARIOS
 
-    assert "fig5" in SAN_SCENARIOS
-    for name in CHAOS_SCENARIOS:
-        assert name in SAN_SCENARIOS
-    assert get_san_scenario("fig5").name == "fig5"
+    assert "fig5" in SCENARIOS
+    for scenario in CHAOS_SCENARIOS:
+        assert SCENARIOS[scenario.name] is scenario
+    assert resolve("fig5").name == "fig5"
 
 
 def test_unknown_scenario_raises_configuration_error():
-    with pytest.raises(ConfigurationError, match="unknown sanitizer scenario"):
-        get_san_scenario("no-such-scenario")
+    with pytest.raises(ConfigurationError, match="unknown scenario"):
+        sanitize_scenario("no-such-scenario")
 
 
 @pytest.mark.slow

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chaos import SCENARIOS, run_scenario, trace_digest
+from repro.chaos import run_scenario, trace_digest
 from repro.mqtt import packets
-from repro.prof import enable_profiling, profile_digest
+from repro.prof import profile_digest
+from repro.registry import fault_scenarios
 
-CHAOS_SCENARIOS = sorted(SCENARIOS)
+CHAOS_SCENARIOS = fault_scenarios()
 
 
 def _digest_excluding_prof(tracer) -> str:
@@ -117,17 +118,12 @@ def test_profile_digest_pool_invariance(name, monkeypatch):
 
 
 def _run_fig5(profiled: bool = True):
-    from repro.bench.calibration import pi_cost_model
-    from repro.bench.scenarios import run_fig5_experiment
+    from repro.bench.scenarios import FIG5
+    from repro.scenario import run
 
-    runtime = run_fig5_experiment(
-        seed=55,
-        duration_s=FIG5_DURATION_S,
-        observe=False,
-        prepare=(lambda rt: enable_profiling(rt)) if profiled else None,
-        cost_model=pi_cost_model(),
-    )
-    return runtime
+    return run(
+        FIG5, seed=55, duration_s=FIG5_DURATION_S, profile=profiled
+    ).runtime
 
 
 @pytest.fixture(scope="module")
@@ -229,11 +225,16 @@ def _suppress_status_publisher(monkeypatch):
 
 
 def _run_fig5_observed(slo: bool):
-    from repro.bench.scenarios import run_fig5_experiment
+    import dataclasses
 
-    return run_fig5_experiment(
-        seed=55, duration_s=FIG5_DURATION_S, observe=True, slo=slo
-    )
+    from repro.bench.scenarios import FIG5, build_fig5_testbed
+    from repro.scenario import run
+
+    # The zero-cost build, as before fig5 declared the Pi calibration.
+    zero_cost = dataclasses.replace(FIG5, build=build_fig5_testbed)
+    return run(
+        zero_cost, seed=55, duration_s=FIG5_DURATION_S, observe=True, slo=slo
+    ).runtime
 
 
 def test_fig5_slo_disabled_is_byte_identical(monkeypatch):
