@@ -19,7 +19,7 @@ wall-clock.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 __all__ = ["FlowContext", "Span", "SPAN_EVENT"]
 
@@ -27,8 +27,20 @@ __all__ = ["FlowContext", "Span", "SPAN_EVENT"]
 SPAN_EVENT = "obs.span"
 
 
-@dataclass(frozen=True)
-class FlowContext:
+class _WireContext(dict):
+    """:meth:`FlowContext.to_wire` output that remembers its context.
+
+    An ordinary dict to everything that reads or encodes it (same keys,
+    same JSON bytes); :meth:`FlowContext.from_wire` recognizes the exact
+    type and hands the context back without re-parsing. Holds while the
+    headers object travels in-process (the ``_Wire`` packet fast path);
+    a dict decoded from wire bytes is a plain ``dict`` and is parsed.
+    """
+
+    __slots__ = ("ctx",)
+
+
+class FlowContext(NamedTuple):
     """Causal reference to one span, small enough to ride in headers.
 
     Attributes
@@ -52,11 +64,15 @@ class FlowContext:
 
     def to_wire(self) -> dict[str, Any]:
         """Compact JSON-ready form for MQTT user-properties."""
-        return {"t": self.trace_id, "s": self.span_id, "p": self.parent_id, "h": self.hop}
+        wire = _WireContext(t=self.trace_id, s=self.span_id, p=self.parent_id, h=self.hop)
+        wire.ctx = self
+        return wire
 
     @classmethod
     def from_wire(cls, data: Any) -> "FlowContext | None":
         """Parse :meth:`to_wire` output; None for malformed input."""
+        if type(data) is _WireContext:
+            return data.ctx
         if not isinstance(data, dict):
             return None
         try:
@@ -70,7 +86,7 @@ class FlowContext:
             return None
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One open span; finished via :meth:`repro.obs.state.ObsState.finish`.
 

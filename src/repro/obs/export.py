@@ -36,6 +36,7 @@ _NAME_SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
 
 #: Histogram quantiles exported as Prometheus/OTLP summaries.
 _QUANTILES = (50, 95, 99)
+_ZEROS = (0.0,) * len(_QUANTILES)  # an empty histogram exports zeros, not NaN
 
 
 def _prom_name(name: str) -> str:
@@ -82,8 +83,8 @@ def prometheus_text(registry: MetricsRegistry) -> str:
         else:  # histogram -> summary
             declare(name, "summary")
             stats = instrument.stats
-            for q in _QUANTILES:
-                value = instrument.quantile(q) if stats.count else 0.0
+            values = instrument.quantiles(*_QUANTILES) if stats.count else _ZEROS
+            for q, value in zip(_QUANTILES, values):
                 quantile_label = f'quantile="{q / 100}"'
                 lines.append(
                     f"{name}{_prom_labels(labels, quantile_label)} {value!r}"
@@ -145,6 +146,7 @@ def otlp_json(
             )
         else:
             stats = instrument.stats
+            values = instrument.quantiles(*_QUANTILES) if stats.count else _ZEROS
             metrics.append(
                 {
                     "name": name,
@@ -155,13 +157,8 @@ def otlp_json(
                                 "count": stats.count,
                                 "sum": stats.mean * stats.count if stats.count else 0.0,
                                 "quantileValues": [
-                                    {
-                                        "quantile": q / 100,
-                                        "value": instrument.quantile(q)
-                                        if stats.count
-                                        else 0.0,
-                                    }
-                                    for q in _QUANTILES
+                                    {"quantile": q / 100, "value": value}
+                                    for q, value in zip(_QUANTILES, values)
                                 ],
                             }
                         ]

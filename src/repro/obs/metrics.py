@@ -18,7 +18,7 @@ from __future__ import annotations
 import warnings
 from typing import Any, Callable
 
-from repro.util.stats import RunningStats, percentile
+from repro.util.stats import RunningStats, percentiles
 
 __all__ = [
     "Counter",
@@ -168,7 +168,11 @@ class HistogramMetric:
 
     def quantile(self, q: float) -> float:
         """The ``q``-th percentile of the (possibly decimated) samples."""
-        return percentile(self._samples, q)
+        return self.quantiles(q)[0]
+
+    def quantiles(self, *qs: float) -> list[float]:
+        """Several percentiles from one sort of the sample buffer."""
+        return percentiles(self._samples, qs)
 
     def merge(self, other: "HistogramMetric") -> "HistogramMetric":
         """Fold ``other`` into this histogram (parallel aggregation).
@@ -344,14 +348,15 @@ class MetricsRegistry:
             if stats.count == 0:
                 out[key] = {"count": 0}
             else:
+                p50, p95, p99 = histogram.quantiles(50, 95, 99)
                 out[key] = {
                     "count": stats.count,
                     "mean": round(stats.mean, 9),
                     "min": round(stats.minimum, 9),
                     "max": round(stats.maximum, 9),
-                    "p50": round(histogram.quantile(50), 9),
-                    "p95": round(histogram.quantile(95), 9),
-                    "p99": round(histogram.quantile(99), 9),
+                    "p50": round(p50, 9),
+                    "p95": round(p95, 9),
+                    "p99": round(p99, 9),
                 }
         if self.dropped_series:
             out["obs.meta.dropped_series"] = self.dropped_series

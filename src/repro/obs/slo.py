@@ -2,10 +2,10 @@
 
 PR 9's latency analyzer proves deadlines *before* a run and the trace
 tooling measures them *after*; this module watches them *during*. The
-engine taps the live ``obs.span`` stream (taps fire even when trace
-storage is off), so it works at benchmark scale, and everything it does
-is driven by sim time — two runs of the same (scenario, seed) produce
-byte-identical SLO records.
+engine consumes finished spans live from the runtime's ObsState (whether
+or not the trace stores them), so it works at benchmark scale, and
+everything it does is driven by sim time — two runs of the same
+(scenario, seed) produce byte-identical SLO records.
 
 Per declared flow (every task with a ``deadline_ms`` in the recipe):
 
@@ -253,7 +253,7 @@ class _BurnWindow:
 class SloEngine:
     """Streaming SLO evaluation attached to a runtime as ``runtime.slo``.
 
-    Pure consumer of the tracer/prof streams: it never draws from the
+    Pure consumer of the span/prof streams: it never draws from the
     runtime RNG or id sequences, and only *adds* timer events, so the
     application's own trace records are unchanged by its presence (the
     equivalence tests assert exactly that). The one deliberate exception
@@ -347,13 +347,18 @@ class SloEngine:
         )
         self._horizon_s = max_deadline + long_window_s + 2.0 * status_interval_s
 
-        runtime.tracer.tap(SPAN_EVENT, self._on_span)
+        # Finished spans come straight from the ObsState (no trace record
+        # is built for us); without one, from whatever feeds the tracer.
+        obs = getattr(runtime, "obs", None)
+        if obs is not None:
+            obs.add_span_consumer(self._on_span)
+        else:
+            runtime.tracer.tap(SPAN_EVENT, self._on_record)
         if status_interval_s > 0:
             runtime.call_later(status_interval_s, self._tick)
 
         # Optional: surface engine state through the shared metrics
         # registry so the telemetry exporters and `repro top` see it.
-        obs = getattr(runtime, "obs", None)
         registry = obs.metrics if obs is not None else None
         if registry is not None:
             for flow_id in sorted(self.flows):
@@ -370,12 +375,21 @@ class SloEngine:
     # Span stream
     # ------------------------------------------------------------------
 
-    def _on_span(self, record: "TraceRecord") -> None:
+    def _on_record(self, record: "TraceRecord") -> None:
+        """``obs.span`` tap: a span stream with no ObsState behind it."""
         fields = record.fields
-        trace = fields["trace"]
-        stage = fields.get("task") or fields["name"]
-        if not fields["parent"]:
-            start = fields["start"]
+        self._on_span(
+            record.time,
+            fields["trace"],
+            fields["parent"],
+            fields.get("task") or fields["name"],
+            fields["start"],
+        )
+
+    def _on_span(
+        self, end: float, trace: str, parent: str, stage: str, start: float
+    ) -> None:
+        if not parent:
             self._roots[trace] = start
             for flow_id in self._root_flows.get(stage, ()):
                 self._arm(self.flows[flow_id], trace, start)
@@ -384,7 +398,7 @@ class SloEngine:
             root_start = self._roots.get(trace)
             if root_start is None:
                 return  # trace predates the engine; nothing to anchor on
-            self._resolve(flow, trace, record.time - root_start, record.time)
+            self._resolve(flow, trace, end - root_start, end)
 
     def _arm(self, flow: FlowSlo, trace: str, start: float) -> None:
         key = (flow.flow, trace)

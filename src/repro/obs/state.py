@@ -12,6 +12,14 @@ nothing when it is. :func:`enable_observability` installs an
   scraper that samples every instrument into ``obs.metrics`` trace
   records at a fixed interval.
 
+Per-event work is done for a consumer that exists: ids are always drawn
+and the scrape timer always fires (both are part of the simulated
+schedule), but a span's record dict and the registry snapshot are built
+only when :meth:`Tracer.wants <repro.sim.trace.Tracer.wants>` them —
+trace storage on, or a tap on that event. Span consumers
+(:meth:`ObsState.add_span_consumer`, how the SLO engine listens) get
+their values without a record.
+
 Determinism contract: with the same seed and topology, two runs produce
 byte-identical trace dumps — nothing here reads wall-clock, ``random`` or
 ``uuid``, and all iteration over registries is sorted.
@@ -19,7 +27,7 @@ byte-identical trace dumps — nothing here reads wall-clock, ``random`` or
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.obs.context import SPAN_EVENT, FlowContext, Span
 from repro.obs.metrics import MetricsRegistry
@@ -32,6 +40,13 @@ __all__ = ["ObsState", "enable_observability", "METRICS_EVENT"]
 
 #: Trace event name under which metric scrapes are recorded.
 METRICS_EVENT = "obs.metrics"
+
+#: ``consumer(end, trace_id, parent_id, stage, start)``, see
+#: :meth:`ObsState.add_span_consumer`.
+SpanConsumer = Callable[[float, str, str, str, float], None]
+
+#: Keys :meth:`ObsState.finish` writes itself; a span field may not reuse one.
+_RESERVED = frozenset({"trace", "span", "parent", "name", "hop", "inc", "start"})
 
 
 class ObsState:
@@ -49,6 +64,7 @@ class ObsState:
         self.spans_emitted = 0
         self.scrapes = 0
         self._scraping = False
+        self._span_consumers: list[SpanConsumer] = []
         if self.metrics is not None and scrape_interval_s > 0:
             self._scraping = True
             runtime.call_later(scrape_interval_s, self._scrape)
@@ -67,45 +83,65 @@ class ObsState:
         **fields: Any,
     ) -> Span:
         """Open a span; roots (``parent=None``) also open a new trace."""
-        span_id = f"sp-{self.runtime.ids.next_int('obs.span')}"
+        runtime = self.runtime
+        ids = runtime.ids
+        span_id = f"sp-{ids.next_int('obs.span')}"
         if parent is None:
-            trace_id = f"tr-{self.runtime.ids.next_int('obs.trace')}"
-            ctx = FlowContext(trace_id, span_id, parent_id="", hop=0)
+            ctx = FlowContext(f"tr-{ids.next_int('obs.trace')}", span_id, "", 0)
         else:
-            ctx = FlowContext(
-                parent.trace_id, span_id, parent_id=parent.span_id, hop=parent.hop + 1
-            )
+            ctx = FlowContext(parent.trace_id, span_id, parent.span_id, parent.hop + 1)
         return Span(
-            ctx=ctx,
-            name=name,
-            node=node.name,
-            incarnation=node.incarnation,
-            start=self.runtime.now if start is None else start,
-            links=tuple(links),
-            fields=fields,
+            ctx,
+            name,
+            node.name,
+            node.incarnation,
+            runtime.now if start is None else start,
+            tuple(links),
+            fields,
         )
 
     def finish(self, span: Span, **fields: Any) -> FlowContext:
-        """Close ``span`` now, emit its trace record, return its context."""
+        """Close ``span`` now and return its context.
+
+        The ``obs.span`` trace record is built only when the tracer
+        stores it or a tap wants it; span consumers, called after it, get
+        the five values they read and no record.
+        """
         self.spans_emitted += 1
-        extra = dict(span.fields)
-        extra.update(fields)
-        if span.links:
-            extra["links"] = list(span.links)
-        self.runtime.tracer.emit(
-            self.runtime.now,
-            span.node,
-            SPAN_EVENT,
-            trace=span.ctx.trace_id,
-            span=span.ctx.span_id,
-            parent=span.ctx.parent_id,
-            name=span.name,
-            hop=span.ctx.hop,
-            inc=span.incarnation,
-            start=span.start,
-            **extra,
-        )
-        return span.ctx
+        if fields:
+            span.fields.update(fields)
+        if not _RESERVED.isdisjoint(span.fields):  # consumed or not
+            raise TypeError(f"reserved span field in {sorted(span.fields)}")
+        runtime = self.runtime
+        now = runtime.now
+        ctx = span.ctx
+        tracer = runtime.tracer
+        if tracer.wants(SPAN_EVENT):
+            record = {
+                "trace": ctx.trace_id,
+                "span": ctx.span_id,
+                "parent": ctx.parent_id,
+                "name": span.name,
+                "hop": ctx.hop,
+                "inc": span.incarnation,
+                "start": span.start,
+                **span.fields,
+            }
+            if span.links:
+                record["links"] = list(span.links)
+            tracer.emit_fields(now, span.node, SPAN_EVENT, record)
+        if self._span_consumers:
+            stage = span.fields.get("task") or span.name
+            for consumer in self._span_consumers:
+                consumer(now, ctx.trace_id, ctx.parent_id, stage, span.start)
+        return ctx
+
+    def add_span_consumer(self, consumer: SpanConsumer) -> None:
+        """Call ``consumer(end, trace_id, parent_id, stage, start)`` for
+        every span finished from now on (``stage`` is the span's ``task``
+        field, else its name). Unlike an ``obs.span`` tracer tap this
+        does not make :meth:`finish` build a trace record."""
+        self._span_consumers.append(consumer)
 
     def point(
         self,
@@ -148,9 +184,11 @@ class ObsState:
         if not self._scraping or self.metrics is None:
             return
         self.scrapes += 1
-        self.runtime.tracer.emit(
-            self.runtime.now, "obs", METRICS_EVENT, m=self.metrics.snapshot()
-        )
+        tracer = self.runtime.tracer
+        if tracer.wants(METRICS_EVENT):  # else nobody would see the snapshot
+            tracer.emit(
+                self.runtime.now, "obs", METRICS_EVENT, m=self.metrics.snapshot()
+            )
         self.runtime.call_later(self.scrape_interval_s, self._scrape)
 
     def stop_scraping(self) -> None:

@@ -118,6 +118,11 @@ class BusyIntegrator:
         return self.busy_between(0.0, t)
 
 
+def _node_of(resource_name: str) -> str:
+    """``module-e.cpu`` -> ``module-e`` (bare names pass through)."""
+    return resource_name.removesuffix(".cpu")
+
+
 class Profiler:
     """Hierarchical busy-time profile plus sampled utilization timelines.
 
@@ -147,6 +152,14 @@ class Profiler:
         self._cpu_timeline: dict[str, BusyIntegrator] = {}
         #: Shared-channel airtime timeline.
         self._wlan_timeline = BusyIntegrator()
+        #: Hook bindings, resolved once per resource instead of per call:
+        #: CPU resource name -> its node's timeline; CPU resource name ->
+        #: job label -> ``_busy`` cell; station -> its airtime ``_busy`` cell.
+        self._resource_timeline: dict[str, BusyIntegrator] = {}
+        self._resource_busy: dict[str, dict[str, list[float]]] = {}
+        self._station_busy: dict[str, list[float]] = {}
+        #: Where the hooks read virtual time (one property hop, not two).
+        self._clock = getattr(runtime, "kernel", runtime)
         #: Kernel handler brackets: callback qualname -> events executed.
         self._event_counts: dict[str, int] = {}
         self.events_profiled = 0
@@ -161,34 +174,29 @@ class Profiler:
     # CPU hooks (repro.sim.resources)
     # ------------------------------------------------------------------
 
-    #: Resource-name -> node-name memo (a handful of distinct names,
-    #: queried on every CPU grant). Shared: the mapping is pure.
-    _node_names: dict[str, str] = {}
-
-    @classmethod
-    def _node_of(cls, resource_name: str) -> str:
-        """``module-e.cpu`` -> ``module-e`` (bare names pass through)."""
-        node = cls._node_names.get(resource_name)
-        if node is None:
-            node = resource_name
-            if resource_name.endswith(".cpu"):
-                node = resource_name[: -len(".cpu")]
-            cls._node_names[resource_name] = node
-        return node
-
     def on_cpu_start(self, resource_name: str, label: str, service_s: float) -> None:
         """One job entered service on a CPU for ``service_s`` seconds."""
         self._cell.note_write()
-        node = self._node_of(resource_name)
-        timeline = self._cpu_timeline.get(node)
-        if timeline is None:
-            timeline = self._cpu_timeline[node] = BusyIntegrator()
-        timeline.add(self.runtime.now, service_s)
+        try:
+            timeline = self._resource_timeline[resource_name]
+        except KeyError:
+            timeline = self._resource_timeline[resource_name] = (
+                self._cpu_timeline.setdefault(_node_of(resource_name), BusyIntegrator())
+            )
+        timeline.add(self._clock.now, service_s)
 
     def on_cpu_end(self, resource_name: str, label: str, service_s: float) -> None:
         """The job's service elapsed; charge it to the profile tree."""
         self._cell.note_write()
-        self._charge(self._node_of(resource_name), "cpu", label, service_s)
+        try:
+            entry = self._resource_busy[resource_name][label]
+        except KeyError:
+            entry = self._busy.setdefault(
+                (_node_of(resource_name), "cpu", label), [0.0, 0.0]
+            )
+            self._resource_busy.setdefault(resource_name, {})[label] = entry
+        entry[0] += service_s
+        entry[1] += 1.0
 
     # ------------------------------------------------------------------
     # WLAN hook (repro.net.wlan)
@@ -198,13 +206,13 @@ class Profiler:
         """``station`` occupies the shared channel for ``airtime_s``."""
         self._cell.note_write()
         self._wlan_timeline.add(start, airtime_s)
-        self._charge(station, "wlan", "airtime", airtime_s)
-
-    def _charge(self, node: str, domain: str, op: str, seconds: float) -> None:
-        entry = self._busy.get((node, domain, op))
-        if entry is None:
-            entry = self._busy[(node, domain, op)] = [0.0, 0.0]
-        entry[0] += seconds
+        try:
+            entry = self._station_busy[station]
+        except KeyError:
+            entry = self._station_busy[station] = self._busy.setdefault(
+                (station, "wlan", "airtime"), [0.0, 0.0]
+            )
+        entry[0] += airtime_s
         entry[1] += 1.0
 
     # ------------------------------------------------------------------
@@ -223,11 +231,17 @@ class Profiler:
         return None
 
     def event_begin(self, handle: EventHandle) -> None:
-        name = getattr(handle.callback, "__qualname__", None)
-        if name is None:
-            name = type(handle.callback).__name__
+        callback = handle.callback
+        try:
+            name = callback.__qualname__
+        except AttributeError:
+            name = type(callback).__name__
         self.events_profiled += 1
-        self._event_counts[name] = self._event_counts.get(name, 0) + 1
+        counts = self._event_counts
+        try:
+            counts[name] += 1
+        except KeyError:
+            counts[name] = 1
 
     def event_end(self, handle: EventHandle) -> None:
         return None

@@ -44,7 +44,7 @@ class Runtime(ABC):
         # None keeps the hot path at one attribute load per site.
         self.prof: Any = None
         # Online SLO engine hook (repro.obs.slo.SloEngine), same gating.
-        # The engine is a pure consumer of tracer taps and timers; None
+        # The engine is a pure consumer of finished spans and timers; None
         # means no SLO evaluation and zero added events.
         self.slo: Any = None
 

@@ -42,16 +42,31 @@ class Tracer:
         self._records: list[TraceRecord] = []
         self._taps: dict[str, list[Callable[[TraceRecord], None]]] = {}
 
+    def wants(self, event: str) -> bool:
+        """Whether an ``event`` record would be stored or tapped now.
+
+        An emitter whose fields are costly to build asks first and builds
+        nothing when the answer is no (:meth:`emit` asks for itself).
+        """
+        return self.enabled or event in self._taps
+
     def emit(
         self, time: float, source: str, event: str, **fields: Any
     ) -> None:
         """Record an event and notify any taps registered for it."""
-        taps = self._taps.get(event)
-        if not self.enabled and taps is None:
-            return  # gate: no record is built when nobody will see it
+        if self.enabled or event in self._taps:
+            self.emit_fields(time, source, event, fields)
+
+    def emit_fields(
+        self, time: float, source: str, event: str, fields: dict[str, Any]
+    ) -> None:
+        """:meth:`emit` for a caller that already holds the fields dict
+        (and asked :meth:`wants` before building it): no ``**`` repack.
+        The record keeps ``fields`` itself, not a copy."""
         record = TraceRecord(time, source, event, fields)
         if self.enabled:
             self._records.append(record)
+        taps = self._taps.get(event)
         if taps is not None:
             for tap in taps:
                 tap(record)

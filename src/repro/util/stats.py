@@ -12,32 +12,39 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-__all__ = ["RunningStats", "LatencyRecorder", "Histogram", "percentile"]
+__all__ = ["RunningStats", "LatencyRecorder", "Histogram", "percentile", "percentiles"]
+
+
+def percentiles(samples: list[float], qs: tuple[float, ...]) -> list[float]:
+    """The ``qs``-th percentiles of ``samples``, sorting them once.
+
+    Each ``q`` is in [0, 100], linearly interpolated; the samples may be
+    in any order; NaN for an empty list. The one quantile routine behind
+    :class:`LatencyRecorder` and the metrics layer's histograms.
+    """
+    if not samples:
+        return [math.nan] * len(qs)
+    ordered = sorted(samples)
+    last = len(ordered) - 1
+    out = []
+    for q in qs:
+        if not 0.0 <= q <= 100.0:
+            raise ValueError(f"percentile must be in [0, 100], got {q}")
+        rank = (q / 100.0) * last
+        low = int(math.floor(rank))
+        high = int(math.ceil(rank))
+        if low == high:
+            out.append(ordered[low])
+        else:
+            # This form (rather than a*(1-f) + b*f) cannot exceed [a, b] under
+            # floating-point rounding, keeping percentiles within min..max.
+            out.append(ordered[low] + (rank - low) * (ordered[high] - ordered[low]))
+    return out
 
 
 def percentile(samples: list[float], q: float) -> float:
-    """The ``q``-th percentile of ``samples`` (0 <= q <= 100, linear interp).
-
-    Accepts the samples in any order (they are sorted here); returns NaN
-    for an empty list. Shared by :class:`LatencyRecorder` and the metrics
-    layer's histogram quantiles.
-    """
-    if not samples:
-        return math.nan
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile must be in [0, 100], got {q}")
-    ordered = sorted(samples)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (q / 100.0) * (len(ordered) - 1)
-    low = int(math.floor(rank))
-    high = int(math.ceil(rank))
-    if low == high:
-        return ordered[low]
-    frac = rank - low
-    # This form (rather than a*(1-f) + b*f) cannot exceed [a, b] under
-    # floating-point rounding, keeping percentiles within min..max.
-    return ordered[low] + frac * (ordered[high] - ordered[low])
+    """The ``q``-th percentile of ``samples`` (see :func:`percentiles`)."""
+    return percentiles(samples, (q,))[0]
 
 
 class RunningStats:
@@ -175,14 +182,15 @@ class LatencyRecorder:
 
     def summary(self) -> dict[str, float]:
         """Summary dict with the columns used across EXPERIMENTS.md."""
+        p50, p95, p99 = percentiles(self._samples, (50, 95, 99))
         return {
             "count": float(self.count),
             "avg": self.average,
             "max": self.maximum,
             "min": self.minimum,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
+            "p50": p50,
+            "p95": p95,
+            "p99": p99,
         }
 
 

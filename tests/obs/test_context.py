@@ -1,7 +1,12 @@
 """FlowContext wire encoding and ObsState span lifecycle."""
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.obs import FlowContext, SPAN_EVENT, enable_observability
 from repro.runtime.sim import SimRuntime
+from repro.util.serialization import decode_payload, encode_payload
 
 
 def test_wire_round_trip():
@@ -100,3 +105,82 @@ def test_point_span_has_zero_duration():
     obs.point("broker", node, topic="t")
     rec = runtime.tracer.select(SPAN_EVENT)[0]
     assert rec["start"] == rec.time
+
+
+# ----------------------------------------------------------------------
+# The wire dict remembers its context; a decoded one is parsed
+# ----------------------------------------------------------------------
+
+_ids = st.text(min_size=1, max_size=12)
+contexts = st.builds(
+    FlowContext,
+    trace_id=_ids,
+    span_id=_ids,
+    parent_id=st.text(max_size=12),
+    hop=st.integers(min_value=0, max_value=10_000),
+)
+
+
+@given(ctx=contexts)
+def test_wire_round_trip_in_process_and_through_json(ctx):
+    wire = ctx.to_wire()
+    # In-process (the `_Wire` packet fast path hands this very object on).
+    assert FlowContext.from_wire(wire) == ctx
+    # Off the wire it is a plain dict with the same bytes, parsed as ever.
+    decoded = decode_payload(encode_payload(wire))
+    assert type(decoded) is dict
+    assert decoded == wire == {
+        "t": ctx.trace_id, "s": ctx.span_id, "p": ctx.parent_id, "h": ctx.hop
+    }
+    assert encode_payload(decoded) == encode_payload(wire)
+    assert FlowContext.from_wire(decoded) == ctx
+    # A shallow header copy (broker fan-out, retained store) keeps the object.
+    assert FlowContext.from_wire({**{"obs": wire}}["obs"]) == ctx
+
+
+@given(
+    data=st.one_of(
+        st.none(),
+        st.text(),
+        st.integers(),
+        st.lists(st.integers()),
+        st.dictionaries(st.sampled_from(["t", "p", "h", "zz"]), st.integers()),
+        st.fixed_dictionaries(
+            {"t": _ids, "s": _ids, "h": st.sampled_from(["x", None, [1], {}])}
+        ),
+    )
+)
+def test_from_wire_malformed_is_none(data):
+    assert FlowContext.from_wire(data) is None
+
+
+@pytest.mark.parametrize("storage", [True, False])
+@pytest.mark.parametrize(
+    "reserved", ["trace", "span", "parent", "name", "hop", "inc", "start"]
+)
+def test_reserved_span_field_is_a_type_error(reserved, storage):
+    """As when the fields were ``**``-splatted into ``Tracer.emit`` beside
+    the reserved keywords — whether or not anything consumes the span."""
+    runtime = SimRuntime(seed=1)
+    runtime.tracer.enabled = storage
+    obs = enable_observability(runtime, scrape_interval_s=0)
+    node = _node(runtime)
+    with pytest.raises(TypeError):
+        obs.finish(obs.start_span("a", node), **{reserved: 1})
+    if reserved in ("parent", "start"):
+        return  # start_span's own parameters, not span fields
+    with pytest.raises(TypeError):
+        obs.finish(obs.start_span("a", node, **{reserved: 1}))
+    with pytest.raises(TypeError):
+        obs.point("a", node, **{reserved: 1})
+
+
+def test_finish_fields_override_start_fields_in_place():
+    runtime = SimRuntime(seed=1)
+    obs = enable_observability(runtime, scrape_interval_s=0)
+    obs.finish(obs.start_span("a", _node(runtime), k=1, task="t"), k=2, outcome="ok")
+    fields = runtime.tracer.select(SPAN_EVENT)[0].fields
+    assert list(fields) == [
+        "trace", "span", "parent", "name", "hop", "inc", "start", "k", "task", "outcome"
+    ]
+    assert fields["k"] == 2

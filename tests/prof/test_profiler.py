@@ -193,3 +193,42 @@ def test_profiler_chains_behind_existing_monitor():
     runtime.run(until=0.1)
     assert ("san", "begin") in log  # prior monitor still sees events
     assert profiler.events_profiled > 0
+
+
+# ----------------------------------------------------------------------
+# Hook bindings are per profiler, per resource
+# ----------------------------------------------------------------------
+
+
+def test_hook_bindings_are_per_instance():
+    """The resource -> timeline / busy-cell bindings live on the profiler
+    (a class-level memo used to be shared by every profiler in the
+    process): one profiler's charges never show up in another's."""
+    first = Profiler(SimRuntime(seed=0))
+    second = Profiler(SimRuntime(seed=0))
+    first.on_cpu_start("worker.cpu", "crunch", 0.5)
+    first.on_cpu_end("worker.cpu", "crunch", 0.5)
+    first.on_airtime("worker", 0.0, 0.25)
+    assert first.busy == {
+        ("worker", "cpu", "crunch"): (0.5, 1),
+        ("worker", "wlan", "airtime"): (0.25, 1),
+    }
+    assert first.cpu_nodes() == ["worker"]
+    assert second.busy == {} and second.cpu_nodes() == []
+    mutable_class_state = {
+        name: value
+        for name, value in vars(Profiler).items()
+        if isinstance(value, (dict, list, set))
+    }
+    assert mutable_class_state == {}
+
+
+def test_bare_and_suffixed_resource_names_share_one_node_timeline():
+    profiler = Profiler(SimRuntime(seed=0))
+    profiler.on_cpu_start("worker.cpu", "a", 1.0)
+    profiler.on_cpu_start("worker", "b", 2.0)
+    profiler.on_cpu_end("worker.cpu", "a", 1.0)
+    profiler.on_cpu_end("worker", "a", 2.0)
+    assert profiler.cpu_nodes() == ["worker"]
+    assert profiler.cpu_busy_between("worker", 0.0, 10.0) == pytest.approx(3.0)
+    assert profiler.busy == {("worker", "cpu", "a"): (3.0, 2)}

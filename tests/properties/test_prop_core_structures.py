@@ -1,5 +1,8 @@
 """Property-based tests for core data structures."""
 
+import math
+import struct
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -79,3 +82,48 @@ def test_latency_percentiles_are_monotone_and_bounded(values):
     rec.extend(values)
     p25, p50, p95 = rec.percentile(25), rec.percentile(50), rec.percentile(95)
     assert rec.minimum <= p25 <= p50 <= p95 <= rec.maximum
+
+
+def _reference_percentile(samples: list[float], q: float) -> float:
+    """``util.stats.percentile`` as it was before the sort-once helper."""
+    ordered = sorted(samples)
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = (q / 100.0) * (len(ordered) - 1)
+    low, high = int(math.floor(rank)), int(math.ceil(rank))
+    if low == high:
+        return ordered[low]
+    return ordered[low] + (rank - low) * (ordered[high] - ordered[low])
+
+
+@given(
+    values=st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=200),
+    qs=st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=5),
+)
+def test_sort_once_percentiles_are_bit_identical_to_one_at_a_time(values, qs):
+    """Golden ``obs.metrics`` records and ``/metrics.json`` depend on it:
+    the multi-quantile path returns the very floats the three separate
+    sorts did, infinities and signed zeros included."""
+    from repro.obs.metrics import HistogramMetric
+    from repro.util.stats import percentile, percentiles
+
+    def bits(x: float) -> bytes:
+        return struct.pack("<d", x)
+
+    got = percentiles(values, tuple(qs))
+    assert [bits(x) for x in got] == [
+        bits(_reference_percentile(values, q)) for q in qs
+    ]
+    assert [bits(percentile(values, q)) for q in qs] == [bits(x) for x in got]
+    histogram = HistogramMetric("h")
+    for value in values:
+        histogram.observe(value)
+    assert [bits(x) for x in histogram.quantiles(*qs)] == [
+        bits(histogram.quantile(q)) for q in qs
+    ]
+    rec = LatencyRecorder()
+    rec.extend(values)
+    summary = rec.summary()
+    assert [bits(summary[k]) for k in ("p50", "p95", "p99")] == [
+        bits(rec.percentile(q)) for q in (50, 95, 99)
+    ]

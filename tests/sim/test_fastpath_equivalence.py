@@ -278,3 +278,37 @@ def test_failover_slo_on_leaves_app_trace_unchanged(monkeypatch):
     assert _digest_excluding(
         slo_run.tracer, _OBSERVER_SOURCES
     ) == _digest_excluding(base.tracer, _OBSERVER_SOURCES)
+
+
+# ----------------------------------------------------------------------
+# Every instrument on, wire fast path on vs off
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    ("name", "kwargs"),
+    [("fig5", {"seed": 55, "duration_s": FIG5_DURATION_S}), ("failover", {"seed": 0})],
+)
+def test_instrumented_wire_fastpath_off_equivalence(name, kwargs, monkeypatch):
+    """With the fast path on, the ``obs`` header dict travels in-process
+    and hands its FlowContext back without a parse; off, every hop parses
+    a plain dict decoded from wire bytes. Trace (``obs.span`` parents and
+    hops included), profile and SLO state must not tell the two apart."""
+    from repro.registry import resolve
+    from repro.scenario import run
+
+    def state():
+        runtime = run(
+            resolve(name), observe=True, slo=True, profile=True, **kwargs
+        ).runtime
+        assert runtime.tracer.count("obs.span") > 100
+        return (
+            trace_digest(runtime.tracer),
+            len(runtime.tracer),
+            profile_digest(runtime.prof),
+            runtime.slo.report(),
+        )
+
+    fast = state()
+    monkeypatch.setattr(packets, "WIRE_FASTPATH", False)
+    assert state() == fast
