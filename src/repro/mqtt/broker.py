@@ -82,7 +82,7 @@ class _Session:
 
 @dataclass(frozen=True)
 class _Retained:
-    payload: Any
+    packet: Packet  # the publisher's PUBLISH: topic, payload and its encoded fragment
     qos: int
     headers: dict[str, Any]
 
@@ -342,8 +342,7 @@ class Broker(Component):
             if topic_matches(topic_filter, topic):
                 self._forward(
                     session,
-                    topic,
-                    retained.payload,
+                    retained.packet,
                     min(retained.qos, sub_qos),
                     retained.headers,
                     retain=True,
@@ -378,7 +377,7 @@ class Broker(Component):
             if payload is None:
                 self._retained.pop(topic, None)
             else:
-                self._retained[topic] = _Retained(payload, qos, dict(headers))
+                self._retained[topic] = _Retained(packet, qos, dict(headers))
                 self.stats.retained_stored += 1
 
         # Acknowledge the publisher first (QoS 1 publisher-side is complete
@@ -400,7 +399,7 @@ class Broker(Component):
             if subscriber.cell is not None:
                 subscriber.cell.note_read()
             self._forward(
-                subscriber, topic, payload, min(qos, sub_qos), headers, retain=False
+                subscriber, packet, min(qos, sub_qos), headers, retain=False
             )
 
     def _resolve(self, topic: str) -> list[tuple[str, int]]:
@@ -431,8 +430,7 @@ class Broker(Component):
     def _forward(
         self,
         session: _Session,
-        topic: str,
-        payload: Any,
+        source: Packet,
         qos: int,
         headers: dict[str, Any],
         retain: bool,
@@ -442,26 +440,16 @@ class Broker(Component):
             # the session; forward order decides the id sequence.
             session.cell.note_write()
         packet_id = session.allocate_packet_id() if qos == 1 else None
-        packet = Packet.publish(
-            topic=topic,
-            payload=payload,
-            qos=qos,
-            retain=retain,
-            packet_id=packet_id,
-            headers=headers,
-        )
-        fwd_id: str | None = None
-        if qos == 1:
-            # Packet ids recycle (and restart from 1 after a broker
-            # restart); the fwd_id uniquely names this delivery attempt so
-            # end-to-end accounting can pair forwards with outcomes.
-            fwd_id = self.runtime.ids.next("mqtt.fwd")
-            packet.fields["fwd_id"] = fwd_id
+        # Packet ids recycle (and restart from 1 after a broker restart);
+        # the fwd_id uniquely names this delivery attempt so end-to-end
+        # accounting can pair forwards with outcomes.
+        fwd_id = self.runtime.ids.next("mqtt.fwd") if qos == 1 else None
+        packet = source.forwarded(qos, retain, packet_id, headers, fwd_id)
         self.stats.publishes_out += 1
         self.trace(
             "mqtt.broker.forward",
             client=session.client_id,
-            topic=topic,
+            topic=source.fields["topic"],
             qos=qos,
             **({"fwd_id": fwd_id} if fwd_id is not None else {}),
         )
@@ -503,9 +491,7 @@ class Broker(Component):
             return
         inflight.retries_left -= 1
         self.stats.retransmissions += 1
-        dup = Packet(
-            PacketType.PUBLISH, {**inflight.packet.fields, "dup": True}
-        )
+        dup = inflight.packet.as_dup()
         inflight.packet = dup
         self._send(inflight.destination, dup)
         self._arm_retry(session, packet_id, inflight)
@@ -591,7 +577,7 @@ class Broker(Component):
         """Re-send every queued QoS 1 message (dup-flagged) and re-arm."""
         for packet_id, inflight in list(session.inflight.items()):
             inflight.destination = session.address
-            dup = Packet(PacketType.PUBLISH, {**inflight.packet.fields, "dup": True})
+            dup = inflight.packet.as_dup()
             inflight.packet = dup
             self.stats.retransmissions += 1
             self._send(session.address, dup)

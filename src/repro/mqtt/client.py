@@ -278,8 +278,8 @@ class MqttClient(Component):
         harness measures sensing-to-X latency exactly as the paper does.
         """
         validate_topic(topic)
-        if qos not in (0, 1):
-            raise ProtocolError(f"unsupported QoS {qos}")
+        if type(qos) is not int or qos not in (0, 1):
+            raise ProtocolError(f"unsupported QoS {qos!r}")
         self._when_connected(lambda: self._do_publish(topic, payload, qos, retain, headers))
 
     def _do_publish(
@@ -419,7 +419,7 @@ class MqttClient(Component):
             self.trace("mqtt.client.give_up", packet_id=packet_id)
             return
         pending.retries_left -= 1
-        dup = Packet(PacketType.PUBLISH, {**pending.packet.fields, "dup": True})
+        dup = pending.packet.as_dup()
         pending.packet = dup
         self._send(dup)
         self._arm_retry(packet_id, pending)

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Any, ClassVar
 
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, SerializationError
 from repro.util.flags import flag_enabled
-from repro.util.serialization import decode_payload, encode_payload
+from repro.util.serialization import decode_payload, encode_fragment, encode_payload
 
 __all__ = ["PacketType", "Packet", "wire_fastpath_default"]
 
@@ -30,6 +31,9 @@ def wire_fastpath_default() -> bool:
 
 #: Module-level switch read on every encode/decode so tests can flip it.
 WIRE_FASTPATH = wire_fastpath_default()
+
+
+_BOOL = ("false", "true")  # JSON text of a bool, by index
 
 
 class _Wire(bytes):
@@ -89,16 +93,96 @@ class Packet:
     type: PacketType
     fields: dict[str, Any] = field(default_factory=dict)
 
+    #: Canonical JSON of a PUBLISH's ``payload``, memoized by the first
+    #: encode and inherited by :meth:`as_dup` and :meth:`forwarded`.
+    _fragment: ClassVar[str | None] = None
+
     def encode(self) -> bytes:
-        """Serialize to wire bytes."""
-        body = dict(self.fields)
-        body["_t"] = self.type.value
-        data = encode_payload(body)
+        """Serialize to wire bytes.
+
+        PUBLISH and PUBACK are written directly in canonical key order;
+        every other packet, and any whose fields are not what the
+        constructors build, goes through :func:`encode_payload` — the
+        reference the direct writers must match byte for byte.
+        """
+        text = None
+        if self.type is PacketType.PUBLISH:
+            try:
+                text = self._publish_text()
+            except SerializationError:
+                pass  # the reference path names the offending field
+        elif self.type is PacketType.PUBACK:
+            packet_id = self.fields.get("packet_id")
+            if type(packet_id) is int and len(self.fields) == 1:
+                text = f'{{"_t":"puback","packet_id":{packet_id}}}'
+        if text is None:
+            data = encode_payload({**self.fields, "_t": self.type.value})
+        else:
+            data = text.encode("ascii")
         if WIRE_FASTPATH:
             wire = _Wire(data)
             wire._packet = self
             return wire
         return data
+
+    def _publish_text(self) -> str | None:
+        """Canonical JSON of a PUBLISH shaped as :meth:`publish` builds it."""
+        f = self.fields
+        try:
+            dup, headers, qos, retain, topic = (
+                f["dup"], f["headers"], f["qos"], f["retain"], f["topic"]
+            )
+        except KeyError:
+            return None
+        packet_id = f.get("packet_id")
+        fwd_id = f.get("fwd_id")
+        if not (
+            "payload" in f
+            and len(f) == 6 + (packet_id is not None) + (fwd_id is not None)
+            and type(dup) is bool and type(retain) is bool
+            and type(qos) is int and type(topic) is str and type(headers) is dict
+            and (packet_id is None or type(packet_id) is int)
+            and (fwd_id is None or type(fwd_id) is str)
+        ):
+            return None
+        fwd = "" if fwd_id is None else f',"fwd_id":{_quote(fwd_id)}'
+        pid = "" if packet_id is None else f',"packet_id":{packet_id}'
+        head = encode_fragment(headers) if headers else "{}"
+        return (
+            f'{{"_t":"publish","dup":{_BOOL[dup]}{fwd},"headers":{head}{pid}'
+            f',"payload":{self._payload_text()},"qos":{qos}'
+            f',"retain":{_BOOL[retain]},"topic":{_quote(topic)}}}'
+        )
+
+    def _payload_text(self) -> str:
+        text = self._fragment
+        if text is None:
+            text = encode_fragment(self.fields.get("payload"))
+            object.__setattr__(self, "_fragment", text)
+        return text
+
+    def as_dup(self) -> "Packet":
+        """This PUBLISH as a retransmission: the same message, ``dup`` set."""
+        dup = Packet(PacketType.PUBLISH, {**self.fields, "dup": True})
+        object.__setattr__(dup, "_fragment", self._fragment)
+        return dup
+
+    def forwarded(
+        self,
+        qos: int,
+        retain: bool,
+        packet_id: int | None,
+        headers: dict[str, Any],
+        fwd_id: str | None,
+    ) -> "Packet":
+        """The broker's copy of this PUBLISH for one subscriber."""
+        copy = Packet.publish(
+            self["topic"], self.get("payload"), qos, retain, False, packet_id, headers
+        )
+        if fwd_id is not None:
+            copy.fields["fwd_id"] = fwd_id
+        object.__setattr__(copy, "_fragment", self._payload_text())
+        return copy
 
     @classmethod
     def decode(cls, data: bytes) -> "Packet":
@@ -165,8 +249,10 @@ class Packet:
         packet_id: int | None = None,
         headers: dict[str, Any] | None = None,
     ) -> "Packet":
-        if qos not in (0, 1):
-            raise ProtocolError(f"unsupported QoS {qos} (QoS 2 not implemented)")
+        if type(qos) is not int or qos not in (0, 1):
+            raise ProtocolError(f"unsupported QoS {qos!r} (QoS 2 not implemented)")
+        if packet_id is not None and type(packet_id) is not int:
+            raise ProtocolError(f"packet_id must be an int, got {packet_id!r}")
         if qos == 1 and packet_id is None:
             raise ProtocolError("QoS 1 publish requires a packet_id")
         fields: dict[str, Any] = {

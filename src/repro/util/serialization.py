@@ -18,7 +18,7 @@ from typing import Any
 
 from repro.errors import SerializationError
 
-__all__ = ["encode_payload", "decode_payload", "payload_size"]
+__all__ = ["encode_fragment", "encode_payload", "decode_payload", "payload_size"]
 
 _ALLOWED_SCALARS = (type(None), bool, int, float, str)
 
@@ -71,11 +71,17 @@ def _keys_ok(value: Any) -> bool:
     return True
 
 
-def encode_payload(value: Any) -> bytes:
-    """Encode ``value`` to canonical UTF-8 JSON bytes.
+_ENCODE = json.JSONEncoder(separators=(",", ":"), sort_keys=True, allow_nan=False).encode
 
-    Raises :class:`~repro.errors.SerializationError` for unsupported types
-    and non-finite floats (NaN/Inf are not valid JSON and would silently
+
+def encode_fragment(value: Any) -> str:
+    """Canonical JSON text of ``value`` (pure ASCII).
+
+    The text can be spliced into a larger canonical document wherever
+    ``value`` would appear, which is how :mod:`repro.mqtt.packets`
+    encodes a payload once for every hop and copy of a message. Raises
+    :class:`~repro.errors.SerializationError` for unsupported types and
+    non-finite floats (NaN/Inf are not valid JSON and would silently
     corrupt downstream analysis).
     """
     t = type(value)
@@ -83,13 +89,15 @@ def encode_payload(value: Any) -> bytes:
         _check_encodable(value)  # raises with the offending path
         raise SerializationError(f"non-string dict key in {value!r}")  # pragma: no cover
     try:
-        text = json.dumps(
-            value, separators=(",", ":"), sort_keys=True, allow_nan=False
-        )
+        return _ENCODE(value)
     except (TypeError, ValueError) as exc:
         _check_encodable(value)  # raises with the offending path
         raise SerializationError(str(exc)) from exc
-    return text.encode("utf-8")
+
+
+def encode_payload(value: Any) -> bytes:
+    """Encode ``value`` to canonical UTF-8 JSON bytes (see :func:`encode_fragment`)."""
+    return encode_fragment(value).encode("utf-8")
 
 
 def decode_payload(data: bytes) -> Any:

@@ -60,3 +60,24 @@ def test_publish_defaults():
     assert packet["retain"] is False
     assert packet["dup"] is False
     assert packet["headers"] == {}
+
+
+@pytest.mark.parametrize(
+    "qos, packet_id",
+    [(True, True), (False, None), (1.0, 3), (0.0, None), (1, True), (1, 3.0), (0, "3")],
+)
+def test_publish_rejects_non_int_qos_and_packet_id(qos, packet_id):
+    """``True in (0, 1)`` holds, so a bool QoS used to reach the wire as
+    ``"qos":true``; only a real ``int`` may."""
+    with pytest.raises(ProtocolError):
+        Packet.publish("t", 1, qos=qos, packet_id=packet_id)
+
+
+def test_as_dup_differs_in_the_dup_flag_only():
+    packet = Packet.publish("t/x", {"v": [1, 2.5]}, qos=1, packet_id=9)
+    dup = packet.as_dup()
+    assert dup.fields == {**packet.fields, "dup": True}
+    assert packet["dup"] is False  # the original is not touched
+    assert bytes(dup.encode()) == bytes(packet.encode()).replace(
+        b'"dup":false', b'"dup":true'
+    )

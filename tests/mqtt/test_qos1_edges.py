@@ -7,6 +7,7 @@ explained reason — never silently lost.
 
 import pytest
 
+from repro.errors import ProtocolError
 from repro.mqtt.broker import Broker
 from repro.mqtt.client import MqttClient
 from repro.runtime.sim import SimRuntime
@@ -27,6 +28,20 @@ def make_client(runtime, broker, name, **kwargs):
     )
     client.connect()
     return client
+
+
+def record_publishes(node):
+    """Wire bytes of every PUBLISH ``node`` sends from now on."""
+    sent = []
+    send = node.send
+
+    def recording_send(service, destination, data):
+        if b'"_t":"publish"' in data:
+            sent.append(bytes(data))
+        send(service, destination, data)
+
+    node.send = recording_send
+    return sent
 
 
 def fwd_ids(runtime, event):
@@ -153,3 +168,55 @@ def test_clean_session_teardown_drops_are_explained(runtime):
     ]
     assert dropped == [("expired", forwarded)]
     assert broker.session_count() == 1  # only the publisher survives
+
+
+@pytest.mark.parametrize("qos", [True, False, 1.0])
+def test_client_rejects_non_int_qos(runtime, qos):
+    broker = Broker(runtime.add_node("hub"))
+    pub = make_client(runtime, broker, "pub")
+    settle(runtime)
+    with pytest.raises(ProtocolError):
+        pub.publish("t", "x", qos=qos)
+
+
+def test_client_dup_is_the_same_message(runtime):
+    """A caller that reuses its payload dict after ``publish()`` must not
+    change what is retransmitted under the same packet id."""
+    broker = Broker(runtime.add_node("hub"))
+    pub = make_client(runtime, broker, "pub", retry_interval_s=0.5)
+    settle(runtime)
+    sent = record_publishes(pub.node)
+
+    broker.node.fail()  # no PUBACK: the client retransmits
+    payload = {"reading": 1, "tags": ["a"]}
+    pub.publish("t", payload, qos=1)
+    payload["reading"] = 2
+    payload["tags"].append("b")
+    settle(runtime, 0.8)
+
+    assert len(sent) == 2
+    assert sent[1] == sent[0].replace(b'"dup":false', b'"dup":true')
+    assert b'"reading":1' in sent[1]
+
+
+def test_broker_dup_is_the_same_message(runtime):
+    """Same contract for the broker's forward copy: the retransmission to
+    a slow subscriber carries the bytes of the first attempt."""
+    broker = Broker(runtime.add_node("hub"), retry_interval_s=0.5)
+    pub = make_client(runtime, broker, "pub")
+    sub = make_client(runtime, broker, "sub", keepalive_s=60.0)
+    sub.subscribe("t", lambda *_: None, qos=1)
+    settle(runtime)
+    sent = record_publishes(broker.node)
+
+    sub.node.fail()
+    payload = {"reading": 1}
+    pub.publish("t", payload, qos=1)
+    settle(runtime, 0.2)
+    assert len(sent) == 1
+    # In-process delivery hands the broker the publisher's own dict.
+    payload["reading"] = 2
+    settle(runtime, 0.5)
+
+    assert len(sent) == 2
+    assert sent[1] == sent[0].replace(b'"dup":false', b'"dup":true')
