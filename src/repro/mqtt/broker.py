@@ -446,13 +446,14 @@ class Broker(Component):
         fwd_id = self.runtime.ids.next("mqtt.fwd") if qos == 1 else None
         packet = source.forwarded(qos, retain, packet_id, headers, fwd_id)
         self.stats.publishes_out += 1
-        self.trace(
-            "mqtt.broker.forward",
-            client=session.client_id,
-            topic=source.fields["topic"],
-            qos=qos,
-            **({"fwd_id": fwd_id} if fwd_id is not None else {}),
-        )
+        if self.runtime.tracer.wants("mqtt.broker.forward"):
+            self.trace(
+                "mqtt.broker.forward",
+                client=session.client_id,
+                topic=source.fields["topic"],
+                qos=qos,
+                **({"fwd_id": fwd_id} if fwd_id is not None else {}),
+            )
         if qos == 1 and packet_id is not None:
             inflight = _Inflight(
                 packet=packet,

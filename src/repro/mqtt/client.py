@@ -280,7 +280,12 @@ class MqttClient(Component):
         validate_topic(topic)
         if type(qos) is not int or qos not in (0, 1):
             raise ProtocolError(f"unsupported QoS {qos!r}")
-        self._when_connected(lambda: self._do_publish(topic, payload, qos, retain, headers))
+        if self._connected.value:  # the common case allocates no closure
+            self._do_publish(topic, payload, qos, retain, headers)
+        else:
+            self._buffer_op(
+                lambda: self._do_publish(topic, payload, qos, retain, headers)
+            )
 
     def _do_publish(
         self,
@@ -372,7 +377,11 @@ class MqttClient(Component):
     def _when_connected(self, op: Callable[[], None]) -> None:
         if self.connected:
             op()
-        elif self._connecting or self._watchdog is not None:
+        else:
+            self._buffer_op(op)
+
+    def _buffer_op(self, op: Callable[[], None]) -> None:
+        if self._connecting or self._watchdog is not None:
             # Connecting, or auto-reconnect is armed and will re-establish
             # the session: buffer the operation (bounded, oldest dropped —
             # fresh sensor data beats stale during an outage).
@@ -507,7 +516,7 @@ class MqttClient(Component):
         ):
             obs.metrics.counter("mqtt.redeliveries", node=self.node.name).inc()
         fwd_id = packet.get("fwd_id")
-        if fwd_id is not None:
+        if fwd_id is not None and self.runtime.tracer.wants("mqtt.client.deliver"):
             # End-to-end QoS 1 accounting: this delivery attempt reached
             # the subscriber (possibly as a dup-flagged retransmission).
             self.trace(

@@ -8,7 +8,7 @@ reflect real overhead (the paper's 32-byte samples do not travel for free).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.net.address import Address
 
@@ -19,7 +19,7 @@ __all__ = ["Frame", "LINK_HEADER_BYTES"]
 LINK_HEADER_BYTES = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Frame:
     """One link-layer frame in flight."""
 
@@ -27,7 +27,6 @@ class Frame:
     destination: Address
     payload: bytes
     frame_id: int = 0
-    metadata: dict = field(default_factory=dict, compare=False)
 
     @property
     def wire_size(self) -> int:

@@ -61,12 +61,7 @@ class NetworkInterface:
         if source is None:
             source = Address(self.station, source_service)
             self._source_addresses[source_service] = source
-        frame = Frame(
-            source=source,
-            destination=destination,
-            payload=payload,
-            frame_id=self._next_frame_id,
-        )
+        frame = Frame(source, destination, payload, self._next_frame_id)
         self._next_frame_id += 1
         self.frames_sent += 1
         self.bytes_sent += frame.wire_size

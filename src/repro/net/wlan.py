@@ -332,29 +332,30 @@ class WlanMedium(Medium):
         """Put all frames offered during this instant on the air."""
         self._flush_scheduled = False
         self._pending_cell.note_read()
-        pending = sorted(
-            self._pending, key=lambda f: (f.source.station, f.frame_id)
-        )
-        self._pending.clear()
+        pending, self._pending = self._pending, []
+        if len(pending) > 1:
+            pending.sort(key=lambda f: (f.source.station, f.frame_id))
         for frame in pending:
             self._transmit_now(frame)
 
     def _transmit_now(self, frame: Frame) -> None:
         """Occupy the channel with ``frame`` and schedule its delivery."""
         now = self._kernel.now
+        config = self.config
+        wire_size = frame.wire_size
         degradations: list[_Degradation] = []
+        bitrate_factor = 1.0
         if self._degradations:
             degradations = [
                 d for d in self._active_degradations(now) if d.matches(frame)
             ]
-        bitrate_factor = 1.0
-        for degradation in degradations:
-            bitrate_factor = min(bitrate_factor, degradation.bitrate_factor)
-        airtime = self.config.per_frame_overhead_s + (frame.wire_size * 8.0) / (
-            self.config.bitrate_bps * bitrate_factor
+            for degradation in degradations:
+                bitrate_factor = min(bitrate_factor, degradation.bitrate_factor)
+        airtime = config.per_frame_overhead_s + (wire_size * 8.0) / (
+            config.bitrate_bps * bitrate_factor
         )
-        if self.config.jitter_s > 0.0:
-            airtime += self._jitter_rng.uniform(0.0, self.config.jitter_s)
+        if config.jitter_s > 0.0:
+            airtime += self._jitter_rng.uniform(0.0, config.jitter_s)
         self._channel_cell.note_read()
         start = max(now, self._channel_free_at)
         finish = start + airtime
@@ -362,37 +363,38 @@ class WlanMedium(Medium):
         self._channel_free_at = finish
         self.frames_transmitted += 1
         self.total_airtime += airtime
-        runtime = self._owner_runtime
-        prof = None if runtime is None else runtime.prof
+        prof = self._owner_runtime.prof
         if prof is not None:
             prof.on_airtime(frame.source.station, start, airtime)
-        delivery_time = finish + self.config.propagation_delay_s
+        delivery_time = finish + config.propagation_delay_s
 
         # A partitioned sender still transmits (burning airtime), but the
         # destination cannot hear it.
-        partitioned = self.is_blocked(
+        partitioned = bool(self._blocked_pairs) and self.is_blocked(
             frame.source.station, frame.destination.station
         )
         lost = False
         if not partitioned:
-            loss_rate = self._loss_rate_at(start)
+            loss_rate = (
+                self._loss_rate_at(start) if self._interference else config.loss_rate
+            )
             for degradation in degradations:
                 if degradation.burst is not None:
                     loss_rate = max(loss_rate, degradation.burst.step())
             lost = loss_rate > 0.0 and self._loss_rng.random() < loss_rate
-        if self._tracer is not None:
-            self._tracer.emit(
-                now,
-                "wlan",
-                "wlan.transmit",
-                frame_id=frame.frame_id,
-                src=str(frame.source),
-                dst=str(frame.destination),
-                size=frame.wire_size,
-                queued_s=start - now,
-                lost=lost or partitioned,
-                **({"reason": "partition"} if partitioned else {}),
-            )
+        tracer = self._tracer
+        if tracer is not None and tracer.wants("wlan.transmit"):
+            fields = {
+                "frame_id": frame.frame_id,
+                "src": str(frame.source),
+                "dst": str(frame.destination),
+                "size": wire_size,
+                "queued_s": start - now,
+                "lost": lost or partitioned,
+            }
+            if partitioned:
+                fields["reason"] = "partition"
+            tracer.emit_fields(now, "wlan", "wlan.transmit", fields)
         if partitioned:
             self.frames_partitioned += 1
             return

@@ -17,6 +17,20 @@ from repro.runtime.node import Node
 __all__ = ["Component", "PeriodicTimer"]
 
 
+def _pending(handles: list[Any], runtime: Runtime) -> list[Any]:
+    """The ``call_later`` handles that are neither cancelled nor past due.
+
+    A sim ``EventHandle`` carries ``cancelled``/``time`` on the runtime
+    clock; an asyncio ``TimerHandle`` answers ``cancelled()``/``when()`` on
+    its loop's clock.
+    """
+    if hasattr(handles[0], "when"):
+        now = runtime.loop.time()
+        return [h for h in handles if not h.cancelled() and h.when() >= now]
+    now = runtime.now
+    return [h for h in handles if not h.cancelled and h.time >= now]
+
+
 class PeriodicTimer:
     """Drift-free periodic callback.
 
@@ -76,6 +90,7 @@ class Component:
         self.runtime: Runtime = node.runtime
         self.name = name
         self._timers: list[TimerHandle] = []
+        self._timers_sweep_at = 16
         self._periodic: list[PeriodicTimer] = []
         self.stopped = False
         node.components.append(self)
@@ -90,8 +105,16 @@ class Component:
         self, delay: float, callback: Callable[..., None], *args: Any
     ) -> TimerHandle:
         """One-shot timer owned by this component."""
-        handle = self.runtime.call_later(delay, self._guard(callback), *args)
-        self._timers.append(handle)  # repro: san-ok[SAN020] append-only registration
+        runtime = self.runtime
+        handle = runtime.call_later(delay, self._guard(callback), *args)
+        self._timers.append(handle)  # repro: san-ok[SAN020] registration; stop() cancels all
+        if len(self._timers) >= self._timers_sweep_at:
+            # The list has doubled since the last sweep: forget the handles
+            # that can no longer fire, so a long-lived component holds its
+            # pending timers and not every timer it ever armed. Which dead
+            # handles are held is invisible to the schedule.
+            self._timers[:] = _pending(self._timers, runtime)  # repro: san-ok[SAN020] drops spent handles only
+            self._timers_sweep_at = max(16, 2 * len(self._timers))  # repro: san-ok[SAN020] sweep bookkeeping
         return handle
 
     def every(
@@ -101,12 +124,17 @@ class Component:
         timer = PeriodicTimer(
             self.runtime, interval, self._guard(callback), start_delay=start_delay
         )
-        self._periodic.append(timer)  # repro: san-ok[SAN020] append-only registration
+        # Live timers only: a reconnecting client cancels one keep-alive
+        # timer and arms the next.
+        self._periodic[:] = [t for t in self._periodic if not t.cancelled]  # repro: san-ok[SAN020] drops cancelled timers only
+        self._periodic.append(timer)  # repro: san-ok[SAN020] registration; stop() cancels all
         return timer
 
     def _guard(self, callback: Callable[..., None]) -> Callable[..., None]:
+        alive = self.node._alive  # the cell: one recorded read per firing
+
         def guarded(*args: Any) -> None:
-            if not self.stopped and self.node.alive:
+            if not self.stopped and alive.value:
                 callback(*args)
 
         return guarded
@@ -116,7 +144,10 @@ class Component:
     # ------------------------------------------------------------------
 
     def trace(self, event: str, **fields: Any) -> None:
-        self.runtime.trace(self.name, event, **fields)
+        runtime = self.runtime
+        tracer = runtime.tracer
+        if tracer.wants(event):
+            tracer.emit_fields(runtime.now, self.name, event, fields)
 
     # ------------------------------------------------------------------
     # Lifecycle

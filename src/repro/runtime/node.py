@@ -102,27 +102,25 @@ class Node:
         real runtime the function runs immediately. Dead nodes drop work
         silently (used by failure-injection tests).
         """
-        if not self.alive:
+        if not self._alive.value:
             return
         index = self._op_counts[op]
         self._op_counts[op] = index + 1
         cost = self.cost_model.cost(op, nbytes=nbytes, invocation_index=index)
+        incarnation = self._incarnation.value
         if self.cpu is not None:
             # The op name becomes the job label, which is how the
             # profiler attributes this node's busy time per operation.
-            incarnation = self.incarnation
-            self.cpu.submit(
-                cost, lambda: self._guarded(fn, args, incarnation), label=op
-            )
+            self.cpu.submit(cost, self._guarded, op, (fn, args, incarnation))
         else:
-            self._guarded(fn, args, self.incarnation)
+            self._guarded(fn, args, incarnation)
 
     def _guarded(
         self, fn: Callable[..., None], args: tuple[Any, ...], incarnation: int
     ) -> None:
         # Work queued before a restart belongs to a dead incarnation: its
         # closures reference components that no longer exist.
-        if self.alive and incarnation == self.incarnation:
+        if self._alive.value and incarnation == self._incarnation.value:
             fn(*args)
 
     def op_count(self, op: str) -> int:
@@ -141,8 +139,10 @@ class Node:
         self.interface.bind(service, self._guard_receiver(receiver))
 
     def _guard_receiver(self, receiver: Receiver) -> Receiver:
+        alive = self._alive
+
         def guarded(source: Address, payload: bytes) -> None:
-            if self.alive:
+            if alive.value:
                 receiver(source, payload)
 
         return guarded
@@ -152,7 +152,7 @@ class Node:
 
     def send(self, source_service: str, destination: Address, payload: bytes) -> None:
         """Transmit a datagram from this node."""
-        if not self.alive:
+        if not self._alive.value:
             return
         self.interface.send(source_service, destination, payload)
 

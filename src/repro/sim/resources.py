@@ -27,9 +27,10 @@ __all__ = ["CpuResource", "ResourceStats"]
 @dataclass(slots=True)
 class _Job:
     cost: float
-    on_done: Callable[[], None] | None
+    on_done: Callable[..., None] | None
     label: str
     submitted_at: float
+    args: tuple[Any, ...] = ()
 
 
 @dataclass
@@ -54,10 +55,10 @@ class ResourceStats:
 class CpuResource:
     """A k-server FIFO queue with deterministic service order.
 
-    Jobs are ``(cost, on_done)`` pairs; ``on_done`` fires when the job's
-    service time has elapsed. ``speed`` scales costs — a node with
-    ``speed=2.0`` serves every job in half its nominal cost, letting one cost
-    model describe heterogeneous hardware.
+    Jobs are ``(cost, on_done, args)`` triples; ``on_done(*args)`` fires
+    when the job's service time has elapsed. ``speed`` scales costs — a
+    node with ``speed=2.0`` serves every job in half its nominal cost,
+    letting one cost model describe heterogeneous hardware.
 
     ``queue_limit`` bounds the number of *waiting* jobs. When the queue is
     full a newly submitted job is dropped on the floor (its ``on_done``
@@ -117,20 +118,32 @@ class CpuResource:
     def submit(
         self,
         cost: float,
-        on_done: Callable[[], None] | None = None,
+        on_done: Callable[..., None] | None = None,
         label: str = "job",
+        args: tuple[Any, ...] = (),
     ) -> None:
-        """Enqueue a job needing ``cost`` seconds of nominal CPU time.
+        """Enqueue a job needing ``cost`` seconds of nominal CPU time;
+        ``on_done(*args)`` runs when it has been served.
 
-        Zero-cost jobs still round-trip through the queue so event ordering
-        stays consistent, but consume no virtual time when the CPU is idle.
+        Zero-cost jobs still take a kernel event so event ordering stays
+        consistent, but consume no virtual time when the CPU is idle.
         """
         if not cost >= 0:  # noqa: SIM201 - also catches NaN
             require_non_negative(cost, "cost")
         stats = self.stats
         queue = self._queue
-        job = _Job(cost, on_done, label, self._kernel.now)
+        job = _Job(cost, on_done, label, self._kernel.now, args)
         stats.jobs_submitted += 1
+        if not queue and self._busy < self._servers:
+            # Idle server: the job would be appended and popped at once.
+            # Start it directly; the depth-1 queue it would have formed
+            # still counts in both watermarks.
+            if stats.max_queue_length < 1:
+                stats.max_queue_length = 1
+            if self._window_peak_queue < 1:
+                self._window_peak_queue = 1
+            self._start(job, 0.0)
+            return
         if (
             self.queue_limit is not None
             and self._busy >= self._servers
@@ -148,7 +161,7 @@ class CpuResource:
 
     def execute(self, cost: float, fn: Callable[..., Any], *args: Any) -> None:
         """Convenience: run ``fn(*args)`` after ``cost`` CPU seconds."""
-        self.submit(cost, lambda: fn(*args), label=getattr(fn, "__name__", "fn"))
+        self.submit(cost, fn, getattr(fn, "__name__", "fn"), args)
 
     def take_queue_watermark(self) -> int:
         """Peak waiting-queue depth since the last call (then reset).
@@ -164,17 +177,19 @@ class CpuResource:
         queue = self._queue
         while self._busy < self._servers and queue:
             job = queue.popleft()
-            self._busy += 1
-            now = self._kernel.now
-            self.wait_times.add(now - job.submitted_at)
-            service = job.cost / self._speed
-            self.service_times.add(service)
-            self.stats.busy_time += service
-            runtime = self._runtime
-            prof = None if runtime is None else runtime.prof
-            if prof is not None:
-                prof.on_cpu_start(self.name, job.label, service)
-            self._kernel.schedule(service, self._complete, job)
+            self._start(job, self._kernel.now - job.submitted_at)
+
+    def _start(self, job: _Job, waited: float) -> None:
+        self._busy += 1
+        self.wait_times.add(waited)
+        service = job.cost / self._speed
+        self.service_times.add(service)
+        self.stats.busy_time += service
+        runtime = self._runtime
+        prof = None if runtime is None else runtime.prof
+        if prof is not None:
+            prof.on_cpu_start(self.name, job.label, service)
+        self._kernel.schedule(service, self._complete, job)
 
     def _complete(self, job: _Job) -> None:
         if self._busy <= 0:
@@ -186,8 +201,9 @@ class CpuResource:
         if prof is not None:
             prof.on_cpu_end(self.name, job.label, job.cost / self._speed)
         if job.on_done is not None:
-            job.on_done()
-        self._dispatch()
+            job.on_done(*job.args)
+        if self._queue:
+            self._dispatch()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
