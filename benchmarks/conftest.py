@@ -19,35 +19,25 @@ from pathlib import Path
 
 
 def require_fresh_baseline(name: str) -> None:
-    """Fail loudly when the committed baseline is stale for this machine.
+    """Fail loudly when the committed baseline is stale.
 
-    A ``BENCH_<name>.json`` whose environment fingerprint matches the
-    current host but whose schema version predates the current
+    A ``BENCH_<name>.json`` whose schema version predates the current
     ``BENCH_SCHEMA_VERSION`` means the baseline was simply never
     regenerated after a schema bump — silently benchmarking alongside it
-    would let the gate rot. (A differing fingerprint is fine: some other
-    machine's baseline is not ours to regenerate.)
+    would let the gate rot.
     """
-    from repro.bench.continuous import (
-        BENCH_SCHEMA_VERSION,
-        environment_fingerprint,
-        load_bench,
-    )
+    from repro.bench.continuous import BENCH_SCHEMA_VERSION, load_bench
 
     baseline_dir = Path(__file__).parent / "baselines"
     try:
         baseline = load_bench(baseline_dir, name)
     except FileNotFoundError:
         return
-    if (
-        baseline.env == environment_fingerprint()
-        and baseline.schema_version < BENCH_SCHEMA_VERSION
-    ):
+    if baseline.schema_version < BENCH_SCHEMA_VERSION:
         raise RuntimeError(
             f"stale baseline {baseline_dir / f'BENCH_{name}.json'}: schema "
             f"v{baseline.schema_version} predates current "
-            f"v{BENCH_SCHEMA_VERSION} and its environment fingerprint "
-            "matches this machine — regenerate it with: "
+            f"v{BENCH_SCHEMA_VERSION} — regenerate it with: "
             "repro bench --out benchmarks/baselines"
         )
 
@@ -56,7 +46,7 @@ def record_rows(benchmark, rows: dict) -> None:
     """Attach regenerated table rows to the benchmark record.
 
     Rows are sim-derived (virtual-time) metrics and therefore land in the
-    byte-exact ``sim`` half of the exported bench record.
+    byte-exact ``sim`` object of the exported bench record.
     """
     benchmark.extra_info.update(rows)
     name = benchmark.name.removeprefix("bench_")
@@ -70,7 +60,4 @@ def record_rows(benchmark, rows: dict) -> None:
 
     record = BenchRecord(name=name)
     record.sim = {key: rows[key] for key in sorted(rows)}
-    stats = getattr(benchmark, "stats", None)
-    if stats is not None and getattr(stats, "stats", None) is not None:
-        record.wall = {"elapsed_s": round(stats.stats.mean, 4)}
     write_bench(record, Path(out))

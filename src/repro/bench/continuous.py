@@ -1,31 +1,24 @@
 """Continuous benchmarking: schema-versioned records and a regression gate.
 
-A *bench record* (``BENCH_<name>.json``) captures one named benchmark run
-in two strictly separated halves:
-
-* ``sim`` — everything derived from virtual time: latencies, event and
-  trace counts, utilizations, the profile digest. These are pure
-  functions of (scenario, seed) and the gate compares them **byte-exact**
-  (via canonical sorted-key JSON); any drift is a real behaviour change.
-* ``wall`` — host throughput (events simulated per wall second). This
-  depends on the machine, so records carry an environment fingerprint
-  and the gate applies a **tolerance band** only when the fingerprints
-  match; across differing environments wall metrics are reported but
-  never gate.
+A *bench record* (``BENCH_<name>.json``) captures one named benchmark
+run's ``sim`` results — everything derived from virtual time: latencies,
+event and trace counts, utilizations, the profile digest. These are pure
+functions of (scenario, seed) and the gate compares them **byte-exact**
+(via canonical sorted-key JSON); any drift is a real behaviour change.
+Wall-clock numbers live in the perf ledger (``benchmarks/ledger``) and
+nowhere else.
 
 ``repro bench <names> --compare <baseline-dir>`` runs the named
 benchmarks, writes fresh records, and exits nonzero on any sim mismatch
-or out-of-band wall regression — that is the CI gate. Refreshing the
-committed baseline is ``repro bench <names> --out benchmarks/baselines``
-(review the diff like any other golden file).
+— that is the CI gate. Refreshing the committed baseline is
+``repro bench <names> --out benchmarks/baselines`` (review the diff like
+any other golden file).
 """
 
 from __future__ import annotations
 
 import json
 import platform
-import sys
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -49,14 +42,14 @@ __all__ = [
 #: v3: records carry per-flow end-to-end latency summaries
 #: (``sim.flows`` / per-rate ``flows``: count + p50/p95/p99/max ms)
 #: feeding the latency-bound soundness gate (RCP243/RCP244).
-BENCH_SCHEMA_VERSION = 3
-
-#: Default relative tolerance on wall-clock events/sec (same-env only).
-DEFAULT_WALL_TOLERANCE = 0.35
+#: v4: the ``wall`` half and the ``env`` fingerprint are gone; a record
+#: is its ``sim`` results.
+BENCH_SCHEMA_VERSION = 4
 
 
 def environment_fingerprint() -> dict[str, str]:
-    """The host properties that make wall-clock numbers comparable."""
+    """The host properties that make wall-clock numbers comparable
+    (stamped on the perf ledger's set files; no bench record carries it)."""
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
@@ -73,17 +66,12 @@ class BenchRecord:
     schema_version: int = BENCH_SCHEMA_VERSION
     #: Virtual-time results — compared byte-exact.
     sim: dict[str, Any] = field(default_factory=dict)
-    #: Host throughput — tolerance-banded, same-environment only.
-    wall: dict[str, Any] = field(default_factory=dict)
-    env: dict[str, str] = field(default_factory=environment_fingerprint)
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "name": self.name,
             "schema_version": self.schema_version,
             "sim": self.sim,
-            "wall": self.wall,
-            "env": self.env,
         }
 
     @classmethod
@@ -92,8 +80,6 @@ class BenchRecord:
             name=data["name"],
             schema_version=data["schema_version"],
             sim=data.get("sim", {}),
-            wall=data.get("wall", {}),
-            env=data.get("env", {}),
         )
 
 
@@ -117,16 +103,9 @@ def _op_busy(profiler: Any) -> dict[str, dict[str, Any]]:
     (:func:`repro.lint.dataflow.check_cost_drift`) replays against the
     calibrated cost model, so it rounds exactly once, here.
     """
-    totals: dict[str, list[float]] = {}
-    for (node, domain, op), (seconds, count) in profiler.busy.items():
-        if domain != "cpu":
-            continue
-        entry = totals.setdefault(op, [0.0, 0])
-        entry[0] += seconds
-        entry[1] += count
     return {
-        op: {"busy_s": round(seconds, 9), "count": int(count)}
-        for op, (seconds, count) in sorted(totals.items())
+        op: {"busy_s": round(seconds, 9), "count": count}
+        for op, (seconds, count) in profiler.cpu_busy_by_op().items()
     }
 
 
@@ -179,9 +158,7 @@ def _bench_fig5() -> BenchRecord:
     from repro.prof import profile_digest
     from repro.scenario import run
 
-    started = time.perf_counter()  # repro: lint-ok[DET001] - wall-clock half of the bench record
     outcome = run(FIG5, profile=True)
-    elapsed = time.perf_counter() - started  # repro: lint-ok[DET001] - wall-clock half of the bench record
     profiler = outcome.runtime.prof
     record = BenchRecord(name="fig5")
     record.sim = {
@@ -198,12 +175,6 @@ def _bench_fig5() -> BenchRecord:
         "op_busy": _op_busy(profiler),
         "flows": _tracer_flows(run(FIG5, observe=True).runtime.tracer),
     }
-    record.wall = {
-        "elapsed_s": round(elapsed, 4),
-        "events_per_s": round(profiler.events_profiled / elapsed, 1)
-        if elapsed > 0
-        else 0.0,
-    }
     return record
 
 
@@ -214,14 +185,10 @@ def _bench_saturation() -> BenchRecord:
     rates = (5.0, 20.0, 40.0)
     record = BenchRecord(name="saturation")
     rows: dict[str, Any] = {}
-    total_events = 0
-    started = time.perf_counter()  # repro: lint-ok[DET001] - wall-clock half of the bench record
     for rate in rates:
         result = run_paper_experiment(
             rate, duration_s=2.5, seed=1, profile=True
         )
-        profiler = result.profiler
-        total_events += profiler.events_profiled
         rows[f"{rate:g}hz"] = {
             "train_avg_ms": round(result.training.average, 6),
             "train_max_ms": round(result.training.maximum, 6),
@@ -237,12 +204,7 @@ def _bench_saturation() -> BenchRecord:
                 }
             ),
         }
-    elapsed = time.perf_counter() - started  # repro: lint-ok[DET001] - wall-clock half of the bench record
     record.sim = {"seed": 1, "duration_s": 2.5, "rates": rows}
-    record.wall = {
-        "elapsed_s": round(elapsed, 4),
-        "events_per_s": round(total_events / elapsed, 1) if elapsed > 0 else 0.0,
-    }
     return record
 
 
@@ -256,9 +218,7 @@ def _bench_failover() -> BenchRecord:
     """
     from repro.chaos.scenarios import run_scenario
 
-    started = time.perf_counter()  # repro: lint-ok[DET001] - wall-clock half of the bench record
     result = run_scenario("failover", seed=0, profile=True)
-    elapsed = time.perf_counter() - started  # repro: lint-ok[DET001] - wall-clock half of the bench record
     metrics = result.report.metrics
     tracer = result.tracer
     migrations_done = len(tracer.select(event="migrate.done"))
@@ -294,12 +254,6 @@ def _bench_failover() -> BenchRecord:
         "flows": _tracer_flows(
             run_scenario("failover", seed=0, observe=True).tracer
         ),
-    }
-    record.wall = {
-        "elapsed_s": round(elapsed, 4),
-        "events_per_s": round(profiler.events_profiled / elapsed, 1)
-        if elapsed > 0
-        else 0.0,
     }
     return record
 
@@ -363,7 +317,6 @@ class BenchComparison:
     name: str
     ok: bool
     failures: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
 
 
 def _diff_sim(current: Any, baseline: Any, path: str, failures: list[str]) -> None:
@@ -382,30 +335,19 @@ def _diff_sim(current: Any, baseline: Any, path: str, failures: list[str]) -> No
         failures.append(f"sim:{path}: {baseline!r} -> {current!r}")
 
 
-def compare_bench(
-    current: BenchRecord,
-    baseline: BenchRecord,
-    wall_tolerance: float = DEFAULT_WALL_TOLERANCE,
-) -> BenchComparison:
+def compare_bench(current: BenchRecord, baseline: BenchRecord) -> BenchComparison:
     """Gate ``current`` against ``baseline``.
 
-    Sim halves must match byte-exact (canonical JSON equality — drift
-    lists the offending leaves). Wall throughput may regress at most
-    ``wall_tolerance`` (fractional) below baseline, and only gates when
-    the environment fingerprints match; improvements never fail.
+    Schema versions must agree, and the sim results must match byte-exact
+    (canonical JSON equality — drift lists the offending leaves).
     """
     comparison = BenchComparison(name=current.name, ok=True)
     if current.schema_version != baseline.schema_version:
         # Loud, direction-specific failure — a stale baseline must never
-        # be skipped over, least of all on the machine it was made on.
+        # be skipped over.
         if baseline.schema_version < current.schema_version:
-            where = (
-                "same environment"
-                if current.env == baseline.env
-                else "different environment"
-            )
             comparison.failures.append(
-                f"stale baseline ({where}): schema v{baseline.schema_version} "
+                f"stale baseline: schema v{baseline.schema_version} "
                 f"predates current v{current.schema_version} — regenerate it "
                 "with: repro bench --out <baseline-dir>"
             )
@@ -420,22 +362,4 @@ def compare_bench(
     if canonical_sim_json(current) != canonical_sim_json(baseline):
         _diff_sim(current.sim, baseline.sim, "", comparison.failures)
         comparison.ok = False
-    if current.env != baseline.env:
-        comparison.notes.append(
-            "environment differs from baseline — wall-clock metrics not gated"
-        )
-    else:
-        base_rate = float(baseline.wall.get("events_per_s", 0.0))
-        cur_rate = float(current.wall.get("events_per_s", 0.0))
-        if base_rate > 0.0 and cur_rate < base_rate * (1.0 - wall_tolerance):
-            comparison.failures.append(
-                f"wall:events_per_s: {cur_rate:.1f} is more than "
-                f"{wall_tolerance * 100:.0f}% below baseline {base_rate:.1f}"
-            )
-            comparison.ok = False
-        elif base_rate > 0.0:
-            comparison.notes.append(
-                f"wall:events_per_s {cur_rate:.1f} vs baseline "
-                f"{base_rate:.1f} (within {wall_tolerance * 100:.0f}%)"
-            )
     return comparison

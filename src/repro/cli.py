@@ -501,9 +501,6 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     # Profiling rides along so the drift watch and node watermarks have data.
     outcome, label = _run(args, args.scenario, args.rate, slo=True, profile=True)
     engine = outcome.runtime.slo
-    if engine is None:
-        print("the SLO engine is disabled (REPRO_SLO=0 or kill switch)")
-        return 2
     report = engine.report()
     diagnostics = engine.diagnostics()
     if args.format == "json":
@@ -618,8 +615,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for name in names:
         print(f"running benchmark {name!r}...")
         record = run_bench(name)
-        rate = record.wall.get("events_per_s", 0.0)
-        print(f"  {record.wall.get('elapsed_s', 0):g}s wall, {rate:g} events/s")
         if out_dir is not None:
             path = write_bench(record, out_dir)
             print(f"  wrote {path}")
@@ -630,11 +625,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 print(f"  no baseline BENCH_{name}.json in {args.compare}")
                 all_ok = False
                 continue
-            comparison = compare_bench(
-                record, baseline, wall_tolerance=args.wall_tolerance
-            )
-            for note in comparison.notes:
-                print(f"  note: {note}")
+            comparison = compare_bench(record, baseline)
             if comparison.ok:
                 print(f"  {name}: OK (sim byte-exact vs baseline)")
             else:
@@ -957,12 +948,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         metavar="DIR",
         help="gate against baseline BENCH_<name>.json records in DIR",
-    )
-    bench.add_argument(
-        "--wall-tolerance",
-        type=float,
-        default=0.35,
-        help="allowed fractional wall-throughput regression (default: 0.35)",
     )
     bench.set_defaults(fn=_cmd_bench)
 

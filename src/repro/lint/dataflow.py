@@ -620,8 +620,11 @@ def check_cost_drift(
         if count < min_count:
             continue
         where = f"bench {name}: op {op}"
-        spec = model.ops.get(op)
-        if spec is None:
+        # Predicted mean over `count` invocations: steady-state cost at the
+        # assumed record size plus the warm-up surcharge amortized over the
+        # run (the baseline's busy total includes the warm-up invocations).
+        predicted_mean = model.mean_cost(op, record_bytes, count)
+        if predicted_mean is None:
             rule = DATAFLOW_RULES["RCP231"]
             diagnostics.append(
                 Diagnostic(
@@ -637,12 +640,6 @@ def check_cost_drift(
             )
             continue
         observed_mean = busy_s / count
-        # Predicted mean over `count` invocations: steady-state cost at the
-        # assumed record size plus the warm-up surcharge amortized over the
-        # run (the baseline's busy total includes the warm-up invocations).
-        steady = spec.cost(record_bytes, invocation_index=spec.warmup_ops)
-        warmup = spec.warmup_extra_s * min(spec.warmup_ops, count) / count
-        predicted_mean = (steady + warmup) * model.scale
         if predicted_mean <= 0.0:
             continue
         drift = observed_mean / predicted_mean - 1.0

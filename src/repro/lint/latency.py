@@ -278,14 +278,6 @@ def _cpu_key(task: TaskSpec) -> str:
     return f"cpu:{task.pin_to}" if task.pin_to else f"cpu:task:{task.task_id}"
 
 
-def _steady_cost(model: CostModel, op: str, record_bytes: int) -> float | None:
-    """Steady-state per-record service time; None when the op is undefined."""
-    entry = model.ops.get(op)
-    if entry is None:
-        return None
-    return entry.cost(record_bytes, invocation_index=entry.warmup_ops) * model.scale
-
-
 def _warmup_cost(model: CostModel, op: str) -> float:
     entry = model.ops.get(op)
     if entry is None or entry.warmup_ops <= 0:
@@ -339,7 +331,7 @@ def analyze_latency(
 
     def _network_works() -> dict[str, float | None]:
         return {
-            op: _steady_cost(model, op, ctx.record_bytes)
+            op: model.steady_cost(op, ctx.record_bytes)
             for op in ("mqtt.send", "mqtt.recv", "mqtt.route", "mqtt.forward")
         }
 
@@ -455,7 +447,7 @@ def _walk(
 
         # The operator itself.
         op = COST_OP_BY_OPERATOR.get(task.operator, _DEFAULT_COST_OP)
-        service_s = _steady_cost(model, op, ctx.record_bytes)
+        service_s = model.steady_cost(op, ctx.record_bytes)
         if service_s is None:
             derivable = False
             reasons.append(f"cost model does not define op {op!r}")

@@ -151,14 +151,6 @@ def task_utilization(
     ``1/parallelism`` of the samples).
     """
     op = COST_OP_BY_OPERATOR.get(task.operator, _DEFAULT_COST_OP)
-    # Steady state: read the cost past the warm-up window.
-    entry = cost_model.ops.get(op)
-    if entry is None:
-        service_s = 0.0
-    else:
-        service_s = (
-            entry.cost(record_bytes, invocation_index=entry.warmup_ops)
-            * cost_model.scale
-        )
+    service_s = cost_model.steady_cost(op, record_bytes) or 0.0
     demand_hz = rates.ingest_hz if task.inputs else rates.emit_hz
     return (demand_hz / max(1, task.parallelism)) * service_s

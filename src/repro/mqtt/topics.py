@@ -13,10 +13,10 @@ Semantics follow the MQTT 3.1.1 specification:
 "which values match this topic name" in time proportional to the topic
 depth times the branching, independent of total subscription count.
 
-The validators and :func:`topic_matches` are on the publish hot path
-(every broker fan-out re-validates), so successful results are memoized
-in small bounded caches. Only *valid* strings are cached — error paths
-always re-run the full check so messages stay exact.
+The validators are on the publish hot path (every broker fan-out
+re-validates), so successful results are memoized in small bounded
+caches. Only *valid* strings are cached — error paths always re-run the
+full check so messages stay exact.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ _CACHE_CAP = 4096
 
 _valid_topics: set[str] = set()
 _valid_filters: set[str] = set()
-_match_cache: dict[tuple[str, str], bool] = {}
 
 
 def _split(topic: str) -> list[str]:
@@ -94,16 +93,9 @@ def topic_matches(topic_filter: str, topic: str) -> bool:
     >>> topic_matches("sensor/+", "sensor/a/b")
     False
     """
-    key = (topic_filter, topic)
-    cached = _match_cache.get(key)
-    if cached is not None:
-        return cached
     validate_filter(topic_filter)
     validate_topic(topic)
-    result = _matches(topic_filter.split("/"), topic.split("/"))
-    if len(_match_cache) < _CACHE_CAP:
-        _match_cache[key] = result
-    return result
+    return _matches(topic_filter.split("/"), topic.split("/"))
 
 
 def _matches(filter_levels: list[str], topic_levels: list[str]) -> bool:

@@ -24,16 +24,14 @@ class InprocNetwork(Medium):
     Parameters
     ----------
     loop:
-        The asyncio loop to deliver through. When ``None`` (the default) the
-        running loop is looked up at transmit time, so the medium can be
-        constructed before the loop starts.
+        The asyncio loop to deliver through.
     latency_s:
         Fixed one-way delivery latency; 0 delivers on the next loop tick.
     """
 
     def __init__(
         self,
-        loop: asyncio.AbstractEventLoop | None = None,
+        loop: asyncio.AbstractEventLoop,
         latency_s: float = 0.0,
     ) -> None:
         super().__init__()
@@ -41,21 +39,15 @@ class InprocNetwork(Medium):
         self.latency_s = require_non_negative(latency_s, "latency_s")
         self.frames_transmitted = 0
 
-    def _resolve_loop(self) -> asyncio.AbstractEventLoop:
-        if self._loop is not None:
-            return self._loop
-        return asyncio.get_event_loop()
-
     def transmit(self, frame: Frame) -> None:
         self.frames_transmitted += 1
         if self.is_blocked(frame.source.station, frame.destination.station):
             return  # partitioned: the datagram vanishes, as on a real cut
-        loop = self._resolve_loop()
         deliver: Callable[[Frame], None] = self._deliver
         if self.latency_s > 0.0:
-            loop.call_later(self.latency_s, deliver, frame)
+            self._loop.call_later(self.latency_s, deliver, frame)
         else:
-            loop.call_soon(deliver, frame)
+            self._loop.call_soon(deliver, frame)
 
     def _deliver(self, frame: Frame) -> None:
         interface = self._interfaces.get(frame.destination.station)

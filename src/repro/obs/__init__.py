@@ -22,8 +22,7 @@ Built on top, and imported lazily to keep the core cheap:
 Instrumentation is zero-cost-when-disabled: every site in the middleware
 checks ``runtime.obs is not None`` before allocating anything, and
 ``runtime.obs`` only becomes non-None through
-:func:`enable_observability`, which itself honours the module-level
-:data:`ENABLED` kill switch below.
+:func:`enable_observability`.
 """
 
 from __future__ import annotations
@@ -46,13 +45,7 @@ from repro.obs.context import SPAN_EVENT, FlowContext, Span
 from repro.obs.metrics import MetricsRegistry, metric_key, parse_metric_key
 from repro.obs.state import METRICS_EVENT, ObsState, enable_observability
 
-#: Module-level kill switch. When False, :func:`enable_observability` is a
-#: no-op and the middleware's ``runtime.obs`` stays ``None``, so the hot
-#: path performs exactly one attribute load + identity check per site.
-ENABLED: bool = True
-
 __all__ = [
-    "ENABLED",
     "FlowContext",
     "Span",
     "SPAN_EVENT",

@@ -46,7 +46,6 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.errors import ConfigurationError
 from repro.obs.context import SPAN_EVENT
 from repro.obs.sketch import LatencySketch, WindowedSketch
-from repro.util.flags import flag_enabled
 from repro.util.validate import Diagnostic, Severity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -55,7 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.trace import TraceRecord
 
 __all__ = [
-    "ENABLED",
     "SLO_RULES",
     "SLO_ALERT_EVENT",
     "SLO_VIOLATION_EVENT",
@@ -68,10 +66,6 @@ __all__ = [
     "enable_slo",
     "format_flow_summary",
 ]
-
-#: Module-level kill switch, mirroring :data:`repro.obs.ENABLED`: when
-#: False, :func:`enable_slo` is a no-op and ``runtime.slo`` stays None.
-ENABLED: bool = True
 
 #: Trace events the engine emits (all with source ``"slo"``).
 SLO_ALERT_EVENT = "slo.alert"
@@ -545,26 +539,15 @@ class SloEngine:
             return
         from repro.lint.rates import DEFAULT_RECORD_BYTES
 
-        totals: dict[str, list[float]] = {}
-        for (node, domain, op), (seconds, count) in profiler.busy.items():
-            if domain != "cpu":
-                continue
-            entry = totals.setdefault(op, [0.0, 0])
-            entry[0] += seconds
-            entry[1] += count
-        for op in sorted(totals):
+        for op, (busy_s, count) in profiler.cpu_busy_by_op().items():
             if op in self.drift:
                 continue
-            busy_s, count = totals[op]
             if count < self.drift_min_count:
                 continue
-            spec = model.ops.get(op)
-            if spec is None:
+            predicted = model.mean_cost(op, DEFAULT_RECORD_BYTES, count)
+            if predicted is None:
                 continue  # RCP231 covers unmodeled ops statically
             observed = busy_s / count
-            steady = spec.cost(DEFAULT_RECORD_BYTES, invocation_index=spec.warmup_ops)
-            warmup = spec.warmup_extra_s * min(spec.warmup_ops, count) / count
-            predicted = (steady + warmup) * model.scale
             if predicted <= 0.0:
                 continue
             drift = observed / predicted - 1.0
@@ -780,18 +763,14 @@ def enable_slo(
     flows: list[FlowSlo] | None = None,
     cluster: Any | None = None,
     **kwargs: Any,
-) -> SloEngine | None:
+) -> SloEngine:
     """Install the SLO engine on ``runtime`` (idempotent).
 
     The policy comes from ``flows`` when given, else is derived from
     ``recipe``'s ``deadline_ms`` declarations. With ``cluster`` the
     engine publishes its status snapshots retained on
     ``ifot/ctl/status/slo`` through the management module's client.
-    Returns ``None`` when the module kill switch :data:`ENABLED` or the
-    ``REPRO_SLO`` environment flag is off.
     """
-    if not ENABLED or not flag_enabled("REPRO_SLO"):
-        return None
     if runtime.slo is not None:
         return runtime.slo
     if flows is None:

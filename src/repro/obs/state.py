@@ -199,17 +199,11 @@ def enable_observability(
     runtime: "Runtime",
     scrape_interval_s: float = 1.0,
     metrics: bool = True,
-) -> ObsState | None:
+) -> ObsState:
     """Install observability on ``runtime`` (idempotent).
 
-    Returns the installed :class:`ObsState`, or ``None`` when the
-    module-level kill switch :data:`repro.obs.ENABLED` is off — callers
-    never need to re-check the flag themselves.
+    Returns the installed :class:`ObsState`.
     """
-    import repro.obs as obs_module
-
-    if not obs_module.ENABLED:
-        return None
     if runtime.obs is not None:
         return runtime.obs
     state = ObsState(runtime, scrape_interval_s=scrape_interval_s, metrics=metrics)

@@ -257,6 +257,19 @@ class Profiler:
             key: (entry[0], int(entry[1])) for key, entry in self._busy.items()
         }
 
+    def cpu_busy_by_op(self) -> dict[str, tuple[float, int]]:
+        """Node-summed CPU busy: ``op -> (seconds, count)``, sorted by op."""
+        totals: dict[str, list[float]] = {}
+        for (node, domain, op), (seconds, count) in self._busy.items():
+            if domain != "cpu":
+                continue
+            entry = totals.setdefault(op, [0.0, 0])
+            entry[0] += seconds
+            entry[1] += count
+        return {
+            op: (seconds, int(count)) for op, (seconds, count) in sorted(totals.items())
+        }
+
     @property
     def event_counts(self) -> dict[str, int]:
         return dict(self._event_counts)

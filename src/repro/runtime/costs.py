@@ -70,6 +70,25 @@ class CostModel:
             return 0.0
         return entry.cost(nbytes, invocation_index) * self.scale
 
+    def steady_cost(self, op: str, nbytes: int) -> float | None:
+        """Per-invocation cost past the warm-up window; ``None`` when
+        ``op`` is undefined (callers decide what an unknown op means)."""
+        entry = self.ops.get(op)
+        if entry is None:
+            return None
+        return entry.cost(nbytes, invocation_index=entry.warmup_ops) * self.scale
+
+    def mean_cost(self, op: str, nbytes: int, count: int) -> float | None:
+        """Mean cost over the first ``count`` invocations: the steady cost
+        plus the warm-up surcharge amortized over them; ``None`` when
+        ``op`` is undefined."""
+        entry = self.ops.get(op)
+        if entry is None:
+            return None
+        steady = entry.cost(nbytes, invocation_index=entry.warmup_ops)
+        warmup = entry.warmup_extra_s * min(entry.warmup_ops, count) / count
+        return (steady + warmup) * self.scale
+
     def scaled(self, factor: float) -> "CostModel":
         """A view of this model with costs multiplied by ``factor``."""
         return CostModel(ops=dict(self.ops), scale=self.scale * factor)

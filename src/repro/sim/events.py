@@ -43,31 +43,15 @@ The heap stores ``(time, tiebreak, seq, handle)`` tuples rather than bare
 handles: tuple comparison runs entirely in C and, because ``seq`` is
 unique, never falls through to comparing handles.  ``EventHandle.__lt__``
 is kept only for explicit ``sort_key`` comparisons in tests.
-
-Event pooling
--------------
-Fired (and popped-cancelled) handles can be *recycled* through a free
-list, eliminating the dominant allocation in the simulation hot path.
-Recycling a handle that user code still references would be unsound: a
-later ``cancel()`` through the stale reference would cancel an unrelated
-event.  The pool therefore only accepts a handle when
-``sys.getrefcount`` proves the releasing call-chain holds the *only*
-remaining references — any handle retained by a timer list, an in-flight
-retry, or a test harness stays un-pooled forever.  That check is exact on
-CPython; on other implementations pooling is disabled entirely.
-``REPRO_EVENT_POOL=0`` force-disables it for differential testing.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-import sys
 from typing import Any, Callable
 
-from repro.util.flags import flag_enabled
-
-__all__ = ["EventHandle", "EventQueue", "pooling_default"]
+__all__ = ["EventHandle", "EventQueue"]
 
 #: Tiebreak base reserved for *epilogue* events: an epilogue's tiebreak is
 #: ``_EPILOGUE_BASE + priority``, so every epilogue sorts after every
@@ -76,70 +60,22 @@ __all__ = ["EventHandle", "EventQueue", "pooling_default"]
 #: among themselves by priority. See :meth:`EventQueue.push`.
 _EPILOGUE_BASE = 2.0
 
-#: Upper bound on pooled handles per queue; beyond this, released handles
-#: are simply dropped (the pool is a cache, not an arena).
-_POOL_CAP = 4096
-
-class _ReleaseProbe:
-    """Measures ``sys.getrefcount`` for the exact release call shape.
-
-    The safety check in :meth:`EventQueue.release` compares against the
-    refcount a handle has when the releasing call-chain (caller local →
-    method argument → ``getrefcount`` argument) holds the *only*
-    references.  That baseline depends on CPython's calling convention,
-    which has shifted between minor versions, so it is probed at import
-    with an identical call shape rather than hard-coded.  Any external
-    holder can only *raise* the count, so an equality check against the
-    probed baseline errs on the side of never recycling.
-    """
-
-    __slots__ = ()
-
-    def release(self, handle: Any) -> int:
-        return sys.getrefcount(handle)
-
-
-def _probe_release_refs() -> int:
-    probe = _ReleaseProbe()
-    handle = object()
-    return probe.release(handle)
-
-
-#: ``sys.getrefcount`` at the release site when the releasing chain holds
-#: the only references (probed; 3 on CPython 3.10–3.12).
-_RELEASE_REFS = _probe_release_refs()
-
-
-def pooling_default() -> bool:
-    """Whether new queues pool event handles by default.
-
-    True only on CPython (the refcount safety check is exact there) and
-    when ``REPRO_EVENT_POOL`` is not ``0``.
-    """
-    if sys.implementation.name != "cpython":
-        return False
-    return flag_enabled("REPRO_EVENT_POOL")
-
 
 class EventHandle:
-    """Cancellable reference to one scheduled callback."""
+    """Cancellable reference to one scheduled callback.
+
+    Built only by :meth:`EventQueue.push`, which fills the slots itself —
+    an ``__init__`` frame per event shows on the kernel hot path.
+    """
 
     __slots__ = ("time", "seq", "tiebreak", "callback", "args", "cancelled")
 
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[..., None],
-        args: tuple[Any, ...],
-        tiebreak: float = 0.0,
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.tiebreak = tiebreak
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
+    time: float
+    seq: int
+    tiebreak: float
+    callback: Callable[..., None]
+    args: tuple[Any, ...]
+    cancelled: bool
 
     def cancel(self) -> None:
         """Prevent the callback from firing. Idempotent."""
@@ -182,32 +118,19 @@ class EventQueue:
     """Min-heap of scheduled events with deterministic ordering.
 
     See the module docstring for the ordering contract and the heap-entry
-    layout. ``pool=None`` picks the platform default (see
-    :func:`pooling_default`).
+    layout.
     """
 
-    __slots__ = ("_heap", "_seq", "_perturb", "_pool", "_pooling")
+    __slots__ = ("_heap", "_seq", "_perturb")
 
-    def __init__(self, pool: bool | None = None) -> None:
+    def __init__(self) -> None:
         #: Heap of ``(time, tiebreak, seq, handle)`` entries.
         self._heap: list[tuple[float, float, int, EventHandle]] = []
         self._seq = 0
         self._perturb: random.Random | None = None
-        self._pool: list[EventHandle] = []
-        self._pooling = pooling_default() if pool is None else bool(pool)
 
     def __len__(self) -> int:
         return len(self._heap)
-
-    @property
-    def pooling(self) -> bool:
-        """Whether fired handles are recycled through the free list."""
-        return self._pooling
-
-    @property
-    def pooled(self) -> int:
-        """Number of handles currently parked in the free list."""
-        return len(self._pool)
 
     def set_perturbation(self, rng: random.Random | None) -> None:
         """Install (or, with ``None``, remove) equal-timestamp perturbation.
@@ -254,35 +177,15 @@ class EventQueue:
             tiebreak = self._perturb.random()
         seq = self._seq
         self._seq = seq + 1
-        pool = self._pool
-        if pool:
-            handle = pool.pop()
-            handle.time = time
-            handle.seq = seq
-            handle.tiebreak = tiebreak
-            handle.callback = callback
-            handle.args = args
-            handle.cancelled = False
-        else:
-            handle = EventHandle(time, seq, callback, args, tiebreak=tiebreak)
+        handle = EventHandle.__new__(EventHandle)
+        handle.time = time
+        handle.seq = seq
+        handle.tiebreak = tiebreak
+        handle.callback = callback
+        handle.args = args
+        handle.cancelled = False
         heapq.heappush(self._heap, (time, tiebreak, seq, handle))
         return handle
-
-    def release(self, handle: EventHandle) -> None:
-        """Offer a fired (or popped-cancelled) handle back to the pool.
-
-        Only the kernel calls this, immediately after executing (or
-        discarding) a popped event.  The handle is recycled only when the
-        refcount proves no one else holds it — see the module docstring.
-        """
-        if (
-            self._pooling
-            and len(self._pool) < _POOL_CAP
-            and sys.getrefcount(handle) == _RELEASE_REFS
-        ):
-            handle.callback = _noop
-            handle.args = ()
-            self._pool.append(handle)
 
     def peek_time(self) -> float | None:
         """Time of the next live event, or None if the queue is drained."""
@@ -299,8 +202,7 @@ class EventQueue:
     def _discard_cancelled(self) -> None:
         heap = self._heap
         while heap and heap[0][3].cancelled:
-            handle = heapq.heappop(heap)[3]
-            self.release(handle)
+            heapq.heappop(heap)
 
     def clear(self) -> None:
         self._heap.clear()

@@ -7,9 +7,8 @@ MQTT broker, middleware classes) are plain callbacks scheduled here.
 
 Hot path
 --------
-``run`` drives an inlined pop/fire loop over the queue's tuple heap rather
-than calling :meth:`step` per event, and fired handles are offered back to
-the queue's free-list pool (see :mod:`repro.sim.events`).  Monitor hooks
+``run`` is the one pop/fire loop over the queue's tuple heap;
+:meth:`step` runs a single event through that same loop.  Monitor hooks
 follow the one-attribute-load gate pattern used throughout the runtime
 (``repro.runtime.state``): the ``monitor`` setter caches one bound method
 per hook (or ``None``), so a detached monitor costs nothing and a monitor
@@ -125,9 +124,9 @@ class SimKernel:
     (['b', 'a'], 5.0)
     """
 
-    def __init__(self, start_time: float = 0.0, pool: bool | None = None) -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._queue = EventQueue(pool=pool)
+        self._queue = EventQueue()
         self._running = False
         self._events_processed = 0
         self._monitor: KernelMonitor | None = None
@@ -289,29 +288,9 @@ class SimKernel:
 
     def step(self) -> bool:
         """Execute the single next event. Returns False when drained."""
-        queue = self._queue
-        handle = queue.pop()
-        if handle is None:
-            return False
-        self._now = handle.time
-        self._events_processed += 1
-        if self._monitor is None:
-            handle.callback(*handle.args)
-            queue.release(handle)
-            return True
-        self._current = handle
-        hook = self._hook_begin
-        if hook is not None:
-            hook(handle)
-        try:
-            handle.callback(*handle.args)
-        finally:
-            hook = self._hook_end
-            if hook is not None:
-                hook(handle)
-            self._current = None
-        queue.release(handle)
-        return True
+        before = self._events_processed
+        self.run(max_events=1)
+        return self._events_processed != before
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run events until the queue drains, ``until`` is reached, or
@@ -324,82 +303,34 @@ class SimKernel:
         if self._running:
             raise ClockError("kernel is already running (re-entrant run call)")
         self._running = True
-        queue = self._queue
-        heap = queue._heap
-        release = queue.release
+        heap = self._queue._heap
         pop = heappop
+        hook_begin = self._hook_begin
+        hook_end = self._hook_end
         executed = 0
         try:
-            if self._monitor is None:
-                # Fast path: no hooks, inlined pop/fire/release loop.
-                while True:
-                    if max_events is not None and executed >= max_events:
-                        break
-                    while heap and heap[0][3].cancelled:
-                        handle = pop(heap)[3]
-                        release(handle)
-                    if not heap:
-                        break
-                    if until is not None and heap[0][0] > until:
-                        break
-                    handle = pop(heap)[3]
-                    self._now = handle.time
-                    self._events_processed += 1
+            while True:
+                if max_events is not None and executed >= max_events:
+                    break
+                while heap and heap[0][3].cancelled:
+                    pop(heap)
+                if not heap:
+                    break
+                if until is not None and heap[0][0] > until:
+                    break
+                handle = pop(heap)[3]
+                self._now = handle.time
+                self._events_processed += 1
+                self._current = handle
+                if hook_begin is not None:
+                    hook_begin(handle)
+                try:
                     handle.callback(*handle.args)
-                    executed += 1
-                    release(handle)
-            elif self._hook_end is None and self._hook_scheduled is None:
-                # Begin-only monitor (e.g. the profiler): no end bracket to
-                # guarantee and nothing reads ``_current`` (the scheduled
-                # hook, its only consumer, is off), so the per-event
-                # try/finally and current-event bookkeeping are skipped —
-                # same shape as the fast path plus one hook call.
-                hook_begin = self._hook_begin
-                while True:
-                    if max_events is not None and executed >= max_events:
-                        break
-                    while heap and heap[0][3].cancelled:
-                        handle = pop(heap)[3]
-                        release(handle)
-                    if not heap:
-                        break
-                    if until is not None and heap[0][0] > until:
-                        break
-                    handle = pop(heap)[3]
-                    self._now = handle.time
-                    self._events_processed += 1
-                    if hook_begin is not None:
-                        hook_begin(handle)
-                    handle.callback(*handle.args)
-                    executed += 1
-                    release(handle)
-            else:
-                hook_begin = self._hook_begin
-                hook_end = self._hook_end
-                while True:
-                    if max_events is not None and executed >= max_events:
-                        break
-                    while heap and heap[0][3].cancelled:
-                        handle = pop(heap)[3]
-                        release(handle)
-                    if not heap:
-                        break
-                    if until is not None and heap[0][0] > until:
-                        break
-                    handle = pop(heap)[3]
-                    self._now = handle.time
-                    self._events_processed += 1
-                    self._current = handle
-                    if hook_begin is not None:
-                        hook_begin(handle)
-                    try:
-                        handle.callback(*handle.args)
-                    finally:
-                        if hook_end is not None:
-                            hook_end(handle)
-                        self._current = None
-                    executed += 1
-                    release(handle)
+                finally:
+                    if hook_end is not None:
+                        hook_end(handle)
+                    self._current = None
+                executed += 1
         finally:
             self._running = False
         if until is not None and until > self._now:

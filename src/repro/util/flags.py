@@ -46,14 +46,6 @@ FLAGS: dict[str, EnvFlag] = {
     flag.name: flag
     for flag in (
         EnvFlag(
-            "REPRO_EVENT_POOL",
-            "1",
-            "Free-list pooling of sim event handles (PR 7). On by default "
-            "on CPython, where the refcount safety probe is exact; set to "
-            "0 to force unpooled queues for differential testing. "
-            "Read by repro.sim.events.pooling_default().",
-        ),
-        EnvFlag(
             "REPRO_WIRE_FASTPATH",
             "1",
             "Encoded MQTT wire bytes carry their Packet so decode can "
@@ -68,15 +60,6 @@ FLAGS: dict[str, EnvFlag] = {
             "schema-versioned BENCH_<name>.json records "
             "(repro.bench.continuous). Empty disables the export. Read "
             "by benchmarks/conftest.py record_rows().",
-        ),
-        EnvFlag(
-            "REPRO_SLO",
-            "1",
-            "Online SLO engine master switch (PR 10). With 0, "
-            "repro.obs.slo.enable_slo is a no-op and runtime.slo stays "
-            "None — the differential equivalence suite uses this to "
-            "prove the engine-off trace is byte-identical. Read by "
-            "repro.obs.slo.enable_slo().",
         ),
         EnvFlag(
             "REPRO_REGEN_GOLDEN",

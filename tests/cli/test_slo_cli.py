@@ -47,13 +47,6 @@ def test_slo_unknown_scenario_errors(capsys):
     assert "unknown scenario 'nonsense' (known: " in capsys.readouterr().err
 
 
-def test_slo_disabled_engine_exits_two(monkeypatch, capsys):
-    monkeypatch.setenv("REPRO_SLO", "0")
-    code = main(["slo", "fig5", "--duration", "2"])
-    assert code == 2
-    assert "disabled" in capsys.readouterr().out
-
-
 @pytest.mark.slow
 def test_trace_summary_with_recipe_prints_verdicts(capsys):
     code = main(

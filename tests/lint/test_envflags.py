@@ -12,7 +12,7 @@ def flg_rules(source: str):
 
 class TestRule:
     def test_os_getenv_with_repro_key_is_flagged(self):
-        assert flg_rules('import os\nx = os.getenv("REPRO_EVENT_POOL")\n')
+        assert flg_rules('import os\nx = os.getenv("REPRO_WIRE_FASTPATH")\n')
 
     def test_environ_get_is_flagged(self):
         assert flg_rules('import os\nx = os.environ.get("REPRO_FOO", "1")\n')
@@ -39,10 +39,10 @@ class TestRule:
 
 class TestRegistry:
     def test_declared_flag_reads_environment_at_call_time(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EVENT_POOL", "0")
-        assert flag_enabled("REPRO_EVENT_POOL") is False
-        monkeypatch.setenv("REPRO_EVENT_POOL", "1")
-        assert flag_enabled("REPRO_EVENT_POOL") is True
+        monkeypatch.setenv("REPRO_WIRE_FASTPATH", "0")
+        assert flag_enabled("REPRO_WIRE_FASTPATH") is False
+        monkeypatch.setenv("REPRO_WIRE_FASTPATH", "1")
+        assert flag_enabled("REPRO_WIRE_FASTPATH") is True
 
     def test_unset_flag_uses_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_BENCH_OUT", raising=False)
@@ -51,6 +51,15 @@ class TestRegistry:
     def test_undeclared_flag_raises(self):
         with pytest.raises(KeyError, match="undeclared"):
             flag("REPRO_NOT_A_FLAG")
+
+    def test_inventory_is_pinned(self):
+        # A new flag is a new configuration axis: adding one must show up
+        # here as a reviewed diff.
+        assert set(FLAGS) == {
+            "REPRO_WIRE_FASTPATH",
+            "REPRO_BENCH_OUT",
+            "REPRO_REGEN_GOLDEN",
+        }
 
     def test_every_declared_flag_documents_its_reader(self):
         for name, spec in FLAGS.items():

@@ -1,5 +1,4 @@
 from repro.net.address import Address
-from repro.net.inproc import InprocNetwork
 from repro.runtime.real import AsyncioRuntime
 
 
@@ -35,5 +34,5 @@ def test_unknown_station_dropped():
 
 
 def test_frames_counted():
-    network = InprocNetwork()
-    assert network.frames_transmitted == 0
+    with AsyncioRuntime() as runtime:
+        assert runtime.network.frames_transmitted == 0

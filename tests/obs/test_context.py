@@ -89,15 +89,6 @@ def test_enable_observability_is_idempotent():
     assert runtime.obs is first
 
 
-def test_kill_switch_disables_enable(monkeypatch):
-    import repro.obs as obs_module
-
-    monkeypatch.setattr(obs_module, "ENABLED", False)
-    runtime = SimRuntime(seed=1)
-    assert enable_observability(runtime) is None
-    assert runtime.obs is None
-
-
 def test_point_span_has_zero_duration():
     runtime = SimRuntime(seed=1)
     obs = enable_observability(runtime, scrape_interval_s=0)

@@ -18,7 +18,6 @@ from repro.chaos import run_scenario
 from repro.chaos.scenarios import build_chaos_recipe
 from repro.core.dsl import parse_recipe
 from repro.errors import ConfigurationError
-from repro.obs import slo as slo_module
 from repro.obs.context import SPAN_EVENT
 from repro.obs.slo import (
     SLO_ALERT_EVENT,
@@ -239,21 +238,8 @@ def test_diagnostics_for_quiet_violations_use_slo302():
 
 
 # ----------------------------------------------------------------------
-# Kill switches
+# Installation
 # ----------------------------------------------------------------------
-
-
-def test_enable_slo_respects_env_flag(monkeypatch):
-    monkeypatch.setenv("REPRO_SLO", "0")
-    runtime = SimRuntime(seed=0)
-    assert enable_slo(runtime, recipe=build_chaos_recipe()) is None
-    assert runtime.slo is None
-
-
-def test_enable_slo_respects_module_kill_switch(monkeypatch):
-    monkeypatch.setattr(slo_module, "ENABLED", False)
-    runtime = SimRuntime(seed=0)
-    assert enable_slo(runtime, recipe=build_chaos_recipe()) is None
 
 
 def test_enable_slo_is_idempotent():
