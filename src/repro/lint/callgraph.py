@@ -7,8 +7,9 @@ analyzed file set:
 
 * **Is it schedule-reachable?** Roots are callables handed to the
   scheduling primitives (kernel ``schedule``/``schedule_at``/
-  ``schedule_epilogue``, ``runtime.call_later``, ``Component.after``/
-  ``every``, ``node.execute``, MQTT ``subscribe``/``subscribe_many``,
+  ``schedule_epilogue``, ``runtime.call_later``/``call_at``,
+  ``Component.after``/``every``, the ``InflightTable`` callbacks,
+  ``node.execute``, MQTT ``subscribe``/``subscribe_many``,
   handler-dispatch dict literals) plus the operator lifecycle methods the
   middleware machinery invokes directly (``on_record``, ``pause``, the
   migration API). Reachability propagates caller → callee.
@@ -52,12 +53,14 @@ SCHEDULING_CALLS = {
     "schedule_at",
     "schedule_epilogue",
     "call_later",
+    "call_at",
     "after",
     "every",
     "execute",
     "subscribe",
     "subscribe_many",
     "PeriodicTimer",
+    "InflightTable",
 }
 
 #: Methods the middleware machinery invokes on live components without a

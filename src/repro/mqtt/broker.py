@@ -13,13 +13,14 @@ PINGREQ/PINGRESP, DISCONNECT, and keep-alive-based session expiry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from repro.net.address import Address
+from repro.mqtt.inflight import InflightTable
 from repro.mqtt.packets import Packet, PacketType
 from repro.mqtt.topics import TopicTree, topic_matches, validate_topic
 from repro.obs.context import FlowContext
-from repro.runtime.base import TimerHandle
 from repro.runtime.component import Component
 from repro.runtime.node import Node
 from repro.runtime.state import StateCell, tracked_state
@@ -47,14 +48,6 @@ class BrokerStats:
 
 
 @dataclass
-class _Inflight:
-    packet: Packet
-    destination: Address
-    retries_left: int
-    timer: TimerHandle | None = None
-
-
-@dataclass
 class _Session:
     client_id: str
     address: Address
@@ -62,7 +55,9 @@ class _Session:
     keepalive_s: float
     last_seen: float
     subscriptions: dict[str, int] = field(default_factory=dict)
-    inflight: dict[int, _Inflight] = field(default_factory=dict)
+    #: Unacknowledged QoS 1 forwards; built by the broker right after the
+    #: session, because the table's callbacks name it.
+    inflight: InflightTable = field(init=False)
     next_packet_id: int = 1
     connected: bool = True
     will: dict[str, Any] | None = None
@@ -219,7 +214,7 @@ class Broker(Component):
             # Take over: drop the old address binding and pause inflight
             # retransmissions (they resume towards the new address below).
             self._address_index.pop(existing.address, None)
-            self._pause_inflight(existing)
+            existing.inflight.pause()
             if clean:
                 self._cancel_inflight(existing, reason="clean_takeover")
                 self._drop_subscriptions(existing)
@@ -233,6 +228,13 @@ class Broker(Component):
                 last_seen=self.runtime.now,
                 will=dict(will) if will else None,
             )
+            session.inflight = InflightTable(
+                self.runtime,
+                self._guard,
+                self._retry_interval,
+                partial(self._retransmit, session),
+                partial(self._give_up, session),
+            )
             self._sessions[client_id] = session
         else:
             session = existing
@@ -245,6 +247,7 @@ class Broker(Component):
             session.cell = tracked_state(
                 self.runtime, f"broker.{self.name}", f"session.{client_id}"
             )
+            session.inflight.cell = session.cell
         session.cell.note_write()
         self._address_index[source] = client_id
         self.trace("mqtt.broker.connect", client=client_id, clean=clean)
@@ -252,7 +255,7 @@ class Broker(Component):
         if session_present:
             # MQTT 3.1.1 §4.4: unacknowledged PUBLISH packets are resent
             # (dup-flagged) when a persistent session resumes.
-            self._resume_inflight(session)
+            session.inflight.resume()
 
     def _on_disconnect(
         self, _source: Address, session: _Session | None, _packet: Packet
@@ -455,47 +458,31 @@ class Broker(Component):
                 **({"fwd_id": fwd_id} if fwd_id is not None else {}),
             )
         if qos == 1 and packet_id is not None:
-            inflight = _Inflight(
-                packet=packet,
-                destination=session.address,
-                retries_left=self.max_retries,
-            )
-            session.inflight[packet_id] = inflight
-            self._arm_retry(session, packet_id, inflight)
+            session.inflight.put(packet_id, packet, self.max_retries)
         # Fan-out transmission is per-subscriber broker work.
         self.node.execute(
             "mqtt.forward", self._send, session.address, packet
         )
 
-    def _arm_retry(
-        self, session: _Session, packet_id: int, inflight: _Inflight
-    ) -> None:
-        inflight.timer = self.after(
-            self.retry_interval_s, self._retry, session, packet_id
-        )
+    def _retry_interval(self) -> float:
+        return self.retry_interval_s
 
-    def _retry(self, session: _Session, packet_id: int) -> None:
+    def _retransmit(self, session: _Session, packet: Packet) -> None:
         if session.cell is not None:
             session.cell.note_write()
-        inflight = session.inflight.get(packet_id)
-        if inflight is None:
-            return
-        if inflight.retries_left <= 0:
-            del session.inflight[packet_id]
-            self.stats.drops_give_up += 1
-            self.trace(
-                "mqtt.broker.give_up",
-                client=session.client_id,
-                packet_id=packet_id,
-                fwd_id=inflight.packet.get("fwd_id"),
-            )
-            return
-        inflight.retries_left -= 1
         self.stats.retransmissions += 1
-        dup = inflight.packet.as_dup()
-        inflight.packet = dup
-        self._send(inflight.destination, dup)
-        self._arm_retry(session, packet_id, inflight)
+        self._send(session.address, packet)
+
+    def _give_up(self, session: _Session, packet_id: int, packet: Packet) -> None:
+        if session.cell is not None:
+            session.cell.note_write()
+        self.stats.drops_give_up += 1
+        self.trace(
+            "mqtt.broker.give_up",
+            client=session.client_id,
+            packet_id=packet_id,
+            fwd_id=packet.get("fwd_id"),
+        )
 
     def _on_puback(
         self, _source: Address, session: _Session | None, packet: Packet
@@ -506,9 +493,7 @@ class Broker(Component):
         self.stats.pubacks_in += 1  # repro: san-ok[SAN021] commutative counter
         if session.cell is not None:
             session.cell.note_write()
-        inflight = session.inflight.pop(packet["packet_id"], None)
-        if inflight is not None and inflight.timer is not None:
-            inflight.timer.cancel()
+        session.inflight.pop(packet["packet_id"], None)
 
     # ------------------------------------------------------------------
     # Session lifecycle
@@ -564,25 +549,8 @@ class Broker(Component):
             # Persistent session: keep subscriptions AND unacknowledged
             # QoS 1 messages (retransmission resumes on reconnect), mark
             # disconnected.
-            self._pause_inflight(session)
+            session.inflight.pause()
             session.connected = False
-
-    def _pause_inflight(self, session: _Session) -> None:
-        """Stop retransmission timers but keep the messages queued."""
-        for inflight in session.inflight.values():
-            if inflight.timer is not None:
-                inflight.timer.cancel()
-                inflight.timer = None
-
-    def _resume_inflight(self, session: _Session) -> None:
-        """Re-send every queued QoS 1 message (dup-flagged) and re-arm."""
-        for packet_id, inflight in list(session.inflight.items()):
-            inflight.destination = session.address
-            dup = inflight.packet.as_dup()
-            inflight.packet = dup
-            self.stats.retransmissions += 1
-            self._send(session.address, dup)
-            self._arm_retry(session, packet_id, inflight)
 
     def _cancel_inflight(self, session: _Session, reason: str = "teardown") -> None:
         """Drop all queued QoS 1 messages for ``session``.
@@ -591,9 +559,6 @@ class Broker(Component):
         accounting (``repro.chaos.invariants``) can distinguish an
         *explained* loss (session ended, broker restarted) from a bug.
         """
-        for inflight in session.inflight.values():
-            if inflight.timer is not None:
-                inflight.timer.cancel()
         if session.inflight:
             self.trace(
                 "mqtt.broker.inflight_dropped",
@@ -605,7 +570,7 @@ class Broker(Component):
                     if i.packet.get("fwd_id") is not None
                 ),
             )
-        session.inflight.clear()
+        session.inflight.cancel()
 
     def inflight_fwd_ids(self) -> list[str]:
         """fwd_ids of every QoS 1 message still awaiting a PUBACK."""

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import NotConnectedError, ProtocolError
+from repro.mqtt.inflight import InflightTable
 from repro.mqtt.packets import Packet, PacketType
 from repro.mqtt.topics import TopicTree, validate_filter, validate_topic
 from repro.net.address import Address
@@ -42,13 +43,6 @@ class Subscription:
     topic_filter: str
     callback: MessageCallback
     qos: int
-
-
-@dataclass
-class _PendingPublish:
-    packet: Packet
-    retries_left: int
-    timer: TimerHandle | None = None
 
 
 class MqttClient(Component):
@@ -101,7 +95,9 @@ class MqttClient(Component):
         #: armed; beyond it the oldest buffered op is dropped (counted).
         self.max_pending_ops = 1024
         self.ops_dropped_disconnected = 0
-        self._inflight: dict[int, _PendingPublish] = {}
+        self._inflight = InflightTable(
+            self.runtime, self._guard, self._retry_interval, self._send, self._give_up
+        )
         self._next_packet_id = 1
         self._ping_timer = None
         self._on_connected: list[Callable[[], None]] = []
@@ -306,9 +302,7 @@ class MqttClient(Component):
         )
         self.messages_published += 1
         if qos == 1 and packet_id is not None:
-            pending = _PendingPublish(packet=packet, retries_left=self.max_retries)
-            self._inflight[packet_id] = pending
-            self._arm_retry(packet_id, pending)
+            self._inflight.put(packet_id, packet, self.max_retries)
         self._send(packet)
 
     def subscribe(
@@ -410,28 +404,16 @@ class MqttClient(Component):
             nbytes=len(data),
         )
 
-    def _arm_retry(self, packet_id: int, pending: _PendingPublish) -> None:
+    def _retry_interval(self) -> float:
         # ±10% jitter (seeded stream) keeps retransmissions from phase-
         # locking with the publish cadence: a fixed interval that is a
         # multiple of the sample period fires dup resends at the exact
         # instant of a fresh publish, a classic synchronized-retry artifact.
-        interval = self.retry_interval_s * self._retry_rng.uniform(0.9, 1.1)
-        pending.timer = self.after(interval, self._retry, packet_id)
+        return self.retry_interval_s * self._retry_rng.uniform(0.9, 1.1)
 
-    def _retry(self, packet_id: int) -> None:
-        pending = self._inflight.get(packet_id)
-        if pending is None:
-            return
-        if pending.retries_left <= 0:
-            del self._inflight[packet_id]
-            self.publishes_abandoned += 1
-            self.trace("mqtt.client.give_up", packet_id=packet_id)
-            return
-        pending.retries_left -= 1
-        dup = pending.packet.as_dup()
-        pending.packet = dup
-        self._send(dup)
-        self._arm_retry(packet_id, pending)
+    def _give_up(self, packet_id: int, _packet: Packet) -> None:
+        self.publishes_abandoned += 1
+        self.trace("mqtt.client.give_up", packet_id=packet_id)
 
     def _on_datagram(self, _source: Address, data: bytes) -> None:
         self._last_inbound = self.runtime.now
@@ -449,9 +431,7 @@ class MqttClient(Component):
             self._on_publish(packet)
         elif packet.type is PacketType.PUBACK:
             self.pubacks_received += 1
-            pending = self._inflight.pop(packet["packet_id"], None)
-            if pending is not None and pending.timer is not None:
-                pending.timer.cancel()
+            self._inflight.pop(packet["packet_id"], None)
         elif packet.type in (
             PacketType.SUBACK,
             PacketType.UNSUBACK,
@@ -544,8 +524,5 @@ class MqttClient(Component):
         if self._reconnect_timer is not None:
             self._reconnect_timer.cancel()
             self._reconnect_timer = None
-        for pending in self._inflight.values():
-            if pending.timer is not None:
-                pending.timer.cancel()
-        self._inflight.clear()
+        self._inflight.cancel()
         self.node.unbind(self._service)

@@ -60,6 +60,12 @@ class Runtime(ABC):
         """Invoke ``callback(*args)`` after ``delay`` seconds."""
 
     @abstractmethod
+    def call_at(
+        self, when: float, callback: Callable[..., None], *args: Any
+    ) -> TimerHandle:
+        """Invoke ``callback(*args)`` at the instant ``when`` on the :attr:`now` clock."""
+
+    @abstractmethod
     def call_soon(self, callback: Callable[..., None], *args: Any) -> TimerHandle:
         """Invoke ``callback(*args)`` as soon as possible, preserving order."""
 

@@ -106,14 +106,14 @@ class Node:
             return
         index = self._op_counts[op]
         self._op_counts[op] = index + 1
-        cost = self.cost_model.cost(op, nbytes=nbytes, invocation_index=index)
-        incarnation = self._incarnation.value
         if self.cpu is not None:
+            cost = self.cost_model.cost(op, nbytes=nbytes, invocation_index=index)
+            incarnation = self._incarnation.value
             # The op name becomes the job label, which is how the
             # profiler attributes this node's busy time per operation.
             self.cpu.submit(cost, self._guarded, op, (fn, args, incarnation))
         else:
-            self._guarded(fn, args, incarnation)
+            self._guarded(fn, args, self._incarnation.value)
 
     def _guarded(
         self, fn: Callable[..., None], args: tuple[Any, ...], incarnation: int

@@ -55,6 +55,11 @@ class AsyncioRuntime(Runtime):
     ) -> TimerHandle:
         return self.loop.call_later(delay, callback, *args)
 
+    def call_at(
+        self, when: float, callback: Callable[..., None], *args: Any
+    ) -> TimerHandle:
+        return self.loop.call_at(self._epoch + when, callback, *args)
+
     def call_soon(self, callback: Callable[..., None], *args: Any) -> TimerHandle:
         return self.loop.call_soon(callback, *args)
 

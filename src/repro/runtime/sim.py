@@ -68,6 +68,11 @@ class SimRuntime(Runtime):
     ) -> TimerHandle:
         return self.kernel.schedule(delay, callback, *args)
 
+    def call_at(
+        self, when: float, callback: Callable[..., None], *args: Any
+    ) -> TimerHandle:
+        return self.kernel.schedule_at(when, callback, *args)
+
     def call_soon(self, callback: Callable[..., None], *args: Any) -> TimerHandle:
         return self.kernel.call_soon(callback, *args)
 

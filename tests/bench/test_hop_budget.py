@@ -25,11 +25,19 @@ PERIOD_S = 0.01
 #: Python calls per delivered message, by QoS: at most 8 % above what this
 #: path measures (182.1 / 335.5; CPython 3.10 counts 190.1 / 350.5) and at
 #: least 15 % below the 234 / 427 (3.10: 241 / 441) it cost before the hop
-#: path was held to the budget.
-CALL_BUDGET = {0: 204, 1: 374} if sys.version_info[:2] == (3, 10) else {0: 196, 1: 362}
+#: path was held to the budget. QoS 1 was set again when the retry timer
+#: moved from the message to the inflight table: 311.25 measured (3.10.13 and
+#: 3.11.7 alike; 317.60 with a timer per message), 336 = 311.25 x 1.08.
+CALL_BUDGET = {0: 204, 1: 336} if sys.version_info[:2] == (3, 10) else {0: 196, 1: 336}
 #: Kernel events per message: CPU job + airtime flush + delivery per hop
-#: and CPU job, PUBACKs and retry timers included at QoS 1.
+#: and CPU job, PUBACKs included at QoS 1.
 KERNEL_EVENTS = {0: 9, 1: 15}
+#: Inflight-table wake-ups in the window, on top of those: at QoS 1 the
+#: publisher's table and the subscriber session's each arm with the first
+#: message for 2 s later (±10 % at the client), wake once inside the 2.5 s
+#: window to find that entry long acknowledged, and re-arm for the oldest
+#: deadline left, which is past the window's end, or disarm.
+WAKE_UPS = {0: 0, 1: 2}
 
 HOT_EVENTS = ("wlan.transmit", "mqtt.broker.forward", "mqtt.client.deliver")
 
@@ -73,7 +81,7 @@ def test_calls_and_events_per_message(qos):
         sys.setprofile(None)
     assert delivered == list(range(MESSAGES))
     events = runtime.kernel.events_processed - events_before
-    assert events == KERNEL_EVENTS[qos] * MESSAGES
+    assert events == KERNEL_EVENTS[qos] * MESSAGES + WAKE_UPS[qos]
     assert calls / MESSAGES <= CALL_BUDGET[qos]
     assert watched == {Address.__str__.__code__: 0, TraceRecord.__init__.__code__: 0}
 

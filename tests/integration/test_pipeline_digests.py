@@ -135,14 +135,17 @@ TRACE_DIGESTS = {
     ),
 }
 
-#: Profile digest and profiled event count.
+#: Profile digest and profiled event count. The counts include the inflight
+#: tables' wake-ups that found nothing due, which one timer per message never
+#: executed (it was cancelled): 7 086 + 123 and 14 285 + 1. The digests are
+#: the parent commit's.
 FAILOVER_PROFILE = (
     "e38fea467a7d8ebe4299554613a3b4326b2f8f292805de8d952fb2f9f9b8f97a",
-    7086,
+    7209,
 )
 FIG5_PROFILE_5S = (
     "8c3994ff30b343b54c1228e3780ddbfd7f19d75324c6630fcc053ffadc926e85",
-    14285,
+    14286,
 )
 
 
