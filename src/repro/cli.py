@@ -389,7 +389,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             )
 
             context = scenario.lint_context() if scenario else LatencyContext()
-            analysis = analyze_latency(recipe, context)
+            placement = None
+            if scenario:
+                # Which tasks share a CPU: the placement the scenario's own
+                # testbed admits the recipe under.
+                _runtime, cluster = scenario.build(seed=scenario.seed, prepare=None)
+                placement = cluster.submit(recipe).assignment.placements
+            analysis = analyze_latency(recipe, context, placement)
             checks += check_deadlines(recipe, context, analysis)
             if args.validate:
                 observed_path = Path(args.validate)

@@ -12,9 +12,10 @@ ablation of EXP-S2 compares the three built-in policies.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Mapping
 
 from repro.core.splitter import SubTask
 from repro.errors import AssignmentError
@@ -30,8 +31,11 @@ __all__ = [
     "OPERATOR_COSTS",
 ]
 
-#: Relative cost estimate per operator type, used by load-aware placement.
-#: Units are arbitrary "load points"; ratios matter, not magnitudes.
+#: Relative cost estimate per operator type, in arbitrary, rate-blind "load
+#: points". Placement ranks by predicted CPU utilization
+#: (:func:`repro.lint.rates.subtask_demand`); these survive as its
+#: tie-break where the cost model prices nothing, and as the currency of
+#: ``NeuronModule.current_load()`` and the announced ``load`` field.
 OPERATOR_COSTS: dict[str, float] = {
     "sensor": 1.0,
     "actuator": 0.5,
@@ -57,6 +61,7 @@ class ModuleInfo:
     capacity: float = 1.0  # relative processing capability
     capabilities: set[str] = field(default_factory=set)
     base_load: float = 0.0  # load already present from other applications
+    base_demand: float = 0.0  # CPU-s/s already placed here (predicted)
 
     def can_host(self, subtask: SubTask) -> bool:
         return set(subtask.capabilities) <= self.capabilities
@@ -101,12 +106,12 @@ class AssignmentStrategy(ABC):
         self,
         subtask: SubTask,
         candidates: list[ModuleInfo],
-        loads: dict[str, float],
+        loads: dict[str, tuple[float, float]],
     ) -> ModuleInfo:
         """Pick one of ``candidates`` (never empty) for ``subtask``.
 
-        ``loads`` maps module name to load points already assigned
-        (including ``base_load``).
+        ``loads`` maps module name to what is already assigned there
+        (base values included): predicted CPU-s/s, then load points.
         """
 
 
@@ -126,7 +131,7 @@ class RoundRobinStrategy(AssignmentStrategy):
         self,
         subtask: SubTask,
         candidates: list[ModuleInfo],
-        loads: dict[str, float],
+        loads: dict[str, tuple[float, float]],
     ) -> ModuleInfo:
         chosen = candidates[self._cursor % len(candidates)]
         self._cursor += 1
@@ -134,8 +139,9 @@ class RoundRobinStrategy(AssignmentStrategy):
 
 
 class LoadAwareStrategy(AssignmentStrategy):
-    """Place each sub-task on the candidate with the lowest projected
-    load-to-capacity ratio (greedy longest-processing-time flavour)."""
+    """Place each sub-task on the candidate with the lowest predicted
+    utilization-to-capacity ratio (greedy longest-processing-time
+    flavour); load points per capacity, then the name, break ties."""
 
     name = "load_aware"
 
@@ -143,12 +149,13 @@ class LoadAwareStrategy(AssignmentStrategy):
         self,
         subtask: SubTask,
         candidates: list[ModuleInfo],
-        loads: dict[str, float],
+        loads: dict[str, tuple[float, float]],
     ) -> ModuleInfo:
-        return min(
-            candidates,
-            key=lambda m: (loads.get(m.name, 0.0) / m.capacity, m.name),
-        )
+        def rank(module: ModuleInfo) -> tuple[float, float, str]:
+            rho, points = loads[module.name]
+            return rho / module.capacity, points / module.capacity, module.name
+
+        return min(candidates, key=rank)
 
 
 class CapabilityAwareStrategy(LoadAwareStrategy):
@@ -162,7 +169,7 @@ class CapabilityAwareStrategy(LoadAwareStrategy):
         self,
         subtask: SubTask,
         candidates: list[ModuleInfo],
-        loads: dict[str, float],
+        loads: dict[str, tuple[float, float]],
     ) -> ModuleInfo:
         fewest = min(len(m.capabilities) for m in candidates)
         narrow = [m for m in candidates if len(m.capabilities) == fewest]
@@ -177,32 +184,60 @@ class TaskAssignment:
         self.strategy = strategy if strategy is not None else LoadAwareStrategy()
 
     def assign(
-        self, subtasks: list[SubTask], modules: list[ModuleInfo]
+        self,
+        subtasks: list[SubTask],
+        modules: list[ModuleInfo],
+        demand: Mapping[str, float] | None = None,
     ) -> Assignment:
+        """Place ``subtasks``. ``demand`` is each one's predicted CPU-s/s on
+        its host (:func:`repro.lint.rates.placement_demand`): sub-tasks
+        with a single feasible module go first, the rest heaviest-first.
+        Unpriced sub-tasks (no ``demand``, or a model that prices nothing)
+        keep split order and rank candidates by load points alone.
+        """
         if not modules:
             raise AssignmentError("no modules available")
         by_name = {m.name: m for m in modules}
         if len(by_name) != len(modules):
             raise AssignmentError("duplicate module names")
-        loads: dict[str, float] = {m.name: m.base_load for m in modules}
-        assignment = Assignment()
+        demand = demand or {}
+        loads = {m.name: (m.base_demand, m.base_load) for m in modules}
         ordered_modules = sorted(modules, key=lambda m: m.name)
+        feasible = {
+            s.subtask_id: self._candidates(s, by_name, ordered_modules)
+            for s in subtasks
+        }
 
-        for subtask in subtasks:
-            module = self._place(subtask, by_name, ordered_modules, loads)
-            assignment.placements[subtask.subtask_id] = module.name
-            loads[module.name] += estimate_cost(subtask)
+        def weight(subtask: SubTask) -> float:
+            cost = demand.get(subtask.subtask_id, 0.0)
+            return math.inf if cost and len(feasible[subtask.subtask_id]) == 1 else cost
 
-        assignment.projected_load = dict(loads)
-        return assignment
+        chosen: dict[str, str] = {}  # in placing order; reported in split order
+        for subtask in sorted(subtasks, key=lambda s: -weight(s)):
+            candidates = feasible[subtask.subtask_id]
+            module = (
+                candidates[0]
+                if subtask.pin_to is not None
+                else self.strategy.choose(subtask, candidates, loads)
+            )
+            chosen[subtask.subtask_id] = module.name
+            rho, points = loads[module.name]
+            loads[module.name] = (
+                rho + demand.get(subtask.subtask_id, 0.0),
+                points + estimate_cost(subtask),
+            )
 
-    def _place(
+        return Assignment(
+            placements={s.subtask_id: chosen[s.subtask_id] for s in subtasks},
+            projected_load={name: points for name, (_rho, points) in loads.items()},
+        )
+
+    def _candidates(
         self,
         subtask: SubTask,
         by_name: dict[str, ModuleInfo],
         ordered_modules: list[ModuleInfo],
-        loads: dict[str, float],
-    ) -> ModuleInfo:
+    ) -> list[ModuleInfo]:
         if subtask.pin_to is not None:
             pinned = by_name.get(subtask.pin_to)
             if pinned is None:
@@ -215,11 +250,11 @@ class TaskAssignment:
                     f"{subtask.subtask_id!r} pinned to {pinned.name!r} which "
                     f"lacks capabilities {sorted(set(subtask.capabilities) - pinned.capabilities)}"
                 )
-            return pinned
+            return [pinned]
         candidates = [m for m in ordered_modules if m.can_host(subtask)]
         if not candidates:
             raise AssignmentError(
                 f"no module provides capabilities {subtask.capabilities!r} "
                 f"for {subtask.subtask_id!r}"
             )
-        return self.strategy.choose(subtask, candidates, loads)
+        return candidates

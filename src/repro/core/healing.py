@@ -371,10 +371,10 @@ def plan_degradation(loads: list[AppLoad], capacity: float) -> DegradationPlan:
 def recipe_utilization(recipe: "Recipe", subtasks: Iterable["SubTask"]) -> float:
     """Calibrated CPU demand (util/sec) of ``subtasks`` of ``recipe``.
 
-    Uses the statically propagated rates and the Pi-class calibrated cost
-    model — the same currency the recipe feasibility checker (RCP2xx)
-    plans with, so "does the surviving capacity suffice" and "was this
-    recipe schedulable at all" agree with each other.
+    The operator-only view (:func:`~repro.lint.rates.task_utilization`)
+    under the Pi-class calibrated model whatever the runtime runs under —
+    the per-task feasibility pass's currency, not yet the full per-module
+    demand placement ranks by (the shed decision is pinned at this value).
     """
     from repro.lint.rates import (
         default_cost_model,

@@ -27,6 +27,7 @@ Control-plane topics::
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.assignment import (
@@ -34,6 +35,7 @@ from repro.core.assignment import (
     AssignmentStrategy,
     CapabilityAwareStrategy,
     LoadAwareStrategy,
+    ModuleInfo,
     RoundRobinStrategy,
     TaskAssignment,
 )
@@ -437,11 +439,21 @@ class ModuleAgent(Component):
                 f"recipe {recipe.name!r} rejected by static check", errors
             )
 
-    def _rate_check(self, recipe: Recipe) -> None:
-        """Feasibility gate: rejects only in strict mode (see static_check)."""
-        from repro.lint.recipe_check import check_rate_feasibility
+    def _rate_check(self, recipe: Recipe, placement: Any = None) -> None:
+        """Feasibility gate: rejects only in strict mode (see static_check).
 
-        diagnostics = check_rate_feasibility(recipe)
+        Before assigning: the per-task pass, the operator term alone under
+        ``default_cost_model()`` whatever this runtime runs under. Given the
+        ``placement`` just made (sub-tasks, assignment, modules): the
+        per-module pass, full demand under this node's own cost model, so
+        a model that prices nothing stays silent.
+        """
+        from repro.lint.recipe_check import check_module_loads, check_rate_feasibility
+
+        if placement is None:
+            diagnostics = check_rate_feasibility(recipe)
+        else:
+            diagnostics = check_module_loads(recipe, *placement, self.node.cost_model)
         for diag in diagnostics:
             self.trace("agent.static_check", finding=diag.format())
         if self.static_check != "strict":
@@ -461,12 +473,17 @@ class ModuleAgent(Component):
         static checker first — structurally invalid recipes raise
         :class:`StaticCheckError` before any deploy command is sent.
         """
+        from repro.lint.rates import placement_demand
+
         if self.static_check != "off":
             self._static_check(recipe)
             self._rate_check(recipe)
         subtasks = RecipeSplit().split(recipe)
         modules = self.directory.module_infos()
-        assignment = TaskAssignment(strategy).assign(subtasks, modules)
+        demand = placement_demand(recipe, subtasks, self.node.cost_model)
+        assignment = TaskAssignment(strategy).assign(subtasks, modules, demand)
+        if self.static_check != "off":
+            self._rate_check(recipe, (subtasks, assignment, modules))
         self.recipes_led += 1  # repro: san-ok[SAN020] commutative counter
         self.trace(
             "agent.recipe_led",
@@ -817,12 +834,7 @@ class ManagementNode:
                 movable.append(subtask)
             if not movable:
                 continue
-            # Candidates' ``base_load`` already reflects what each module
-            # hosts: agents announce their live load on every deploy and
-            # heartbeat, and the directory carries it into ModuleInfo.
-            replacement = TaskAssignment(LoadAwareStrategy()).assign(
-                movable, candidates
-            )
+            replacement = self._replace(app_name, movable, candidates)
             self._displaced_cell.note_write()
             for subtask in movable:
                 target = replacement.module_for(subtask.subtask_id)
@@ -857,6 +869,34 @@ class ManagementNode:
                 {"assignment": assignment.to_dict(), "leader": self.module.name},
                 retain=True,
             )
+
+    def _replace(
+        self, application: str, subtasks: list[SubTask], candidates: list[ModuleInfo]
+    ) -> Assignment:
+        """Re-place ``subtasks`` of a led application by predicted load: what
+        the survivors already carry is priced from this leader's own
+        assignment table, like the initial placement (``base_load``, the
+        tie-break, is each candidate's live announced load)."""
+        from repro.lint.rates import module_demand, placement_demand
+
+        demand: dict[str, float] = {}  # keyed "<application>/<sub-task>"
+        placed: dict[str, str] = {}
+        for name, (recipe, assignment) in self._led.items():
+            for sid, load in placement_demand(
+                recipe, RecipeSplit().split(recipe), self.module.node.cost_model
+            ).items():
+                demand[f"{name}/{sid}"] = load
+            for sid, module in assignment.placements.items():
+                placed[f"{name}/{sid}"] = module
+        moving = {s.subtask_id: demand[f"{application}/{s.subtask_id}"] for s in subtasks}
+        for sid in moving:
+            del placed[f"{application}/{sid}"]
+        carried = module_demand(demand, placed)
+        return TaskAssignment(LoadAwareStrategy()).assign(
+            subtasks,
+            [replace(c, base_demand=carried.get(c.name, 0.0)) for c in candidates],
+            moving,
+        )
 
     def _shed_if_overcommitted(self, dead_module: str) -> None:
         """Graceful degradation: shed whole applications, lowest priority
@@ -1139,9 +1179,7 @@ class ManagementNode:
             from repro.errors import AssignmentError
 
             try:
-                replacement = TaskAssignment(LoadAwareStrategy()).assign(
-                    [subtask], candidates
-                )
+                replacement = self._replace(application, [subtask], candidates)
                 target = replacement.module_for(subtask.subtask_id)
             except (AssignmentError, DeploymentError):
                 runtime.trace(

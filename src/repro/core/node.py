@@ -102,9 +102,9 @@ class NeuronModule:
     def current_load(self) -> float:
         """Load points of everything deployed here (assignment units).
 
-        Uses the same per-operator estimates task assignment plans with,
-        so a module's announced load and the assigner's projections share
-        a currency.
+        The rate-blind per-operator estimates placement keeps as its
+        tie-break: announcements stay in the currency peers already read,
+        while the leader prices CPU from its own assignment table.
         """
         from repro.core.assignment import estimate_cost  # avoid import cycle
 

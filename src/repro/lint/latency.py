@@ -273,9 +273,11 @@ class _VisitLog:
         return bounds
 
 
-def _cpu_key(task: TaskSpec) -> str:
-    """Shared-CPU identity: pinned tasks share their module's CPU."""
-    return f"cpu:{task.pin_to}" if task.pin_to else f"cpu:task:{task.task_id}"
+def _cpu_key(task: TaskSpec, placement: Mapping[str, str]) -> str:
+    """Shared-CPU identity: tasks pinned to or placed on one module share
+    its CPU; an unplaced task is assumed a CPU of its own."""
+    module = task.pin_to or placement.get(task.task_id)
+    return f"cpu:{module}" if module else f"cpu:task:{task.task_id}"
 
 
 def _warmup_cost(model: CostModel, op: str) -> float:
@@ -319,9 +321,15 @@ class _StreamState:
 
 
 def analyze_latency(
-    recipe: Recipe, context: LatencyContext | None = None
+    recipe: Recipe,
+    context: LatencyContext | None = None,
+    placement: Mapping[str, str] | None = None,
 ) -> LatencyAnalysis:
-    """Compute per-flow latency bounds and per-resource backlog bounds."""
+    """Compute per-flow latency bounds and per-resource backlog bounds.
+
+    ``placement`` (task id -> module) says which unpinned tasks share a CPU.
+    """
+    placement = placement or {}
     ctx = context or LatencyContext()
     model = ctx.cost_model if ctx.cost_model is not None else default_cost_model()
     wlan = ctx.wlan if ctx.wlan is not None else WlanConfig()
@@ -341,11 +349,13 @@ def analyze_latency(
     # hold terms, never on queueing delays — so one topological walk with
     # a zero delay table already yields the final visit registry.
     log = _VisitLog()
-    _walk(recipe, rates, model, ctx, loss, frame_work, net, {}, log)
+    _walk(recipe, rates, model, ctx, loss, frame_work, net, {}, log, placement)
     delay_table = log.delay_table()
     # Pass 2: accumulate per-flow latency against the final delay table.
     log = _VisitLog()
-    flows = _walk(recipe, rates, model, ctx, loss, frame_work, net, delay_table, log)
+    flows = _walk(
+        recipe, rates, model, ctx, loss, frame_work, net, delay_table, log, placement
+    )
 
     sink_ids = frozenset(
         task_id
@@ -370,6 +380,7 @@ def _walk(
     net: Mapping[str, float | None],
     delay_table: Mapping[str, float],
     log: _VisitLog,
+    placement: Mapping[str, str],
 ) -> dict[str, FlowBound]:
     """One topological pass, computing bounds against ``delay_table``."""
 
@@ -385,7 +396,7 @@ def _walk(
 
     for task_id in recipe.topological_order:
         task = recipe.tasks[task_id]
-        cpu = _cpu_key(task)
+        cpu = _cpu_key(task, placement)
         ingest_hz = rates[task_id].ingest_hz
         emit_hz = rates[task_id].emit_hz
         derivable = True

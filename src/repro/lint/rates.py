@@ -21,13 +21,20 @@ assumed record size, and warm-up surcharges are ignored (steady state).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.core.recipe import Recipe, TaskSpec
 from repro.runtime.costs import CostModel, OpCost
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.splitter import SubTask
+
 __all__ = [
     "TaskRates",
     "propagate_rates",
+    "subtask_demand",
+    "placement_demand",
+    "module_demand",
     "task_utilization",
     "default_cost_model",
     "DEFAULT_RECORD_BYTES",
@@ -139,18 +146,69 @@ def propagate_rates(recipe: Recipe) -> dict[str, TaskRates]:
     return result
 
 
+def subtask_demand(
+    task: TaskSpec,
+    rates: TaskRates,
+    cost_model: CostModel,
+    record_bytes: int = DEFAULT_RECORD_BYTES,
+) -> tuple[tuple[str, float], ...]:
+    """CPU-seconds per second one shard of ``task`` demands of the module
+    hosting it, as ``(op, load)`` terms: the operator's own ``cost_op``
+    first, then the middleware's — ``mqtt.recv`` per ingested and
+    ``mqtt.send`` per emitted record. The one place rates meet costs;
+    every placement decision and every utilization check reads it.
+
+    A shard processes and emits ``1/parallelism`` of the samples but still
+    receives the whole stream (the shard filter runs after ``mqtt.recv``).
+    """
+
+    def cost(op: str) -> float:
+        return cost_model.steady_cost(op, record_bytes) or 0.0
+
+    shards = max(1, task.parallelism)
+    op = COST_OP_BY_OPERATOR.get(task.operator, _DEFAULT_COST_OP)
+    demand_hz = rates.ingest_hz if task.inputs else rates.emit_hz
+    recv_hz = rates.ingest_hz if task.inputs else 0.0
+    send_hz = rates.emit_hz / shards * len(task.outputs)
+    return (
+        (op, demand_hz / shards * cost(op)),
+        ("mqtt.recv", recv_hz * cost("mqtt.recv")),
+        ("mqtt.send", send_hz * cost("mqtt.send")),
+    )
+
+
+def placement_demand(
+    recipe: Recipe,
+    subtasks: "Iterable[SubTask]",
+    cost_model: CostModel,
+    record_bytes: int = DEFAULT_RECORD_BYTES,
+) -> dict[str, float]:
+    """Sub-task id -> total :func:`subtask_demand` (CPU-s/s on its host)."""
+    rates = propagate_rates(recipe)
+    demand: dict[str, float] = {}
+    for subtask in subtasks:
+        task, task_rates = recipe.tasks[subtask.task_id], rates[subtask.task_id]
+        terms = subtask_demand(task, task_rates, cost_model, record_bytes)
+        demand[subtask.subtask_id] = sum(load for _op, load in terms)
+    return demand
+
+
+def module_demand(
+    demand: Mapping[str, float], placements: Mapping[str, str]
+) -> dict[str, float]:
+    """Module -> predicted utilization: ``demand`` summed over ``placements``."""
+    load: dict[str, float] = {}
+    for subtask_id, module in placements.items():
+        load[module] = load.get(module, 0.0) + demand.get(subtask_id, 0.0)
+    return load
+
+
 def task_utilization(
     task: TaskSpec,
     rates: TaskRates,
     cost_model: CostModel,
     record_bytes: int = DEFAULT_RECORD_BYTES,
 ) -> float:
-    """CPU-seconds per second this task demands of one unit-capacity core.
-
-    Sharded tasks report the *per-shard* utilization (each shard sees
-    ``1/parallelism`` of the samples).
-    """
-    op = COST_OP_BY_OPERATOR.get(task.operator, _DEFAULT_COST_OP)
-    service_s = cost_model.steady_cost(op, record_bytes) or 0.0
-    demand_hz = rates.ingest_hz if task.inputs else rates.emit_hz
-    return (demand_hz / max(1, task.parallelism)) * service_s
+    """The operator term of :func:`subtask_demand` alone, per shard: what
+    the per-task rule ("no single task exceeds one core") judges."""
+    return subtask_demand(task, rates, cost_model, record_bytes)[0][1]

@@ -38,6 +38,8 @@ from repro.errors import RecipeError
 from repro.lint.rates import (
     DEFAULT_RECORD_BYTES,
     default_cost_model,
+    module_demand,
+    placement_demand,
     propagate_rates,
     task_utilization,
 )
@@ -53,6 +55,7 @@ __all__ = [
     "check_recipe",
     "check_recipe_dict",
     "check_rate_feasibility",
+    "check_module_loads",
 ]
 
 @dataclass(frozen=True)
@@ -448,11 +451,9 @@ def check_rate_feasibility(
     model = cost_model if cost_model is not None else default_cost_model()
     rates = propagate_rates(recipe)
     diagnostics: list[Diagnostic] = []
-    utilizations: dict[str, float] = {}
     for task_id in recipe.topological_order:
         task = recipe.tasks[task_id]
         util = task_utilization(task, rates[task_id], model, record_bytes)
-        utilizations[task_id] = util
         where = f"{recipe.name}:task {task_id}"
         detail = (
             f"demands {util:.2f} CPU-s/s per shard "
@@ -481,34 +482,34 @@ def check_rate_feasibility(
                 )
             )
     if assignment is not None and modules is not None and subtasks is not None:
-        diagnostics += _check_module_loads(
-            recipe, subtasks, assignment, modules, utilizations
+        diagnostics += check_module_loads(
+            recipe, subtasks, assignment, modules, model, record_bytes
         )
     return diagnostics
 
 
-def _check_module_loads(
+def check_module_loads(
     recipe: Recipe,
     subtasks: "list[SubTask]",
     assignment: "Assignment",
     modules: "list[ModuleInfo]",
-    utilizations: dict[str, float],
+    cost_model: CostModel,
+    record_bytes: int = DEFAULT_RECORD_BYTES,
 ) -> list[Diagnostic]:
+    """The per-module pass: each module's predicted utilization — what its
+    sub-tasks' operators *and* the MQTT handling of their records demand
+    (:func:`~repro.lint.rates.subtask_demand`) — against its capacity."""
     diagnostics: list[Diagnostic] = []
     capacity = {module.name: module.capacity for module in modules}
-    load: dict[str, float] = {}
-    for subtask in subtasks:
-        module_name = assignment.placements.get(subtask.subtask_id)
-        if module_name is None:
-            continue
-        load[module_name] = load.get(module_name, 0.0) + utilizations.get(
-            subtask.task_id, 0.0
-        )
+    load = module_demand(
+        placement_demand(recipe, subtasks, cost_model, record_bytes),
+        assignment.placements,
+    )
     for module_name in sorted(load):
         total = load[module_name]
         cap = capacity.get(module_name, 1.0)
         where = f"{recipe.name}:module {module_name}"
-        if total > cap:
+        if total >= cap:
             diagnostics.append(
                 _diag(
                     "RCP110",

@@ -193,3 +193,54 @@ def test_failover_judge_recovers_model_from_retained_snapshot():
     assert operator.model_loads >= 1
     runtime.run(until=runtime.now + 2.0)
     assert operator.records_judged > 5
+
+
+def test_orphan_goes_to_the_survivor_with_the_lowest_predicted_load():
+    """Re-placement prices the survivors from the leader's own assignment
+    table: a 2 Hz predictor is 4 load points but 0.04 CPU-s/s, a 40 Hz map
+    1 point but 0.22 — the orphaned map joins the predictor, where load
+    points alone would have sent it beside the other map."""
+    from repro.bench.calibration import pi_cost_model
+
+    runtime = SimRuntime(seed=17, cost_model=pi_cost_model())
+    cluster = IFoTCluster(runtime, heartbeat_s=2.0, auto_failover=True)
+    for name in ("pi-fast", "pi-slow"):
+        cluster.add_module(name).attach_sensor("sample", FixedPayloadModel())
+    workers = ("pi-w1", "pi-w2", "pi-w3")
+    for name in workers:
+        cluster.add_module(name, extra_capabilities={"compute"})
+    for module in cluster.modules.values():
+        module.client.keepalive_s = 2.0
+        module.client.refresh_session()
+    cluster.settle(2.0)
+
+    def sensor(task_id, module, stream, rate_hz):
+        params = {"device": "sample", "rate_hz": rate_hz}
+        return TaskSpec(task_id, "sensor", outputs=[stream], params=params, pin_to=module)
+
+    def worker(task_id, operator, stream, **params):
+        return TaskSpec(
+            task_id, operator, inputs=[stream], params=params, capabilities=["compute"]
+        )
+
+    app = cluster.submit(
+        Recipe(
+            "mixed",
+            [
+                sensor("sense-fast", "pi-fast", "fast", 40),
+                sensor("sense-slow", "pi-slow", "slow", 2),
+                worker("shape-1", "map", "fast"),
+                worker("shape-2", "map", "fast"),
+                worker("judge", "predict", "slow", model="classifier", label_key="label"),
+            ],
+        )
+    )
+    cluster.settle(3.0)
+    # Heaviest first: the two maps take a worker each, the predictor the third.
+    assert [app.assignment.module_for(t) for t in ("shape-1", "shape-2", "judge")] == list(
+        workers
+    )
+    cluster.module("pi-w2").node.fail()
+    cluster.settle(12.0)
+    moved = runtime.tracer.select(event="mgmt.failover_moved")
+    assert [(r["subtask"], r["to_module"]) for r in moved] == [("shape-2", "pi-w3")]

@@ -6,11 +6,13 @@ from the shipped `.recipe` file over a five-module cluster with a planted
 fall. The alert must fire inside the fall window.
 """
 
+import dataclasses
 from pathlib import Path
 
 from repro.core.dsl import parse_recipe
 from repro.core.middleware import IFoTCluster
 from repro.runtime.sim import SimRuntime
+from repro.scenario import run
 from repro.sensors import (
     AccelerometerModel,
     AlertActuator,
@@ -93,3 +95,56 @@ def test_fig5_camera_features_flow_into_state_estimation():
     # Camera monitoring's windowed statistic rides in the attributes.
     assert "motion_level_mean" in latest.attributes
     app.stop()
+
+
+def steady_state_violations(recipe=None):
+    """60 sim-s of the ``fig5`` scenario (Pi calibration, seed 55) judged
+    as a service level: what a system that keeps up looks like. Sim only."""
+    from repro.bench.scenarios import FIG5, FIG5_FALL_AT
+    from repro.util.stats import percentiles
+
+    judged: list[float] = []
+    applied: list[float] = []
+
+    def tap(runtime):
+        runtime.tracer.tap("ml.judged", lambda r: judged.append(r["latency_s"]))
+        runtime.tracer.tap("actuator.applied", lambda r: applied.append(r.time))
+
+    scenario = FIG5 if recipe is None else dataclasses.replace(FIG5, recipe=recipe)
+    outcome = run(scenario, seed=55, duration_s=60.0, prepare=tap)
+    fifth = len(judged) // 5
+    (first_p50,) = percentiles(judged[:fifth], [50])
+    (last_p50,) = percentiles(judged[-fifth:], [50])
+    (p99,) = percentiles(judged, [99])
+    alerted = [t for t in applied if t >= FIG5_FALL_AT]
+    queues = {
+        name: node.cpu.queue_length for name, node in outcome.runtime.nodes.items()
+    }
+    checks = {
+        "every CPU queue ends shallow": max(queues.values()) <= 32,
+        "judging p50 is flat over the run": last_p50 <= 1.2 * first_p50,
+        "judging p99 within 1 s": p99 <= 1.0,
+        "the fall is paged within 1 s": bool(alerted)
+        and min(alerted) <= FIG5_FALL_AT + 1.0,
+    }
+    return [name for name, held in checks.items() if not held]
+
+
+def test_fig5_under_the_pi_calibration_is_a_service_level():
+    assert steady_state_violations() == []
+
+
+def test_the_parents_placement_fails_the_same_service_level():
+    """Pinned where load points put it (the 40 Hz merge beside the 40 Hz
+    predictor) the same recipe queues on ``pi-analysis`` for as long as
+    it runs."""
+    from repro.bench.scenarios import FIG5
+    from tests.core.test_assignment import FIG5_PARENT_PLACEMENT, pinned
+
+    stacked = pinned(FIG5.recipe(), FIG5_PARENT_PLACEMENT)
+    assert steady_state_violations(lambda: stacked) == [
+        "every CPU queue ends shallow",
+        "judging p50 is flat over the run",
+        "judging p99 within 1 s",
+        "the fall is paged within 1 s",
+    ]
