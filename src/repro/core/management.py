@@ -17,18 +17,25 @@ together. Here that role is split faithfully:
 
 Control-plane topics::
 
-    ifot/ctl/module/<module>/deploy     {application, subtask}
+    ifot/ctl/module/<module>/deploy     {application, subtask[, handoff]}
     ifot/ctl/module/<module>/undeploy   {application, subtask_id | "*"}
     ifot/ctl/module/<module>/submit     {recipe, strategy}
+    ifot/ctl/module/<module>/pause      {application, subtask_id, migration, drain_s}
+    ifot/ctl/module/<module>/release    {application, subtask_id, migration}
+    ifot/ctl/migrate/<id>/state         snapshot + buffered records | {missing}
+    ifot/ctl/migrate/<id>/ready         {module, application, subtask_id}
+    ifot/ctl/migrate/<id>/tail          {application, subtask_id, buffered}
     ifot/ctl/status/request             {}
     ifot/ctl/status/report/<module>     status snapshot
-    ifot/ctl/app/<application>/deployed {assignment}
+    ifot/ctl/status/degraded            {applications, residual, capacity}
+    ifot/ctl/app/<application>/deployed {assignment, leader}
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import TYPE_CHECKING, Any, Callable
+from dataclasses import dataclass, replace
+from enum import Enum
+from typing import Any, Callable, Iterable
 
 from repro.core.assignment import (
     Assignment,
@@ -39,18 +46,23 @@ from repro.core.assignment import (
     RoundRobinStrategy,
     TaskAssignment,
 )
-from repro.core.discovery import StreamDirectory
-from repro.core.flow import topic_for_stream
+from repro.core.discovery import StreamDirectory, module_topic
+from repro.core.flow import FlowRecord, topic_for_stream
+from repro.core.healing import (
+    AppLoad,
+    FailureDetector,
+    plan_degradation,
+    recipe_utilization,
+)
 from repro.core.node import NeuronModule
+from repro.core.operators import StreamOperator
 from repro.core.recipe import Recipe
 from repro.core.splitter import RecipeSplit, SubTask
-from repro.errors import DeploymentError, StaticCheckError
-from repro.util.validate import Severity
+from repro.errors import AssignmentError, DeploymentError, StaticCheckError
+from repro.util.validate import Diagnostic, Severity
 from repro.mqtt.packets import Packet
 from repro.runtime.component import Component
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.healing import FailureDetector
+from repro.runtime.state import tracked_state
 
 __all__ = ["ModuleAgent", "ManagementNode", "strategy_by_name"]
 
@@ -68,6 +80,75 @@ def strategy_by_name(name: str) -> AssignmentStrategy:
             f"unknown assignment strategy {name!r} (known: {sorted(_STRATEGIES)})"
         )
     return factory()
+
+
+# A control-plane topic with a sender and a subscriber is spelled once, here
+# (the registry's own are in :mod:`repro.core.discovery`).
+_STATUS_REQUEST = "ifot/ctl/status/request"
+_STATUS_REPORT = "ifot/ctl/status/report/"
+
+
+def _ctl_topic(module: str, command: str) -> str:
+    return f"ifot/ctl/module/{module}/{command}"
+
+
+def _migrate_topic(migration: str, leg: str) -> str:
+    return f"ifot/ctl/migrate/{migration}/{leg}"
+
+
+def _parse_migrate_topic(topic: str) -> tuple[str, str]:
+    migration, leg = topic.split("/")[3:]
+    return migration, leg
+
+
+def _encode_buffer(records: Iterable[tuple[str, FlowRecord]]) -> list[list[Any]]:
+    """Wire form of a handoff buffer (snapshot and tail alike)."""
+    return [[stream, record.to_payload()] for stream, record in records]
+
+
+def _decode_buffer(payload: dict[str, Any]) -> list[tuple[str, FlowRecord]]:
+    return [
+        (str(stream), FlowRecord.from_payload(entry))
+        for stream, entry in payload.get("buffered", [])
+    ]
+
+
+def _raise_on_errors(diagnostics: Iterable[Diagnostic], message: str) -> None:
+    errors = [d for d in diagnostics if d.severity >= Severity.ERROR]
+    if errors:
+        raise StaticCheckError(message, errors)
+
+
+class Phase(Enum):
+    """Where a :class:`Migration` stands; the last two are terminal."""
+
+    PAUSE = "pause"  # pause sent, waiting for the source's snapshot
+    TRANSFER = "transfer"  # handoff deploy sent, waiting for the target
+    SWITCHED = "switched"
+    ABORTED = "aborted"
+
+
+@dataclass(slots=True)
+class Migration:
+    """One live handoff of one sub-task, as its coordinator sees it."""
+
+    id: str
+    application: str
+    subtask: SubTask
+    source: str
+    target: str
+    phase: Phase = Phase.PAUSE
+    span: Any = None  # the obs span, when observability is on
+
+    def fields(self) -> dict[str, str]:
+        """What the span, ``migrate.start`` and ``migrate.switched`` all say."""
+        return {
+            "migration": self.id,
+            "application": self.application,
+            "subtask": self.subtask.subtask_id,
+            "from_module": self.source,
+            "to_module": self.target,
+        }
 
 
 class ModuleAgent(Component):
@@ -110,26 +191,22 @@ class ModuleAgent(Component):
         # broker tombstones the module's retained registry announcement, so
         # peers learn of the departure at keep-alive granularity instead of
         # waiting out the directory TTL.
-        from repro.core.discovery import module_topic
-
         client.will = {
             "topic": module_topic(module.name),
             "payload": None,
             "retain": True,
         }
         client.refresh_session()  # the session predates the will
-        base = f"ifot/ctl/module/{module.name}"
         client.subscribe_many(
             [
-                (f"{base}/deploy", self._on_deploy),
-                (f"{base}/undeploy", self._on_undeploy),
-                (f"{base}/submit", self._on_submit),
-                (f"{base}/pause", self._on_pause),
-                (f"{base}/release", self._on_release),
-                ("ifot/ctl/status/request", self._on_status_request),
+                (_ctl_topic(module.name, "deploy"), self._on_deploy),
+                (_ctl_topic(module.name, "undeploy"), self._on_undeploy),
+                (_ctl_topic(module.name, "submit"), self._on_submit),
+                (_ctl_topic(module.name, "pause"), self._on_pause),
+                (_ctl_topic(module.name, "release"), self._on_release),
+                (_STATUS_REQUEST, self._on_status_request),
             ]
         )
-        self.migrations_adopted = 0
         #: Migrations this module is the target of, awaiting the source's
         #: tail buffer: migration id -> (application, subtask_id, tail
         #: subscription handle).
@@ -156,20 +233,60 @@ class ModuleAgent(Component):
     # Deploy / undeploy
     # ------------------------------------------------------------------
 
+    def _say(self, topic: str, **payload: Any) -> None:
+        """Every control message that is not retained goes out here, QoS 1."""
+        self.module.client.publish(topic, payload, qos=1)
+
+    def _deploy(
+        self, module: str, application: str, subtask: dict[str, Any], **handoff: Any
+    ) -> None:
+        """Tell ``module`` to host ``subtask`` (its :meth:`SubTask.to_dict`);
+        a migration passes the snapshot as ``handoff={...}``."""
+        topic = _ctl_topic(module, "deploy")
+        self._say(topic, application=application, subtask=subtask, **handoff)
+
+    def _undeploy(self, module: str, application: str, subtask_id: str = "*") -> None:
+        topic = _ctl_topic(module, "undeploy")
+        self._say(topic, application=application, subtask_id=subtask_id)
+
+    def _leg(
+        self, migration: str, leg: str, application: str, subtask_id: str, **fields: Any
+    ) -> None:
+        """This module's answer in a handoff, to whoever listens for ``leg``."""
+        topic = _migrate_topic(migration, leg)
+        self._say(topic, application=application, subtask_id=subtask_id, **fields)
+
+    def _publish_assignment(self, application: str, assignment: Assignment) -> None:
+        self.module.client.publish(
+            f"ifot/ctl/app/{application}/deployed",
+            {"assignment": assignment.to_dict(), "leader": self.module.name},
+            retain=True,
+        )
+
+    def _operator(self, application: str, subtask_id: str) -> StreamOperator | None:
+        """The hosted instance of a sub-task, if it can take part in a handoff."""
+        operator = self.module.operators.get(f"{application}/{subtask_id}")
+        return operator if isinstance(operator, StreamOperator) else None
+
     def _on_deploy(self, _topic: str, payload: Any, _packet: Packet) -> None:
         if self.stopped:
             return
         application = str(payload["application"])
         subtask = SubTask.from_dict(payload["subtask"])
+        handoff = payload.get("handoff")
+        adopting = isinstance(handoff, dict)
+        if adopting and self._operator(application, subtask.subtask_id) is not None:
+            # A redelivered handoff: the sub-task it carries already lives
+            # here (the first delivery adopted it). Not a failed deploy.
+            return
         try:
-            operator = self.module.deploy(application, subtask)
+            self.module.deploy(application, subtask)
         except DeploymentError as exc:
             self.trace("agent.deploy_failed", subtask=subtask.subtask_id, error=str(exc))
             return
         self.deploys_handled += 1  # repro: san-ok[SAN020] commutative counter
-        handoff = payload.get("handoff")
-        if isinstance(handoff, dict):
-            self._adopt_handoff(application, subtask, operator, handoff)
+        if adopting:
+            self._adopt_handoff(application, subtask.subtask_id, handoff)
         for stream in subtask.outputs:
             self.directory.announce_stream(
                 application,
@@ -208,9 +325,14 @@ class ModuleAgent(Component):
         subtask_id = str(payload["subtask_id"])
         migration = str(payload["migration"])
         drain_s = float(payload.get("drain_s", 0.25))
-        operator = self.module.operators.get(f"{application}/{subtask_id}")
-        if operator is None or not hasattr(operator, "pause"):
-            self._send_missing_state(migration, application, subtask_id)
+        operator = self._operator(application, subtask_id)
+        if operator is None:
+            self._send_migration_state(migration, application, subtask_id)
+            return
+        if operator.paused:
+            # A redelivered pause: the snapshot timer is armed or has fired,
+            # and a second snapshot would drain records into neither the
+            # adopted state nor the tail.
             return
         operator.pause()
         self.trace(
@@ -221,48 +343,30 @@ class ModuleAgent(Component):
         )
         self.after(drain_s, self._send_migration_state, migration, application, subtask_id)
 
-    def _send_missing_state(
-        self, migration: str, application: str, subtask_id: str
-    ) -> None:
-        # The operator vanished before the snapshot (a restart or undeploy
-        # won the race): report that so the coordinator falls back to a
-        # plain redeploy instead of waiting out its timeout.
-        self.module.client.publish(
-            f"ifot/ctl/migrate/{migration}/state",
-            {
-                "application": application,
-                "subtask_id": subtask_id,
-                "from_module": self.module.name,
-                "missing": True,
-            },
-            qos=1,
-        )
-
     def _send_migration_state(
         self, migration: str, application: str, subtask_id: str
     ) -> None:
         """Source side, step 2: snapshot state + buffered records."""
-        if self.stopped:
+        source = self.module.name
+        operator = self._operator(application, subtask_id)
+        if operator is None:
+            # The operator vanished before the snapshot (a restart or undeploy
+            # won the race): report that so the coordinator falls back to a
+            # plain redeploy instead of waiting out its timeout.
+            self._leg(
+                migration, "state", application, subtask_id, from_module=source, missing=True
+            )
             return
-        operator = self.module.operators.get(f"{application}/{subtask_id}")
-        if operator is None or not hasattr(operator, "take_handoff_buffer"):
-            self._send_missing_state(migration, application, subtask_id)
-            return
-        buffered = [
-            [stream, record.to_payload()]
-            for stream, record in operator.take_handoff_buffer()
-        ]
-        self.module.client.publish(
-            f"ifot/ctl/migrate/{migration}/state",
-            {
-                "application": application,
-                "subtask_id": subtask_id,
-                "subtask": operator.subtask.to_dict(),
-                "state": operator.export_state(),
-                "buffered": buffered,
-                "from_module": self.module.name,
-            },
-            qos=1,
+        buffered = _encode_buffer(operator.take_handoff_buffer())
+        self._leg(
+            migration,
+            "state",
+            application,
+            subtask_id,
+            subtask=operator.subtask.to_dict(),
+            state=operator.export_state(),
+            buffered=buffered,
+            from_module=source,
         )
         self.trace(
             "migrate.state_sent",
@@ -272,7 +376,7 @@ class ModuleAgent(Component):
         )
 
     def _adopt_handoff(
-        self, application: str, subtask: SubTask, operator: Any, handoff: dict[str, Any]
+        self, application: str, subtask_id: str, handoff: dict[str, Any]
     ) -> None:
         """Target side: import state, replay the snapshot buffer, go live.
 
@@ -283,47 +387,34 @@ class ModuleAgent(Component):
         hinge: a record forwarded to both ends during the overlap window
         is processed here live and skipped in the tail.
         """
-        from repro.core.flow import FlowRecord
-
         migration = str(handoff["migration"])
-        if not hasattr(operator, "absorb_handoff"):
+        operator = self._operator(application, subtask_id)
+        if operator is None:
             return
         state = handoff.get("state")
         if state:
             operator.import_state(state)
         operator.begin_handoff_tracking()
-        buffered = [
-            (str(stream), FlowRecord.from_payload(payload))
-            for stream, payload in handoff.get("buffered", [])
-        ]
+        buffered = _decode_buffer(handoff)
         operator.absorb_handoff(buffered)
         tail_sub = self.module.client.subscribe(
-            f"ifot/ctl/migrate/{migration}/tail", self._on_migrate_tail
+            _migrate_topic(migration, "tail"), self._on_migrate_tail
         )
         # The tails map is keyed by globally-unique migration id; adopt and
         # tail are causally ordered by the handoff protocol.
         self._migration_tails[migration] = (  # repro: san-ok[SAN020] protocol-ordered
             application,
-            subtask.subtask_id,
+            subtask_id,
             tail_sub,
         )
-        self.migrations_adopted += 1  # repro: san-ok[SAN020] commutative counter
         self.trace(
             "migrate.adopted",
             migration=migration,
             application=application,
-            subtask=subtask.subtask_id,
+            subtask=subtask_id,
             replayed=len(buffered),
         )
-        self.module.client.publish(
-            f"ifot/ctl/migrate/{migration}/ready",
-            {
-                "module": self.module.name,
-                "application": application,
-                "subtask_id": subtask.subtask_id,
-            },
-            qos=1,
-        )
+        self._leg(migration, "ready", application, subtask_id, module=self.module.name)
 
     def _on_release(self, _topic: str, payload: Any, _packet: Packet) -> None:
         """Source side, step 3: hand over the tail, then disappear.
@@ -338,23 +429,10 @@ class ModuleAgent(Component):
         application = str(payload["application"])
         subtask_id = str(payload["subtask_id"])
         migration = str(payload["migration"])
-        operator = self.module.operators.get(f"{application}/{subtask_id}")
-        tail: list[list[Any]] = []
-        if operator is not None and hasattr(operator, "take_handoff_buffer"):
-            tail = [
-                [stream, record.to_payload()]
-                for stream, record in operator.take_handoff_buffer()
-            ]
+        operator = self._operator(application, subtask_id)
+        tail = [] if operator is None else _encode_buffer(operator.take_handoff_buffer())
         self.module.undeploy(application, subtask_id)
-        self.module.client.publish(
-            f"ifot/ctl/migrate/{migration}/tail",
-            {
-                "application": application,
-                "subtask_id": subtask_id,
-                "buffered": tail,
-            },
-            qos=1,
-        )
+        self._leg(migration, "tail", application, subtask_id, buffered=tail)
         self.trace(
             "migrate.released",
             migration=migration,
@@ -366,21 +444,16 @@ class ModuleAgent(Component):
         """Target side, final step: replay the tail (deduped), finish."""
         if self.stopped:
             return
-        migration = topic.split("/")[3]
+        migration, _leg = _parse_migrate_topic(topic)
         entry = self._migration_tails.pop(migration, None)  # repro: san-ok[SAN020] protocol-ordered
         if entry is None:
             return
         application, subtask_id, tail_sub = entry
         self.module.client.unsubscribe(tail_sub)
-        operator = self.module.operators.get(f"{application}/{subtask_id}")
-        if operator is None or not hasattr(operator, "absorb_handoff"):
+        operator = self._operator(application, subtask_id)
+        if operator is None:
             return
-        from repro.core.flow import FlowRecord
-
-        tail = [
-            (str(stream), FlowRecord.from_payload(entry_payload))
-            for stream, entry_payload in payload.get("buffered", [])
-        ]
+        tail = _decode_buffer(payload)
         operator.absorb_handoff(tail, final=True)
         self.trace(
             "migrate.done",
@@ -399,22 +472,7 @@ class ModuleAgent(Component):
         if self.stopped:
             return
         try:
-            data = payload["recipe"]
-            if self.static_check != "off" and isinstance(data, dict):
-                from repro.lint.recipe_check import check_recipe_dict
-
-                errors = [
-                    d
-                    for d in check_recipe_dict(data)
-                    if d.severity >= Severity.ERROR
-                ]
-                if errors:
-                    raise StaticCheckError(
-                        f"recipe {data.get('recipe', '?')!r} rejected by "
-                        "static check",
-                        errors,
-                    )
-            recipe = Recipe.from_dict(data)
+            recipe = self._checked_recipe(payload["recipe"])
             strategy = strategy_by_name(str(payload.get("strategy", "load_aware")))
             self.lead_deployment(recipe, strategy)
         except StaticCheckError as exc:
@@ -426,6 +484,19 @@ class ModuleAgent(Component):
                 findings=len(exc.diagnostics),
             )
 
+    def _checked_recipe(self, data: "Recipe | dict[str, Any]") -> Recipe:
+        """The raw-dict gate of :meth:`ManagementNode.submit_recipe`."""
+        if isinstance(data, Recipe):
+            return data
+        if self.static_check != "off" and isinstance(data, dict):
+            from repro.lint.recipe_check import check_recipe_dict
+
+            _raise_on_errors(
+                check_recipe_dict(data),
+                f"recipe {data.get('recipe', '?')!r} rejected by static check",
+            )
+        return Recipe.from_dict(data)
+
     def _static_check(self, recipe: Recipe) -> None:
         """Structural gate: reject statically broken recipes pre-split."""
         from repro.lint.recipe_check import check_recipe
@@ -433,11 +504,7 @@ class ModuleAgent(Component):
         diagnostics = check_recipe(recipe)
         for diag in diagnostics:
             self.trace("agent.static_check", finding=diag.format())
-        errors = [d for d in diagnostics if d.severity >= Severity.ERROR]
-        if errors:
-            raise StaticCheckError(
-                f"recipe {recipe.name!r} rejected by static check", errors
-            )
+        _raise_on_errors(diagnostics, f"recipe {recipe.name!r} rejected by static check")
 
     def _rate_check(self, recipe: Recipe, placement: Any = None) -> None:
         """Feasibility gate: rejects only in strict mode (see static_check).
@@ -456,22 +523,20 @@ class ModuleAgent(Component):
             diagnostics = check_module_loads(recipe, *placement, self.node.cost_model)
         for diag in diagnostics:
             self.trace("agent.static_check", finding=diag.format())
-        if self.static_check != "strict":
-            return
-        errors = [d for d in diagnostics if d.severity >= Severity.ERROR]
-        if errors:
-            raise StaticCheckError(
-                f"recipe {recipe.name!r} is statically unschedulable", errors
+        if self.static_check == "strict":
+            _raise_on_errors(
+                diagnostics, f"recipe {recipe.name!r} is statically unschedulable"
             )
 
     def lead_deployment(
         self, recipe: Recipe, strategy: AssignmentStrategy | None = None
-    ) -> Assignment:
+    ) -> tuple[Assignment, dict[str, SubTask]]:
         """Split ``recipe``, assign over known-alive modules, send deploys.
 
         Unless ``static_check="off"``, the recipe passes through the
         static checker first — structurally invalid recipes raise
         :class:`StaticCheckError` before any deploy command is sent.
+        Returns the assignment and the split it deployed, by sub-task id.
         """
         from repro.lint.rates import placement_demand
 
@@ -493,20 +558,9 @@ class ModuleAgent(Component):
         )
         by_id = {s.subtask_id: s for s in subtasks}
         for subtask_id, module_name in sorted(assignment.placements.items()):
-            self.module.client.publish(
-                f"ifot/ctl/module/{module_name}/deploy",
-                {
-                    "application": recipe.name,
-                    "subtask": by_id[subtask_id].to_dict(),
-                },
-                qos=1,
-            )
-        self.module.client.publish(
-            f"ifot/ctl/app/{recipe.name}/deployed",
-            {"assignment": assignment.to_dict(), "leader": self.module.name},
-            retain=True,
-        )
-        return assignment
+            self._deploy(module_name, recipe.name, by_id[subtask_id].to_dict())
+        self._publish_assignment(recipe.name, assignment)
+        return assignment, by_id
 
     # ------------------------------------------------------------------
     # Status
@@ -516,7 +570,7 @@ class ModuleAgent(Component):
         if self.stopped:
             return
         self.module.client.publish(
-            f"ifot/ctl/status/report/{self.module.name}", self.module.status()
+            _STATUS_REPORT + self.module.name, self.module.status()
         )
 
     def on_stop(self) -> None:
@@ -557,10 +611,6 @@ class ManagementNode:
         self.status_reports: dict[str, dict[str, Any]] = {}
         self.auto_failover = auto_failover
         self.failovers_performed = 0
-        self.reinstatements_performed = 0
-        self.migrations_started = 0
-        self.migrations_completed = 0
-        self.migrations_aborted = 0
         self.load_sheds_performed = 0
         #: Applications shed to fit surviving capacity (degraded mode).
         self.degraded_applications: list[str] = []
@@ -573,17 +623,33 @@ class ManagementNode:
         self.failback_delay_s = (
             heartbeat_s if failback_delay_s is None else failback_delay_s
         )
-        #: Applications this node led: name -> (recipe, live assignment).
-        self._led: dict[str, tuple[Recipe, Assignment]] = {}
-        #: In-flight migrations: id -> coordinator state.
-        self._migrations: dict[str, dict[str, Any]] = {}
+        #: Applications this node led: name -> (recipe, live assignment,
+        #: the split it was deployed from by sub-task id, in split order).
+        self._led: dict[str, tuple[Recipe, Assignment, dict[str, SubTask]]] = {}
+        #: In-flight migrations by (app, sid): a sub-task moves at most once
+        #: at a time. A migration leaves the table the moment it is decided.
+        self._migrations: dict[tuple[str, str], Migration] = {}
+        #: What a leg does to a migration in a phase — the whole handoff
+        #: protocol, coordinator side. Any leg may arrive twice or late
+        #: (QoS 1 is at-least-once); one that does not match the phase is
+        #: dropped, here and nowhere else.
+        self._transitions = {
+            (Phase.PAUSE, "state"): self._transfer,
+            (Phase.PAUSE, "missing"): self._abort,
+            (Phase.PAUSE, "ready"): self._drop,
+            (Phase.PAUSE, "timeout"): self._abort,
+            (Phase.PAUSE, "stopped"): self._abort,
+            (Phase.TRANSFER, "state"): self._drop,
+            (Phase.TRANSFER, "missing"): self._drop,
+            (Phase.TRANSFER, "ready"): self._switch,
+            (Phase.TRANSFER, "timeout"): self._abort,
+            (Phase.TRANSFER, "stopped"): self._abort,
+        }
         #: Sub-tasks failover moved off their assigned module, awaiting
         #: fail-back when the original host rejoins: (app, sid) -> module.
         self._displaced: dict[tuple[str, str], str] = {}
         # Both maps are mutated from MQTT dispatch events and timers —
         # cross-event shared state the schedule sanitizer should see.
-        from repro.runtime.state import tracked_state
-
         self._migrations_cell = tracked_state(
             module.node.runtime, f"mgmt.{module.name}", "migrations"
         )
@@ -597,27 +663,32 @@ class ManagementNode:
         self._status_cell = tracked_state(
             module.node.runtime, f"mgmt.{module.name}", "status"
         )
-        self.detector: "FailureDetector | None" = None
+        self.detector: FailureDetector | None = None
         if auto_failover:
-            from repro.core.healing import FailureDetector
-
+            # The membership layer usually beats phi accrual to a clean crash
+            # (the broker's last-will tombstone fires at keep-alive expiry);
+            # the detector covers the cases that leave no tombstone. Failover
+            # is idempotent — a second pass finds no orphaned placements.
             self.detector = FailureDetector(
                 module.node,
                 self.agent.directory,
                 expected_interval_s=heartbeat_s,
-                on_confirm=self._on_detector_confirm,
+                on_confirm=self._fail_over_module,
                 exclude={module.name},
                 connected=lambda: module.client.connected,
                 **(detector_params or {}),
             )
         module.client.subscribe_many(
             [
-                ("ifot/ctl/status/report/+", self._on_status),
-                ("ifot/ctl/migrate/+/state", self._on_migration_state),
-                ("ifot/ctl/migrate/+/ready", self._on_migration_ready),
+                (_STATUS_REPORT + "+", self._on_status),
+                (_migrate_topic("+", "state"), self._on_migration),
+                (_migrate_topic("+", "ready"), self._on_migration),
             ]
         )
         self.directory.watch_members(self._on_membership_change)
+
+    def _trace(self, event: str, **fields: Any) -> None:
+        self.module.node.runtime.trace("mgmt", event, **fields)
 
     # ------------------------------------------------------------------
     # Application lifecycle
@@ -643,41 +714,28 @@ class ManagementNode:
         is rejected with a :class:`StaticCheckError` carrying diagnostics
         instead of a bare constructor exception.
         """
-        if isinstance(recipe, dict):
-            if self.agent.static_check != "off":
-                from repro.lint.recipe_check import check_recipe_dict
-
-                errors = [
-                    d
-                    for d in check_recipe_dict(recipe)
-                    if d.severity >= Severity.ERROR
-                ]
-                if errors:
-                    raise StaticCheckError(
-                        f"recipe {recipe.get('recipe', '?')!r} rejected by "
-                        "static check",
-                        errors,
-                    )
-            recipe = Recipe.from_dict(recipe)
+        recipe = self.agent._checked_recipe(recipe)
         if isinstance(strategy, str):
             strategy = strategy_by_name(strategy)
         if via_module is not None:
             name = (
                 strategy.name if isinstance(strategy, AssignmentStrategy) else "load_aware"
             )
-            self.module.client.publish(
-                f"ifot/ctl/module/{via_module}/submit",
-                {"recipe": recipe.to_dict(), "strategy": name},
-                qos=1,
-            )
+            topic = _ctl_topic(via_module, "submit")
+            self.agent._say(topic, recipe=recipe.to_dict(), strategy=name)
             return None
-        assignment = self.agent.lead_deployment(recipe, strategy)
+        assignment, subtasks = self.agent.lead_deployment(recipe, strategy)
         self._led_cell.note_write()
-        self._led[recipe.name] = (recipe, assignment)
+        self._led[recipe.name] = (recipe, assignment, subtasks)
         return assignment
 
     def stop_application(self, application: str) -> None:
-        """Broadcast undeploy of ``application`` to every known module."""
+        """Broadcast undeploy of ``application`` to every known module.
+
+        A handoff of one of its sub-tasks still in flight is aborted first
+        (reason ``stopped``, nothing redeployed), so no late leg of it can
+        bring the sub-task back.
+        """
         self._led_cell.note_write()
         self._led.pop(application, None)
         stale = [key for key in self._displaced if key[0] == application]
@@ -685,12 +743,11 @@ class ManagementNode:
             self._displaced_cell.note_write()
             for key in stale:
                 del self._displaced[key]
+        for migration in list(self._migrations.values()):
+            if migration.application == application:
+                self._on_migration(_migrate_topic(migration.id, "stopped"))
         for record in self.agent.directory.modules():
-            self.module.client.publish(
-                f"ifot/ctl/module/{record.name}/undeploy",
-                {"application": application, "subtask_id": "*"},
-                qos=1,
-            )
+            self.agent._undeploy(record.name, application)
 
     # ------------------------------------------------------------------
     # Failover (extension: the paper's dynamic join/leave future work)
@@ -704,13 +761,6 @@ class ManagementNode:
         else:
             self._fail_over_module(name)
 
-    def _on_detector_confirm(self, name: str) -> None:
-        # The membership layer usually beats phi accrual to a clean crash
-        # (the broker's last-will tombstone fires at keep-alive expiry);
-        # the detector covers the cases that leave no tombstone. Failover
-        # is idempotent — a second pass finds no orphaned placements.
-        self._fail_over_module(name)
-
     def _reinstate_module(self, joined_module: str) -> None:
         """Re-send every sub-task still placed on a (re)joined module.
 
@@ -721,29 +771,15 @@ class ManagementNode:
         the duplicate and keeps running.
         """
         self._led_cell.note_read()
-        for app_name, (recipe, assignment) in self._led.items():
-            owned = sorted(
-                sid
-                for sid, module_name in assignment.placements.items()
-                if module_name == joined_module
-            )
-            if not owned:
-                continue
-            subtasks = {s.subtask_id: s for s in RecipeSplit().split(recipe)}
-            for sid in owned:
-                self.module.client.publish(
-                    f"ifot/ctl/module/{joined_module}/deploy",
-                    {"application": app_name, "subtask": subtasks[sid].to_dict()},
-                    qos=1,
-                )
-                self.module.node.runtime.trace(
-                    "mgmt",
+        for app_name, (_recipe, assignment, subtasks) in self._led.items():
+            for sid in assignment.subtasks_on(joined_module):
+                self.agent._deploy(joined_module, app_name, subtasks[sid].to_dict())
+                self._trace(
                     "mgmt.reinstated",
                     application=app_name,
                     subtask=sid,
                     module=joined_module,
                 )
-            self.reinstatements_performed += 1
         self._schedule_failback(joined_module)
 
     def _schedule_failback(self, joined_module: str) -> None:
@@ -762,14 +798,8 @@ class ManagementNode:
             return
         self._displaced_cell.note_write()
         for app_name, sid in displaced:
-            self._displaced.pop((app_name, sid), None)
-            if app_name not in self._led:
-                continue
-            self.module.client.publish(
-                f"ifot/ctl/module/{joined_module}/undeploy",
-                {"application": app_name, "subtask_id": sid},
-                qos=1,
-            )
+            del self._displaced[app_name, sid]
+            self.agent._undeploy(joined_module, app_name, sid)
             self.agent.after(
                 self.failback_delay_s, self._fail_back, app_name, sid, joined_module
             )
@@ -780,8 +810,7 @@ class ManagementNode:
         led = self._led.get(application)
         if led is None:
             return
-        _recipe, assignment = led
-        current = assignment.placements.get(subtask_id)
+        current = led[1].placements.get(subtask_id)
         if current is None or current == home_module:
             return
         if all(r.name != home_module for r in self.directory.module_infos()):
@@ -802,7 +831,7 @@ class ManagementNode:
         """
         self._shed_if_overcommitted(dead_module)
         self._led_cell.note_read()
-        for app_name, (recipe, assignment) in self._led.items():
+        for app_name, (_recipe, assignment, subtasks) in self._led.items():
             orphans = [
                 sid
                 for sid, module_name in assignment.placements.items()
@@ -810,7 +839,6 @@ class ManagementNode:
             ]
             if not orphans:
                 continue
-            subtasks = {s.subtask_id: s for s in RecipeSplit().split(recipe)}
             # The dead module may still linger in the directory when the
             # detector beat the broker's tombstone to the verdict; never
             # re-place orphans onto the module being failed over.
@@ -823,8 +851,7 @@ class ManagementNode:
             for sid in orphans:
                 subtask = subtasks[sid]
                 if subtask.pin_to == dead_module:
-                    self.module.node.runtime.trace(
-                        "mgmt",
+                    self._trace(
                         "mgmt.failover_pinned",
                         application=app_name,
                         subtask=sid,
@@ -845,18 +872,9 @@ class ManagementNode:
                 # accusation it removes the stale instance so the
                 # replacement is the *only* live one (exactly-once per
                 # incarnation holds either way).
-                self.module.client.publish(
-                    f"ifot/ctl/module/{dead_module}/undeploy",
-                    {"application": app_name, "subtask_id": subtask.subtask_id},
-                    qos=1,
-                )
-                self.module.client.publish(
-                    f"ifot/ctl/module/{target}/deploy",
-                    {"application": app_name, "subtask": subtask.to_dict()},
-                    qos=1,
-                )
-                self.module.node.runtime.trace(
-                    "mgmt",
+                self.agent._undeploy(dead_module, app_name, subtask.subtask_id)
+                self.agent._deploy(target, app_name, subtask.to_dict())
+                self._trace(
                     "mgmt.failover_moved",
                     application=app_name,
                     subtask=subtask.subtask_id,
@@ -864,11 +882,7 @@ class ManagementNode:
                     to_module=target,
                 )
             self.failovers_performed += 1
-            self.module.client.publish(
-                f"ifot/ctl/app/{app_name}/deployed",
-                {"assignment": assignment.to_dict(), "leader": self.module.name},
-                retain=True,
-            )
+            self.agent._publish_assignment(app_name, assignment)
 
     def _replace(
         self, application: str, subtasks: list[SubTask], candidates: list[ModuleInfo]
@@ -881,10 +895,9 @@ class ManagementNode:
 
         demand: dict[str, float] = {}  # keyed "<application>/<sub-task>"
         placed: dict[str, str] = {}
-        for name, (recipe, assignment) in self._led.items():
-            for sid, load in placement_demand(
-                recipe, RecipeSplit().split(recipe), self.module.node.cost_model
-            ).items():
+        cost_model = self.module.node.cost_model
+        for name, (recipe, assignment, split) in self._led.items():
+            for sid, load in placement_demand(recipe, split.values(), cost_model).items():
                 demand[f"{name}/{sid}"] = load
             for sid, module in assignment.placements.items():
                 placed[f"{name}/{sid}"] = module
@@ -911,19 +924,11 @@ class ManagementNode:
         """
         if not self._led:
             return
-        from repro.core.healing import AppLoad, plan_degradation, recipe_utilization
-
         capacity = sum(info.capacity for info in self.directory.module_infos())
         loads: list[AppLoad] = []
-        for app_name, (recipe, assignment) in sorted(self._led.items()):
-            demand_subtasks = [
-                subtask
-                for subtask in RecipeSplit().split(recipe)
-                if not (
-                    assignment.placements.get(subtask.subtask_id) == dead_module
-                    and subtask.pin_to == dead_module
-                )
-            ]
+        for app_name, (recipe, _assignment, subtasks) in sorted(self._led.items()):
+            # (a pinned sub-task is placed where it is pinned, nowhere else)
+            demand_subtasks = [s for s in subtasks.values() if s.pin_to != dead_module]
             loads.append(
                 AppLoad(
                     application=app_name,
@@ -934,12 +939,10 @@ class ManagementNode:
         plan = plan_degradation(loads, capacity)
         if not plan.shed and plan.feasible:
             return
-        runtime = self.module.node.runtime
         for victim in plan.shed:
             self.load_sheds_performed += 1
             self.degraded_applications.append(victim.application)
-            runtime.trace(
-                "mgmt",
+            self._trace(
                 "mgmt.load_shed",
                 application=victim.application,
                 priority=victim.priority,
@@ -947,8 +950,7 @@ class ManagementNode:
             )
             self.stop_application(victim.application)
         if not plan.feasible:
-            runtime.trace(
-                "mgmt",
+            self._trace(
                 "mgmt.degraded",
                 residual=round(plan.residual, 4),
                 capacity=round(plan.capacity, 4),
@@ -992,156 +994,120 @@ class ManagementNode:
         skipped during tail replay. Returns the migration id, or ``None``
         if the sub-task already lives on ``to_module``. A timeout aborts
         the handoff and falls back to a plain redeploy (state lost, like
-        crash failover — but never two live instances).
+        crash failover — but never two live instances). A sub-task that is
+        already moving raises :class:`DeploymentError`.
         """
         led = self._led.get(application)
         if led is None:
             raise DeploymentError(f"application {application!r} is not led here")
-        recipe, assignment = led
+        if (application, subtask_id) in self._migrations:
+            raise DeploymentError(
+                f"sub-task {subtask_id!r} of {application!r} is already migrating"
+            )
+        _recipe, assignment, subtasks = led
         source = assignment.module_for(subtask_id)
         if source == to_module:
             return None
-        subtasks = {s.subtask_id: s for s in RecipeSplit().split(recipe)}
-        subtask = subtasks.get(subtask_id)
-        if subtask is None:
-            raise DeploymentError(
-                f"{application!r} has no sub-task {subtask_id!r}"
-            )
+        subtask = subtasks[subtask_id]  # placed, so it is in the split
         if subtask.pin_to is not None and subtask.pin_to != to_module:
             raise DeploymentError(
                 f"sub-task {subtask_id!r} is pinned to {subtask.pin_to!r}"
             )
         runtime = self.module.node.runtime
-        migration = runtime.ids.next("migration")
+        migration = Migration(
+            runtime.ids.next("migration"), application, subtask, source, to_module
+        )
         drain = self.migration_drain_s if drain_s is None else float(drain_s)
         timeout = self.migration_timeout_s if timeout_s is None else float(timeout_s)
-        span = None
         if runtime.obs is not None:
-            span = runtime.obs.start_span(
-                "migrate",
-                self.module.node,
-                migration=migration,
-                application=application,
-                subtask=subtask_id,
-                from_module=source,
-                to_module=to_module,
+            migration.span = runtime.obs.start_span(
+                "migrate", self.module.node, **migration.fields()
             )
         self._migrations_cell.note_write()
-        self._migrations[migration] = {
-            "application": application,
-            "subtask": subtask,
-            "from": source,
-            "to": to_module,
-            "phase": "pause",
-            "span": span,
-        }
-        self.migrations_started += 1
-        runtime.trace(
-            "mgmt",
-            "migrate.start",
-            migration=migration,
+        self._migrations[application, subtask_id] = migration
+        self._trace("migrate.start", **migration.fields())
+        self.agent._say(
+            _ctl_topic(source, "pause"),
             application=application,
-            subtask=subtask_id,
-            from_module=source,
-            to_module=to_module,
+            subtask_id=subtask_id,
+            migration=migration.id,
+            drain_s=drain,
         )
-        self.module.client.publish(
-            f"ifot/ctl/module/{source}/pause",
-            {
-                "application": application,
-                "subtask_id": subtask_id,
-                "migration": migration,
-                "drain_s": drain,
-            },
-            qos=1,
+        self.agent.after(
+            timeout, self._on_migration, _migrate_topic(migration.id, "timeout")
         )
-        self.agent.after(timeout, self._migration_timeout, migration)
-        return migration
+        return migration.id
 
-    def _on_migration_state(self, topic: str, payload: Any, _packet: Packet) -> None:
-        migration = topic.split("/")[3]
-        self._migrations_cell.note_read()
-        entry = self._migrations.get(migration)
-        if entry is None:
-            return
-        if not isinstance(payload, dict) or payload.get("missing"):
-            self._migrations_cell.note_write()
-            self._migrations.pop(migration, None)
-            self._abort_migration(migration, entry, "source_missing")
-            return
-        entry["phase"] = "transfer"
-        self.module.node.runtime.trace(
-            "mgmt",
-            "migrate.transfer",
-            migration=migration,
-            subtask=entry["subtask"].subtask_id,
-            buffered=len(payload.get("buffered", [])),
-        )
-        self.module.client.publish(
-            f"ifot/ctl/module/{entry['to']}/deploy",
-            {
-                "application": entry["application"],
-                "subtask": payload.get("subtask") or entry["subtask"].to_dict(),
-                "handoff": {
-                    "migration": migration,
-                    "state": payload.get("state"),
-                    "buffered": payload.get("buffered", []),
-                    "from_module": payload.get("from_module"),
-                },
-            },
-            qos=1,
-        )
-
-    def _on_migration_ready(self, topic: str, payload: Any, _packet: Packet) -> None:
-        migration = topic.split("/")[3]
-        self._migrations_cell.note_write()
-        entry = self._migrations.pop(migration, None)
-        if entry is None:
-            return
-        application = entry["application"]
-        subtask_id = entry["subtask"].subtask_id
-        led = self._led.get(application)
-        if led is not None:
-            _recipe, assignment = led
-            assignment.placements[subtask_id] = entry["to"]
-            self.module.client.publish(
-                f"ifot/ctl/app/{application}/deployed",
-                {"assignment": assignment.to_dict(), "leader": self.module.name},
-                retain=True,
-            )
-        self.module.client.publish(
-            f"ifot/ctl/module/{entry['from']}/release",
-            {
-                "application": application,
-                "subtask_id": subtask_id,
-                "migration": migration,
-            },
-            qos=1,
-        )
-        self.migrations_completed += 1
-        runtime = self.module.node.runtime
-        runtime.trace(
-            "mgmt",
-            "migrate.switched",
-            migration=migration,
-            application=application,
-            subtask=subtask_id,
-            from_module=entry["from"],
-            to_module=entry["to"],
-        )
-        if entry["span"] is not None and runtime.obs is not None:
-            runtime.obs.finish(entry["span"], outcome="switched")
-
-    def _migration_timeout(self, migration: str) -> None:
-        self._migrations_cell.note_write()
-        entry = self._migrations.pop(migration, None)
-        if entry is None:
-            return
-        self._abort_migration(migration, entry, "timeout")
-
-    def _abort_migration(
-        self, migration: str, entry: dict[str, Any], reason: str
+    def _on_migration(
+        self, topic: str, payload: Any = None, _packet: Packet | None = None
     ) -> None:
+        """Every leg of every handoff enters here: ``state`` and ``ready``
+        from the two subscriptions, ``timeout`` from the timer
+        :meth:`migrate_subtask` armed, ``stopped`` from
+        :meth:`stop_application` — the last two addressed like the first.
+        A leg for a finished or unknown migration is dropped."""
+        migration_id, leg = _parse_migrate_topic(topic)
+        if leg == "state":
+            self._migrations_cell.note_read()
+            if not isinstance(payload, dict) or payload.get("missing"):
+                leg = "missing"
+        else:  # every other leg can only take a migration off the table
+            self._migrations_cell.note_write()
+        for migration in self._migrations.values():
+            if migration.id == migration_id:
+                self._transitions[migration.phase, leg](migration, leg, payload)
+                return
+
+    def _drop(self, migration: Migration, leg: str, payload: Any) -> None:
+        """A leg its phase has no use for (a redelivery, a late answer)."""
+
+    def _transfer(self, migration: Migration, _leg: str, payload: Any) -> None:
+        """The source's snapshot arrived: ship it to the target."""
+        migration.phase = Phase.TRANSFER
+        buffered = payload.get("buffered", [])
+        self._trace(
+            "migrate.transfer",
+            migration=migration.id,
+            subtask=migration.subtask.subtask_id,
+            buffered=len(buffered),
+        )
+        self.agent._deploy(
+            migration.target,
+            migration.application,
+            payload.get("subtask") or migration.subtask.to_dict(),
+            handoff={
+                "migration": migration.id,
+                "state": payload.get("state"),
+                "buffered": buffered,
+                "from_module": payload.get("from_module"),
+            },
+        )
+
+    def _switch(self, migration: Migration, _leg: str, _payload: Any) -> None:
+        """The target is live: flip the placement, release the source."""
+        application, subtask_id = migration.application, migration.subtask.subtask_id
+        # A live migration's application is led: stopping it aborts them.
+        assignment = self._led[application][1]
+        assignment.placements[subtask_id] = migration.target
+        self.agent._publish_assignment(application, assignment)
+        self.agent._say(
+            _ctl_topic(migration.source, "release"),
+            application=application,
+            subtask_id=subtask_id,
+            migration=migration.id,
+        )
+        self._trace("migrate.switched", **migration.fields())
+        self._retire(migration, Phase.SWITCHED, "switched")
+
+    def _retire(self, migration: Migration, phase: Phase, outcome: str) -> None:
+        """A migration is decided: terminal phase, off the table, span closed."""
+        del self._migrations[migration.application, migration.subtask.subtask_id]
+        migration.phase = phase
+        obs = self.module.node.runtime.obs
+        if migration.span is not None and obs is not None:
+            obs.finish(migration.span, outcome=outcome)
+
+    def _abort(self, migration: Migration, leg: str, _payload: Any) -> None:
         """Fall back from a wedged handoff to a plain redeploy.
 
         Operator state is lost, exactly like crash failover — the one
@@ -1149,75 +1115,55 @@ class ManagementNode:
         never resumes, so no sample is ever processed by two live
         instances of the same sub-task.
         """
-        self.migrations_aborted += 1
-        runtime = self.module.node.runtime
-        application = entry["application"]
-        subtask = entry["subtask"]
-        runtime.trace(
-            "mgmt",
+        application, subtask = migration.application, migration.subtask
+        subtask_id = subtask.subtask_id
+        reason = leg
+        if leg == "missing":  # the one aborting leg that entered as a read
+            self._migrations_cell.note_write()
+            reason = "source_missing"
+        self._trace(
             "migrate.aborted",
-            migration=migration,
+            migration=migration.id,
             reason=reason,
-            phase=entry["phase"],
+            phase=migration.phase.value,
             application=application,
-            subtask=subtask.subtask_id,
+            subtask=subtask_id,
         )
-        if entry["span"] is not None and runtime.obs is not None:
-            runtime.obs.finish(entry["span"], outcome=f"aborted:{reason}")
+        self._retire(migration, Phase.ABORTED, f"aborted:{reason}")
         led = self._led.get(application)
         if led is None:
-            return
-        _recipe, assignment = led
-        if assignment.placements.get(subtask.subtask_id) != entry["from"]:
+            return  # stopped: there is nothing left to keep alive
+        assignment = led[1]
+        if assignment.placements.get(subtask_id) != migration.source:
             # Crash failover already re-placed it while the handoff was in
             # flight; a second deploy would double-instantiate.
             return
         candidates = self.directory.module_infos()
-        target = entry["to"]
+        target = migration.target
         if all(info.name != target for info in candidates):
             # The chosen target died too (double failure): pick a live one.
-            from repro.errors import AssignmentError
-
             try:
                 replacement = self._replace(application, [subtask], candidates)
-                target = replacement.module_for(subtask.subtask_id)
+                target = replacement.module_for(subtask_id)
             except (AssignmentError, DeploymentError):
-                runtime.trace(
-                    "mgmt",
+                self._trace(
                     "migrate.stranded",
-                    migration=migration,
+                    migration=migration.id,
                     application=application,
-                    subtask=subtask.subtask_id,
+                    subtask=subtask_id,
                 )
                 return
-        self.module.client.publish(
-            f"ifot/ctl/module/{entry['from']}/undeploy",
-            {"application": application, "subtask_id": subtask.subtask_id},
-            qos=1,
-        )
-        if target != entry["to"]:
-            self.module.client.publish(
-                f"ifot/ctl/module/{entry['to']}/undeploy",
-                {"application": application, "subtask_id": subtask.subtask_id},
-                qos=1,
-            )
-        self.module.client.publish(
-            f"ifot/ctl/module/{target}/deploy",
-            {"application": application, "subtask": subtask.to_dict()},
-            qos=1,
-        )
-        assignment.placements[subtask.subtask_id] = target
-        self.module.client.publish(
-            f"ifot/ctl/app/{application}/deployed",
-            {"assignment": assignment.to_dict(), "leader": self.module.name},
-            retain=True,
-        )
-        runtime.trace(
-            "mgmt",
+        self.agent._undeploy(migration.source, application, subtask_id)
+        if target != migration.target:
+            self.agent._undeploy(migration.target, application, subtask_id)
+        self.agent._deploy(target, application, subtask.to_dict())
+        assignment.placements[subtask_id] = target
+        self.agent._publish_assignment(application, assignment)
+        self._trace(
             "migrate.redeployed",
-            migration=migration,
+            migration=migration.id,
             application=application,
-            subtask=subtask.subtask_id,
+            subtask=subtask_id,
             to_module=target,
         )
 
@@ -1227,7 +1173,7 @@ class ManagementNode:
 
     def request_status(self) -> None:
         """Ask every module to report; answers land in ``status_reports``."""
-        self.module.client.publish("ifot/ctl/status/request", {})
+        self.module.client.publish(_STATUS_REQUEST, {})
 
     def _on_status(self, topic: str, payload: Any, _packet: Packet) -> None:
         module = topic.rsplit("/", 1)[-1]
@@ -1271,7 +1217,7 @@ class ManagementNode:
                 )
         if self._led:
             lines.append("applications led here:")
-            for name, (_recipe, assignment) in sorted(self._led.items()):
+            for name, (_recipe, assignment, _subtasks) in sorted(self._led.items()):
                 placements = ", ".join(
                     f"{sid}->{mod}" for sid, mod in sorted(assignment.placements.items())
                 )

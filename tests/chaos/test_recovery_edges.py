@@ -15,6 +15,7 @@ from repro.chaos import Invariants, build_chaos_cluster, build_chaos_recipe
 from repro.core.flow import FlowRecord, topic_for_stream
 from repro.core.recipe import Recipe, TaskSpec
 from repro.core.splitter import SubTask
+from repro.errors import DeploymentError
 from repro.ml.features import Datum
 from repro.mqtt.client import MqttClient
 
@@ -22,7 +23,9 @@ APP = "edge-app"
 APP_CHAOS = "chaos-app"
 
 
-def windowed_recipe(count: int = 8) -> Recipe:
+def windowed_recipe(
+    count: int = 8, rate_hz: float = 2.0, capabilities: tuple[str, ...] = ("compute",)
+) -> Recipe:
     """Sensor -> count window: the window's partial batch is the state
     that must survive a live migration."""
     return Recipe(
@@ -32,7 +35,7 @@ def windowed_recipe(count: int = 8) -> Recipe:
                 "sense",
                 "sensor",
                 outputs=["raw"],
-                params={"device": "sample", "rate_hz": 2.0, "qos": 1},
+                params={"device": "sample", "rate_hz": rate_hz, "qos": 1},
                 pin_to="module-a",
                 capabilities=["sensor:sample"],
             ),
@@ -42,7 +45,7 @@ def windowed_recipe(count: int = 8) -> Recipe:
                 inputs=["raw"],
                 outputs=["batch"],
                 params={"mode": "count", "count": count, "qos": 1},
-                capabilities=["compute"],
+                capabilities=list(capabilities),
             ),
         ],
     )
@@ -68,6 +71,45 @@ def contributing_ids(batches: list[FlowRecord]) -> list[str]:
     for record in batches:
         ids.extend(record.merged_ids or [record.sample_id])
     return ids
+
+
+def redeliver_once(runtime, cluster, topic_filter, delay_s, match=lambda payload: True):
+    """Re-publish the first matching control message once, ``delay_s`` later:
+    what a broker retransmission after a lost PUBACK looks like to whoever
+    is subscribed. Returns the list the redelivered topic is recorded in."""
+    client = MqttClient(
+        runtime.add_node("redeliver"), cluster.broker.address, client_id="redeliver"
+    )
+    client.connect()
+    seen: list[str] = []
+
+    def on_message(topic, payload, _packet):
+        if not seen and match(payload):  # its own re-publish comes back too
+            seen.append(topic)
+            runtime.call_later(delay_s, client.publish, topic, payload, 1)
+
+    client.subscribe(topic_filter, on_message, qos=1)
+    return seen
+
+
+def sensed_ids(runtime) -> list[str]:
+    return [r["sample_id"] for r in runtime.tracer.select(event="sensor.sample")]
+
+
+def lost_and_duplicated(runtime, batches: list[FlowRecord]) -> tuple[list[str], int]:
+    """Sensed samples missing from the emitted batches, not counting the
+    newest ones (still in flight or in the window's partial batch), and
+    how many ids some batch counted a second time."""
+    ids = contributing_ids(batches)
+    batched = set(ids)
+    sensed = sensed_ids(runtime)
+    unbatched = [sample for sample in sensed if sample not in batched]
+    newest = set(sensed[len(sensed) - len(unbatched) :])
+    return [s for s in unbatched if s not in newest], len(ids) - len(batched)
+
+
+def hosts_of(cluster, key: str) -> list[str]:
+    return [name for name, m in cluster.modules.items() if key in m.operators]
 
 
 class TestStatefulMigration:
@@ -194,6 +236,71 @@ class TestMigrationFailures:
         assert f"{APP_CHAOS}/train" in cluster.module(placed_on).operators
         trained = list(runtime.tracer.select(event="ml.trained"))
         assert trained and trained[-1].time > runtime.now - 5.0
+        report = Invariants(runtime.tracer, cluster).check()
+        assert report.ok, [c.detail for c in report.failed()]
+
+
+class TestHandoffMachineHoles:
+    """Three interleavings the implicit pause/transfer machine let through;
+    each failed before the handoff became an explicit state machine."""
+
+    def busy_window(self, capabilities=("compute",)):
+        runtime, cluster = build_chaos_cluster(seed=3)
+        batches = batch_probe(runtime, cluster)
+        app = cluster.submit(
+            windowed_recipe(count=4, rate_hz=20.0, capabilities=capabilities)
+        )
+        cluster.settle(3.0)
+        source = app.assignment.module_for("window")
+        spare = [n for n in ("module-b", "module-c", "module-d") if n != source]
+        return runtime, cluster, batches, spare
+
+    def test_redelivered_pause_does_not_snapshot_twice(self):
+        runtime, cluster, batches, spare = self.busy_window()
+        redelivered = redeliver_once(
+            runtime, cluster, "ifot/ctl/module/+/pause", delay_s=0.030
+        )
+        cluster.settle(0.5)
+        assert cluster.management.migrate_subtask(APP, "window", spare[-1])
+        cluster.settle(10.0)
+        assert redelivered, "precondition: the pause was delivered twice"
+        assert len(list(runtime.tracer.select(event="migrate.state_sent"))) == 1
+        assert len(list(runtime.tracer.select(event="migrate.done"))) == 1
+        assert lost_and_duplicated(runtime, batches) == ([], 0)
+        report = Invariants(runtime.tracer, cluster).check()
+        assert report.ok, [c.detail for c in report.failed()]
+
+    def test_stop_application_aborts_its_inflight_handoff(self):
+        runtime, cluster, _batches, spare = self.busy_window()
+        migration = cluster.management.migrate_subtask(APP, "window", spare[-1])
+        cluster.settle(0.30)  # paused and draining, or the snapshot in flight
+        cluster.management.stop_application(APP)
+        cluster.settle(15.0)
+        assert hosts_of(cluster, f"{APP}/window") == []
+        assert hosts_of(cluster, f"{APP}/sense") == []
+        events = [
+            (r.event, r.fields.get("reason"))
+            for r in runtime.tracer
+            if r.event.startswith("migrate.") and r["migration"] == migration
+        ]
+        assert ("migrate.aborted", "stopped") in events
+        after = [event for event, _ in events[events.index(("migrate.aborted", "stopped")) :]]
+        assert "migrate.adopted" not in after and "migrate.redeployed" not in after
+        report = Invariants(runtime.tracer, cluster).check()
+        assert report.ok, [c.detail for c in report.failed()]
+
+    @pytest.mark.parametrize("gap_s", [0.0, 0.050])
+    def test_moving_subtask_cannot_be_migrated_again(self, gap_s):
+        runtime, cluster, batches, spare = self.busy_window(capabilities=())
+        first = cluster.management.migrate_subtask(APP, "window", spare[0])
+        cluster.settle(gap_s)
+        with pytest.raises(DeploymentError, match="already migrating"):
+            cluster.management.migrate_subtask(APP, "window", spare[1])
+        cluster.settle(15.0)
+        done = list(runtime.tracer.select(event="migrate.done"))
+        assert [r["migration"] for r in done] == [first]
+        assert hosts_of(cluster, f"{APP}/window") == [spare[0]]
+        assert lost_and_duplicated(runtime, batches) == ([], 0)
         report = Invariants(runtime.tracer, cluster).check()
         assert report.ok, [c.detail for c in report.failed()]
 
