@@ -24,6 +24,7 @@ from typing import Any
 from repro.core.flow import FlowRecord
 from repro.core.models import build_flow_model
 from repro.core.operators import PayloadEffect, StreamOperator, register_operator
+from repro.core.recipe import TaskSpec
 from repro.errors import RecipeError
 from repro.ml.evaluation import PrequentialAccuracy
 from repro.ml.mix import MixCoordinator, MixParticipantState
@@ -63,6 +64,17 @@ class LearningClass(StreamOperator):
     """
 
     cost_op = "ml.train"
+    load_points = 8.0
+    stateful = True
+    forwards_every_record = True
+
+    @classmethod
+    def redelivery_safe(cls, params: dict[str, Any]) -> bool:
+        return False  # a duplicate re-trains the model
+
+    @classmethod
+    def emit_rate(cls, task: TaskSpec, in_rates: list[float]) -> float:
+        return sum(in_rates) if task.outputs else 0.0
 
     @classmethod
     def payload_effect(cls, params: dict[str, Any]) -> PayloadEffect:
@@ -213,6 +225,7 @@ class JudgingClass(StreamOperator):
     """
 
     cost_op = "ml.predict"
+    load_points = 4.0
 
     #: judge() output keys per model kind (see repro.core.models).
     _JUDGE_ATTRS = {
@@ -319,6 +332,7 @@ class ManagingClass(StreamOperator):
     """
 
     cost_op = "ml.mix"
+    source = True  # rounds run on a timer, over control topics
 
     @classmethod
     def payload_effect(cls, params: dict[str, Any]) -> PayloadEffect:

@@ -17,6 +17,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from repro.core.operators import operator_class
 from repro.core.splitter import SubTask
 from repro.errors import AssignmentError
 
@@ -28,29 +29,7 @@ __all__ = [
     "LoadAwareStrategy",
     "CapabilityAwareStrategy",
     "TaskAssignment",
-    "OPERATOR_COSTS",
 ]
-
-#: Relative cost estimate per operator type, in arbitrary, rate-blind "load
-#: points". Placement ranks by predicted CPU utilization
-#: (:func:`repro.lint.rates.subtask_demand`); these survive as its
-#: tie-break where the cost model prices nothing, and as the currency of
-#: ``NeuronModule.current_load()`` and the announced ``load`` field.
-OPERATOR_COSTS: dict[str, float] = {
-    "sensor": 1.0,
-    "actuator": 0.5,
-    "window": 1.5,
-    "merge": 1.5,
-    "map": 1.0,
-    "filter": 0.5,
-    "stat": 1.0,
-    "train": 8.0,
-    "predict": 4.0,
-    "anomaly": 4.0,
-    "cluster": 3.0,
-    "mix": 2.0,
-}
-_DEFAULT_OPERATOR_COST = 2.0
 
 
 @dataclass
@@ -90,10 +69,12 @@ class Assignment:
 
 
 def estimate_cost(subtask: SubTask) -> float:
-    """Load points this sub-task is expected to consume."""
-    base = OPERATOR_COSTS.get(subtask.operator, _DEFAULT_OPERATOR_COST)
+    """Load points this sub-task is expected to consume: its operator
+    class's rate-blind ``load_points``. Placement ranks by predicted CPU
+    utilization (:func:`repro.lint.rates.subtask_demand`); these are its
+    tie-break where the cost model prices nothing."""
     # A shard of an n-way task carries ~1/n of the data.
-    return base / max(1, subtask.shard_count)
+    return operator_class(subtask.operator).load_points / max(1, subtask.shard_count)
 
 
 class AssignmentStrategy(ABC):

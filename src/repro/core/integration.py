@@ -18,6 +18,7 @@ from typing import Any
 
 from repro.core.flow import FlowRecord
 from repro.core.operators import PayloadEffect, StreamOperator, register_operator
+from repro.core.recipe import TaskSpec
 from repro.errors import RecipeError
 from repro.ml.features import Datum
 
@@ -34,6 +35,14 @@ class SensorClass(StreamOperator):
     """
 
     cost_op = "sensor.sample"
+    load_points = 1.0
+    source = True
+    samples_device = True
+    forwards_every_record = True
+
+    @classmethod
+    def emit_rate(cls, task: TaskSpec, in_rates: list[float]) -> float:
+        return float(task.params.get("rate_hz", 1.0))
 
     @classmethod
     def payload_effect(cls, params: dict[str, Any]) -> PayloadEffect:
@@ -121,6 +130,8 @@ class ActuatorClass(StreamOperator):
     """
 
     cost_op = "actuator.apply"
+    load_points = 0.5
+    forwards_every_record = True
 
     @classmethod
     def payload_effect(cls, params: dict[str, Any]) -> PayloadEffect:

@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.distribution import PublishClass, SubscribeClass
 from repro.core.flow import FlowRecord
+from repro.core.recipe import TaskSpec
 from repro.core.splitter import SubTask, shard_of
 from repro.errors import RecipeError
 from repro.ml.features import Datum
@@ -49,25 +50,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.node import NeuronModule
 
 __all__ = [
-    "STATEFUL_OPERATORS",
     "PayloadEffect",
     "StreamOperator",
     "register_operator",
     "create_operator",
+    "operator_class",
     "registered_operators",
 ]
-
-#: Operators holding cross-record state. Shared currency between the
-#: static recipe checker (RCP109: sharding a stateful operator splits its
-#: state across shards) and the schedule sanitizer (each instance gets a
-#: per-instance state cell so record-processing order is race-checked).
-STATEFUL_OPERATORS = {"merge", "stat", "ewma", "delta", "throttle", "dedup", "train"}
-
-#: Operators whose instances carry a sanitizer state cell: the stateful
-#: set plus ``window``, which buffers records between emissions (sharding
-#: it is fine — each shard windows its own slice — but processing order
-#: still mutates state).
-_SAN_TRACKED_OPERATORS = STATEFUL_OPERATORS | {"window"}
 
 
 @dataclass(frozen=True)
@@ -111,11 +100,40 @@ class StreamOperator(Component):
 
     Subclasses implement :meth:`on_record` (and optionally
     :meth:`configure` for parameter parsing) and call :meth:`emit`.
-    ``cost_op`` names the CPU operation charged per processed record in
-    simulation (analysis classes override it with ``ml.train`` etc.).
+
+    The class attributes and classmethods below are the operator's whole
+    static model: placement, the lint engines, the SLO policy and the
+    sanitizer read them through :func:`operator_class`, so a subclass
+    that overrides what differs from these defaults needs no entry
+    anywhere else.
     """
 
+    #: CPU operation charged per processed record (simulation, admission,
+    #: placement and latency bounds all price this one name).
     cost_op = "flow.process"
+    #: Rate-blind relative cost in "load points": placement's tie-break
+    #: where the cost model prices nothing, and the currency of
+    #: ``NeuronModule.current_load()`` and the announced ``load`` field.
+    load_points = 2.0
+    #: Legitimately consumes no stream (a source or a control-plane task).
+    source = False
+    #: Samples an attached device on its own clock: takes no inputs, and
+    #: its ``device`` param names the sensor whose channel keys are the
+    #: payload schema.
+    samples_device = False
+    #: Holds cross-record state: sharding it splits that state across
+    #: shards (RCP109), and each instance carries a sanitizer state cell
+    #: so record-processing order is race-checked.
+    stateful = False
+    #: Buffers records between emissions. Sharding is fine — each shard
+    #: buffers its own slice — but processing order still mutates state,
+    #: so instances carry the sanitizer cell too.
+    buffers_records = False
+    #: Emits one record per record processed, so a record entering a path
+    #: of such operators *must* reach the sink and pending-overdue SLO
+    #: tracking is sound. Operators that drop or fold records are
+    #: measured latency-only.
+    forwards_every_record = False
 
     @classmethod
     def payload_effect(cls, params: dict[str, Any]) -> PayloadEffect:
@@ -124,6 +142,26 @@ class StreamOperator(Component):
         raising implementation as opaque (malformed params are RCP1xx's
         job, not this one's)."""
         return PayloadEffect()
+
+    @classmethod
+    def redelivery_safe(cls, params: dict[str, Any]) -> bool:
+        """Whether a QoS 1 duplicate leaves this configuration's state
+        intact (base: yes). False where a redelivered record re-trains
+        the model or re-enters the statistic (RCP210)."""
+        return True
+
+    @classmethod
+    def emit_rate(cls, task: TaskSpec, in_rates: list[float]) -> float:
+        """Records/second published per output stream, given the rate of
+        each local input stream (base: everything passes — the worst
+        case for ``filter``/``delta``)."""
+        return sum(in_rates)
+
+    @classmethod
+    def hold_time(cls, task: TaskSpec, ingest_hz: float, emit_hz: float) -> float:
+        """Fixed time a record can sit inside the operator before
+        emission (base: none)."""
+        return 0.0
 
     def __init__(
         self, module: "NeuronModule", application: str, subtask: SubTask
@@ -167,7 +205,7 @@ class StreamOperator(Component):
         # record, so record order is schedule-sensitive; the sanitizer
         # cell makes that visible as a write per processing event.
         self._state_cell: StateCell | None = None
-        if subtask.operator in _SAN_TRACKED_OPERATORS:
+        if self.stateful or self.buffers_records:
             self._state_cell = tracked_state(
                 self.runtime, f"operator.{self.name}", "state"
             )
@@ -397,39 +435,61 @@ class StreamOperator(Component):
 # Registry
 # --------------------------------------------------------------------------
 
-OperatorFactory = Callable[["NeuronModule", str, SubTask], Component]
-_REGISTRY: dict[str, OperatorFactory] = {}
+_REGISTRY: dict[str, type[StreamOperator]] = {}
 
 
-def register_operator(name: str, factory: OperatorFactory) -> None:
+def register_operator(name: str, cls: type[StreamOperator]) -> None:
     """Add an operator to the recipe vocabulary (idempotent re-register of
-    the same factory is allowed; conflicting re-register is an error)."""
+    the same class is allowed; conflicting re-register is an error)."""
     existing = _REGISTRY.get(name)
-    if existing is not None and existing is not factory:
+    if existing is not None and existing is not cls:
         raise RecipeError(f"operator {name!r} already registered")
-    _REGISTRY[name] = factory
+    _REGISTRY[name] = cls
+
+
+def _populated() -> dict[str, type[StreamOperator]]:
+    # Importing the analysis/integration modules registers
+    # train/predict/mix/sensor/actuator alongside the generic operators.
+    import repro.core.analysis  # noqa: F401
+    import repro.core.integration  # noqa: F401
+
+    return _REGISTRY
 
 
 def registered_operators() -> list[str]:
-    return sorted(_REGISTRY)
+    return sorted(_populated())
+
+
+def operator_class(name: str) -> type[StreamOperator]:
+    """The class a recipe's operator ``name`` stands for — where every
+    static tool reads the operator's declarations. An unregistered name
+    gets :class:`StreamOperator` itself, i.e. the defaults (RCP106 is
+    what reports it)."""
+    return _populated().get(name, StreamOperator)
 
 
 def create_operator(
     module: "NeuronModule", application: str, subtask: SubTask
 ) -> Component:
     """Instantiate the operator a sub-task names."""
-    factory = _REGISTRY.get(subtask.operator)
-    if factory is None:
+    cls = _REGISTRY.get(subtask.operator)
+    if cls is None:
         raise RecipeError(
             f"unknown operator {subtask.operator!r} "
             f"(known: {registered_operators()})"
         )
-    return factory(module, application, subtask)
+    return cls(module, application, subtask)
 
 
 # --------------------------------------------------------------------------
 # window
 # --------------------------------------------------------------------------
+
+
+def _interval_capped(task: TaskSpec, ingest_hz: float) -> float:
+    """Emission rate of an operator releasing once per ``interval_s``."""
+    interval = float(task.params.get("interval_s", 0.0))
+    return min(ingest_hz, 1.0 / interval) if interval > 0 else ingest_hz
 
 
 class WindowOperator(StreamOperator):
@@ -441,9 +501,41 @@ class WindowOperator(StreamOperator):
     ``interval_s`` (time mode).
     """
 
+    load_points = 1.5
+    buffers_records = True
+
     @classmethod
     def payload_effect(cls, params: dict[str, Any]) -> PayloadEffect:
         return PayloadEffect(merges_inputs=True)
+
+    @classmethod
+    def redelivery_safe(cls, params: dict[str, Any]) -> bool:
+        # An align-mode duplicate overwrites the same per-source slot; a
+        # count/time batch would hold it twice.
+        return str(params.get("mode", "align")) == "align"
+
+    @classmethod
+    def emit_rate(cls, task: TaskSpec, in_rates: list[float]) -> float:
+        mode = str(task.params.get("mode", "align"))
+        if mode == "align":
+            # A round completes when the slowest source reports: the
+            # window ingests every stream but emits at that source's rate.
+            return min((rate for rate in in_rates if rate > 0), default=0.0)
+        if mode == "count":
+            return sum(in_rates) / max(1, int(task.params.get("count", 1)))
+        return _interval_capped(task, sum(in_rates))
+
+    @classmethod
+    def hold_time(cls, task: TaskSpec, ingest_hz: float, emit_hz: float) -> float:
+        mode = str(task.params.get("mode", "align"))
+        if mode == "align":
+            # The round's oldest contributor (the trace root) waits one
+            # full period of the slowest source.
+            return 1.0 / emit_hz if emit_hz > 0 else 0.0
+        if mode == "count":
+            count = max(1, int(task.params.get("count", 1)))
+            return count / ingest_hz if ingest_hz > 0 else 0.0
+        return float(task.params.get("interval_s", 0.0))
 
     def configure(self) -> None:
         self.mode = str(self.params.get("mode", "align"))
@@ -598,6 +690,9 @@ class MapOperator(StreamOperator):
     plus that function's own parameters.
     """
 
+    load_points = 1.0
+    forwards_every_record = True
+
     @classmethod
     def payload_effect(cls, params: dict[str, Any]) -> PayloadEffect:
         fn = str(params.get("fn", "identity"))
@@ -658,6 +753,8 @@ class FilterOperator(StreamOperator):
     ``field`` = ``datum`` (default) or ``attrs``.
     """
 
+    load_points = 0.5
+
     @classmethod
     def payload_effect(cls, params: dict[str, Any]) -> PayloadEffect:
         key = params.get("key")
@@ -712,6 +809,10 @@ class MergeOperator(StreamOperator):
     later-arriving stream wins for that emission.
     """
 
+    load_points = 1.5
+    stateful = True
+    forwards_every_record = True
+
     @classmethod
     def payload_effect(cls, params: dict[str, Any]) -> PayloadEffect:
         return PayloadEffect(merges_inputs=True)
@@ -761,6 +862,9 @@ class StatOperator(StreamOperator):
     default 64), ``stats`` (subset of mean/std/min/max, default mean+std).
     """
 
+    load_points = 1.0
+    stateful = True
+
     @classmethod
     def payload_effect(cls, params: dict[str, Any]) -> PayloadEffect:
         keys = tuple(str(k) for k in params.get("keys", ()) or ())
@@ -769,6 +873,10 @@ class StatOperator(StreamOperator):
             reads=keys,
             adds_attrs=tuple(f"{key}_{stat}" for key in keys for stat in wanted),
         )
+
+    @classmethod
+    def redelivery_safe(cls, params: dict[str, Any]) -> bool:
+        return False
 
     def configure(self) -> None:
         keys = self.params.get("keys")
@@ -898,11 +1006,18 @@ class EwmaOperator(StreamOperator):
     ones so downstream operators are oblivious to the smoothing.
     """
 
+    stateful = True
+    forwards_every_record = True
+
     @classmethod
     def payload_effect(cls, params: dict[str, Any]) -> PayloadEffect:
         return PayloadEffect(
             reads=tuple(str(k) for k in params.get("keys", ()) or ())
         )
+
+    @classmethod
+    def redelivery_safe(cls, params: dict[str, Any]) -> bool:
+        return False
 
     def configure(self) -> None:
         alpha = float(self.params.get("alpha", 0.2))
@@ -955,6 +1070,9 @@ class DeltaOperator(StreamOperator):
     default 0 = any change). String keys compare by inequality. The first
     record always passes (it establishes the baseline downstream).
     """
+
+    stateful = True
+    forwards_every_record = True
 
     @classmethod
     def payload_effect(cls, params: dict[str, Any]) -> PayloadEffect:
@@ -1011,6 +1129,16 @@ class ThrottleOperator(StreamOperator):
     state will come around again on a live stream.
     """
 
+    stateful = True
+
+    @classmethod
+    def emit_rate(cls, task: TaskSpec, in_rates: list[float]) -> float:
+        return _interval_capped(task, sum(in_rates))
+
+    @classmethod
+    def hold_time(cls, task: TaskSpec, ingest_hz: float, emit_hz: float) -> float:
+        return float(task.params.get("interval_s", 0.0))
+
     def configure(self) -> None:
         interval = float(self.params.get("interval_s", 0.0))
         if interval <= 0:
@@ -1049,6 +1177,12 @@ class DedupOperator(StreamOperator):
     is bounded: ids are remembered in a window of the last ``window``
     samples (default 1024).
     """
+
+    stateful = True
+    # Forwards every value-changing record, and the shipped flows feed it
+    # distinct readings; a deployment where dedup routinely drops should
+    # override the SLO policy.
+    forwards_every_record = True
 
     @classmethod
     def payload_effect(cls, params: dict[str, Any]) -> PayloadEffect:

@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Mapping
 
+from repro.core.operators import StreamOperator, operator_class
 from repro.core.recipe import Recipe
 from repro.lint.callgraph import INIT_METHODS, build_callgraph
 from repro.lint.engine import LintRun
@@ -41,7 +42,7 @@ from repro.lint.rates import DEFAULT_RECORD_BYTES, default_cost_model
 from repro.lint.suppress import parse_suppressions
 from repro.runtime.costs import CostModel
 from repro.san.rules import SAN_RULES
-from repro.util.validate import Diagnostic, Severity
+from repro.util.validate import Diagnostic, Rule, Severity
 
 __all__ = [
     "DATAFLOW_RULES",
@@ -53,60 +54,53 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DataflowRule:
-    rule_id: str
-    severity: Severity
-    description: str
-
-
 #: The recipe-payload / drift rule catalog (RCP2xx), for ``--catalog``
 #: and the docs. SAN020/SAN021 live in :data:`repro.san.rules.SAN_RULES`.
-DATAFLOW_RULES: dict[str, DataflowRule] = {
+DATAFLOW_RULES: dict[str, Rule] = {
     rule.rule_id: rule
     for rule in (
-        DataflowRule(
+        Rule(
             "RCP200",
             Severity.ERROR,
             "task reads a payload key no upstream producer can supply",
         ),
-        DataflowRule(
+        Rule(
             "RCP201",
             Severity.INFO,
             "merge/window key collision: several inputs carry the same key "
             "(documented latest-wins resolution applies)",
         ),
-        DataflowRule(
+        Rule(
             "RCP202",
             Severity.WARNING,
             "rename target overwrites a key the input already carries",
         ),
-        DataflowRule(
+        Rule(
             "RCP210",
             Severity.ERROR,
             "at-least-once (QoS 1) delivery feeds a non-idempotent stateful "
             "operator with no dedup on the path",
         ),
-        DataflowRule(
+        Rule(
             "RCP211",
             Severity.INFO,
             "inert dedup: no at-least-once hop upstream can duplicate "
             "records",
         ),
-        DataflowRule(
+        Rule(
             "RCP212",
             Severity.WARNING,
             "dedup downstream of a merging operator: merged emissions share "
             "the oldest contributor's sample_id, so dedup drops legitimate "
             "records",
         ),
-        DataflowRule(
+        Rule(
             "RCP230",
             Severity.ERROR,
             "cost-model drift: a baseline-recorded per-op busy mean departs "
             "from the current calibrated cost model beyond tolerance",
         ),
-        DataflowRule(
+        Rule(
             "RCP231",
             Severity.WARNING,
             "baseline charges a CPU op the current cost model does not "
@@ -162,9 +156,8 @@ def analyze_state_soundness(paths: Iterable[str]) -> LintRun:
                 # Mutating the cell attribute itself (e.g. rebinding) is
                 # the declaration's business, not undeclared state.
                 continue
-            diag = Diagnostic(
-                rule=rule.rule_id,
-                severity=rule.severity,
+            diag = rule.diagnostic(
+                where="",
                 message=(
                     f"{method.qualname} is schedule-reachable but mutates "
                     f"untracked state: {mutation.desc}"
@@ -172,7 +165,6 @@ def analyze_state_soundness(paths: Iterable[str]) -> LintRun:
                 file=method.file,
                 line=mutation.line,
                 col=mutation.col,
-                hint=rule.hint,
             )
             if suppressions[method.file].is_suppressed(diag.rule, diag.line):
                 run.suppressed += 1
@@ -212,24 +204,14 @@ class StreamSchema:
 
 _OPEN = StreamSchema(open_datum=True, open_attrs=True)
 
-#: Stateful operators whose state a duplicated record corrupts (a dup
-#: re-trains the model / re-enters the statistic). ``window`` in align
-#: mode is exempt: a duplicate overwrites the same per-source slot.
-_NON_IDEMPOTENT = {"train", "stat", "ewma", "window"}
-
 
 def _operator_effect(operator: str, params: dict[str, Any]):
     """The operator class's PayloadEffect, or ``None`` for unknown/opaque."""
-    import repro.core.analysis  # noqa: F401  - populates the registry
-    import repro.core.integration  # noqa: F401
-    from repro.core.operators import _REGISTRY
-
-    factory = _REGISTRY.get(operator)
-    effect_fn = getattr(factory, "payload_effect", None)
-    if effect_fn is None:
-        return None
+    cls = operator_class(operator)
+    if cls is StreamOperator:
+        return None  # unregistered (RCP106): nothing is known of its payload
     try:
-        return effect_fn(dict(params))
+        return cls.payload_effect(dict(params))
     except Exception:
         return None  # an effect that cannot be computed is opaque
 
@@ -276,7 +258,7 @@ def _walk_schemas(
             if min(_task_qos(producer), qos) >= 1:
                 merged = replace(merged, tainted=True)
         effect = _operator_effect(task.operator, task.params)
-        if task.operator == "sensor":
+        if operator_class(task.operator).samples_device:
             device = str(task.params.get("device", ""))
             keys = known_devices.get(device)
             out = (
@@ -373,26 +355,15 @@ def check_recipe_payloads(
                 diagnostics += _check_collisions(where, task, step.inputs)
             if effect.dedups:
                 diagnostics += _check_dedup(where, task, recipe, merged)
-        if (
-            task.operator in _NON_IDEMPOTENT
-            and merged.tainted
-            and not (
-                task.operator == "window"
-                and str(task.params.get("mode", "align")) == "align"
-            )
-        ):
-            rule = DATAFLOW_RULES["RCP210"]
+        cls = operator_class(task.operator)
+        if merged.tainted and not cls.redelivery_safe(task.params):
             diagnostics.append(
-                Diagnostic(
-                    rule=rule.rule_id,
-                    severity=rule.severity,
-                    message=(
-                        f"QoS 1 at-least-once delivery reaches non-idempotent "
-                        f"stateful operator {task.operator!r} with no dedup "
-                        "on the path — a redelivered record re-enters its "
-                        "state"
-                    ),
-                    where=where,
+                DATAFLOW_RULES["RCP210"].diagnostic(
+                    where,
+                    f"QoS 1 at-least-once delivery reaches non-idempotent "
+                    f"stateful operator {task.operator!r} with no dedup "
+                    "on the path — a redelivered record re-enters its "
+                    "state",
                     hint=(
                         "insert a dedup task upstream (the failover recipe "
                         "does exactly this), or drop to QoS 0 if loss is "
@@ -418,9 +389,7 @@ def _check_reads(
     for key in effect.reads:
         if missing_datum(key):
             diagnostics.append(
-                Diagnostic(
-                    rule=rule.rule_id,
-                    severity=rule.severity,
+                rule.diagnostic(
                     message=(
                         f"{task.operator!r} reads datum key {key!r} which no "
                         f"upstream producer supplies (available: "
@@ -433,9 +402,7 @@ def _check_reads(
     for key in effect.reads_attrs:
         if missing_attr(key):
             diagnostics.append(
-                Diagnostic(
-                    rule=rule.rule_id,
-                    severity=rule.severity,
+                rule.diagnostic(
                     message=(
                         f"{task.operator!r} reads attribute {key!r} which no "
                         f"upstream producer supplies (available: "
@@ -448,9 +415,7 @@ def _check_reads(
     for key in effect.reads_any:
         if missing_attr(key) and missing_datum(key):
             diagnostics.append(
-                Diagnostic(
-                    rule=rule.rule_id,
-                    severity=rule.severity,
+                rule.diagnostic(
                     message=(
                         f"{task.operator!r} reads key {key!r} which appears "
                         "in neither upstream datum keys "
@@ -471,9 +436,7 @@ def _check_renames(where: str, merged: StreamSchema, effect) -> list[Diagnostic]
     for old, new in effect.renames:
         if new in merged.datum and new not in renamed_away:
             diagnostics.append(
-                Diagnostic(
-                    rule=rule.rule_id,
-                    severity=rule.severity,
+                rule.diagnostic(
                     message=(
                         f"rename {old!r} -> {new!r} overwrites key {new!r} "
                         "the input already carries"
@@ -510,9 +473,7 @@ def _check_collisions(
         parts.append(f"attributes {attr_collisions}")
     rule = DATAFLOW_RULES["RCP201"]
     return [
-        Diagnostic(
-            rule=rule.rule_id,
-            severity=rule.severity,
+        rule.diagnostic(
             message=(
                 f"{task.operator!r} combines inputs that each carry "
                 + " and ".join(parts)
@@ -531,9 +492,7 @@ def _check_dedup(
     if not merged.tainted:
         rule = DATAFLOW_RULES["RCP211"]
         diagnostics.append(
-            Diagnostic(
-                rule=rule.rule_id,
-                severity=rule.severity,
+            rule.diagnostic(
                 message=(
                     "dedup has no at-least-once hop upstream: nothing can "
                     "duplicate records here"
@@ -550,9 +509,7 @@ def _check_dedup(
         if effect is not None and effect.merges_inputs:
             rule = DATAFLOW_RULES["RCP212"]
             diagnostics.append(
-                Diagnostic(
-                    rule=rule.rule_id,
-                    severity=rule.severity,
+                rule.diagnostic(
                     message=(
                         f"dedup consumes {stream!r} from merging operator "
                         f"{producer.operator!r} ({producer.task_id}): merged "
@@ -601,9 +558,7 @@ def check_cost_drift(
     op_busy = sim.get("op_busy")
     if not op_busy:
         return [
-            Diagnostic(
-                rule="RCP231",
-                severity=Severity.WARNING,
+            DATAFLOW_RULES["RCP231"].diagnostic(
                 message=(
                     "baseline records no per-op busy accounting (op_busy) — "
                     "the drift gate cannot run; regenerate the baseline"
@@ -627,9 +582,7 @@ def check_cost_drift(
         if predicted_mean is None:
             rule = DATAFLOW_RULES["RCP231"]
             diagnostics.append(
-                Diagnostic(
-                    rule=rule.rule_id,
-                    severity=rule.severity,
+                rule.diagnostic(
                     message=(
                         f"baseline charges {count} invocations of {op!r} but "
                         "the current cost model does not define it"
@@ -646,9 +599,7 @@ def check_cost_drift(
         if abs(drift) > tolerance:
             rule = DATAFLOW_RULES["RCP230"]
             diagnostics.append(
-                Diagnostic(
-                    rule=rule.rule_id,
-                    severity=rule.severity,
+                rule.diagnostic(
                     message=(
                         f"cost-model drift {drift:+.0%}: baseline mean "
                         f"{observed_mean * 1e3:.3f} ms/op vs current model "

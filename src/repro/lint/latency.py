@@ -71,20 +71,19 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from repro.core.operators import operator_class
 from repro.core.recipe import Recipe, TaskSpec
 from repro.lint.rates import (
-    COST_OP_BY_OPERATOR,
     DEFAULT_RECORD_BYTES,
     default_cost_model,
     propagate_rates,
 )
 from repro.net.wlan import WlanConfig
 from repro.runtime.costs import CostModel
-from repro.util.validate import Diagnostic, Severity
+from repro.util.validate import Diagnostic, Rule, Severity
 
 __all__ = [
     "LATENCY_RULES",
-    "LatencyRule",
     "LatencyContext",
     "ResourceBound",
     "FlowBound",
@@ -96,49 +95,40 @@ __all__ = [
     "flows_from_trace",
 ]
 
-_DEFAULT_COST_OP = "flow.process"
-
 #: RCP244 threshold: steady-state bound more than this multiple of the
 #: observed p99 is reported as loose.
 LOOSENESS_FACTOR = 10.0
 
 
-@dataclass(frozen=True)
-class LatencyRule:
-    rule_id: str
-    severity: Severity
-    description: str
-
-
 #: The latency-bound rule catalog (RCP24x), for ``--catalog`` and SARIF.
-LATENCY_RULES: dict[str, LatencyRule] = {
+LATENCY_RULES: dict[str, Rule] = {
     rule.rule_id: rule
     for rule in (
-        LatencyRule(
+        Rule(
             "RCP240",
             Severity.ERROR,
             "computed worst-case latency bound exceeds the deadline "
             "declared on the recipe sink",
         ),
-        LatencyRule(
+        Rule(
             "RCP241",
             Severity.ERROR,
             "unstable hop: arrival work rate >= service rate at a shared "
             "resource, so backlog and latency are unbounded",
         ),
-        LatencyRule(
+        Rule(
             "RCP242",
             Severity.WARNING,
             "deadline declared but no latency bound is derivable "
             "(unknown input rate or missing cost-model entry)",
         ),
-        LatencyRule(
+        Rule(
             "RCP243",
             Severity.ERROR,
             "soundness violation: observed max latency in a committed "
             "trace/bench exceeds the static bound — the model is wrong",
         ),
-        LatencyRule(
+        Rule(
             "RCP244",
             Severity.WARNING,
             "loose bound: static bound exceeds 10x the observed p99 "
@@ -287,25 +277,6 @@ def _warmup_cost(model: CostModel, op: str) -> float:
     return entry.warmup_extra_s * model.scale
 
 
-def _hold_time(task: TaskSpec, ingest_hz: float, emit_hz: float) -> float:
-    """Fixed time a record can sit inside the operator before emission."""
-    params = task.params
-    if task.operator == "window":
-        mode = str(params.get("mode", "align"))
-        if mode == "align":
-            # A round completes when the slowest source reports; the
-            # round's oldest contributor (the trace root) waits one full
-            # period of that source.
-            return 1.0 / emit_hz if emit_hz > 0 else 0.0
-        if mode == "count":
-            count = max(1, int(params.get("count", 1)))
-            return count / ingest_hz if ingest_hz > 0 else 0.0
-        return float(params.get("interval_s", 0.0))
-    if task.operator == "throttle":
-        return float(params.get("interval_s", 0.0))
-    return 0.0
-
-
 @dataclass
 class _StreamState:
     """Arrival-curve state of a stream at the broker (post-route)."""
@@ -396,6 +367,7 @@ def _walk(
 
     for task_id in recipe.topological_order:
         task = recipe.tasks[task_id]
+        cls = operator_class(task.operator)
         cpu = _cpu_key(task, placement)
         ingest_hz = rates[task_id].ingest_hz
         emit_hz = rates[task_id].emit_hz
@@ -403,7 +375,7 @@ def _walk(
         reasons: list[str] = []
         resources: list[str] = [cpu]
 
-        if task.operator == "sensor" or not task.inputs:
+        if cls.samples_device or not task.inputs:
             burst_raw = task.params.get("burst", ctx.default_burst_records)
             burst_in = max(1.0, float(burst_raw))
             latency_in = 0.0
@@ -457,12 +429,12 @@ def _walk(
                 resources.extend(["cpu:broker", "wlan"])
 
         # The operator itself.
-        op = COST_OP_BY_OPERATOR.get(task.operator, _DEFAULT_COST_OP)
+        op = cls.cost_op
         service_s = model.steady_cost(op, ctx.record_bytes)
         if service_s is None:
             derivable = False
             reasons.append(f"cost model does not define op {op!r}")
-        hold = _hold_time(task, ingest_hz, emit_hz)
+        hold = cls.hold_time(task, ingest_hz, emit_hz)
         shard_hz = demand_hz / max(1, task.parallelism)
         d_op = hop(cpu, shard_hz, burst_in, service_s)
         warmup = _warmup_cost(model, op)
@@ -549,16 +521,6 @@ def _walk(
 # ---------------------------------------------------------------------------
 
 
-def _diag(rule: str, where: str, message: str, hint: str = "") -> Diagnostic:
-    return Diagnostic(
-        rule=rule,
-        severity=LATENCY_RULES[rule].severity,
-        message=message,
-        where=where,
-        hint=hint,
-    )
-
-
 def check_deadlines(
     recipe: Recipe,
     context: LatencyContext | None = None,
@@ -571,8 +533,7 @@ def check_deadlines(
         load = result.resources[resource]
         if not load.stable:
             diagnostics.append(
-                _diag(
-                    "RCP241",
+                LATENCY_RULES["RCP241"].diagnostic(
                     f"{recipe.name}:resource {resource}",
                     f"unstable hop: arrival demands {load.utilization:.2f} "
                     "work-seconds per second of a unit-rate resource — "
@@ -589,8 +550,7 @@ def check_deadlines(
         if not flow.derivable:
             detail = "; ".join(flow.reasons) or "insufficient model inputs"
             diagnostics.append(
-                _diag(
-                    "RCP242",
+                LATENCY_RULES["RCP242"].diagnostic(
                     where,
                     f"deadline {flow.deadline_s * 1000:g} ms declared but no "
                     f"bound is derivable: {detail}",
@@ -603,8 +563,7 @@ def check_deadlines(
             continue  # RCP241 already reported the unstable resource
         if flow.bound_s * 1000.0 > flow.deadline_s * 1000.0:
             diagnostics.append(
-                _diag(
-                    "RCP240",
+                LATENCY_RULES["RCP240"].diagnostic(
                     where,
                     f"worst-case latency bound {flow.bound_s * 1000:.1f} ms "
                     f"exceeds the declared deadline "
@@ -672,8 +631,7 @@ def check_bound_soundness(
         bound_ms = flow.bound_s * 1000.0
         if observed_max > bound_ms:
             diagnostics.append(
-                _diag(
-                    "RCP243",
+                LATENCY_RULES["RCP243"].diagnostic(
                     where,
                     f"soundness violation: observed max latency "
                     f"{observed_max:.1f} ms exceeds the static bound "
@@ -687,8 +645,7 @@ def check_bound_soundness(
             and flow.steady_bound_s * 1000.0 > looseness_factor * observed_p99
         ):
             diagnostics.append(
-                _diag(
-                    "RCP244",
+                LATENCY_RULES["RCP244"].diagnostic(
                     where,
                     f"loose bound: steady-state bound "
                     f"{flow.steady_bound_s * 1000:.1f} ms is more than "

@@ -1,13 +1,14 @@
 """Static rate propagation and CPU feasibility (paper §IV-C pre-check).
 
 A recipe declares its ingest rates (``rate_hz`` on sensor tasks); every
-operator transforms rates in a statically known way (a ``map`` passes its
-input rate through, an align ``window`` emits at the slowest source's
-rate, a ``throttle`` caps at ``1/interval_s`` ...). Propagating rates down
-the task graph gives each task's processing demand in records/second;
-multiplying by the per-record service time of the operator's CPU
-operation (the same :class:`~repro.runtime.costs.CostModel` the simulator
-charges) gives CPU-seconds-per-second — utilization. A task or module
+operator transforms rates in a statically known way, which its class
+declares as ``emit_rate`` (a ``map`` passes its input rate through, an
+align ``window`` emits at the slowest source's rate, a ``throttle`` caps
+at ``1/interval_s`` ...). Propagating rates down the task graph gives
+each task's processing demand in records/second; multiplying by the
+per-record service time of the class's ``cost_op`` (the same
+:class:`~repro.runtime.costs.CostModel` the simulator charges) gives
+CPU-seconds-per-second — utilization. A task or module
 whose utilization exceeds its capacity is *statically unschedulable*: the
 deployment would saturate exactly as the paper's testbed does past the
 20–40 Hz knee (§V-B), so the checker can say so before a single record
@@ -23,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
+from repro.core.operators import operator_class
 from repro.core.recipe import Recipe, TaskSpec
-from repro.runtime.costs import CostModel, OpCost
+from repro.runtime.costs import CostModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.splitter import SubTask
@@ -44,36 +46,11 @@ __all__ = [
 #: sensor datum serializes to roughly this).
 DEFAULT_RECORD_BYTES = 256
 
-#: CPU operation charged per record, by operator name (mirrors each
-#: operator class's ``cost_op``). Unknown operators fall back to the
-#: generic stream-processing cost.
-COST_OP_BY_OPERATOR: dict[str, str] = {
-    "sensor": "sensor.sample",
-    "actuator": "actuator.apply",
-    "train": "ml.train",
-    "predict": "ml.predict",
-    "mix": "ml.mix",
-}
-_DEFAULT_COST_OP = "flow.process"
-
 
 def default_cost_model() -> CostModel:
-    """Pi-class service times (the paper's calibrated model).
+    """Pi-class service times (the paper's calibrated model)."""
+    from repro.bench.calibration import pi_cost_model  # lazy: only this default needs repro.bench
 
-    Falls back to a small built-in table if the calibration module is
-    unavailable, so the checker never needs the bench package to work.
-    """
-    try:
-        from repro.bench.calibration import pi_cost_model
-    except Exception:  # pragma: no cover - calibration ships with the repo
-        model = CostModel()
-        model.define("sensor.sample", OpCost(base_s=2.5e-3))
-        model.define("actuator.apply", OpCost(base_s=2.0e-3))
-        model.define("flow.process", OpCost(base_s=1.6e-3))
-        model.define("ml.train", OpCost(base_s=28.0e-3))
-        model.define("ml.predict", OpCost(base_s=18.0e-3))
-        model.define("ml.mix", OpCost(base_s=8.0e-3))
-        return model
     return pi_cost_model()
 
 
@@ -83,30 +60,6 @@ class TaskRates:
 
     ingest_hz: float  # records/second arriving at the task
     emit_hz: float  # records/second published per output stream
-
-
-def _emit_rate(task: TaskSpec, ingest_hz: float) -> float:
-    operator = task.operator
-    params = task.params
-    if operator == "sensor":
-        return float(params.get("rate_hz", 1.0))
-    if operator == "window":
-        mode = str(params.get("mode", "align"))
-        if mode == "align":
-            return ingest_hz  # one emission per complete source round
-        if mode == "count":
-            count = max(1, int(params.get("count", 1)))
-            return ingest_hz / count
-        interval = float(params.get("interval_s", 0.0))
-        return min(ingest_hz, 1.0 / interval) if interval > 0 else ingest_hz
-    if operator == "throttle":
-        interval = float(params.get("interval_s", 0.0))
-        return min(ingest_hz, 1.0 / interval) if interval > 0 else ingest_hz
-    if operator == "train":
-        return 0.0 if not task.outputs else ingest_hz
-    # merge emits per arrival; map/filter/stat/predict/... at most pass
-    # through. Worst case: everything passes.
-    return ingest_hz
 
 
 def propagate_rates(recipe: Recipe) -> dict[str, TaskRates]:
@@ -119,27 +72,15 @@ def propagate_rates(recipe: Recipe) -> dict[str, TaskRates]:
     result: dict[str, TaskRates] = {}
     for task_id in recipe.topological_order:
         task = recipe.tasks[task_id]
-        if task.operator == "window" and str(task.params.get("mode", "align")) == "align":
-            # An align round completes when the slowest source reports:
-            # the window ingests every stream but emits at the slowest
-            # source's rate.
-            in_rates = [
-                stream_rates.get(stream, 0.0)
-                for stream in task.inputs
-                if ":" not in stream
-            ]
-            ingest = sum(in_rates)
-            positive = [rate for rate in in_rates if rate > 0]
-            emit = min(positive) if positive else 0.0
-        else:
-            ingest = sum(
-                stream_rates.get(stream, 0.0)
-                for stream in task.inputs
-                if ":" not in stream
-            )
-            emit = _emit_rate(task, ingest)
-        if task.operator == "sensor":
-            ingest = float(task.params.get("rate_hz", 1.0))
+        cls = operator_class(task.operator)
+        in_rates = [
+            stream_rates.get(stream, 0.0)
+            for stream in task.inputs
+            if ":" not in stream
+        ]
+        emit = cls.emit_rate(task, in_rates)
+        # A device sampler's arrival rate is its own sampling rate.
+        ingest = emit if cls.samples_device else sum(in_rates)
         result[task_id] = TaskRates(ingest_hz=ingest, emit_hz=emit)
         for stream in task.outputs:
             stream_rates[stream] = emit
@@ -166,7 +107,7 @@ def subtask_demand(
         return cost_model.steady_cost(op, record_bytes) or 0.0
 
     shards = max(1, task.parallelism)
-    op = COST_OP_BY_OPERATOR.get(task.operator, _DEFAULT_COST_OP)
+    op = operator_class(task.operator).cost_op
     demand_hz = rates.ingest_hz if task.inputs else rates.emit_hz
     recv_hz = rates.ingest_hz if task.inputs else 0.0
     send_hz = rates.emit_hz / shards * len(task.outputs)

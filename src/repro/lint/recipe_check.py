@@ -28,10 +28,9 @@ concrete assignment and module inventory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.core.operators import STATEFUL_OPERATORS
+from repro.core.operators import operator_class, registered_operators
 from repro.core.recipe import Recipe, TaskSpec
 from repro.core.splitter import SubTask
 from repro.errors import RecipeError
@@ -44,77 +43,68 @@ from repro.lint.rates import (
     task_utilization,
 )
 from repro.runtime.costs import CostModel
-from repro.util.validate import Diagnostic, Severity
+from repro.util.validate import Diagnostic, Rule, Severity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.assignment import Assignment, ModuleInfo
 
 __all__ = [
     "RECIPE_RULES",
-    "RecipeRule",
     "check_recipe",
     "check_recipe_dict",
     "check_rate_feasibility",
     "check_module_loads",
 ]
 
-@dataclass(frozen=True)
-class RecipeRule:
-    """One recipe-checker rule (id, default severity, description)."""
-
-    rule_id: str
-    severity: Severity
-    description: str
-
 
 #: The recipe-checker rule catalog (RCP1xx). Severity is the *default*:
 #: RCP108 downgrades to a warning for sink-like processors with outputs.
-RECIPE_RULES: dict[str, RecipeRule] = {
+RECIPE_RULES: dict[str, Rule] = {
     rule.rule_id: rule
     for rule in (
-        RecipeRule(
+        Rule(
             "RCP100",
             Severity.ERROR,
             "task spec malformed (bad id, bad parallelism, unknown field)",
         ),
-        RecipeRule("RCP101", Severity.ERROR, "duplicate task id"),
-        RecipeRule(
+        Rule("RCP101", Severity.ERROR, "duplicate task id"),
+        Rule(
             "RCP102", Severity.ERROR, "stream produced by more than one task"
         ),
-        RecipeRule(
+        Rule(
             "RCP103",
             Severity.ERROR,
             "consumed stream that nothing produces / malformed external "
             "reference",
         ),
-        RecipeRule("RCP104", Severity.ERROR, "dependency cycle"),
-        RecipeRule(
+        Rule("RCP104", Severity.ERROR, "dependency cycle"),
+        Rule(
             "RCP105",
             Severity.WARNING,
             "stream produced but never consumed (cross-app use is fine)",
         ),
-        RecipeRule("RCP106", Severity.ERROR, "operator not in the registry"),
-        RecipeRule(
+        Rule("RCP106", Severity.ERROR, "operator not in the registry"),
+        Rule(
             "RCP107",
             Severity.WARNING,
             "subscriber QoS exceeds publisher QoS on a stream",
         ),
-        RecipeRule(
+        Rule(
             "RCP108",
             Severity.ERROR,
             "port shape: sources with inputs, processors without inputs",
         ),
-        RecipeRule(
+        Rule(
             "RCP109",
             Severity.WARNING,
             "stateful operator sharded (split-merge chain hazard)",
         ),
-        RecipeRule(
+        Rule(
             "RCP110",
             Severity.ERROR,
             "statically unschedulable: utilization exceeds capacity",
         ),
-        RecipeRule(
+        Rule(
             "RCP111",
             Severity.WARNING,
             "near capacity (utilization above the warning threshold)",
@@ -122,29 +112,8 @@ RECIPE_RULES: dict[str, RecipeRule] = {
     )
 }
 
-#: Operators that legitimately consume no stream (sources / control-plane).
-_SOURCE_OPERATORS = {"sensor", "mix"}
-
 #: Utilization fraction of capacity above which RCP111 warns.
 SOFT_UTILIZATION = 0.8
-
-
-def _diag(
-    rule: str, severity: Severity, where: str, message: str, hint: str = ""
-) -> Diagnostic:
-    return Diagnostic(
-        rule=rule, severity=severity, message=message, where=where, hint=hint
-    )
-
-
-def _known_operators() -> set[str]:
-    # Importing the analysis/integration modules populates the registry
-    # with train/predict/mix/sensor/actuator alongside the generic ops.
-    import repro.core.analysis  # noqa: F401
-    import repro.core.integration  # noqa: F401
-    from repro.core.operators import registered_operators
-
-    return set(registered_operators())
 
 
 def check_recipe(recipe: Recipe) -> list[Diagnostic]:
@@ -162,9 +131,7 @@ def check_recipe_dict(data: dict[str, Any]) -> list[Diagnostic]:
     diagnostics: list[Diagnostic] = []
     if not isinstance(data, dict) or "recipe" not in data or "tasks" not in data:
         diagnostics.append(
-            _diag(
-                "RCP100",
-                Severity.ERROR,
+            RECIPE_RULES["RCP100"].diagnostic(
                 "<recipe>",
                 "recipe dict needs 'recipe' (name) and 'tasks'",
             )
@@ -179,14 +146,12 @@ def check_recipe_dict(data: dict[str, Any]) -> list[Diagnostic]:
             task = TaskSpec.from_dict(entry)
         except (RecipeError, TypeError, ValueError) as exc:
             diagnostics.append(
-                _diag("RCP100", Severity.ERROR, where, f"malformed task: {exc}")
+                RECIPE_RULES["RCP100"].diagnostic(where, f"malformed task: {exc}")
             )
             continue
         if task.task_id in seen_ids:
             diagnostics.append(
-                _diag(
-                    "RCP101",
-                    Severity.ERROR,
+                RECIPE_RULES["RCP101"].diagnostic(
                     f"{name}:task {task.task_id}",
                     f"duplicate task id {task.task_id!r}",
                     hint="task ids must be recipe-unique",
@@ -197,7 +162,7 @@ def check_recipe_dict(data: dict[str, Any]) -> list[Diagnostic]:
         tasks.append(task)
     if not tasks:
         diagnostics.append(
-            _diag("RCP100", Severity.ERROR, name or "<recipe>", "recipe has no tasks")
+            RECIPE_RULES["RCP100"].diagnostic(name or "<recipe>", "recipe has no tasks")
         )
         return diagnostics
 
@@ -230,9 +195,7 @@ def _check_streams(name: str, tasks: list[TaskSpec]) -> list[Diagnostic]:
         for stream in task.outputs:
             if stream in producers:
                 diagnostics.append(
-                    _diag(
-                        "RCP102",
-                        Severity.ERROR,
+                    RECIPE_RULES["RCP102"].diagnostic(
                         f"{name}:stream {stream}",
                         f"stream {stream!r} produced by both "
                         f"{producers[stream]!r} and {task.task_id!r}",
@@ -247,9 +210,7 @@ def _check_streams(name: str, tasks: list[TaskSpec]) -> list[Diagnostic]:
                 app, _sep, remote = stream.partition(":")
                 if not app or not remote:
                     diagnostics.append(
-                        _diag(
-                            "RCP103",
-                            Severity.ERROR,
+                        RECIPE_RULES["RCP103"].diagnostic(
                             f"{name}:task {task.task_id}",
                             f"malformed external stream reference {stream!r}",
                             hint="expected '<application>:<stream>'",
@@ -259,9 +220,7 @@ def _check_streams(name: str, tasks: list[TaskSpec]) -> list[Diagnostic]:
             consumed.add(stream)
             if stream not in producers:
                 diagnostics.append(
-                    _diag(
-                        "RCP103",
-                        Severity.ERROR,
+                    RECIPE_RULES["RCP103"].diagnostic(
                         f"{name}:task {task.task_id}",
                         f"consumes stream {stream!r} which no task produces",
                         hint="add a producing task or an external reference",
@@ -269,9 +228,7 @@ def _check_streams(name: str, tasks: list[TaskSpec]) -> list[Diagnostic]:
                 )
     for stream in sorted(set(producers) - consumed):
         diagnostics.append(
-            _diag(
-                "RCP105",
-                Severity.WARNING,
+            RECIPE_RULES["RCP105"].diagnostic(
                 f"{name}:stream {stream}",
                 f"stream {stream!r} (from {producers[stream]!r}) is never "
                 "consumed in this recipe",
@@ -319,9 +276,7 @@ def _check_cycles(name: str, tasks: list[TaskSpec]) -> list[Diagnostic]:
     cyclic = sorted(set(remaining) | set(self_loops))
     if cyclic:
         diagnostics.append(
-            _diag(
-                "RCP104",
-                Severity.ERROR,
+            RECIPE_RULES["RCP104"].diagnostic(
                 f"{name}:tasks {', '.join(cyclic)}",
                 f"dependency cycle involving {cyclic}",
                 hint="a recipe is a DAG: break the loop or split the recipe",
@@ -331,14 +286,12 @@ def _check_cycles(name: str, tasks: list[TaskSpec]) -> list[Diagnostic]:
 
 
 def _check_operators(name: str, tasks: list[TaskSpec]) -> list[Diagnostic]:
-    known = _known_operators()
+    known = registered_operators()
     return [
-        _diag(
-            "RCP106",
-            Severity.ERROR,
+        RECIPE_RULES["RCP106"].diagnostic(
             f"{name}:task {task.task_id}",
             f"unknown operator {task.operator!r}",
-            hint=f"registered: {sorted(known)}",
+            hint=f"registered: {known}",
         )
         for task in tasks
         if task.operator not in known
@@ -360,9 +313,7 @@ def _check_qos(name: str, tasks: list[TaskSpec]) -> list[Diagnostic]:
             producer, pub_qos = producer_qos[stream]
             if qos > pub_qos:
                 diagnostics.append(
-                    _diag(
-                        "RCP107",
-                        Severity.WARNING,
+                    RECIPE_RULES["RCP107"].diagnostic(
                         f"{name}:task {task.task_id}",
                         f"subscribes to {stream!r} at QoS {qos} but producer "
                         f"{producer!r} publishes at QoS {pub_qos}",
@@ -375,17 +326,16 @@ def _check_qos(name: str, tasks: list[TaskSpec]) -> list[Diagnostic]:
 
 def _check_ports(name: str, tasks: list[TaskSpec]) -> list[Diagnostic]:
     diagnostics: list[Diagnostic] = []
-    known = _known_operators()
+    known = registered_operators()
     for task in tasks:
         where = f"{name}:task {task.task_id}"
         if task.operator not in known:
             continue  # already RCP106
-        if task.operator == "sensor":
+        cls = operator_class(task.operator)
+        if cls.samples_device:
             if task.inputs:
                 diagnostics.append(
-                    _diag(
-                        "RCP108",
-                        Severity.ERROR,
+                    RECIPE_RULES["RCP108"].diagnostic(
                         where,
                         "sensor tasks sample a device; they cannot consume "
                         f"streams (got inputs {task.inputs})",
@@ -393,29 +343,24 @@ def _check_ports(name: str, tasks: list[TaskSpec]) -> list[Diagnostic]:
                 )
             if not task.outputs:
                 diagnostics.append(
-                    _diag(
-                        "RCP108",
-                        Severity.WARNING,
+                    RECIPE_RULES["RCP108"].diagnostic(
                         where,
                         "sensor task publishes nothing (no outputs)",
+                        severity=Severity.WARNING,
                     )
                 )
-        elif task.operator not in _SOURCE_OPERATORS and not task.inputs:
+        elif not cls.source and not task.inputs:
             diagnostics.append(
-                _diag(
-                    "RCP108",
-                    Severity.ERROR,
+                RECIPE_RULES["RCP108"].diagnostic(
                     where,
                     f"{task.operator!r} task consumes no stream — it will "
                     "never fire",
                     hint="only sensor/mix tasks are valid sources",
                 )
             )
-        if task.parallelism > 1 and task.operator in STATEFUL_OPERATORS:
+        if task.parallelism > 1 and cls.stateful:
             diagnostics.append(
-                _diag(
-                    "RCP109",
-                    Severity.WARNING,
+                RECIPE_RULES["RCP109"].diagnostic(
                     where,
                     f"stateful operator {task.operator!r} sharded x"
                     f"{task.parallelism}: each shard keeps independent state "
@@ -461,9 +406,7 @@ def check_rate_feasibility(
         )
         if util > 1.0:
             diagnostics.append(
-                _diag(
-                    "RCP110",
-                    Severity.ERROR,
+                RECIPE_RULES["RCP110"].diagnostic(
                     where,
                     f"statically unschedulable: {detail} on a unit-capacity "
                     "module",
@@ -473,9 +416,7 @@ def check_rate_feasibility(
             )
         elif util > SOFT_UTILIZATION:
             diagnostics.append(
-                _diag(
-                    "RCP111",
-                    Severity.WARNING,
+                RECIPE_RULES["RCP111"].diagnostic(
                     where,
                     f"near capacity: {detail}",
                     hint="no headroom for warm-up or bursts",
@@ -511,9 +452,7 @@ def check_module_loads(
         where = f"{recipe.name}:module {module_name}"
         if total >= cap:
             diagnostics.append(
-                _diag(
-                    "RCP110",
-                    Severity.ERROR,
+                RECIPE_RULES["RCP110"].diagnostic(
                     where,
                     f"statically unschedulable: assigned tasks demand "
                     f"{total:.2f} CPU-s/s against capacity {cap:g}",
@@ -522,9 +461,7 @@ def check_module_loads(
             )
         elif total > SOFT_UTILIZATION * cap:
             diagnostics.append(
-                _diag(
-                    "RCP111",
-                    Severity.WARNING,
+                RECIPE_RULES["RCP111"].diagnostic(
                     where,
                     f"near capacity: assigned load {total:.2f} of {cap:g}",
                 )

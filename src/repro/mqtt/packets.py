@@ -15,22 +15,14 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, ClassVar
 
 from repro.errors import ProtocolError, SerializationError
-from repro.util.flags import flag_enabled
 from repro.util.serialization import decode_payload, encode_fragment, encode_payload
 
-__all__ = ["PacketType", "Packet", "wire_fastpath_default"]
+__all__ = ["PacketType", "Packet"]
 
-
-def wire_fastpath_default() -> bool:
-    """Whether encoded wire bytes carry their packet for decode bypass.
-
-    ``REPRO_WIRE_FASTPATH=0`` disables it for differential testing.
-    """
-    return flag_enabled("REPRO_WIRE_FASTPATH")
-
-
-#: Module-level switch read on every encode/decode so tests can flip it.
-WIRE_FASTPATH = wire_fastpath_default()
+#: Whether encoded wire bytes carry their packet for decode bypass. Read
+#: on every encode so the equivalence tests can patch it off and force
+#: the JSON round trip.
+WIRE_FASTPATH = True
 
 
 _BOOL = ("false", "true")  # JSON text of a bool, by index

@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.errors import ConfigurationError
 from repro.obs.context import SPAN_EVENT
 from repro.obs.sketch import LatencySketch, WindowedSketch
-from repro.util.validate import Diagnostic, Severity
+from repro.util.validate import Diagnostic, Rule, Severity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.recipe import Recipe
@@ -77,46 +77,37 @@ SLO_STATUS_EVENT = "slo.status"
 SLO_STATUS_TOPIC = "ifot/ctl/status/slo"
 
 
-@dataclass(frozen=True)
-class SloRule:
-    """One rule the SLO engine can report."""
-
-    rule_id: str
-    severity: Severity
-    description: str
-
-
 #: The SLO rule family (rendered into the unified lint catalog).
-SLO_RULES: dict[str, SloRule] = {
+SLO_RULES: dict[str, Rule] = {
     rule.rule_id: rule
     for rule in (
-        SloRule(
+        Rule(
             "SLO300",
             Severity.ERROR,
             "Deadline burn page: a flow's error-budget burn rate exceeded "
             "the page threshold on both the short and the long window "
             "during the run.",
         ),
-        SloRule(
+        Rule(
             "SLO301",
             Severity.WARNING,
             "Deadline burn warning: a flow sustained a long-window "
             "error-budget burn above the warn threshold without paging.",
         ),
-        SloRule(
+        Rule(
             "SLO302",
             Severity.WARNING,
             "Deadline violations observed (late or overdue traces) without "
             "the burn rate ever reaching an alert threshold.",
         ),
-        SloRule(
+        Rule(
             "SLO310",
             Severity.WARNING,
             "Online cost-model drift: an op's observed mean busy time "
             "diverged from the active cost model beyond tolerance while "
             "the scenario ran (runtime counterpart of RCP230).",
         ),
-        SloRule(
+        Rule(
             "SLO320",
             Severity.WARNING,
             "Metric cardinality admission-stop engaged: the metrics "
@@ -124,19 +115,6 @@ SLO_RULES: dict[str, SloRule] = {
         ),
     )
 }
-
-#: Operators that forward every input record downstream, making
-#: pending-overdue tracking sound: a record entering the path *must*
-#: reach the sink, so a missing sink completion is a real violation.
-#: Conditional operators (``command`` rules, ``window`` batching,
-#: ``filter``/``throttle``/``predict``/``stat``/``mix``) legitimately
-#: drop or fold records; flows crossing them are measured latency-only.
-#: ``dedup`` forwards every value-changing record — the shipped flows
-#: feed it distinct readings — so it stays on the forwarding list; a
-#: deployment where dedup routinely drops should override the policy.
-FORWARDING_OPERATORS = frozenset(
-    {"sensor", "map", "merge", "delta", "ewma", "train", "actuator", "dedup"}
-)
 
 #: Default SLO target: 99% of records meet their declared deadline.
 DEFAULT_TARGET = 0.99
@@ -149,7 +127,11 @@ class FlowSlo:
     ``flow`` is the sink task id (the stage label of its spans);
     ``roots`` the source task ids whose spans open the flow's traces;
     ``pending`` arms overdue timers on root arrival (sound only when the
-    root → sink path always forwards, see :data:`FORWARDING_OPERATORS`).
+    root → sink path always forwards: every operator on it declares
+    ``forwards_every_record``; conditional ones — ``command`` rules,
+    ``window`` batching, ``filter``/``throttle``/``predict``/``stat``/
+    ``mix`` — legitimately drop or fold records, and flows crossing them
+    are measured latency-only).
     """
 
     flow: str
@@ -171,6 +153,8 @@ class FlowSlo:
 
 def _trace_roots(recipe: "Recipe", sink: str) -> tuple[set[str], bool]:
     """Source task ids upstream of ``sink`` + whether any hop can drop."""
+    from repro.core.operators import operator_class  # late: core imports obs
+
     roots: set[str] = set()
     conditional = False
     seen: set[str] = set()
@@ -181,7 +165,10 @@ def _trace_roots(recipe: "Recipe", sink: str) -> tuple[set[str], bool]:
             continue
         seen.add(task_id)
         task = recipe.tasks[task_id]
-        if task_id != sink and task.operator not in FORWARDING_OPERATORS:
+        if (
+            task_id != sink
+            and not operator_class(task.operator).forwards_every_record
+        ):
             conditional = True
         upstream = recipe.upstream_of(task_id)
         if not upstream:
@@ -682,9 +669,7 @@ class SloEngine:
                 rule = SLO_RULES["SLO300"]
                 at = self.first_page_at.get(flow_id, 0.0)
                 out.append(
-                    Diagnostic(
-                        rule=rule.rule_id,
-                        severity=rule.severity,
+                    rule.diagnostic(
                         message=(
                             f"deadline burn paged at t={at:.3f}s: "
                             f"{self.violations[flow_id]} violation(s) "
@@ -698,9 +683,7 @@ class SloEngine:
             elif self.warned[flow_id]:
                 rule = SLO_RULES["SLO301"]
                 out.append(
-                    Diagnostic(
-                        rule=rule.rule_id,
-                        severity=rule.severity,
+                    rule.diagnostic(
                         message=(
                             f"long-window burn exceeded warn threshold "
                             f"({self.violations[flow_id]} violation(s))"
@@ -711,9 +694,7 @@ class SloEngine:
             elif self.violations[flow_id]:
                 rule = SLO_RULES["SLO302"]
                 out.append(
-                    Diagnostic(
-                        rule=rule.rule_id,
-                        severity=rule.severity,
+                    rule.diagnostic(
                         message=(
                             f"{self.violations[flow_id]} deadline violation(s) "
                             "observed without a sustained burn"
@@ -725,9 +706,7 @@ class SloEngine:
             finding = self.drift[op]
             rule = SLO_RULES["SLO310"]
             out.append(
-                Diagnostic(
-                    rule=rule.rule_id,
-                    severity=rule.severity,
+                rule.diagnostic(
                     message=(
                         f"cost-model drift {finding['drift']:+.0%} at "
                         f"t={finding['t']:.3f}s: observed "
@@ -742,9 +721,7 @@ class SloEngine:
         if self._registry is not None and self._registry.dropped_series:
             rule = SLO_RULES["SLO320"]
             out.append(
-                Diagnostic(
-                    rule=rule.rule_id,
-                    severity=rule.severity,
+                rule.diagnostic(
                     message=(
                         f"metrics registry dropped {self._registry.dropped_series} "
                         f"series past its cap of {self._registry.max_series} "

@@ -24,7 +24,7 @@ their declaration (:mod:`repro.san.suppress`).
 
 from repro.san.recorder import RaceFinding, SimSan
 from repro.san.replay import schedule_stable_digest
-from repro.san.rules import SAN_RULES, SanRule
+from repro.san.rules import SAN_RULES
 from repro.san.runner import (
     SanReport,
     ScenarioSanResult,
@@ -39,7 +39,6 @@ __all__ = [
     "SAN_RULES",
     "SanOkRegistry",
     "SanReport",
-    "SanRule",
     "ScenarioSanResult",
     "SimSan",
     "run_sanitizer",

@@ -292,7 +292,6 @@ class SimSan:
             grouped.setdefault((finding.cell, finding.rule), []).append(finding)
         diagnostics: list[Diagnostic] = []
         for (cell_key, rule_id), group in sorted(grouped.items()):
-            rule = SAN_RULES[rule_id]
             first = group[0]
             seq_a, kind_a, label_a = first.access_a
             seq_b, kind_b, label_b = first.access_b
@@ -300,18 +299,13 @@ class SimSan:
                 f"{len(group)} unordered pair{'s' if len(group) != 1 else ''}"
             )
             diagnostics.append(
-                Diagnostic(
-                    rule=rule_id,
-                    severity=rule.severity,
-                    message=(
-                        f"cell {cell_key!r}: {pair_note}, first at "
-                        f"t={first.time:g}: event #{seq_a} ({label_a}, "
-                        f"{kind_a}) vs event #{seq_b} ({label_b}, {kind_b})"
-                    ),
+                SAN_RULES[rule_id].diagnostic(
+                    cell_key,
+                    f"cell {cell_key!r}: {pair_note}, first at "
+                    f"t={first.time:g}: event #{seq_a} ({label_a}, "
+                    f"{kind_a}) vs event #{seq_b} ({label_b}, {kind_b})",
                     file=first.site[0],
                     line=first.site[1],
-                    where=cell_key,
-                    hint=rule.hint,
                 )
             )
         return diagnostics, suppressed

@@ -7,27 +7,14 @@ hint, so ``repro san --list`` and the docs never drift from the code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.util.validate import Rule, Severity
 
-from repro.util.validate import Severity
+__all__ = ["SAN_RULES"]
 
-__all__ = ["SanRule", "SAN_RULES"]
-
-
-@dataclass(frozen=True)
-class SanRule:
-    """One schedule-sanitizer rule."""
-
-    rule_id: str
-    severity: Severity
-    description: str
-    hint: str
-
-
-SAN_RULES: dict[str, SanRule] = {
+SAN_RULES: dict[str, Rule] = {
     rule.rule_id: rule
     for rule in (
-        SanRule(
+        Rule(
             rule_id="SAN001",
             severity=Severity.ERROR,
             description=(
@@ -42,7 +29,7 @@ SAN_RULES: dict[str, SanRule] = {
                 "commutative"
             ),
         ),
-        SanRule(
+        Rule(
             rule_id="SAN002",
             severity=Severity.WARNING,
             description=(
@@ -56,7 +43,7 @@ SAN_RULES: dict[str, SanRule] = {
                 "if either value is acceptable"
             ),
         ),
-        SanRule(
+        Rule(
             rule_id="SAN020",
             severity=Severity.ERROR,
             description=(
@@ -72,7 +59,7 @@ SAN_RULES: dict[str, SanRule] = {
                 "commutative by construction"
             ),
         ),
-        SanRule(
+        Rule(
             rule_id="SAN021",
             severity=Severity.WARNING,
             description=(
@@ -88,7 +75,7 @@ SAN_RULES: dict[str, SanRule] = {
                 "or commutative by construction"
             ),
         ),
-        SanRule(
+        Rule(
             rule_id="SAN010",
             severity=Severity.ERROR,
             description=(

@@ -119,18 +119,12 @@ def sanitize(
         digest = schedule_stable_digest(perturbed_tracer)
         result.perturbed.append((seed, digest))
         if digest != base_digest:
-            rule = SAN_RULES["SAN010"]
             result.diagnostics.append(
-                Diagnostic(
-                    rule="SAN010",
-                    severity=rule.severity,
-                    message=(
-                        f"scenario {name!r}: tie-break perturbation "
-                        f"seed {seed} diverged (base {base_digest[:12]}…, "
-                        f"perturbed {digest[:12]}…)"
-                    ),
-                    where=f"scenario {name}",
-                    hint=rule.hint,
+                SAN_RULES["SAN010"].diagnostic(
+                    f"scenario {name}",
+                    f"scenario {name!r}: tie-break perturbation "
+                    f"seed {seed} diverged (base {base_digest[:12]}…, "
+                    f"perturbed {digest[:12]}…)",
                 )
             )
     return result

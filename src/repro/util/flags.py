@@ -46,22 +46,6 @@ FLAGS: dict[str, EnvFlag] = {
     flag.name: flag
     for flag in (
         EnvFlag(
-            "REPRO_WIRE_FASTPATH",
-            "1",
-            "Encoded MQTT wire bytes carry their Packet so decode can "
-            "bypass JSON (PR 7). Byte counts and airtime are unchanged; "
-            "set to 0 to exercise the real decode path. Read by "
-            "repro.mqtt.packets.wire_fastpath_default().",
-        ),
-        EnvFlag(
-            "REPRO_BENCH_OUT",
-            "",
-            "Directory where pytest benchmark runs additionally write "
-            "schema-versioned BENCH_<name>.json records "
-            "(repro.bench.continuous). Empty disables the export. Read "
-            "by benchmarks/conftest.py record_rows().",
-        ),
-        EnvFlag(
             "REPRO_REGEN_GOLDEN",
             "0",
             "Set to 1 to regenerate the committed golden trace digests "

@@ -29,6 +29,7 @@ __all__ = [
     "require_name",
     "Severity",
     "Diagnostic",
+    "Rule",
     "max_severity",
     "blocking",
 ]
@@ -112,6 +113,37 @@ class Diagnostic:
         if self.hint:
             payload["hint"] = self.hint
         return payload
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One catalogued rule of a checker: stable id, default severity,
+    description, and the hint its findings carry unless the site has a
+    more specific one. Each engine keeps a registry of these;
+    :mod:`repro.lint.catalog` renders them all."""
+
+    rule_id: str
+    severity: Severity
+    description: str
+    hint: str = ""
+
+    def diagnostic(
+        self,
+        where: str,
+        message: str,
+        hint: str | None = None,
+        severity: Severity | None = None,
+        **position: Any,
+    ) -> Diagnostic:
+        """A finding of this rule; ``position`` is ``file``/``line``/``col``."""
+        return Diagnostic(
+            rule=self.rule_id,
+            severity=self.severity if severity is None else severity,
+            message=message,
+            where=where,
+            hint=self.hint if hint is None else hint,
+            **position,
+        )
 
 
 def max_severity(diagnostics: Iterable[Diagnostic]) -> Severity | None:

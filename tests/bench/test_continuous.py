@@ -83,32 +83,6 @@ def test_stale_baseline_schema_fails_loudly():
     assert "regenerate" in comparison.failures[0]
 
 
-def test_require_fresh_baseline_detects_stale_committed_record(tmp_path, monkeypatch):
-    """The pytest-bench hook refuses to run alongside a stale committed
-    baseline."""
-    import importlib.util
-    from pathlib import Path
-
-    repo_root = Path(__file__).resolve().parents[2]
-    spec = importlib.util.spec_from_file_location(
-        "bench_conftest", repo_root / "benchmarks" / "conftest.py"
-    )
-    bench_conftest = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_conftest)
-
-    stale = make_record()
-    stale.schema_version = BENCH_SCHEMA_VERSION - 1
-    write_bench(stale, tmp_path / "baselines")
-    monkeypatch.setattr(bench_conftest, "__file__", str(tmp_path / "conftest.py"))
-    with pytest.raises(RuntimeError, match="stale baseline"):
-        bench_conftest.require_fresh_baseline("t")
-    # Missing baseline: nothing to be stale about.
-    bench_conftest.require_fresh_baseline("absent")
-    # Fresh schema: fine.
-    write_bench(make_record(), tmp_path / "baselines")
-    bench_conftest.require_fresh_baseline("t")
-
-
 def test_environment_fingerprint_shape():
     env = environment_fingerprint()
     assert set(env) == {"python", "implementation", "machine", "system"}

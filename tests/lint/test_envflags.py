@@ -12,7 +12,7 @@ def flg_rules(source: str):
 
 class TestRule:
     def test_os_getenv_with_repro_key_is_flagged(self):
-        assert flg_rules('import os\nx = os.getenv("REPRO_WIRE_FASTPATH")\n')
+        assert flg_rules('import os\nx = os.getenv("REPRO_REGEN_GOLDEN")\n')
 
     def test_environ_get_is_flagged(self):
         assert flg_rules('import os\nx = os.environ.get("REPRO_FOO", "1")\n')
@@ -39,14 +39,15 @@ class TestRule:
 
 class TestRegistry:
     def test_declared_flag_reads_environment_at_call_time(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE_FASTPATH", "0")
-        assert flag_enabled("REPRO_WIRE_FASTPATH") is False
-        monkeypatch.setenv("REPRO_WIRE_FASTPATH", "1")
-        assert flag_enabled("REPRO_WIRE_FASTPATH") is True
+        monkeypatch.setenv("REPRO_REGEN_GOLDEN", "0")
+        assert flag_enabled("REPRO_REGEN_GOLDEN") is False
+        monkeypatch.setenv("REPRO_REGEN_GOLDEN", "1")
+        assert flag_enabled("REPRO_REGEN_GOLDEN") is True
 
     def test_unset_flag_uses_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_OUT", raising=False)
-        assert flag_value("REPRO_BENCH_OUT") == ""
+        monkeypatch.delenv("REPRO_REGEN_GOLDEN", raising=False)
+        assert flag_value("REPRO_REGEN_GOLDEN") == "0"
+        assert flag_enabled("REPRO_REGEN_GOLDEN") is False
 
     def test_undeclared_flag_raises(self):
         with pytest.raises(KeyError, match="undeclared"):
@@ -55,11 +56,7 @@ class TestRegistry:
     def test_inventory_is_pinned(self):
         # A new flag is a new configuration axis: adding one must show up
         # here as a reviewed diff.
-        assert set(FLAGS) == {
-            "REPRO_WIRE_FASTPATH",
-            "REPRO_BENCH_OUT",
-            "REPRO_REGEN_GOLDEN",
-        }
+        assert set(FLAGS) == {"REPRO_REGEN_GOLDEN"}
 
     def test_every_declared_flag_documents_its_reader(self):
         for name, spec in FLAGS.items():
