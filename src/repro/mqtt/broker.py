@@ -18,13 +18,13 @@ from typing import Any
 
 from repro.net.address import Address
 from repro.mqtt.inflight import InflightTable
-from repro.mqtt.packets import Packet, PacketType
-from repro.mqtt.topics import TopicTree, topic_matches, validate_topic
+from repro.mqtt.packets import Packet, PacketType, _Wire
+from repro.mqtt.topics import _CACHE_CAP, TopicTree, topic_matches, validate_topic
 from repro.obs.context import FlowContext
 from repro.runtime.component import Component
 from repro.runtime.node import Node
 from repro.runtime.state import StateCell, tracked_state
-from repro.errors import ProtocolError
+from repro.errors import MQTTError, ProtocolError
 
 __all__ = ["Broker", "BrokerStats", "BROKER_SERVICE"]
 
@@ -39,6 +39,10 @@ class BrokerStats:
     connects: int = 0
     publishes_in: int = 0
     publishes_out: int = 0
+    #: Forwards that sent bytes the broker did not encode for that copy.
+    forwards_reused: int = 0
+    #: Decodable packets dropped for a missing or wrongly typed field.
+    malformed: int = 0
     pubacks_in: int = 0
     retransmissions: int = 0
     drops_give_up: int = 0
@@ -107,12 +111,12 @@ class Broker(Component):
         # in trie traversal order, exactly what the per-publish matching
         # pass would compute. Invalidated whole on any subscription change
         # (subscribe, unsubscribe, session drop) — publishes vastly
-        # outnumber those, so one matching pass serves a whole run.
+        # outnumber those, so one matching pass serves a whole run. Bounded:
+        # a publisher that puts an id in the topic must not grow the broker.
         self._resolution: dict[str, list[tuple[str, int]]] = {}
         self._retained: dict[str, _Retained] = {}
         self._handlers = {
             PacketType.CONNECT: self._on_connect,
-            PacketType.PUBLISH: self._on_publish,
             PacketType.PUBACK: self._on_puback,
             PacketType.SUBSCRIBE: self._on_subscribe,
             PacketType.UNSUBSCRIBE: self._on_unsubscribe,
@@ -151,6 +155,12 @@ class Broker(Component):
             "broker.sessions": float(len(self._sessions)),
         }
 
+    def metrics(self) -> dict[str, float]:
+        """The gauges and every counter, for a scrape to turn into ratios
+        (reused ÷ out); :meth:`prof_gauges`' keys are part of profiled traces."""
+        counters = {f"broker.{k}": float(v) for k, v in vars(self.stats).items()}
+        return {**self.prof_gauges(), **counters}
+
     def subscription_count(self) -> int:
         return len(self._subscriptions)
 
@@ -169,28 +179,27 @@ class Broker(Component):
             return
         # Routing work occupies the broker node's CPU.
         self.node.execute(
-            "mqtt.route", self._handle, source, packet, nbytes=len(data)
+            "mqtt.route", self._handle, source, packet, data, nbytes=len(data)
         )
 
-    def _handle(self, source: Address, packet: Packet) -> None:
-        session = self._touch(source)
-        handler = self._handlers.get(packet.type)
-        if handler is None:
-            self.trace("mqtt.broker.unexpected", type=packet.type.value)
-            return
-        handler(source, session, packet)
-
-    def _touch(self, source: Address) -> _Session | None:
-        client_id = self._address_index.get(source)
-        if client_id is None:
-            return None
-        session = self._sessions.get(client_id)
+    def _handle(self, source: Address, packet: Packet, data: bytes) -> None:
+        session = self._sessions.get(self._address_index.get(source))
         if session is not None:
             # last_seen is deliberately not a tracked write: same-instant
             # packets all store the identical timestamp, so the order of
             # these writes can never matter.
             session.last_seen = self.runtime.now
-        return session
+        try:
+            if packet.type is PacketType.PUBLISH:
+                self._on_publish(source, session, packet, data)
+            elif (handler := self._handlers.get(packet.type)) is not None:
+                handler(source, session, packet)
+            else:
+                self.trace("mqtt.broker.unexpected", type=packet.type.value)
+        except MQTTError as exc:  # a missing or mistyped field: count, drop
+            self.stats.malformed += 1
+            reason = f"{type(exc).__name__}: {exc}"
+            self.trace("mqtt.broker.garbage", source=str(source), reason=reason)
 
     def _send(self, destination: Address, packet: Packet) -> None:
         self.node.send(BROKER_SERVICE, destination, packet.encode())
@@ -356,13 +365,20 @@ class Broker(Component):
     # ------------------------------------------------------------------
 
     def _on_publish(
-        self, source: Address, session: _Session | None, packet: Packet
+        self, source: Address, session: _Session | None, packet: Packet, data: bytes | None = None
     ) -> None:
-        topic = validate_topic(packet["topic"])
-        qos = int(packet.get("qos", 0))
-        payload = packet.get("payload")
-        headers = packet.get("headers") or {}
+        topic, qos, plain = packet.publish_shape()
+        validate_topic(topic)
+        fields = packet.fields
+        payload = fields.get("payload")
+        headers = fields.get("headers") or {}
+        acked = packet["packet_id"] if qos == 1 and session is not None else None
         self.stats.publishes_in += 1
+        # What QoS 0 subscribers are sent; encoded only when it differs from
+        # bytes already held. The copy of a plain publish is the packet
+        # received, so its bytes are ``data`` — if those are known to be that
+        # packet's own encoding, which only a ``_Wire`` proves.
+        wire = data if plain and type(data) is _Wire else None
 
         obs = self.runtime.obs
         if obs is not None:
@@ -374,8 +390,9 @@ class Broker(Component):
                 # packet is never mutated.
                 ctx = obs.point("broker", self.node, parent=parent, topic=topic)
                 headers = {**headers, "obs": ctx.to_wire()}
+                wire = None
 
-        if packet.get("retain", False):
+        if fields.get("retain", False):
             self._retained_cell.note_write()
             if payload is None:
                 self._retained.pop(topic, None)
@@ -385,8 +402,8 @@ class Broker(Component):
 
         # Acknowledge the publisher first (QoS 1 publisher-side is complete
         # once the broker owns the message).
-        if qos == 1 and session is not None:
-            self._send(source, Packet.puback(packet["packet_id"]))
+        if acked is not None:
+            self._send(source, Packet.puback(acked))
 
         # One delivery per client even with overlapping subscriptions (the
         # client side then dispatches to every matching local callback).
@@ -394,15 +411,26 @@ class Broker(Component):
         entries = self._resolution.get(topic)
         if entries is None:
             entries = self._resolve(topic)
-            self._resolution[topic] = entries
+            if len(self._resolution) < _CACHE_CAP:  # full: stop admitting
+                self._resolution[topic] = entries
         for client_id, sub_qos in entries:
             subscriber = self._sessions.get(client_id)
             if subscriber is None or not subscriber.connected:
                 continue
             if subscriber.cell is not None:
                 subscriber.cell.note_read()
-            self._forward(
-                subscriber, packet, min(qos, sub_qos), headers, retain=False
+            if qos == 1 and sub_qos == 1:
+                self._forward(subscriber, packet, 1, headers, retain=False)
+                continue
+            if wire is None:  # no bytes held that a copy would equal: one, for all
+                wire = packet.forwarded(0, False, None, headers, None).encode()
+            else:
+                self.stats.forwards_reused += 1
+            self.stats.publishes_out += 1
+            if self.runtime.tracer.wants("mqtt.broker.forward"):
+                self.trace("mqtt.broker.forward", client=client_id, topic=topic, qos=0)
+            self.node.execute(
+                "mqtt.forward", self.node.send, BROKER_SERVICE, subscriber.address, wire
             )
 
     def _resolve(self, topic: str) -> list[tuple[str, int]]:
@@ -527,13 +555,12 @@ class Broker(Component):
         session.will = None
         self.stats.wills_published += 1
         packet = Packet.publish(
-            topic=str(will["topic"]),
-            payload=will.get("payload"),
-            qos=min(int(will.get("qos", 0)), 1),
-            retain=bool(will.get("retain", False)),
+            str(will["topic"]), will.get("payload"), retain=bool(will.get("retain", False))
         )
+        # Set after the fact: nobody to acknowledge, so no packet id at QoS 1.
+        packet.fields["qos"] = min(int(will.get("qos", 0)), 1)
         self.trace("mqtt.broker.will", client=session.client_id, topic=will["topic"])
-        self._on_publish(session.address, session, packet)
+        self._on_publish(session.address, None, packet)
 
     def _remove_session(self, session: _Session, expired: bool) -> None:
         if session.cell is not None:

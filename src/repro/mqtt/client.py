@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.errors import NotConnectedError, ProtocolError
+from repro.errors import MQTTError, NotConnectedError, ProtocolError
 from repro.mqtt.inflight import InflightTable
 from repro.mqtt.packets import Packet, PacketType
 from repro.mqtt.topics import TopicTree, validate_filter, validate_topic
@@ -112,6 +112,8 @@ class MqttClient(Component):
         self.pubacks_received = 0
         self.publishes_abandoned = 0
         self.callback_errors = 0
+        #: Decodable packets dropped for a missing or wrongly typed field.
+        self.malformed_received = 0
         self._last_inbound = self.runtime.now
         self._ever_connected = False
         self._watchdog = None
@@ -425,13 +427,18 @@ class MqttClient(Component):
         self.node.execute("mqtt.recv", self._handle, packet, nbytes=len(data))
 
     def _handle(self, packet: Packet) -> None:
-        if packet.type is PacketType.CONNACK:
-            self._on_connack(packet)
-        elif packet.type is PacketType.PUBLISH:
-            self._on_publish(packet)
-        elif packet.type is PacketType.PUBACK:
-            self.pubacks_received += 1
-            self._inflight.pop(packet["packet_id"], None)
+        if packet.type is PacketType.PUBLISH or packet.type is PacketType.PUBACK:
+            try:
+                if packet.type is PacketType.PUBLISH:
+                    self._on_publish(packet)
+                else:
+                    self._inflight.pop(packet["packet_id"], None)
+                    self.pubacks_received += 1
+            except MQTTError as exc:  # a missing or mistyped field: count, drop
+                self.malformed_received += 1
+                self.trace("mqtt.client.garbage", reason=f"{type(exc).__name__}: {exc}")
+        elif packet.type is PacketType.CONNACK:
+            self._on_connack(packet)  # the application's callbacks: outside the try
         elif packet.type in (
             PacketType.SUBACK,
             PacketType.UNSUBACK,
@@ -485,8 +492,10 @@ class MqttClient(Component):
                 listener()
 
     def _on_publish(self, packet: Packet) -> None:
-        topic = packet["topic"]
-        if int(packet.get("qos", 0)) == 1:
+        topic, qos = packet["topic"], packet.get("qos", 0)
+        if not isinstance(topic, str) or qos not in (0, 1):
+            raise ProtocolError(f"publish needs a string topic and QoS 0 or 1: {topic!r}, {qos!r}")
+        if qos == 1:
             self._send(Packet.puback(packet["packet_id"]))
         obs = self.runtime.obs
         if (

@@ -176,12 +176,35 @@ class Packet:
         object.__setattr__(copy, "_fragment", self._payload_text())
         return copy
 
+    def publish_shape(self) -> tuple[str, int, bool]:
+        """``(topic, qos, plain)`` of a received PUBLISH, or :class:`ProtocolError`
+        for a field of the wrong type. ``plain``: exactly the fields
+        :meth:`publish` builds for a QoS 0 message, neither retained nor dup,
+        so ``forwarded(0, False, None, headers, None)`` encodes to its bytes.
+        """
+        f = self.fields
+        topic, qos, headers = f.get("topic"), f.get("qos", 0), f.get("headers")
+        if not isinstance(topic, str):
+            raise ProtocolError(f"publish packet needs a string 'topic', got {topic!r}")
+        if not isinstance(qos, int) or qos not in (0, 1):
+            raise ProtocolError(f"unsupported QoS {qos!r} (QoS 2 not implemented)")
+        if headers is not None and not isinstance(headers, dict):
+            raise ProtocolError(f"publish 'headers' must be an object, got {headers!r}")
+        plain = (
+            len(f) == 6 and "payload" in f and "qos" in f and type(qos) is int and qos == 0
+            and type(headers) is dict and f.get("retain") is False and f.get("dup") is False
+        )
+        return topic, int(qos), plain
+
     @classmethod
     def decode(cls, data: bytes) -> "Packet":
         """Parse wire bytes; raises ProtocolError on malformed packets."""
         if type(data) is _Wire:
             return data._packet
-        body = decode_payload(data)
+        try:
+            body = decode_payload(data)
+        except SerializationError as exc:
+            raise ProtocolError(str(exc)) from None
         if not isinstance(body, dict) or "_t" not in body:
             raise ProtocolError(f"not an MQTT packet: {body!r}")
         type_tag = body.pop("_t")

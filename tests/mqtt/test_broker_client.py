@@ -255,3 +255,36 @@ class TestTakeover:
         settle(runtime)
         assert broker.session_count() == 1
         assert broker.stats.connects == 2
+
+
+def test_resolution_memo_is_bounded_and_stays_correct_when_full(runtime, broker, monkeypatch):
+    """A publisher that puts an id in the topic must not grow the broker: the
+    fan-out memo stops admitting at the validators' cap, and a topic it did
+    not admit is resolved afresh, to the same subscribers."""
+    from repro.mqtt import topics
+    from repro.mqtt.packets import Packet
+    from repro.net.address import Address
+
+    monkeypatch.setattr(topics, "_valid_topics", set())  # ours to fill
+    subscriber = make_client(runtime, broker, "sub")
+    got = []
+    subscription = subscriber.subscribe("hot/#", lambda t, p, pkt: got.append((t, p)))
+    settle(runtime)
+    stranger = Address("nowhere", "raw")
+
+    def publish(topic, payload=None):  # straight into the handler: no kernel event
+        packet = Packet.publish(topic, payload)
+        broker._handle(stranger, packet, packet.encode())
+
+    for i in range(100_000):
+        publish(f"id/{i}")
+    assert broker.stats.publishes_in == 100_000
+    assert len(broker._resolution) == topics._CACHE_CAP
+    for payload in (1, 2):
+        publish("hot/late", payload)
+    assert "hot/late" not in broker._resolution
+    settle(runtime)
+    assert got == [("hot/late", 1), ("hot/late", 2)]
+    subscriber.unsubscribe(subscription)
+    settle(runtime)
+    assert broker._resolution == {}  # dropped whole, as before

@@ -3,7 +3,9 @@
 Counted, not timed: the saving of the direct PUBLISH writer is that the
 payload fragment computed for the first frame is inherited by every
 forward copy, retained delivery and dup retransmission. A change that
-silently re-encodes per copy fails here.
+silently re-encodes per copy fails here. At QoS 0 the frame itself is
+shared: every subscriber is sent one bytes object, the publisher's own when
+the broker can tell that it is canonical.
 """
 
 import pytest
@@ -22,6 +24,19 @@ def make_client(runtime, broker, name):
     client = MqttClient(runtime.add_node(name), broker.address, client_id=name)
     client.connect()
     return client
+
+
+def record_sends(monkeypatch, node):
+    """The payloads ``node`` hands to its interface from now on, in order."""
+    payloads = []
+    send = node.interface.send
+
+    def recording_send(service, destination, payload):
+        payloads.append(payload)
+        send(service, destination, payload)
+
+    monkeypatch.setattr(node.interface, "send", recording_send)
+    return payloads
 
 
 @pytest.mark.parametrize("fastpath", [True, False])
@@ -75,3 +90,22 @@ def test_payload_is_encoded_once_per_holder(monkeypatch, fastpath):
     # it off the broker's packet is a fresh decode, which encodes its
     # payload once, on the first forward.
     assert len(encodes) == (1 if fastpath else 2)
+
+    # The same fan-out at QoS 0 (the subscriptions' QoS 1 is a ceiling): the
+    # 17 subscribers are sent one bytes object. With the bypass it is the
+    # one the publisher sent, relayed without an encode; without it the
+    # received bytes are not known to be canonical, so the broker encodes
+    # its copy — once — and the bytes come out equal.
+    sent = record_sends(monkeypatch, broker.node)
+    published = record_sends(monkeypatch, publisher.node)
+    got.clear()
+    reused = broker.stats.forwards_reused
+    publisher.publish("t", {"marker": "shared"}, headers={"sample_id": 7})
+    runtime.run(until=5.0)
+    assert got == [False] * SUBSCRIBERS + [{"marker": "shared"}]
+    assert len(published) == 1 and len(sent) == SUBSCRIBERS + 1
+    assert all(frame is sent[0] for frame in sent)
+    assert sent[0] == published[0] and bytes(sent[0]) == bytes(published[0])
+    assert (sent[0] is published[0]) == fastpath
+    assert broker.stats.forwards_reused - reused == SUBSCRIBERS + (1 if fastpath else 0)
+    assert broker.metrics()["broker.forwards_reused"] == broker.stats.forwards_reused

@@ -110,3 +110,24 @@ def test_module_agent_crash_clears_registry_fast(runtime):
     # Directory TTL is 30 s; the will fires within ~2 * keepalive + sweep.
     cluster.settle(10.0)
     assert not any(m.name == "pi-1" for m in directory.modules())
+
+
+def test_qos1_will_is_delivered_at_qos1_and_acknowledged(runtime, broker):
+    """A QoS 1 will has no publisher, hence no packet id of its own; the
+    forwards get theirs per subscriber (this used to raise out of the sweep)."""
+    watcher = connect_client(runtime, broker, "watcher")
+    got = []
+    watcher.subscribe("status/+", lambda t, p, pkt: got.append((p, pkt["qos"])), qos=1)
+    doomed = connect_client(
+        runtime,
+        broker,
+        "doomed",
+        keepalive_s=2.0,
+        will={"topic": "status/doomed", "payload": "offline", "qos": 1},
+    )
+    settle(runtime)
+    doomed.node.fail()
+    settle(runtime, 15.0)
+    assert got == [("offline", 1)]
+    assert broker.stats.pubacks_in == 1
+    assert broker.inflight_count() == 0
