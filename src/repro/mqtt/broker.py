@@ -19,7 +19,7 @@ from typing import Any
 from repro.net.address import Address
 from repro.mqtt.inflight import InflightTable
 from repro.mqtt.packets import Packet, PacketType, _Wire
-from repro.mqtt.topics import _CACHE_CAP, TopicTree, topic_matches, validate_topic
+from repro.mqtt.topics import _CACHE_CAP, TopicTree, topic_matches, validate_filter, validate_topic
 from repro.obs.context import FlowContext
 from repro.runtime.component import Component
 from repro.runtime.node import Node
@@ -213,8 +213,16 @@ class Broker(Component):
     ) -> None:
         client_id = packet["client_id"]
         clean = bool(packet.get("clean_session", True))
-        keepalive = float(packet.get("keepalive_s", 60.0))
+        keepalive = packet.get("keepalive_s", 60.0)
         will = packet.get("will")  # {topic, payload, qos, retain} or None
+        if not isinstance(client_id, str):
+            raise ProtocolError(f"connect 'client_id' must be a string: {client_id!r}")
+        if not isinstance(keepalive, (int, float)):
+            raise ProtocolError(f"connect 'keepalive_s' must be a number: {keepalive!r}")
+        if will and not (isinstance(will, dict) and isinstance(will.get("topic"), str)
+                         and validate_topic(will["topic"]) and will.get("qos", 0) in (0, 1, 2)):
+            raise ProtocolError(f"connect 'will' must be a publish to a topic: {will!r}")
+        keepalive = float(keepalive)
         self.stats.connects += 1
 
         existing = self._sessions.get(client_id)
@@ -282,7 +290,8 @@ class Broker(Component):
             return
         incarnation = packet.get("incarnation")
         if incarnation is not None:
-            incarnation = int(incarnation)
+            if type(incarnation) is not int:
+                raise ProtocolError(f"pingreq 'incarnation' must be an int: {incarnation!r}")
             if incarnation < session.incarnation:
                 self.trace(
                     "mqtt.broker.stale_ping",
@@ -303,12 +312,18 @@ class Broker(Component):
     ) -> None:
         if session is None:
             return  # not connected; MQTT closes the socket, we drop
+        packet_id, filters = packet["packet_id"], packet["filters"]
+        if not isinstance(filters, list) or not all(
+            isinstance(f, list) and len(f) == 2 and isinstance(f[0], str)
+            and validate_filter(f[0]) and f[1] in (0, 1, 2) for f in filters
+        ):
+            raise ProtocolError(f"subscribe 'filters' must be [[filter, qos], ...]: {filters!r}")
         self._subscriptions_cell.note_write()
         self._resolution.clear()
         if session.cell is not None:
             session.cell.note_write()
         granted: list[int] = []
-        for topic_filter, qos in packet["filters"]:
+        for topic_filter, qos in filters:
             qos = min(int(qos), 1)
             if topic_filter not in session.subscriptions:
                 self._subscriptions.insert(topic_filter, session.client_id)
@@ -320,9 +335,9 @@ class Broker(Component):
                 filter=topic_filter,
                 qos=qos,
             )
-        self._send(source, Packet.suback(packet["packet_id"], granted))
+        self._send(source, Packet.suback(packet_id, granted))
         # Retained messages are delivered after the SUBACK, per spec intent.
-        for topic_filter, _qos in packet["filters"]:
+        for topic_filter, _qos in filters:
             self._deliver_retained(session, topic_filter)
 
     def _on_unsubscribe(
@@ -330,11 +345,14 @@ class Broker(Component):
     ) -> None:
         if session is None:
             return
+        packet_id, filters = packet["packet_id"], packet["filters"]
+        if not isinstance(filters, list) or not all(isinstance(f, str) for f in filters):
+            raise ProtocolError(f"unsubscribe 'filters' must be strings: {filters!r}")
         self._subscriptions_cell.note_write()
         self._resolution.clear()
         if session.cell is not None:
             session.cell.note_write()
-        for topic_filter in packet["filters"]:
+        for topic_filter in filters:
             if topic_filter in session.subscriptions:
                 del session.subscriptions[topic_filter]
                 self._subscriptions.remove(topic_filter, session.client_id)
@@ -343,7 +361,7 @@ class Broker(Component):
                     client=session.client_id,
                     filter=topic_filter,
                 )
-        self._send(source, Packet.unsuback(packet["packet_id"]))
+        self._send(source, Packet.unsuback(packet_id))
 
     def _deliver_retained(self, session: _Session, topic_filter: str) -> None:
         sub_qos = session.subscriptions.get(topic_filter)
@@ -517,11 +535,14 @@ class Broker(Component):
     ) -> None:
         if session is None:
             return
+        packet_id = packet["packet_id"]
+        if type(packet_id) is not int:
+            raise ProtocolError(f"puback 'packet_id' must be an int: {packet_id!r}")
         # The inflight-window state itself is noted on session.cell below.
         self.stats.pubacks_in += 1  # repro: san-ok[SAN021] commutative counter
         if session.cell is not None:
             session.cell.note_write()
-        session.inflight.pop(packet["packet_id"], None)
+        session.inflight.pop(packet_id, None)
 
     # ------------------------------------------------------------------
     # Session lifecycle

@@ -336,6 +336,9 @@ class SloEngine:
         else:
             runtime.tracer.tap(SPAN_EVENT, self._on_record)
         if status_interval_s > 0:
+            profiler = getattr(runtime, "prof", None)
+            if profiler is not None:  # each tick's watermark window reaches this far back
+                profiler.declare_lookback(status_interval_s)
             runtime.call_later(status_interval_s, self._tick)
 
         # Optional: surface engine state through the shared metrics

@@ -23,7 +23,7 @@ either. Three design points make that hold:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.obs.metrics import metric_key
 from repro.sim.events import EventHandle
@@ -57,16 +57,26 @@ class BusyIntegrator:
     summation order, and the ``overlap > 0`` guard are exactly those of
     the naive full scan, so results are bit-identical to it (profile
     digests depend on that).
+
+    :meth:`retire` drops the prefix with ``maxend <= horizon``, which no
+    window starting at or after the horizon scans, after folding it into
+    each registered origin's sum in index order under the same guard (the
+    clip at ``b`` is inactive: ``end <= horizon <= b``) — so ``[origin, b]``
+    continues the identical sum. Other windows behind the horizon raise.
     """
 
-    __slots__ = ("_starts", "_ends", "_maxends", "_total")
+    __slots__ = ("_starts", "_ends", "_maxends", "_total", "_horizon", "_retired", "_folded")
 
-    def __init__(self) -> None:
+    def __init__(self, origins: Iterable[float] = (0.0,)) -> None:
         self._starts: list[float] = []
         self._ends: list[float] = []
         #: ``_maxends[i] == max(_ends[:i+1])`` — nondecreasing, bisectable.
         self._maxends: list[float] = []
         self._total = 0.0
+        self._horizon = float("-inf")
+        self._retired = 0
+        #: origin -> busy seconds the retired prefix contributes to ``[origin, ·]``.
+        self._folded = dict.fromkeys(origins, 0.0)
 
     def add(self, start: float, duration: float) -> None:
         """Record a grant of ``duration`` seconds beginning at ``start``."""
@@ -89,21 +99,48 @@ class BusyIntegrator:
 
     @property
     def grants(self) -> int:
-        return len(self._starts)
+        return self._retired + len(self._starts)
+
+    def register_origin(self, origin: float) -> None:
+        """Keep ``[origin, b]`` answerable after the horizon passes ``origin``."""
+        if origin < self._horizon:
+            raise ValueError(f"origin {origin} is behind the horizon {self._horizon}")
+        # The retired prefix has maxend <= horizon <= origin: it adds nothing.
+        self._folded.setdefault(origin, 0.0)
+
+    def retire(self, horizon: float) -> None:
+        """Fold, then drop, the intervals no window from ``horizon`` on overlaps."""
+        if horizon <= self._horizon:
+            return
+        maxends = self._maxends
+        r = bisect_right(maxends, horizon)
+        starts, ends, folded = self._starts, self._ends, self._folded
+        for origin, busy in folded.items():
+            for i in range(bisect_right(maxends, origin, 0, r), r):
+                start = starts[i]
+                overlap = ends[i] - (start if start > origin else origin)
+                if overlap > 0.0:
+                    busy += overlap
+            folded[origin] = busy
+        del starts[:r], ends[:r], maxends[:r]
+        self._retired += r
+        self._horizon = horizon
 
     def busy_between(self, a: float, b: float) -> float:
         """Aggregate busy seconds inside the window ``[a, b]``."""
         if b <= a:
             return 0.0
+        if b < self._horizon or (a < self._horizon and a not in self._folded):
+            raise ValueError(f"window [{a}, {b}] reaches behind the horizon {self._horizon}")
+        busy = self._folded.get(a, 0.0)
         starts = self._starts
         # Everything from the first ``start >= b`` onward is irrelevant
         # (starts are nondecreasing); everything before the first running
         # max-of-ends ``> a`` has ``end <= a`` and contributes 0.
         hi = bisect_left(starts, b)
         if hi == 0:
-            return 0.0
+            return busy
         lo = bisect_right(self._maxends, a, 0, hi)
-        busy = 0.0
         ends = self._ends
         for i in range(lo, hi):
             start = starts[i]
@@ -165,6 +202,8 @@ class Profiler:
         self.events_profiled = 0
         self._last_sample_t = runtime.now
         self._sampling = False
+        self._origins = [0.0]  # see register_origin / declare_lookback
+        self._lookback_s = 0.0
         # All profiler accumulation is commutative (sums, counts, interval
         # unions), so concurrent same-instant charges are benign; the
         # sampler itself runs as an end-of-instant epilogue.
@@ -181,7 +220,9 @@ class Profiler:
             timeline = self._resource_timeline[resource_name]
         except KeyError:
             timeline = self._resource_timeline[resource_name] = (
-                self._cpu_timeline.setdefault(_node_of(resource_name), BusyIntegrator())
+                self._cpu_timeline.setdefault(
+                    _node_of(resource_name), BusyIntegrator(self._origins)
+                )
             )
         timeline.add(self._clock.now, service_s)
 
@@ -324,10 +365,23 @@ class Profiler:
     def stop_sampling(self) -> None:
         self._sampling = False
 
+    def register_origin(self, t: float) -> None:
+        """Keep ``[t, now]`` answerable for the rest of the run (0.0 always is)."""
+        for timeline in (self._wlan_timeline, *self._cpu_timeline.values()):
+            timeline.register_origin(t)
+        self._origins.append(t)
+
+    def declare_lookback(self, seconds: float) -> None:
+        """A reader will ask about windows starting ``seconds`` before now."""
+        self._lookback_s = max(self._lookback_s, seconds)
+
     def _tick(self) -> None:
         if not self._sampling:
             return
         self.sample()
+        # The next sample's window starts here, a reader's at most the lookback before.
+        for timeline in (self._wlan_timeline, *self._cpu_timeline.values()):
+            timeline.retire(self._last_sample_t - self._lookback_s)
         self.runtime.kernel.schedule_epilogue(
             self._tick, delay=self.interval_s, priority=_SAMPLER_PRIORITY
         )

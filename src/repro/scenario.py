@@ -152,6 +152,8 @@ def run(
     app = cluster.submit(recipe)
     cluster.settle(2.0)
     outcome = Run(scenario, seed, duration_s, runtime, cluster, runtime.now)
+    if runtime.prof is not None:  # utilisation is reported over the run window
+        runtime.prof.register_origin(outcome.measure_from)
     if scenario.fault_plan is None:
         runtime.run(until=runtime.now + duration_s)
         app.stop()

@@ -38,6 +38,19 @@ TO_CLIENT = [
     ("subscriber", b'{"_t":"publish","payload":1,"topic":["a"]}', "string topic"),
 ]
 REPORTED = TO_BROKER[:4] + TO_CLIENT[:3]  # the seven of the bug report
+#: Control packets with a field of the wrong type, sent from the connected
+#: subscriber's own address so the broker handles them in its session.
+WRONG_TYPE = [
+    (b'{"_t":"connect","client_id":"sub","keepalive_s":"x"}', "'keepalive_s'"),
+    (b'{"_t":"connect","client_id":["l"]}', "'client_id'"),
+    (b'{"_t":"connect","client_id":"sub","will":{"payload":1}}', "'will'"),
+    (b'{"_t":"connect","client_id":"sub","will":"w"}', "'will'"),
+    (b'{"_t":"subscribe","filters":[["a/b","x"]],"packet_id":7}', "'filters'"),
+    (b'{"_t":"subscribe","filters":"ab","packet_id":7}', "'filters'"),
+    (b'{"_t":"subscribe","filters":[["a/b"]],"packet_id":7}', "'filters'"),
+    (b'{"_t":"subscribe","filters":[[5,0]],"packet_id":7}', "'filters'"),
+    (b'{"_t":"pingreq","incarnation":"q"}', "'incarnation'"),
+]
 #: Bytes that are not JSON at all: dropped as before, not counted as packets.
 UNDECODABLE = [b"\xff\xfe", b"not json", b"[1,2]", b'{"_t":"bogus"}']
 
@@ -60,6 +73,15 @@ class Bed:
 
     def send(self, receiver: str, datagram: bytes) -> None:
         self.raw.send("raw", getattr(self, receiver).address, datagram)
+
+    def send_from_subscriber(self, datagram: bytes) -> None:
+        self.subscriber.node.send("mqttc.sub", self.broker.address, datagram)
+
+    def subscriptions(self) -> tuple:
+        sessions = self.broker._sessions
+        return self.broker.subscription_count(), {
+            client: dict(sessions[client].subscriptions) for client in sorted(sessions)
+        }
 
     def malformed(self) -> int:
         return self.broker.stats.malformed + self.subscriber.malformed_received
@@ -107,6 +129,33 @@ def test_the_seven_reported_cases_in_one_run(bed):
     assert bed.subscriber.malformed_received == 3
     assert bed.broker.metrics()["broker.malformed"] == 4.0
     assert len(bed.reasons()) == 7
+    bed.publisher.publish("a", "still serving")
+    bed.settle()
+    assert bed.got == ["still serving"]
+
+
+@pytest.mark.parametrize("datagram, names", WRONG_TYPE)
+def test_a_wrong_type_control_field_is_dropped_before_any_side_effect(bed, datagram, names):
+    before = bed.subscriptions()
+    bed.send_from_subscriber(datagram)
+    bed.settle()
+    assert (bed.broker.stats.malformed, bed.subscriber.malformed_received) == (1, 0)
+    (reason,) = bed.reasons()
+    assert reason.startswith("ProtocolError") and names in reason
+    assert bed.subscriptions() == before
+    bed.publisher.publish("a", "after")
+    bed.settle()
+    assert bed.got == ["after"]
+
+
+def test_the_nine_wrong_type_cases_in_one_run(bed):
+    before = bed.subscriptions()
+    for datagram, _names in WRONG_TYPE:
+        bed.send_from_subscriber(datagram)
+    bed.settle()
+    assert bed.broker.stats.malformed == 9
+    assert len(bed.reasons()) == 9
+    assert bed.subscriptions() == before
     bed.publisher.publish("a", "still serving")
     bed.settle()
     assert bed.got == ["still serving"]

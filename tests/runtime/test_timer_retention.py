@@ -129,11 +129,13 @@ def test_pending_timer_never_fires_after_stop_on_asyncio():
     with AsyncioRuntime() as runtime:
         component = Component(runtime.add_node("n"), "c")
         fired = []
-        pending = component.after(0.05, fired.append, "pending at stop")
         for _ in range(100):
             component.after(0.0, fired.append, "short")
         runtime.run_for(0.02)
         assert fired == ["short"] * 100
+        # Armed after the loop last ran and cancelled before it runs again:
+        # no host stall can let it fire first.
+        pending = component.after(0.05, fired.append, "pending at stop")
         for _ in range(100):  # sweeps run as the list doubles again
             component.after(10.0, fired.append, "long").cancel()
         assert pending in component._timers and len(component._timers) <= RETAINED_MAX
