@@ -35,7 +35,7 @@ class EnvFlagRule(LintRule):
     rule_id = "FLG001"
     severity = Severity.WARNING
     description = "raw REPRO_* environment read bypassing repro.util.flags"
-    hint = "declare the flag in repro.util.flags and read it via flag_enabled/flag_value"
+    hint = "declare the flag in repro.util.flags and read it via flag_enabled"
 
     def visit_Call(self, node: ast.Call) -> None:
         dotted = self.resolve(node.func)

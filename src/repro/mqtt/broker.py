@@ -39,7 +39,8 @@ class BrokerStats:
     connects: int = 0
     publishes_in: int = 0
     publishes_out: int = 0
-    #: Forwards that sent bytes the broker did not encode for that copy.
+    #: Forwards that sent bytes the broker did not encode for that copy: the
+    #: received datagram relayed, or it with a new trace context spliced in.
     forwards_reused: int = 0
     #: Decodable packets dropped for a missing or wrongly typed field.
     malformed: int = 0
@@ -395,20 +396,26 @@ class Broker(Component):
         # What QoS 0 subscribers are sent; encoded only when it differs from
         # bytes already held. The copy of a plain publish is the packet
         # received, so its bytes are ``data`` — if those are known to be that
-        # packet's own encoding, which only a ``_Wire`` proves.
+        # packet's own encoding, which only a ``_Wire`` proves — or, once a
+        # span rewrites the context, ``data`` with the new one spliced in.
         wire = data if plain and type(data) is _Wire else None
 
         obs = self.runtime.obs
         if obs is not None:
-            parent = FlowContext.from_wire(headers.get("obs"))
+            received = headers.get("obs")
+            parent = FlowContext.from_wire(received)
             if parent is not None:
                 # Routing hop: one broker span per inbound publish, and the
                 # forwarded copies (retained ones included) carry *its*
                 # context. Header rewrite is on a copy — the publisher's
                 # packet is never mutated.
                 ctx = obs.point("broker", self.node, parent=parent, topic=topic)
-                headers = {**headers, "obs": ctx.to_wire()}
-                wire = None
+                context = ctx.to_wire()
+                headers = {**headers, "obs": context}
+                if wire is not None:
+                    wire = wire.with_header(
+                        "obs", FlowContext.wire_text(received), FlowContext.wire_text(context), headers
+                    )
 
         if fields.get("retain", False):
             self._retained_cell.note_write()

@@ -26,6 +26,10 @@ WIRE_FASTPATH = True
 
 
 _BOOL = ("false", "true")  # JSON text of a bool, by index
+#: How a PUBLISH's canonical JSON begins, by ``dup``; ``fwd_id`` or
+#: ``headers`` follows. Written by :meth:`Packet._publish_text`, read by
+#: :meth:`_Wire.with_header`.
+_PUBLISH_HEAD = tuple(f'{{"_t":"publish","dup":{b}' for b in _BOOL)
 
 
 class _Wire(bytes):
@@ -41,6 +45,24 @@ class _Wire(bytes):
     """
 
     _packet: "Packet"
+
+    def with_header(
+        self, key: str, old: str | None, new: str, headers: dict[str, Any]
+    ) -> "_Wire | None":
+        """``forwarded(0, False, None, headers, None).encode()`` of the plain
+        PUBLISH these bytes encode, for ``headers`` that are its own but for
+        ``key``, whose value's canonical JSON goes from ``old`` to ``new``:
+        these bytes with that text replaced. None unless ``key`` is where
+        the bytes begin their headers and holds ``old`` there."""
+        if old is None:
+            return None
+        lead = f'{_PUBLISH_HEAD[False]},"headers":{{{_quote(key)}:'
+        head = (lead + old).encode()
+        if not self.startswith(head):
+            return None
+        wire = _Wire((lead + new).encode() + self[len(head):])
+        wire._packet = self._packet.forwarded(0, False, None, headers, None)
+        return wire
 
 
 class PacketType(str, enum.Enum):
@@ -141,7 +163,7 @@ class Packet:
         pid = "" if packet_id is None else f',"packet_id":{packet_id}'
         head = encode_fragment(headers) if headers else "{}"
         return (
-            f'{{"_t":"publish","dup":{_BOOL[dup]}{fwd},"headers":{head}{pid}'
+            f'{_PUBLISH_HEAD[dup]}{fwd},"headers":{head}{pid}'
             f',"payload":{self._payload_text()},"qos":{qos}'
             f',"retain":{_BOOL[retain]},"topic":{_quote(topic)}}}'
         )

@@ -19,6 +19,7 @@ wall-clock.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, NamedTuple
 
 __all__ = ["FlowContext", "Span", "SPAN_EVENT"]
@@ -37,7 +38,7 @@ class _WireContext(dict):
     a dict decoded from wire bytes is a plain ``dict`` and is parsed.
     """
 
-    __slots__ = ("ctx",)
+    __slots__ = ("ctx", "text")
 
 
 class FlowContext(NamedTuple):
@@ -66,7 +67,23 @@ class FlowContext(NamedTuple):
         """Compact JSON-ready form for MQTT user-properties."""
         wire = _WireContext(t=self.trace_id, s=self.span_id, p=self.parent_id, h=self.hop)
         wire.ctx = self
+        wire.text = None
         return wire
+
+    @staticmethod
+    def wire_text(data: Any) -> str | None:
+        """Canonical JSON of a :meth:`to_wire` result, built once from its
+        context — not from the dict's contents, so a dict edited after
+        ``to_wire`` no longer matches it; None for any other value."""
+        if type(data) is not _WireContext:
+            return None
+        text = data.text
+        if text is None:
+            trace_id, span_id, parent_id, hop = data.ctx
+            text = data.text = (
+                f'{{"h":{hop},"p":{_quote(parent_id)},"s":{_quote(span_id)},"t":{_quote(trace_id)}}}'
+            )
+        return text
 
     @classmethod
     def from_wire(cls, data: Any) -> "FlowContext | None":

@@ -83,22 +83,23 @@ class ObsState:
         **fields: Any,
     ) -> Span:
         """Open a span; roots (``parent=None``) also open a new trace."""
-        runtime = self.runtime
-        ids = runtime.ids
-        span_id = f"sp-{ids.next_int('obs.span')}"
-        if parent is None:
-            ctx = FlowContext(f"tr-{ids.next_int('obs.trace')}", span_id, "", 0)
-        else:
-            ctx = FlowContext(parent.trace_id, span_id, parent.span_id, parent.hop + 1)
         return Span(
-            ctx,
+            self._context(parent),
             name,
             node.name,
             node.incarnation,
-            runtime.now if start is None else start,
+            self.runtime.now if start is None else start,
             tuple(links),
             fields,
         )
+
+    def _context(self, parent: FlowContext | None) -> FlowContext:
+        """A new span's context: its id drawn, then (for a root) its trace's."""
+        ids = self.runtime.ids
+        span_id = f"sp-{ids.next_int('obs.span')}"
+        if parent is None:
+            return FlowContext(f"tr-{ids.next_int('obs.trace')}", span_id, "", 0)
+        return FlowContext(parent.trace_id, span_id, parent.span_id, parent.hop + 1)
 
     def finish(self, span: Span, **fields: Any) -> FlowContext:
         """Close ``span`` now and return its context.
@@ -107,33 +108,46 @@ class ObsState:
         stores it or a tap wants it; span consumers, called after it, get
         the five values they read and no record.
         """
-        self.spans_emitted += 1
         if fields:
             span.fields.update(fields)
-        if not _RESERVED.isdisjoint(span.fields):  # consumed or not
-            raise TypeError(f"reserved span field in {sorted(span.fields)}")
+        return self._close(
+            span.ctx, span.name, span.node, span.incarnation, span.start, span.links, span.fields
+        )
+
+    def _close(
+        self,
+        ctx: FlowContext,
+        name: str,
+        node: str,
+        incarnation: int,
+        start: float,
+        links: tuple[str, ...],
+        fields: dict[str, Any],
+    ) -> FlowContext:
+        self.spans_emitted += 1
+        if not _RESERVED.isdisjoint(fields):  # consumed or not
+            raise TypeError(f"reserved span field in {sorted(fields)}")
         runtime = self.runtime
         now = runtime.now
-        ctx = span.ctx
         tracer = runtime.tracer
         if tracer.wants(SPAN_EVENT):
             record = {
                 "trace": ctx.trace_id,
                 "span": ctx.span_id,
                 "parent": ctx.parent_id,
-                "name": span.name,
+                "name": name,
                 "hop": ctx.hop,
-                "inc": span.incarnation,
-                "start": span.start,
-                **span.fields,
+                "inc": incarnation,
+                "start": start,
+                **fields,
             }
-            if span.links:
-                record["links"] = list(span.links)
-            tracer.emit_fields(now, span.node, SPAN_EVENT, record)
+            if links:
+                record["links"] = list(links)
+            tracer.emit_fields(now, node, SPAN_EVENT, record)
         if self._span_consumers:
-            stage = span.fields.get("task") or span.name
+            stage = fields.get("task") or name
             for consumer in self._span_consumers:
-                consumer(now, ctx.trace_id, ctx.parent_id, stage, span.start)
+                consumer(now, ctx.trace_id, ctx.parent_id, stage, start)
         return ctx
 
     def add_span_consumer(self, consumer: SpanConsumer) -> None:
@@ -151,8 +165,10 @@ class ObsState:
         links: tuple[str, ...] = (),
         **fields: Any,
     ) -> FlowContext:
-        """Zero-duration span (a causal hop without a measured interval)."""
-        return self.finish(self.start_span(name, node, parent, links=links, **fields))
+        """Zero-duration span (a causal hop without a measured interval):
+        ``finish(start_span(...))`` without building the :class:`Span`."""
+        ctx = self._context(parent)
+        return self._close(ctx, name, node.name, node.incarnation, self.runtime.now, links, fields)
 
     # ------------------------------------------------------------------
     # Metrics

@@ -2,7 +2,7 @@
 
 Every runtime toggle the middleware reads from the environment is
 declared here, once, with its default and a docstring. Code elsewhere
-must go through :func:`flag_enabled` / :func:`flag_value` instead of
+must go through :func:`flag_enabled` instead of
 touching ``os.environ`` directly — the ``FLG001`` lint rule enforces
 this, so the table below stays the complete inventory.
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-__all__ = ["EnvFlag", "FLAGS", "flag", "flag_enabled", "flag_value"]
+__all__ = ["EnvFlag", "FLAGS", "flag", "flag_enabled"]
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,3 @@ def flag(name: str) -> EnvFlag:
 def flag_enabled(name: str) -> bool:
     """Boolean value of a declared flag (see :meth:`EnvFlag.enabled`)."""
     return flag(name).enabled()
-
-
-def flag_value(name: str) -> str:
-    """String value of a declared flag (environment or default)."""
-    return flag(name).raw()

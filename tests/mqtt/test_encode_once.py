@@ -5,7 +5,8 @@ payload fragment computed for the first frame is inherited by every
 forward copy, retained delivery and dup retransmission. A change that
 silently re-encodes per copy fails here. At QoS 0 the frame itself is
 shared: every subscriber is sent one bytes object, the publisher's own when
-the broker can tell that it is canonical.
+the broker can tell that it is canonical — with the broker's trace context
+spliced in when observability is on.
 """
 
 import pytest
@@ -13,6 +14,9 @@ import pytest
 from repro.mqtt import packets
 from repro.mqtt.broker import Broker
 from repro.mqtt.client import MqttClient
+from repro.mqtt.packets import Packet, PacketType
+from repro.obs.context import FlowContext
+from repro.obs.state import enable_observability
 from repro.runtime.sim import SimRuntime
 from repro.util import serialization
 
@@ -109,3 +113,69 @@ def test_payload_is_encoded_once_per_holder(monkeypatch, fastpath):
     assert (sent[0] is published[0]) == fastpath
     assert broker.stats.forwards_reused - reused == SUBSCRIBERS + (1 if fastpath else 0)
     assert broker.metrics()["broker.forwards_reused"] == broker.stats.forwards_reused
+
+
+def _traced(ctx):
+    return {"obs": ctx.to_wire(), "sample_id": 7}
+
+
+def _edited(ctx):
+    wire = ctx.to_wire()
+    wire["z"] = 0  # after to_wire: the dict no longer spells its context
+    return {"obs": wire}
+
+
+#: Traced publishes whose context the broker cannot splice, by why.
+FALLBACKS = {
+    "key_sorts_first": lambda ctx: {"a": 0, "obs": ctx.to_wire()},
+    "edited_context": _edited,
+    "parsed_context": lambda ctx: {"obs": dict(ctx.to_wire())},
+    "retained": _traced,
+}
+
+
+def observed_fanout(monkeypatch, subscribers, headers, retain=False):
+    """One traced QoS 0 publish to ``subscribers`` with observability on:
+    the PUBLISH encodes it cost, and the forwards that paid none."""
+    runtime = SimRuntime(seed=23)
+    obs = enable_observability(runtime)
+    broker = Broker(runtime.add_node("hub"))
+    publisher = make_client(runtime, broker, "pub")
+    got = []
+    for i in range(subscribers):
+        make_client(runtime, broker, f"sub-{i}").subscribe(
+            "t", lambda _t, _p, pkt: got.append(pkt["headers"]["obs"])
+        )
+    runtime.run(until=1.0)
+    encodes = 0
+    encode = Packet.encode
+
+    def counting_encode(packet):
+        nonlocal encodes
+        encodes += packet.type is PacketType.PUBLISH
+        return encode(packet)
+
+    monkeypatch.setattr(Packet, "encode", counting_encode)
+    ctx = obs.point("publish", publisher.node)
+    publisher.publish("t", dict(PAYLOAD), headers=headers(ctx), retain=retain)
+    runtime.run(until=2.0)
+    # Every copy carries the broker's span, child of the publisher's.
+    assert [FlowContext.from_wire(w)[2:] for w in got] == [(ctx.span_id, 1)] * subscribers
+    return encodes, broker.stats.forwards_reused
+
+
+@pytest.mark.parametrize("subscribers", [1, 2, SUBSCRIBERS])
+def test_an_observed_publish_is_encoded_once(monkeypatch, subscribers):
+    """The broker's span rewrites the context; spliced into the bytes it
+    received, that costs no encode: the publisher's is the message's one."""
+    assert observed_fanout(monkeypatch, subscribers, _traced) == (1, subscribers)
+
+
+@pytest.mark.parametrize("subscribers", [1, SUBSCRIBERS])
+@pytest.mark.parametrize("case", sorted(FALLBACKS))
+def test_an_unspliceable_observed_publish_costs_one_broker_encode(monkeypatch, case, subscribers):
+    """Otherwise the broker encodes one copy, for every subscriber."""
+    encodes, reused = observed_fanout(
+        monkeypatch, subscribers, FALLBACKS[case], retain=case == "retained"
+    )
+    assert (encodes, reused) == (2, subscribers - 1)

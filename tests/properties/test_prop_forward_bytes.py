@@ -1,8 +1,10 @@
 """What the broker puts on the wire is what a per-copy encoder would.
 
 The broker encodes a forward only when its bytes differ from bytes it
-already holds: a plain QoS 0 publish is relayed as received, and every other
-QoS 0 delivery of a message shares one encoded copy. The reference below
+already holds: a plain QoS 0 publish is relayed as received, or, when its
+routing span rewrites a known leading trace context, sent as the received
+bytes with the new context spliced in; every other QoS 0 delivery of a
+message shares one encoded copy. The reference below
 knows none of that. For each inbound PUBLISH it builds, per subscriber, the
 body ``Packet.forwarded(qos, retain, packet_id, headers, fwd_id)`` describes
 and runs it through ``encode_payload`` — the canonical encoder, not the
@@ -10,9 +12,10 @@ direct writer. The real ``Broker`` runs over a medium that hands it raw
 datagrams and keeps what it sends; for every message the frames must equal
 the reference's byte for byte and in order, the ``mqtt.broker.forward``
 records and ``publishes_out`` must be the per-copy ones, the frames must be
-the *received object* exactly when the reuse condition holds, and the broker
+the *received object* exactly when the reuse condition holds, every frame
+that carries its packet must carry the one its bytes spell, and the broker
 must have called ``Packet.encode`` once per distinct bytes object it sent and
-did not receive.
+neither received nor spliced.
 """
 
 from __future__ import annotations
@@ -27,10 +30,10 @@ from hypothesis import strategies as st
 
 from repro.mqtt import packets
 from repro.mqtt.broker import Broker
-from repro.mqtt.packets import Packet, PacketType
+from repro.mqtt.packets import Packet, PacketType, _Wire
 from repro.mqtt.topics import TopicTree, topic_matches
 from repro.net.medium import Medium
-from repro.obs.context import FlowContext
+from repro.obs.context import FlowContext, _WireContext
 from repro.obs.state import enable_observability
 from repro.runtime.node import Node
 from repro.runtime.sim import SimRuntime
@@ -43,6 +46,11 @@ SHAPES = (
     "ctor", "extra_key", "no_headers", "null_headers", "bool_qos",
     "no_qos_extra_key", "no_dup_extra_key", "no_payload_extra_key",
 )
+#: How a drawn trace context dict departs from what ``to_wire`` built:
+#: edited afterwards, in a way a parse does not see but its bytes do.
+EDITS = ("none", "extra_key", "no_parent")
+#: How a drawn PUBLISH is spelled on the wire (see :attr:`Inbound.loose`).
+LOOSE = ("no", "body", "topic")
 
 
 # ----------------------------------------------------------------------
@@ -67,9 +75,12 @@ class Inbound:
     dup: bool
     headers: dict | None
     shape: str
-    #: ``Packet.encode()`` output, or the same body as loose JSON (spaces,
-    #: insertion order) — parseable, not canonical, never a ``_Wire``.
-    loose: bool
+    #: One of :data:`LOOSE`: ``Packet.encode()`` output (``"no"``), the same
+    #: body as loose JSON (``"body"``: spaces, insertion order), or those
+    #: bytes with spaces around the topic only (``"topic"``: canonical up to
+    #: past the headers, so no check of the head can tell). Loose input is
+    #: parseable, not canonical, never a ``_Wire``.
+    loose: str
 
     def fields(self, packet_id: int) -> dict[str, Any]:
         built = Packet.publish(
@@ -103,36 +114,67 @@ payloads = st.recursive(
     ),
     max_leaves=6,
 )
+
+
+def context(trace: int, span: int, hop: int, edit: str) -> dict:
+    wire = FlowContext(f"tr-{trace}", f"sp-x{span}", "", hop).to_wire()
+    if edit == "extra_key":
+        wire["z"] = 0
+    elif edit == "no_parent":
+        del wire["p"]  # an absent parent reads as ""
+    return wire
+
+
+def spliceable(headers: dict | None) -> bool:
+    """The headers lead with a context ``to_wire`` built and nobody edited."""
+    obs = (headers or {}).get("obs")
+    return type(obs) is _WireContext and obs == obs.ctx.to_wire() and min(headers) == "obs"
+
+
 contexts = st.builds(
-    lambda trace, span, hop: FlowContext(f"tr-{trace}", f"sp-x{span}", "", hop).to_wire(),
-    st.integers(0, 3), st.integers(0, 9), st.integers(0, 4),
+    context, st.integers(0, 3), st.integers(0, 12), st.integers(0, 11), st.sampled_from(EDITS)
 )
 header_sets = st.one_of(
     st.none(),
     st.just({}),
     st.just({"sample_id": 7, "sensed_at": 1.25}),
     st.builds(lambda ctx: {"obs": ctx, "sample_id": 8}, contexts),
+    st.builds(lambda ctx: {"n": 0, "obs": ctx}, contexts),  # a key sorting first
+    st.builds(lambda ctx: {"obs": dict(ctx)}, contexts),  # parsed, not known
     st.just({"obs": "not a context"}),
 )
 inbounds = st.builds(
     Inbound,
     topic=st.sampled_from(TOPICS), payload=payloads, qos=st.sampled_from((0, 1)),
     retain=st.booleans(), dup=st.booleans(), headers=header_sets,
-    shape=st.sampled_from(SHAPES), loose=st.booleans(),
+    shape=st.sampled_from(SHAPES), loose=st.sampled_from(LOOSE),
 )
 # Mostly plain publishes, or the reuse branch would rarely be the one taken.
 plain_inbounds = st.builds(
     Inbound,
     topic=st.sampled_from(TOPICS), payload=payloads, qos=st.just(0),
     retain=st.just(False), dup=st.just(False), headers=header_sets,
-    shape=st.just("ctor"), loose=st.just(False),
+    shape=st.just("ctor"), loose=st.just("no"),
 )
 # ... and plain but for one thing, each of which must switch the relay off.
-PLAIN = Inbound("a/b", {"v": [1.5, "x"]}, 0, False, False, {"sample_id": 7}, "ctor", False)
+PLAIN = Inbound("a/b", {"v": [1.5, "x"]}, 0, False, False, {"sample_id": 7}, "ctor", "no")
 ONE_OFF = (
-    [replace(PLAIN, **{name: True}) for name in ("retain", "dup", "loose")]
+    [replace(PLAIN, **{name: True}) for name in ("retain", "dup")]
+    + [replace(PLAIN, loose=loose) for loose in LOOSE[1:]]
     + [replace(PLAIN, qos=1)]
     + [replace(PLAIN, shape=shape) for shape in SHAPES[1:]]
+)
+#: A plain publish with the context a publisher's span puts on it: with
+#: observability on, the broker splices its own context into these bytes ...
+TRACED = replace(PLAIN, headers={"obs": context(1, 1, 2, "none"), "sample_id": 7})
+#: ... and traced but for one thing, each of which must switch the splice off.
+TRACED_OFF = (
+    [replace(TRACED, **{name: True}) for name in ("retain", "dup")]
+    + [replace(TRACED, loose=loose) for loose in LOOSE[1:]]
+    + [replace(TRACED, qos=1)]
+    + [replace(TRACED, headers={"n": 0, "obs": context(1, 1, 2, "none")})]
+    + [replace(TRACED, headers={"obs": context(1, 1, 2, edit)}) for edit in EDITS[1:]]
+    + [replace(TRACED, headers={"obs": dict(context(1, 1, 2, "none"))})]
 )
 subscribers = st.builds(
     Subscriber,
@@ -291,16 +333,29 @@ class Reference:
 # ----------------------------------------------------------------------
 
 
-def wire_form(fields: dict, loose: bool) -> bytes:
-    if loose:
+def wire_form(fields: dict, loose: str) -> bytes:
+    if loose == "body":
         return json.dumps({**fields, "_t": "publish"}, separators=(", ", ": ")).encode()
-    return Packet(PacketType.PUBLISH, fields).encode()
+    data = Packet(PacketType.PUBLISH, fields).encode()
+    return data.replace(b',"topic":', b', "topic": ') if loose == "topic" else data
 
 
-def check(subs, messages, late, fastpath: bool, obs: bool, publisher_has_session: bool) -> int:
+def assert_carries_its_packet(frame: bytes) -> None:
+    """A frame that carries its packet carries the one its bytes spell,
+    trace context included."""
+    if type(frame) is not _Wire:
+        return
+    packet, body = frame._packet, json.loads(frame)
+    assert {**packet.fields, "_t": packet.type.value} == body
+    headers = packet.get("headers")
+    if isinstance(headers, dict) and "obs" in headers:
+        assert FlowContext.from_wire(headers["obs"]) == FlowContext.from_wire(body["headers"]["obs"])
+
+
+def check(subs, messages, late, fastpath: bool, obs: bool, publisher_has_session: bool):
     """Play one script on the bed and on the reference; returns how many
-    forwards relayed the received bytes object."""
-    relayed = 0
+    forwards relayed the received bytes object, and how many spliced it."""
+    relayed = spliced_forwards = 0
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(packets, "WIRE_FASTPATH", fastpath)
         bed, reference = Bed(patch, obs), Reference(obs)
@@ -328,23 +383,30 @@ def check(subs, messages, late, fastpath: bool, obs: bool, publisher_has_session
             assert sent == expected  # which station, which bytes, in which order
             assert bed.forward_records(traced) == records
             assert broker.stats.publishes_out - out == len(records)
+            for _station, payload in sent:
+                assert_carries_its_packet(payload)
             forwards = [payload for _station, payload in sent[len(sent) - len(records):]]
             shared = [p for p, r in zip(forwards, records) if r["qos"] == 0]
             # The received object goes out exactly when it is known to be
-            # the bytes a copy would encode to ...
-            reusable = (
-                fastpath and not inbound.loose and inbound.shape == "ctor" and inbound.qos == 0
-                and not inbound.retain and not inbound.dup and not rewritten
+            # the bytes a copy would encode to; with a new context, those
+            # bytes spliced, exactly when the old one is known to lead them ...
+            plain = (
+                fastpath and inbound.loose == "no" and inbound.shape == "ctor" and inbound.qos == 0
+                and not inbound.retain and not inbound.dup
             )
+            reusable = plain and not rewritten
+            spliced = plain and rewritten and spliceable(inbound.headers)
             assert all((p is data) == reusable for p in shared)
             assert not any(p is data for p, r in zip(forwards, records) if r["qos"] == 1)
             # ... otherwise every QoS 0 subscriber gets one shared copy,
             assert len({id(p) for p in shared}) <= 1
-            # and an encode is paid per distinct object sent, never more.
-            assert bed.encodes == len({id(p) for _s, p in sent if p is not data})
-            encoded_for_qos0 = 1 if shared and not reusable else 0
+            # and an encode is paid per distinct object sent but a splice.
+            made = len({id(p) for _s, p in sent if p is not data})
+            assert bed.encodes == made - (1 if shared and spliced else 0)
+            encoded_for_qos0 = 1 if shared and not (reusable or spliced) else 0
             assert broker.stats.forwards_reused - reused == len(shared) - encoded_for_qos0
             relayed += len(shared) if reusable else 0
+            spliced_forwards += len(shared) if spliced else 0
 
         if late is not None:
             topic_filter, granted = late
@@ -355,15 +417,18 @@ def check(subs, messages, late, fastpath: bool, obs: bool, publisher_has_session
             assert sent == expected
             assert bed.forward_records(traced) == records
             assert bed.encodes == len(sent)  # retained deliveries are per call
+            for _station, payload in sent:
+                assert_carries_its_packet(payload)
         assert broker.stats.malformed == 0
-    return relayed
+    return relayed, spliced_forwards
 
 
 @settings(max_examples=250, deadline=None)
 @given(
     subs=st.lists(subscribers, min_size=1, max_size=5),
     messages=st.lists(
-        st.one_of(inbounds, plain_inbounds, st.sampled_from(ONE_OFF)), min_size=1, max_size=4
+        st.one_of(inbounds, plain_inbounds, st.sampled_from(ONE_OFF + [TRACED, *TRACED_OFF])),
+        min_size=1, max_size=4,
     ),
     late=st.none() | st.tuples(st.sampled_from(FILTERS), st.sampled_from((0, 1))),
     fastpath=st.booleans(), obs=st.booleans(), publisher_has_session=st.booleans(),
@@ -382,13 +447,16 @@ def check(subs, messages, late, fastpath: bool, obs: bool, publisher_has_session
 )
 @example(  # a QoS 1 publish to a QoS 1, a QoS 0 and another QoS 0 subscriber, then retained delivery
     subs=[Subscriber((("a/b", 1),), False), Subscriber((("#", 0),), False), Subscriber((("a/+", 0),), False)],
-    messages=[Inbound("a/b", 3, 1, True, False, None, "ctor", False)],
+    messages=[Inbound("a/b", 3, 1, True, False, None, "ctor", "no")],
     late=("a/#", 1), fastpath=True, obs=False, publisher_has_session=True,
 )
-@example(  # the span rewrites the header: nothing to relay, one copy shared
+@example(  # the span rewrites the header: the received bytes spliced, one copy shared
     subs=[Subscriber((("a/b", 0),), False), Subscriber((("#", 0),), False)],
-    messages=[Inbound("a/b", 1, 0, False, False, {"obs": FlowContext("tr-1", "sp-x1", "", 2).to_wire()}, "ctor", False)],
-    late=None, fastpath=True, obs=True, publisher_has_session=False,
+    messages=[TRACED], late=None, fastpath=True, obs=True, publisher_has_session=False,
+)
+@example(  # ... and each publish that is traced but for one thing, then retained delivery
+    subs=[Subscriber((("a/#", 0), ("a/b", 1)), False)] * 2, messages=[TRACED, *TRACED_OFF],
+    late=("#", 0), fastpath=True, obs=True, publisher_has_session=True,
 )
 def test_frames_are_the_per_copy_encoders(subs, messages, late, fastpath, obs, publisher_has_session):
     check(subs, messages, late, fastpath, obs, publisher_has_session)
@@ -397,6 +465,15 @@ def test_frames_are_the_per_copy_encoders(subs, messages, late, fastpath, obs, p
 def test_the_reuse_branch_is_exercised():
     """The property above is vacuous if nothing is ever relayed."""
     subs = [Subscriber((("a/#", 0),), False), Subscriber((("a/b", 1),), False), Subscriber((("x/y", 1),), False)]
-    assert check(subs, [PLAIN, PLAIN], None, True, False, True) == 4
-    assert check(subs, [PLAIN, PLAIN], None, False, False, True) == 0
-    assert check(subs, ONE_OFF, None, True, False, False) == 0
+    assert check(subs, [PLAIN, PLAIN], None, True, False, True) == (4, 0)
+    assert check(subs, [PLAIN, PLAIN], None, False, False, True) == (0, 0)
+    assert check(subs, ONE_OFF, None, True, False, False) == (0, 0)
+
+
+def test_the_splice_branch_is_exercised():
+    """... or if nothing is ever spliced."""
+    subs = [Subscriber((("a/#", 0),), False), Subscriber((("a/b", 1),), False), Subscriber((("x/y", 1),), False)]
+    assert check(subs, [TRACED, TRACED], None, True, True, True) == (0, 4)
+    assert check(subs, [TRACED, TRACED], None, True, False, True) == (4, 0)
+    assert check(subs, [TRACED, TRACED], None, False, True, True) == (0, 0)
+    assert check(subs, TRACED_OFF, None, True, True, False) == (0, 0)
