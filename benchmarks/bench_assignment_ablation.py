@@ -20,7 +20,6 @@ from repro.runtime import SimRuntime
 from repro.sensors import FixedPayloadModel
 from repro.util.stats import LatencyRecorder
 
-from conftest import record_rows
 
 PIPELINES = 7
 RATE_HZ = 25.0
@@ -97,8 +96,7 @@ def bench_assignment_strategies(benchmark):
             f"{strategy:>17}: judge avg {latencies.average:8.2f} ms, "
             f"p95 {latencies.percentile(95):8.2f} ms, modules used {spread}"
         )
-    record_rows(
-        benchmark,
+    benchmark.extra_info.update(
         {
             f"{strategy}_avg_ms": latencies.average
             for strategy, (latencies, _p) in outcomes.items()
@@ -146,7 +144,7 @@ def bench_fig5_strategies(benchmark):
             f"max rho {rho:.3f}"
         )
         rows |= {f"{strategy}_p50_ms": p50, f"{strategy}_p99_ms": p99, f"{strategy}_max_rho": rho}
-    record_rows(benchmark, rows)
+    benchmark.extra_info.update(rows)
     latencies, rho = outcomes["load_aware"]
     # Placed by predicted load the application is a service level: no
     # module near saturation, judging within a second at the tail.

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from repro.bench.harness import run_paper_experiment
 
-from conftest import record_rows
 
 RATE_HZ = 30
 
@@ -36,8 +35,7 @@ def bench_broker_placement(benchmark):
         f"broker on laptop: train avg {laptop.training.average:8.1f} ms, "
         f"predict avg {laptop.predicting.average:8.1f} ms"
     )
-    record_rows(
-        benchmark,
+    benchmark.extra_info.update(
         {
             "pi_train_avg_ms": pi.training.average,
             "laptop_train_avg_ms": laptop.training.average,
@@ -65,8 +63,7 @@ def bench_qos_level(benchmark):
         f"QoS 1: train avg {qos1.training.average:8.1f} ms "
         f"(batches {qos1.batches_trained})"
     )
-    record_rows(
-        benchmark,
+    benchmark.extra_info.update(
         {
             "qos0_train_avg_ms": qos0.training.average,
             "qos1_train_avg_ms": qos1.training.average,

@@ -20,7 +20,6 @@ from repro.core.recipe import Recipe, TaskSpec
 from repro.runtime.sim import SimRuntime
 from repro.sensors.devices import FixedPayloadModel
 
-from conftest import record_rows
 
 KEEPALIVE_S = 2.0
 SWEEP_S = 5.0  # broker session sweep cadence (default)
@@ -99,8 +98,7 @@ def bench_failover_recovery_time(benchmark):
             f"  detect+redeploy {o['detect_redeploy_s']:6.2f} s, "
             f"full recovery {o['recovery_s']:6.2f} s"
         )
-    record_rows(
-        benchmark,
+    benchmark.extra_info.update(
         {
             "mean_recovery_s": sum(recovery) / len(recovery),
             "mean_detect_s": sum(detect) / len(detect),
@@ -159,8 +157,7 @@ def bench_self_healing_cycle(benchmark):
             f"fail-back {o['failback_s']:6.2f} s, "
             f"migration {o['migration_s']:6.3f} s"
         )
-    record_rows(
-        benchmark,
+    benchmark.extra_info.update(
         {
             "mean_detect_failover_s": round(
                 sum(o["detect_failover_s"] for o in outcomes) / len(outcomes), 6

@@ -27,7 +27,6 @@ from repro.runtime.sim import SimRuntime
 from repro.sensors.devices import FixedPayloadModel
 from repro.util.stats import LatencyRecorder
 
-from conftest import record_rows
 
 #: Rough single-core speed-ups relative to the Pi 2 of the paper.
 GENERATIONS = {"pi2-1x": 1.0, "pi3-2x": 2.0, "pi4-4x": 4.0, "pi5-8x": 8.0}
@@ -73,8 +72,8 @@ def bench_hardware_generations(benchmark):
             f"  {name:>8}: avg {latencies.average:8.1f} ms, "
             f"max {latencies.maximum:8.1f} ms, batches {latencies.count}"
         )
-    record_rows(
-        benchmark, {name: results[name].average for name in GENERATIONS}
+    benchmark.extra_info.update(
+        {name: results[name].average for name in GENERATIONS}
     )
     averages = [results[name].average for name in GENERATIONS]
     # Strictly monotone improvement across generations.

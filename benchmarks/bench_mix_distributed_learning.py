@@ -20,7 +20,6 @@ import random
 from repro.ml.linear import make_learner
 from repro.ml.mix import MixCoordinator, MixParticipantState, average_diffs
 
-from conftest import record_rows
 
 LEARNERS = 4
 ROUNDS = 8
@@ -100,8 +99,7 @@ def bench_mix_distributed_learning(benchmark):
     print(f"mixed shard accuracy (min):  {mixed_acc:.3f}")
     print(f"unmixed shard accuracy (min):{unmixed_acc:.3f}")
     print(f"weight divergence mixed / unmixed: {mixed_div:.4f} / {unmixed_div:.4f}")
-    record_rows(
-        benchmark,
+    benchmark.extra_info.update(
         {
             "central_acc": central_acc,
             "mixed_min_acc": mixed_acc,

@@ -25,8 +25,6 @@ from repro.runtime import SimRuntime
 from repro.sensors import AlertActuator, FixedPayloadModel
 from repro.util.stats import LatencyRecorder
 
-from conftest import record_rows
-
 
 def primary_recipe(rate_hz=10.0) -> Recipe:
     return Recipe(
@@ -150,8 +148,7 @@ def bench_resource_sharing(benchmark):
         f"monitor judge latency shared: {shared.average:7.2f} ms "
         f"({shared.count} records)"
     )
-    record_rows(
-        benchmark,
+    benchmark.extra_info.update(
         {"alone_avg_ms": alone.average, "shared_avg_ms": shared.average},
     )
     # Both deployments make full progress...
@@ -189,8 +186,7 @@ def bench_secondary_use(benchmark):
         f"sensing -> secondary actuator:   {end_to_end.average:7.2f} ms "
         f"(+{extra:.2f} ms for the tertiary hop)"
     )
-    record_rows(
-        benchmark,
+    benchmark.extra_info.update(
         {
             "judge_avg_ms": judge_latency.average,
             "secondary_actuator_avg_ms": end_to_end.average,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from repro.bench import run_rate_sweep
 
-from conftest import record_rows
 
 RATES = (5, 10, 15, 20, 25, 30, 35, 40, 50, 60, 80)
 
@@ -30,7 +29,7 @@ def bench_saturation_sweep(benchmark):
     for rate in RATES:
         bar = "#" * min(80, int(series[rate] / 25))
         print(f"  {rate:>3} | {series[rate]:9.1f} {bar}")
-    record_rows(benchmark, {f"{rate}Hz_avg_ms": series[rate] for rate in RATES})
+    benchmark.extra_info.update({f"{rate}Hz_avg_ms": series[rate] for rate in RATES})
 
     REAL_TIME_MS = 500.0
     knee = next(

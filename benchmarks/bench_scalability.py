@@ -20,7 +20,6 @@ from repro.runtime import SimRuntime
 from repro.sensors import FixedPayloadModel
 from repro.util.stats import LatencyRecorder
 
-from conftest import record_rows
 
 GROUP_COUNTS = (1, 2, 4, 8)
 RATE_HZ = 10.0
@@ -97,7 +96,7 @@ def bench_scalability(benchmark):
             f"{row['groups']:>6} | {row['avg_ms']:14.2f} | {row['p95_ms']:8.2f} | "
             f"{row['broker_util']:11.3f} | {row['wlan_util']:9.3f}"
         )
-    record_rows(benchmark, {f"groups_{r['groups']}_avg_ms": r["avg_ms"] for r in rows})
+    benchmark.extra_info.update({f"groups_{r['groups']}_avg_ms": r["avg_ms"] for r in rows})
     by_groups = {r["groups"]: r for r in rows}
     # Horizontal scaling: per-flow latency stays flat (< 1.5x the 1-group
     # figure even at 8 groups) because each group brings its own compute.

@@ -23,8 +23,6 @@ from repro.bench import (
 )
 from repro.bench.calibration import PAPER_RATES_HZ
 
-from conftest import record_rows
-
 
 def bench_table3_predicting_latency(benchmark):
     results = benchmark.pedantic(
@@ -40,7 +38,7 @@ def bench_table3_predicting_latency(benchmark):
         )
     )
     rows = {f"{int(r.rate_hz)}Hz": r.row("predicting") for r in results}
-    record_rows(benchmark, rows)
+    benchmark.extra_info.update(rows)
 
     predict = {int(r.rate_hz): r.predicting for r in results}
     train = {int(r.rate_hz): r.training for r in results}

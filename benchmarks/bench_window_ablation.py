@@ -25,7 +25,6 @@ from repro.runtime import SimRuntime
 from repro.sensors import FixedPayloadModel
 from repro.util.stats import LatencyRecorder
 
-from conftest import record_rows
 
 RATE_HZ = 10.0
 SENSORS = ("pi-s1", "pi-s2", "pi-s3")
@@ -113,7 +112,7 @@ def bench_window_modes(benchmark):
             f"{row['mode']:>6} | {row['batches']:7d} | {row['avg_batch_size']:8.2f} | "
             f"{row['avg_latency_ms']:16.2f} | {row['max_same_source_in_batch']:5d}"
         )
-    record_rows(benchmark, {r["mode"]: r["avg_latency_ms"] for r in rows})
+    benchmark.extra_info.update({r["mode"]: r["avg_latency_ms"] for r in rows})
     by_mode = {r["mode"]: r for r in rows}
     # All modes keep up with the source rate (~10 batches/s for 10 s).
     for row in rows:

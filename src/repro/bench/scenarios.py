@@ -287,7 +287,7 @@ FIG5 = Scenario(
     name="fig5",
     description="the Fig. 5 watching experiment (fall at t=20 s), Pi calibration",
     # The Pi cost model on the default WLAN: what the declared deadlines
-    # and the committed BENCH baselines assume.
+    # and the drift and soundness gates assume.
     build=lambda seed, prepare: build_fig5_testbed(
         seed, prepare=prepare, cost_model=pi_cost_model()
     ),

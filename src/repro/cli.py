@@ -1,7 +1,7 @@
 """Command-line interface: ``python -m repro <command>``.
 
 Every scenario argument (``chaos``, ``heal``, ``san``, ``prof``, ``slo``,
-``trace --pipeline``, ``lint --recipe``) is a name from
+``trace --pipeline``, ``lint --recipe/--calibrate/--validate``) is a name from
 :mod:`repro.registry`, run through :func:`repro.scenario.run`.
 
 Commands
@@ -35,12 +35,6 @@ Commands
     optionally export folded stacks and Chrome counter tracks. With
     ``--scenario paper --rates`` prints a per-rate utilization table —
     the paper's saturation story in one screen.
-``bench``
-    Continuous benchmarking: run named benchmarks, write schema-versioned
-    ``BENCH_<name>.json`` records, and with ``--compare <dir>`` gate the
-    fresh records against a committed baseline (byte-exact on sim
-    metrics, tolerance-banded on wall throughput). Exit code 1 on
-    regression — this is the CI gate.
 ``slo``
     Run a scenario with the online SLO engine attached and print the
     conformance report: per-flow latency sketches vs declared deadlines,
@@ -115,14 +109,22 @@ def _run(
     return outcome, f"{name} (seed {outcome.seed}, {outcome.duration_s:g}s)"
 
 
+def _scenario_or_file(name_or_path: str) -> "Scenario | Path":
+    """A registry name wins, else an existing file; anything else is an
+    unknown scenario."""
+    path = Path(name_or_path)
+    if name_or_path not in SCENARIOS and path.is_file():
+        return path
+    return resolve(name_or_path)
+
+
 def _recipe_source(name_or_path: str) -> "tuple[Recipe, Scenario | None]":
     """Resolve ``--recipe`` to a recipe and, when it names one, the
     scenario that declares it (a recipe file has none)."""
-    path = Path(name_or_path)
-    if name_or_path not in SCENARIOS and path.is_file():
-        return _load_recipe(path), None
-    scenario = resolve(name_or_path)
-    return scenario.recipe(), scenario
+    source = _scenario_or_file(name_or_path)
+    if isinstance(source, Path):
+        return _load_recipe(source), None
+    return source.recipe(), source
 
 
 def _cmd_paper_exp(args: argparse.Namespace) -> int:
@@ -291,7 +293,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     spans = spans_from_tracer(tracer)
     print()
     if args.summary:
-        from repro.obs import flow_latency_summary, stage_breakdown
+        from repro.lint.latency import flows_from_trace
         from repro.obs.slo import format_flow_summary
 
         # Deadlines for the verdict column: --recipe, else the scenario just run.
@@ -306,11 +308,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             if task.deadline_ms is not None
         }
         print(title)
-        print(
-            format_flow_summary(
-                flow_latency_summary(stage_breakdown(spans)), deadlines_ms
-            )
-        )
+        print(format_flow_summary(flows_from_trace(tracer), deadlines_ms))
     else:
         print(format_trace_breakdown(tracer, title=title))
     if args.jsonl:
@@ -360,11 +358,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         )
         return 2
     rule_ids = [r.strip() for r in args.rules.split(",") if r.strip()] or None
-    run = LintRun()
+    lint_run = LintRun()
     if args.paths:
-        run.merge(lint_paths(args.paths, rule_ids=rule_ids))
+        lint_run.merge(lint_paths(args.paths, rule_ids=rule_ids))
         if args.dataflow:
-            run.merge(analyze_state_soundness(args.paths))
+            lint_run.merge(analyze_state_soundness(args.paths))
     if args.recipe:
         # A scenario brings the channel keys of the devices its testbed
         # attaches and the calibration its deadlines assume; a recipe file
@@ -384,7 +382,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 analyze_latency,
                 check_bound_soundness,
                 check_deadlines,
-                flows_from_bench,
                 flows_from_trace,
             )
 
@@ -398,47 +395,41 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             analysis = analyze_latency(recipe, context, placement)
             checks += check_deadlines(recipe, context, analysis)
             if args.validate:
-                observed_path = Path(args.validate)
-                if observed_path.suffix == ".jsonl":
-                    observed = flows_from_trace(observed_path)
-                else:
-                    from repro.bench.continuous import BenchRecord
-
-                    observed = flows_from_bench(
-                        BenchRecord.from_dict(
-                            json.loads(observed_path.read_text())
-                        )
-                    )
+                # A trace dump, or an observed run of the named scenario.
+                observed = _scenario_or_file(args.validate)
+                trace = (
+                    run(observed, observe=True).runtime.tracer
+                    if isinstance(observed, Scenario)
+                    else observed
+                )
                 checks += check_bound_soundness(
                     recipe,
-                    observed,
+                    flows_from_trace(trace),
                     context,
                     analysis,
-                    source=observed_path.name,
+                    source=observed.name,
                 )
         for diag in checks:
-            run.diagnostics.append(diag.replace(file=origin))
+            lint_run.diagnostics.append(diag.replace(file=origin))
     if args.calibrate:
-        from repro.bench.continuous import BenchRecord
-
-        baseline = BenchRecord.from_dict(
-            json.loads(Path(args.calibrate).read_text())
+        scenario = resolve(args.calibrate)
+        profiler = run(scenario, profile=True).runtime.prof
+        lint_run.diagnostics += check_cost_drift(
+            profiler.cpu_busy_by_op(), source=scenario.name
         )
-        for diag in check_cost_drift(baseline):
-            run.diagnostics.append(diag.replace(file=args.calibrate))
-    run.finish()
+    lint_run.finish()
     render = {"json": render_json, "sarif": render_sarif}.get(
         args.format, render_text
     )
     print(
         render(
-            run.diagnostics,
+            lint_run.diagnostics,
             strict=args.strict,
-            suppressed=run.suppressed,
-            files_checked=run.files_checked if args.paths else None,
+            suppressed=lint_run.suppressed,
+            files_checked=lint_run.files_checked if args.paths else None,
         )
     )
-    return 0 if run.ok(strict=args.strict) else 1
+    return 0 if lint_run.ok(strict=args.strict) else 1
 
 
 def _cmd_prof(args: argparse.Namespace) -> int:
@@ -602,52 +593,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
         time.sleep(args.interval)  # repro: lint-ok[DET005] - interactive poll cadence
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.continuous import (
-        BENCH_RUNNERS,
-        compare_bench,
-        load_bench,
-        run_bench,
-        write_bench,
-    )
-
-    if args.list:
-        for name in sorted(BENCH_RUNNERS):
-            print(name)
-        return 0
-    names = args.names or sorted(BENCH_RUNNERS)
-    out_dir = Path(args.out) if args.out else None
-    all_ok = True
-    for name in names:
-        print(f"running benchmark {name!r}...")
-        record = run_bench(name)
-        if out_dir is not None:
-            path = write_bench(record, out_dir)
-            print(f"  wrote {path}")
-        if args.compare:
-            try:
-                baseline = load_bench(Path(args.compare), name)
-            except FileNotFoundError:
-                print(f"  no baseline BENCH_{name}.json in {args.compare}")
-                all_ok = False
-                continue
-            comparison = compare_bench(record, baseline)
-            if comparison.ok:
-                print(f"  {name}: OK (sim byte-exact vs baseline)")
-            else:
-                all_ok = False
-                print(f"  {name}: REGRESSION")
-                for failure in comparison.failures:
-                    print(f"    {failure}")
-    if args.compare and not all_ok:
-        print(
-            "\nbench gate failed — if the change is intentional, refresh the "
-            "baseline with: repro bench --out <baseline-dir>",
-            file=sys.stderr,
-        )
-    return 0 if all_ok else 1
-
-
 def _cmd_san(args: argparse.Namespace) -> int:
     from repro.lint.report import render_text
     from repro.san import run_sanitizer
@@ -799,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--summary",
         action="store_true",
         help="one-screen per-flow p50/p95/p99/max table instead of the "
-        "full breakdown (BENCH schema v3 flow stats)",
+        "full breakdown",
     )
     trace.add_argument(
         "--recipe",
@@ -836,11 +781,11 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--calibrate",
         default="",
-        metavar="BASELINE",
+        metavar="SCENARIO",
         help=(
-            "check a bench baseline's per-op busy accounting against the "
-            "calibrated cost model (RCP230 drift gate), e.g. "
-            "benchmarks/baselines/BENCH_fig5.json"
+            "profile a run of the named scenario and check its per-op busy "
+            "accounting against the calibrated cost model (RCP230 drift "
+            "gate), e.g. fig5"
         ),
     )
     lint.add_argument(
@@ -855,12 +800,12 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--validate",
         default="",
-        metavar="TRACE_OR_BENCH",
+        metavar="SCENARIO_OR_TRACE",
         help=(
-            "with --deadline: hold the static bounds against observed "
-            "flow latencies from a BENCH baseline (schema v3 sim.flows) "
-            "or an obs.span .jsonl trace dump (RCP243 soundness gate, "
-            "RCP244 looseness)"
+            "with --deadline: hold the static bounds against the flow "
+            "latencies of an observed run of the named scenario or of an "
+            "obs.span .jsonl trace dump (RCP243 soundness gate, RCP244 "
+            "looseness)"
         ),
     )
     lint.add_argument(
@@ -936,26 +881,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--chrome", default="", help="write Chrome trace_event counter tracks"
     )
     prof.set_defaults(fn=_cmd_prof)
-
-    bench = sub.add_parser(
-        "bench", help="continuous benchmarks + regression gate"
-    )
-    bench.add_argument(
-        "names", nargs="*", help="benchmark names (default: all); see --list"
-    )
-    bench.add_argument(
-        "--list", action="store_true", help="list benchmarks and exit"
-    )
-    bench.add_argument(
-        "--out", default="", help="write BENCH_<name>.json records here"
-    )
-    bench.add_argument(
-        "--compare",
-        default="",
-        metavar="DIR",
-        help="gate against baseline BENCH_<name>.json records in DIR",
-    )
-    bench.set_defaults(fn=_cmd_bench)
 
     slo = sub.add_parser(
         "slo", help="run a scenario with the online SLO engine and report"

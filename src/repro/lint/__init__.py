@@ -21,7 +21,7 @@ A third engine, the **interprocedural dataflow analyzer**
 graph: state-declaration soundness for the schedule sanitizer
 (SAN020/SAN021), recipe payload-schema and at-least-once semantics
 checks (RCP200–RCP212), and the cost-model drift gate (RCP230/RCP231)
-that replays benchmark baselines against the calibrated cost model.
+that holds a profiled scenario run against the calibrated cost model.
 ``repro lint --dataflow`` / ``--calibrate`` run it.
 
 A fourth engine, the **latency-bound analyzer**
@@ -30,7 +30,7 @@ interpretation over the task graph: token-bucket arrival curves composed
 with calibrated CPU/WLAN service curves yield a worst-case end-to-end
 latency bound per flow and a backlog bound per shared resource, checked
 against deadlines declared on recipe sinks (RCP240–RCP242) and validated
-against committed trace/bench observations by the soundness gate
+against an observed scenario run or a trace dump by the soundness gate
 (RCP243/RCP244). ``repro lint --deadline`` / ``--validate`` run it.
 
 Every implemented rule across the four engines (plus the sanitizer's
@@ -64,7 +64,6 @@ from repro.lint.latency import (
     analyze_latency,
     check_bound_soundness,
     check_deadlines,
-    flows_from_bench,
     flows_from_trace,
 )
 from repro.lint.recipe_check import (
@@ -96,7 +95,6 @@ __all__ = [
     "analyze_latency",
     "check_deadlines",
     "check_bound_soundness",
-    "flows_from_bench",
     "flows_from_trace",
     "render_json",
     "render_sarif",

@@ -21,18 +21,20 @@ at-least-once *taint* tracks where QoS 1 redelivery can duplicate
 records, which is what makes RCP210 (duplicates into a non-idempotent
 stateful operator) checkable statically.
 
-**Cost-model drift (RCP230/RCP231)** — replays the per-operation busy
-accounting a benchmark baseline recorded against the *current* calibrated
-cost model. The simulator charges CPU from that model, so at head the two
-agree to within the approximation of assumed record bytes and warm-up
-amortization; an edit to the calibration numbers (or the execute-path
-accounting) without regenerating baselines trips the gate.
+**Cost-model drift (RCP230/RCP231)** — holds the per-operation busy
+accounting of a profiled run against the calibrated cost model's static
+price at the assumed record size. The simulator charges CPU from that
+model, so the two agree to within the approximation of assumed record
+bytes and warm-up amortization; an op whose simulated mean strays beyond
+tolerance (a per-byte term priced at the wrong size, an execute path that
+charges more than the op) trips the gate. The SLO engine's online drift
+watch (SLO310) runs the same :func:`cost_drift` while a scenario runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from repro.core.operators import StreamOperator, operator_class
 from repro.core.recipe import Recipe
@@ -50,6 +52,7 @@ __all__ = [
     "analyze_state_soundness",
     "check_recipe_payloads",
     "check_cost_drift",
+    "cost_drift",
     "propagate_schemas",
 ]
 
@@ -97,14 +100,14 @@ DATAFLOW_RULES: dict[str, Rule] = {
         Rule(
             "RCP230",
             Severity.ERROR,
-            "cost-model drift: a baseline-recorded per-op busy mean departs "
-            "from the current calibrated cost model beyond tolerance",
+            "cost-model drift: a profiled run's per-op busy mean departs "
+            "from the calibrated cost model's price beyond tolerance",
         ),
         Rule(
             "RCP231",
             Severity.WARNING,
-            "baseline charges a CPU op the current cost model does not "
-            "define",
+            "a profiled run charges a CPU op the calibrated cost model does "
+            "not define",
         ),
     )
 }
@@ -527,64 +530,70 @@ def _check_dedup(
 # Pass 3: cost-model drift gate (RCP230 / RCP231)
 # ---------------------------------------------------------------------------
 
-#: Relative drift between a baseline's observed per-op busy mean and the
-#: current model's prediction before RCP230 fires. The slack absorbs the
-#: two knowingly-approximate terms: per-byte costs are predicted at
+#: Relative drift between an op's observed busy mean and the model's
+#: prediction before RCP230 (and SLO310) fire. The slack absorbs the two
+#: knowingly-approximate terms: per-byte costs are predicted at
 #: DEFAULT_RECORD_BYTES (actual payloads vary) and warm-up surcharges are
-#: amortized over the recorded invocation count.
+#: amortized over the observed invocation count.
 DRIFT_TOLERANCE = 0.25
 
-#: Ops invoked fewer times than this in the baseline are skipped — their
-#: mean is dominated by warm-up and startup noise.
+#: Ops invoked fewer times than this are skipped — their mean is
+#: dominated by warm-up and startup noise.
 DRIFT_MIN_COUNT = 20
 
 
-def check_cost_drift(
-    record: Any,
-    cost_model: CostModel | None = None,
-    tolerance: float = DRIFT_TOLERANCE,
-    min_count: int = DRIFT_MIN_COUNT,
-    record_bytes: int = DEFAULT_RECORD_BYTES,
-) -> list[Diagnostic]:
-    """RCP230/RCP231: compare a baseline's ``op_busy`` to the cost model.
+class Drift(NamedTuple):
+    """One op's observed mean busy time against the model's price."""
 
-    ``record`` is a :class:`repro.bench.continuous.BenchRecord` (or its
-    dict form) whose ``sim`` carries ``op_busy``:
-    ``{op: {"busy_s": float, "count": int}}``.
+    observed_s: float
+    #: Both ``None`` when the model does not define the op.
+    predicted_s: float | None
+    drift: float | None
+
+
+def cost_drift(model: CostModel, op: str, busy_s: float, count: int) -> Drift | None:
+    """The drift of ``op``'s mean over ``count`` invocations totalling
+    ``busy_s`` of CPU, or ``None`` when there is nothing to report: the op
+    ran fewer than ``DRIFT_MIN_COUNT`` times, is priced at zero, or stays
+    within ``DRIFT_TOLERANCE``.
+
+    The price is the steady-state cost at the assumed record size plus the
+    warm-up surcharge amortized over the run (the observed busy total
+    includes the warm-up invocations).
     """
+    if count < DRIFT_MIN_COUNT:
+        return None
+    observed = busy_s / count
+    predicted = model.mean_cost(op, DEFAULT_RECORD_BYTES, count)
+    if predicted is None:
+        return Drift(observed, None, None)
+    if predicted <= 0.0:
+        return None
+    drift = observed / predicted - 1.0
+    return Drift(observed, predicted, drift) if abs(drift) > DRIFT_TOLERANCE else None
+
+
+def check_cost_drift(
+    op_busy: Mapping[str, tuple[float, int]],
+    cost_model: CostModel | None = None,
+    source: str = "<run>",
+) -> list[Diagnostic]:
+    """RCP230/RCP231: hold a profiled run's per-op CPU accounting
+    (``Profiler.cpu_busy_by_op()``: ``op -> (busy_s, count)``) against the
+    cost model (default: the calibrated one)."""
     model = cost_model if cost_model is not None else default_cost_model()
-    sim = record.sim if hasattr(record, "sim") else dict(record).get("sim", {})
-    name = getattr(record, "name", None) or dict(record).get("name", "<bench>")
-    op_busy = sim.get("op_busy")
-    if not op_busy:
-        return [
-            DATAFLOW_RULES["RCP231"].diagnostic(
-                message=(
-                    "baseline records no per-op busy accounting (op_busy) — "
-                    "the drift gate cannot run; regenerate the baseline"
-                ),
-                where=f"bench {name}",
-                hint="repro bench --out benchmarks/baselines",
-            )
-        ]
     diagnostics: list[Diagnostic] = []
     for op in sorted(op_busy):
-        entry = op_busy[op]
-        busy_s = float(entry["busy_s"])
-        count = int(entry["count"])
-        if count < min_count:
+        busy_s, count = op_busy[op]
+        finding = cost_drift(model, op, busy_s, count)
+        if finding is None:
             continue
-        where = f"bench {name}: op {op}"
-        # Predicted mean over `count` invocations: steady-state cost at the
-        # assumed record size plus the warm-up surcharge amortized over the
-        # run (the baseline's busy total includes the warm-up invocations).
-        predicted_mean = model.mean_cost(op, record_bytes, count)
-        if predicted_mean is None:
-            rule = DATAFLOW_RULES["RCP231"]
+        where = f"op {op} ({source})"
+        if finding.predicted_s is None or finding.drift is None:
             diagnostics.append(
-                rule.diagnostic(
+                DATAFLOW_RULES["RCP231"].diagnostic(
                     message=(
-                        f"baseline charges {count} invocations of {op!r} but "
+                        f"the run charges {count} invocations of {op!r} but "
                         "the current cost model does not define it"
                     ),
                     where=where,
@@ -592,27 +601,19 @@ def check_cost_drift(
                 )
             )
             continue
-        observed_mean = busy_s / count
-        if predicted_mean <= 0.0:
-            continue
-        drift = observed_mean / predicted_mean - 1.0
-        if abs(drift) > tolerance:
-            rule = DATAFLOW_RULES["RCP230"]
-            diagnostics.append(
-                rule.diagnostic(
-                    message=(
-                        f"cost-model drift {drift:+.0%}: baseline mean "
-                        f"{observed_mean * 1e3:.3f} ms/op vs current model "
-                        f"{predicted_mean * 1e3:.3f} ms/op "
-                        f"(tolerance ±{tolerance:.0%}, {count} invocations)"
-                    ),
-                    where=where,
-                    hint=(
-                        "if the calibration change is intentional, "
-                        "regenerate baselines with "
-                        "'repro bench --out benchmarks/baselines' and "
-                        "revisit RCP110/RCP111 feasibility thresholds"
-                    ),
-                )
+        diagnostics.append(
+            DATAFLOW_RULES["RCP230"].diagnostic(
+                message=(
+                    f"cost-model drift {finding.drift:+.0%}: observed mean "
+                    f"{finding.observed_s * 1e3:.3f} ms/op vs current model "
+                    f"{finding.predicted_s * 1e3:.3f} ms/op "
+                    f"(tolerance ±{DRIFT_TOLERANCE:.0%}, {count} invocations)"
+                ),
+                where=where,
+                hint=(
+                    "recalibrate the op (or the record size it is priced "
+                    "at) and revisit RCP110/RCP111 feasibility thresholds"
+                ),
             )
+        )
     return diagnostics

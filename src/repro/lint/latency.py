@@ -52,9 +52,9 @@ catch it if it ever trades away correctness.
 Soundness-gate contract
 -----------------------
 A static bound is a falsifiable claim about the measured system.
-``repro lint --deadline --validate`` replays a committed BENCH baseline
-(schema v3 ``sim.flows``) or an ``obs.span`` trace dump against the
-bounds: an observed **max** above the bound means the model is wrong —
+``repro lint --deadline --validate`` holds the bounds against an observed
+run of a registry scenario (its own seed and duration) or an ``obs.span``
+trace dump: an observed **max** above the bound means the model is wrong —
 RCP243, an error, same spirit as the cost-drift gate (RCP230); a bound
 more than ``LOOSENESS_FACTOR`` x the observed **p99** (after removing
 one-off warm-up/disruption allowances) is RCP244, a looseness warning.
@@ -91,7 +91,6 @@ __all__ = [
     "analyze_latency",
     "check_deadlines",
     "check_bound_soundness",
-    "flows_from_bench",
     "flows_from_trace",
 ]
 
@@ -125,8 +124,8 @@ LATENCY_RULES: dict[str, Rule] = {
         Rule(
             "RCP243",
             Severity.ERROR,
-            "soundness violation: observed max latency in a committed "
-            "trace/bench exceeds the static bound — the model is wrong",
+            "soundness violation: observed max latency in a scenario run or "
+            "trace dump exceeds the static bound — the model is wrong",
         ),
         Rule(
             "RCP244",
@@ -580,18 +579,18 @@ def check_deadlines(
 # ---------------------------------------------------------------------------
 
 
-def flows_from_bench(record: Any) -> dict[str, dict[str, float]]:
-    """Per-flow latency summaries from a BENCH record (schema v3 ``sim.flows``)."""
-    sim = record.sim if hasattr(record, "sim") else dict(record).get("sim", {})
-    flows = sim.get("flows") or {}
-    return {str(stage): dict(summary) for stage, summary in flows.items()}
+def flows_from_trace(trace: Any) -> dict[str, dict[str, float]]:
+    """Per-flow latency summaries from an observed run's
+    :class:`~repro.sim.trace.Tracer` or an ``obs.span`` JSONL dump path."""
+    from repro.obs.breakdown import (
+        flow_latency_summary,
+        spans_from_tracer,
+        stage_breakdown,
+    )
+    from repro.sim.trace import Tracer
 
-
-def flows_from_trace(path: Any) -> dict[str, dict[str, float]]:
-    """Per-flow latency summaries from an ``obs.span`` JSONL trace dump."""
-    from repro.obs.breakdown import breakdown_from_jsonl, flow_latency_summary
-
-    return flow_latency_summary(breakdown_from_jsonl(path))
+    tracer = trace if isinstance(trace, Tracer) else Tracer.from_jsonl(trace)
+    return flow_latency_summary(stage_breakdown(spans_from_tracer(tracer)))
 
 
 def check_bound_soundness(

@@ -81,7 +81,7 @@ def render_sarif(
 ) -> str:
     """SARIF 2.1.0 log for code-scanning upload.
 
-    Findings without a file anchor (recipe / bench checks carry ``where``
+    Findings without a file anchor (recipe / drift checks carry ``where``
     instead) become logical locations, which SARIF viewers render as the
     result's scope line.
     """

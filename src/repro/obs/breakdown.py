@@ -19,7 +19,6 @@ middleware, so dumps from any run (chaos included) can be analyzed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Iterable
 
 from repro.obs.context import SPAN_EVENT
@@ -266,8 +265,7 @@ def flow_latency_summary(breakdown: StageBreakdown) -> dict[str, dict[str, float
 
     Each entry carries ``count`` and the ``p50/p95/p99/max`` latency in
     milliseconds. This is the measured half of the latency-bound
-    soundness gate: BENCH baselines embed it (schema v3, ``sim.flows``)
-    and ``repro lint --deadline --validate`` compares each flow's
+    soundness gate: ``repro lint --deadline --validate`` compares each flow's
     observed max against the static worst-case bound (RCP243) and its
     p99 against the bound's tightness (RCP244).
     """
@@ -390,8 +388,3 @@ def canonical_span_lines(spans: list[SpanRecord]) -> list[str]:
         f"|{sorted(s.fields.items())!r}"
         for s in ordered
     ]
-
-
-def breakdown_from_jsonl(path: str | Path, **kwargs: Any) -> StageBreakdown:
-    """Convenience: rebuild spans from a JSONL dump and aggregate."""
-    return stage_breakdown(spans_from_tracer(Tracer.from_jsonl(path)), **kwargs)

@@ -27,8 +27,9 @@ Per declared flow (every task with a ``deadline_ms`` in the recipe):
   burn, state transitions emitted as ``slo.alert`` trace records with
   sim-time anchors;
 * **cost-model drift watch** — the runtime counterpart of the RCP230
-  baseline gate: observed per-op busy means (from ``repro.prof``)
-  compared against the active cost model on every status tick;
+  drift gate, on the same :func:`repro.lint.dataflow.cost_drift`:
+  observed per-op busy means (from ``repro.prof``) compared against the
+  active cost model on every status tick;
 * **operator export** — a compact status snapshot published retained on
   ``ifot/ctl/status/slo`` (the healing plane and future admission
   control subscribe there) and emitted as ``slo.status`` records.
@@ -257,12 +258,8 @@ class SloEngine:
         status_interval_s: float = 5.0,
         publisher: Callable[[str, dict[str, Any]], None] | None = None,
         cost_model: Any | None = None,
-        drift_tolerance: float | None = None,
-        drift_min_count: int | None = None,
         max_violation_log: int = 256,
     ) -> None:
-        from repro.lint.dataflow import DRIFT_MIN_COUNT, DRIFT_TOLERANCE
-
         self.runtime = runtime
         self.flows: dict[str, FlowSlo] = {}
         self._root_flows: dict[str, list[str]] = {}
@@ -283,12 +280,6 @@ class SloEngine:
             cost_model
             if cost_model is not None
             else getattr(runtime, "cost_model", None)
-        )
-        self.drift_tolerance = (
-            DRIFT_TOLERANCE if drift_tolerance is None else drift_tolerance
-        )
-        self.drift_min_count = (
-            DRIFT_MIN_COUNT if drift_min_count is None else drift_min_count
         )
         self.max_violation_log = max_violation_log
 
@@ -527,40 +518,33 @@ class SloEngine:
         model = self._cost_model
         if profiler is None or model is None or not getattr(model, "ops", None):
             return
-        from repro.lint.rates import DEFAULT_RECORD_BYTES
+        from repro.lint.dataflow import cost_drift
 
         for op, (busy_s, count) in profiler.cpu_busy_by_op().items():
             if op in self.drift:
                 continue
-            if count < self.drift_min_count:
-                continue
-            predicted = model.mean_cost(op, DEFAULT_RECORD_BYTES, count)
-            if predicted is None:
+            found = cost_drift(model, op, busy_s, count)
+            if found is None or found.predicted_s is None:
                 continue  # RCP231 covers unmodeled ops statically
-            observed = busy_s / count
-            if predicted <= 0.0:
-                continue
-            drift = observed / predicted - 1.0
-            if abs(drift) > self.drift_tolerance:
-                finding = {
-                    "t": round(now, 9),
-                    "op": op,
-                    "observed_s": round(observed, 9),
-                    "predicted_s": round(predicted, 9),
-                    "drift": round(drift, 6),
-                    "count": int(count),
-                }
-                self.drift[op] = finding
-                self.runtime.tracer.emit(
-                    now,
-                    "slo",
-                    SLO_DRIFT_EVENT,
-                    op=op,
-                    drift=finding["drift"],
-                    observed_s=finding["observed_s"],
-                    predicted_s=finding["predicted_s"],
-                    count=finding["count"],
-                )
+            finding = {
+                "t": round(now, 9),
+                "op": op,
+                "observed_s": round(found.observed_s, 9),
+                "predicted_s": round(found.predicted_s, 9),
+                "drift": round(found.drift, 6),
+                "count": int(count),
+            }
+            self.drift[op] = finding
+            self.runtime.tracer.emit(
+                now,
+                "slo",
+                SLO_DRIFT_EVENT,
+                op=op,
+                drift=finding["drift"],
+                observed_s=finding["observed_s"],
+                predicted_s=finding["predicted_s"],
+                count=finding["count"],
+            )
 
     def _update_watermarks(self, now: float) -> None:
         profiler = getattr(self.runtime, "prof", None)
@@ -718,7 +702,7 @@ class SloEngine:
                         f"({finding['count']} invocations)"
                     ),
                     where=f"op {op}",
-                    hint="recalibrate or regenerate baselines",
+                    hint="recalibrate the cost model",
                 )
             )
         if self._registry is not None and self._registry.dropped_series:
@@ -775,7 +759,7 @@ def format_flow_summary(
 ) -> str:
     """One-screen per-flow latency table with SLO verdicts.
 
-    ``flows`` is the BENCH schema v3 shape (`flow_latency_summary`):
+    ``flows`` is the :func:`~repro.obs.breakdown.flow_latency_summary` shape:
     ``{stage: {count, p50_ms, p95_ms, p99_ms, max_ms}}``. When a flow
     has a declared deadline, a verdict column compares its observed max
     against it.

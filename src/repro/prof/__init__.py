@@ -2,7 +2,7 @@
 
 PR 2's observability layer answers *how long* a flow took; this package
 answers *which resource the time was spent on*. It has two halves (see
-``docs/ARCHITECTURE.md`` — "Profiling & continuous benchmarking"):
+``docs/ARCHITECTURE.md`` — "Profiling"):
 
 * :mod:`repro.prof.profiler` — the :class:`Profiler` attached to a
   runtime as ``runtime.prof``, fed by hooks in the CPU queues

@@ -3,8 +3,8 @@
 All exports are pure functions of a :class:`~repro.prof.profiler.Profiler`
 (or, for the counter track, of a trace carrying its ``prof.sample``
 records), iterate in sorted order and round deterministically — the same
-run always serializes byte-identically, which is what lets the continuous
-benchmark gate compare profile digests across commits.
+run always serializes byte-identically, which is what lets the pipeline
+digest tests pin profile digests across commits.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Adding a scenario is one :class:`~repro.scenario.Scenario` in
 :data:`SCENARIOS`; ``chaos``, ``heal``, ``san``, ``prof``, ``slo``,
-``trace``, ``lint --recipe``, ``bench`` and the parallel seed sweep all
-look names up here and nowhere else.
+``trace``, ``lint --recipe/--calibrate/--validate`` and the parallel seed
+sweep all look names up here and nowhere else.
 """
 
 from __future__ import annotations

@@ -49,7 +49,7 @@ class Scenario:
     duration_s: float
     #: Where observability and the profiler attach — on the bare
     #: ``"runtime"`` or on the built ``"cluster"``. Not a knob: it records
-    #: what the committed goldens, baselines and digests fingerprint.
+    #: what the committed goldens and digests fingerprint.
     attach: Literal["runtime", "cluster"] = "cluster"
     #: Built against the live cluster so it can target actual placement.
     fault_plan: "Callable[[IFoTCluster, Application], FaultPlan] | None" = None

@@ -1,10 +1,8 @@
-"""``repro prof`` and ``repro bench`` CLI: formats, exports, exit codes."""
+"""``repro prof`` CLI: formats, exports, exit codes."""
 
 from __future__ import annotations
 
 import json
-
-import pytest
 
 from repro.cli import main
 
@@ -89,38 +87,3 @@ def test_prof_unknown_scenario_exits_two(capsys):
     assert main(["prof", "--scenario", "bogus"]) == 2
     assert "unknown scenario" in capsys.readouterr().err
 
-
-def test_bench_list(capsys):
-    assert main(["bench", "--list"]) == 0
-    out = capsys.readouterr().out
-    assert "fig5" in out and "saturation" in out
-
-
-def test_bench_unknown_name_exits_one(capsys):
-    assert main(["bench", "bogus"]) == 1
-    assert "unknown benchmark" in capsys.readouterr().err
-
-
-@pytest.mark.slow
-def test_bench_write_compare_and_regression(tmp_path, capsys):
-    out_dir = tmp_path / "records"
-    assert main(["bench", "saturation", "--out", str(out_dir)]) == 0
-    record_path = out_dir / "BENCH_saturation.json"
-    assert record_path.exists()
-    # Fresh run vs the record it just wrote: byte-exact, gate passes.
-    assert (
-        main(["bench", "saturation", "--compare", str(out_dir)]) == 0
-    )
-    assert "OK (sim byte-exact vs baseline)" in capsys.readouterr().out
-    # Tamper with a sim metric: the gate must fail and name the leaf.
-    data = json.loads(record_path.read_text())
-    data["sim"]["rates"]["20hz"]["samples_sensed"] += 1
-    record_path.write_text(json.dumps(data))
-    assert (
-        main(["bench", "saturation", "--compare", str(out_dir)]) == 1
-    )
-    captured = capsys.readouterr()
-    assert "REGRESSION" in captured.out
-    assert "samples_sensed" in captured.out
-    # Missing baseline also fails.
-    assert main(["bench", "fig5", "--compare", str(tmp_path / "empty")]) == 1

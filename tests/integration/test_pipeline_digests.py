@@ -7,15 +7,22 @@ through ``prepare``, Pi cost model). The pipeline must reproduce them
 byte for byte: they are the proof that folding three runners into one
 moved nothing. A digest that changes here is a behaviour change of the
 simulation or of an instrument's attach point — regenerate the goldens
-and BENCH baselines in the same change, or not at all.
+and these pins in the same change, or not at all.
+
+The fig5 profile, fig5 observed and paper-sweep pins are the runs the
+drift gate (``lint --calibrate``), the soundness gate (``lint --validate``)
+and the Tables II/III harness read; their literals were carried over from
+the benchmark records they replace.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.bench.harness import run_paper_experiment
 from repro.bench.scenarios import FIG5
 from repro.chaos import run_scenario
+from repro.chaos.scenarios import trace_digest
 from repro.prof import profile_digest
 from repro.scenario import run
 
@@ -143,14 +150,27 @@ FAILOVER_PROFILE = (
     "e38fea467a7d8ebe4299554613a3b4326b2f8f292805de8d952fb2f9f9b8f97a",
     7209,
 )
-#: Regenerated once for the placement change (fig5 under the Pi model is
-#: placed by predicted CPU load): 8c3994ff…, 14 286 -> 1dab2021…, 16 116.
-#: `pi-analysis` now serves the records it used to queue, so 5 s hold more
-#: downstream events.
-FIG5_PROFILE_5S = (
-    "1dab2021195931ca026ee8c7c5e2c37c8c28260ac51924c3418d7f7b6cdcb3ed",
-    16116,
+#: fig5 at its own seed and duration (55, 30 s): ``profile_digest`` and
+#: ``events_executed`` copied from the deleted fig5 benchmark record.
+FIG5_PROFILE = (
+    "0064ed6546ddd810b5d424003de0ae998042ac1708d02be98568128fabb2a2b3",
+    70030,
 )
+#: The observed fig5 run whose flows the soundness gate reads: trace digest
+#: and record count, captured before the benchmark record that held its
+#: per-flow summaries was deleted.
+FIG5_OBSERVED = (
+    "b7b2e76b77ce736fb738644f8ea5d3815039db6c49b9093ddc85df8cfe3d3bd7",
+    55707,
+)
+#: ``run_paper_experiment(rate, duration_s=2.5, seed=1, profile=True)``:
+#: (train avg, train max, predict avg, predict max) ms rounded to 6 places,
+#: and samples sensed, copied from the deleted saturation benchmark record.
+PAPER_SWEEP = {
+    5.0: ((78.905909, 330.984181, 65.757626, 300.022055), 66),
+    20.0: ((194.554429, 452.964637, 87.077419, 422.114837), 267),
+    40.0: ((1631.407353, 2634.935431, 1273.806604, 2018.616934), 535),
+}
 
 
 @pytest.mark.parametrize(("name", "instrument"), sorted(TRACE_DIGESTS))
@@ -168,7 +188,25 @@ def test_failover_profile_digest_matches_parent_commit():
 
 
 def test_fig5_profile_digest_matches_parent_commit():
-    """Seed 55 under the Pi calibration; the 30 s digest is pinned by the
-    committed ``BENCH_fig5.json`` baseline."""
-    profiler = run(FIG5, seed=55, duration_s=5.0, profile=True).runtime.prof
-    assert (profile_digest(profiler), profiler.events_profiled) == FIG5_PROFILE_5S
+    profiler = run(FIG5, profile=True).runtime.prof
+    assert (profile_digest(profiler), profiler.events_profiled) == FIG5_PROFILE
+
+
+def test_fig5_observed_trace_digest_matches_parent_commit():
+    tracer = run(FIG5, observe=True).runtime.tracer
+    assert (trace_digest(tracer), len(tracer)) == FIG5_OBSERVED
+
+
+@pytest.mark.parametrize("rate", sorted(PAPER_SWEEP))
+def test_paper_sweep_latencies_match_parent_commit(rate):
+    result = run_paper_experiment(rate, duration_s=2.5, seed=1, profile=True)
+    latencies = tuple(
+        round(value, 6)
+        for value in (
+            result.training.average,
+            result.training.maximum,
+            result.predicting.average,
+            result.predicting.maximum,
+        )
+    )
+    assert (latencies, result.samples_sensed) == PAPER_SWEEP[rate]

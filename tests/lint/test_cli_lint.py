@@ -128,22 +128,14 @@ def test_recipe_shortcuts_pass_payload_checks(capsys):
 
 
 def test_calibrate_committed_baseline_passes(capsys):
-    baseline = "benchmarks/baselines/BENCH_fig5.json"
-    assert main(["lint", "--calibrate", baseline, "--strict"]) == 0
+    """fig5's own profiled run is the baseline the drift gate reads."""
+    assert main(["lint", "--calibrate", "fig5", "--strict"]) == 0
     assert "lint OK" in capsys.readouterr().out
 
 
-def test_calibrate_stale_baseline_fails(tmp_path, capsys):
-    # A baseline recorded under a 2x-cheaper model: every op drifts +100%.
-    baseline = json.loads(
-        __import__("pathlib").Path("benchmarks/baselines/BENCH_fig5.json").read_text()
-    )
-    for entry in baseline["sim"]["op_busy"].values():
-        entry["busy_s"] *= 2.0
-    stale = tmp_path / "BENCH_stale.json"
-    stale.write_text(json.dumps(baseline), encoding="utf-8")
-    assert main(["lint", "--calibrate", str(stale)]) == 1
-    assert "RCP230" in capsys.readouterr().out
+def test_calibrate_unknown_scenario_exits_two(capsys):
+    assert main(["lint", "--calibrate", "bogus"]) == 2
+    assert "unknown scenario 'bogus'" in capsys.readouterr().err
 
 
 def test_sarif_format(tmp_path, capsys):
@@ -169,12 +161,12 @@ def test_sarif_where_only_findings_use_logical_locations(capsys):
         rule="RCP230",
         severity=Severity.ERROR,
         message="drift",
-        where="bench fig5: op mqtt.send",
+        where="op mqtt.send (fig5)",
     )
     log = json.loads(render_sarif([diag]))
     location = log["runs"][0]["results"][0]["locations"][0]
     assert location["logicalLocations"][0]["fullyQualifiedName"] == (
-        "bench fig5: op mqtt.send"
+        "op mqtt.send (fig5)"
     )
 
 
@@ -209,22 +201,17 @@ def test_deadline_reports_rcp240_for_hot_recipe(tmp_path, capsys):
 
 
 def test_validate_builtin_baselines_clean(capsys):
+    """Observed runs of the built-in scenarios are the baselines."""
     for name in ("fig5", "failover"):
-        baseline = f"benchmarks/baselines/BENCH_{name}.json"
-        assert (
-            main(
-                [
-                    "lint",
-                    "--recipe",
-                    name,
-                    "--deadline",
-                    "--validate",
-                    baseline,
-                ]
-            )
-            == 0
-        ), name
+        argv = ["lint", "--recipe", name, "--deadline", "--validate", name]
+        assert main(argv) == 0, name
         capsys.readouterr()
+
+
+def test_validate_unknown_scenario_exits_two(capsys):
+    argv = ["lint", "--recipe", "fig5", "--deadline", "--validate", "bogus"]
+    assert main(argv) == 2
+    assert "unknown scenario 'bogus'" in capsys.readouterr().err
 
 
 def test_validate_reads_trace_jsonl(tmp_path, capsys):

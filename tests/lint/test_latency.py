@@ -3,14 +3,12 @@
 Unit coverage for the network-calculus abstract interpretation plus the
 acceptance anchors the issue demands: the shipped Fig. 5 recipe passes
 ``--deadline --strict`` at paper rates, doubling every sensing rate
-trips the instability rule, the committed BENCH baselines validate
+trips the instability rule, observed fig5 and failover runs validate
 clean, and a deliberately miscalibrated service model is demonstrably
 caught by the soundness gate.
 """
 
-import json
 import math
-from pathlib import Path
 
 import pytest
 
@@ -26,13 +24,10 @@ from repro.lint.latency import (
     analyze_latency,
     check_bound_soundness,
     check_deadlines,
-    flows_from_bench,
+    flows_from_trace,
 )
 from repro.net.wlan import WlanConfig
 from repro.runtime.costs import CostModel, OpCost
-
-BASELINES = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
-
 
 def chain_recipe(
     rate_hz: float = 5.0,
@@ -310,28 +305,37 @@ class TestDeadlineRules:
         assert check_deadlines(chain_recipe(rate_hz=5.0), fig5_context()) == []
 
 
-class TestSoundnessGate:
-    def _bench_flows(self, name):
-        data = json.loads((BASELINES / f"BENCH_{name}.json").read_text())
-        return flows_from_bench(data)
+@pytest.fixture(scope="module")
+def observed_flows():
+    """Per-flow latency summaries of an observed run of each scenario, at
+    its own seed and duration (fig5 55 / 30 s, failover 0 / 34 s)."""
+    from repro.registry import resolve
+    from repro.scenario import run
 
-    def test_committed_fig5_baseline_validates_clean(self):
-        """Sound (no RCP243). Since the baseline was regenerated for the
-        placement by predicted load the pager's observed p99 is 237 ms, not
-        4 141 ms of queueing, and the 15 s static bound (a shared WLAN
-        modelled at 0.93) reads as what it always was: loose. Reported."""
+    return {
+        name: flows_from_trace(run(resolve(name), observe=True).runtime.tracer)
+        for name in ("fig5", "failover")
+    }
+
+
+class TestSoundnessGate:
+    def test_committed_fig5_baseline_validates_clean(self, observed_flows):
+        """Sound (no RCP243). Since the placement by predicted load the
+        pager's observed p99 is 237 ms, not 4 141 ms of queueing, and the
+        15 s static bound (a shared WLAN modelled at 0.93) reads as what it
+        always was: loose. Reported."""
         recipe = fig5_recipe()
         diags = check_bound_soundness(
-            recipe, self._bench_flows("fig5"), fig5_context()
+            recipe, observed_flows["fig5"], fig5_context()
         )
         assert [(d.rule, d.where) for d in diags] == [
             ("RCP244", "start-watching:task alert-messaging (<observed>)")
         ]
 
-    def test_committed_failover_baseline_validates_clean(self):
+    def test_committed_failover_baseline_validates_clean(self, observed_flows):
         diags = check_bound_soundness(
             build_chaos_recipe(),
-            self._bench_flows("failover"),
+            observed_flows["failover"],
             LatencyContext(
                 cost_model=pi_cost_model(),
                 loss_rate=0.15,
@@ -340,11 +344,11 @@ class TestSoundnessGate:
         )
         assert diags == []
 
-    def test_miscalibrated_model_fails_rcp243(self):
+    def test_miscalibrated_model_fails_rcp243(self, observed_flows):
         """A too-optimistic service model claims a bound the system beat:
         the gate must call the model wrong. (10x optimistic, 202 ms claimed:
-        the regenerated baseline's observed max is 238 ms, no longer the
-        4 143 ms of queueing that caught a 4x lie.)"""
+        the observed max is 238 ms, no longer the 4 143 ms of queueing that
+        caught a 4x lie.)"""
         fast_wlan = WlanConfig(
             bitrate_bps=100e6, per_frame_overhead_s=0.1e-3, jitter_s=0.0
         )
@@ -352,7 +356,7 @@ class TestSoundnessGate:
             cost_model=pi_cost_model().scaled(0.1), wlan=fast_wlan
         )
         diags = check_bound_soundness(
-            fig5_recipe(), self._bench_flows("fig5"), context
+            fig5_recipe(), observed_flows["fig5"], context
         )
         assert [d.rule for d in diags] == ["RCP243"]
         assert "soundness violation" in diags[0].message
