@@ -129,7 +129,6 @@ def run_self_healing(seed: int) -> dict:
 
     result = run_scenario("failover", seed=seed)
     assert result.report.ok, [c.detail for c in result.report.failed()]
-    assert result.tracer is not None
     healed = recovery_report(result.tracer)
     migrations = [m for m in healed.migrations if m.get("duration_s") is not None]
     assert healed.failovers and migrations

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from itertools import islice
+from typing import Callable, Iterable
 
 from repro.bench.calibration import pi_cost_model
 from repro.chaos.invariants import InvariantReport, Invariants, RecoveryCheck
@@ -39,7 +41,7 @@ from repro.runtime.sim import SimRuntime
 from repro.scenario import PrepareHook, Scenario, run
 from repro.sensors.base import SensorModel
 from repro.sensors.devices import FixedPayloadModel
-from repro.sim.trace import Tracer
+from repro.sim.trace import TraceRecord, Tracer, render_record
 
 __all__ = [
     "KEEPALIVE_S",
@@ -179,31 +181,32 @@ class ScenarioResult:
     seed: int
     duration_s: float
     report: InvariantReport
-    trace_digest: str
     trace_records: int
     faults_applied: int
     #: The run's full tracer (span trees included when observed).
-    tracer: Tracer | None = None
+    tracer: Tracer
     #: The run's profiler when run with ``profile=True`` (``repro.prof``).
     profiler: object | None = None
     #: The run's SLO engine when run with ``slo=True`` (``repro.obs.slo``).
     slo_engine: object | None = None
 
+    @cached_property
+    def trace_digest(self) -> str:
+        """:func:`trace_digest` of the records the run left, computed on
+        first read: a record emitted into ``tracer`` afterwards does not
+        change it."""
+        return trace_digest(islice(self.tracer, self.trace_records))
 
-def trace_digest(tracer: Tracer) -> str:
-    """Canonical SHA-256 fingerprint of a full trace.
 
-    Two runs are considered byte-identical iff their digests match; the
-    rendering (repr of time, source, event, sorted fields) is stable
-    across processes because it contains no ids, hashes or wall-clock.
+def trace_digest(records: Iterable[TraceRecord]) -> str:
+    """Canonical SHA-256 fingerprint of a full trace (a tracer or records).
+
+    Two runs are considered byte-identical iff their digests match; each
+    record is hashed as its :func:`~repro.sim.trace.render_record` line.
     """
     digest = hashlib.sha256()
-    for record in tracer:
-        line = (
-            f"{record.time!r}|{record.source}|{record.event}"
-            f"|{sorted(record.fields.items())!r}\n"
-        )
-        digest.update(line.encode())
+    for record in records:
+        digest.update(f"{render_record(record)}\n".encode())
     return digest.hexdigest()
 
 
@@ -467,8 +470,9 @@ def run_scenario(
 
     The instrument flags and ``prepare`` are :func:`repro.scenario.run`'s;
     the plan is injected there. What this adds is the verdict: the
-    end-to-end delivery invariants plus the scenario's recovery bounds,
-    and the trace digest the determinism tests compare.
+    end-to-end delivery invariants plus the scenario's recovery bounds.
+    The trace digest the determinism tests compare is left to its first
+    reader (:attr:`ScenarioResult.trace_digest`).
     """
     if isinstance(scenario, str):
         from repro.registry import resolve  # late: the registry imports this module
@@ -486,7 +490,6 @@ def run_scenario(
         seed=seed,
         duration_s=outcome.duration_s,
         report=report,
-        trace_digest=trace_digest(runtime.tracer),
         trace_records=len(runtime.tracer),
         faults_applied=outcome.faults_applied,
         tracer=runtime.tracer,

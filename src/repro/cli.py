@@ -270,7 +270,6 @@ def _cmd_heal(args: argparse.Namespace) -> int:
     )
     print(f"  trace digest: {result.trace_digest[:16]}")
     print()
-    assert result.tracer is not None
     print(recovery_report(result.tracer).render())
     print()
     print(result.report.render())

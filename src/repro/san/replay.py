@@ -7,8 +7,8 @@ of seeds — each seed is a different but causally valid tie-breaking of
 equal-timestamp events — and the traces are fingerprinted with a
 *schedule-stable digest*:
 
-* records are rendered exactly like
-  :func:`repro.chaos.scenarios.trace_digest` renders them;
+* records are rendered by :func:`repro.sim.trace.render_record`, the
+  line :func:`repro.chaos.scenarios.trace_digest` hashes;
 * but within each identical timestamp the rendered lines are **sorted**
   before hashing.
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.sim.trace import Tracer
+from repro.sim.trace import Tracer, render_record
 
 __all__ = ["schedule_stable_digest"]
 
@@ -45,9 +45,6 @@ def schedule_stable_digest(tracer: Tracer) -> str:
         if record.time != instant_time:
             flush()
             instant_time = record.time
-        instant.append(
-            f"{record.time!r}|{record.source}|{record.event}"
-            f"|{sorted(record.fields.items())!r}\n"
-        )
+        instant.append(f"{render_record(record)}\n")
     flush()
     return digest.hexdigest()

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
-__all__ = ["TraceRecord", "Tracer"]
+__all__ = ["TraceRecord", "Tracer", "render_record"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -28,6 +28,15 @@ class TraceRecord:
 
     def __getitem__(self, key: str) -> Any:
         return self.fields[key]
+
+
+def render_record(record: TraceRecord) -> str:
+    """A record's canonical line, the unit every trace digest hashes: no
+    ids, hashes or wall-clock, so it is stable across processes."""
+    return (
+        f"{record.time!r}|{record.source}|{record.event}"
+        f"|{sorted(record.fields.items())!r}"
+    )
 
 
 class Tracer:

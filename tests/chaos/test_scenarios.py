@@ -15,8 +15,10 @@ from repro.chaos import (
     run_scenario,
     trace_digest,
 )
+from repro.chaos import scenarios
 from repro.errors import ConfigurationError
 from repro.registry import fault_scenarios, resolve
+from repro.sim.trace import render_record
 
 
 def run_combo(seed: int):
@@ -41,19 +43,14 @@ def run_combo(seed: int):
     return runtime, cluster
 
 
-def render_trace(runtime):
-    return [
-        f"{r.time!r}|{r.source}|{r.event}|{sorted(r.fields.items())!r}"
-        for r in runtime.tracer
-    ]
-
-
 def test_combo_plan_is_deterministic():
     """The tentpole acceptance check: running the same plan twice with the
     same seed yields byte-identical trace sequences."""
     first, _ = run_combo(seed=3)
     second, _ = run_combo(seed=3)
-    assert render_trace(first) == render_trace(second)
+    assert list(map(render_record, first.tracer)) == list(
+        map(render_record, second.tracer)
+    )
     assert trace_digest(first.tracer) == trace_digest(second.tracer)
 
 
@@ -82,6 +79,30 @@ def test_run_scenario_is_deterministic():
     b = run_scenario("partition_heal", seed=5)
     assert a.trace_digest == b.trace_digest
     assert a.trace_records == b.trace_records
+
+
+def test_trace_digest_is_computed_on_first_read(monkeypatch):
+    calls = []
+
+    def counting(records):
+        calls.append(records)
+        return trace_digest(records)
+
+    monkeypatch.setattr(scenarios, "trace_digest", counting)
+    result = run_scenario("failover", seed=0)
+    assert calls == []
+    assert result.trace_digest == trace_digest(result.tracer)
+    assert len(calls) == 1
+    assert result.trace_digest == trace_digest(result.tracer)
+    assert len(calls) == 1
+
+
+def test_trace_digest_fingerprints_the_records_the_run_left():
+    eager = trace_digest(run_scenario("failover", seed=0).tracer)
+    result = run_scenario("failover", seed=0)
+    result.tracer.emit(99.0, "test", "late.record")
+    assert len(result.tracer) == result.trace_records + 1
+    assert result.trace_digest == eager
 
 
 def test_unknown_scenario_rejected():

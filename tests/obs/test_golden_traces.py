@@ -83,7 +83,6 @@ def test_chaos_partition_heal_trace_is_golden(tmp_path):
 
     result = run_scenario("partition_heal", seed=7, observe=True)
     assert result.report.ok
-    assert result.tracer is not None
     _check_golden("chaos_partition_heal_seed7.json", _digests(result.tracer, tmp_path))
 
 

@@ -24,26 +24,17 @@ from repro.registry import fault_scenarios
 CHAOS_SCENARIOS = fault_scenarios()
 
 
-def _digest_excluding_prof(tracer) -> str:
-    """The trace digest minus profiler-emitted sampling records.
+def _digest_excluding(tracer, sources) -> str:
+    """The trace digest minus records the given observer sources wrote.
 
     Attaching the profiler adds periodic ``prof``-source utilization
-    records (and the sampler events that produce them) — legitimately.
-    Hooks ON/OFF equivalence therefore compares the *application* trace:
-    everything except what the observer itself wrote.
+    records (and the sampler events that produce them), and the SLO
+    engine's extra gauges change ``obs.metrics`` scrapes — legitimately.
+    Equivalence therefore compares the *application* trace: everything
+    except what the observers themselves wrote.
     """
-    import hashlib
+    return trace_digest(r for r in tracer if r.source not in sources)
 
-    digest = hashlib.sha256()
-    for record in tracer:
-        if record.source == "prof":
-            continue
-        line = (
-            f"{record.time!r}|{record.source}|{record.event}"
-            f"|{sorted(record.fields.items())!r}\n"
-        )
-        digest.update(line.encode())
-    return digest.hexdigest()
 
 #: Short fig5 run — equivalence is about digests matching across
 #: configurations, not about the full 30 s workload.
@@ -68,9 +59,8 @@ def test_hooks_on_equivalence(name, chaos_baseline):
     the application trace is untouched."""
     profiled = run_scenario(name, seed=0, profile=True)
     base = chaos_baseline[name]
-    assert profiled.tracer is not None and base.tracer is not None
-    assert _digest_excluding_prof(profiled.tracer) == _digest_excluding_prof(
-        base.tracer
+    assert _digest_excluding(profiled.tracer, {"prof"}) == _digest_excluding(
+        base.tracer, {"prof"}
     )
     assert profiled.profiler is not None
     assert profiled.profiler.events_profiled > 0
@@ -105,7 +95,7 @@ def fig5_baseline():
     assert runtime.prof is not None
     return {
         "trace_digest": trace_digest(runtime.tracer),
-        "app_trace_digest": _digest_excluding_prof(runtime.tracer),
+        "app_trace_digest": _digest_excluding(runtime.tracer, {"prof"}),
         "trace_records": len(runtime.tracer),
         "events": runtime.prof.events_profiled,
         "profile_digest": profile_digest(runtime.prof),
@@ -140,27 +130,6 @@ def test_fig5_all_toggles_off_equivalence(fig5_baseline, monkeypatch):
 # ----------------------------------------------------------------------
 # SLO engine: on = app-trace invisible
 # ----------------------------------------------------------------------
-
-
-def _digest_excluding(tracer, sources: frozenset) -> str:
-    """Trace digest minus records the given observer sources wrote.
-
-    The SLO engine registers extra gauges in the shared metrics registry,
-    so ``obs.metrics`` scrape records legitimately differ with it on; the
-    *application* trace (everything not written by an observer) must not.
-    """
-    import hashlib
-
-    digest = hashlib.sha256()
-    for record in tracer:
-        if record.source in sources:
-            continue
-        line = (
-            f"{record.time!r}|{record.source}|{record.event}"
-            f"|{sorted(record.fields.items())!r}\n"
-        )
-        digest.update(line.encode())
-    return digest.hexdigest()
 
 
 _OBSERVER_SOURCES = frozenset({"slo", "obs", "prof"})
