@@ -190,9 +190,10 @@ class ObsState:
         registry.gauge(
             "node.cpu.busy_s", fn=lambda: cpu.stats.busy_time, node=node.name
         )
-        registry.gauge(
+        registry.gauge(  # busy time per started job, completed or in service
             "node.cpu.service_mean_s",
-            fn=lambda: cpu.service_times.mean if cpu.service_times.count else 0.0,
+            fn=lambda: cpu.stats.busy_time
+            / max(cpu.stats.jobs_completed + cpu.busy_servers, 1),
             node=node.name,
         )
 

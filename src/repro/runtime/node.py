@@ -113,7 +113,7 @@ class Node:
             # profiler attributes this node's busy time per operation.
             self.cpu.submit(cost, self._guarded, op, (fn, args, incarnation))
         else:
-            self._guarded(fn, args, self._incarnation.value)
+            fn(*args)  # liveness was read above, in this same call
 
     def _guarded(
         self, fn: Callable[..., None], args: tuple[Any, ...], incarnation: int

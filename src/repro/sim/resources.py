@@ -15,22 +15,12 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import SimulationError
 from repro.sim.kernel import SimKernel
-from repro.util.stats import RunningStats
 from repro.util.validate import require_non_negative, require_positive
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.base import Runtime
 
 __all__ = ["CpuResource", "ResourceStats"]
-
-
-@dataclass(slots=True)
-class _Job:
-    cost: float
-    on_done: Callable[..., None] | None
-    label: str
-    submitted_at: float
-    args: tuple[Any, ...] = ()
 
 
 @dataclass
@@ -55,10 +45,13 @@ class ResourceStats:
 class CpuResource:
     """A k-server FIFO queue with deterministic service order.
 
-    Jobs are ``(cost, on_done, args)`` triples; ``on_done(*args)`` fires
-    when the job's service time has elapsed. ``speed`` scales costs — a
-    node with ``speed=2.0`` serves every job in half its nominal cost,
-    letting one cost model describe heterogeneous hardware.
+    A job is ``cost`` nominal CPU seconds and ``on_done(*args)``, which
+    fires when its service time has elapsed. A waiting job is the tuple
+    ``(cost, on_done, label, args)``; a started one is its completion
+    event's own arguments. No per-job statistics are kept: ``stats`` holds
+    the aggregates. ``speed`` scales costs — a node with ``speed=2.0``
+    serves every job in half its nominal cost, letting one cost model
+    describe heterogeneous hardware.
 
     ``queue_limit`` bounds the number of *waiting* jobs. When the queue is
     full a newly submitted job is dropped on the floor (its ``on_done``
@@ -84,11 +77,11 @@ class CpuResource:
         if queue_limit is not None:
             require_positive(queue_limit, "queue_limit")
         self.queue_limit = queue_limit
-        self._queue: deque[_Job] = deque()
+        self._queue: deque[
+            tuple[float, Callable[..., None] | None, str, tuple[Any, ...]]
+        ] = deque()
         self._busy = 0
         self.stats = ResourceStats()
-        self.wait_times = RunningStats()
-        self.service_times = RunningStats()
         # Optional owner; the profiler hook (``runtime.prof``) brackets
         # every service through it. Standalone resources stay unprofiled.
         self._runtime = runtime
@@ -132,7 +125,6 @@ class CpuResource:
             require_non_negative(cost, "cost")
         stats = self.stats
         queue = self._queue
-        job = _Job(cost, on_done, label, self._kernel.now, args)
         stats.jobs_submitted += 1
         if not queue and self._busy < self._servers:
             # Idle server: the job would be appended and popped at once.
@@ -142,7 +134,7 @@ class CpuResource:
                 stats.max_queue_length = 1
             if self._window_peak_queue < 1:
                 self._window_peak_queue = 1
-            self._start(job, 0.0)
+            self._start(cost, on_done, label, args)
             return
         if (
             self.queue_limit is not None
@@ -151,17 +143,13 @@ class CpuResource:
         ):
             stats.jobs_dropped += 1
             return
-        queue.append(job)
+        queue.append((cost, on_done, label, args))
         depth = len(queue)
         if depth > stats.max_queue_length:
             stats.max_queue_length = depth
         if depth > self._window_peak_queue:
             self._window_peak_queue = depth
         self._dispatch()
-
-    def execute(self, cost: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Convenience: run ``fn(*args)`` after ``cost`` CPU seconds."""
-        self.submit(cost, fn, getattr(fn, "__name__", "fn"), args)
 
     def take_queue_watermark(self) -> int:
         """Peak waiting-queue depth since the last call (then reset).
@@ -176,22 +164,31 @@ class CpuResource:
     def _dispatch(self) -> None:
         queue = self._queue
         while self._busy < self._servers and queue:
-            job = queue.popleft()
-            self._start(job, self._kernel.now - job.submitted_at)
+            self._start(*queue.popleft())
 
-    def _start(self, job: _Job, waited: float) -> None:
+    def _start(
+        self,
+        cost: float,
+        on_done: Callable[..., None] | None,
+        label: str,
+        args: tuple[Any, ...],
+    ) -> None:
         self._busy += 1
-        self.wait_times.add(waited)
-        service = job.cost / self._speed
-        self.service_times.add(service)
+        service = cost / self._speed
         self.stats.busy_time += service
         runtime = self._runtime
         prof = None if runtime is None else runtime.prof
         if prof is not None:
-            prof.on_cpu_start(self.name, job.label, service)
-        self._kernel.schedule(service, self._complete, job)
+            prof.on_cpu_start(self.name, label, service)
+        self._kernel.schedule(service, self._complete, label, service, on_done, args)
 
-    def _complete(self, job: _Job) -> None:
+    def _complete(
+        self,
+        label: str,
+        service: float,
+        on_done: Callable[..., None] | None,
+        args: tuple[Any, ...],
+    ) -> None:
         if self._busy <= 0:
             raise SimulationError(f"{self.name}: completion with no busy server")
         self._busy -= 1
@@ -199,9 +196,9 @@ class CpuResource:
         runtime = self._runtime
         prof = None if runtime is None else runtime.prof
         if prof is not None:
-            prof.on_cpu_end(self.name, job.label, job.cost / self._speed)
-        if job.on_done is not None:
-            job.on_done(*job.args)
+            prof.on_cpu_end(self.name, label, service)
+        if on_done is not None:
+            on_done(*args)
         if self._queue:
             self._dispatch()
 

@@ -4,8 +4,9 @@
 trip and re-enters the dispatcher only when something waits. The
 reference below always appends and always dispatches; under any
 interleaving of submissions (re-entrant ones included) and clock
-advances the two must be indistinguishable: completions, statistics,
-watermarks, profiler hook calls and drops.
+advances the two must be indistinguishable: completions, aggregate
+statistics (busy time included), watermarks, profiler hook calls, drops
+and kernel events. Neither keeps per-job statistics.
 
 The example tests pin the other half of the hop path: the guards read
 the node's ``alive``/``incarnation`` cells directly, so the sanitizer
@@ -27,7 +28,6 @@ from repro.san.recorder import SimSan
 from repro.scenario import run
 from repro.sim.kernel import SimKernel
 from repro.sim.resources import CpuResource, ResourceStats
-from repro.util.stats import RunningStats
 
 # ----------------------------------------------------------------------
 # Reference: append, then dispatch — every time
@@ -47,12 +47,10 @@ class ReferenceCpu:
         self._queue = deque()
         self._busy = 0
         self.stats = ResourceStats()
-        self.wait_times = RunningStats()
-        self.service_times = RunningStats()
         self._window_peak_queue = 0
 
     def submit(self, cost, on_done=None, label="job", args=()):
-        job = (cost, on_done, label, self._kernel.now, args)
+        job = (cost, on_done, label, args)
         self.stats.jobs_submitted += 1
         if (
             self.queue_limit is not None
@@ -75,18 +73,16 @@ class ReferenceCpu:
     def _dispatch(self):
         while self._busy < self._servers and self._queue:
             job = self._queue.popleft()
-            cost, _on_done, label, submitted_at, _args = job
+            cost, _on_done, label, _args = job
             self._busy += 1
-            self.wait_times.add(self._kernel.now - submitted_at)
             service = cost / self._speed
-            self.service_times.add(service)
             self.stats.busy_time += service
             if self._runtime.prof is not None:
                 self._runtime.prof.on_cpu_start(self.name, label, service)
             self._kernel.schedule(service, self._complete, job)
 
     def _complete(self, job):
-        cost, on_done, label, _submitted_at, args = job
+        cost, on_done, label, args = job
         self._busy -= 1
         self.stats.jobs_completed += 1
         if self._runtime.prof is not None:
@@ -154,18 +150,10 @@ def _observe(make_cpu, script, profiled):
         "completions": completions,
         "watermarks": watermarks,
         "stats": vars(cpu.stats).copy(),
-        "wait": _welford(cpu.wait_times),
-        "service": _welford(cpu.service_times),
         "prof": prof.calls if profiled else None,
         "end": kernel.now,
         "events": kernel.events_processed,
     }
-
-
-def _welford(stats: RunningStats):
-    # repr(): NaN (no samples yet) must compare equal to itself.
-    fields = (stats.mean, stats.variance, stats.minimum, stats.maximum)
-    return (stats.count, *map(repr, fields))
 
 
 @settings(max_examples=150, deadline=None)
@@ -199,7 +187,6 @@ def test_idle_start_still_counts_a_depth_one_queue():
     assert cpu.stats.max_queue_length == 1
     assert cpu.take_queue_watermark() == 1
     assert cpu.take_queue_watermark() == 0
-    assert (cpu.wait_times.count, cpu.wait_times.maximum) == (1, 0.0)
 
 
 def test_job_carries_its_arguments():
@@ -208,7 +195,7 @@ def test_job_carries_its_arguments():
     seen = []
     cpu.submit(0.01, lambda *args: seen.append(args), "op", ("a", 2))
     cpu.submit(0.01, lambda: seen.append("bare"))  # the three-argument form
-    cpu.execute(0.01, lambda *args: seen.append(args), "b")
+    cpu.submit(0.01, lambda *args: seen.append(args), "b", ("b",))
     kernel.run_until_idle()
     assert seen == [("a", 2), "bare", ("b",)]
 

@@ -1,8 +1,14 @@
+import random
+
 import pytest
 
+from repro.bench.calibration import pi_cost_model
 from repro.errors import ConfigurationError
+from repro.obs.state import enable_observability
+from repro.runtime.sim import SimRuntime
 from repro.sim.kernel import SimKernel
 from repro.sim.resources import CpuResource
+from repro.util.stats import RunningStats
 
 
 def test_fifo_serialization():
@@ -63,15 +69,48 @@ def test_stats_and_utilization():
     assert cpu.stats.max_queue_length >= 1
 
 
-def test_wait_time_recorded():
-    k = SimKernel()
-    cpu = CpuResource(k)
+def _service_mean():
+    """A node's CPU and a reader of its ``node.cpu.service_mean_s`` gauge,
+    as the metrics snapshot reports it."""
+    runtime = SimRuntime(seed=1)
+    obs = enable_observability(runtime, scrape_interval_s=0)
+    node = runtime.add_node("n")
+    obs.register_node(node)
+    snapshot = obs.metrics.snapshot
+    return runtime, node.cpu, lambda: snapshot()["node.cpu.service_mean_s{node=n}"]
+
+
+def test_service_mean_gauge_is_busy_time_per_started_job():
+    runtime, cpu, gauge = _service_mean()
+    assert gauge() == 0.0  # nothing started yet
     cpu.submit(2.0, None)
     cpu.submit(1.0, None)
-    k.run()
-    # Second job waited 2.0s behind the first.
-    assert cpu.wait_times.maximum == pytest.approx(2.0)
-    assert cpu.service_times.mean == pytest.approx(1.5)
+    assert gauge() == 2.0  # one job in service, one waiting
+    runtime.run(until=2.5)
+    assert cpu.busy_servers == 1 and cpu.stats.jobs_completed == 1
+    assert gauge() == 1.5
+    runtime.run(until=10.0)
+    assert cpu.busy_servers == 0 and cpu.stats.jobs_completed == 2
+    assert gauge() == 1.5 == cpu.stats.busy_time / 2
+
+
+def test_service_mean_gauge_matches_a_welford_mean_over_pi_costs():
+    runtime, cpu, gauge = _service_mean()
+    model = pi_cost_model()
+    rng = random.Random(7)
+    ops = sorted(model.ops)
+    reference = RunningStats()
+    for i in range(10_000):
+        cost = model.cost(
+            rng.choice(ops),
+            nbytes=rng.choice((0, 48, 300, 1500)),
+            invocation_index=i % 50,
+        )
+        reference.add(cost / cpu.speed)
+        cpu.submit(cost, None)
+    runtime.run(until=1e6)
+    assert cpu.stats.jobs_completed == 10_000
+    assert gauge() == round(reference.mean, 9)
 
 
 def test_queue_limit_drops_newest():
@@ -100,11 +139,11 @@ def test_queue_limit_allows_after_drain():
     assert done == ["a", "b", "c"]
 
 
-def test_execute_convenience():
+def test_submit_runs_fn_with_its_args():
     k = SimKernel()
     cpu = CpuResource(k)
     out = []
-    cpu.execute(0.25, out.append, 7)
+    cpu.submit(0.25, out.append, "append", (7,))
     k.run()
     assert out == [7]
     assert k.now == 0.25
