@@ -69,7 +69,7 @@ from repro.core.dsl import format_recipe, parse_recipe
 from repro.core.operators import registered_operators
 from repro.core.recipe import Recipe
 from repro.core.splitter import RecipeSplit
-from repro.errors import ConfigurationError, IFoTError
+from repro.errors import ConfigurationError, IFoTError, RecipeError
 from repro.registry import SCENARIOS, UnknownScenarioError, fault_scenarios, resolve
 from repro.scenario import Run, Scenario, run
 
@@ -325,14 +325,77 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0 if spans else 1
 
 
+def _recipe_findings(args: argparse.Namespace) -> list:
+    """Every ``lint --recipe`` finding: structure, rates and payload
+    dataflow, plus the latency bound under ``--deadline``/``--validate``."""
+    from repro.lint import (
+        check_rate_feasibility,
+        check_recipe,
+        check_recipe_dict,
+        check_recipe_payloads,
+    )
+
+    # A scenario brings the channel keys of the devices its testbed
+    # attaches and the calibration its deadlines assume; a recipe file
+    # gets open sensor schemas and the default context.
+    try:
+        recipe, scenario = _recipe_source(args.recipe)
+    except RecipeError:
+        if Path(args.recipe).suffix != ".json":
+            raise
+        # A JSON recipe that does not construct: every structural finding,
+        # not only the constructor's first.
+        data = json.loads(Path(args.recipe).read_text(encoding="utf-8"))
+        return [diag.replace(file=args.recipe) for diag in check_recipe_dict(data)]
+    origin = scenario.recipe_origin if scenario else str(Path(args.recipe))
+    checks = (
+        check_recipe(recipe)
+        + check_rate_feasibility(recipe)
+        + check_recipe_payloads(
+            recipe, scenario.device_keys() if scenario else None
+        )
+    )
+    if args.deadline or args.validate:
+        from repro.lint import (
+            LatencyContext,
+            analyze_latency,
+            check_bound_soundness,
+            check_deadlines,
+            flows_from_trace,
+        )
+
+        context = scenario.lint_context() if scenario else LatencyContext()
+        placement = None
+        if scenario:
+            # Which tasks share a CPU: the placement the scenario's own
+            # testbed admits the recipe under.
+            _runtime, cluster = scenario.build(seed=scenario.seed, prepare=None)
+            placement = cluster.submit(recipe).assignment.placements
+        analysis = analyze_latency(recipe, context, placement)
+        checks += check_deadlines(recipe, context, analysis)
+        if args.validate:
+            # A trace dump, or an observed run of the named scenario.
+            observed = _scenario_or_file(args.validate)
+            trace = (
+                run(observed, observe=True).runtime.tracer
+                if isinstance(observed, Scenario)
+                else observed
+            )
+            checks += check_bound_soundness(
+                recipe,
+                flows_from_trace(trace),
+                context,
+                analysis,
+                source=observed.name,
+            )
+    return [diag.replace(file=origin) for diag in checks]
+
+
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.lint import (
         LintRun,
         analyze_state_soundness,
         check_cost_drift,
-        check_rate_feasibility,
-        check_recipe,
-        check_recipe_payloads,
         lint_paths,
         render_json,
         render_sarif,
@@ -363,53 +426,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         if args.dataflow:
             lint_run.merge(analyze_state_soundness(args.paths))
     if args.recipe:
-        # A scenario brings the channel keys of the devices its testbed
-        # attaches and the calibration its deadlines assume; a recipe file
-        # gets open sensor schemas and the default context.
-        recipe, scenario = _recipe_source(args.recipe)
-        origin = scenario.recipe_origin if scenario else str(Path(args.recipe))
-        checks = (
-            check_recipe(recipe)
-            + check_rate_feasibility(recipe)
-            + check_recipe_payloads(
-                recipe, scenario.device_keys() if scenario else None
-            )
-        )
-        if args.deadline or args.validate:
-            from repro.lint import (
-                LatencyContext,
-                analyze_latency,
-                check_bound_soundness,
-                check_deadlines,
-                flows_from_trace,
-            )
-
-            context = scenario.lint_context() if scenario else LatencyContext()
-            placement = None
-            if scenario:
-                # Which tasks share a CPU: the placement the scenario's own
-                # testbed admits the recipe under.
-                _runtime, cluster = scenario.build(seed=scenario.seed, prepare=None)
-                placement = cluster.submit(recipe).assignment.placements
-            analysis = analyze_latency(recipe, context, placement)
-            checks += check_deadlines(recipe, context, analysis)
-            if args.validate:
-                # A trace dump, or an observed run of the named scenario.
-                observed = _scenario_or_file(args.validate)
-                trace = (
-                    run(observed, observe=True).runtime.tracer
-                    if isinstance(observed, Scenario)
-                    else observed
-                )
-                checks += check_bound_soundness(
-                    recipe,
-                    flows_from_trace(trace),
-                    context,
-                    analysis,
-                    source=observed.name,
-                )
-        for diag in checks:
-            lint_run.diagnostics.append(diag.replace(file=origin))
+        lint_run.diagnostics += _recipe_findings(args)
     if args.calibrate:
         scenario = resolve(args.calibrate)
         profiler = run(scenario, profile=True).runtime.prof

@@ -15,14 +15,15 @@ work; the JSON DSL accepted by :meth:`Recipe.from_dict` /
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Collection, Iterable
 
 from repro.errors import RecipeError
 from repro.util.validate import require_name
 
-__all__ = ["TaskSpec", "Recipe"]
+__all__ = ["TaskSpec", "Recipe", "graph_problems"]
 
 
 @dataclass
@@ -71,6 +72,27 @@ class TaskSpec:
     def __post_init__(self) -> None:
         require_name(self.task_id, "task_id")
         require_name(self.operator, "operator")
+        for attr in ("inputs", "outputs", "capabilities"):
+            names = getattr(self, attr)
+            if not isinstance(names, list) or not all(
+                isinstance(name, str) for name in names
+            ):
+                raise RecipeError(
+                    f"task {self.task_id!r}: {attr} must be a list of strings, "
+                    f"got {names!r}"
+                )
+            setattr(self, attr, list(names))
+        if not isinstance(self.params, dict):
+            raise RecipeError(
+                f"task {self.task_id!r}: params must be an object, "
+                f"got {self.params!r}"
+            )
+        self.params = dict(self.params)
+        if self.params.get("qos", 0) not in (0, 1):
+            raise RecipeError(
+                f"task {self.task_id!r}: qos must be 0 or 1, "
+                f"got {self.params['qos']!r}"
+            )
         if self.parallelism < 1:
             raise RecipeError(
                 f"task {self.task_id!r}: parallelism must be >= 1"
@@ -112,10 +134,10 @@ class TaskSpec:
             return cls(
                 task_id=data["id"],
                 operator=data["operator"],
-                inputs=list(data.get("inputs", [])),
-                outputs=list(data.get("outputs", [])),
-                params=dict(data.get("params", {})),
-                capabilities=list(data.get("capabilities", [])),
+                inputs=data.get("inputs", []),
+                outputs=data.get("outputs", []),
+                params=data.get("params", {}),
+                capabilities=data.get("capabilities", []),
                 parallelism=int(data.get("parallelism", 1)),
                 pin_to=data.get("pin_to"),
                 deadline_ms=data.get("deadline_ms"),
@@ -124,13 +146,101 @@ class TaskSpec:
             raise RecipeError(f"task missing required field {exc}") from None
 
 
+def graph_problems(
+    tasks: Collection[TaskSpec],
+) -> tuple[dict[str, str], list[str], list[tuple[str, str, str, str]]]:
+    """The one well-formedness pass over a task graph (unique task ids).
+
+    Returns ``(producers, order, problems)``: each stream's first
+    producer; the tasks no cycle holds back, in dependency order with
+    ties broken by id; and every problem as ``(rule, subject, message,
+    hint)`` — RCP102 streams with two producers, RCP103 malformed
+    external references and dangling inputs, RCP105 unconsumed streams,
+    then one RCP104 naming the tasks on a cycle. A task consuming its
+    own output is on a cycle but does not hold back its descendants.
+
+    An input containing ``:`` is an external reference
+    ``<application>:<stream>`` — its producer lives in another
+    application (secondary / tertiary use of curated streams, paper §VI)
+    — so it neither consumes nor dangles here. :class:`Recipe` raises on
+    the first problem that is not RCP105;
+    :func:`repro.lint.recipe_check.check_recipe_dict` reports them all.
+    """
+    problems: list[tuple[str, str, str, str]] = []
+    producers: dict[str, str] = {}
+    for task in tasks:
+        for stream in task.outputs:
+            if stream in producers:
+                problems.append((
+                    "RCP102", f"stream {stream}",
+                    f"stream {stream!r} produced by both "
+                    f"{producers[stream]!r} and {task.task_id!r}",
+                    "streams map to MQTT topics: exactly one producer",
+                ))
+            else:
+                producers[stream] = task.task_id
+    upstream: dict[str, set[str]] = {}
+    consumed: set[str] = set()
+    looped: set[str] = set()
+    for task in tasks:
+        upstream[task.task_id] = deps = set()
+        for stream in task.inputs:
+            if ":" in stream:
+                app, _sep, remote = stream.partition(":")
+                if not app or not remote:
+                    problems.append((
+                        "RCP103", f"task {task.task_id}",
+                        f"malformed external stream reference {stream!r}",
+                        "expected '<application>:<stream>'",
+                    ))
+                continue
+            consumed.add(stream)
+            producer = producers.get(stream)
+            if producer is None:
+                problems.append((
+                    "RCP103", f"task {task.task_id}",
+                    f"consumes stream {stream!r} which no task produces",
+                    "add a producing task or an external reference",
+                ))
+            elif producer == task.task_id:
+                looped.add(producer)
+            else:
+                deps.add(producer)
+    for stream in sorted(set(producers) - consumed):
+        problems.append((
+            "RCP105", f"stream {stream}",
+            f"stream {stream!r} (from {producers[stream]!r}) is never "
+            "consumed in this recipe",
+            "fine if the stream is curated for cross-application use",
+        ))
+    # Kahn's algorithm, always releasing the smallest ready id.
+    ready = sorted(tid for tid, deps in upstream.items() if not deps)
+    order: list[str] = []
+    while ready:
+        current = heapq.heappop(ready)
+        order.append(current)
+        for tid, deps in upstream.items():
+            if current in deps:
+                deps.discard(current)
+                if not deps:
+                    heapq.heappush(ready, tid)
+    cyclic = sorted(set(upstream).difference(order) | looped)
+    if cyclic:
+        problems.append((
+            "RCP104", f"tasks {', '.join(cyclic)}",
+            f"dependency cycle involving {cyclic}",
+            "a recipe is a DAG: break the loop or split the recipe",
+        ))
+    return producers, order, problems
+
+
 class Recipe:
     """A validated task graph.
 
     Validation enforces: unique task ids, every stream has at most one
     producer, every consumed stream has a producer (no dangling inputs),
-    and the graph is acyclic. Construction fails loudly — a recipe that
-    validates will deploy.
+    and the graph is acyclic (:func:`graph_problems`). Construction fails
+    loudly — a recipe that validates will deploy.
     """
 
     def __init__(
@@ -148,47 +258,14 @@ class Recipe:
             self.tasks[task.task_id] = task
         if not self.tasks:
             raise RecipeError(f"recipe {name!r} has no tasks")
-        self._producers = self._index_producers()
-        self._check_inputs()
-        self._order = self._topological_order()
+        self._producers, self._order, problems = graph_problems(self.tasks.values())
+        for rule, subject, message, _hint in problems:
+            if rule != "RCP105":  # an unconsumed stream may be curated (§VI)
+                raise RecipeError(f"{subject}: {message}")
 
     # ------------------------------------------------------------------
     # Graph structure
     # ------------------------------------------------------------------
-
-    def _index_producers(self) -> dict[str, str]:
-        producers: dict[str, str] = {}
-        for task in self.tasks.values():
-            for stream in task.outputs:
-                if stream in producers:
-                    raise RecipeError(
-                        f"stream {stream!r} produced by both "
-                        f"{producers[stream]!r} and {task.task_id!r}"
-                    )
-                producers[stream] = task.task_id
-        return producers
-
-    def _check_inputs(self) -> None:
-        for task in self.tasks.values():
-            for stream in task.inputs:
-                if ":" in stream:
-                    # External reference "<application>:<stream>" — the
-                    # producer lives in another application (secondary /
-                    # tertiary use of curated streams, paper §VI) and
-                    # cannot be validated here.
-                    app, _sep, remote = stream.partition(":")
-                    if not app or not remote:
-                        raise RecipeError(
-                            f"task {task.task_id!r}: malformed external "
-                            f"stream reference {stream!r} "
-                            "(expected '<application>:<stream>')"
-                        )
-                    continue
-                if stream not in self._producers:
-                    raise RecipeError(
-                        f"task {task.task_id!r} consumes stream {stream!r} "
-                        "which no task produces"
-                    )
 
     def producer_of(self, stream: str) -> str:
         """Task id producing ``stream``."""
@@ -222,25 +299,6 @@ class Recipe:
             for stream in task.inputs
             if ":" not in stream
         }
-
-    def _topological_order(self) -> list[str]:
-        in_degree = {tid: len(self.upstream_of(tid)) for tid in self.tasks}
-        ready = sorted(tid for tid, deg in in_degree.items() if deg == 0)
-        order: list[str] = []
-        while ready:
-            current = ready.pop(0)
-            order.append(current)
-            for task in sorted(self.tasks.values(), key=lambda t: t.task_id):
-                if current in self.upstream_of(task.task_id):
-                    in_degree[task.task_id] -= 1
-                    if in_degree[task.task_id] == 0:
-                        # Insert keeping 'ready' sorted for determinism.
-                        ready.append(task.task_id)
-                        ready.sort()
-        if len(order) != len(self.tasks):
-            remaining = sorted(set(self.tasks) - set(order))
-            raise RecipeError(f"recipe has a cycle involving {remaining}")
-        return order
 
     @property
     def topological_order(self) -> list[str]:

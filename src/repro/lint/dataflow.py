@@ -219,13 +219,6 @@ def _operator_effect(operator: str, params: dict[str, Any]):
         return None  # an effect that cannot be computed is opaque
 
 
-def _task_qos(task) -> int:
-    try:
-        return int(task.params.get("qos", 0))
-    except (TypeError, ValueError):
-        return 0
-
-
 @dataclass(frozen=True)
 class _TaskStep:
     """One task's view during the lattice walk."""
@@ -245,7 +238,7 @@ def _walk_schemas(
     schemas: dict[str, StreamSchema] = {}
     for task_id in recipe.topological_order:
         task = recipe.tasks[task_id]
-        qos = _task_qos(task)
+        qos = int(task.params.get("qos", 0))
         inputs = [
             schemas.get(stream, _OPEN) if ":" not in stream
             else replace(_OPEN, tainted=qos >= 1)
@@ -258,7 +251,7 @@ def _walk_schemas(
             if schemas.get(stream, _OPEN).dedup_guard:
                 continue
             producer = recipe.tasks[recipe.producer_of(stream)]
-            if min(_task_qos(producer), qos) >= 1:
+            if min(int(producer.params.get("qos", 0)), qos) >= 1:
                 merged = replace(merged, tainted=True)
         effect = _operator_effect(task.operator, task.params)
         if operator_class(task.operator).samples_device:

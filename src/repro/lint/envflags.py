@@ -1,12 +1,12 @@
-"""FLG001 — raw ``REPRO_*`` environment reads bypassing the flag registry.
+"""FLG001 — a ``REPRO_*`` environment read in the middleware.
 
-Every runtime toggle is declared once in :mod:`repro.util.flags`; code
-that reads ``os.environ["REPRO_*"]`` (or ``os.getenv`` / ``.get`` /
-``.setdefault``) directly bypasses the registry, so the flag never shows
-up in the documented inventory and its default can silently diverge
-between call sites. The registry module itself reads through the
-declared :class:`~repro.util.flags.EnvFlag` (non-literal key) and is not
-flagged.
+The middleware reads no ``REPRO_*`` environment variable at all: its
+behaviour is a function of its arguments, so two runs of one scenario
+and seed cannot differ by the shell they were started from. A read of
+``os.environ["REPRO_*"]`` (or ``os.getenv`` / ``.get`` / ``.setdefault``)
+would add a configuration axis that no parameter, test or document
+shows; this rule keeps the count of such knobs at zero. Reads through a
+non-literal key are not flagged.
 """
 
 from __future__ import annotations
@@ -30,19 +30,19 @@ def _literal_repro_key(node: ast.expr) -> str | None:
 
 @register_rule
 class EnvFlagRule(LintRule):
-    """Flags ``REPRO_*`` environment reads outside ``repro.util.flags``."""
+    """Flags every literal ``REPRO_*`` environment read."""
 
     rule_id = "FLG001"
     severity = Severity.WARNING
-    description = "raw REPRO_* environment read bypassing repro.util.flags"
-    hint = "declare the flag in repro.util.flags and read it via flag_enabled"
+    description = "REPRO_* environment read (the middleware reads none)"
+    hint = "make the setting a parameter of the component that needs it"
 
     def visit_Call(self, node: ast.Call) -> None:
         dotted = self.resolve(node.func)
         if dotted in _ENV_READ_FNS and node.args:
             key = _literal_repro_key(node.args[0])
             if key is not None:
-                self.report(node, f"{dotted}({key!r}) bypasses the flag registry")
+                self.report(node, f"{dotted}({key!r}) reads the environment")
         self.generic_visit(node)
 
     def visit_Subscript(self, node: ast.Subscript) -> None:
@@ -52,6 +52,6 @@ class EnvFlagRule(LintRule):
                 key = _literal_repro_key(node.slice)
                 if key is not None:
                     self.report(
-                        node, f"os.environ[{key!r}] bypasses the flag registry"
+                        node, f"os.environ[{key!r}] reads the environment"
                     )
         self.generic_visit(node)

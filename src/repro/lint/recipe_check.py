@@ -20,8 +20,10 @@ simulation time:
 ``RCP111``  near capacity (utilization above the warning threshold)
 
 ``check_recipe_dict`` works on the raw JSON/DSL dict so it can report
-problems (cycles, duplicates) that :class:`~repro.core.recipe.Recipe`'s
-constructor would raise on; ``check_recipe`` accepts a constructed Recipe.
+every problem (cycles, duplicates), where :class:`~repro.core.recipe.Recipe`'s
+constructor raises on the first. RCP102–RCP105 come from the one graph
+pass, :func:`~repro.core.recipe.graph_problems`, that the constructor also
+runs. ``check_recipe`` accepts a constructed Recipe.
 ``check_rate_feasibility`` adds the CPU model pass, optionally against a
 concrete assignment and module inventory.
 """
@@ -31,7 +33,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.core.operators import operator_class, registered_operators
-from repro.core.recipe import Recipe, TaskSpec
+from repro.core.recipe import Recipe, TaskSpec, graph_problems
 from repro.core.splitter import SubTask
 from repro.errors import RecipeError
 from repro.lint.rates import (
@@ -117,8 +119,10 @@ SOFT_UTILIZATION = 0.8
 
 
 def check_recipe(recipe: Recipe) -> list[Diagnostic]:
-    """Structural checks for an already-constructed (hence DAG) recipe."""
-    return check_recipe_dict(recipe.to_dict())
+    """Structural checks for an already-constructed (hence DAG) recipe:
+    of the graph pass, only its RCP105 findings can come back."""
+    tasks = [recipe.tasks[task_id] for task_id in recipe.topological_order]
+    return _check_tasks(recipe.name, tasks)
 
 
 def check_recipe_dict(data: dict[str, Any]) -> list[Diagnostic]:
@@ -165,124 +169,22 @@ def check_recipe_dict(data: dict[str, Any]) -> list[Diagnostic]:
             RECIPE_RULES["RCP100"].diagnostic(name or "<recipe>", "recipe has no tasks")
         )
         return diagnostics
-
-    diagnostics += _check_streams(name, tasks)
-    diagnostics += _check_cycles(name, tasks)
-    diagnostics += _check_operators(name, tasks)
-    diagnostics += _check_qos(name, tasks)
-    diagnostics += _check_ports(name, tasks)
-    return diagnostics
+    return diagnostics + _check_tasks(name, tasks)
 
 
-# ---------------------------------------------------------------------------
-# Stream wiring
-# ---------------------------------------------------------------------------
-
-
-def _producers_of(tasks: list[TaskSpec]) -> dict[str, str]:
-    producers: dict[str, str] = {}
-    for task in tasks:
-        for stream in task.outputs:
-            producers.setdefault(stream, task.task_id)
-    return producers
-
-
-def _check_streams(name: str, tasks: list[TaskSpec]) -> list[Diagnostic]:
-    diagnostics: list[Diagnostic] = []
-    producers: dict[str, str] = {}
-    consumed: set[str] = set()
-    for task in tasks:
-        for stream in task.outputs:
-            if stream in producers:
-                diagnostics.append(
-                    RECIPE_RULES["RCP102"].diagnostic(
-                        f"{name}:stream {stream}",
-                        f"stream {stream!r} produced by both "
-                        f"{producers[stream]!r} and {task.task_id!r}",
-                        hint="streams map to MQTT topics: exactly one producer",
-                    )
-                )
-            else:
-                producers[stream] = task.task_id
-    for task in tasks:
-        for stream in task.inputs:
-            if ":" in stream:
-                app, _sep, remote = stream.partition(":")
-                if not app or not remote:
-                    diagnostics.append(
-                        RECIPE_RULES["RCP103"].diagnostic(
-                            f"{name}:task {task.task_id}",
-                            f"malformed external stream reference {stream!r}",
-                            hint="expected '<application>:<stream>'",
-                        )
-                    )
-                continue
-            consumed.add(stream)
-            if stream not in producers:
-                diagnostics.append(
-                    RECIPE_RULES["RCP103"].diagnostic(
-                        f"{name}:task {task.task_id}",
-                        f"consumes stream {stream!r} which no task produces",
-                        hint="add a producing task or an external reference",
-                    )
-                )
-    for stream in sorted(set(producers) - consumed):
-        diagnostics.append(
-            RECIPE_RULES["RCP105"].diagnostic(
-                f"{name}:stream {stream}",
-                f"stream {stream!r} (from {producers[stream]!r}) is never "
-                "consumed in this recipe",
-                hint="fine if the stream is curated for cross-application use",
-            )
-        )
-    return diagnostics
-
-
-def _check_cycles(name: str, tasks: list[TaskSpec]) -> list[Diagnostic]:
-    producers = _producers_of(tasks)
-    upstream: dict[str, set[str]] = {
-        task.task_id: {
-            producers[stream]
-            for stream in task.inputs
-            if ":" not in stream and stream in producers
-        }
-        - {task.task_id}
-        for task in tasks
-    }
-    self_loops = [
-        task.task_id
-        for task in tasks
-        if any(
-            producers.get(stream) == task.task_id
-            for stream in task.inputs
-            if ":" not in stream
-        )
+def _check_tasks(name: str, tasks: list[TaskSpec]) -> list[Diagnostic]:
+    """The graph pass's problems as findings, then RCP106–RCP109."""
+    producers, _order, problems = graph_problems(tasks)
+    diagnostics = [
+        RECIPE_RULES[rule].diagnostic(f"{name}:{subject}", message, hint=hint)
+        for rule, subject, message, hint in problems
     ]
-    in_degree = {tid: len(deps) for tid, deps in upstream.items()}
-    ready = sorted(tid for tid, deg in in_degree.items() if deg == 0)
-    done: list[str] = []
-    while ready:
-        current = ready.pop(0)
-        done.append(current)
-        for tid in sorted(upstream):
-            if current in upstream[tid]:
-                upstream[tid].discard(current)
-                in_degree[tid] -= 1
-                if in_degree[tid] == 0:
-                    ready.append(tid)
-                    ready.sort()
-    diagnostics: list[Diagnostic] = []
-    remaining = sorted(set(in_degree) - set(done))
-    cyclic = sorted(set(remaining) | set(self_loops))
-    if cyclic:
-        diagnostics.append(
-            RECIPE_RULES["RCP104"].diagnostic(
-                f"{name}:tasks {', '.join(cyclic)}",
-                f"dependency cycle involving {cyclic}",
-                hint="a recipe is a DAG: break the loop or split the recipe",
-            )
-        )
-    return diagnostics
+    return (
+        diagnostics
+        + _check_operators(name, tasks)
+        + _check_qos(name, tasks, producers)
+        + _check_ports(name, tasks)
+    )
 
 
 def _check_operators(name: str, tasks: list[TaskSpec]) -> list[Diagnostic]:
@@ -298,19 +200,18 @@ def _check_operators(name: str, tasks: list[TaskSpec]) -> list[Diagnostic]:
     ]
 
 
-def _check_qos(name: str, tasks: list[TaskSpec]) -> list[Diagnostic]:
+def _check_qos(
+    name: str, tasks: list[TaskSpec], producers: dict[str, str]
+) -> list[Diagnostic]:
     diagnostics: list[Diagnostic] = []
-    producer_qos: dict[str, tuple[str, int]] = {}
+    qos_of = {task.task_id: int(task.params.get("qos", 0)) for task in tasks}
     for task in tasks:
-        qos = int(task.params.get("qos", 0))
-        for stream in task.outputs:
-            producer_qos.setdefault(stream, (task.task_id, qos))
-    for task in tasks:
-        qos = int(task.params.get("qos", 0))
+        qos = qos_of[task.task_id]
         for stream in task.inputs:
-            if ":" in stream or stream not in producer_qos:
+            if ":" in stream or stream not in producers:
                 continue
-            producer, pub_qos = producer_qos[stream]
+            producer = producers[stream]
+            pub_qos = qos_of[producer]
             if qos > pub_qos:
                 diagnostics.append(
                     RECIPE_RULES["RCP107"].diagnostic(

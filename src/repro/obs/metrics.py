@@ -174,64 +174,6 @@ class HistogramMetric:
         """Several percentiles from one sort of the sample buffer."""
         return percentiles(self._samples, qs)
 
-    def merge(self, other: "HistogramMetric") -> "HistogramMetric":
-        """Fold ``other`` into this histogram (parallel aggregation).
-
-        Welford halves merge exactly. The sample buffers are first
-        decimated to a common stride (strides are always powers of two
-        times the original 1, so the coarser one wins), concatenated
-        self-first, then re-decimated under the cap — the result is a
-        pure function of the two buffers, no RNG.
-        """
-        self.stats.merge(other.stats)
-        ours, our_stride = self._samples, self._stride
-        theirs, their_stride = list(other._samples), other._stride
-        while our_stride < their_stride:
-            ours = ours[1::2]
-            our_stride *= 2
-        while their_stride < our_stride:
-            theirs = theirs[1::2]
-            their_stride *= 2
-        merged = list(ours) + theirs
-        while len(merged) > self.MAX_SAMPLES:
-            merged = merged[1::2]
-            our_stride *= 2
-        self._samples = merged
-        self._stride = our_stride
-        self._seen += other._seen
-        return self
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready form; :meth:`from_dict` reproduces the instrument."""
-        stats = self.stats
-        return {
-            "key": self.key,
-            "count": stats.count,
-            "mean": stats.mean,
-            "m2": stats._m2,
-            "min": stats.minimum if stats.count else None,
-            "max": stats.maximum if stats.count else None,
-            "samples": list(self._samples),
-            "stride": self._stride,
-            "seen": self._seen,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "HistogramMetric":
-        histogram = cls(data["key"])
-        stats = histogram.stats
-        count = int(data["count"])
-        if count:
-            stats._count = count
-            stats._mean = float(data["mean"])
-            stats._m2 = float(data["m2"])
-            stats._min = float(data["min"])
-            stats._max = float(data["max"])
-        histogram._samples = [float(v) for v in data["samples"]]
-        histogram._stride = int(data["stride"])
-        histogram._seen = int(data["seen"])
-        return histogram
-
 
 class MetricsRegistry:
     """Get-or-create home for every instrument in one runtime.

@@ -23,7 +23,6 @@ over buckets is always in sorted index order.
 from __future__ import annotations
 
 import math
-from typing import Any
 
 __all__ = ["LatencySketch", "WindowedSketch"]
 
@@ -136,35 +135,6 @@ class LatencySketch:
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    # ------------------------------------------------------------------
-    # Serialization (status topics, JSONL round-trip)
-    # ------------------------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready form; :meth:`from_dict` reproduces the sketch exactly."""
-        return {
-            "alpha": self.alpha,
-            "max_buckets": self.max_buckets,
-            "zero": self.zero_count,
-            "count": self.count,
-            "total": self.total,
-            "min": self.minimum if self.count else None,
-            "max": self.maximum if self.count else None,
-            "buckets": {str(index): self.buckets[index] for index in sorted(self.buckets)},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "LatencySketch":
-        sketch = cls(alpha=data["alpha"], max_buckets=data["max_buckets"])
-        sketch.zero_count = int(data["zero"])
-        sketch.count = int(data["count"])
-        sketch.total = float(data["total"])
-        if sketch.count:
-            sketch.minimum = float(data["min"])
-            sketch.maximum = float(data["max"])
-        sketch.buckets = {int(index): int(n) for index, n in data["buckets"].items()}
-        return sketch
 
     def __len__(self) -> int:
         return self.count

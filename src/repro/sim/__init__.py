@@ -5,9 +5,7 @@ we do not have that hardware, so benchmarks run on this deterministic
 discrete-event kernel instead (see DESIGN.md §2). The kernel is deliberately
 small and classical:
 
-* :class:`~repro.sim.kernel.SimKernel` — virtual clock + pending-event set.
-* :class:`~repro.sim.process.Process` — optional generator-style processes
-  for scenario scripting (``yield delay`` / ``yield signal``).
+* :class:`~repro.sim.kernel.SimKernel` — virtual clock + pending callbacks.
 * :class:`~repro.sim.resources.CpuResource` — single-server FIFO queue used
   to model a Pi-class CPU; queueing delay under load is what produces the
   paper's latency blow-up between 20 and 40 Hz.
@@ -17,7 +15,6 @@ small and classical:
 
 from repro.sim.events import EventHandle, EventQueue
 from repro.sim.kernel import SimKernel
-from repro.sim.process import Process, Signal
 from repro.sim.resources import CpuResource, ResourceStats
 from repro.sim.trace import TraceRecord, Tracer
 
@@ -25,9 +22,7 @@ __all__ = [
     "CpuResource",
     "EventHandle",
     "EventQueue",
-    "Process",
     "ResourceStats",
-    "Signal",
     "SimKernel",
     "TraceRecord",
     "Tracer",

@@ -7,7 +7,7 @@ ids
 rng
     Named, seeded random streams so every experiment is replayable.
 stats
-    Streaming statistics (Welford mean/variance, percentiles, histograms).
+    Streaming statistics (Welford mean/variance, percentiles).
 ringbuffer
     Fixed-capacity ring buffer for bounded stream windows.
 serialization
@@ -19,7 +19,7 @@ validate
 from repro.util.ids import IdGenerator
 from repro.util.ringbuffer import RingBuffer
 from repro.util.rng import RngRegistry, derive_seed
-from repro.util.stats import Histogram, LatencyRecorder, RunningStats
+from repro.util.stats import LatencyRecorder, RunningStats
 from repro.util.serialization import (
     decode_payload,
     encode_payload,
@@ -27,7 +27,6 @@ from repro.util.serialization import (
 )
 
 __all__ = [
-    "Histogram",
     "IdGenerator",
     "LatencyRecorder",
     "RingBuffer",

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 
@@ -90,6 +92,18 @@ def test_recipe_file_with_findings(tmp_path, capsys):
     assert "RCP105" in out
     # ... and strict fails.
     assert main(["lint", "--recipe", str(recipe), "--strict"]) == 1
+
+
+@pytest.mark.parametrize("field", [{"params": {"qos": "one"}}, {"outputs": "raw"}])
+def test_hostile_recipe_file_is_a_finding(tmp_path, capsys, field):
+    recipe = tmp_path / "hostile.json"
+    sense = {"id": "s", "operator": "sensor", "outputs": ["raw"], **field}
+    learn = {"id": "m", "operator": "map", "inputs": ["raw"]}
+    recipe.write_text(json.dumps({"recipe": "h", "tasks": [sense, learn]}))
+    assert main(["lint", "--recipe", str(recipe)]) == 1
+    captured = capsys.readouterr()
+    assert "error[RCP100]" in captured.out
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_missing_recipe_file_is_io_error(capsys):

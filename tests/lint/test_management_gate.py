@@ -68,6 +68,35 @@ def test_dangling_recipe_dict_rejected(harness):  # noqa: F811
     assert "RCP103" in rules
 
 
+HOSTILE_FIELDS = [{"params": {"qos": "one"}}, {"outputs": "raw"}]
+
+
+def hostile_recipe_dict(field):
+    sense = {"id": "s", "operator": "sensor", "outputs": ["raw"], **field}
+    return {"recipe": "hostile", "tasks": [sense, {"id": "m", "operator": "map", "inputs": ["raw"]}]}
+
+
+@pytest.mark.parametrize("field", HOSTILE_FIELDS)
+def test_hostile_recipe_dict_is_a_static_check_error(harness, field):  # noqa: F811
+    harness.settle()
+    with pytest.raises(StaticCheckError) as excinfo:
+        harness.cluster.management.submit_recipe(hostile_recipe_dict(field))
+    assert "RCP100" in {d.rule for d in excinfo.value.diagnostics}
+
+
+@pytest.mark.parametrize("field", HOSTILE_FIELDS)
+def test_remote_submit_of_hostile_recipe_is_rejected(harness, field):  # noqa: F811
+    harness.add_module("pi-1")
+    harness.settle()
+    harness.cluster.management.module.client.publish(
+        "ifot/ctl/module/pi-1/submit", {"recipe": hostile_recipe_dict(field)}, qos=1
+    )
+    harness.settle(2.0)
+    rejected = harness.runtime.tracer.select(event="agent.recipe_rejected")
+    assert rejected and "RCP100" in rejected[0].fields["rules"]
+    assert not harness.runtime.tracer.select(event="mqtt.client.callback_error")
+
+
 def test_rate_infeasible_allowed_by_default(harness):  # noqa: F811
     """The paper measures saturation; the default gate must not forbid it."""
     module = harness.add_module("pi-1")

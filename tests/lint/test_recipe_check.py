@@ -108,6 +108,17 @@ class TestStructure:
         assert len(orphans) == 2  # nothing consumes either stream
         assert all(str(d.severity) == "warning" for d in orphans)
 
+    @pytest.mark.parametrize("field", [{"params": {"qos": "one"}}, {"outputs": "raw"}])
+    def test_hostile_field_is_rcp100_not_a_traceback(self, field):
+        diags = check_recipe_dict(
+            recipe_dict(
+                task("s", "sensor", **{"outputs": ["raw"], **field}),
+                task("m", "map", inputs=["raw"]),
+            )
+        )
+        malformed = [d for d in diags if d.rule == "RCP100"]
+        assert len(malformed) == 1 and "tasks[0]" in malformed[0].where
+
     def test_unknown_operator(self):
         diags = check_recipe_dict(
             recipe_dict(task("x", "quantum-sort", inputs=["other:in"]))

@@ -11,7 +11,8 @@ output is reduced to stable digests committed under ``tests/golden/``:
 
 Any change to event ordering, span topology, field encoding, or the
 JSONL format shows up here first.  To regenerate after an intentional
-change::
+change, set the one environment variable this test reads,
+``REPRO_REGEN_GOLDEN`` (any value but empty or ``0``)::
 
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/obs/test_golden_traces.py
 
@@ -22,15 +23,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 from repro.obs import canonical_span_lines, check_span_integrity, spans_from_tracer
-from repro.util.flags import flag_enabled
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden"
-REGEN = flag_enabled("REPRO_REGEN_GOLDEN")
+REGEN = os.environ.get("REPRO_REGEN_GOLDEN", "0") not in ("", "0")
 
 
 def _run_fig5_zero_cost(duration_s: float):

@@ -225,19 +225,6 @@ def test_unbounded_registry_when_cap_is_none():
     assert registry.dropped_series == 0
 
 
-def test_histogram_merge_after_decimation_bounds_buffer():
-    left, right = HistogramMetric("h"), HistogramMetric("h")
-    n = HistogramMetric.MAX_SAMPLES + 10
-    for i in range(n):
-        left.observe(float(i))
-    for i in range(100):
-        right.observe(float(i))
-    left.merge(right)
-    assert len(left._samples) <= HistogramMetric.MAX_SAMPLES
-    assert left.stats.count == n + 100
-    assert left._stride > 1
-
-
 def test_node_gauges_registered_for_nodes():
     runtime = SimRuntime(seed=1)
     obs = enable_observability(runtime, scrape_interval_s=0)

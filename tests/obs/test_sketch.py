@@ -1,6 +1,4 @@
-"""Latency sketches: accuracy, exact merge, serialization, windowing."""
-
-import math
+"""Latency sketches: accuracy, exact merge, windowing."""
 
 import pytest
 
@@ -85,27 +83,6 @@ def test_bucket_cap_collapses_the_low_tail():
     assert sketch.count == 60
     # The collapse only coarsens the *low* tail; the max keeps resolution.
     assert sketch.quantile(100) == pytest.approx(sketch.maximum, rel=0.02)
-
-
-def test_serialization_round_trip_is_exact():
-    sketch = LatencySketch(alpha=0.02, max_buckets=64)
-    for v in (0.0, 0.001, 0.02, 0.02, 1.5, 88.0):
-        sketch.add(v)
-    clone = LatencySketch.from_dict(sketch.to_dict())
-    assert clone.buckets == sketch.buckets
-    assert clone.zero_count == sketch.zero_count
-    assert clone.count == sketch.count
-    assert clone.total == sketch.total
-    assert clone.minimum == sketch.minimum
-    assert clone.maximum == sketch.maximum
-    for q in (0, 50, 95, 99, 100):
-        assert clone.quantile(q) == sketch.quantile(q)
-
-
-def test_serialization_of_empty_sketch():
-    clone = LatencySketch.from_dict(LatencySketch().to_dict())
-    assert clone.count == 0
-    assert clone.minimum == math.inf
 
 
 def test_windowed_sketch_evicts_old_slices():

@@ -55,27 +55,6 @@ def test_running_stats_matches_batch(values):
     assert abs(s.variance - variance) <= 1e-4 * max(1.0, variance)
 
 
-@given(
-    values=st.lists(finite_floats, min_size=1, max_size=100),
-    split=st.integers(min_value=0, max_value=100),
-)
-def test_running_stats_merge_any_split(values, split):
-    split = min(split, len(values))
-    whole = RunningStats()
-    for v in values:
-        whole.add(v)
-    left, right = RunningStats(), RunningStats()
-    for v in values[:split]:
-        left.add(v)
-    for v in values[split:]:
-        right.add(v)
-    left.merge(right)
-    assert left.count == whole.count
-    assert abs(left.mean - whole.mean) <= 1e-6 * max(1.0, abs(whole.mean))
-    assert left.minimum == whole.minimum
-    assert left.maximum == whole.maximum
-
-
 @given(values=st.lists(finite_floats, min_size=1, max_size=100))
 def test_latency_percentiles_are_monotone_and_bounded(values):
     rec = LatencyRecorder()
