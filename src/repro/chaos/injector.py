@@ -137,7 +137,7 @@ class Injector:
             )
         elif isinstance(event, SensorFlap):
             self._flap_sensor(event)
-        else:  # pragma: no cover - exhaustive over EVENT_KINDS
+        else:  # pragma: no cover - exhaustive over the FaultEvent subclasses
             raise ConfigurationError(f"unhandled fault event {event!r}")
 
     def _restart_node(self, name: str) -> None:

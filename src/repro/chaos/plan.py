@@ -1,6 +1,6 @@
 """Declarative fault plans: typed fault events on a timeline.
 
-A :class:`FaultPlan` is data, not code — a named, validated, serializable
+A :class:`FaultPlan` is data, not code — a named, validated
 timeline of fault events. The same plan object drives the injector, the
 chaos benchmark matrix and the CLI, and because every stochastic element
 underneath (jitter, loss, bursts, backoff) draws from seed-derived
@@ -24,12 +24,11 @@ Event taxonomy (see ``docs/ARCHITECTURE.md`` for the fault model):
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Any, ClassVar, Iterator
 
 from repro.errors import ConfigurationError
 from repro.net.wlan import GilbertElliottConfig
-from repro.util.validate import Diagnostic, Severity
 
 __all__ = [
     "FaultEvent",
@@ -72,9 +71,6 @@ class FaultEvent:
             for k, v in payload.items()
             if v is not None
         }
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"kind": self.kind, "at": self.at, **self.describe()}
 
 
 @dataclass(frozen=True)
@@ -214,42 +210,6 @@ class SensorFlap(FaultEvent):
         return problems
 
 
-#: kind -> event class, for declarative (de)serialization.
-EVENT_KINDS: dict[str, type[FaultEvent]] = {
-    cls.kind: cls
-    for cls in (
-        NodeCrash,
-        NodeRecover,
-        NodeRestart,
-        BrokerRestart,
-        Partition,
-        Heal,
-        LinkDegrade,
-        SensorFlap,
-    )
-}
-
-
-def _event_from_dict(payload: dict[str, Any]) -> FaultEvent:
-    data = dict(payload)
-    kind = data.pop("kind", None)
-    cls = EVENT_KINDS.get(str(kind))
-    if cls is None:
-        raise ConfigurationError(
-            f"unknown fault kind {kind!r} (known: {sorted(EVENT_KINDS)})"
-        )
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigurationError(f"{kind}: unknown fields {sorted(unknown)}")
-    for key in ("group_a", "group_b", "stations"):
-        if isinstance(data.get(key), list):
-            data[key] = tuple(data[key])
-    if isinstance(data.get("burst"), dict):
-        data["burst"] = GilbertElliottConfig(**data["burst"])
-    return cls(**data)
-
-
 @dataclass(frozen=True)
 class FaultPlan:
     """A named, time-ordered sequence of fault events.
@@ -266,36 +226,6 @@ class FaultPlan:
         ordered = tuple(sorted(self.events, key=lambda e: e.at))
         object.__setattr__(self, "events", ordered)
 
-    def diagnose(self) -> list[Diagnostic]:
-        """Every problem with the plan, as the shared Diagnostic type.
-
-        ``CHS100``: the plan itself is malformed; ``CHS101``: an event is.
-        Same checks as :meth:`validate`, but reported exhaustively instead
-        of raising on the first.
-        """
-        diagnostics: list[Diagnostic] = []
-        if not self.name:
-            diagnostics.append(
-                Diagnostic(
-                    rule="CHS100",
-                    severity=Severity.ERROR,
-                    message="fault plan needs a name",
-                    where="<plan>",
-                )
-            )
-        for index, event in enumerate(self.events):
-            for problem in event.problems():
-                diagnostics.append(
-                    Diagnostic(
-                        rule="CHS101",
-                        severity=Severity.ERROR,
-                        message=problem,
-                        where=f"{self.name or '<plan>'}:events[{index}] "
-                        f"{event.kind}",
-                    )
-                )
-        return diagnostics
-
     def validate(self) -> "FaultPlan":
         if not self.name:
             raise ConfigurationError("fault plan needs a name")
@@ -308,24 +238,3 @@ class FaultPlan:
 
     def __len__(self) -> int:
         return len(self.events)
-
-    @property
-    def horizon(self) -> float:
-        """Virtual time at which the last fault effect has been applied
-        (timed effects like :class:`LinkDegrade` included)."""
-        end = 0.0
-        for event in self.events:
-            end = max(end, event.at)
-            if isinstance(event, LinkDegrade):
-                end = max(end, event.at + event.duration_s)
-            elif isinstance(event, SensorFlap):
-                end = max(end, event.at + event.down_s)
-        return end
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"name": self.name, "events": [e.to_dict() for e in self.events]}
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "FaultPlan":
-        events = tuple(_event_from_dict(e) for e in payload.get("events", []))
-        return cls(name=str(payload.get("name", "")), events=events).validate()

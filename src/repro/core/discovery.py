@@ -276,6 +276,3 @@ class StreamDirectory(Component):
     def withdraw_module(self, name: str) -> None:
         """Clean leave: overwrite the retained announcement with a tombstone."""
         self.client.publish(module_topic(name), None, retain=True)
-
-    def withdraw_stream(self, application: str, stream: str) -> None:
-        self.client.publish(stream_topic(application, stream), None, retain=True)

@@ -371,26 +371,19 @@ def plan_degradation(loads: list[AppLoad], capacity: float) -> DegradationPlan:
 def recipe_utilization(recipe: "Recipe", subtasks: Iterable["SubTask"]) -> float:
     """Calibrated CPU demand (util/sec) of ``subtasks`` of ``recipe``.
 
-    The operator-only view (:func:`~repro.lint.rates.task_utilization`)
-    under the Pi-class calibrated model whatever the runtime runs under —
-    the per-task feasibility pass's currency, not yet the full per-module
+    The operator-only view (:func:`~repro.lint.rates.operator_load`) under
+    the Pi-class calibrated model whatever the runtime runs under — the
+    per-task feasibility pass's currency, not yet the full per-module
     demand placement ranks by (the shed decision is pinned at this value).
     """
-    from repro.lint.rates import (
-        default_cost_model,
-        propagate_rates,
-        task_utilization,
-    )
+    from repro.lint.rates import default_cost_model, operator_load, walk
 
-    rates = propagate_rates(recipe)
+    facts = walk(recipe)
     cost_model = default_cost_model()
     total = 0.0
     for subtask in subtasks:
-        task = recipe.tasks.get(subtask.task_id)
-        task_rates = rates.get(subtask.task_id)
-        if task is None or task_rates is None:
-            continue
-        total += task_utilization(task, task_rates, cost_model)
+        if subtask.task_id in facts:
+            total += operator_load(facts[subtask.task_id], cost_model)
     return total
 
 

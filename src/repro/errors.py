@@ -47,10 +47,6 @@ class AddressError(NetworkError):
     """An endpoint address was malformed or unknown."""
 
 
-class LinkDownError(NetworkError):
-    """A frame was sent over a medium or link that is not operational."""
-
-
 class TransportError(NetworkError):
     """The transport layer rejected an operation."""
 
@@ -116,10 +112,6 @@ class AssignmentError(MiddlewareError):
 
 class DeploymentError(MiddlewareError):
     """The management node failed to deploy or wire a class instance."""
-
-
-class DiscoveryError(MiddlewareError):
-    """Stream search / dynamic membership operation failed."""
 
 
 class StaticCheckError(MiddlewareError):

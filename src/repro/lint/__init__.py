@@ -33,6 +33,12 @@ against deadlines declared on recipe sinks (RCP240–RCP242) and validated
 against an observed scenario run or a trace dump by the soundness gate
 (RCP243/RCP244). ``repro lint --deadline`` / ``--validate`` run it.
 
+The recipe-side engines share one model of a recipe:
+:func:`repro.lint.rates.walk` visits the topological order once and
+derives, per task, its rates, payload schemas and ``PayloadEffect``.
+Rate feasibility (RCP110/RCP111), the payload checks, the latency bounds,
+placement and shedding all read that one result.
+
 Every implemented rule across the four engines (plus the sanitizer's
 SAN-series) is registered in :mod:`repro.lint.catalog`; ``repro lint
 --catalog``, the README table and SARIF rule metadata all render from
@@ -48,11 +54,9 @@ from repro.lint.catalog import (
 )
 from repro.lint.dataflow import (
     DATAFLOW_RULES,
-    StreamSchema,
     analyze_state_soundness,
     check_cost_drift,
     check_recipe_payloads,
-    propagate_schemas,
 )
 from repro.lint.engine import LintRun, lint_paths, lint_source
 from repro.lint.latency import (
@@ -66,13 +70,14 @@ from repro.lint.latency import (
     check_deadlines,
     flows_from_trace,
 )
+from repro.lint.rates import StreamSchema, walk
 from repro.lint.recipe_check import (
     check_rate_feasibility,
     check_recipe,
     check_recipe_dict,
 )
 from repro.lint.report import render_json, render_sarif, render_text
-from repro.lint.rules import RULE_CATALOG, LintRule, rule_catalog
+from repro.lint.rules import RULE_CATALOG, LintRule
 
 __all__ = [
     "LintRun",
@@ -84,7 +89,7 @@ __all__ = [
     "check_recipe_payloads",
     "check_cost_drift",
     "analyze_state_soundness",
-    "propagate_schemas",
+    "walk",
     "StreamSchema",
     "DATAFLOW_RULES",
     "LATENCY_RULES",
@@ -101,7 +106,6 @@ __all__ = [
     "render_text",
     "LintRule",
     "RULE_CATALOG",
-    "rule_catalog",
     "CatalogEntry",
     "unified_catalog",
     "catalog_descriptions",

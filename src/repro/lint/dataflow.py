@@ -12,14 +12,14 @@ sanitizer (no ``tracked_state`` cell covers them). SAN findings honor
 the same line keeps suppressing AST-rule findings but never a SAN one
 (and vice versa), so each tool's suppression budget stays auditable.
 
-**Recipe payload dataflow (RCP200–RCP212)** — abstract-interprets a
-recipe's task graph over per-stream payload *schemas* (which datum /
-attribute keys a record on the stream may carry). Sensor tasks seed the
-lattice from their device's ``channel_keys()``; every operator transforms
-it through its class's ``payload_effect()``. On top of the schemas an
-at-least-once *taint* tracks where QoS 1 redelivery can duplicate
-records, which is what makes RCP210 (duplicates into a non-idempotent
-stateful operator) checkable statically.
+**Recipe payload dataflow (RCP200–RCP212)** — judges the per-stream
+payload *schemas* (which datum / attribute keys a record on the stream
+may carry) that the recipe model's one walk (:func:`repro.lint.rates.walk`)
+derives: sensor tasks seed the lattice from their device's
+``channel_keys()``, every operator transforms it through its class's
+``payload_effect()``, and an at-least-once *taint* tracks where QoS 1
+redelivery can duplicate records, which is what makes RCP210 (duplicates
+into a non-idempotent stateful operator) checkable statically.
 
 **Cost-model drift (RCP230/RCP231)** — holds the per-operation busy
 accounting of a profiled run against the calibrated cost model's static
@@ -33,14 +33,19 @@ watch (SLO310) runs the same :func:`cost_drift` while a scenario runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
-from repro.core.operators import StreamOperator, operator_class
+from repro.core.operators import operator_class
 from repro.core.recipe import Recipe
 from repro.lint.callgraph import INIT_METHODS, build_callgraph
 from repro.lint.engine import LintRun
-from repro.lint.rates import DEFAULT_RECORD_BYTES, default_cost_model
+from repro.lint.rates import (
+    DEFAULT_RECORD_BYTES,
+    StreamSchema,
+    TaskFacts,
+    default_cost_model,
+    walk,
+)
 from repro.lint.suppress import parse_suppressions
 from repro.runtime.costs import CostModel
 from repro.san.rules import SAN_RULES
@@ -48,12 +53,10 @@ from repro.util.validate import Diagnostic, Rule, Severity
 
 __all__ = [
     "DATAFLOW_RULES",
-    "StreamSchema",
     "analyze_state_soundness",
     "check_recipe_payloads",
     "check_cost_drift",
     "cost_drift",
-    "propagate_schemas",
 ]
 
 
@@ -181,167 +184,14 @@ def analyze_state_soundness(paths: Iterable[str]) -> LintRun:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StreamSchema:
-    """What a record on one stream may carry.
-
-    ``datum`` / ``attrs`` are the known *may-produce* key sets; an open
-    flag means unknown extra keys are possible (an opaque operator or an
-    external input), in which case absence proves nothing.
-    ``tainted`` means an at-least-once hop upstream may have duplicated
-    the record (cleared by ``dedup``). ``dedup_guard`` marks a flow that
-    passed through a sample-id dedup: the guard is durable — duplication
-    on hops *after* the dedup is out of RCP210's scope, because sample-id
-    dedup collapses any upstream duplication and last-hop redelivery is
-    bounded by the client's in-flight window and surfaced by the
-    runtime's QoS accounting instead.
-    """
-
-    datum: frozenset[str] = frozenset()
-    attrs: frozenset[str] = frozenset()
-    open_datum: bool = False
-    open_attrs: bool = False
-    tainted: bool = False
-    dedup_guard: bool = False
-
-
-_OPEN = StreamSchema(open_datum=True, open_attrs=True)
-
-
-def _operator_effect(operator: str, params: dict[str, Any]):
-    """The operator class's PayloadEffect, or ``None`` for unknown/opaque."""
-    cls = operator_class(operator)
-    if cls is StreamOperator:
-        return None  # unregistered (RCP106): nothing is known of its payload
-    try:
-        return cls.payload_effect(dict(params))
-    except Exception:
-        return None  # an effect that cannot be computed is opaque
-
-
-@dataclass(frozen=True)
-class _TaskStep:
-    """One task's view during the lattice walk."""
-
-    task: Any
-    inputs: list[StreamSchema]
-    merged: StreamSchema
-    effect: Any
-    out: StreamSchema
-
-
-def _walk_schemas(
-    recipe: Recipe, device_keys: Mapping[str, Iterable[str]] | None
-):
-    """Single source of truth for the lattice walk (topological order)."""
-    known_devices = {k: frozenset(v) for k, v in (device_keys or {}).items()}
-    schemas: dict[str, StreamSchema] = {}
-    for task_id in recipe.topological_order:
-        task = recipe.tasks[task_id]
-        qos = int(task.params.get("qos", 0))
-        inputs = [
-            schemas.get(stream, _OPEN) if ":" not in stream
-            else replace(_OPEN, tainted=qos >= 1)
-            for stream in task.inputs
-        ]
-        merged = _merge_schemas(inputs)
-        for stream in task.inputs:
-            if ":" in stream:
-                continue
-            if schemas.get(stream, _OPEN).dedup_guard:
-                continue
-            producer = recipe.tasks[recipe.producer_of(stream)]
-            if min(int(producer.params.get("qos", 0)), qos) >= 1:
-                merged = replace(merged, tainted=True)
-        effect = _operator_effect(task.operator, task.params)
-        if operator_class(task.operator).samples_device:
-            device = str(task.params.get("device", ""))
-            keys = known_devices.get(device)
-            out = (
-                StreamSchema(datum=keys)
-                if keys is not None
-                else replace(_OPEN, tainted=False)
-            )
-        elif effect is None or effect.opaque:
-            out = replace(_OPEN, tainted=merged.tainted, dedup_guard=merged.dedup_guard)
-        else:
-            out = _apply_effect(merged, effect)
-        if effect is not None and effect.dedups:
-            out = replace(out, tainted=False, dedup_guard=True)
-        for stream in task.outputs:
-            schemas[stream] = out
-        yield _TaskStep(
-            task=task, inputs=inputs, merged=merged, effect=effect, out=out
-        ), schemas
-
-
-def propagate_schemas(
-    recipe: Recipe, device_keys: Mapping[str, Iterable[str]] | None = None
-) -> dict[str, StreamSchema]:
-    """Abstract-interpret the task graph; returns schema per stream.
-
-    ``device_keys`` maps sensor device names to their channel keys (see
-    :meth:`repro.scenario.Scenario.device_keys`); sensors whose
-    device is absent from the map seed an open schema.
-    """
-    schemas: dict[str, StreamSchema] = {}
-    for _step, schemas in _walk_schemas(recipe, device_keys):
-        pass
-    return dict(schemas)
-
-
-def _merge_schemas(inputs: list[StreamSchema]) -> StreamSchema:
-    if not inputs:
-        return StreamSchema()
-    datum: set[str] = set()
-    attrs: set[str] = set()
-    open_datum = open_attrs = tainted = False
-    guarded = True
-    for schema in inputs:
-        datum |= schema.datum
-        attrs |= schema.attrs
-        open_datum |= schema.open_datum
-        open_attrs |= schema.open_attrs
-        tainted |= schema.tainted
-        guarded &= schema.dedup_guard
-    return StreamSchema(
-        datum=frozenset(datum),
-        attrs=frozenset(attrs),
-        open_datum=open_datum,
-        open_attrs=open_attrs,
-        tainted=tainted,
-        dedup_guard=guarded,
-    )
-
-
-def _apply_effect(merged: StreamSchema, effect) -> StreamSchema:
-    datum = set(merged.datum)
-    attrs = set(merged.attrs)
-    open_datum = merged.open_datum
-    if effect.select is not None:
-        datum = set(effect.select)
-        open_datum = False
-    for old, new in effect.renames:
-        datum.discard(old)
-        datum.add(new)
-    datum |= set(effect.adds)
-    attrs |= set(effect.adds_attrs)
-    return StreamSchema(
-        datum=frozenset(datum),
-        attrs=frozenset(attrs),
-        open_datum=open_datum,
-        open_attrs=merged.open_attrs,
-        tainted=merged.tainted,
-        dedup_guard=merged.dedup_guard,
-    )
-
-
 def check_recipe_payloads(
     recipe: Recipe, device_keys: Mapping[str, Iterable[str]] | None = None
 ) -> list[Diagnostic]:
-    """RCP200–RCP212: payload-key and at-least-once semantics checks."""
+    """RCP200–RCP212: payload-key and at-least-once semantics checks over
+    the schemas :func:`~repro.lint.rates.walk` derives."""
+    facts = walk(recipe, device_keys)
     diagnostics: list[Diagnostic] = []
-    for step, _schemas in _walk_schemas(recipe, device_keys):
+    for step in facts.values():
         task, merged, effect = step.task, step.merged, step.effect
         where = f"{recipe.name}:task {task.task_id}"
         if effect is not None:
@@ -350,7 +200,7 @@ def check_recipe_payloads(
             if effect.merges_inputs and len(task.inputs) > 1:
                 diagnostics += _check_collisions(where, task, step.inputs)
             if effect.dedups:
-                diagnostics += _check_dedup(where, task, recipe, merged)
+                diagnostics += _check_dedup(where, task, recipe, facts, merged)
         cls = operator_class(task.operator)
         if merged.tainted and not cls.redelivery_safe(task.params):
             diagnostics.append(
@@ -445,7 +295,7 @@ def _check_renames(where: str, merged: StreamSchema, effect) -> list[Diagnostic]
 
 
 def _check_collisions(
-    where: str, task, inputs: list[StreamSchema]
+    where: str, task, inputs: tuple[StreamSchema, ...]
 ) -> list[Diagnostic]:
     datum_owners: dict[str, list[str]] = {}
     attr_owners: dict[str, list[str]] = {}
@@ -482,7 +332,11 @@ def _check_collisions(
 
 
 def _check_dedup(
-    where: str, task, recipe: Recipe, merged: StreamSchema
+    where: str,
+    task,
+    recipe: Recipe,
+    facts: Mapping[str, TaskFacts],
+    merged: StreamSchema,
 ) -> list[Diagnostic]:
     diagnostics: list[Diagnostic] = []
     if not merged.tainted:
@@ -500,8 +354,8 @@ def _check_dedup(
     for stream in task.inputs:
         if ":" in stream:
             continue
-        producer = recipe.tasks[recipe.producer_of(stream)]
-        effect = _operator_effect(producer.operator, producer.params)
+        upstream = facts[recipe.producer_of(stream)]
+        producer, effect = upstream.task, upstream.effect
         if effect is not None and effect.merges_inputs:
             rule = DATAFLOW_RULES["RCP212"]
             diagnostics.append(

@@ -12,7 +12,7 @@ Curve model
 -----------
 Every flow is abstracted as a token-bucket *arrival curve*
 ``alpha(t) = b + r t`` (``b`` records of burst, ``r`` records/second from
-:func:`repro.lint.rates.propagate_rates`); every shared resource as a
+:func:`repro.lint.rates.walk`); every shared resource as a
 work-conserving unit-rate server. Three resource families exist:
 
 * ``cpu:<module-or-task>`` — the hosting CPU; per-record work is the
@@ -75,8 +75,9 @@ from repro.core.operators import operator_class
 from repro.core.recipe import Recipe, TaskSpec
 from repro.lint.rates import (
     DEFAULT_RECORD_BYTES,
+    TaskFacts,
     default_cost_model,
-    propagate_rates,
+    walk,
 )
 from repro.net.wlan import WlanConfig
 from repro.runtime.costs import CostModel
@@ -151,7 +152,6 @@ class LatencyContext:
 
     cost_model: CostModel | None = None
     wlan: WlanConfig | None = None
-    record_bytes: int = DEFAULT_RECORD_BYTES
     loss_rate: float | None = None
     disruption_allowance_s: float = 0.0
     default_burst_records: float = 1.0
@@ -304,28 +304,22 @@ def analyze_latency(
     model = ctx.cost_model if ctx.cost_model is not None else default_cost_model()
     wlan = ctx.wlan if ctx.wlan is not None else WlanConfig()
     loss = ctx.loss_rate if ctx.loss_rate is not None else wlan.loss_rate
-    rates = propagate_rates(recipe)
-    frame_work = wlan.airtime(ctx.record_bytes) + wlan.jitter_s
-
-    def _network_works() -> dict[str, float | None]:
-        return {
-            op: model.steady_cost(op, ctx.record_bytes)
-            for op in ("mqtt.send", "mqtt.recv", "mqtt.route", "mqtt.forward")
-        }
-
-    net = _network_works()
+    facts = walk(recipe)
+    frame_work = wlan.airtime(DEFAULT_RECORD_BYTES) + wlan.jitter_s
+    net = {
+        op: model.steady_cost(op, DEFAULT_RECORD_BYTES)
+        for op in ("mqtt.send", "mqtt.recv", "mqtt.route", "mqtt.forward")
+    }
 
     # Pass 1: bursts depend only on source declarations and deterministic
-    # hold terms, never on queueing delays — so one topological walk with
+    # hold terms, never on queueing delays — so one fold over the walk with
     # a zero delay table already yields the final visit registry.
     log = _VisitLog()
-    _walk(recipe, rates, model, ctx, loss, frame_work, net, {}, log, placement)
+    _fold(facts, model, ctx, loss, frame_work, net, {}, log, placement)
     delay_table = log.delay_table()
     # Pass 2: accumulate per-flow latency against the final delay table.
     log = _VisitLog()
-    flows = _walk(
-        recipe, rates, model, ctx, loss, frame_work, net, delay_table, log, placement
-    )
+    flows = _fold(facts, model, ctx, loss, frame_work, net, delay_table, log, placement)
 
     sink_ids = frozenset(
         task_id
@@ -340,9 +334,8 @@ def analyze_latency(
     )
 
 
-def _walk(
-    recipe: Recipe,
-    rates: Mapping[str, Any],
+def _fold(
+    facts: Mapping[str, TaskFacts],
     model: CostModel,
     ctx: LatencyContext,
     loss: float,
@@ -352,7 +345,7 @@ def _walk(
     log: _VisitLog,
     placement: Mapping[str, str],
 ) -> dict[str, FlowBound]:
-    """One topological pass, computing bounds against ``delay_table``."""
+    """One pass over the walk's facts, computing bounds against ``delay_table``."""
 
     def hop(resource: str, rate_hz: float, burst: float, work_s: float | None) -> float:
         """Register a visit; return the delay bound for this hop."""
@@ -364,12 +357,12 @@ def _walk(
     streams: dict[str, _StreamState] = {}
     flows: dict[str, FlowBound] = {}
 
-    for task_id in recipe.topological_order:
-        task = recipe.tasks[task_id]
+    for task_id, step in facts.items():
+        task = step.task
         cls = operator_class(task.operator)
         cpu = _cpu_key(task, placement)
-        ingest_hz = rates[task_id].ingest_hz
-        emit_hz = rates[task_id].emit_hz
+        ingest_hz = step.ingest_hz
+        emit_hz = step.emit_hz
         derivable = True
         reasons: list[str] = []
         resources: list[str] = [cpu]
@@ -429,7 +422,7 @@ def _walk(
 
         # The operator itself.
         op = cls.cost_op
-        service_s = model.steady_cost(op, ctx.record_bytes)
+        service_s = model.steady_cost(op, DEFAULT_RECORD_BYTES)
         if service_s is None:
             derivable = False
             reasons.append(f"cost model does not define op {op!r}")

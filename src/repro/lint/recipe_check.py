@@ -24,8 +24,9 @@ every problem (cycles, duplicates), where :class:`~repro.core.recipe.Recipe`'s
 constructor raises on the first. RCP102–RCP105 come from the one graph
 pass, :func:`~repro.core.recipe.graph_problems`, that the constructor also
 runs. ``check_recipe`` accepts a constructed Recipe.
-``check_rate_feasibility`` adds the CPU model pass, optionally against a
-concrete assignment and module inventory.
+``check_rate_feasibility`` judges each task's operator load on the
+recipe model's one walk (:func:`~repro.lint.rates.walk`);
+``check_module_loads`` sums a concrete placement's full demand per module.
 """
 
 from __future__ import annotations
@@ -37,12 +38,11 @@ from repro.core.recipe import Recipe, TaskSpec, graph_problems
 from repro.core.splitter import SubTask
 from repro.errors import RecipeError
 from repro.lint.rates import (
-    DEFAULT_RECORD_BYTES,
     default_cost_model,
     module_demand,
+    operator_load,
     placement_demand,
-    propagate_rates,
-    task_utilization,
+    walk,
 )
 from repro.runtime.costs import CostModel
 from repro.util.validate import Diagnostic, Rule, Severity
@@ -278,32 +278,18 @@ def _check_ports(name: str, tasks: list[TaskSpec]) -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 
 
-def check_rate_feasibility(
-    recipe: Recipe,
-    subtasks: "list[SubTask] | None" = None,
-    assignment: "Assignment | None" = None,
-    modules: "list[ModuleInfo] | None" = None,
-    cost_model: CostModel | None = None,
-    record_bytes: int = DEFAULT_RECORD_BYTES,
-) -> list[Diagnostic]:
-    """Flag statically unschedulable rates.
-
-    Always checks each task against a unit-capacity core (no single task
-    may alone exceed one module). Given ``assignment`` + ``modules`` it
-    additionally sums per-module utilization against each module's
-    declared capacity — the statically-checkable half of the paper's
-    §V-B saturation behaviour.
-    """
-    model = cost_model if cost_model is not None else default_cost_model()
-    rates = propagate_rates(recipe)
+def check_rate_feasibility(recipe: Recipe) -> list[Diagnostic]:
+    """Flag statically unschedulable rates: no task's operator load
+    (:func:`~repro.lint.rates.operator_load`, per shard, under the
+    calibrated model) may alone exceed a unit-capacity module."""
+    model = default_cost_model()
     diagnostics: list[Diagnostic] = []
-    for task_id in recipe.topological_order:
-        task = recipe.tasks[task_id]
-        util = task_utilization(task, rates[task_id], model, record_bytes)
+    for task_id, facts in walk(recipe).items():
+        util = operator_load(facts, model)
         where = f"{recipe.name}:task {task_id}"
         detail = (
             f"demands {util:.2f} CPU-s/s per shard "
-            f"({rates[task_id].ingest_hz:g} Hz ingest)"
+            f"({facts.ingest_hz:g} Hz ingest)"
         )
         if util > 1.0:
             diagnostics.append(
@@ -323,10 +309,6 @@ def check_rate_feasibility(
                     hint="no headroom for warm-up or bursts",
                 )
             )
-    if assignment is not None and modules is not None and subtasks is not None:
-        diagnostics += check_module_loads(
-            recipe, subtasks, assignment, modules, model, record_bytes
-        )
     return diagnostics
 
 
@@ -336,7 +318,6 @@ def check_module_loads(
     assignment: "Assignment",
     modules: "list[ModuleInfo]",
     cost_model: CostModel,
-    record_bytes: int = DEFAULT_RECORD_BYTES,
 ) -> list[Diagnostic]:
     """The per-module pass: each module's predicted utilization — what its
     sub-tasks' operators *and* the MQTT handling of their records demand
@@ -344,7 +325,7 @@ def check_module_loads(
     diagnostics: list[Diagnostic] = []
     capacity = {module.name: module.capacity for module in modules}
     load = module_demand(
-        placement_demand(recipe, subtasks, cost_model, record_bytes),
+        placement_demand(recipe, subtasks, cost_model),
         assignment.placements,
     )
     for module_name in sorted(load):

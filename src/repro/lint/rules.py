@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.util.validate import Diagnostic, Severity
 
@@ -30,7 +29,6 @@ __all__ = [
     "LintRule",
     "RULE_CATALOG",
     "register_rule",
-    "rule_catalog",
 ]
 
 
@@ -139,9 +137,3 @@ def register_rule(cls: type[LintRule]) -> type[LintRule]:
     RULE_CATALOG[cls.rule_id] = cls
     return cls
 
-
-def rule_catalog() -> Iterator[tuple[str, str, str]]:
-    """(rule id, default severity, description) rows, id-ordered."""
-    for rule_id in sorted(RULE_CATALOG):
-        cls = RULE_CATALOG[rule_id]
-        yield rule_id, str(cls.severity), cls.description

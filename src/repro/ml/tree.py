@@ -284,15 +284,6 @@ class HoeffdingTreeClassifier:
 
         return walk(self._root)
 
-    @property
-    def leaf_count(self) -> int:
-        def walk(node: _Node) -> int:
-            if node.is_leaf:
-                return 1
-            return walk(node.left) + walk(node.right)  # type: ignore[arg-type]
-
-        return walk(self._root)
-
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------

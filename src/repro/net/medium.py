@@ -149,11 +149,6 @@ class Medium(ABC):
             return False
         return frozenset((station_a, station_b)) in self._blocked_pairs
 
-    @property
-    def partitioned_pairs(self) -> int:
-        """Number of station pairs currently cut (for tests/inspection)."""
-        return len(self._blocked_pairs)
-
     @abstractmethod
     def transmit(self, frame: Frame) -> None:
         """Accept ``frame`` for (eventual) delivery."""

@@ -362,9 +362,6 @@ class Profiler:
             self._tick, delay=self.interval_s, priority=_SAMPLER_PRIORITY
         )
 
-    def stop_sampling(self) -> None:
-        self._sampling = False
-
     def register_origin(self, t: float) -> None:
         """Keep ``[t, now]`` answerable for the rest of the run (0.0 always is)."""
         for timeline in (self._wlan_timeline, *self._cpu_timeline.values()):

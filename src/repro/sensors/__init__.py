@@ -24,7 +24,7 @@ from repro.sensors.devices import (
     HvacActuator,
     SwitchActuator,
 )
-from repro.sensors.waveforms import gaussian_noise, random_walk, sine_wave, square_wave
+from repro.sensors.waveforms import random_walk, sine_wave, square_wave
 
 __all__ = [
     "AccelerometerModel",
@@ -40,7 +40,6 @@ __all__ = [
     "HvacActuator",
     "SensorModel",
     "SwitchActuator",
-    "gaussian_noise",
     "random_walk",
     "sine_wave",
     "square_wave",

@@ -30,20 +30,6 @@ class SensorModel(ABC):
         """
         return None
 
-    def sample_batch(
-        self, t0: float, dt: float, n: int, rng: random.Random
-    ) -> list[dict[str, Any]]:
-        """``n`` readings at ``t0, t0+dt, ...`` — one cadence window.
-
-        Exactly equivalent to calling :meth:`sample` in a loop (same
-        readings, same rng draw order); overridden where a model can hoist
-        per-window work. The live pipeline samples tick-by-tick because a
-        sensor may be paused between ticks (which must *not* consume rng
-        draws); batch generation is for sweeps, calibration, and tests,
-        where the window is known up front.
-        """
-        return [self.sample(t0 + i * dt, rng) for i in range(n)]
-
 
 class ActuatorModel(ABC):
     """A device that accepts commands and holds observable state."""

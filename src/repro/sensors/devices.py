@@ -60,27 +60,6 @@ class FixedPayloadModel(SensorModel):
         reading["label"] = "hi" if (t % self.label_period_s) < self._half_period else "lo"
         return reading
 
-    def sample_batch(
-        self, t0: float, dt: float, n: int, rng: random.Random
-    ) -> list[dict[str, Any]]:
-        channels = self._channels
-        period_s = self.label_period_s
-        half = self._half_period
-        gauss = rng.gauss
-        out: list[dict[str, Any]] = []
-        for i in range(n):
-            t = t0 + i * dt
-            reading: dict[str, Any] = {}
-            for key, period in channels:
-                reading[key] = round(
-                    sine_wave(t, period=period, amplitude=1.0) + gauss(0.0, 0.05),
-                    4,
-                )
-            reading["label"] = "hi" if (t % period_s) < half else "lo"
-            out.append(reading)
-        return out
-
-
 class AccelerometerModel(SensorModel):
     """3-axis accelerometer worn by a monitored person (§III-A-1).
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 
-__all__ = ["sine_wave", "square_wave", "gaussian_noise", "random_walk", "diurnal"]
+__all__ = ["sine_wave", "square_wave", "random_walk", "diurnal"]
 
 
 def sine_wave(
@@ -19,11 +19,6 @@ def square_wave(t: float, period: float, high: float = 1.0, low: float = 0.0, du
     """Square wave: ``high`` for the first ``duty`` fraction of each period."""
     position = (t % period) / period
     return high if position < duty else low
-
-
-def gaussian_noise(rng: random.Random, sigma: float = 1.0, mean: float = 0.0) -> float:
-    """One Gaussian draw."""
-    return rng.gauss(mean, sigma)
 
 
 def diurnal(t: float, day_length: float = 86_400.0, peak: float = 1.0) -> float:

@@ -90,12 +90,6 @@ class EventHandle:
         return (self.time, self.tiebreak, self.seq)
 
     @property
-    def is_epilogue(self) -> bool:
-        """Whether this is an end-of-instant epilogue event (guaranteed to
-        fire after every normal event at its timestamp, even perturbed)."""
-        return self.tiebreak >= _EPILOGUE_BASE
-
-    @property
     def epilogue_priority(self) -> int | None:
         """This epilogue's priority, or ``None`` for a normal event."""
         if self.tiebreak < _EPILOGUE_BASE:

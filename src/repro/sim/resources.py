@@ -95,10 +95,6 @@ class CpuResource:
     def servers(self) -> int:
         return self._servers
 
-    def _prof(self) -> Any:
-        runtime = self._runtime
-        return None if runtime is None else runtime.prof
-
     @property
     def busy_servers(self) -> int:
         return self._busy

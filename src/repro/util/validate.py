@@ -6,9 +6,9 @@ the call sites one line.
 
 :class:`Diagnostic` is the one currency every static validation pass in the
 package reports in — the determinism linter (:mod:`repro.lint`), the recipe
-static checker, and chaos-plan validation (:meth:`repro.chaos.plan.FaultPlan
-.diagnose`) all emit the same dataclass, so callers render, filter and gate
-on findings uniformly regardless of which checker produced them.
+static checker and the sanitizer all emit the same dataclass, so callers
+render, filter and gate on findings uniformly regardless of which checker
+produced them.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""FaultPlan: validation, ordering, horizon, serialization round-trip."""
+"""FaultPlan: validation, ordering, and the trace form of an event."""
 
 import pytest
 
@@ -80,41 +80,6 @@ class TestValidation:
             event.validate()
 
 
-class TestDiagnose:
-    def test_valid_plan_has_no_diagnostics(self):
-        assert full_plan().diagnose() == []
-
-    def test_diagnose_reports_every_problem(self):
-        """Unlike validate(), diagnose() is exhaustive, not fail-fast."""
-        plan = FaultPlan(
-            "",
-            (
-                NodeCrash(at=-1.0),  # bad time AND missing node
-                SensorFlap(at=0.0, module="a", device="", down_s=0.0),
-            ),
-        )
-        diags = plan.diagnose()
-        rules = sorted(d.rule for d in diags)
-        assert rules == ["CHS100", "CHS101", "CHS101", "CHS101", "CHS101"]
-        assert all(str(d.severity) == "error" for d in diags)
-
-    def test_diagnose_locates_the_event(self):
-        plan = FaultPlan("p", (NodeCrash(at=1.0),))
-        (diag,) = plan.diagnose()
-        assert diag.where == "p:events[0] node_crash"
-        assert "node name" in diag.message
-
-    def test_diagnose_matches_validate(self):
-        """A plan validates exactly when it diagnoses clean."""
-        good = full_plan()
-        assert good.diagnose() == []
-        good.validate()
-        bad = FaultPlan("p", (NodeCrash(at=1.0),))
-        assert bad.diagnose()
-        with pytest.raises(ConfigurationError):
-            bad.validate()
-
-
 class TestOrdering:
     def test_events_sorted_by_time(self):
         plan = FaultPlan(
@@ -135,45 +100,7 @@ class TestOrdering:
         assert [e.kind for e in plan][:2] == ["node_crash", "node_recover"]
 
 
-class TestHorizon:
-    def test_horizon_includes_timed_effects(self):
-        # LinkDegrade at t=7 lasting 5 s dominates the last event at t=8.
-        assert full_plan().horizon == pytest.approx(12.0)
-
-    def test_horizon_of_instant_events(self):
-        plan = FaultPlan("p", (BrokerRestart(at=4.0),))
-        assert plan.horizon == pytest.approx(4.0)
-
-
 class TestSerialization:
-    def test_round_trip_preserves_plan(self):
-        plan = full_plan()
-        restored = FaultPlan.from_dict(plan.to_dict())
-        assert restored == plan
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown fault kind"):
-            FaultPlan.from_dict(
-                {"name": "p", "events": [{"kind": "meteor", "at": 1.0}]}
-            )
-
-    def test_unknown_field_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown fields"):
-            FaultPlan.from_dict(
-                {
-                    "name": "p",
-                    "events": [{"kind": "node_crash", "at": 1.0, "color": "red"}],
-                }
-            )
-
-    def test_round_trip_validates(self):
-        payload = {
-            "name": "p",
-            "events": [{"kind": "node_crash", "at": -2.0, "node": "a"}],
-        }
-        with pytest.raises(ConfigurationError):
-            FaultPlan.from_dict(payload)
-
     def test_describe_drops_nones_and_sorts_sets(self):
         fields = Heal(at=1.0).describe()
         assert fields == {}

@@ -11,8 +11,11 @@ from repro.core.healing import (
     AppLoad,
     FailureDetector,
     plan_degradation,
+    recipe_utilization,
     recovery_report,
 )
+from repro.core.splitter import RecipeSplit
+from repro.registry import SCENARIOS
 from repro.runtime.sim import SimRuntime
 from repro.sim.trace import Tracer
 
@@ -240,6 +243,18 @@ class TestPlanDegradation:
         plan = plan_degradation(loads, capacity=1.0)
         assert [load.application for load in plan.shed] == ["a"]
         assert not plan.feasible and plan.residual == pytest.approx(2.0)
+
+    @pytest.mark.parametrize(
+        "scenario, utilization",
+        [("fig5", 1.2982528), ("paper", 0.316012), ("failover", 0.1286048)],
+    )
+    def test_shed_currency_is_pinned(self, scenario, utilization):
+        """What shedding sums per application: every sub-task's operator
+        load under the calibrated model, read off the recipe walk."""
+        recipe = SCENARIOS[scenario].recipe()
+        assert recipe_utilization(recipe, RecipeSplit().split(recipe)) == pytest.approx(
+            utilization, rel=1e-12
+        )
 
 
 class TestRecoveryReport:

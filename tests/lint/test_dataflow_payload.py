@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.recipe import Recipe, TaskSpec
-from repro.lint import check_recipe_payloads, propagate_schemas
+from repro.lint import check_recipe_payloads, walk
 
 KEYS = {"probe": ("temp", "hum", "label")}
 
@@ -316,12 +316,12 @@ def transform_chains(draw):
 @settings(max_examples=60, deadline=None)
 def test_schema_propagation_matches_direct_interpretation(case):
     recipe, device_keys, expected, steps = case
-    schemas = propagate_schemas(recipe, device_keys)
-    final = schemas[f"s{len(recipe.tasks) - 1}"]
+    facts = walk(recipe, device_keys)
+    final = facts[recipe.producer_of(f"s{len(recipe.tasks) - 1}")].out
     assert not final.open_datum
     assert final.datum == frozenset(expected)
     # Determinism: the walk is a pure function of (recipe, device map).
-    assert propagate_schemas(recipe, device_keys) == schemas
+    assert walk(recipe, device_keys) == facts
 
 
 @given(transform_chains(), st.sampled_from(_KEY_POOL + ("renamed", "absent")))

@@ -13,7 +13,7 @@ from repro.bench.scenarios import FIG5, PAPER, build_fig5_testbed
 from repro.core.splitter import RecipeSplit
 from repro.errors import StaticCheckError
 from repro.lint.dataflow import DRIFT_TOLERANCE
-from repro.lint.rates import propagate_rates, subtask_demand
+from repro.lint.rates import subtask_demand, walk
 from repro.scenario import attach_instruments
 
 from tests.core.test_assignment import (
@@ -39,11 +39,10 @@ def busy_drift(scenario, seed, placement):
     submitted = runtime.now
     cluster.submit(recipe)
     runtime.run(until=submitted + deployed_s)
-    rates = propagate_rates(recipe)
+    facts = walk(recipe)
     predicted = {}
     for subtask in RecipeSplit().split(recipe):
-        task, task_rates = recipe.tasks[subtask.task_id], rates[subtask.task_id]
-        for op, load in subtask_demand(task, task_rates, runtime.cost_model):
+        for op, load in subtask_demand(facts[subtask.task_id], runtime.cost_model):
             key = (placement[subtask.subtask_id], op)
             predicted[key] = predicted.get(key, 0.0) + load * deployed_s
     drift = {}

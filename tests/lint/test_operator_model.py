@@ -24,7 +24,7 @@ from repro.core.operators import (
 from repro.core.recipe import Recipe, TaskSpec
 from repro.core.splitter import RecipeSplit
 from repro.lint.latency import LatencyContext, analyze_latency
-from repro.lint.rates import placement_demand, propagate_rates, subtask_demand
+from repro.lint.rates import placement_demand, subtask_demand, walk
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 CLASS_MODULES = {"core/operators.py", "core/analysis.py", "core/integration.py"}
@@ -71,6 +71,17 @@ def old_rates(task: TaskSpec, in_rates: list[float]) -> tuple[float, float]:
     if operator == "sensor":
         ingest = float(params.get("rate_hz", 1.0))
     return ingest, emit
+
+
+def walked_rates(task: TaskSpec, in_rates: list[float]) -> tuple[float, float]:
+    """``(ingest, emit)`` of ``task`` as :func:`walk` derives it, fed by one
+    sensor per input at the given rate."""
+    sensors = [
+        TaskSpec(f"src{i}", "sensor", outputs=[stream], params={"device": "d", "rate_hz": rate})
+        for i, (stream, rate) in enumerate(zip(task.inputs, in_rates))
+    ]
+    facts = walk(Recipe("rates", [*sensors, task]))[task.task_id]
+    return facts.ingest_hz, facts.emit_hz
 
 
 def old_hold_time(task: TaskSpec, ingest_hz: float, emit_hz: float) -> float:
@@ -138,6 +149,7 @@ def test_class_declares_what_the_tables_held(name):
                 )
                 ingest, emit = old_rates(task, in_rates)
                 assert cls.emit_rate(task, in_rates) == emit, (params, in_rates)
+                assert walked_rates(task, in_rates) == (ingest, emit), (params, in_rates)
                 assert cls.hold_time(task, ingest, emit) == old_hold_time(
                     task, ingest, emit
                 ), (params, in_rates)
@@ -182,7 +194,7 @@ def test_registered_operator_is_priced_by_its_own_cost_op(monkeypatch):
         bound[operator] = analysis.flows["heavy"].bound_s
         points[operator] = estimate_cost(subtasks[-1])
     recipe = pipeline("heavy-op")
-    terms = subtask_demand(recipe.tasks["heavy"], propagate_rates(recipe)["heavy"], model)
+    terms = subtask_demand(walk(recipe)["heavy"], model)
     assert terms[0] == ("ml.train", pytest.approx(10.0 * model.steady_cost("ml.train", 256)))
     # Admission, placement and the latency bound see the ml.train it is
     # charged in simulation — at the parent commit all three saw flow.process.
