@@ -75,7 +75,6 @@ class PaperTestbed:
 def build_paper_testbed(
     rate_hz: float,
     seed: int = 0,
-    management_heartbeat_s: float = 5.0,
     trace: bool = False,
     broker_cpu_speed: float = 1.0,
     prepare: PrepareHook | None = None,
@@ -101,14 +100,12 @@ def build_paper_testbed(
     cluster = IFoTCluster(
         runtime,
         broker_node_name=BROKER_MODULE,
-        management_node_name="mgmt",
         broker_kwargs={
             "queue_limit": BROKER_QUEUE_LIMIT,
             "cpu_speed": broker_cpu_speed,
         },
         # The management node is a laptop (Core i5): much faster.
         node_kwargs={"cpu_speed": 8.0},
-        heartbeat_s=management_heartbeat_s,
     )
     for name in SENSOR_MODULES:
         module = cluster.add_module(name, queue_limit=PI_QUEUE_LIMIT)

@@ -56,19 +56,16 @@ class Injector:
 
     Node-level faults (crash/recover) need only the runtime; restart
     orchestration (module/broker re-boot with software re-deploy) needs
-    the ``cluster``; network faults need a ``medium`` (defaults to the
-    runtime's WLAN when present).
+    the ``cluster``; network faults need the runtime's WLAN.
     """
 
     def __init__(
         self,
         runtime: Runtime,
         cluster: "IFoTCluster | None" = None,
-        medium: Medium | None = None,
     ) -> None:
         self.runtime = runtime
         self.cluster = cluster
-        self.medium = medium if medium is not None else getattr(runtime, "wlan", None)
         self.faults_applied = 0
         self.plans_scheduled = 0
 
@@ -192,9 +189,10 @@ class Injector:
         return self.cluster
 
     def _require_medium(self) -> Medium:
-        if self.medium is None:
+        medium: Medium | None = getattr(self.runtime, "wlan", None)
+        if medium is None:
             raise ConfigurationError("network fault events need a medium")
-        return self.medium
+        return medium
 
     def _restored(self, kind: str, **fields: Any) -> None:
         self._trace("chaos.restored", kind=kind, **fields)

@@ -11,7 +11,7 @@ messages, so no extra infrastructure is needed:
   ``ifot/registry/stream/<app>/<stream>`` (retained);
 * a :class:`StreamDirectory` subscribes to ``ifot/registry/#`` and answers
   membership and stream-search queries locally; entries whose heartbeat is
-  older than ``ttl_s`` count as departed (leave = silence, no goodbye
+  older than :data:`DIRECTORY_TTL_S` count as departed (leave = silence, no goodbye
   required — crash-stop friendly).
 """
 
@@ -29,6 +29,10 @@ from repro.runtime.node import Node
 from repro.runtime.state import tracked_state
 
 __all__ = ["ModuleRecord", "StreamRecord", "StreamDirectory", "module_topic", "stream_topic"]
+
+
+#: An announcement older than this counts as a departure.
+DIRECTORY_TTL_S = 30.0
 
 
 def module_topic(module: str) -> str:
@@ -70,15 +74,9 @@ class StreamRecord:
 class StreamDirectory(Component):
     """Live view of cluster membership and available streams."""
 
-    def __init__(
-        self,
-        node: Node,
-        client: MqttClient,
-        ttl_s: float = 30.0,
-    ) -> None:
+    def __init__(self, node: Node, client: MqttClient) -> None:
         super().__init__(node, f"directory@{node.name}")
         self.client = client
-        self.ttl_s = ttl_s
         self._modules: dict[str, ModuleRecord] = {}
         self._streams: dict[str, StreamRecord] = {}
         self._member_watchers: list[Any] = []
@@ -92,7 +90,7 @@ class StreamDirectory(Component):
         client.subscribe("ifot/registry/stream/+/+", self._on_stream)
         # TTL expiry produces no message, so membership changes from
         # silent death are detected by periodic rescans.
-        self.every(max(1.0, ttl_s / 3.0), self._scan_membership)
+        self.every(DIRECTORY_TTL_S / 3.0, self._scan_membership)
 
     # ------------------------------------------------------------------
     # Membership watching
@@ -187,7 +185,7 @@ class StreamDirectory(Component):
         )
 
     def _alive(self, announced_at: float) -> bool:
-        return self.runtime.now - announced_at <= self.ttl_s
+        return self.runtime.now - announced_at <= DIRECTORY_TTL_S
 
     # ------------------------------------------------------------------
     # Queries
@@ -241,7 +239,6 @@ class StreamDirectory(Component):
         self,
         name: str,
         capabilities: set[str],
-        capacity: float = 1.0,
         assignable: bool = True,
         load: float = 0.0,
         incarnation: int = 0,
@@ -250,7 +247,7 @@ class StreamDirectory(Component):
             module_topic(name),
             {
                 "capabilities": sorted(capabilities),
-                "capacity": capacity,
+                "capacity": 1.0,
                 "assignable": assignable,
                 "load": load,
                 "incarnation": incarnation,

@@ -5,8 +5,9 @@ Three pieces the management node composes into autonomous recovery:
 * :class:`FailureDetector` — a deterministic, seeded phi-accrual-style
   liveness detector over the registry heartbeats the directory already
   receives. Suspicion is the ratio of observed silence to the EWMA of
-  the peer's inter-announcement interval; crossing ``suspect_phi`` marks
-  the peer suspect, crossing ``confirm_phi`` confirms the failure and
+  the peer's inter-announcement interval, evaluated every half
+  heartbeat period; crossing :data:`SUSPECT_PHI` (2) marks the peer
+  suspect, crossing :data:`CONFIRM_PHI` (3) confirms the failure and
   fires the management callback. Announcements are incarnation-stamped,
   so a heartbeat left in flight by a dead boot can never resurrect it.
 * :func:`plan_degradation` — when surviving capacity cannot host every
@@ -54,6 +55,11 @@ ALIVE = "alive"
 SUSPECT = "suspect"
 CONFIRMED = "confirmed"
 
+#: phi at which a peer turns suspect (traced and counted, not acted on).
+SUSPECT_PHI = 2.0
+#: phi at which a peer is declared failed and ``on_confirm`` fires.
+CONFIRM_PHI = 3.0
+
 
 @dataclass
 class PeerRecord:
@@ -74,11 +80,12 @@ class FailureDetector(Component):
 
     phi for a peer is ``silence / interval``: how many expected heartbeat
     periods have elapsed without one. Two thresholds split the verdict:
-    ``suspect_phi`` (report, do not act) and ``confirm_phi`` (declare the
-    peer failed and fire ``on_confirm``). The evaluation timer carries a
-    seeded phase offset, mirroring the MQTT client watchdog: a detector
-    synchronized to the heartbeat period would make "did the heartbeat
-    beat the verdict" an accident of same-instant event ordering.
+    :data:`SUSPECT_PHI` (report, do not act) and :data:`CONFIRM_PHI`
+    (declare the peer failed and fire ``on_confirm``). The evaluation
+    timer ticks every half expected interval with a seeded phase offset,
+    mirroring the MQTT client watchdog: a detector synchronized to the
+    heartbeat period would make "did the heartbeat beat the verdict" an
+    accident of same-instant event ordering.
 
     Incarnation handling:
 
@@ -98,25 +105,13 @@ class FailureDetector(Component):
         node: Node,
         directory: "StreamDirectory",
         expected_interval_s: float,
-        suspect_phi: float = 2.0,
-        confirm_phi: float = 3.0,
-        evaluate_interval_s: float | None = None,
-        on_suspect: Callable[[str], None] | None = None,
         on_confirm: Callable[[str], None] | None = None,
         exclude: Iterable[str] = (),
         connected: Callable[[], bool] | None = None,
     ) -> None:
         super().__init__(node, f"detector@{node.name}")
-        if not 0.0 < suspect_phi <= confirm_phi:
-            raise ValueError(
-                f"need 0 < suspect_phi <= confirm_phi, got "
-                f"{suspect_phi}/{confirm_phi}"
-            )
         self.directory = directory
         self.expected_interval_s = float(expected_interval_s)
-        self.suspect_phi = float(suspect_phi)
-        self.confirm_phi = float(confirm_phi)
-        self.on_suspect = on_suspect
         self.on_confirm = on_confirm
         self.exclude = set(exclude)
         #: Observer liveness probe: heartbeats arrive over the observer's
@@ -134,11 +129,7 @@ class FailureDetector(Component):
         self._peers_cell = tracked_state(
             node.runtime, f"detector.{node.name}", "peers"
         )
-        interval = (
-            float(evaluate_interval_s)
-            if evaluate_interval_s is not None
-            else self.expected_interval_s / 2.0
-        )
+        interval = self.expected_interval_s / 2.0
         # Seeded phase offset (same idiom as the MQTT client watchdog):
         # keeps the evaluation tick off the exact instants heartbeat
         # timers of the same period fire.
@@ -256,7 +247,7 @@ class FailureDetector(Component):
             if peer.state == CONFIRMED:
                 continue
             phi = self.phi(peer, now)
-            if phi >= self.confirm_phi:
+            if phi >= CONFIRM_PHI:
                 self._peers_cell.note_write()
                 if peer.state == ALIVE:
                     # Jumped both thresholds in one tick: keep the state
@@ -280,7 +271,7 @@ class FailureDetector(Component):
                     ).observe(elapsed)
                 if self.on_confirm is not None:
                     self.on_confirm(name)
-            elif phi >= self.suspect_phi and peer.state == ALIVE:
+            elif phi >= SUSPECT_PHI and peer.state == ALIVE:
                 self._peers_cell.note_write()
                 self._mark_suspect(peer, phi)
 
@@ -294,8 +285,6 @@ class FailureDetector(Component):
             phi=round(phi, 3),
         )
         self._count("detector.suspects")
-        if self.on_suspect is not None:
-            self.on_suspect(peer.name)
 
     def _count(self, name: str) -> None:
         obs = self.runtime.obs

@@ -88,6 +88,12 @@ _STATUS_REQUEST = "ifot/ctl/status/request"
 _STATUS_REPORT = "ifot/ctl/status/report/"
 
 
+#: Pause->snapshot drain at a migration's source, and how long its
+#: coordinator waits before aborting to a plain redeploy.
+MIGRATION_DRAIN_S = 0.25
+MIGRATION_TIMEOUT_S = 6.0
+
+
 def _ctl_topic(module: str, command: str) -> str:
     return f"ifot/ctl/module/{module}/{command}"
 
@@ -158,14 +164,11 @@ class ModuleAgent(Component):
         self,
         module: NeuronModule,
         heartbeat_s: float = 10.0,
-        directory_ttl_s: float = 30.0,
-        capacity: float = 1.0,
         assignable: bool = True,
         static_check: str = "warn",
     ) -> None:
         super().__init__(module.node, f"agent@{module.name}")
         self.module = module
-        self.capacity = capacity
         if static_check not in ("off", "warn", "strict"):
             raise DeploymentError(
                 f"static_check must be off/warn/strict, got {static_check!r}"
@@ -181,9 +184,7 @@ class ModuleAgent(Component):
         #: node's agent sets this False: it manages, it does not process
         #: flows (matching the paper's testbed, Fig. 7).
         self.assignable = assignable
-        self.directory = StreamDirectory(
-            module.node, module.client, ttl_s=directory_ttl_s
-        )
+        self.directory = StreamDirectory(module.node, module.client)
         self.deploys_handled = 0
         self.recipes_led = 0
         client = module.client
@@ -223,7 +224,6 @@ class ModuleAgent(Component):
         self.directory.announce_module(
             self.module.name,
             self.module.capabilities,
-            capacity=self.capacity,
             assignable=self.assignable,
             load=self.module.current_load(),
             incarnation=self.module.node.incarnation,
@@ -283,6 +283,8 @@ class ModuleAgent(Component):
             self.module.deploy(application, subtask)
         except DeploymentError as exc:
             self.trace("agent.deploy_failed", subtask=subtask.subtask_id, error=str(exc))
+            if not adopting:  # a plain redeploy: the handoff here was aborted
+                self._end_handoffs(application, subtask.subtask_id)
             return
         self.deploys_handled += 1  # repro: san-ok[SAN020] commutative counter
         if adopting:
@@ -301,10 +303,28 @@ class ModuleAgent(Component):
             return
         application = str(payload["application"])
         subtask_id = str(payload.get("subtask_id", "*"))
+        self._end_handoffs(application, subtask_id)
         if subtask_id == "*":
             self.module.undeploy_application(application)
         else:
             self.module.undeploy(application, subtask_id)
+
+    def _end_handoffs(self, application: str, subtask_id: str) -> None:
+        """Give up waiting for the tails of ``subtask_id`` (``"*"``: every
+        sub-task of ``application``) that this module adopted.
+
+        The coordinator only addresses an adopted sub-task outside the
+        handoff protocol — an undeploy, or a plain deploy that finds it
+        hosted — once it has aborted the handoff, and then no tail comes.
+        """
+        for migration, (app, sid, tail_sub) in list(self._migration_tails.items()):
+            if app != application or subtask_id not in ("*", sid):
+                continue
+            del self._migration_tails[migration]  # repro: san-ok[SAN020] protocol-ordered
+            self.module.client.unsubscribe(tail_sub)
+            operator = self._operator(app, sid)
+            if operator is not None:
+                operator.absorb_handoff([], final=True)
 
     # ------------------------------------------------------------------
     # Live migration (pause -> drain -> transfer -> resume)
@@ -324,7 +344,7 @@ class ModuleAgent(Component):
         application = str(payload["application"])
         subtask_id = str(payload["subtask_id"])
         migration = str(payload["migration"])
-        drain_s = float(payload.get("drain_s", 0.25))
+        drain_s = float(payload.get("drain_s", MIGRATION_DRAIN_S))
         operator = self._operator(application, subtask_id)
         if operator is None:
             self._send_migration_state(migration, application, subtask_id)
@@ -595,34 +615,16 @@ class ManagementNode:
         module: NeuronModule,
         heartbeat_s: float = 10.0,
         auto_failover: bool = False,
-        static_check: str = "warn",
-        detector_params: dict[str, Any] | None = None,
-        migration_drain_s: float = 0.25,
-        migration_timeout_s: float = 6.0,
-        failback_delay_s: float | None = None,
     ) -> None:
         self.module = module
-        self.agent = ModuleAgent(
-            module,
-            heartbeat_s=heartbeat_s,
-            assignable=False,
-            static_check=static_check,
-        )
+        self.agent = ModuleAgent(module, heartbeat_s=heartbeat_s, assignable=False)
+        self.heartbeat_s = heartbeat_s
         self.status_reports: dict[str, dict[str, Any]] = {}
         self.auto_failover = auto_failover
         self.failovers_performed = 0
         self.load_sheds_performed = 0
         #: Applications shed to fit surviving capacity (degraded mode).
         self.degraded_applications: list[str] = []
-        #: Pause->snapshot drain at the migration source.
-        self.migration_drain_s = migration_drain_s
-        #: Give up on a handoff after this long and redeploy plainly.
-        self.migration_timeout_s = migration_timeout_s
-        #: Wait this long after a displaced sub-task's home module rejoins
-        #: before migrating it back (lets its announcements settle).
-        self.failback_delay_s = (
-            heartbeat_s if failback_delay_s is None else failback_delay_s
-        )
         #: Applications this node led: name -> (recipe, live assignment,
         #: the split it was deployed from by sub-task id, in split order).
         self._led: dict[str, tuple[Recipe, Assignment, dict[str, SubTask]]] = {}
@@ -676,7 +678,6 @@ class ManagementNode:
                 on_confirm=self._fail_over_module,
                 exclude={module.name},
                 connected=lambda: module.client.connected,
-                **(detector_params or {}),
             )
         module.client.subscribe_many(
             [
@@ -788,7 +789,7 @@ class ManagementNode:
         The rejoined module may still be running stale pre-failover
         instances (a blip recovery keeps operators across the outage), so
         those are undeployed first — for an amnesia restart that is a
-        no-op. The migration itself starts after ``failback_delay_s`` so
+        no-op. The migration itself starts one heartbeat period later so
         the rejoined module's announcements settle in every directory.
         """
         displaced = sorted(
@@ -801,7 +802,7 @@ class ManagementNode:
             del self._displaced[app_name, sid]
             self.agent._undeploy(joined_module, app_name, sid)
             self.agent.after(
-                self.failback_delay_s, self._fail_back, app_name, sid, joined_module
+                self.heartbeat_s, self._fail_back, app_name, sid, joined_module
             )
 
     def _fail_back(
@@ -974,8 +975,8 @@ class ManagementNode:
         application: str,
         subtask_id: str,
         to_module: str,
-        drain_s: float | None = None,
-        timeout_s: float | None = None,
+        drain_s: float = MIGRATION_DRAIN_S,
+        timeout_s: float = MIGRATION_TIMEOUT_S,
     ) -> str | None:
         """Move one sub-task to ``to_module`` without losing QoS1 records.
 
@@ -1017,8 +1018,6 @@ class ManagementNode:
         migration = Migration(
             runtime.ids.next("migration"), application, subtask, source, to_module
         )
-        drain = self.migration_drain_s if drain_s is None else float(drain_s)
-        timeout = self.migration_timeout_s if timeout_s is None else float(timeout_s)
         if runtime.obs is not None:
             migration.span = runtime.obs.start_span(
                 "migrate", self.module.node, **migration.fields()
@@ -1031,10 +1030,10 @@ class ManagementNode:
             application=application,
             subtask_id=subtask_id,
             migration=migration.id,
-            drain_s=drain,
+            drain_s=float(drain_s),
         )
         self.agent.after(
-            timeout, self._on_migration, _migrate_topic(migration.id, "timeout")
+            timeout_s, self._on_migration, _migrate_topic(migration.id, "timeout")
         )
         return migration.id
 

@@ -81,7 +81,6 @@ class IFoTCluster:
         self,
         runtime: Runtime,
         broker_node_name: str = "broker-node",
-        management_node_name: str = "mgmt",
         broker_kwargs: dict[str, Any] | None = None,
         node_kwargs: dict[str, Any] | None = None,
         heartbeat_s: float = 5.0,
@@ -101,7 +100,7 @@ class IFoTCluster:
         self.modules: dict[str, NeuronModule] = {}
         broker_node = self._make_node(broker_node_name, **(broker_kwargs or {}))
         self.broker = Broker(broker_node, **self._broker_params)
-        management_node = self._make_node(management_node_name, **(node_kwargs or {}))
+        management_node = self._make_node("mgmt", **(node_kwargs or {}))
         self.management = ManagementNode(
             NeuronModule(
                 management_node,
@@ -135,7 +134,6 @@ class IFoTCluster:
         self,
         name: str,
         extra_capabilities: set[str] | None = None,
-        agent: bool = True,
         **node_kwargs: Any,
     ) -> NeuronModule:
         """Create a neuron module (node + MQTT session + agent)."""
@@ -151,8 +149,7 @@ class IFoTCluster:
             keepalive_s=self.client_keepalive_s,
             auto_reconnect=self.auto_reconnect,
         )
-        if agent:
-            module.agent = ModuleAgent(module, heartbeat_s=self.heartbeat_s)  # type: ignore[attr-defined]
+        module.agent = ModuleAgent(module, heartbeat_s=self.heartbeat_s)  # type: ignore[attr-defined]
         self.modules[name] = module
         return module
 
@@ -182,7 +179,6 @@ class IFoTCluster:
         sensors = dict(old.sensors)
         actuators = dict(old.actuators)
         extra = set(old._extra_capabilities)
-        had_agent = getattr(old, "agent", None) is not None
         node = old.node
         node.restart()
         module = NeuronModule(
@@ -196,8 +192,7 @@ class IFoTCluster:
             module.attach_sensor(device, model)
         for device, model in actuators.items():
             module.attach_actuator(device, model)
-        if had_agent:
-            module.agent = ModuleAgent(module, heartbeat_s=self.heartbeat_s)  # type: ignore[attr-defined]
+        module.agent = ModuleAgent(module, heartbeat_s=self.heartbeat_s)  # type: ignore[attr-defined]
         self.modules[name] = module
         return module
 
@@ -242,9 +237,7 @@ class IFoTCluster:
     def shutdown(self) -> None:
         """Tear the whole cluster down (modules, management, broker)."""
         for module in self.modules.values():
-            agent = getattr(module, "agent", None)
-            if agent is not None:
-                agent.stop()
+            module.agent.stop()  # type: ignore[attr-defined]
             module.shutdown()
         self.management.shutdown()
         self.broker.stop()

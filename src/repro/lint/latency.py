@@ -30,9 +30,10 @@ work-conserving unit-rate server. Three resource families exist:
 Composition rule
 ----------------
 Arrival curves are enforced at the *sources*: sensors are strictly
-periodic, so every flow enters the network shaped to ``b + r t`` with a
-declared burst. Under that shaping a work-conserving unit-rate server
-with total utilization ``U < 1``, aggregate source work-burst
+periodic, so every flow enters the network shaped to ``b + r t`` with the
+burst its source task declares (``burst``, one record by default). Under
+that shaping a work-conserving unit-rate server with total utilization
+``U < 1``, aggregate source work-burst
 ``B = sum_f b_f * w_f`` and largest single job ``L`` empties every busy
 period within ``(L + B) / (1 - U)`` seconds, and no FIFO record waits
 longer than the busy period that contains it — that quotient is the
@@ -154,7 +155,6 @@ class LatencyContext:
     wlan: WlanConfig | None = None
     loss_rate: float | None = None
     disruption_allowance_s: float = 0.0
-    default_burst_records: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -368,8 +368,7 @@ def _fold(
         resources: list[str] = [cpu]
 
         if cls.samples_device or not task.inputs:
-            burst_raw = task.params.get("burst", ctx.default_burst_records)
-            burst_in = max(1.0, float(burst_raw))
+            burst_in = max(1.0, float(task.params.get("burst", 1.0)))
             latency_in = 0.0
             fixed_in = 0.0
             demand_hz = emit_hz
@@ -591,7 +590,6 @@ def check_bound_soundness(
     observed_flows: Mapping[str, Mapping[str, float]],
     context: LatencyContext | None = None,
     analysis: LatencyAnalysis | None = None,
-    looseness_factor: float = LOOSENESS_FACTOR,
     source: str = "<observed>",
 ) -> list[Diagnostic]:
     """RCP243/RCP244: hold static bounds against measured flow latencies.
@@ -634,14 +632,14 @@ def check_bound_soundness(
             )
         elif (
             observed_p99 > 0.0
-            and flow.steady_bound_s * 1000.0 > looseness_factor * observed_p99
+            and flow.steady_bound_s * 1000.0 > LOOSENESS_FACTOR * observed_p99
         ):
             diagnostics.append(
                 LATENCY_RULES["RCP244"].diagnostic(
                     where,
                     f"loose bound: steady-state bound "
                     f"{flow.steady_bound_s * 1000:.1f} ms is more than "
-                    f"{looseness_factor:g}x the observed p99 "
+                    f"{LOOSENESS_FACTOR:g}x the observed p99 "
                     f"{observed_p99:.1f} ms",
                     hint="tighten burst declarations or the cost model so "
                     "the bound stays actionable",

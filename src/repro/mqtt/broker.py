@@ -30,6 +30,8 @@ __all__ = ["Broker", "BrokerStats", "BROKER_SERVICE"]
 
 #: Service name the broker binds on its node.
 BROKER_SERVICE = "mqtt"
+#: A session silent for this many keep-alive periods has expired.
+KEEPALIVE_GRACE = 1.5
 
 
 @dataclass
@@ -96,13 +98,11 @@ class Broker(Component):
         name: str = "broker",
         retry_interval_s: float = 2.0,
         max_retries: int = 5,
-        keepalive_grace: float = 1.5,
         sweep_interval_s: float = 5.0,
     ) -> None:
         super().__init__(node, name)
         self.retry_interval_s = retry_interval_s
         self.max_retries = max_retries
-        self.keepalive_grace = keepalive_grace
         self.sweep_interval_s = sweep_interval_s
         self.stats = BrokerStats()
         self._sessions: dict[str, _Session] = {}
@@ -562,7 +562,7 @@ class Broker(Component):
             for s in self._sessions.values()
             if s.connected
             and s.keepalive_s > 0
-            and now - s.last_seen > s.keepalive_s * self.keepalive_grace
+            and now - s.last_seen > s.keepalive_s * KEEPALIVE_GRACE
         ]
         for session in expired:
             self.stats.sessions_expired += 1

@@ -59,8 +59,6 @@ class MqttClient(Component):
         max_retries: int = 5,
         will: dict[str, Any] | None = None,
         auto_reconnect: bool = False,
-        reconnect_initial_s: float | None = None,
-        reconnect_max_s: float | None = None,
     ) -> None:
         client_id = client_id or node.runtime.ids.next(f"{node.name}.mqtt")
         super().__init__(node, f"mqtt.client.{client_id}")
@@ -70,11 +68,6 @@ class MqttClient(Component):
         self.keepalive_s = keepalive_s
         self.retry_interval_s = retry_interval_s
         self.max_retries = max_retries
-        #: Exponential reconnect backoff bounds. ``None`` derives them from
-        #: the keep-alive at attempt time (½× initial, 4× cap) so they stay
-        #: sensible when ``keepalive_s`` is tuned after construction.
-        self.reconnect_initial_s = reconnect_initial_s
-        self.reconnect_max_s = reconnect_max_s
         #: Last-will testament: {"topic", "payload", "qos", "retain"},
         #: published by the broker if this session dies without DISCONNECT.
         #: May be (re)set before connect().
@@ -209,12 +202,10 @@ class MqttClient(Component):
         self._reconnect_timer = self.after(delay, self._attempt_reconnect)
 
     def _next_backoff(self) -> float:
-        initial = self.reconnect_initial_s
-        if initial is None:
-            initial = max(self.keepalive_s / 2.0, 1e-3)
-        cap = self.reconnect_max_s
-        if cap is None:
-            cap = max(4.0 * self.keepalive_s, initial)
+        # Bounds derive from the keep-alive at attempt time (½× initial,
+        # 4× cap), so they follow a ``keepalive_s`` tuned after construction.
+        initial = max(self.keepalive_s / 2.0, 1e-3)
+        cap = max(4.0 * self.keepalive_s, initial)
         if self._backoff_s is None:
             self._backoff_s = initial
         else:

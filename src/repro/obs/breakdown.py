@@ -19,7 +19,7 @@ middleware, so dumps from any run (chaos included) can be analyzed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from repro.obs.context import SPAN_EVENT
 from repro.sim.trace import TraceRecord, Tracer
@@ -219,26 +219,19 @@ class StageBreakdown:
         return recorder
 
 
-def stage_breakdown(
-    spans: list[SpanRecord],
-    stage_of: Callable[[SpanRecord], str] | None = None,
-    leaves: Iterable[str] | None = None,
-) -> StageBreakdown:
+def stage_breakdown(spans: list[SpanRecord]) -> StageBreakdown:
     """Aggregate a span set into per-stage and end-to-end distributions.
 
-    ``stage_of`` overrides the stage label (default: task id, else span
-    name). ``leaves`` restricts end-to-end rows to the named stages; by
-    default every span with no children is a leaf (its path's total
-    latency is attributed to its stage).
+    A span's stage is its task id, else its name. Every span with no
+    children is a leaf: its path's total latency is attributed to its
+    stage.
     """
-    label = stage_of if stage_of is not None else (lambda s: s.stage)
     breakdown = StageBreakdown(spans=len(spans))
     index = span_index(spans)
     has_children = {span.parent_id for span in spans if span.parent_id}
     breakdown.traces = len({span.trace_id for span in spans})
-    wanted = set(leaves) if leaves is not None else None
     for span in spans:
-        stage = label(span)
+        stage = span.stage
         breakdown._recorder(breakdown.stages, stage).add(span.duration * 1000.0)
         if span.parent_id:
             parent = index.get(span.parent_id)
@@ -246,10 +239,7 @@ def stage_breakdown(
                 breakdown._recorder(breakdown.gaps, stage).add(
                     (span.start - parent.end) * 1000.0
                 )
-        is_leaf = span.span_id not in has_children
-        if wanted is not None:
-            is_leaf = stage in wanted
-        if is_leaf:
+        if span.span_id not in has_children:
             chain = path_to_root(span, index)
             if chain is None:
                 breakdown.truncated += 1

@@ -22,14 +22,15 @@ Per declared flow (every task with a ``deadline_ms`` in the recipe):
   operator (``command``, ``window``, ...) legitimately drop records and
   are measured latency-only;
 * **multi-window burn-rate alerting** — SRE-style: the bad fraction of
-  the error budget over a short and a long sliding window; ``page``
-  when both windows burn fast, ``warn`` on a sustained long-window
-  burn, state transitions emitted as ``slo.alert`` trace records with
-  sim-time anchors;
+  the error budget over the :data:`SHORT_WINDOW_S` (5 s) and
+  :data:`LONG_WINDOW_S` (25 s) sliding windows; ``page`` when both burn
+  at :data:`PAGE_BURN` (10x) or more, ``warn`` on a long-window burn of
+  :data:`WARN_BURN` (2x), state transitions emitted as ``slo.alert``
+  trace records with sim-time anchors;
 * **cost-model drift watch** — the runtime counterpart of the RCP230
   drift gate, on the same :func:`repro.lint.dataflow.cost_drift`:
   observed per-op busy means (from ``repro.prof``) compared against the
-  active cost model on every status tick;
+  runtime's ``cost_model`` on every status tick;
 * **operator export** — a compact status snapshot published retained on
   ``ifot/ctl/status/slo`` (the healing plane and future admission
   control subscribe there) and emitted as ``slo.status`` records.
@@ -120,6 +121,19 @@ SLO_RULES: dict[str, Rule] = {
 #: Default SLO target: 99% of records meet their declared deadline.
 DEFAULT_TARGET = 0.99
 
+#: Relative accuracy of the latency sketches.
+ALPHA = 0.01
+#: Width of one good/bad bucket of the burn windows.
+BUCKET_S = 1.0
+#: The two burn windows: ``page`` needs both above :data:`PAGE_BURN`,
+#: ``warn`` the long one above :data:`WARN_BURN` (in error budgets).
+SHORT_WINDOW_S = 5.0
+LONG_WINDOW_S = 25.0
+PAGE_BURN = 10.0
+WARN_BURN = 2.0
+#: Violations kept verbatim for the report (all are counted and traced).
+MAX_VIOLATION_LOG = 256
+
 
 @dataclass(frozen=True)
 class FlowSlo:
@@ -201,17 +215,18 @@ def policy_from_recipe(
 
 
 class _BurnWindow:
-    """Good/bad event counts in fixed-width time buckets (bounded ring)."""
+    """Good/bad event counts in :data:`BUCKET_S` buckets, reaching back
+    :data:`LONG_WINDOW_S` (bounded ring)."""
 
-    __slots__ = ("bucket_s", "horizon", "_buckets")
+    __slots__ = ("_buckets",)
 
-    def __init__(self, bucket_s: float, horizon_s: float) -> None:
-        self.bucket_s = bucket_s
-        self.horizon = max(1, int(horizon_s / bucket_s) + 1)
+    horizon = int(LONG_WINDOW_S / BUCKET_S) + 1
+
+    def __init__(self) -> None:
         self._buckets: dict[int, list[int]] = {}
 
     def add(self, t: float, good: bool) -> None:
-        index = int(t // self.bucket_s)
+        index = int(t // BUCKET_S)
         bucket = self._buckets.get(index)
         if bucket is None:
             bucket = self._buckets[index] = [0, 0]
@@ -222,8 +237,8 @@ class _BurnWindow:
 
     def window(self, now: float, window_s: float) -> tuple[int, int]:
         """``(bad, total)`` over the window ending at ``now``."""
-        current = int(now // self.bucket_s)
-        first = int((now - window_s) // self.bucket_s) + 1
+        current = int(now // BUCKET_S)
+        first = int((now - window_s) // BUCKET_S) + 1
         bad = total = 0
         for index, (b, g) in self._buckets.items():
             if first <= index <= current:
@@ -249,16 +264,8 @@ class SloEngine:
         self,
         runtime: "Runtime",
         flows: list[FlowSlo],
-        alpha: float = 0.01,
-        bucket_s: float = 1.0,
-        short_window_s: float = 5.0,
-        long_window_s: float = 25.0,
-        page_burn: float = 10.0,
-        warn_burn: float = 2.0,
         status_interval_s: float = 5.0,
         publisher: Callable[[str, dict[str, Any]], None] | None = None,
-        cost_model: Any | None = None,
-        max_violation_log: int = 256,
     ) -> None:
         self.runtime = runtime
         self.flows: dict[str, FlowSlo] = {}
@@ -270,30 +277,18 @@ class SloEngine:
             if flow.pending:
                 for root in flow.roots:
                     self._root_flows.setdefault(root, []).append(flow.flow)
-        self.short_window_s = short_window_s
-        self.long_window_s = long_window_s
-        self.page_burn = page_burn
-        self.warn_burn = warn_burn
         self.status_interval_s = status_interval_s
         self._publisher = publisher
-        self._cost_model = (
-            cost_model
-            if cost_model is not None
-            else getattr(runtime, "cost_model", None)
-        )
-        self.max_violation_log = max_violation_log
 
         # Per-flow streaming state.
-        self.sketches = {f: LatencySketch(alpha=alpha) for f in self.flows}
-        slice_s = max(bucket_s, short_window_s / 4.0)
-        slices = max(2, int(long_window_s / slice_s) + 1)
+        self.sketches = {f: LatencySketch(alpha=ALPHA) for f in self.flows}
+        slice_s = max(BUCKET_S, SHORT_WINDOW_S / 4.0)
+        slices = max(2, int(LONG_WINDOW_S / slice_s) + 1)
         self.windows = {
-            f: WindowedSketch(alpha=alpha, slice_s=slice_s, slices=slices)
+            f: WindowedSketch(alpha=ALPHA, slice_s=slice_s, slices=slices)
             for f in self.flows
         }
-        self._events = {
-            f: _BurnWindow(bucket_s, long_window_s) for f in self.flows
-        }
+        self._events = {f: _BurnWindow() for f in self.flows}
         self.good = {f: 0 for f in self.flows}
         self.violations = {f: 0 for f in self.flows}
         self.overdue = {f: 0 for f in self.flows}
@@ -317,7 +312,7 @@ class SloEngine:
         max_deadline = max(
             (f.deadline_s for f in self.flows.values()), default=0.0
         )
-        self._horizon_s = max_deadline + long_window_s + 2.0 * status_interval_s
+        self._horizon_s = max_deadline + LONG_WINDOW_S + 2.0 * status_interval_s
 
         # Finished spans come straight from the ObsState (no trace record
         # is built for us); without one, from whatever feeds the tracer.
@@ -438,7 +433,7 @@ class SloEngine:
         }
         if latency is not None:
             entry["latency_s"] = round(latency, 9)
-        if len(self.violation_log) < self.max_violation_log:
+        if len(self.violation_log) < MAX_VIOLATION_LOG:
             self.violation_log.append(entry)
         self.runtime.tracer.emit(
             now, "slo", SLO_VIOLATION_EVENT, **{k: v for k, v in entry.items() if k != "t"}
@@ -455,17 +450,17 @@ class SloEngine:
         flow = self.flows[flow_id]
         events = self._events[flow_id]
         budget = 1.0 - flow.target
-        bad_s, total_s = events.window(now, self.short_window_s)
-        bad_l, total_l = events.window(now, self.long_window_s)
+        bad_s, total_s = events.window(now, SHORT_WINDOW_S)
+        bad_l, total_l = events.window(now, LONG_WINDOW_S)
         short = bad_s / total_s / budget if total_s else 0.0
         long = bad_l / total_l / budget if total_l else 0.0
         return short, long
 
     def _evaluate(self, flow: FlowSlo, now: float) -> None:
         short, long = self.burn(flow.flow, now)
-        if short >= self.page_burn and long >= self.page_burn:
+        if short >= PAGE_BURN and long >= PAGE_BURN:
             state = "page"
-        elif long >= self.warn_burn:
+        elif long >= WARN_BURN:
             state = "warn"
         else:
             state = "ok"
@@ -515,7 +510,7 @@ class SloEngine:
 
     def _check_drift(self, now: float) -> None:
         profiler = getattr(self.runtime, "prof", None)
-        model = self._cost_model
+        model = getattr(self.runtime, "cost_model", None)
         if profiler is None or model is None or not getattr(model, "ops", None):
             return
         from repro.lint.dataflow import cost_drift
@@ -726,7 +721,6 @@ def enable_slo(
     recipe: "Recipe | None" = None,
     flows: list[FlowSlo] | None = None,
     cluster: Any | None = None,
-    **kwargs: Any,
 ) -> SloEngine:
     """Install the SLO engine on ``runtime`` (idempotent).
 
@@ -741,14 +735,14 @@ def enable_slo(
         if recipe is None:
             raise ConfigurationError("enable_slo needs a recipe or explicit flows")
         flows = policy_from_recipe(recipe)
-    publisher = kwargs.pop("publisher", None)
-    if publisher is None and cluster is not None:
+    publisher = None
+    if cluster is not None:
         client = cluster.management.module.client
 
         def publisher(topic: str, payload: dict[str, Any]) -> None:
             client.publish(topic, payload, retain=True)
 
-    engine = SloEngine(runtime, flows, publisher=publisher, **kwargs)
+    engine = SloEngine(runtime, flows, publisher=publisher)
     runtime.slo = engine
     return engine
 

@@ -95,15 +95,13 @@ class SimSan:
     :meth:`diagnostics`.
     """
 
-    def __init__(self, suppressions: SanOkRegistry | None = None) -> None:
+    def __init__(self) -> None:
         self._events: dict[int, _EventInfo] = {}
         self._current: int | None = None
         #: cell key -> {event seq -> "read" | "write"} ("write" wins).
         self._accesses: dict[str, dict[int, str]] = {}
         self._cells: dict[str, "StateCell"] = {}
-        self.suppressions = suppressions if suppressions is not None else (
-            SanOkRegistry()
-        )
+        self._san_ok = SanOkRegistry()
         self.accesses_recorded = 0
 
     def install(self, runtime: Any) -> None:
@@ -264,7 +262,7 @@ class SimSan:
                                 time=time,
                                 access_a=(a, kind_a, self._events[a].label),
                                 access_b=(b, kind_b, self._events[b].label),
-                                suppressed=self.suppressions.is_suppressed(
+                                suppressed=self._san_ok.is_suppressed(
                                     rule, cell.site
                                 ),
                             )

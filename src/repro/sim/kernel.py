@@ -124,8 +124,8 @@ class SimKernel:
     (['b', 'a'], 5.0)
     """
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._queue = EventQueue()
         self._running = False
         self._events_processed = 0
@@ -343,11 +343,3 @@ class SimKernel:
             raise ClockError(
                 f"kernel still busy after {max_events} events — runaway schedule?"
             )
-
-    def reset(self, start_time: float = 0.0) -> None:
-        """Drop all pending events and rewind the clock."""
-        if self._running:
-            raise ClockError("cannot reset a running kernel")
-        self._queue.clear()
-        self._now = float(start_time)
-        self._events_processed = 0

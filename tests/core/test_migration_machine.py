@@ -88,6 +88,28 @@ class Handoff:
         report = Invariants(self.runtime.tracer, self.cluster).check()
         assert report.ok, [c.detail for c in report.failed()]
 
+    def assert_no_handoff_left(self) -> None:
+        """An aborted or stopped handoff leaves nothing behind: no agent
+        waits for a tail, no session is subscribed to one, and a surviving
+        target instance no longer records the samples it sees."""
+        agents = [self.mgmt.agent, *(m.agent for m in self.cluster.modules.values())]
+        assert [a.module.name for a in agents if a._migration_tails] == []
+        tails = [
+            (a.module.name, sub.topic_filter)
+            for a in agents
+            for sub in a.module.client._subscriptions
+            if sub.topic_filter.endswith("/tail")
+        ]
+        tails += [
+            (session.client_id, topic_filter)
+            for session in self.cluster.broker._sessions.values()
+            for topic_filter in session.subscriptions
+            if topic_filter.endswith("/tail")
+        ]
+        assert tails == []
+        operator = self.cluster.module(self.target).operators.get(WINDOW)
+        assert operator is None or operator._handoff_seen is None
+
 
 def test_the_table_is_total_over_live_phases_and_legs():
     mgmt = build_chaos_cluster(seed=3)[1].management
@@ -139,6 +161,7 @@ def test_transfer_timeout_aborts_and_leaves_one_instance():
     h.run_until("migrate.transfer")
     h.leg(migration, "timeout")
     h.settle_and_check(hosts=[h.target])
+    h.assert_no_handoff_left()
     # The target adopts the handoff that was already on its way, so the plain
     # redeploy after it finds the sub-task hosted; its late `ready` is dropped.
     assert h.events() == [
@@ -169,6 +192,7 @@ def test_stopped_aborts_without_redeploy(reached, expected):
     h.mgmt.stop_application(APP)
     assert migration.phase is Phase.ABORTED
     h.settle_and_check(hosts=[])
+    h.assert_no_handoff_left()
     assert hosts_of(h.cluster, f"{APP}/sense") == []
     assert h.events() == expected
 

@@ -148,10 +148,8 @@ def _suppress_status_publisher(monkeypatch):
 
     real_enable = slo_module.enable_slo
 
-    def quiet_enable(runtime, recipe=None, flows=None, cluster=None, **kwargs):
-        return real_enable(
-            runtime, recipe=recipe, flows=flows, cluster=None, **kwargs
-        )
+    def quiet_enable(runtime, recipe=None, flows=None, cluster=None):
+        return real_enable(runtime, recipe=recipe, flows=flows)
 
     monkeypatch.setattr(slo_module, "enable_slo", quiet_enable)
 

@@ -83,16 +83,6 @@ def test_max_events_guard():
         k.run_until_idle(max_events=100)
 
 
-def test_reset():
-    k = SimKernel()
-    k.schedule(1.0, lambda: None)
-    k.run()
-    k.reset()
-    assert k.now == 0.0
-    assert k.events_processed == 0
-    assert k.pending == 0
-
-
 def test_reentrant_run_rejected():
     k = SimKernel()
 
