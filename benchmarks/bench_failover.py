@@ -124,8 +124,7 @@ def run_self_healing(seed: int) -> dict:
     message must be accounted for and no sample may be processed by two
     instances of the sub-task.
     """
-    from repro.chaos import run_scenario
-    from repro.core.healing import recovery_report
+    from repro.chaos import recovery_report, run_scenario
 
     result = run_scenario("failover", seed=seed)
     assert result.report.ok, [c.detail for c in result.report.failed()]

@@ -33,15 +33,9 @@ class ExperimentResult:
     batches_judged: int = 0
     jobs_dropped: dict[str, int] = field(default_factory=dict)
     wlan_utilization: float = 0.0
-    #: The run's tracer (set by the driver) — carries ``obs.span`` records
-    #: when the experiment ran with ``observe=True``.
-    tracer: Any = None
     #: The run's :class:`~repro.prof.Profiler` when run with
     #: ``profile=True``, else None.
     profiler: Any = None
-    #: The run's :class:`~repro.obs.slo.SloEngine` when run with
-    #: ``slo=True``, else None.
-    slo_engine: Any = None
     #: Per-node CPU busy share over the measured window (``profile=True``).
     cpu_utilization: dict[str, float] = field(default_factory=dict)
 
@@ -78,9 +72,7 @@ def run_paper_experiment(
     seed: int = 0,
     qos: int = 0,
     broker_cpu_speed: float = 1.0,
-    observe: bool = False,
     profile: bool = False,
-    slo: bool = False,
 ) -> ExperimentResult:
     """Run the Fig. 7/9 experiment at one sensing rate.
 
@@ -92,8 +84,8 @@ def run_paper_experiment(
     buffer-fill measurements, and their 80/40 Hz latency ratio (~1.46) pins
     the observation window to a few seconds of saturated operation.
 
-    The instrument flags are the run pipeline's. ``profile=True`` also
-    fills ``result.cpu_utilization`` with each node's busy share over the
+    ``profile=True`` attaches the run pipeline's profiler and fills
+    ``result.cpu_utilization`` with each node's busy share over the
     *measured* window — the numbers behind the paper's §V-C capacity
     story (training saturates its node between 20 and 40 Hz).
     """
@@ -118,9 +110,7 @@ def run_paper_experiment(
         paper_scenario(rate_hz, qos=qos, broker_cpu_speed=broker_cpu_speed),
         seed=seed,
         duration_s=duration_s,
-        observe=observe,
         profile=profile,
-        slo=slo,
         prepare=install_taps,
     )
     runtime = outcome.runtime
@@ -140,8 +130,6 @@ def run_paper_experiment(
         if node.cpu is not None and node.cpu.stats.jobs_dropped:
             result.jobs_dropped[name] = node.cpu.stats.jobs_dropped
     result.wlan_utilization = runtime.wlan.utilization()
-    result.tracer = runtime.tracer
-    result.slo_engine = runtime.slo
     return result
 
 

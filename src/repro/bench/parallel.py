@@ -27,6 +27,7 @@ import hashlib
 import json
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from typing import Any, Sequence
 
 from repro.errors import ConfigurationError, IFoTError
@@ -48,28 +49,32 @@ def seed_row(
 ) -> dict[str, Any]:
     """Run scenario ``name`` at one seed; summarize the run.
 
-    A fault scenario's row carries its invariant verdict; with
-    ``profile`` the row carries the profile fingerprint too.
+    A fault scenario runs through
+    :func:`~repro.chaos.scenarios.run_scenario`, and its row carries that
+    run's invariant verdict; with ``profile`` the row carries the profile
+    fingerprint too.
     """
-    from repro.chaos.invariants import Invariants
-    from repro.chaos.scenarios import trace_digest
+    from repro.chaos.scenarios import run_scenario
     from repro.registry import resolve
     from repro.scenario import run
 
     scenario = resolve(name)
-    outcome = run(scenario, seed=seed, duration_s=duration_s, profile=profile)
-    tracer = outcome.runtime.tracer
+    if duration_s is not None:
+        scenario = replace(scenario, duration_s=duration_s)
+    if scenario.fault_plan is None:
+        outcome = run(scenario, seed=seed, profile=profile)
+    else:
+        outcome = run_scenario(scenario, seed=seed, profile=profile)
     row: dict[str, Any] = {
         "scenario": scenario.name,
         "seed": seed,
         "duration_s": outcome.duration_s,
-        "trace_records": len(tracer),
-        "trace_digest": trace_digest(tracer),
+        "trace_records": outcome.trace_records,
+        "trace_digest": outcome.trace_digest,
     }
-    if scenario.fault_plan is not None:
-        report = Invariants(tracer, outcome.cluster).check(recovery=scenario.recovery)
+    if outcome.report is not None:
         row["faults_applied"] = outcome.faults_applied
-        row["invariants_ok"] = report.ok
+        row["invariants_ok"] = outcome.report.ok
     if profile:
         from repro.prof import profile_digest
 

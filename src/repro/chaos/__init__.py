@@ -4,9 +4,12 @@
 is specified and checked": a declarative :class:`FaultPlan` of typed
 fault events, an :class:`Injector` that applies them to a simulated
 cluster at exact virtual times, and an :class:`Invariants` checker that
-asserts end-to-end delivery properties over the resulting trace. Because
-every stochastic element draws from seed-derived streams, *plan + seed*
-fully determines a run.
+asserts end-to-end delivery properties over the resulting trace.
+:func:`recovery_report` reads the same trace back as an operator's
+account of the recovery. Because every stochastic element draws from
+seed-derived streams, *plan + seed* fully determines a run;
+:func:`run_scenario` returns it as a :class:`~repro.scenario.Run` with
+the verdict attached.
 """
 
 from repro.chaos.injector import Injector
@@ -15,6 +18,8 @@ from repro.chaos.invariants import (
     InvariantReport,
     Invariants,
     RecoveryCheck,
+    RecoveryReport,
+    recovery_report,
 )
 from repro.chaos.plan import (
     BrokerRestart,
@@ -31,11 +36,9 @@ from repro.chaos.plan import (
 from repro.chaos.scenarios import (
     CHAOS_SCENARIOS,
     MODULE_RECOVERY_BOUND_S,
-    ScenarioResult,
     build_chaos_cluster,
     build_chaos_recipe,
     run_scenario,
-    trace_digest,
 )
 
 __all__ = [
@@ -55,10 +58,10 @@ __all__ = [
     "NodeRestart",
     "Partition",
     "RecoveryCheck",
-    "ScenarioResult",
+    "RecoveryReport",
     "SensorFlap",
     "build_chaos_cluster",
     "build_chaos_recipe",
+    "recovery_report",
     "run_scenario",
-    "trace_digest",
 ]

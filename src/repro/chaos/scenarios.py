@@ -10,20 +10,16 @@ recovery from a module crash within ``2 x keep-alive + sweep period``.
 Everything stochastic (loss, jitter, backoff) draws from seed-derived
 streams, so ``scenario + seed`` fully determines the trace: running the
 same scenario twice with the same seed yields byte-identical traces
-(:func:`trace_digest` is the canonical fingerprint the determinism tests
-compare).
+(:func:`~repro.sim.trace.trace_digest` is the canonical fingerprint the
+determinism tests compare).
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
-from functools import cached_property
-from itertools import islice
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.bench.calibration import pi_cost_model
-from repro.chaos.invariants import InvariantReport, Invariants, RecoveryCheck
+from repro.chaos.invariants import Invariants, RecoveryCheck
 from repro.chaos.plan import (
     BrokerRestart,
     FaultPlan,
@@ -38,10 +34,9 @@ from repro.core.middleware import Application, IFoTCluster
 from repro.core.recipe import Recipe, TaskSpec
 from repro.net.wlan import GilbertElliottConfig
 from repro.runtime.sim import SimRuntime
-from repro.scenario import PrepareHook, Scenario, run
+from repro.scenario import PrepareHook, Run, Scenario, run
 from repro.sensors.base import SensorModel
 from repro.sensors.devices import FixedPayloadModel
-from repro.sim.trace import TraceRecord, Tracer, render_record
 
 __all__ = [
     "KEEPALIVE_S",
@@ -49,11 +44,9 @@ __all__ = [
     "HEARTBEAT_S",
     "MODULE_RECOVERY_BOUND_S",
     "CHAOS_SCENARIOS",
-    "ScenarioResult",
     "build_chaos_cluster",
     "build_chaos_recipe",
     "run_scenario",
-    "trace_digest",
 ]
 
 #: MQTT keep-alive for every module session (watchdog declares the session
@@ -173,41 +166,6 @@ def build_chaos_recipe() -> Recipe:
         ),
     ]
     return Recipe(APP_NAME, tasks)
-
-
-@dataclass
-class ScenarioResult:
-    name: str
-    seed: int
-    duration_s: float
-    report: InvariantReport
-    trace_records: int
-    faults_applied: int
-    #: The run's full tracer (span trees included when observed).
-    tracer: Tracer
-    #: The run's profiler when run with ``profile=True`` (``repro.prof``).
-    profiler: object | None = None
-    #: The run's SLO engine when run with ``slo=True`` (``repro.obs.slo``).
-    slo_engine: object | None = None
-
-    @cached_property
-    def trace_digest(self) -> str:
-        """:func:`trace_digest` of the records the run left, computed on
-        first read: a record emitted into ``tracer`` afterwards does not
-        change it."""
-        return trace_digest(islice(self.tracer, self.trace_records))
-
-
-def trace_digest(records: Iterable[TraceRecord]) -> str:
-    """Canonical SHA-256 fingerprint of a full trace (a tracer or records).
-
-    Two runs are considered byte-identical iff their digests match; each
-    record is hashed as its :func:`~repro.sim.trace.render_record` line.
-    """
-    digest = hashlib.sha256()
-    for record in records:
-        digest.update(f"{render_record(record)}\n".encode())
-    return digest.hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -465,14 +423,15 @@ def run_scenario(
     prepare: PrepareHook | None = None,
     profile: bool = False,
     slo: bool = False,
-) -> ScenarioResult:
+) -> Run:
     """Run a fault scenario through the pipeline, then check invariants.
 
     The instrument flags and ``prepare`` are :func:`repro.scenario.run`'s;
-    the plan is injected there. What this adds is the verdict: the
-    end-to-end delivery invariants plus the scenario's recovery bounds.
-    The trace digest the determinism tests compare is left to its first
-    reader (:attr:`ScenarioResult.trace_digest`).
+    the plan is injected there. What this adds is the verdict,
+    :attr:`Run.report <repro.scenario.Run.report>`: the end-to-end
+    delivery invariants plus the scenario's recovery bounds. The trace
+    digest the determinism tests compare is left to its first reader
+    (:attr:`Run.trace_digest <repro.scenario.Run.trace_digest>`).
     """
     if isinstance(scenario, str):
         from repro.registry import resolve  # late: the registry imports this module
@@ -481,18 +440,7 @@ def run_scenario(
     outcome = run(
         scenario, seed=seed, observe=observe, profile=profile, slo=slo, prepare=prepare
     )
-    runtime = outcome.runtime
-    report = Invariants(runtime.tracer, outcome.cluster).check(
+    outcome.report = Invariants(outcome.tracer, outcome.cluster).check(
         recovery=scenario.recovery
     )
-    return ScenarioResult(
-        name=scenario.name,
-        seed=seed,
-        duration_s=outcome.duration_s,
-        report=report,
-        trace_records=len(runtime.tracer),
-        faults_applied=outcome.faults_applied,
-        tracer=runtime.tracer,
-        profiler=runtime.prof,
-        slo_engine=runtime.slo,
-    )
+    return outcome

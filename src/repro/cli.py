@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Every scenario argument (``chaos``, ``heal``, ``san``, ``prof``, ``slo``,
+Every scenario argument (``chaos``, ``san``, ``prof``, ``slo``,
 ``trace --pipeline``, ``lint --recipe/--calibrate/--validate``) is a name from
 :mod:`repro.registry`, run through :func:`repro.scenario.run`.
 
@@ -19,7 +19,8 @@ Commands
     List the operators recipes can use.
 ``chaos``
     Run a fault-injection scenario (or all of them) on the simulated
-    chaos testbed and print the end-to-end invariant report.
+    chaos testbed and print the end-to-end invariant report; ``--recover``
+    adds the recovery report (detection, failover, migrations, shedding).
 ``trace``
     Run an observed pipeline (or load a trace dump) and print the
     per-stage latency breakdown reconstructed from its span trees;
@@ -205,6 +206,12 @@ def _cmd_operators(_args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.list:
         return _list_scenarios(fault_scenarios())
+    if args.seeds and args.recover:
+        print(
+            "error: --recover reports on one run; it does not combine with --seeds",
+            file=sys.stderr,
+        )
+        return 2
     names = (
         [resolve(args.scenario, faults=True).name]
         if args.scenario
@@ -217,7 +224,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         result = run_scenario(name, seed=args.seed)
         all_ok = all_ok and result.report.ok
         print(
-            f"scenario {result.name} (seed {result.seed}, "
+            f"scenario {result.scenario.name} (seed {result.seed}, "
             f"{result.duration_s:g}s, {result.faults_applied} faults, "
             f"{result.trace_records} trace records)"
         )
@@ -225,7 +232,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         for line in result.report.render().splitlines():
             print(f"  {line}")
         if args.recover:
-            from repro.core.healing import recovery_report
+            from repro.chaos import recovery_report
 
             print()
             for line in recovery_report(result.tracer).render().splitlines():
@@ -257,23 +264,6 @@ def _chaos_multi_seed(names: list[str], args: argparse.Namespace) -> int:
             )
         print(f"  merged digest: {merge_digest(rows)[:16]}")
     return 0 if all_ok else 1
-
-
-def _cmd_heal(args: argparse.Namespace) -> int:
-    """Run one scenario and narrate how the control plane healed it."""
-    from repro.core.healing import recovery_report
-
-    result = run_scenario(args.scenario, seed=args.seed)
-    print(
-        f"scenario {result.name} (seed {result.seed}, "
-        f"{result.duration_s:g}s, {result.faults_applied} faults)"
-    )
-    print(f"  trace digest: {result.trace_digest[:16]}")
-    print()
-    print(recovery_report(result.tracer).render())
-    print()
-    print(result.report.render())
-    return 0 if result.report.ok else 1
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -724,21 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
         "durations, degraded-mode decisions) after the invariants",
     )
     chaos.set_defaults(fn=_cmd_chaos)
-
-    heal = sub.add_parser(
-        "heal",
-        help="run a failure scenario and report how the control plane "
-        "healed it",
-    )
-    heal.add_argument(
-        "scenario",
-        nargs="?",
-        default="failover",
-        help="chaos scenario to heal (default: failover); see "
-        "'repro chaos --list'",
-    )
-    heal.add_argument("--seed", type=int, default=0)
-    heal.set_defaults(fn=_cmd_heal)
 
     trace = sub.add_parser(
         "trace", help="observed run + per-stage latency breakdown"

@@ -19,8 +19,9 @@ The four mechanisms of Fig. 4, plus the surrounding machinery:
 (:class:`~repro.core.middleware.IFoTCluster`) that examples and benchmarks
 use. :mod:`repro.core.discovery` implements the paper's future-work stream
 search / dynamic membership, and :mod:`repro.core.healing` the
-self-healing control plane (failure detection, degradation policy,
-recovery reporting) management composes on top of it.
+self-healing control plane (failure detection, degradation policy)
+management composes on top of it. Nothing here reads fault-injection
+traces: the recovery report over them is :mod:`repro.chaos`'s.
 """
 
 from repro.core.analysis import JudgingClass, LearningClass, ManagingClass
@@ -36,12 +37,7 @@ from repro.core.discovery import StreamDirectory, StreamRecord
 from repro.core.dsl import format_recipe, parse_recipe
 from repro.core.distribution import PublishClass, SubscribeClass
 from repro.core.flow import FlowRecord
-from repro.core.healing import (
-    FailureDetector,
-    RecoveryReport,
-    plan_degradation,
-    recovery_report,
-)
+from repro.core.healing import FailureDetector, plan_degradation
 from repro.core.integration import ActuatorClass, SensorClass
 from repro.core.management import ManagementNode
 from repro.core.middleware import Application, IFoTCluster
@@ -69,8 +65,6 @@ __all__ = [
     "plan_degradation",
     "PublishClass",
     "Recipe",
-    "RecoveryReport",
-    "recovery_report",
     "RecipeSplit",
     "RoundRobinStrategy",
     "SensorClass",

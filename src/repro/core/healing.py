@@ -1,6 +1,6 @@
 """Self-healing control plane: failure detection and degradation policy.
 
-Three pieces the management node composes into autonomous recovery:
+Two pieces the management node composes into autonomous recovery:
 
 * :class:`FailureDetector` — a deterministic, seeded phi-accrual-style
   liveness detector over the registry heartbeats the directory already
@@ -14,15 +14,14 @@ Three pieces the management node composes into autonomous recovery:
   application (measured in the calibrated CPU-utilization currency of
   :mod:`repro.lint.rates`), decide which applications to shed, lowest
   :attr:`~repro.core.recipe.Recipe.priority` first.
-* :func:`recovery_report` — distill a finished trace into the questions
-  an operator asks after a fault: how fast was it detected, how long did
-  each migration take, how many records were in flight across the
-  handoff, and what got shed.
+
+What they did after a fault is read back from the trace by
+:mod:`repro.chaos`, which owns the fault vocabulary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.runtime.component import Component
@@ -33,7 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.discovery import StreamDirectory
     from repro.core.recipe import Recipe
     from repro.core.splitter import SubTask
-    from repro.sim.trace import Tracer
 
 __all__ = [
     "PeerRecord",
@@ -42,8 +40,6 @@ __all__ = [
     "DegradationPlan",
     "plan_degradation",
     "recipe_utilization",
-    "RecoveryReport",
-    "recovery_report",
 ]
 
 
@@ -374,201 +370,3 @@ def recipe_utilization(recipe: "Recipe", subtasks: Iterable["SubTask"]) -> float
         if subtask.task_id in facts:
             total += operator_load(facts[subtask.task_id], cost_model)
     return total
-
-
-# ----------------------------------------------------------------------
-# Recovery report
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class RecoveryReport:
-    """What happened between fault injection and recovery, from the trace."""
-
-    faults: list[dict[str, Any]] = field(default_factory=list)
-    detections: list[dict[str, Any]] = field(default_factory=list)
-    failovers: list[dict[str, Any]] = field(default_factory=list)
-    migrations: list[dict[str, Any]] = field(default_factory=list)
-    shed: list[dict[str, Any]] = field(default_factory=list)
-    degraded: list[dict[str, Any]] = field(default_factory=list)
-
-    def render(self) -> str:
-        lines = ["recovery report", "=" * 64]
-        lines.append(f"faults injected: {len(self.faults)}")
-        for fault in self.faults:
-            target = fault.get("target", "")
-            lines.append(
-                f"  t={fault['time']:8.3f}  {fault['kind']:<16} {target}"
-            )
-        lines.append("detection:")
-        if not self.detections:
-            lines.append("  (no detectable faults)")
-        for det in self.detections:
-            if det.get("latency_s") is None:
-                lines.append(
-                    f"  {det['kind']} at t={det['time']:.3f}: never detected"
-                )
-            else:
-                lines.append(
-                    f"  {det['kind']} at t={det['time']:.3f}: "
-                    f"{det['signal']} after {det['latency_s']:.3f} s"
-                )
-        lines.append(f"failover moves: {len(self.failovers)}")
-        for move in self.failovers:
-            lines.append(
-                f"  t={move['time']:8.3f}  {move['application']}/"
-                f"{move['subtask']}: {move['from_module']} -> "
-                f"{move['to_module']}"
-            )
-        lines.append(f"migrations: {len(self.migrations)}")
-        for mig in self.migrations:
-            duration = mig.get("duration_s")
-            status = (
-                f"{duration:.3f} s"
-                if duration is not None
-                else f"incomplete ({mig.get('outcome', 'pending')})"
-            )
-            lines.append(
-                f"  {mig['migration']}  {mig.get('application', '?')}/"
-                f"{mig.get('subtask', '?')}: "
-                f"{mig.get('from_module', '?')} -> {mig.get('to_module', '?')}"
-                f"  {status}, {mig.get('inflight', 0)} records across handoff"
-                f" ({mig.get('snapshot', 0)} snapshot + {mig.get('tail', 0)}"
-                f" tail, {mig.get('skipped', 0)} deduped)"
-            )
-        if self.shed or self.degraded:
-            lines.append("degraded-mode decisions:")
-            for entry in self.shed:
-                lines.append(
-                    f"  t={entry['time']:8.3f}  shed {entry['application']} "
-                    f"(priority {entry['priority']})"
-                )
-            for entry in self.degraded:
-                lines.append(
-                    f"  t={entry['time']:8.3f}  residual overcommit "
-                    f"{entry['residual']:.4f} util on {entry['capacity']:.2f} "
-                    "capacity"
-                )
-        else:
-            lines.append("degraded-mode decisions: none")
-        return "\n".join(lines)
-
-
-#: Fault kinds a detector/failover signal is expected to follow.
-_DETECTABLE_KINDS = {"node_crash", "node_restart", "partition", "broker_restart"}
-#: Events that count as "the control plane noticed", per fault kind. A
-#: crash/partition is noticed when the detector confirms or the broker
-#: tombstone triggers a failover; a restart is noticed when management
-#: reinstates the rejoined incarnation (or the detector sees it first).
-_DETECTION_SIGNALS: dict[str, tuple[str, ...]] = {
-    "node_crash": ("detector.confirm", "mgmt.failover_moved"),
-    "partition": ("detector.confirm", "mgmt.failover_moved"),
-    "broker_restart": ("detector.confirm", "mgmt.failover_moved"),
-    # A restart is noticed when management reinstates the rejoined
-    # incarnation, or — if failover moved its work away — when the
-    # fail-back migration starts.
-    "node_restart": ("mgmt.reinstated", "migrate.start", "detector.reincarnated"),
-}
-
-
-def recovery_report(tracer: "Tracer") -> RecoveryReport:
-    """Build a :class:`RecoveryReport` from a finished scenario trace."""
-    report = RecoveryReport()
-    signals = sorted(
-        (
-            record
-            for event in sorted(
-                {e for events in _DETECTION_SIGNALS.values() for e in events}
-            )
-            for record in tracer.select(event=event)
-        ),
-        key=lambda record: (record.time, record.event),
-    )
-    for record in tracer.select(event="chaos.fault"):
-        kind = str(record.fields.get("kind", "?"))
-        target = str(
-            record.fields.get("node")
-            or record.fields.get("module")
-            or record.fields.get("stations")
-            or ""
-        )
-        report.faults.append({"time": record.time, "kind": kind, "target": target})
-        if kind not in _DETECTABLE_KINDS:
-            continue
-        expected = _DETECTION_SIGNALS[kind]
-        after = [
-            s for s in signals if s.time >= record.time and s.event in expected
-        ]
-        if after:
-            first = after[0]
-            report.detections.append(
-                {
-                    "time": record.time,
-                    "kind": kind,
-                    "signal": first.event,
-                    "latency_s": first.time - record.time,
-                }
-            )
-        else:
-            report.detections.append(
-                {"time": record.time, "kind": kind, "signal": None, "latency_s": None}
-            )
-    for record in tracer.select(event="mgmt.failover_moved"):
-        report.failovers.append(
-            {
-                "time": record.time,
-                "application": record.fields.get("application"),
-                "subtask": record.fields.get("subtask"),
-                "from_module": record.fields.get("from_module"),
-                "to_module": record.fields.get("to_module"),
-            }
-        )
-    migrations: dict[str, dict[str, Any]] = {}
-    for record in tracer:
-        mid = record.fields.get("migration")
-        if mid is None or not record.event.startswith("migrate."):
-            continue
-        entry = migrations.setdefault(str(mid), {"migration": str(mid)})
-        if record.event == "migrate.start":
-            entry.update(
-                start=record.time,
-                application=record.fields.get("application"),
-                subtask=record.fields.get("subtask"),
-                from_module=record.fields.get("from_module"),
-                to_module=record.fields.get("to_module"),
-            )
-        elif record.event == "migrate.state_sent":
-            entry["snapshot"] = int(record.fields.get("buffered", 0))
-        elif record.event == "migrate.released":
-            entry["tail"] = int(record.fields.get("tail", 0))
-        elif record.event == "migrate.done":
-            entry["done"] = record.time
-            entry["skipped"] = int(record.fields.get("skipped", 0))
-            entry["outcome"] = "done"
-        elif record.event == "migrate.aborted":
-            entry["outcome"] = f"aborted:{record.fields.get('reason', '?')}"
-    for mid in sorted(migrations):
-        entry = migrations[mid]
-        start = entry.get("start")
-        done = entry.get("done")
-        if start is not None and done is not None:
-            entry["duration_s"] = done - start
-        entry["inflight"] = entry.get("snapshot", 0) + entry.get("tail", 0)
-        report.migrations.append(entry)
-    for record in tracer.select(event="mgmt.load_shed"):
-        report.shed.append(
-            {
-                "time": record.time,
-                "application": record.fields.get("application"),
-                "priority": record.fields.get("priority", 0),
-            }
-        )
-    for record in tracer.select(event="mgmt.degraded"):
-        report.degraded.append(
-            {
-                "time": record.time,
-                "residual": float(record.fields.get("residual", 0.0)),
-                "capacity": float(record.fields.get("capacity", 0.0)),
-            }
-        )
-    return report

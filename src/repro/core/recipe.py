@@ -274,17 +274,6 @@ class Recipe:
         except KeyError:
             raise RecipeError(f"no producer for stream {stream!r}") from None
 
-    def external_inputs(self) -> list[str]:
-        """All cross-application stream references consumed by this recipe."""
-        return sorted(
-            {
-                stream
-                for task in self.tasks.values()
-                for stream in task.inputs
-                if ":" in stream
-            }
-        )
-
     def consumers_of(self, stream: str) -> list[str]:
         """Task ids consuming ``stream`` (sorted for determinism)."""
         return sorted(

@@ -126,13 +126,3 @@ class RecipeSplit:
             )
             for shard in range(task.parallelism)
         ]
-
-    def parallel_groups(self, subtasks: list[SubTask]) -> list[list[SubTask]]:
-        """Group sub-tasks by stage: each group is mutually independent."""
-        if not subtasks:
-            return []
-        stage_count = max(s.stage_index for s in subtasks) + 1
-        groups: list[list[SubTask]] = [[] for _ in range(stage_count)]
-        for subtask in subtasks:
-            groups[subtask.stage_index].append(subtask)
-        return [g for g in groups if g]

@@ -25,7 +25,7 @@ streams "without accumulating / storing" (§IV-B-3).
 
 from repro.ml.anomaly import LofLite, RobustZScore
 from repro.ml.classifier import OnlineClassifier
-from repro.ml.evaluation import PrequentialAccuracy, PrequentialEvaluator
+from repro.ml.evaluation import PrequentialAccuracy
 from repro.ml.clustering import OnlineKMeans
 from repro.ml.features import Datum, FeatureExtractor, FeatureVector
 from repro.ml.linear import (
@@ -60,7 +60,6 @@ __all__ = [
     "PassiveAggressive",
     "Perceptron",
     "PrequentialAccuracy",
-    "PrequentialEvaluator",
     "RobustZScore",
     "SparseVector",
     "WindowStat",

@@ -4,28 +4,18 @@ The standard way to score a model that learns from the stream it predicts
 on: each labelled example is first *predicted*, the outcome recorded, and
 only then used for training. No held-out set, no leakage, and the metric
 tracks concept drift naturally when computed over a sliding window.
-
-:class:`PrequentialAccuracy` is the bookkeeping half (feed it outcomes);
-:class:`PrequentialEvaluator` wraps a classifier-like model and does the
-predict-then-train dance itself.
+:class:`PrequentialAccuracy` does the bookkeeping: the caller predicts,
+feeds it the outcome, then trains.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Protocol
 
-from repro.ml.features import Datum
 from repro.util.ringbuffer import RingBuffer
 from repro.util.validate import require_positive
 
-__all__ = ["PrequentialAccuracy", "PrequentialEvaluator"]
-
-
-class _ClassifierLike(Protocol):
-    def train(self, datum: Datum, label: str) -> bool: ...
-
-    def classify(self, datum: Datum) -> Any: ...
+__all__ = ["PrequentialAccuracy"]
 
 
 class PrequentialAccuracy:
@@ -68,39 +58,3 @@ class PrequentialAccuracy:
             "cumulative": self.cumulative,
             "windowed": self.windowed,
         }
-
-
-class PrequentialEvaluator:
-    """Test-then-train driver around a classifier-like model.
-
-    >>> from repro.ml.classifier import OnlineClassifier
-    >>> ev = PrequentialEvaluator(OnlineClassifier(), window=50)
-    >>> _ = ev.step(Datum.from_mapping({"x": 1.0}), "a")
-    """
-
-    def __init__(self, model: _ClassifierLike, window: int = 200) -> None:
-        self.model = model
-        self.accuracy = PrequentialAccuracy(window=window)
-        self.skipped_cold = 0
-
-    def step(self, datum: Datum, label: str) -> bool | None:
-        """Predict, score, then train on one labelled example.
-
-        Returns whether the prediction was correct, or ``None`` while the
-        model cannot predict yet (those examples train but do not score —
-        the usual prequential warm-up convention).
-        """
-        correct: bool | None
-        try:
-            predicted = self.model.classify(datum)
-        except Exception:  # untrained model — implementation-specific error
-            self.skipped_cold += 1
-            correct = None
-        else:
-            predicted_label = getattr(predicted, "label", predicted)
-            if isinstance(predicted_label, tuple):
-                predicted_label = predicted_label[0]
-            correct = predicted_label == label
-            self.accuracy.record(correct)
-        self.model.train(datum, label)
-        return correct

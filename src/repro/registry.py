@@ -1,7 +1,7 @@
 """The scenario registry: every name the tools accept.
 
 Adding a scenario is one :class:`~repro.scenario.Scenario` in
-:data:`SCENARIOS`; ``chaos``, ``heal``, ``san``, ``prof``, ``slo``,
+:data:`SCENARIOS`; ``chaos``, ``san``, ``prof``, ``slo``,
 ``trace``, ``lint --recipe/--calibrate/--validate`` and the parallel seed
 sweep all look names up here and nowhere else.
 """

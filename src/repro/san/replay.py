@@ -8,7 +8,7 @@ equal-timestamp events — and the traces are fingerprinted with a
 *schedule-stable digest*:
 
 * records are rendered by :func:`repro.sim.trace.render_record`, the
-  line :func:`repro.chaos.scenarios.trace_digest` hashes;
+  line :func:`repro.sim.trace.trace_digest` hashes;
 * but within each identical timestamp the rendered lines are **sorted**
   before hashing.
 

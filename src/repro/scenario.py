@@ -11,10 +11,14 @@ there are two instrument attach points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, Literal, Mapping
 
+from repro.sim.trace import Tracer, trace_digest
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.chaos.invariants import RecoveryCheck
+    from repro.chaos.invariants import InvariantReport, RecoveryCheck
     from repro.chaos.plan import FaultPlan
     from repro.core.middleware import Application, IFoTCluster
     from repro.core.recipe import Recipe
@@ -86,6 +90,22 @@ class Run:
     #: Sim time at which the run window began (deployment settled).
     measure_from: float
     faults_applied: int = 0
+    #: Records in the trace when the run ended.
+    trace_records: int = 0
+    #: The invariant verdict, set by
+    #: :func:`~repro.chaos.scenarios.run_scenario` (``run`` checks none).
+    report: "InvariantReport | None" = None
+
+    @property
+    def tracer(self) -> Tracer:
+        return self.runtime.tracer
+
+    @cached_property
+    def trace_digest(self) -> str:
+        """:func:`~repro.sim.trace.trace_digest` of the records the run
+        left, computed on first read: a record emitted into the tracer
+        afterwards does not change it."""
+        return trace_digest(islice(self.tracer, self.trace_records))
 
 
 def attach_instruments(
@@ -166,4 +186,5 @@ def run(
         # application stays up for the invariant checker to inspect.
         runtime.run(until=duration_s)
         outcome.faults_applied = injector.faults_applied
+    outcome.trace_records = len(runtime.tracer)
     return outcome

@@ -9,12 +9,13 @@ latency samples from them (e.g. matching ``sensor.sample`` against
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
-__all__ = ["TraceRecord", "Tracer", "render_record"]
+__all__ = ["TraceRecord", "Tracer", "render_record", "trace_digest"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,6 +38,18 @@ def render_record(record: TraceRecord) -> str:
         f"{record.time!r}|{record.source}|{record.event}"
         f"|{sorted(record.fields.items())!r}"
     )
+
+
+def trace_digest(records: Iterable[TraceRecord]) -> str:
+    """Canonical SHA-256 fingerprint of a full trace (a tracer or records).
+
+    Two runs are considered byte-identical iff their digests match; each
+    record is hashed as its :func:`render_record` line.
+    """
+    digest = hashlib.sha256()
+    for record in records:
+        digest.update(f"{render_record(record)}\n".encode())
+    return digest.hexdigest()
 
 
 class Tracer:

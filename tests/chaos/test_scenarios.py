@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.scenario
 from repro.chaos import (
     BrokerRestart,
     FaultPlan,
@@ -13,12 +14,10 @@ from repro.chaos import (
     build_chaos_cluster,
     build_chaos_recipe,
     run_scenario,
-    trace_digest,
 )
-from repro.chaos import scenarios
 from repro.errors import ConfigurationError
 from repro.registry import fault_scenarios, resolve
-from repro.sim.trace import render_record
+from repro.sim.trace import render_record, trace_digest
 
 
 def run_combo(seed: int):
@@ -88,7 +87,7 @@ def test_trace_digest_is_computed_on_first_read(monkeypatch):
         calls.append(records)
         return trace_digest(records)
 
-    monkeypatch.setattr(scenarios, "trace_digest", counting)
+    monkeypatch.setattr(repro.scenario, "trace_digest", counting)
     result = run_scenario("failover", seed=0)
     assert calls == []
     assert result.trace_digest == trace_digest(result.tracer)

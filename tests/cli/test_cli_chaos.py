@@ -42,7 +42,7 @@ def test_same_seed_reports_same_digest(capsys):
 
 @pytest.mark.slow
 def test_heal_prints_recovery_report(capsys):
-    assert main(["heal", "--seed", "0"]) == 0
+    assert main(["chaos", "failover", "--seed", "0", "--recover"]) == 0
     out = capsys.readouterr().out
     assert "recovery report" in out
     assert "detection:" in out
@@ -59,13 +59,21 @@ def test_chaos_recover_flag_appends_report(capsys):
     assert "degraded-mode decisions" in out
 
 
+def test_recover_with_seeds_is_rejected(capsys):
+    """``--seeds`` used to drop ``--recover`` silently and exit 0."""
+    assert main(["chaos", "failover", "--seeds", "0", "--recover"]) == 2
+    captured = capsys.readouterr()
+    assert "--recover" in captured.err and "--seeds" in captured.err
+    assert captured.out == ""
+
+
 def _stub_result(ok: bool):
     report = SimpleNamespace(
         ok=ok,
         render=lambda: "invariants: " + ("PASS" if ok else "FAIL\n  FAIL qos1-loss"),
     )
     return SimpleNamespace(
-        name="stubbed",
+        scenario=SimpleNamespace(name="stubbed"),
         seed=0,
         duration_s=1.0,
         report=report,

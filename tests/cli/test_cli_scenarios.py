@@ -14,7 +14,6 @@ UNKNOWN = "unknown scenario 'bogus' (known: "
     [
         ["chaos", "bogus"],
         ["chaos", "bogus", "--seeds", "0,1"],
-        ["heal", "bogus"],
         ["san", "bogus"],
         ["prof", "--scenario", "bogus"],
         ["slo", "bogus"],

@@ -27,7 +27,6 @@ def test_recipe_accepts_external_references():
             )
         ],
     )
-    assert recipe.external_inputs() == ["producer-app:curated"]
     # External inputs impose no stage dependency.
     assert recipe.stages() == [["reuse"]]
 
@@ -56,9 +55,9 @@ task reuse : map
     fn = identity
 """
     recipe = parse_recipe(text)
-    assert recipe.external_inputs() == ["producer-app:curated"]
+    assert recipe.tasks["reuse"].inputs == ["producer-app:curated"]
     clone = parse_recipe(format_recipe(recipe))
-    assert clone.external_inputs() == ["producer-app:curated"]
+    assert clone.tasks["reuse"].inputs == ["producer-app:curated"]
 
 
 def test_secondary_use_end_to_end(harness):

@@ -1,4 +1,4 @@
-"""FailureDetector, degradation policy and recovery-report tests."""
+"""FailureDetector and degradation policy tests."""
 
 from __future__ import annotations
 
@@ -12,12 +12,10 @@ from repro.core.healing import (
     FailureDetector,
     plan_degradation,
     recipe_utilization,
-    recovery_report,
 )
 from repro.core.splitter import RecipeSplit
 from repro.registry import SCENARIOS
 from repro.runtime.sim import SimRuntime
-from repro.sim.trace import Tracer
 
 EXPECTED_S = 2.0
 
@@ -243,86 +241,3 @@ class TestPlanDegradation:
             utilization, rel=1e-12
         )
 
-
-class TestRecoveryReport:
-    def synthetic_trace(self) -> Tracer:
-        tracer = Tracer()
-        tracer.emit(10.0, "chaos", "chaos.fault", kind="node_crash", node="m-d")
-        tracer.emit(13.9, "detector@mgmt", "detector.confirm", module="m-d")
-        tracer.emit(
-            14.0,
-            "mgmt",
-            "mgmt.failover_moved",
-            application="app",
-            subtask="train",
-            from_module="m-d",
-            to_module="m-c",
-        )
-        tracer.emit(
-            20.0,
-            "mgmt",
-            "migrate.start",
-            migration="migration-0",
-            application="app",
-            subtask="train",
-            from_module="m-c",
-            to_module="m-d",
-        )
-        tracer.emit(
-            20.3, "agent@m-c", "migrate.state_sent", migration="migration-0",
-            buffered=2,
-        )
-        tracer.emit(
-            20.4, "agent@m-c", "migrate.released", migration="migration-0",
-            tail=3,
-        )
-        tracer.emit(
-            20.5, "agent@m-d", "migrate.done", migration="migration-0",
-            replayed=4, skipped=1,
-        )
-        tracer.emit(
-            25.0, "mgmt", "mgmt.load_shed", application="batch", priority=0
-        )
-        tracer.emit(
-            25.0, "mgmt", "mgmt.degraded", residual=0.4, capacity=1.5
-        )
-        return tracer
-
-    def test_parses_detection_migration_and_shedding(self):
-        report = recovery_report(self.synthetic_trace())
-        assert [f["kind"] for f in report.faults] == ["node_crash"]
-        (detection,) = report.detections
-        assert detection["signal"] == "detector.confirm"
-        assert detection["latency_s"] == pytest.approx(3.9)
-        (migration,) = report.migrations
-        assert migration["duration_s"] == pytest.approx(0.5)
-        assert migration["snapshot"] == 2
-        assert migration["tail"] == 3
-        assert migration["skipped"] == 1
-        assert [entry["application"] for entry in report.shed] == ["batch"]
-        assert report.degraded[0]["residual"] == pytest.approx(0.4)
-        rendered = report.render()
-        assert "node_crash" in rendered
-        assert "migration-0" in rendered
-        assert "shed batch" in rendered
-
-    def test_undetected_fault_is_reported_as_such(self):
-        tracer = Tracer()
-        tracer.emit(5.0, "chaos", "chaos.fault", kind="partition", stations="a|b")
-        report = recovery_report(tracer)
-        (detection,) = report.detections
-        assert detection["latency_s"] is None
-        assert "never detected" in report.render()
-
-    def test_restart_noticed_via_failback_migration(self):
-        tracer = Tracer()
-        tracer.emit(18.0, "chaos", "chaos.fault", kind="node_restart", node="m-d")
-        tracer.emit(
-            20.1, "mgmt", "migrate.start", migration="migration-0",
-            application="app", subtask="train",
-            from_module="m-c", to_module="m-d",
-        )
-        report = recovery_report(tracer)
-        (detection,) = report.detections
-        assert detection["signal"] == "migrate.start"
-        assert detection["latency_s"] == pytest.approx(2.1)

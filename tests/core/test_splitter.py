@@ -33,25 +33,6 @@ def test_split_shards_parallel_tasks():
     assert all(s.inputs == ["raw"] for s in shards)
 
 
-def test_parallel_groups():
-    recipe = Recipe(
-        "r",
-        [
-            TaskSpec("src", "sensor", outputs=["raw"]),
-            TaskSpec("a", "map", inputs=["raw"], outputs=["x"], parallelism=2),
-            TaskSpec("b", "train", inputs=["x"]),
-        ],
-    )
-    split = RecipeSplit()
-    groups = split.parallel_groups(split.split(recipe))
-    assert [len(g) for g in groups] == [1, 2, 1]
-    assert {s.subtask_id for s in groups[1]} == {"a#0", "a#1"}
-
-
-def test_parallel_groups_empty():
-    assert RecipeSplit().parallel_groups([]) == []
-
-
 def test_shard_of_stable_and_in_range():
     for count in (1, 2, 7):
         for sid in ("a", "b", "sample-123"):

@@ -22,9 +22,9 @@ import pytest
 from repro.bench.harness import run_paper_experiment
 from repro.bench.scenarios import FIG5
 from repro.chaos import run_scenario
-from repro.chaos.scenarios import trace_digest
 from repro.prof import profile_digest
 from repro.scenario import run
+from repro.sim.trace import trace_digest
 
 #: (scenario, instrument) -> (trace digest, trace records), seed 0.
 TRACE_DIGESTS = {
@@ -183,7 +183,7 @@ def test_chaos_trace_digest_matches_parent_commit(name, instrument):
 
 
 def test_failover_profile_digest_matches_parent_commit():
-    profiler = run_scenario("failover", seed=0, profile=True).profiler
+    profiler = run_scenario("failover", seed=0, profile=True).runtime.prof
     assert (profile_digest(profiler), profiler.events_profiled) == FAILOVER_PROFILE
 
 

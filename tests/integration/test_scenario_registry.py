@@ -1,7 +1,7 @@
 """One declaration, every tool.
 
 The proof of the ``Scenario`` registry: a scenario no tool has ever heard
-of becomes runnable by ``chaos``, ``heal``, ``san``, ``prof``, ``slo``,
+of becomes runnable by ``chaos`` (and ``--recover``), ``san``, ``prof``, ``slo``,
 ``trace``, ``lint --recipe`` and the parallel seed sweep by inserting one
 :class:`~repro.scenario.Scenario` into :data:`repro.registry.SCENARIOS` —
 and nothing else.
@@ -66,7 +66,7 @@ def test_one_declaration_reaches_every_tool(monkeypatch, capsys):
     monkeypatch.setitem(SCENARIOS, THROWAWAY.name, THROWAWAY)
     for argv in (
         ["chaos", "throwaway"],
-        ["heal", "throwaway"],
+        ["chaos", "throwaway", "--recover"],
         ["san", "throwaway", "--perturb", "1"],
         ["prof", "--scenario", "throwaway"],
         ["slo", "throwaway"],

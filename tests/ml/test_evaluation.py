@@ -1,11 +1,8 @@
 import math
-import random
 
 import pytest
 
-from repro.ml.classifier import OnlineClassifier
-from repro.ml.evaluation import PrequentialAccuracy, PrequentialEvaluator
-from repro.ml.features import Datum
+from repro.ml.evaluation import PrequentialAccuracy
 
 
 class TestPrequentialAccuracy:
@@ -34,45 +31,3 @@ class TestPrequentialAccuracy:
         summary = acc.summary()
         assert summary["count"] == 1
         assert summary["cumulative"] == 1.0
-
-
-class TestPrequentialEvaluator:
-    def test_cold_start_skipped_not_scored(self):
-        ev = PrequentialEvaluator(OnlineClassifier())
-        first = ev.step(Datum.from_mapping({"x": 1.0}), "a")
-        assert first is None
-        assert ev.skipped_cold == 1
-        assert ev.accuracy.total == 0
-
-    def test_accuracy_improves_on_learnable_stream(self):
-        ev = PrequentialEvaluator(OnlineClassifier(algorithm="pa1"), window=100)
-        rng = random.Random(4)
-        for _ in range(400):
-            x = rng.gauss(0, 1)
-            ev.step(Datum.from_mapping({"x": x}), "p" if x > 0 else "n")
-        assert ev.accuracy.windowed > 0.9
-
-    def test_tracks_concept_drift(self):
-        """Windowed accuracy dips when the concept flips, then recovers."""
-        ev = PrequentialEvaluator(OnlineClassifier(algorithm="pa1"), window=60)
-        rng = random.Random(5)
-
-        def run(n, flip):
-            for _ in range(n):
-                x = rng.gauss(0, 1)
-                label = ("n" if x > 0 else "p") if flip else ("p" if x > 0 else "n")
-                ev.step(Datum.from_mapping({"x": x}), label)
-
-        run(300, flip=False)
-        stable = ev.accuracy.windowed
-        # PA adapts within a handful of examples on this 1-D concept, so
-        # sample the window during the transition and take the deepest dip.
-        dips = []
-        for _ in range(6):
-            run(10, flip=True)
-            dips.append(ev.accuracy.windowed)
-        run(400, flip=True)
-        recovered = ev.accuracy.windowed
-        assert stable > 0.9
-        assert min(dips) < stable - 0.05
-        assert recovered > 0.9

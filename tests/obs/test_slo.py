@@ -267,7 +267,7 @@ def failover_slo():
 
 @pytest.mark.slow
 def test_failover_crash_window_pages_online(failover_slo):
-    engine = failover_slo.slo_engine
+    engine = failover_slo.runtime.slo
     assert engine is not None
     assert engine.flows["train"].pending is True
     # The crash window strands sensed records that never reach train:
@@ -295,7 +295,7 @@ def test_failover_violations_are_trace_records(failover_slo):
     alerts = tracer.select(SLO_ALERT_EVENT)
     assert any(r["state"] == "page" for r in alerts)
     # Report agrees with the trace.
-    report = failover_slo.slo_engine.report()
+    report = failover_slo.runtime.slo.report()
     assert report["flows"]["train"]["overdue"] == len(
         [r for r in violations if r["kind"] == "overdue"]
     )
@@ -305,8 +305,8 @@ def test_failover_violations_are_trace_records(failover_slo):
 def test_failover_slo_run_is_deterministic(failover_slo):
     again = run_scenario("failover", seed=0, slo=True, profile=True)
     assert again.trace_digest == failover_slo.trace_digest
-    assert json.dumps(again.slo_engine.report(), sort_keys=True) == json.dumps(
-        failover_slo.slo_engine.report(), sort_keys=True
+    assert json.dumps(again.runtime.slo.report(), sort_keys=True) == json.dumps(
+        failover_slo.runtime.slo.report(), sort_keys=True
     )
 
 

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chaos import run_scenario, trace_digest
+from repro.chaos import run_scenario
 from repro.mqtt import packets
 from repro.prof import profile_digest
 from repro.registry import fault_scenarios
+from repro.sim.trace import trace_digest
 
 CHAOS_SCENARIOS = fault_scenarios()
 
@@ -62,8 +63,8 @@ def test_hooks_on_equivalence(name, chaos_baseline):
     assert _digest_excluding(profiled.tracer, {"prof"}) == _digest_excluding(
         base.tracer, {"prof"}
     )
-    assert profiled.profiler is not None
-    assert profiled.profiler.events_profiled > 0
+    assert profiled.runtime.prof is not None
+    assert profiled.runtime.prof.events_profiled > 0
 
 
 @pytest.mark.parametrize("name", CHAOS_SCENARIOS)
@@ -181,7 +182,7 @@ def test_failover_slo_on_leaves_app_trace_unchanged(monkeypatch):
     _suppress_status_publisher(monkeypatch)
     base = run_scenario("failover", seed=0, observe=True)
     slo_run = run_scenario("failover", seed=0, slo=True)
-    assert slo_run.slo_engine is not None
+    assert slo_run.runtime.slo is not None
     # The engine wrote its own records (the crash window pages)...
     assert any(r.source == "slo" for r in slo_run.tracer)
     # ...but the application's records are untouched.
