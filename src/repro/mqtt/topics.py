@@ -124,11 +124,16 @@ class _TrieNode(Generic[T]):
 
 
 class TopicTree(Generic[T]):
-    """Subscription trie mapping topic filters to lists of values."""
+    """Subscription trie mapping topic filters to lists of values.
+
+    :meth:`match` memoizes each topic's answer until the next insert or
+    removal, admitting topics up to :data:`_CACHE_CAP`.
+    """
 
     def __init__(self) -> None:
         self._root: _TrieNode[T] = _TrieNode()
         self._count = 0
+        self._matched: dict[str, tuple[T, ...]] = {}
 
     def __len__(self) -> int:
         """Number of (filter, value) entries stored."""
@@ -142,6 +147,7 @@ class TopicTree(Generic[T]):
             node = node.children.setdefault(level, _TrieNode())
         node.values.append(value)
         self._count += 1
+        self._matched.clear()
 
     def remove(self, topic_filter: str, value: T) -> bool:
         """Remove one occurrence of ``value`` under ``topic_filter``.
@@ -163,6 +169,7 @@ class TopicTree(Generic[T]):
         except ValueError:
             return False
         self._count -= 1
+        self._matched.clear()
         for parent, level in reversed(path):
             child = parent.children[level]
             if child.empty:
@@ -173,11 +180,18 @@ class TopicTree(Generic[T]):
 
     def match(self, topic: str) -> list[T]:
         """All values whose filter matches ``topic``, in insertion order
-        within each filter (cross-filter order is traversal order)."""
+        within each filter (cross-filter order is traversal order).
+
+        The list is the caller's own: a callback that iterates it may
+        subscribe or unsubscribe."""
+        hit = self._matched.get(topic)
+        if hit is not None:
+            return list(hit)  # memoized topics passed validate_topic
         validate_topic(topic)
-        levels = topic.split("/")
         results: list[T] = []
-        self._collect(self._root, levels, 0, results)
+        self._collect(self._root, topic.split("/"), 0, results)
+        if len(self._matched) < _CACHE_CAP:
+            self._matched[topic] = tuple(results)
         return results
 
     def _collect(

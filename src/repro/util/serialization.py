@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import c_make_encoder, encode_basestring_ascii  # type: ignore[attr-defined]
 from typing import Any
 
 from repro.errors import SerializationError
@@ -23,21 +24,29 @@ __all__ = ["encode_fragment", "encode_payload", "decode_payload", "payload_size"
 _ALLOWED_SCALARS = (type(None), bool, int, float, str)
 
 
-def _check_encodable(value: Any, path: str = "$") -> None:
-    """Slow validation pass that names the offending path — error cases only."""
+def _check_encodable(value: Any, path: str = "$", enclosing: tuple[Any, ...] = ()) -> None:
+    """Slow validation pass that names the offending path — error cases only.
+
+    ``enclosing`` holds the containers around ``value``, so a container met
+    again inside itself is reported instead of recursed into.
+    """
     if isinstance(value, _ALLOWED_SCALARS):
         if isinstance(value, float) and not math.isfinite(value):
             raise SerializationError(f"non-finite float at {path}: {value!r}")
         return
+    if isinstance(value, (list, tuple, dict)):
+        if any(value is outer for outer in enclosing):
+            raise SerializationError(f"circular reference at {path}")
+        enclosing = (*enclosing, value)
     if isinstance(value, (list, tuple)):
         for i, item in enumerate(value):
-            _check_encodable(item, f"{path}[{i}]")
+            _check_encodable(item, f"{path}[{i}]", enclosing)
         return
     if isinstance(value, dict):
         for key, item in value.items():
             if not isinstance(key, str):
                 raise SerializationError(f"non-string key at {path}: {key!r}")
-            _check_encodable(item, f"{path}.{key}")
+            _check_encodable(item, f"{path}.{key}", enclosing)
         return
     raise SerializationError(f"unencodable type at {path}: {type(value).__name__}")
 
@@ -47,9 +56,11 @@ def _keys_ok(value: Any) -> bool:
 
     ``json.dumps`` itself rejects every other invalid input (unknown
     types raise ``TypeError``, NaN/Inf raise ``ValueError`` under
-    ``allow_nan=False``) — but it silently *stringifies* int/float/bool/
-    None dict keys instead of rejecting them, which would corrupt
-    canonical wire bytes. This is the one check that must run up front.
+    ``allow_nan=False``, a cycle raises ``ValueError``) — but it silently
+    *stringifies* int/float/bool/None dict keys instead of rejecting them,
+    which would corrupt canonical wire bytes. This is the one check the
+    encoder cannot make; it runs on what the encoder accepted, so the walk
+    never meets a cycle.
     """
     stack = [value]
     pop = stack.pop
@@ -71,7 +82,21 @@ def _keys_ok(value: Any) -> bool:
     return True
 
 
-_ENCODE = json.JSONEncoder(separators=(",", ":"), sort_keys=True, allow_nan=False).encode
+#: The canonical encoder, built once: what ``JSONEncoder(separators=(",", ":"),
+#: sort_keys=True, allow_nan=False).encode`` builds on every call. Its
+#: circular-reference markers are this one dict, empty between calls.
+_MARKERS: dict[int, Any] = {}
+_ITERENCODE = c_make_encoder(
+    _MARKERS, json.JSONEncoder().default, encode_basestring_ascii, None, ":", ",", True, False, False
+)
+
+
+def _ENCODE(value: Any) -> str:
+    try:
+        return "".join(_ITERENCODE(value, 0))
+    except BaseException:
+        _MARKERS.clear()  # the C encoder leaves the markers of the containers it was inside
+        raise
 
 
 def encode_fragment(value: Any) -> str:
@@ -84,15 +109,16 @@ def encode_fragment(value: Any) -> str:
     non-finite floats (NaN/Inf are not valid JSON and would silently
     corrupt downstream analysis).
     """
+    try:
+        text = _ENCODE(value)
+    except (TypeError, ValueError) as exc:
+        _check_encodable(value)  # raises with the offending path
+        raise SerializationError(str(exc)) from exc
     t = type(value)
     if (t is dict or t is list or t is tuple or isinstance(value, (dict, list, tuple))) and not _keys_ok(value):
         _check_encodable(value)  # raises with the offending path
         raise SerializationError(f"non-string dict key in {value!r}")  # pragma: no cover
-    try:
-        return _ENCODE(value)
-    except (TypeError, ValueError) as exc:
-        _check_encodable(value)  # raises with the offending path
-        raise SerializationError(str(exc)) from exc
+    return text
 
 
 def encode_payload(value: Any) -> bytes:

@@ -1,23 +1,35 @@
 """Property tests: payloads, datums, flow records survive the wire."""
 
+import json
+import math
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.flow import FlowRecord
+from repro.errors import SerializationError
 from repro.ml.features import Datum
+from repro.util import serialization
 from repro.util.serialization import decode_payload, encode_payload
 
 keys = st.text(alphabet="abcdefgh_", min_size=1, max_size=6)
+wire_keys = st.one_of(keys, st.text(alphabet="aé\u00ff\u20ac\U0001f600\n\"\\", min_size=1, max_size=4))
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 json_scalars = st.one_of(
-    st.none(), st.booleans(), st.integers(min_value=-(2**31), max_value=2**31), finite, st.text(max_size=20)
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 1e16, 2**63, -(2**64)]),
+    st.text(max_size=20),
 )
 json_values = st.recursive(
     json_scalars,
     lambda children: st.one_of(
         st.lists(children, max_size=4),
-        st.dictionaries(keys, children, max_size=4),
+        st.dictionaries(wire_keys, children, max_size=4),
     ),
     max_leaves=20,
 )
@@ -31,6 +43,36 @@ def test_payload_round_trip(value):
 @given(value=json_values)
 def test_encoding_is_deterministic(value):
     assert encode_payload(value) == encode_payload(value)
+
+
+def _cycle():
+    inner = [1]
+    value = {"a": inner}
+    inner.append(value)
+    return value
+
+
+#: Values the encoder must reject, each built fresh (so its ids can recur).
+UNENCODABLE = [
+    lambda: {"x": [1.0, math.nan]},
+    lambda: [{"k": math.inf}],
+    lambda: {1: "x"},
+    lambda: {"a": {2: "y", "b": 1}},
+    lambda: {"x": object()},
+    _cycle,
+]
+
+
+@given(bad=st.sampled_from(UNENCODABLE), value=json_values)
+def test_bytes_equal_stdlib_reference_after_a_rejection(bad, value):
+    """The once-built encoder writes what ``json.dumps`` writes, and a
+    rejected value leaves no circular-reference marker behind."""
+    with pytest.raises(SerializationError):
+        encode_payload(bad())
+    assert serialization._MARKERS == {}
+    reference = json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    assert encode_payload(value) == reference.encode()
+    assert serialization._MARKERS == {}
 
 
 datum_strategy = st.builds(

@@ -21,13 +21,16 @@ def filter_strategy():
 
 @given(filters=st.lists(filter_strategy(), max_size=10), topic=topic_strategy)
 def test_trie_matches_iff_predicate(filters, topic):
+    """Asked after every insert, so a memoized answer that outlives an
+    insert fails here."""
     tree = TopicTree()
+    assert tree.match(topic) == []
     for i, f in enumerate(filters):
         tree.insert(f, (i, f))
-    expected = sorted(
-        (i, f) for i, f in enumerate(filters) if topic_matches(f, topic)
-    )
-    assert sorted(tree.match(topic)) == expected
+        expected = sorted(
+            (j, g) for j, g in enumerate(filters[: i + 1]) if topic_matches(g, topic)
+        )
+        assert sorted(tree.match(topic)) == expected
 
 
 @given(filters=st.lists(filter_strategy(), min_size=1, max_size=10))
@@ -49,11 +52,24 @@ def test_removal_only_affects_removed_entry(filters, topic):
     tree = TopicTree()
     for i, f in enumerate(filters):
         tree.insert(f, i)
+    before = sorted(i for i, f in enumerate(filters) if topic_matches(f, topic))
+    assert sorted(tree.match(topic)) == before  # memoized, then removed from
     tree.remove(filters[0], 0)
     survivors = sorted(
         i for i, f in enumerate(filters) if i != 0 and topic_matches(f, topic)
     )
     assert sorted(tree.match(topic)) == survivors
+
+
+def test_mutating_a_match_result_leaves_the_next_match_alone():
+    tree = TopicTree()
+    tree.insert("a/+", "plus")
+    tree.insert("a/b", "exact")
+    first = tree.match("a/b")
+    first.append("stray")
+    first.remove("plus")
+    assert tree.match("a/b") == ["exact", "plus"]
+    assert tree.match("a/b") is not tree.match("a/b")
 
 
 @given(topic=topic_strategy)

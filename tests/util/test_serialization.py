@@ -1,7 +1,11 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import SerializationError
 from repro.util.serialization import decode_payload, encode_payload, payload_size
 
@@ -59,3 +63,41 @@ def test_decode_garbage():
 def test_payload_size_matches_encoding():
     value = {"key": "value", "n": 1}
     assert payload_size(value) == len(encode_payload(value))
+
+
+#: Each cycle is encoded in a child process with a timeout, so an encoder
+#: that walks a cycle forever fails the test instead of hanging the suite.
+CYCLES = {
+    "dict": ('d = {"x": 1}; d["a"] = d', "d", r"$.a"),
+    "list": ("l = [1]; l.append(l)", "l", r"$[1]"),
+    "nested": ('d = {"k": [0, {}]}; d["k"][1]["up"] = d["k"]', "d", r"$.k[1].up"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CYCLES))
+def test_cycle_raises_naming_the_circular_reference(name):
+    build, value, path = CYCLES[name]
+    script = (
+        "from repro.errors import SerializationError\n"
+        "from repro.util.serialization import encode_payload\n"
+        f"{build}\n"
+        "try:\n"
+        f"    encode_payload({value})\n"
+        "except SerializationError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=30, env={"PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == f"circular reference at {path}"
+
+
+def test_shared_acyclic_sublist_encodes():
+    shared = [1, {"b": 2}]
+    value = {"a": shared, "c": shared, "d": [shared, shared]}
+    assert encode_payload(value) == (
+        b'{"a":[1,{"b":2}],"c":[1,{"b":2}],"d":[[1,{"b":2}],[1,{"b":2}]]}'
+    )
