@@ -33,6 +33,7 @@ Generic operators defined here:
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -293,7 +294,7 @@ class StreamOperator(Component):
                         node=self.node.name,
                         operator=self.subtask.operator,
                     )
-                hist.observe(self.runtime.now - enqueued_at)
+                hist.add(self.runtime.now - enqueued_at)
 
     def _process(self, stream: str, record: FlowRecord) -> None:
         if self.stopped:
@@ -1192,15 +1193,13 @@ class DedupOperator(StreamOperator):
         window = int(self.params.get("window", 1024))
         if window <= 0:
             raise RecipeError(f"{self.name}: dedup window must be positive")
-        from repro.util.ringbuffer import RingBuffer
-
-        self._order: RingBuffer[str] = RingBuffer(window)
+        self._order: deque[str] = deque(maxlen=window)
         self._seen: set[str] = set()
         self.duplicates_dropped = 0
 
     def export_state(self) -> dict[str, Any]:
         super().export_state()
-        return {"order": self._order.to_list()}
+        return {"order": list(self._order)}
 
     def import_state(self, state: dict[str, Any]) -> None:
         super().import_state(state)
@@ -1214,9 +1213,10 @@ class DedupOperator(StreamOperator):
         if record.sample_id in self._seen:
             self.duplicates_dropped += 1
             return
-        evicted = self._order.append(record.sample_id)
-        if evicted is not None:
-            self._seen.discard(evicted)
+        order = self._order
+        if len(order) == order.maxlen:
+            self._seen.discard(order[0])
+        order.append(record.sample_id)
         self._seen.add(record.sample_id)
         self.emit(record.derive(self.subtask.task_id))
 

@@ -8,7 +8,7 @@ Two detectors cover the elderly-monitoring application's needs (§III-A-1,
   memory growth. Good for point outliers in magnitude.
 * :class:`LofLite` — a bounded-window variant of Jubatus's ``anomaly``
   (LOF-based): the score is the ratio of the query's k-NN distance to the
-  average k-NN distance among its neighbours inside a ring-buffer window.
+  average k-NN distance among its neighbours inside a bounded window.
   Catches density anomalies that z-scores miss, at O(window) per datum.
 
 Both expose the same two-method protocol: ``add(datum) -> score`` (score
@@ -18,10 +18,10 @@ then learn) and ``calc_score(datum)`` (score only).
 from __future__ import annotations
 
 import math
+from collections import deque
 
 from repro.errors import ModelError
 from repro.ml.features import Datum
-from repro.util.ringbuffer import RingBuffer
 from repro.util.stats import RunningStats
 from repro.util.validate import require_positive
 
@@ -82,7 +82,7 @@ class LofLite:
         self.k = require_positive(k, "k")
         if window <= k:
             raise ModelError(f"window ({window}) must exceed k ({k})")
-        self._window: RingBuffer[dict[str, float]] = RingBuffer(window)
+        self._window: deque[dict[str, float]] = deque(maxlen=window)
 
     def _distance(self, a: dict[str, float], b: dict[str, float]) -> float:
         keys = sorted(set(a) | set(b))

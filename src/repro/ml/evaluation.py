@@ -11,8 +11,8 @@ feeds it the outcome, then trains.
 from __future__ import annotations
 
 import math
+from collections import deque
 
-from repro.util.ringbuffer import RingBuffer
 from repro.util.validate import require_positive
 
 __all__ = ["PrequentialAccuracy"]
@@ -23,16 +23,17 @@ class PrequentialAccuracy:
 
     def __init__(self, window: int = 200) -> None:
         require_positive(window, "window")
-        self._window: RingBuffer[bool] = RingBuffer(window)
+        self._window: deque[bool] = deque(maxlen=window)
         self._window_correct = 0
         self.total = 0
         self.total_correct = 0
 
     def record(self, correct: bool) -> None:
         """Record one prediction outcome."""
-        evicted = self._window.append(bool(correct))
-        if evicted:
+        outcomes = self._window
+        if len(outcomes) == outcomes.maxlen and outcomes[0]:
             self._window_correct -= 1
+        outcomes.append(bool(correct))
         if correct:
             self._window_correct += 1
         self.total += 1

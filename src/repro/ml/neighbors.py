@@ -13,13 +13,12 @@ similarity. O(window) per query, like :class:`~repro.ml.anomaly.LofLite`.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import ModelError
 from repro.ml.features import Datum
-from repro.util.ringbuffer import RingBuffer
 from repro.util.validate import require_positive
 
 __all__ = ["NearestNeighbors", "Neighbor"]
@@ -70,7 +69,7 @@ class NearestNeighbors:
             )
         self.metric = metric
         self._distance = distance
-        self._order: RingBuffer[str] = RingBuffer(window)
+        self._order: deque[str] = deque(maxlen=window)
         self._rows: dict[str, tuple[dict[str, float], str | None]] = {}
 
     def __len__(self) -> int:
@@ -79,9 +78,10 @@ class NearestNeighbors:
     def set_row(self, row_id: str, datum: Datum, label: str | None = None) -> None:
         """Insert or update a row; oldest rows fall out of the window."""
         if row_id not in self._rows:
-            evicted = self._order.append(row_id)
-            if evicted is not None:
-                self._rows.pop(evicted, None)
+            order = self._order
+            if len(order) == order.maxlen:
+                self._rows.pop(order[0], None)
+            order.append(row_id)
         self._rows[row_id] = (dict(datum.num_values), label)
 
     def neighbors(self, datum: Datum, k: int = 5) -> list[Neighbor]:
@@ -125,7 +125,7 @@ class NearestNeighbors:
     def to_state(self) -> dict[str, Any]:
         return {
             "metric": self.metric,
-            "window": self._order.capacity,
+            "window": self._order.maxlen,
             "rows": [
                 [row_id, self._rows[row_id][0], self._rows[row_id][1]]
                 for row_id in self._order

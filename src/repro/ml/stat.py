@@ -9,25 +9,27 @@ storing the stream beyond the window.
 from __future__ import annotations
 
 import math
+from collections import deque
 
-from repro.util.ringbuffer import RingBuffer
 from repro.util.validate import require_positive
 
 __all__ = ["WindowStat"]
 
 
 class _KeyWindow:
-    """Incremental sum/sum-of-squares over a ring buffer."""
+    """Incremental sum/sum-of-squares over a bounded deque."""
 
     __slots__ = ("buffer", "total", "total_sq")
 
     def __init__(self, capacity: int) -> None:
-        self.buffer: RingBuffer[float] = RingBuffer(capacity)
+        self.buffer: deque[float] = deque(maxlen=capacity)
         self.total = 0.0
         self.total_sq = 0.0
 
     def push(self, value: float) -> None:
-        evicted = self.buffer.append(value)
+        buffer = self.buffer
+        evicted = buffer[0] if len(buffer) == buffer.maxlen else None
+        buffer.append(value)
         self.total += value
         self.total_sq += value * value
         if evicted is not None:
@@ -88,7 +90,7 @@ class WindowStat:
         entry = self._keys.get(key)
         if not entry or len(entry.buffer) == 0:
             return math.nan
-        values = entry.buffer.to_list()
+        values = entry.buffer
         return sum((v - center) ** degree for v in values) / len(values)
 
     @property
@@ -102,7 +104,7 @@ class WindowStat:
     def export_state(self) -> dict[str, list[float]]:
         """Window contents per key, oldest first (JSON-ready)."""
         return {
-            key: entry.buffer.to_list()
+            key: list(entry.buffer)
             for key, entry in sorted(self._keys.items())
         }
 

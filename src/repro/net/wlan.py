@@ -169,10 +169,8 @@ class _Degradation:
 class WlanMedium(Medium):
     """Single-channel shared medium over a simulation kernel.
 
-    ``rng`` may be a plain :class:`random.Random` (legacy: one stream
-    drives jitter, loss and bursts alike) or an
-    :class:`~repro.util.rng.RngRegistry`, in which case jitter, i.i.d.
-    loss and burst transitions draw from independent named streams — so a
+    Jitter, i.i.d. loss and burst transitions draw from independent named
+    streams of the :class:`~repro.util.rng.RngRegistry` ``rng`` — so a
     chaos schedule added to an experiment never perturbs the jitter draws
     of the baseline run. When omitted, streams are derived from seed 0 via
     :func:`repro.util.rng.derive_seed` (never a bare ``random.Random(0)``).
@@ -182,7 +180,7 @@ class WlanMedium(Medium):
         self,
         kernel: SimKernel,
         config: WlanConfig | None = None,
-        rng: random.Random | RngRegistry | None = None,
+        rng: RngRegistry | None = None,
         tracer: Tracer | None = None,
         runtime: "Runtime | None" = None,
     ) -> None:
@@ -191,12 +189,9 @@ class WlanMedium(Medium):
         self.config = (config or WlanConfig()).validate()
         if rng is None:
             rng = RngRegistry(0).fork("wlan")
-        if isinstance(rng, RngRegistry):
-            self._jitter_rng = rng.stream("wlan.jitter")
-            self._loss_rng = rng.stream("wlan.loss")
-            self._burst_rng = rng.stream("wlan.burst")
-        else:  # single legacy stream
-            self._jitter_rng = self._loss_rng = self._burst_rng = rng
+        self._jitter_rng = rng.stream("wlan.jitter")
+        self._loss_rng = rng.stream("wlan.loss")
+        self._burst_rng = rng.stream("wlan.burst")
         self._tracer = tracer
         self._channel_free_at = 0.0
         self.frames_transmitted = 0

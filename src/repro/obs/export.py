@@ -83,7 +83,7 @@ def prometheus_text(registry: MetricsRegistry) -> str:
         else:  # histogram -> summary
             declare(name, "summary")
             stats = instrument.stats
-            values = instrument.quantiles(*_QUANTILES) if stats.count else _ZEROS
+            values = instrument.percentiles(*_QUANTILES) if stats.count else _ZEROS
             for q, value in zip(_QUANTILES, values):
                 quantile_label = f'quantile="{q / 100}"'
                 lines.append(
@@ -146,7 +146,7 @@ def otlp_json(
             )
         else:
             stats = instrument.stats
-            values = instrument.quantiles(*_QUANTILES) if stats.count else _ZEROS
+            values = instrument.percentiles(*_QUANTILES) if stats.count else _ZEROS
             metrics.append(
                 {
                     "name": name,

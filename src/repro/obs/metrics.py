@@ -1,4 +1,9 @@
-"""Metrics registry: counters, gauges and histograms over ``util.stats``.
+"""Metrics registry: counters, gauges and histograms.
+
+A histogram is a :class:`~repro.util.stats.LatencyRecorder` capped at
+:data:`HISTOGRAM_MAX_SAMPLES` samples — the same store the offline
+recorders use unbounded, so a registry quantile is computed exactly as a
+``repro trace --summary`` one is until the cap forces decimation.
 
 Instruments are identified by a name plus sorted ``key=value`` labels
 (``operator.latency_s{node=module-e,operator=train}``), so per-node and
@@ -18,12 +23,12 @@ from __future__ import annotations
 import warnings
 from typing import Any, Callable
 
-from repro.util.stats import RunningStats, percentiles
+from repro.util.stats import LatencyRecorder
 
 __all__ = [
     "Counter",
     "Gauge",
-    "HistogramMetric",
+    "HISTOGRAM_MAX_SAMPLES",
     "MetricsRegistry",
     "metric_key",
     "parse_metric_key",
@@ -32,6 +37,11 @@ __all__ = [
 #: Characters that would make a label value ambiguous inside the
 #: ``name{k=v,...}`` syntax, escaped with a backslash on the way in.
 _ESCAPED = ("\\", ",", "=", "{", "}")
+
+#: Samples a registry histogram stores before 2:1 decimation kicks in;
+#: the short experiment runs here never reach it, so their quantiles are
+#: exact, while a long-lived device's memory stays bounded.
+HISTOGRAM_MAX_SAMPLES = 8192
 
 
 def _escape(value: str) -> str:
@@ -132,49 +142,6 @@ class Gauge:
         return self._value
 
 
-class HistogramMetric:
-    """Streaming distribution (Welford) plus bounded quantile samples.
-
-    Welford statistics (count/mean/min/max) are exact. Quantiles come
-    from a deterministic strided sample buffer: every ``_stride``-th
-    observation is kept, and when the buffer exceeds its cap it is
-    decimated 2:1 and the stride doubled — memory stays bounded on a
-    constrained device, the retained subsequence is a pure function of
-    the observation sequence (no RNG), and for the short experiment runs
-    here the buffer never fills, so quantiles are exact in practice.
-    """
-
-    __slots__ = ("key", "stats", "_samples", "_stride", "_seen")
-
-    #: Sample buffer cap before 2:1 decimation kicks in.
-    MAX_SAMPLES = 8192
-
-    def __init__(self, key: str) -> None:
-        self.key = key
-        self.stats = RunningStats()
-        self._samples: list[float] = []
-        self._stride = 1
-        self._seen = 0
-
-    def observe(self, value: float) -> None:
-        self.stats.add(value)
-        self._seen += 1
-        if self._seen % self._stride:
-            return
-        self._samples.append(value)
-        if len(self._samples) > self.MAX_SAMPLES:
-            self._samples = self._samples[1::2]
-            self._stride *= 2
-
-    def quantile(self, q: float) -> float:
-        """The ``q``-th percentile of the (possibly decimated) samples."""
-        return self.quantiles(q)[0]
-
-    def quantiles(self, *qs: float) -> list[float]:
-        """Several percentiles from one sort of the sample buffer."""
-        return percentiles(self._samples, qs)
-
-
 class MetricsRegistry:
     """Get-or-create home for every instrument in one runtime.
 
@@ -194,7 +161,7 @@ class MetricsRegistry:
     def __init__(self, max_series: int | None = DEFAULT_MAX_SERIES) -> None:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, HistogramMetric] = {}
+        self._histograms: dict[str, LatencyRecorder] = {}
         self.max_series = max_series
         self.dropped_series = 0
         self.first_dropped_key: str | None = None
@@ -240,11 +207,11 @@ class MetricsRegistry:
             instrument.fn = fn  # re-bind after a node restart
         return instrument
 
-    def histogram(self, name: str, **labels: str) -> HistogramMetric:
+    def histogram(self, name: str, **labels: str) -> LatencyRecorder:
         key = metric_key(name, labels)
         instrument = self._histograms.get(key)
         if instrument is None:
-            instrument = HistogramMetric(key)
+            instrument = LatencyRecorder(key, HISTOGRAM_MAX_SAMPLES)
             if self._admit(key):
                 self._histograms[key] = instrument
         return instrument
@@ -290,7 +257,7 @@ class MetricsRegistry:
             if stats.count == 0:
                 out[key] = {"count": 0}
             else:
-                p50, p95, p99 = histogram.quantiles(50, 95, 99)
+                p50, p95, p99 = histogram.percentiles(50, 95, 99)
                 out[key] = {
                     "count": stats.count,
                     "mean": round(stats.mean, 9),

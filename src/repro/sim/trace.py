@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
+from repro.errors import SerializationError
+
 __all__ = ["TraceRecord", "Tracer", "render_record", "trace_digest"]
 
 
@@ -158,25 +160,42 @@ class Tracer:
     def from_jsonl(cls, path: str | Path) -> "Tracer":
         """Rebuild a tracer from a :meth:`to_jsonl` dump.
 
-        Also reads the legacy flat format (fields merged into the top-level
-        object), which cannot distinguish tuples from lists.
+        Raises :class:`~repro.errors.SerializationError` naming the file
+        and line of the first line that is not a ``to_jsonl`` record.
         """
         tracer = cls()
         with Path(path).open("r", encoding="utf-8") as fh:
-            for line in fh:
+            for number, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                data = json.loads(line)
-                time = data.pop("t")
-                source = data.pop("src")
-                event = data.pop("ev")
-                if "f" in data and isinstance(data["f"], dict) and len(data) == 1:
-                    fields = {k: _decode_field(v) for k, v in data["f"].items()}
-                else:
-                    fields = data  # legacy flat format
-                tracer.emit(time, source, event, **fields)
+                try:
+                    data = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise SerializationError(
+                        f"{path}:{number}: invalid JSON: {exc}"
+                    ) from None
+                if not _is_record(data):
+                    raise SerializationError(
+                        f"{path}:{number}: not a trace record; expected "
+                        '{"t": number, "src": str, "ev": str, "f": object}'
+                    )
+                fields = {k: _decode_field(v) for k, v in data["f"].items()}
+                tracer.emit(data["t"], data["src"], data["ev"], **fields)
         return tracer
+
+
+def _is_record(data: Any) -> bool:
+    """Is ``data`` one :meth:`Tracer.to_jsonl` line, decoded?"""
+    return (
+        isinstance(data, dict)
+        and data.keys() == {"t", "src", "ev", "f"}
+        and isinstance(data["t"], (int, float))
+        and not isinstance(data["t"], bool)
+        and isinstance(data["src"], str)
+        and isinstance(data["ev"], str)
+        and isinstance(data["f"], dict)
+    )
 
 
 #: Tag marking an encoded tuple; chosen to be implausible as a real key.

@@ -7,9 +7,8 @@ ids
 rng
     Named, seeded random streams so every experiment is replayable.
 stats
-    Streaming statistics (Welford mean/variance, percentiles).
-ringbuffer
-    Fixed-capacity ring buffer for bounded stream windows.
+    Streaming statistics (Welford mean/variance) and the one sample store
+    behind every percentile, exact or bounded.
 serialization
     Compact, dependency-free payload encoding for flow records.
 validate
@@ -17,7 +16,6 @@ validate
 """
 
 from repro.util.ids import IdGenerator
-from repro.util.ringbuffer import RingBuffer
 from repro.util.rng import RngRegistry, derive_seed
 from repro.util.stats import LatencyRecorder, RunningStats
 from repro.util.serialization import (
@@ -29,7 +27,6 @@ from repro.util.serialization import (
 __all__ = [
     "IdGenerator",
     "LatencyRecorder",
-    "RingBuffer",
     "RngRegistry",
     "RunningStats",
     "decode_payload",

@@ -2,7 +2,7 @@
 
 The simulator must be fully replayable, so identifiers are sequential per
 namespace rather than random UUIDs. ``IdGenerator`` hands out ids like
-``node-0``, ``node-1``, ``msg-0`` ... and can be reset between experiments.
+``node-0``, ``node-1``, ``msg-0`` ...; each runtime owns one.
 """
 
 from __future__ import annotations
@@ -36,14 +36,3 @@ class IdGenerator:
         value = self._counters[namespace]
         self._counters[namespace] = value + 1
         return value
-
-    def peek(self, namespace: str) -> int:
-        """Return the value the next ``next_int`` call would produce."""
-        return self._counters[namespace]
-
-    def reset(self, namespace: str | None = None) -> None:
-        """Reset one namespace, or all of them when ``namespace`` is None."""
-        if namespace is None:
-            self._counters.clear()
-        else:
-            self._counters.pop(namespace, None)

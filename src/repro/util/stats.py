@@ -1,9 +1,11 @@
 """Streaming statistics used by the benchmark harness and the middleware.
 
 ``RunningStats`` implements Welford's numerically stable online mean/variance.
-``LatencyRecorder`` keeps the raw samples (experiments are small enough) and
-reports the average/max columns used in the paper's Tables II and III, plus
-percentiles for the supplementary benches.
+``LatencyRecorder`` is the one sample store behind every quantile: the
+harness's Tables II and III columns, the stage breakdown, and the metrics
+registry's histograms. Its Welford statistics are always exact; its
+percentiles are exact until the store passes its ``cap`` (unbounded by
+default), after which it decimates deterministically so memory stays bounded.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ def percentiles(samples: list[float], qs: tuple[float, ...]) -> list[float]:
 
     Each ``q`` is in [0, 100], linearly interpolated; the samples may be
     in any order; NaN for an empty list. The one quantile routine behind
-    :class:`LatencyRecorder` and the metrics layer's histograms.
+    :class:`LatencyRecorder`, which is also the metrics layer's histogram.
     """
     if not samples:
         return [math.nan] * len(qs)
@@ -111,20 +113,37 @@ class RunningStats:
 class LatencyRecorder:
     """Collects latency samples and reports paper-style summary rows.
 
-    Samples are stored raw so exact percentiles can be computed. All values
-    are in the unit the caller uses (the harness uses milliseconds to match
-    the paper's tables).
+    ``stats`` (count/mean/min/max/stddev) is exact. Percentiles come from
+    the stored samples: every one of them while the store is below
+    ``cap``; past it, the store is decimated 2:1 and from then on only
+    every ``stride``-th sample is kept, the stride doubling at each
+    decimation. The retained subsequence is a pure function of the sample
+    sequence (no RNG), so a bounded recorder's quantiles are as
+    replayable as an exact one's, and bit-identical to them below the
+    cap. All values are in the unit the caller uses (the harness uses
+    milliseconds to match the paper's tables).
     """
 
-    def __init__(self, name: str = "") -> None:
+    __slots__ = ("name", "cap", "stats", "_samples", "_stride")
+
+    def __init__(self, name: str = "", cap: float = math.inf) -> None:
         self.name = name
+        self.cap = cap
+        self.stats = RunningStats()
         self._samples: list[float] = []
-        self._stats = RunningStats()
+        self._stride = 1
 
     def add(self, value: float) -> None:
         """Record one latency sample."""
-        self._samples.append(value)
-        self._stats.add(value)
+        stats = self.stats
+        stats.add(value)
+        if stats.count % self._stride:
+            return
+        samples = self._samples
+        samples.append(value)
+        if len(samples) > self.cap:
+            self._samples = samples[1::2]
+            self._stride *= 2
 
     def extend(self, values: list[float]) -> None:
         for value in values:
@@ -132,36 +151,40 @@ class LatencyRecorder:
 
     @property
     def count(self) -> int:
-        return self._stats.count
+        return self.stats.count
 
     @property
     def average(self) -> float:
-        return self._stats.mean
+        return self.stats.mean
 
     @property
     def maximum(self) -> float:
-        return self._stats.maximum
+        return self.stats.maximum
 
     @property
     def minimum(self) -> float:
-        return self._stats.minimum
+        return self.stats.minimum
 
     @property
     def stddev(self) -> float:
-        return self._stats.stddev
+        return self.stats.stddev
 
     @property
     def samples(self) -> list[float]:
-        """A copy of the raw samples in arrival order."""
+        """A copy of the stored samples in arrival order."""
         return list(self._samples)
 
     def percentile(self, q: float) -> float:
         """Return the ``q``-th percentile (0 <= q <= 100, linear interp)."""
         return percentile(self._samples, q)
 
+    def percentiles(self, *qs: float) -> list[float]:
+        """Several percentiles from one sort of the stored samples."""
+        return percentiles(self._samples, qs)
+
     def summary(self) -> dict[str, float]:
         """Summary dict with the columns used across EXPERIMENTS.md."""
-        p50, p95, p99 = percentiles(self._samples, (50, 95, 99))
+        p50, p95, p99 = self.percentiles(50, 95, 99)
         return {
             "count": float(self.count),
             "avg": self.average,

@@ -88,3 +88,19 @@ def test_spanless_trace_exits_one(tmp_path, capsys):
 def test_missing_input_exits_two(capsys):
     assert main(["trace", "--input", "/nonexistent/trace.jsonl"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ['{"x": 1}', "[1,2]"], ids=["missing-key", "non-object"])
+@pytest.mark.parametrize(
+    "command",
+    [["trace", "--input"], ["lint", "--recipe", "fig5", "--deadline", "--validate"]],
+    ids=["trace", "lint"],
+)
+def test_malformed_dump_exits_one_without_traceback(tmp_path, capsys, command, line):
+    path = tmp_path / "f.jsonl"
+    path.write_text(line + "\n")
+    assert main([*command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{path}:1" in err
+    assert "Traceback" not in err

@@ -4,6 +4,7 @@ from repro.errors import ConfigurationError
 from repro.net.address import Address
 from repro.net.wlan import WlanConfig, WlanMedium
 from repro.sim.kernel import SimKernel
+from repro.util.rng import RngRegistry
 
 
 def make_wlan(**config) -> tuple[SimKernel, WlanMedium]:
@@ -105,14 +106,12 @@ def test_config_validation():
 
 
 def test_jitter_is_deterministic_per_seed():
-    import random
-
     def run(seed):
         kernel = SimKernel()
         wlan = WlanMedium(
             kernel,
             config=WlanConfig(jitter_s=1e-3, propagation_delay_s=0.0),
-            rng=random.Random(seed),
+            rng=RngRegistry(seed).fork("wlan"),
         )
         a = wlan.attach("a")
         b = wlan.attach("b")
@@ -128,13 +127,11 @@ def test_jitter_is_deterministic_per_seed():
 
 class TestInterference:
     def test_window_drops_frames_then_heals(self):
-        import random as _random
-
         kernel = SimKernel()
         wlan = WlanMedium(
             kernel,
             config=WlanConfig(jitter_s=0.0, propagation_delay_s=0.0),
-            rng=_random.Random(0),
+            rng=RngRegistry(0).fork("wlan"),
         )
         wlan.schedule_interference(start=1.0, duration=1.0, loss_rate=1.0)
         a = wlan.attach("a")

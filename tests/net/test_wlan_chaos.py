@@ -1,7 +1,5 @@
 """WLAN chaos features: partitions, link degradation, bursty loss."""
 
-import random
-
 import pytest
 
 from repro.net.address import Address
@@ -189,15 +187,3 @@ class TestRngSeam:
 
         assert run(4) == run(4)
         assert run(4) != run(5)
-
-    def test_legacy_random_instance_still_accepted(self):
-        kernel = SimKernel()
-        wlan = WlanMedium(
-            kernel, config=WlanConfig(loss_rate=0.5), rng=random.Random(0)
-        )
-        a, b = wire(wlan, "a", "b")
-        b.bind("s", lambda src, data: None)
-        for _ in range(10):
-            a.send("c", Address("b", "s"), b"x")
-        kernel.run()
-        assert wlan.frames_transmitted == 10

@@ -23,7 +23,7 @@ def _sample_registry() -> MetricsRegistry:
     registry.gauge("queue.depth", node="n1").set(7)
     hist = registry.histogram("op.latency_s", op="train")
     for v in (0.010, 0.020, 0.030):
-        hist.observe(v)
+        hist.add(v)
     return registry
 
 

@@ -10,7 +10,7 @@ from repro.obs import (
     metric_key,
     parse_metric_key,
 )
-from repro.obs.metrics import HistogramMetric
+from repro.obs.metrics import HISTOGRAM_MAX_SAMPLES
 from repro.obs.state import METRICS_EVENT
 from repro.runtime.sim import SimRuntime
 
@@ -89,7 +89,7 @@ def test_histogram_welford():
     registry = MetricsRegistry()
     hist = registry.histogram("lat", node="n1")
     for v in (1.0, 2.0, 3.0):
-        hist.observe(v)
+        hist.add(v)
     snap = registry.snapshot()
     assert snap["lat{node=n1}"] == {
         "count": 3,
@@ -103,31 +103,31 @@ def test_histogram_welford():
 
 
 def test_histogram_quantiles_exact_until_decimation():
-    hist = HistogramMetric("h")
+    hist = MetricsRegistry().histogram("h")
     for value in range(1, 101):
-        hist.observe(float(value))
-    assert hist.quantile(50) == pytest.approx(50.5)
-    assert hist.quantile(95) == pytest.approx(95.05)
-    assert hist.quantile(0) == 1.0
-    assert hist.quantile(100) == 100.0
+        hist.add(float(value))
+    assert hist.percentile(50) == pytest.approx(50.5)
+    assert hist.percentile(95) == pytest.approx(95.05)
+    assert hist.percentile(0) == 1.0
+    assert hist.percentile(100) == 100.0
 
 
 def test_histogram_decimation_is_deterministic_and_bounded():
     def fill(n):
-        hist = HistogramMetric("h")
+        hist = MetricsRegistry().histogram("h")
         for value in range(n):
-            hist.observe(float(value))
+            hist.add(float(value))
         return hist
 
-    n = HistogramMetric.MAX_SAMPLES * 3
+    n = HISTOGRAM_MAX_SAMPLES * 3
     first, second = fill(n), fill(n)
-    assert first._samples == second._samples  # pure function of the sequence
-    assert len(first._samples) <= HistogramMetric.MAX_SAMPLES
+    assert first.samples == second.samples  # pure function of the sequence
+    assert len(first.samples) <= HISTOGRAM_MAX_SAMPLES
     assert first._stride > 1
     # Welford stays exact regardless of decimation.
     assert first.stats.count == n
     # Quantiles remain close on the decimated reservoir.
-    assert first.quantile(50) == pytest.approx(n / 2, rel=0.01)
+    assert first.percentile(50) == pytest.approx(n / 2, rel=0.01)
 
 
 def test_snapshot_is_flat_and_sorted():

@@ -6,33 +6,7 @@ import struct
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.ringbuffer import RingBuffer
 from repro.util.stats import LatencyRecorder, RunningStats
-
-
-@given(
-    capacity=st.integers(min_value=1, max_value=64),
-    items=st.lists(st.integers(), max_size=200),
-)
-def test_ringbuffer_equals_list_suffix(capacity, items):
-    """A ring buffer always holds exactly the last `capacity` items."""
-    buf = RingBuffer(capacity)
-    for item in items:
-        buf.append(item)
-    assert buf.to_list() == items[-capacity:]
-    assert len(buf) == min(capacity, len(items))
-
-
-@given(
-    capacity=st.integers(min_value=1, max_value=16),
-    items=st.lists(st.integers(), min_size=1, max_size=100),
-)
-def test_ringbuffer_eviction_returns_displaced(capacity, items):
-    buf = RingBuffer(capacity)
-    evicted = [e for e in (buf.append(i) for i in items) if e is not None]
-    expected_evictions = max(0, len(items) - capacity)
-    assert len(evicted) == expected_evictions
-    assert evicted == items[:expected_evictions]
 
 
 finite_floats = st.floats(
@@ -82,8 +56,9 @@ def _reference_percentile(samples: list[float], q: float) -> float:
 def test_sort_once_percentiles_are_bit_identical_to_one_at_a_time(values, qs):
     """Golden ``obs.metrics`` records and ``/metrics.json`` depend on it:
     the multi-quantile path returns the very floats the three separate
-    sorts did, infinities and signed zeros included."""
-    from repro.obs.metrics import HistogramMetric
+    sorts did, infinities and signed zeros included, and a registry
+    histogram below its cap answers exactly as an unbounded recorder."""
+    from repro.obs.metrics import MetricsRegistry
     from repro.util.stats import percentile, percentiles
 
     def bits(x: float) -> bytes:
@@ -94,14 +69,13 @@ def test_sort_once_percentiles_are_bit_identical_to_one_at_a_time(values, qs):
         bits(_reference_percentile(values, q)) for q in qs
     ]
     assert [bits(percentile(values, q)) for q in qs] == [bits(x) for x in got]
-    histogram = HistogramMetric("h")
-    for value in values:
-        histogram.observe(value)
-    assert [bits(x) for x in histogram.quantiles(*qs)] == [
-        bits(histogram.quantile(q)) for q in qs
-    ]
+    histogram = MetricsRegistry().histogram("h")
+    histogram.extend(values)
     rec = LatencyRecorder()
     rec.extend(values)
+    assert [bits(x) for x in histogram.percentiles(*qs)] == [
+        bits(rec.percentile(q)) for q in qs
+    ]
     summary = rec.summary()
     assert [bits(summary[k]) for k in ("p50", "p95", "p99")] == [
         bits(rec.percentile(q)) for q in (50, 95, 99)

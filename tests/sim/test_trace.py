@@ -1,3 +1,6 @@
+import pytest
+
+from repro.errors import SerializationError
 from repro.sim.trace import Tracer
 
 
@@ -89,3 +92,20 @@ def test_jsonl_empty(tmp_path):
     path = tmp_path / "trace.jsonl"
     assert t.to_jsonl(path) == 0
     assert len(Tracer.from_jsonl(path)) == 0
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"t": 1.0, "src": "a", "ev": "e", "value": 1}',  # flat, no "f"
+        '{"x": 1}',  # missing keys
+        "[1, 2]",  # not an object
+        '{"t": 1.0, "src": "a", "ev": "e", "f": [1]}',  # fields not an object
+    ],
+    ids=["flat", "missing-key", "non-object", "non-object-fields"],
+)
+def test_jsonl_malformed_line_names_file_and_line(tmp_path, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"t": 0.0, "src": "a", "ev": "e", "f": {}}\n' + line + "\n")
+    with pytest.raises(SerializationError, match=r"bad\.jsonl:2: not a trace record"):
+        Tracer.from_jsonl(path)

@@ -9,27 +9,8 @@ def test_sequential_per_namespace():
     assert gen.next("node") == "node-2"
 
 
-def test_next_int_and_peek():
+def test_next_int():
     gen = IdGenerator()
-    assert gen.peek("x") == 0
     assert gen.next_int("x") == 0
     assert gen.next_int("x") == 1
-    assert gen.peek("x") == 2
-
-
-def test_reset_single_namespace():
-    gen = IdGenerator()
-    gen.next("a")
-    gen.next("b")
-    gen.reset("a")
-    assert gen.next("a") == "a-0"
-    assert gen.next("b") == "b-1"
-
-
-def test_reset_all():
-    gen = IdGenerator()
-    gen.next("a")
-    gen.next("b")
-    gen.reset()
-    assert gen.next("a") == "a-0"
-    assert gen.next("b") == "b-0"
+    assert gen.next("x") == "x-2"
