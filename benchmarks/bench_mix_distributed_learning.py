@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 
-from repro.ml.linear import make_learner
+from repro.ml.linear import PassiveAggressive
 from repro.ml.mix import MixCoordinator, MixParticipantState, average_diffs
 
 
@@ -48,12 +48,12 @@ def accuracy(learner, seed: int = 999, n: int = 500) -> float:
 
 def run_mix_training(with_mix: bool):
     draw = make_stream(7)
-    learners = [make_learner("pa1") for _ in range(LEARNERS)]
+    learners = [PassiveAggressive() for _ in range(LEARNERS)]
     participants = [
         MixParticipantState(f"p{i}", learner) for i, learner in enumerate(learners)
     ]
     coordinator = MixCoordinator()
-    centralized = make_learner("pa1")
+    centralized = PassiveAggressive()
     for _round in range(ROUNDS):
         for i in range(SAMPLES_PER_ROUND):
             features, label = draw()

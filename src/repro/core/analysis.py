@@ -78,20 +78,14 @@ class LearningClass(StreamOperator):
 
     @classmethod
     def payload_effect(cls, params: dict[str, Any]) -> PayloadEffect:
-        kind = str(params.get("model", "classifier"))
         reads_any: tuple[str, ...] = ()
-        if kind in ("classifier", "knn", "tree"):
+        if str(params.get("model", "classifier")) == "classifier":
             reads_any = (str(params.get("label_key", "label")),)
-        elif kind == "regression":
-            reads_any = (str(params.get("target_key", "target")),)
         # Training-info attributes forwarded when emit_info is on; a
         # may-produce union over the model kinds' train() outcomes.
         return PayloadEffect(
             reads_any=reads_any,
-            adds_attrs=(
-                "trained", "updated", "label", "reason", "score", "cluster",
-                "grew",
-            ),
+            adds_attrs=("trained", "updated", "label", "reason", "score"),
         )
 
     def configure(self) -> None:
@@ -217,7 +211,7 @@ class JudgingClass(StreamOperator):
         each snapshot (the Fig. 9 predict path).
     ``train_on_stream``
         Self-contained mode: the judge also feeds every record to the
-        model (anomaly and cluster models typically run this way).
+        model (anomaly models typically run this way).
 
     Records judged before any model is available pass through with
     ``judged: False`` so downstream operators can tell silence from
@@ -230,11 +224,7 @@ class JudgingClass(StreamOperator):
     #: judge() output keys per model kind (see repro.core.models).
     _JUDGE_ATTRS = {
         "classifier": ("label", "margin"),
-        "regression": ("prediction",),
         "anomaly": ("score", "anomalous"),
-        "cluster": ("cluster", "distance"),
-        "knn": ("label", "votes"),
-        "tree": ("label", "confidence"),
     }
 
     @classmethod

@@ -58,7 +58,7 @@ from repro.core.node import NeuronModule
 from repro.core.operators import StreamOperator
 from repro.core.recipe import Recipe
 from repro.core.splitter import RecipeSplit, SubTask
-from repro.errors import AssignmentError, DeploymentError, StaticCheckError
+from repro.errors import AssignmentError, DeploymentError, RecipeError, StaticCheckError
 from repro.util.validate import Diagnostic, Severity
 from repro.mqtt.packets import Packet
 from repro.runtime.component import Component
@@ -281,7 +281,7 @@ class ModuleAgent(Component):
             return
         try:
             self.module.deploy(application, subtask)
-        except DeploymentError as exc:
+        except (DeploymentError, RecipeError) as exc:
             self.trace("agent.deploy_failed", subtask=subtask.subtask_id, error=str(exc))
             if not adopting:  # a plain redeploy: the handoff here was aborted
                 self._end_handoffs(application, subtask.subtask_id)

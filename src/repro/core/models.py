@@ -3,8 +3,10 @@
 LearningClass and JudgingClass are model-agnostic; a :class:`FlowModel`
 adapts one of the online learners to the two verbs the analysis mechanism
 needs — ``train(record)`` and ``judge(record)`` — and declares whether it
-can take part in MIX. Models are built from recipe params via
-:func:`build_flow_model`, so recipes stay declarative.
+can take part in MIX. Two kinds ship, the two the applications use: the
+PA-I ``classifier`` and the robust z-score ``anomaly`` detector. Models
+are built from recipe params via :func:`build_flow_model`, so recipes stay
+declarative.
 """
 
 from __future__ import annotations
@@ -14,13 +16,9 @@ from typing import Any
 
 from repro.core.flow import FlowRecord
 from repro.errors import ModelError, RecipeError
-from repro.ml.anomaly import LofLite, RobustZScore
+from repro.ml.anomaly import RobustZScore
 from repro.ml.classifier import OnlineClassifier
-from repro.ml.clustering import OnlineKMeans
 from repro.ml.features import Datum
-from repro.ml.neighbors import NearestNeighbors
-from repro.ml.regression import PARegression
-from repro.ml.tree import HoeffdingTreeClassifier
 
 __all__ = ["FlowModel", "build_flow_model"]
 
@@ -62,40 +60,32 @@ class FlowModel(ABC):
         raise ModelError(f"{type(self).__name__} does not support snapshots")
 
 
-def _strip_keys(datum: Datum, keys: set[str]) -> Datum:
-    """Datum without the given keys (labels must not leak into features)."""
-    return Datum(
-        string_values={k: v for k, v in datum.string_values.items() if k not in keys},
-        num_values={k: v for k, v in datum.num_values.items() if k not in keys},
-    )
-
-
 class ClassifierFlowModel(FlowModel):
-    """Multiclass classification; the label rides in the datum or the
+    """Multiclass PA-I classification; the label rides in the datum or the
     record attributes under ``label_key``."""
 
     mixable = True
 
-    def __init__(
-        self, label_key: str = "label", algorithm: str = "pa1", **params: Any
-    ) -> None:
+    def __init__(self, label_key: str = "label") -> None:
         self.label_key = label_key
-        self.classifier = OnlineClassifier(algorithm=algorithm, **params)
+        self.classifier = OnlineClassifier()
 
     def _features_datum(self, record: FlowRecord) -> Datum:
-        return _strip_keys(record.datum, {self.label_key})
+        """The datum without the label (it must not leak into features)."""
+        datum, key = record.datum, self.label_key
+        return Datum(
+            string_values={k: v for k, v in datum.string_values.items() if k != key},
+            num_values={k: v for k, v in datum.num_values.items() if k != key},
+        )
 
-    def _label_of(self, record: FlowRecord) -> str | None:
+    def true_label(self, record: FlowRecord) -> str | None:
         label = record.datum.string_values.get(self.label_key)
         if label is None:
             label = record.attributes.get(self.label_key)
         return str(label) if label is not None else None
 
-    def true_label(self, record: FlowRecord) -> str | None:
-        return self._label_of(record)
-
     def train(self, record: FlowRecord) -> dict[str, Any]:
-        label = self._label_of(record)
+        label = self.true_label(record)
         if label is None:
             return {"trained": False, "reason": "no-label"}
         updated = self.classifier.train(self._features_datum(record), label)
@@ -119,76 +109,19 @@ class ClassifierFlowModel(FlowModel):
         self.classifier.load_state(state)
 
 
-class RegressionFlowModel(FlowModel):
-    """PA regression; the target rides under ``target_key``."""
-
-    mixable = True
-
-    def __init__(
-        self, target_key: str = "target", c: float = 1.0, epsilon: float = 0.1
-    ) -> None:
-        self.target_key = target_key
-        self.regressor = PARegression(c=c, epsilon=epsilon)
-        self._trained = 0
-
-    def _features_datum(self, record: FlowRecord) -> Datum:
-        return _strip_keys(record.datum, {self.target_key})
-
-    def train(self, record: FlowRecord) -> dict[str, Any]:
-        target = record.datum.num_values.get(self.target_key)
-        if target is None:
-            target = record.attributes.get(self.target_key)
-        if target is None:
-            return {"trained": False, "reason": "no-target"}
-        updated = self.regressor.train(self._features_datum(record), float(target))
-        self._trained += 1
-        return {"trained": True, "updated": updated}
-
-    def judge(self, record: FlowRecord) -> dict[str, Any]:
-        return {"prediction": self.regressor.predict(self._features_datum(record))}
-
-    @property
-    def ready(self) -> bool:
-        return self._trained > 0
-
-    def mix_model(self) -> Any:
-        return self.regressor
-
-    def export_state(self) -> dict[str, Any]:
-        return self.regressor.to_state()
-
-    def import_state(self, state: dict[str, Any]) -> None:
-        self.regressor.load_state(state)
-        if self.regressor.examples_seen > 0:
-            self._trained = max(self._trained, 1)
-
-
 class AnomalyFlowModel(FlowModel):
-    """Streaming anomaly scoring. Judging both scores *and* learns (the
-    detector adapts to the live stream), so a single 'anomaly' task covers
-    the Fig. 5 'Anomaly detection' nodes."""
+    """Streaming robust z-score anomaly scoring. Judging both scores *and*
+    learns (the detector adapts to the live stream), so a single 'anomaly'
+    task covers the Fig. 5 'Anomaly detection' nodes. ``detector`` names
+    the one detector there is; recipes may set it."""
 
     def __init__(
-        self,
-        detector: str = "zscore",
-        threshold: float = 4.0,
-        learn_on_judge: bool = True,
-        **params: Any,
+        self, detector: str = "zscore", threshold: float = 4.0, min_samples: int = 10
     ) -> None:
-        if detector == "zscore":
-            self.detector: Any = RobustZScore(
-                min_samples=int(params.pop("min_samples", 10))
-            )
-        elif detector == "lof":
-            self.detector = LofLite(
-                k=int(params.pop("k", 5)), window=int(params.pop("window", 256))
-            )
-        else:
-            raise RecipeError(f"unknown anomaly detector {detector!r}")
-        if params:
-            raise RecipeError(f"unknown anomaly params {sorted(params)}")
+        if detector != "zscore":
+            raise RecipeError(f"unknown anomaly detector {detector!r} (only 'zscore')")
+        self.detector = RobustZScore(min_samples=int(min_samples))
         self.threshold = threshold
-        self.learn_on_judge = learn_on_judge
         self._seen = 0
 
     def train(self, record: FlowRecord) -> dict[str, Any]:
@@ -197,11 +130,7 @@ class AnomalyFlowModel(FlowModel):
         return {"trained": True, "score": score}
 
     def judge(self, record: FlowRecord) -> dict[str, Any]:
-        if self.learn_on_judge:
-            score = self.detector.add(record.datum)
-            self._seen += 1
-        else:
-            score = self.detector.calc_score(record.datum)
+        score = self.train(record)["score"]
         return {"score": score, "anomalous": bool(score > self.threshold)}
 
     @property
@@ -209,148 +138,17 @@ class AnomalyFlowModel(FlowModel):
         return self._seen > 0
 
 
-class ClusterFlowModel(FlowModel):
-    """Online k-means; judging assigns the nearest cluster."""
-
-    def __init__(self, k: int = 3, decay: float = 1.0) -> None:
-        self.kmeans = OnlineKMeans(k=k, decay=decay)
-
-    def train(self, record: FlowRecord) -> dict[str, Any]:
-        cluster = self.kmeans.push(record.datum)
-        return {"trained": True, "cluster": cluster}
-
-    def judge(self, record: FlowRecord) -> dict[str, Any]:
-        index, distance = self.kmeans.nearest(record.datum)
-        return {"cluster": index, "distance": distance}
-
-    @property
-    def ready(self) -> bool:
-        return self.kmeans.cluster_count > 0
-
-    def export_state(self) -> dict[str, Any]:
-        return self.kmeans.to_state()
-
-    def import_state(self, state: dict[str, Any]) -> None:
-        self.kmeans.load_state(state)
-
-
-class KnnFlowModel(FlowModel):
-    """k-NN over a bounded window of recent labelled records.
-
-    Each trained record becomes a row keyed by its sample id; judging
-    takes a majority vote among the ``k`` nearest rows. Useful where a
-    linear boundary underfits and the recent past is the best model.
-    """
-
-    def __init__(
-        self,
-        label_key: str = "label",
-        k: int = 5,
-        window: int = 512,
-        metric: str = "euclidean",
-    ) -> None:
-        self.label_key = label_key
-        self.k = k
-        self.index = NearestNeighbors(window=window, metric=metric)
-        self._labelled = 0
-
-    def _features_datum(self, record: FlowRecord) -> Datum:
-        return _strip_keys(record.datum, {self.label_key})
-
-    def true_label(self, record: FlowRecord) -> str | None:
-        label = record.datum.string_values.get(self.label_key)
-        if label is None:
-            label = record.attributes.get(self.label_key)
-        return str(label) if label is not None else None
-
-    def train(self, record: FlowRecord) -> dict[str, Any]:
-        label = self.true_label(record)
-        if label is None:
-            return {"trained": False, "reason": "no-label"}
-        self.index.set_row(
-            record.sample_id, self._features_datum(record), label=label
-        )
-        self._labelled += 1
-        return {"trained": True, "label": label}
-
-    def judge(self, record: FlowRecord) -> dict[str, Any]:
-        label, votes = self.index.classify(self._features_datum(record), k=self.k)
-        return {"label": label, "votes": votes}
-
-    @property
-    def ready(self) -> bool:
-        return self._labelled > 0
-
-    def export_state(self) -> dict[str, Any]:
-        return self.index.to_state()
-
-    def import_state(self, state: dict[str, Any]) -> None:
-        self.index.load_state(state)
-        self._labelled = max(self._labelled, len(self.index))
-
-
-class TreeFlowModel(FlowModel):
-    """Hoeffding-tree classification over numeric datum values.
-
-    Handles rule-like, non-linear concepts ("occupied AND dark") that the
-    linear classifier family cannot represent. Not mixable (tree structure
-    does not average), but snapshots ship fine.
-    """
-
-    def __init__(self, label_key: str = "label", **params: Any) -> None:
-        self.label_key = label_key
-        self.tree = HoeffdingTreeClassifier(**params)
-
-    def true_label(self, record: FlowRecord) -> str | None:
-        label = record.datum.string_values.get(self.label_key)
-        if label is None:
-            label = record.attributes.get(self.label_key)
-        return str(label) if label is not None else None
-
-    def _features(self, record: FlowRecord) -> dict[str, float]:
-        return {
-            k: v
-            for k, v in record.datum.num_values.items()
-            if k != self.label_key
-        }
-
-    def train(self, record: FlowRecord) -> dict[str, Any]:
-        label = self.true_label(record)
-        if label is None:
-            return {"trained": False, "reason": "no-label"}
-        grew = self.tree.train(self._features(record), label)
-        return {"trained": True, "label": label, "grew": grew}
-
-    def judge(self, record: FlowRecord) -> dict[str, Any]:
-        label, probabilities = self.tree.classify(self._features(record))
-        return {"label": label, "confidence": probabilities.get(label, 0.0)}
-
-    @property
-    def ready(self) -> bool:
-        return self.tree.is_trained
-
-    def export_state(self) -> dict[str, Any]:
-        return self.tree.to_state()
-
-    def import_state(self, state: dict[str, Any]) -> None:
-        self.tree.load_state(state)
-
-
-_MODEL_KINDS = {
-    "classifier": ClassifierFlowModel,
-    "regression": RegressionFlowModel,
-    "anomaly": AnomalyFlowModel,
-    "cluster": ClusterFlowModel,
-    "knn": KnnFlowModel,
-    "tree": TreeFlowModel,
-}
+_MODEL_KINDS = {"classifier": ClassifierFlowModel, "anomaly": AnomalyFlowModel}
 
 
 def build_flow_model(params: dict[str, Any]) -> FlowModel:
     """Construct a flow model from recipe params.
 
-    ``params['model']`` selects the kind (classifier / regression /
-    anomaly / cluster); the rest are forwarded to that model's constructor.
+    ``params['model']`` selects the kind — ``classifier`` (the default;
+    param ``label_key``) or ``anomaly`` (params ``detector``,
+    ``threshold``, ``min_samples``); the rest are forwarded to that
+    model's constructor. Any other kind or param is a
+    :class:`~repro.errors.RecipeError` whose message lists the kinds.
     """
     config = dict(params)
     kind = config.pop("model", "classifier")
@@ -361,5 +159,7 @@ def build_flow_model(params: dict[str, Any]) -> FlowModel:
         )
     try:
         return cls(**config)
-    except TypeError as exc:
-        raise RecipeError(f"bad params for model {kind!r}: {exc}") from exc
+    except (TypeError, RecipeError) as exc:
+        raise RecipeError(
+            f"bad params for model {kind!r} (models: {sorted(_MODEL_KINDS)}): {exc}"
+        ) from exc

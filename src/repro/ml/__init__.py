@@ -7,16 +7,17 @@ uses:
 
 * :mod:`repro.ml.features` — Jubatus-style ``Datum`` (string and numeric
   key/value pairs) and feature extraction into sparse vectors;
-* :mod:`repro.ml.linear` — online multiclass linear learners: Perceptron,
-  PA, PA-I, PA-II, Confidence-Weighted and AROW;
-* :mod:`repro.ml.regression` — passive-aggressive epsilon-insensitive
-  online regression;
-* :mod:`repro.ml.anomaly` — streaming anomaly detection (robust z-score and
-  a ring-buffer k-NN LOF-lite, like Jubatus ``anomaly``);
-* :mod:`repro.ml.clustering` — sequential online k-means;
+* :mod:`repro.ml.linear` — the online multiclass PA-I linear learner,
+  behind :mod:`repro.ml.classifier` (recipe ``model: classifier``);
+* :mod:`repro.ml.anomaly` — streaming anomaly detection: the robust
+  z-score (recipe ``model: anomaly``), and a bounded-window LOF-lite;
 * :mod:`repro.ml.stat` — windowed stream statistics (like Jubatus ``stat``);
 * :mod:`repro.ml.mix` — the MIX model-averaging protocol that lets several
   neuron modules learn jointly, Jubatus's signature distributed feature.
+
+:mod:`repro.ml.regression`, :mod:`repro.ml.clustering`,
+:mod:`repro.ml.neighbors`, :mod:`repro.ml.tree` and ``LofLite`` are
+reached by no recipe; the perf ledger's span table still names them.
 
 All models are strictly incremental: one datum in, O(features) work, no
 dataset ever stored — matching the middleware requirement to process
@@ -28,13 +29,7 @@ from repro.ml.classifier import OnlineClassifier
 from repro.ml.evaluation import PrequentialAccuracy
 from repro.ml.clustering import OnlineKMeans
 from repro.ml.features import Datum, FeatureExtractor, FeatureVector
-from repro.ml.linear import (
-    AROW,
-    ConfidenceWeighted,
-    PassiveAggressive,
-    Perceptron,
-    make_learner,
-)
+from repro.ml.linear import PassiveAggressive
 from repro.ml.mix import MixCoordinator, MixParticipantState, average_diffs
 from repro.ml.neighbors import NearestNeighbors, Neighbor
 from repro.ml.regression import PARegression
@@ -43,8 +38,6 @@ from repro.ml.storage import SparseVector
 from repro.ml.tree import HoeffdingTreeClassifier
 
 __all__ = [
-    "AROW",
-    "ConfidenceWeighted",
     "Datum",
     "FeatureExtractor",
     "FeatureVector",
@@ -58,11 +51,9 @@ __all__ = [
     "OnlineKMeans",
     "PARegression",
     "PassiveAggressive",
-    "Perceptron",
     "PrequentialAccuracy",
     "RobustZScore",
     "SparseVector",
     "WindowStat",
     "average_diffs",
-    "make_learner",
 ]

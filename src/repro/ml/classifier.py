@@ -1,8 +1,8 @@
 """High-level online classifier facade.
 
-Bundles a :class:`~repro.ml.features.FeatureExtractor` with a
-:class:`~repro.ml.linear.LinearLearner` behind the two calls the
-middleware's analysis classes need: ``train(datum, label)`` and
+Bundles a :class:`~repro.ml.features.FeatureExtractor` with a PA-I
+:class:`~repro.ml.linear.PassiveAggressive` learner behind the two calls
+the middleware's analysis classes need: ``train(datum, label)`` and
 ``classify(datum)``. This mirrors the Jubatus classifier client API used in
 the paper's prototype.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.ml.features import Datum, FeatureExtractor
-from repro.ml.linear import LinearLearner, make_learner
+from repro.ml.linear import PassiveAggressive
 
 __all__ = ["OnlineClassifier"]
 
@@ -20,7 +20,7 @@ __all__ = ["OnlineClassifier"]
 class OnlineClassifier:
     """Datum-in, label-out online multiclass classifier.
 
-    >>> clf = OnlineClassifier(algorithm="pa1")
+    >>> clf = OnlineClassifier()
     >>> for _ in range(3):
     ...     clf.train(Datum.from_mapping({"x": 1.0}), "hot")
     ...     clf.train(Datum.from_mapping({"x": -1.0}), "cold")
@@ -47,15 +47,9 @@ class OnlineClassifier:
         def __repr__(self) -> str:  # pragma: no cover
             return f"Result({self.label!r}, margin={self.margin():.4g})"
 
-    def __init__(
-        self,
-        algorithm: str = "pa1",
-        standardize: bool = False,
-        learner: LinearLearner | None = None,
-        **params: Any,
-    ) -> None:
-        self.learner = learner if learner is not None else make_learner(algorithm, **params)
-        self.extractor = FeatureExtractor(standardize=standardize)
+    def __init__(self) -> None:
+        self.learner = PassiveAggressive()
+        self.extractor = FeatureExtractor()
 
     def train(self, datum: Datum, label: str) -> bool:
         """Fold in one labelled datum; True if the model changed."""

@@ -1,44 +1,30 @@
-"""Online multiclass linear learners.
+"""Online multiclass linear learning: PA-I.
 
-These are the classifier algorithms Jubatus ships for its ``classifier``
-service, reimplemented in their diagonal/multiclass forms:
-
-* :class:`Perceptron` — Rosenblatt update on mistakes;
-* :class:`PassiveAggressive` — PA, PA-I, PA-II (Crammer et al. 2006);
-* :class:`ConfidenceWeighted` — diagonal CW (Dredze et al. 2008), simplified
-  to the variance-scaled aggressive update;
-* :class:`AROW` — adaptive regularization of weight vectors (Crammer et
-  al. 2009), diagonal version.
-
-All learners share the multiclass reduction: one weight vector per label,
-prediction is the argmax margin, and an update touches the true label's
-vector and the highest-scoring wrong label's vector. Every learner supports
-the MIX protocol through ``collect_diff`` / ``apply_mixed`` (weight deltas
-since the last mix; see :mod:`repro.ml.mix`).
+The classifier algorithm the middleware's ``classifier`` model uses, one of
+those Jubatus ships for its ``classifier`` service: :class:`PassiveAggressive`
+in its PA-I form (Crammer et al. 2006), multiclass. One weight vector per
+label, prediction is the argmax margin, and an update touches the true
+label's vector and the highest-scoring wrong label's vector. The learner
+supports the MIX protocol through ``collect_diff`` / ``apply_mixed``
+(weight deltas since the last mix; see :mod:`repro.ml.mix`).
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import Any
 
 from repro.errors import ModelError
 from repro.ml.features import FeatureVector
 from repro.ml.storage import SparseVector
-from repro.util.validate import require_positive
 
-__all__ = [
-    "LinearLearner",
-    "Perceptron",
-    "PassiveAggressive",
-    "ConfidenceWeighted",
-    "AROW",
-    "make_learner",
-]
+__all__ = ["C", "PassiveAggressive"]
+
+#: PA-I's aggressiveness cap: no update moves a weight by more than C·x.
+C = 1.0
 
 
-class LinearLearner(ABC):
-    """Shared multiclass machinery: scores, prediction, MIX bookkeeping."""
+class PassiveAggressive:
+    """Multiclass PA-I: scores, prediction, update and MIX bookkeeping."""
 
     def __init__(self) -> None:
         self.weights: dict[str, SparseVector] = {}
@@ -84,16 +70,23 @@ class LinearLearner(ABC):
         if not label:
             raise ModelError("empty label")
         self.examples_seen += 1
-        self._ensure_label(label)
-        wrong_label, margin = self._worst_margin(features, label)
-        updated = self._update(features, label, wrong_label, margin)
-        if updated:
-            self.updates += 1
-        return updated
-
-    def _ensure_label(self, label: str) -> None:
         if label not in self.weights:
             self.weights[label] = SparseVector()
+        wrong_label, margin = self._worst_margin(features, label)
+        loss = 1.0 - margin
+        if loss <= 0:
+            return False
+        # The update moves two vectors in opposite directions, so the
+        # effective instance norm doubles.
+        norm2 = 2.0 * sum(v * v for v in features.values())
+        if norm2 <= 0:
+            return False
+        step = min(C, loss / norm2)
+        self.weights[label].add(features, scale=step)
+        if wrong_label is not None:
+            self.weights[wrong_label].add(features, scale=-step)
+        self.updates += 1
+        return True
 
     def _worst_margin(
         self, features: FeatureVector, label: str
@@ -114,28 +107,6 @@ class LinearLearner(ABC):
                 wrong_label = other
                 wrong_score = score
         return wrong_label, correct - wrong_score
-
-    @abstractmethod
-    def _update(
-        self,
-        features: FeatureVector,
-        label: str,
-        wrong_label: str | None,
-        margin: float,
-    ) -> bool:
-        """Algorithm-specific update; returns True if weights changed."""
-
-    def _apply(
-        self,
-        features: FeatureVector,
-        label: str,
-        wrong_label: str | None,
-        step: float,
-    ) -> None:
-        """Symmetric two-vector update with step size ``step``."""
-        self.weights[label].add(features, scale=step)
-        if wrong_label is not None:
-            self.weights[wrong_label].add(features, scale=-step)
 
     # ------------------------------------------------------------------
     # MIX support (see repro.ml.mix)
@@ -179,209 +150,3 @@ class LinearLearner(ABC):
         self._mix_base = {l: v.copy() for l, v in self.weights.items()}
         self.updates = int(state.get("updates", 0))
         self.examples_seen = int(state.get("examples_seen", 0))
-
-
-def _squared_norm(features: FeatureVector) -> float:
-    return sum(v * v for v in features.values())
-
-
-class Perceptron(LinearLearner):
-    """Update by ±x on misclassification."""
-
-    def _update(
-        self,
-        features: FeatureVector,
-        label: str,
-        wrong_label: str | None,
-        margin: float,
-    ) -> bool:
-        if margin > 0:
-            return False
-        self._apply(features, label, wrong_label, step=1.0)
-        return True
-
-
-class PassiveAggressive(LinearLearner):
-    """PA family. ``variant`` 0 = PA, 1 = PA-I, 2 = PA-II; ``c`` is the
-    aggressiveness cap / regularizer of the bounded variants."""
-
-    def __init__(self, c: float = 1.0, variant: int = 1) -> None:
-        super().__init__()
-        if variant not in (0, 1, 2):
-            raise ModelError(f"unknown PA variant {variant}")
-        self.c = require_positive(c, "c")
-        self.variant = variant
-
-    def _update(
-        self,
-        features: FeatureVector,
-        label: str,
-        wrong_label: str | None,
-        margin: float,
-    ) -> bool:
-        loss = 1.0 - margin
-        if loss <= 0:
-            return False
-        # The update moves two vectors in opposite directions, so the
-        # effective instance norm doubles.
-        norm2 = 2.0 * _squared_norm(features)
-        if norm2 <= 0:
-            return False
-        if self.variant == 0:
-            tau = loss / norm2
-        elif self.variant == 1:
-            tau = min(self.c, loss / norm2)
-        else:
-            tau = loss / (norm2 + 1.0 / (2.0 * self.c))
-        self._apply(features, label, wrong_label, step=tau)
-        return True
-
-
-class _ConfidenceMixin(LinearLearner):
-    """Per-(label, feature) diagonal confidence storage."""
-
-    def __init__(self, initial_variance: float = 1.0) -> None:
-        super().__init__()
-        self.initial_variance = require_positive(initial_variance, "initial_variance")
-        self._variance: dict[str, dict[str, float]] = {}
-
-    def variance_of(self, label: str, feature: str) -> float:
-        return self._variance.get(label, {}).get(feature, self.initial_variance)
-
-    def _set_variance(self, label: str, feature: str, value: float) -> None:
-        self._variance.setdefault(label, {})[feature] = value
-
-    def _confidence(self, features: FeatureVector, label: str) -> float:
-        """x' Sigma_label x for the diagonal covariance."""
-        return sum(
-            self.variance_of(label, f) * v * v for f, v in features.items()
-        )
-
-
-class AROW(_ConfidenceMixin):
-    """Adaptive Regularization of Weight vectors, diagonal multiclass form.
-
-    ``r`` is the regularization constant; smaller r = more aggressive.
-    """
-
-    def __init__(self, r: float = 1.0, initial_variance: float = 1.0) -> None:
-        super().__init__(initial_variance=initial_variance)
-        self.r = require_positive(r, "r")
-
-    def _update(
-        self,
-        features: FeatureVector,
-        label: str,
-        wrong_label: str | None,
-        margin: float,
-    ) -> bool:
-        loss = 1.0 - margin
-        if loss <= 0:
-            return False
-        variance = self._confidence(features, label)
-        if wrong_label is not None:
-            variance += self._confidence(features, wrong_label)
-        beta = 1.0 / (variance + self.r)
-        alpha = loss * beta
-        # Confidence-scaled weight update per coordinate.
-        for feature, value in features.items():
-            v_correct = self.variance_of(label, feature)
-            self.weights[label][feature] = (
-                self.weights[label][feature] + alpha * v_correct * value
-            )
-            self._set_variance(
-                label,
-                feature,
-                v_correct - beta * v_correct * v_correct * value * value,
-            )
-            if wrong_label is not None:
-                v_wrong = self.variance_of(wrong_label, feature)
-                self.weights[wrong_label][feature] = (
-                    self.weights[wrong_label][feature] - alpha * v_wrong * value
-                )
-                self._set_variance(
-                    wrong_label,
-                    feature,
-                    v_wrong - beta * v_wrong * v_wrong * value * value,
-                )
-        return True
-
-
-class ConfidenceWeighted(_ConfidenceMixin):
-    """Diagonal CW with a fixed confidence parameter ``phi``.
-
-    Uses the simplified closed-form step of single-constraint diagonal CW;
-    unlike AROW it updates even on small positive margins until the desired
-    confidence is reached, which makes it fast to adapt and sensitive to
-    label noise (the classic CW/AROW trade-off).
-    """
-
-    def __init__(self, phi: float = 1.0, initial_variance: float = 1.0) -> None:
-        super().__init__(initial_variance=initial_variance)
-        self.phi = require_positive(phi, "phi")
-
-    def _update(
-        self,
-        features: FeatureVector,
-        label: str,
-        wrong_label: str | None,
-        margin: float,
-    ) -> bool:
-        variance = self._confidence(features, label)
-        if wrong_label is not None:
-            variance += self._confidence(features, wrong_label)
-        if variance <= 0:
-            return False
-        # Single-constraint CW: require margin >= phi * variance.
-        loss = self.phi * variance - margin
-        if loss <= 0:
-            return False
-        alpha = loss / (variance + 1.0 / (2.0 * self.phi))
-        for feature, value in features.items():
-            v_correct = self.variance_of(label, feature)
-            self.weights[label][feature] = (
-                self.weights[label][feature] + alpha * v_correct * value
-            )
-            shrink = 1.0 / (1.0 + 2.0 * alpha * self.phi * value * value * v_correct)
-            self._set_variance(label, feature, v_correct * shrink)
-            if wrong_label is not None:
-                v_wrong = self.variance_of(wrong_label, feature)
-                self.weights[wrong_label][feature] = (
-                    self.weights[wrong_label][feature] - alpha * v_wrong * value
-                )
-                shrink_w = 1.0 / (
-                    1.0 + 2.0 * alpha * self.phi * value * value * v_wrong
-                )
-                self._set_variance(wrong_label, feature, v_wrong * shrink_w)
-        return True
-
-
-_ALGORITHMS: dict[str, type[LinearLearner]] = {
-    "perceptron": Perceptron,
-    "pa": PassiveAggressive,
-    "pa1": PassiveAggressive,
-    "pa2": PassiveAggressive,
-    "cw": ConfidenceWeighted,
-    "arow": AROW,
-}
-
-
-def make_learner(algorithm: str = "pa1", **params: Any) -> LinearLearner:
-    """Build a learner by name (Jubatus config style).
-
-    Names: ``perceptron``, ``pa``, ``pa1``, ``pa2``, ``cw``, ``arow``.
-    The ``paN`` aliases preset the PA ``variant``.
-    """
-    key = algorithm.lower()
-    cls = _ALGORITHMS.get(key)
-    if cls is None:
-        raise ModelError(
-            f"unknown algorithm {algorithm!r}; choose from {sorted(_ALGORITHMS)}"
-        )
-    if key == "pa":
-        params.setdefault("variant", 0)
-    elif key == "pa1":
-        params.setdefault("variant", 1)
-    elif key == "pa2":
-        params.setdefault("variant", 2)
-    return cls(**params)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from repro.core.flow import FlowRecord
@@ -18,7 +20,7 @@ def record(values, attributes=None, sample_id="s"):
 
 class TestFactory:
     def test_kinds(self):
-        for kind in ("classifier", "regression", "anomaly", "cluster"):
+        for kind in ("classifier", "anomaly"):
             model = build_flow_model({"model": kind})
             assert model is not None
 
@@ -34,11 +36,27 @@ class TestFactory:
         with pytest.raises(RecipeError):
             build_flow_model({"model": "classifier", "bogus_param": 1})
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"model": "regression"},
+            {"model": "cluster"},
+            {"model": "knn"},
+            {"model": "tree"},
+            {"model": "anomaly", "detector": "lof"},
+            {"model": "classifier", "algorithm": "arow"},
+        ],
+        ids=["regression", "cluster", "knn", "tree", "lof", "algorithm"],
+    )
+    def test_rejection_lists_the_kinds(self, params):
+        with pytest.raises(RecipeError, match=re.escape("['anomaly', 'classifier']")):
+            build_flow_model(params)
+
 
 class TestClassifierFlowModel:
     def test_label_from_datum_string(self):
-        model = build_flow_model({"model": "classifier", "label_key": "label"})
-        info = model.train(record({"x": 1.0, "label": "hot"}))
+        model = build_flow_model({"model": "classifier", "label_key": "activity"})
+        info = model.train(record({"x": 1.0, "label": "cold", "activity": "hot"}))
         assert info["trained"] is True and info["label"] == "hot"
 
     def test_label_from_attributes(self):
@@ -78,29 +96,6 @@ class TestClassifierFlowModel:
         assert clone.judge(record({"x": 1.0}))["label"] == "p"
 
 
-class TestRegressionFlowModel:
-    def test_target_from_datum(self):
-        model = build_flow_model(
-            {"model": "regression", "target_key": "t", "epsilon": 0.0}
-        )
-        for i in range(30):
-            model.train(record({"x": float(i % 3), "t": float(i % 3) * 2.0}))
-        out = model.judge(record({"x": 2.0}))
-        assert out["prediction"] == pytest.approx(4.0, abs=1.0)
-
-    def test_no_target_skips(self):
-        model = build_flow_model({"model": "regression"})
-        assert model.train(record({"x": 1.0}))["trained"] is False
-        assert not model.ready
-
-    def test_state_round_trip_restores_ready(self):
-        model = build_flow_model({"model": "regression", "target_key": "t"})
-        model.train(record({"x": 1.0, "t": 2.0}))
-        clone = build_flow_model({"model": "regression", "target_key": "t"})
-        clone.import_state(model.export_state())
-        assert clone.ready
-
-
 class TestAnomalyFlowModel:
     def test_zscore_flags_outlier(self):
         model = build_flow_model(
@@ -114,31 +109,6 @@ class TestAnomalyFlowModel:
         out = model.judge(record({"v": 50.0}))
         assert out["anomalous"] is True and out["score"] > 4.0
 
-    def test_lof_detector_option(self):
-        model = build_flow_model(
-            {"model": "anomaly", "detector": "lof", "k": 3, "window": 32}
-        )
-        for i in range(40):
-            model.train(record({"v": float(i % 5)}))
-        assert model.ready
-
-    def test_learn_on_judge_false_keeps_baseline(self):
-        model = build_flow_model(
-            {
-                "model": "anomaly",
-                "detector": "zscore",
-                "min_samples": 2,
-                "learn_on_judge": False,
-            }
-        )
-        for v in (1.0, 1.1, 0.9, 1.0):
-            model.train(record({"v": v}))
-        before = model.judge(record({"v": 5.0}))["score"]
-        for _ in range(10):
-            model.judge(record({"v": 5.0}))
-        after = model.judge(record({"v": 5.0}))["score"]
-        assert after == pytest.approx(before)
-
     def test_unknown_detector(self):
         with pytest.raises(RecipeError):
             build_flow_model({"model": "anomaly", "detector": "autoencoder"})
@@ -149,23 +119,3 @@ class TestAnomalyFlowModel:
             model.export_state()
         with pytest.raises(ModelError):
             model.mix_model()
-
-
-class TestClusterFlowModel:
-    def test_train_and_judge(self):
-        model = build_flow_model({"model": "cluster", "k": 2})
-        # First two distinct points seed the centroids, so interleave the
-        # clusters to seed one centroid in each.
-        for v in (0.0, 10.0, 0.1, 10.1):
-            model.train(record({"x": v}))
-        out = model.judge(record({"x": 9.9}))
-        assert out["cluster"] == model.judge(record({"x": 10.05}))["cluster"]
-        assert out["distance"] < 1.0
-
-    def test_state_round_trip(self):
-        model = build_flow_model({"model": "cluster", "k": 2})
-        model.train(record({"x": 0.0}))
-        model.train(record({"x": 10.0}))
-        clone = build_flow_model({"model": "cluster", "k": 2})
-        clone.import_state(model.export_state())
-        assert clone.ready

@@ -10,7 +10,7 @@ from repro.ml.regression import PARegression
 
 class TestOnlineClassifier:
     def test_train_and_classify(self):
-        clf = OnlineClassifier(algorithm="pa1")
+        clf = OnlineClassifier()
         for _ in range(5):
             clf.train(Datum.from_mapping({"x": 1.0}), "hot")
             clf.train(Datum.from_mapping({"x": -1.0}), "cold")
@@ -30,12 +30,12 @@ class TestOnlineClassifier:
         assert clf.is_trained
 
     def test_state_round_trip(self):
-        clf = OnlineClassifier(algorithm="pa2")
+        clf = OnlineClassifier()
         rng = random.Random(3)
         for _ in range(200):
             x = rng.gauss(0, 1)
             clf.train(Datum.from_mapping({"x": x}), "p" if x > 0 else "n")
-        clone = OnlineClassifier(algorithm="pa2")
+        clone = OnlineClassifier()
         clone.load_state(clf.to_state())
         d = Datum.from_mapping({"x": 0.7})
         assert clone.classify(d).label == clf.classify(d).label

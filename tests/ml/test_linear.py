@@ -3,15 +3,8 @@ import random
 import pytest
 
 from repro.errors import ModelError
-from repro.ml.linear import (
-    AROW,
-    ConfidenceWeighted,
-    PassiveAggressive,
-    Perceptron,
-    make_learner,
-)
-
-ALGORITHMS = ["perceptron", "pa", "pa1", "pa2", "cw", "arow"]
+from repro.ml.linear import C, PassiveAggressive
+from repro.ml.storage import SparseVector
 
 
 def linearly_separable_stream(n, seed=0):
@@ -22,9 +15,8 @@ def linearly_separable_stream(n, seed=0):
         yield {"x": x, "y": y, "bias": 1.0}, label
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_learns_separable_concept(algorithm):
-    learner = make_learner(algorithm)
+def test_learns_separable_concept():
+    learner = PassiveAggressive()
     for features, label in linearly_separable_stream(300):
         learner.train(features, label)
     correct = 0
@@ -38,61 +30,30 @@ def test_learns_separable_concept(algorithm):
 
 def test_classify_untrained_raises():
     with pytest.raises(ModelError):
-        Perceptron().classify({"x": 1.0})
+        PassiveAggressive().classify({"x": 1.0})
 
 
 def test_empty_label_rejected():
     with pytest.raises(ModelError):
-        Perceptron().train({"x": 1.0}, "")
+        PassiveAggressive().train({"x": 1.0}, "")
 
 
-def test_perceptron_no_update_when_correct():
-    p = Perceptron()
-    p.train({"x": 1.0}, "a")  # creates label, margin 0 -> update
-    updates_before = p.updates
-    p.train({"x": 1.0}, "a")  # now margin > 0 -> no update
-    assert p.updates == updates_before
+def test_no_update_once_margin_reaches_one():
+    learner = PassiveAggressive()
+    assert learner.train({"x": 1.0}, "a")  # margin 0 -> hinge loss 1 -> update
+    learner.weights["a"] = SparseVector.from_dict({"x": 1.0})
+    assert not learner.train({"x": 1.0}, "a")  # margin 1 -> loss 0 -> passive
+    assert learner.updates == 1 and learner.weights["a"]["x"] == 1.0
 
 
-def test_pa_variants_differ():
-    base = {"x": 1.0}
-    pa = make_learner("pa")
-    pa1 = make_learner("pa1", c=0.01)
-    pa.train(base, "a")
-    pa1.train(base, "a")
-    # PA-I caps the step at C.
-    assert pa1.weights["a"]["x"] <= 0.01 + 1e-12
-    assert pa.weights["a"]["x"] > pa1.weights["a"]["x"]
-
-
-def test_pa_invalid_variant():
-    with pytest.raises(ModelError):
-        PassiveAggressive(variant=3)
-
-
-def test_arow_variance_shrinks():
-    learner = AROW(r=0.5)
-    for features, label in linearly_separable_stream(50):
-        learner.train(features, label)
-    assert learner.variance_of("pos", "x") < 1.0
-
-
-def test_cw_updates_on_low_confidence_margin():
-    learner = ConfidenceWeighted(phi=1.0)
-    learner.train({"x": 1.0}, "a")
-    first_updates = learner.updates
-    # Correct but low-margin example still triggers an update in CW.
-    learner.train({"x": 0.01}, "a")
-    assert learner.updates >= first_updates
-
-
-def test_make_learner_unknown():
-    with pytest.raises(ModelError):
-        make_learner("svm")
+def test_step_is_capped_at_c():
+    learner = PassiveAggressive()
+    learner.train({"x": 0.1}, "a")  # uncapped step would be 1 / 0.02 = 50
+    assert learner.weights["a"]["x"] == pytest.approx(C * 0.1)
 
 
 def test_labels_and_is_trained():
-    learner = make_learner("pa1")
+    learner = PassiveAggressive()
     assert not learner.is_trained
     learner.train({"x": 1.0}, "b")
     learner.train({"x": -1.0}, "a")
@@ -101,21 +62,18 @@ def test_labels_and_is_trained():
 
 
 def test_deterministic_tie_break():
-    learner = Perceptron()
-    learner.weights["a"] = learner.weights.get("a") or __import__(
-        "repro.ml.storage", fromlist=["SparseVector"]
-    ).SparseVector()
-    learner._ensure_label("a")
-    learner._ensure_label("b")
+    learner = PassiveAggressive()
+    learner.weights["a"] = SparseVector()
+    learner.weights["b"] = SparseVector()
     label, _ = learner.classify({"x": 1.0})
     assert label == "b"  # equal scores -> lexicographically larger label wins
 
 
 def test_state_round_trip():
-    learner = make_learner("pa1")
+    learner = PassiveAggressive()
     for features, label in linearly_separable_stream(100):
         learner.train(features, label)
-    clone = make_learner("pa1")
+    clone = PassiveAggressive()
     clone.load_state(learner.to_state())
     for features, _ in linearly_separable_stream(50, seed=2):
         assert clone.classify(features)[0] == learner.classify(features)[0]
@@ -123,7 +81,7 @@ def test_state_round_trip():
 
 
 def test_collect_and_apply_diff_round_trip():
-    learner = make_learner("pa1")
+    learner = PassiveAggressive()
     for features, label in linearly_separable_stream(50):
         learner.train(features, label)
     diff = learner.collect_diff()
@@ -137,7 +95,7 @@ def test_collect_and_apply_diff_round_trip():
 
 
 def test_diff_resets_after_apply():
-    learner = make_learner("pa1")
+    learner = PassiveAggressive()
     learner.train({"x": 1.0}, "a")
     learner.apply_mixed(learner.collect_diff())
     empty = learner.collect_diff()

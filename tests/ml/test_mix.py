@@ -3,7 +3,7 @@ import random
 import pytest
 
 from repro.errors import MixError
-from repro.ml.linear import make_learner
+from repro.ml.linear import PassiveAggressive
 from repro.ml.mix import MixCoordinator, MixParticipantState, average_diffs
 
 
@@ -103,7 +103,7 @@ class TestCoordinator:
 class TestEndToEndMix:
     def test_sharded_learners_converge_to_identical_models(self):
         rng = random.Random(7)
-        learners = [make_learner("pa1") for _ in range(3)]
+        learners = [PassiveAggressive() for _ in range(3)]
         participants = [
             MixParticipantState(f"p{i}", learner)
             for i, learner in enumerate(learners)
@@ -134,7 +134,7 @@ class TestEndToEndMix:
         assert correct / 200 > 0.9
 
     def test_replayed_broadcast_ignored(self):
-        learner = make_learner("pa1")
+        learner = PassiveAggressive()
         p = MixParticipantState("p", learner)
         learner.train({"x": 1.0}, "a")
         assert p.apply_broadcast(1, {"a": {"x": 5.0}}) is True

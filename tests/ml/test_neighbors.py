@@ -85,43 +85,3 @@ class TestNearestNeighbors:
         clone.load_state(nn.to_state())
         assert len(clone) == 5
         assert clone.classify(d(x=2.1), k=1)[0] == "even"
-
-
-class TestKnnFlowModel:
-    def test_knn_model_via_factory(self):
-        from repro.core.flow import FlowRecord
-        from repro.core.models import build_flow_model
-
-        model = build_flow_model({"model": "knn", "k": 3, "window": 32})
-        assert not model.ready
-        for i in range(12):
-            x = 1.0 if i % 2 else -1.0
-            record = FlowRecord(
-                sample_id=f"s{i}",
-                source="t",
-                sensed_at=0.0,
-                datum=Datum.from_mapping({"x": x, "label": "pos" if x > 0 else "neg"}),
-            )
-            model.train(record)
-        assert model.ready
-        probe = FlowRecord(
-            sample_id="probe", source="t", sensed_at=0.0,
-            datum=Datum.from_mapping({"x": 0.8}),
-        )
-        out = model.judge(probe)
-        assert out["label"] == "pos"
-        assert out["votes"]["pos"] >= 2
-
-    def test_knn_state_round_trip(self):
-        from repro.core.flow import FlowRecord
-        from repro.core.models import build_flow_model
-
-        model = build_flow_model({"model": "knn"})
-        record = FlowRecord(
-            sample_id="s", source="t", sensed_at=0.0,
-            datum=Datum.from_mapping({"x": 1.0, "label": "a"}),
-        )
-        model.train(record)
-        clone = build_flow_model({"model": "knn"})
-        clone.import_state(model.export_state())
-        assert clone.ready

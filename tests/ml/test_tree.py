@@ -37,9 +37,9 @@ class TestHoeffdingTree:
         tree = HoeffdingTreeClassifier(
             grace_period=30, tie_threshold=0.15, max_depth=6
         )
-        from repro.ml.linear import make_learner
+        from repro.ml.linear import PassiveAggressive
 
-        linear = make_learner("pa1")
+        linear = PassiveAggressive()
         for _ in range(4000):
             features, label = xor_draw(rng)
             tree.train(features, label)
@@ -131,58 +131,3 @@ class TestHoeffdingTree:
         tree = HoeffdingTreeClassifier(grace_period=10)
         tree.train_datum(Datum.from_mapping({"x": 1.0}), "a")
         assert tree.classify_datum(Datum.from_mapping({"x": 1.0}))[0] == "a"
-
-
-class TestTreeFlowModel:
-    def test_learns_conjunction_through_middleware_model(self):
-        """'alert iff hot AND dark' — a conjunction linear models miss."""
-        from repro.core.flow import FlowRecord
-        from repro.core.models import build_flow_model
-        from repro.ml.features import Datum
-
-        # temp and lux carry near-equal gain for the conjunction, so growth
-        # goes through the Hoeffding tie-break — loosen it for fast learning.
-        model = build_flow_model(
-            {"model": "tree", "grace_period": 30, "tie_threshold": 0.15}
-        )
-        rng = random.Random(7)
-        for i in range(2000):
-            temp = rng.uniform(0, 40)
-            lux = rng.uniform(0, 800)
-            label = "alert" if (temp > 30 and lux < 150) else "ok"
-            record = FlowRecord(
-                sample_id=f"s{i}",
-                source="t",
-                sensed_at=0.0,
-                datum=Datum.from_mapping(
-                    {"temp": temp, "lux": lux, "label": label}
-                ),
-            )
-            model.train(record)
-        assert model.ready
-
-        def judge(temp, lux):
-            record = FlowRecord(
-                sample_id="probe", source="t", sensed_at=0.0,
-                datum=Datum.from_mapping({"temp": temp, "lux": lux}),
-            )
-            return model.judge(record)["label"]
-
-        assert judge(35.0, 50.0) == "alert"
-        assert judge(35.0, 700.0) == "ok"
-        assert judge(10.0, 50.0) == "ok"
-
-    def test_snapshot_round_trip(self):
-        from repro.core.flow import FlowRecord
-        from repro.core.models import build_flow_model
-        from repro.ml.features import Datum
-
-        model = build_flow_model({"model": "tree"})
-        record = FlowRecord(
-            sample_id="s", source="t", sensed_at=0.0,
-            datum=Datum.from_mapping({"x": 1.0, "label": "a"}),
-        )
-        model.train(record)
-        clone = build_flow_model({"model": "tree"})
-        clone.import_state(model.export_state())
-        assert clone.ready
