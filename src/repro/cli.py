@@ -10,9 +10,9 @@ Commands
     Run the paper's evaluation (Tables II/III) on the simulated testbed
     and print the paper-vs-measured comparison.
 ``validate <recipe-file>``
-    Parse a recipe (``.recipe`` DSL or ``.json``), validate the task
-    graph, and print the execution plan: stages, sub-tasks, and a dry-run
-    assignment over a hypothetical homogeneous cluster.
+    Parse a recipe (``.recipe`` DSL or ``.json``), check its graph and
+    operator params as admission does (exit 1 on an error), and print the
+    plan: stages, sub-tasks, and a dry-run hypothetical assignment.
 ``fmt <recipe-file>``
     Canonically re-format a recipe (DSL in, DSL out; JSON in, DSL out).
 ``operators``
@@ -73,6 +73,7 @@ from repro.core.splitter import RecipeSplit
 from repro.errors import ConfigurationError, IFoTError, RecipeError
 from repro.registry import SCENARIOS, UnknownScenarioError, fault_scenarios, resolve
 from repro.scenario import Run, Scenario, run
+from repro.util.validate import blocking
 
 __all__ = ["main"]
 
@@ -165,8 +166,15 @@ def _cmd_paper_exp(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from repro.lint import check_recipe, render_text
+
     path = Path(args.recipe)
     recipe = _load_recipe(path)
+    findings = [diag.replace(file=str(path)) for diag in check_recipe(recipe)]
+    if findings:
+        print(render_text(findings, label="validate"))
+        if blocking(findings):
+            return 1
     subtasks = RecipeSplit().split(recipe)
     print(f"recipe {recipe.name!r}: OK")
     print(f"  tasks: {len(recipe.tasks)}, sub-tasks after split: {len(subtasks)}")
@@ -499,7 +507,6 @@ def _cmd_slo(args: argparse.Namespace) -> int:
 
     from repro.lint.report import render_text
     from repro.obs.slo import format_flow_summary
-    from repro.util.validate import blocking
 
     # Profiling rides along so the drift watch and node watermarks have data.
     outcome, label = _run(args, args.scenario, args.rate, slo=True, profile=True)
@@ -602,7 +609,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
 def _cmd_san(args: argparse.Namespace) -> int:
     from repro.lint.report import render_text
     from repro.san import run_sanitizer
-    from repro.util.validate import blocking
 
     if args.list:
         return _list_scenarios(sorted(SCENARIOS))

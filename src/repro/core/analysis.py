@@ -19,12 +19,12 @@ substitute). Two paths move models between classes:
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.core.flow import FlowRecord
-from repro.core.models import build_flow_model
+from repro.core.models import ModelSpec, model_spec
 from repro.core.operators import PayloadEffect, StreamOperator, register_operator
-from repro.core.recipe import TaskSpec
+from repro.core.recipe import parse_names, parse_param, require_param
 from repro.errors import RecipeError
 from repro.ml.evaluation import PrequentialAccuracy
 from repro.ml.mix import MixCoordinator, MixParticipantState
@@ -41,11 +41,18 @@ def _mix_topic(application: str, group: str, leaf: str) -> str:
     return f"ifot/mix/{application}/{group}/{leaf}"
 
 
+_LearnSettings = NamedTuple(
+    "_LearnSettings",
+    [("model", ModelSpec), ("publish_model_every", int), ("mix_group", Any),
+     ("emit_info", bool), ("track_accuracy", bool), ("accuracy_window", int)],
+)
+
+
 class LearningClass(StreamOperator):
     """Online model building (operator name ``train``).
 
     Params: model configuration (see
-    :func:`repro.core.models.build_flow_model`) plus:
+    :func:`repro.core.models.model_spec`) plus:
 
     ``publish_model_every``
         Publish a retained model snapshot every N trained records (0 =
@@ -69,44 +76,49 @@ class LearningClass(StreamOperator):
     forwards_every_record = True
 
     @classmethod
-    def redelivery_safe(cls, params: dict[str, Any]) -> bool:
+    def settings(cls, params: dict[str, Any]) -> _LearnSettings:
+        reserved = ("publish_model_every", "mix_group", "emit_info", "qos",
+                    "track_accuracy", "accuracy_window")
+        model = model_spec({k: v for k, v in params.items() if k not in reserved})
+        mix_group = params.get("mix_group")
+        if mix_group is not None and not model.cls.mixable:
+            raise RecipeError("param 'mix_group': this model cannot join MIX")
+        every = parse_param("publish_model_every", params.get("publish_model_every", 0), int)
+        window = params.get("accuracy_window", 200)
+        return _LearnSettings(
+            model, every, mix_group, bool(params.get("emit_info", True)),
+            bool(params.get("track_accuracy", False)),
+            parse_param("accuracy_window", window, int, positive=True),
+        )
+
+    @classmethod
+    def redelivery_safe(cls, settings: _LearnSettings) -> bool:
         return False  # a duplicate re-trains the model
 
     @classmethod
-    def emit_rate(cls, task: TaskSpec, in_rates: list[float]) -> float:
-        return sum(in_rates) if task.outputs else 0.0
+    def emit_rate(
+        cls, settings: _LearnSettings, in_rates: list[float], outputs: list[str]
+    ) -> float:
+        return sum(in_rates) if outputs else 0.0
 
     @classmethod
-    def payload_effect(cls, params: dict[str, Any]) -> PayloadEffect:
-        reads_any: tuple[str, ...] = ()
-        if str(params.get("model", "classifier")) == "classifier":
-            reads_any = (str(params.get("label_key", "label")),)
+    def payload_effect(cls, settings: _LearnSettings) -> PayloadEffect:
+        label = settings.model.options.get("label_key")
         # Training-info attributes forwarded when emit_info is on; a
         # may-produce union over the model kinds' train() outcomes.
         return PayloadEffect(
-            reads_any=reads_any,
+            reads_any=(label,) if label else (),
             adds_attrs=("trained", "updated", "label", "reason", "score"),
         )
 
-    def configure(self) -> None:
-        reserved = {
-            "publish_model_every", "mix_group", "emit_info", "qos",
-            "track_accuracy", "accuracy_window",
-        }
-        model_params = {k: v for k, v in self.params.items() if k not in reserved}
-        self.model = build_flow_model(model_params)
+    def configure(self, settings: _LearnSettings) -> None:
+        (model, self.publish_model_every, self.mix_group, self.emit_info,
+         self.track_accuracy, accuracy_window) = settings
+        self.model = model.cls(**model.options)
         self.records_trained = 0
-        self.publish_model_every = int(self.params.get("publish_model_every", 0))
-        self.mix_group = self.params.get("mix_group")
-        self.emit_info = bool(self.params.get("emit_info", True))
-        self.track_accuracy = bool(self.params.get("track_accuracy", False))
-        self.accuracy = PrequentialAccuracy(
-            window=int(self.params.get("accuracy_window", 200))
-        )
+        self.accuracy = PrequentialAccuracy(window=accuracy_window)
         self._mix_state: MixParticipantState | None = None
         if self.mix_group is not None:
-            if not self.model.mixable:
-                raise RecipeError(f"{self.name}: model cannot join a MIX group")
             self._mix_state = MixParticipantState(
                 self.subtask.subtask_id, self.model.mix_model()
             )
@@ -201,6 +213,12 @@ class LearningClass(StreamOperator):
             self.trace("ml.mix_applied", round=int(payload["round"]))
 
 
+_JudgeSettings = NamedTuple(
+    "_JudgeSettings",
+    [("model", ModelSpec), ("model_from", Any), ("train_on_stream", bool)],
+)
+
+
 class JudgingClass(StreamOperator):
     """Online inference (operator name ``predict``).
 
@@ -221,28 +239,23 @@ class JudgingClass(StreamOperator):
     cost_op = "ml.predict"
     load_points = 4.0
 
-    #: judge() output keys per model kind (see repro.core.models).
-    _JUDGE_ATTRS = {
-        "classifier": ("label", "margin"),
-        "anomaly": ("score", "anomalous"),
-    }
+    @classmethod
+    def settings(cls, params: dict[str, Any]) -> _JudgeSettings:
+        reserved = ("model_from", "train_on_stream", "qos")
+        model = model_spec({k: v for k, v in params.items() if k not in reserved})
+        train = bool(params.get("train_on_stream", False))
+        return _JudgeSettings(model, params.get("model_from"), train)
 
     @classmethod
-    def payload_effect(cls, params: dict[str, Any]) -> PayloadEffect:
-        kind = str(params.get("model", "classifier"))
-        return PayloadEffect(
-            adds_attrs=cls._JUDGE_ATTRS.get(kind, ()) + ("judged",)
-        )
+    def payload_effect(cls, settings: _JudgeSettings) -> PayloadEffect:
+        return PayloadEffect(adds_attrs=settings.model.cls.judge_attrs + ("judged",))
 
-    def configure(self) -> None:
-        reserved = {"model_from", "train_on_stream", "qos"}
-        model_params = {k: v for k, v in self.params.items() if k not in reserved}
-        self.model = build_flow_model(model_params)
-        self.train_on_stream = bool(self.params.get("train_on_stream", False))
+    def configure(self, settings: _JudgeSettings) -> None:
+        model, model_from, self.train_on_stream = settings
+        self.model = model.cls(**model.options)
         self.records_judged = 0
         self.records_unjudged = 0
         self.model_loads = 0
-        model_from = self.params.get("model_from")
         if model_from is not None:
             self.module.client.subscribe(
                 _model_topic(self.application, str(model_from)),
@@ -303,6 +316,13 @@ class JudgingClass(StreamOperator):
             self.emit(out)
 
 
+_MixSettings = NamedTuple(
+    "_MixSettings",
+    [("group", str), ("participants", tuple[str, ...]), ("interval_s", float),
+     ("timeout_s", float), ("min_quorum", int)],
+)
+
+
 class ManagingClass(StreamOperator):
     """MIX round coordination (operator name ``mix``).
 
@@ -325,22 +345,25 @@ class ManagingClass(StreamOperator):
     source = True  # rounds run on a timer, over control topics
 
     @classmethod
-    def payload_effect(cls, params: dict[str, Any]) -> PayloadEffect:
+    def settings(cls, params: dict[str, Any]) -> _MixSettings:
+        group = require_param("group", params.get("group"))
+        participants = require_param("participants", params.get("participants"))
+        interval = parse_param("interval_s", params.get("interval_s", 10.0), positive=True)
+        return _MixSettings(
+            str(group), parse_names("participants", participants), interval,
+            parse_param("timeout_s", params.get("timeout_s", interval / 2.0)),
+            parse_param("min_quorum", params.get("min_quorum", 1), int, positive=True),
+        )
+
+    @classmethod
+    def payload_effect(cls, settings: _MixSettings) -> PayloadEffect:
         # Coordination happens over control topics, not record streams.
         return PayloadEffect(opaque=True)
 
-    def configure(self) -> None:
-        group = self.params.get("group")
-        participants = self.params.get("participants")
-        if not group or not participants:
-            raise RecipeError(f"{self.name}: mix needs 'group' and 'participants'")
-        self.group = str(group)
-        self.participants = [str(p) for p in participants]
-        self.interval_s = float(self.params.get("interval_s", 10.0))
-        self.timeout_s = float(self.params.get("timeout_s", self.interval_s / 2.0))
-        self.coordinator = MixCoordinator(
-            min_quorum=int(self.params.get("min_quorum", 1))
-        )
+    def configure(self, settings: _MixSettings) -> None:
+        self.group, participants, self.interval_s, self.timeout_s, quorum = settings
+        self.participants = list(participants)
+        self.coordinator = MixCoordinator(min_quorum=quorum)
         self.rounds_started = 0
         self.rounds_completed = 0
         self.rounds_aborted = 0

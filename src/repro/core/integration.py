@@ -14,24 +14,30 @@ flow and drives an attached actuator model.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.core.flow import FlowRecord
 from repro.core.operators import PayloadEffect, StreamOperator, register_operator
-from repro.core.recipe import TaskSpec
+from repro.core.recipe import parse_param, require_param
 from repro.errors import RecipeError
 from repro.ml.features import Datum
 
 __all__ = ["SensorClass", "ActuatorClass"]
 
 
+_SensorSettings = NamedTuple(
+    "_SensorSettings", [("device", str), ("rate_hz", float), ("burst", float)]
+)
+
+
 class SensorClass(StreamOperator):
     """Periodic sampling source (operator name ``sensor``).
 
     Params: ``device`` (name of a sensor attached to the module),
-    ``rate_hz`` (sampling frequency). The module must physically host the
-    device — recipes express that with capability ``sensor:<device>`` or a
-    ``pin_to``.
+    ``rate_hz`` (sampling frequency), ``burst`` (samples that may arrive
+    at once, for the static latency bound; default 1). The module must
+    physically host the device — recipes express that with capability
+    ``sensor:<device>`` or a ``pin_to``.
     """
 
     cost_op = "sensor.sample"
@@ -41,32 +47,34 @@ class SensorClass(StreamOperator):
     forwards_every_record = True
 
     @classmethod
-    def emit_rate(cls, task: TaskSpec, in_rates: list[float]) -> float:
-        return float(task.params.get("rate_hz", 1.0))
+    def settings(cls, params: dict[str, Any]) -> _SensorSettings:
+        return _SensorSettings(
+            str(require_param("device", params.get("device"))),
+            parse_param("rate_hz", params.get("rate_hz", 1.0), positive=True),
+            parse_param("burst", params.get("burst", 1.0)),
+        )
 
     @classmethod
-    def payload_effect(cls, params: dict[str, Any]) -> PayloadEffect:
+    def emit_rate(
+        cls, settings: _SensorSettings, in_rates: list[float], outputs: list[str]
+    ) -> float:
+        return settings.rate_hz
+
+    @classmethod
+    def payload_effect(cls, settings: _SensorSettings) -> PayloadEffect:
         # The payload is the device model's reading; the checker narrows
         # this to the device's channel_keys() when the testbed map knows
         # the device, and treats it as open otherwise.
         return PayloadEffect(opaque=True)
 
-    def configure(self) -> None:
-        device = self.params.get("device")
-        if not device:
-            raise RecipeError(f"{self.name}: sensor needs 'device'")
-        rate_hz = float(self.params.get("rate_hz", 1.0))
-        if rate_hz <= 0:
-            raise RecipeError(f"{self.name}: rate_hz must be positive")
+    def configure(self, settings: _SensorSettings) -> None:
         if self.subtask.inputs:
             raise RecipeError(f"{self.name}: sensor tasks take no inputs")
-        self.device = str(device)
-        self.rate_hz = rate_hz
+        self.device, self.rate_hz, _burst = settings
         self.model = self.module.sensor(self.device)
         self._rng = self.runtime.rng.stream(f"sensor.{self.node.name}.{self.device}")
         self.samples_taken = 0
-        self.paused = False
-        self.every(1.0 / rate_hz, self._tick)
+        self.every(1.0 / self.rate_hz, self._tick)
 
     def pause(self) -> None:
         """Stop emitting samples (device flap / undervoltage); the sampling
@@ -134,18 +142,19 @@ class ActuatorClass(StreamOperator):
     forwards_every_record = True
 
     @classmethod
-    def payload_effect(cls, params: dict[str, Any]) -> PayloadEffect:
+    def settings(cls, params: dict[str, Any]) -> str:
+        return str(require_param("device", params.get("device")))
+
+    @classmethod
+    def payload_effect(cls, settings: str) -> PayloadEffect:
         return PayloadEffect(reads_attrs=("command",))
 
-    def configure(self) -> None:
-        device = self.params.get("device")
-        if not device:
-            raise RecipeError(f"{self.name}: actuator needs 'device'")
+    def configure(self, settings: str) -> None:
         if self.subtask.outputs:
             raise RecipeError(f"{self.name}: actuator tasks produce no outputs")
         if not self.subtask.inputs:
             raise RecipeError(f"{self.name}: actuator needs an input stream")
-        self.device = str(device)
+        self.device = settings
         self.model = self.module.actuator(self.device)
         self.commands_applied = 0
         self.commands_ignored = 0

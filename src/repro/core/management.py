@@ -165,21 +165,9 @@ class ModuleAgent(Component):
         module: NeuronModule,
         heartbeat_s: float = 10.0,
         assignable: bool = True,
-        static_check: str = "warn",
     ) -> None:
         super().__init__(module.node, f"agent@{module.name}")
         self.module = module
-        if static_check not in ("off", "warn", "strict"):
-            raise DeploymentError(
-                f"static_check must be off/warn/strict, got {static_check!r}"
-            )
-        #: Pre-deployment static checking (repro.lint.recipe_check):
-        #: ``"warn"`` (default) rejects structurally broken recipes and
-        #: traces everything else; ``"strict"`` additionally rejects
-        #: rate-infeasible ones; ``"off"`` skips the pass entirely. The
-        #: default deliberately lets rate-infeasible recipes through —
-        #: the paper *measures* saturation (§V-B), it does not forbid it.
-        self.static_check = static_check
         #: Whether this module accepts recipe sub-tasks. The management
         #: node's agent sets this False: it manages, it does not process
         #: flows (matching the paper's testbed, Fig. 7).
@@ -508,67 +496,43 @@ class ModuleAgent(Component):
         """The raw-dict gate of :meth:`ManagementNode.submit_recipe`."""
         if isinstance(data, Recipe):
             return data
-        if self.static_check != "off" and isinstance(data, dict):
-            from repro.lint.recipe_check import check_recipe_dict
+        from repro.lint.recipe_check import check_recipe_dict
 
-            _raise_on_errors(
-                check_recipe_dict(data),
-                f"recipe {data.get('recipe', '?')!r} rejected by static check",
-            )
+        message = f"recipe {data.get('recipe', '?')!r} rejected by static check"
+        _raise_on_errors(check_recipe_dict(data), message)
         return Recipe.from_dict(data)
 
-    def _static_check(self, recipe: Recipe) -> None:
-        """Structural gate: reject statically broken recipes pre-split."""
-        from repro.lint.recipe_check import check_recipe
-
-        diagnostics = check_recipe(recipe)
+    def _note(self, diagnostics: list[Diagnostic]) -> None:
+        """Trace each admission finding as ``agent.static_check``."""
         for diag in diagnostics:
             self.trace("agent.static_check", finding=diag.format())
-        _raise_on_errors(diagnostics, f"recipe {recipe.name!r} rejected by static check")
-
-    def _rate_check(self, recipe: Recipe, placement: Any = None) -> None:
-        """Feasibility gate: rejects only in strict mode (see static_check).
-
-        Before assigning: the per-task pass, the operator term alone under
-        ``default_cost_model()`` whatever this runtime runs under. Given the
-        ``placement`` just made (sub-tasks, assignment, modules): the
-        per-module pass, full demand under this node's own cost model, so
-        a model that prices nothing stays silent.
-        """
-        from repro.lint.recipe_check import check_module_loads, check_rate_feasibility
-
-        if placement is None:
-            diagnostics = check_rate_feasibility(recipe)
-        else:
-            diagnostics = check_module_loads(recipe, *placement, self.node.cost_model)
-        for diag in diagnostics:
-            self.trace("agent.static_check", finding=diag.format())
-        if self.static_check == "strict":
-            _raise_on_errors(
-                diagnostics, f"recipe {recipe.name!r} is statically unschedulable"
-            )
 
     def lead_deployment(
         self, recipe: Recipe, strategy: AssignmentStrategy | None = None
     ) -> tuple[Assignment, dict[str, SubTask]]:
         """Split ``recipe``, assign over known-alive modules, send deploys.
 
-        Unless ``static_check="off"``, the recipe passes through the
-        static checker first — structurally invalid recipes raise
-        :class:`StaticCheckError` before any deploy command is sent.
-        Returns the assignment and the split it deployed, by sub-task id.
+        Every static finding is traced. An error in the recipe itself — its
+        graph, or a param an operator rejects — raises
+        :class:`StaticCheckError` before any deploy command is sent; rate
+        findings (per task under ``default_cost_model()``, then per module
+        under this node's own model) never reject: the paper *measures*
+        saturation (§V-B). Returns the assignment and the split it
+        deployed, by sub-task id.
         """
+        from repro.lint import recipe_check as check
         from repro.lint.rates import placement_demand
 
-        if self.static_check != "off":
-            self._static_check(recipe)
-            self._rate_check(recipe)
+        findings = check.check_recipe(recipe)
+        self._note(findings)
+        _raise_on_errors(findings, f"recipe {recipe.name!r} rejected by static check")
+        self._note(check.check_rate_feasibility(recipe))
         subtasks = RecipeSplit().split(recipe)
         modules = self.directory.module_infos()
-        demand = placement_demand(recipe, subtasks, self.node.cost_model)
+        model = self.node.cost_model
+        demand = placement_demand(recipe, subtasks, model)
         assignment = TaskAssignment(strategy).assign(subtasks, modules, demand)
-        if self.static_check != "off":
-            self._rate_check(recipe, (subtasks, assignment, modules))
+        self._note(check.check_module_loads(recipe, subtasks, assignment, modules, model))
         self.recipes_led += 1  # repro: san-ok[SAN020] commutative counter
         self.trace(
             "agent.recipe_led",

@@ -4,23 +4,24 @@ LearningClass and JudgingClass are model-agnostic; a :class:`FlowModel`
 adapts one of the online learners to the two verbs the analysis mechanism
 needs — ``train(record)`` and ``judge(record)`` — and declares whether it
 can take part in MIX. Two kinds ship, the two the applications use: the
-PA-I ``classifier`` and the robust z-score ``anomaly`` detector. Models
-are built from recipe params via :func:`build_flow_model`, so recipes stay
-declarative.
+PA-I ``classifier`` and the robust z-score ``anomaly`` detector. Recipe
+params are checked once by :func:`model_spec` into the class and options
+that build the model, so recipes stay declarative.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.core.flow import FlowRecord
+from repro.core.recipe import parse_param
 from repro.errors import ModelError, RecipeError
 from repro.ml.anomaly import RobustZScore
 from repro.ml.classifier import OnlineClassifier
 from repro.ml.features import Datum
 
-__all__ = ["FlowModel", "build_flow_model"]
+__all__ = ["FlowModel", "ModelSpec", "model_spec", "build_flow_model"]
 
 
 class FlowModel(ABC):
@@ -28,6 +29,8 @@ class FlowModel(ABC):
 
     #: True if the underlying model supports collect_diff/apply_mixed.
     mixable = False
+    #: The attributes :meth:`judge` returns.
+    judge_attrs: tuple[str, ...] = ()
 
     @abstractmethod
     def train(self, record: FlowRecord) -> dict[str, Any]:
@@ -65,6 +68,7 @@ class ClassifierFlowModel(FlowModel):
     record attributes under ``label_key``."""
 
     mixable = True
+    judge_attrs = ("label", "margin")
 
     def __init__(self, label_key: str = "label") -> None:
         self.label_key = label_key
@@ -112,15 +116,12 @@ class ClassifierFlowModel(FlowModel):
 class AnomalyFlowModel(FlowModel):
     """Streaming robust z-score anomaly scoring. Judging both scores *and*
     learns (the detector adapts to the live stream), so a single 'anomaly'
-    task covers the Fig. 5 'Anomaly detection' nodes. ``detector`` names
-    the one detector there is; recipes may set it."""
+    task covers the Fig. 5 'Anomaly detection' nodes."""
 
-    def __init__(
-        self, detector: str = "zscore", threshold: float = 4.0, min_samples: int = 10
-    ) -> None:
-        if detector != "zscore":
-            raise RecipeError(f"unknown anomaly detector {detector!r} (only 'zscore')")
-        self.detector = RobustZScore(min_samples=int(min_samples))
+    judge_attrs = ("score", "anomalous")
+
+    def __init__(self, threshold: float = 4.0, min_samples: int = 10) -> None:
+        self.detector = RobustZScore(min_samples=min_samples)
         self.threshold = threshold
         self._seen = 0
 
@@ -138,28 +139,40 @@ class AnomalyFlowModel(FlowModel):
         return self._seen > 0
 
 
-_MODEL_KINDS = {"classifier": ClassifierFlowModel, "anomaly": AnomalyFlowModel}
+_MODEL_KINDS: dict[str, type[FlowModel]] = {
+    "classifier": ClassifierFlowModel,
+    "anomaly": AnomalyFlowModel,
+}
+#: A checked model configuration: the kind's class and its constructor options.
+ModelSpec = NamedTuple("ModelSpec", [("cls", type[FlowModel]), ("options", dict)])
+
+
+def model_spec(params: dict[str, Any]) -> ModelSpec:
+    """Check model params once, building nothing. ``params['model']`` selects
+    the kind — ``classifier`` (the default; param ``label_key``) or
+    ``anomaly`` (params ``detector``, ``zscore`` only, ``threshold`` and
+    ``min_samples``). Any other kind or param, or a value that does not
+    convert, is a :class:`~repro.errors.RecipeError` naming the param and
+    the kinds."""
+    config = dict(params)
+    kind, kinds = str(config.pop("model", "classifier")), sorted(_MODEL_KINDS)
+    options: dict[str, Any] = {}
+    if kind == "classifier":
+        options["label_key"] = str(config.pop("label_key", "label"))
+    elif kind == "anomaly":
+        if config.pop("detector", "zscore") != "zscore":
+            raise RecipeError(f"param 'detector': only 'zscore' (models: {kinds})")
+        options["threshold"] = parse_param("threshold", config.pop("threshold", 4.0))
+        min_samples = config.pop("min_samples", 10)
+        options["min_samples"] = parse_param("min_samples", min_samples, int, positive=True)
+    else:
+        raise RecipeError(f"param 'model': unknown kind {kind!r}; choose from {kinds}")
+    if config:
+        raise RecipeError(f"bad params for model {kind!r} (models: {kinds}): {sorted(config)}")
+    return ModelSpec(_MODEL_KINDS[kind], options)
 
 
 def build_flow_model(params: dict[str, Any]) -> FlowModel:
-    """Construct a flow model from recipe params.
-
-    ``params['model']`` selects the kind — ``classifier`` (the default;
-    param ``label_key``) or ``anomaly`` (params ``detector``,
-    ``threshold``, ``min_samples``); the rest are forwarded to that
-    model's constructor. Any other kind or param is a
-    :class:`~repro.errors.RecipeError` whose message lists the kinds.
-    """
-    config = dict(params)
-    kind = config.pop("model", "classifier")
-    cls = _MODEL_KINDS.get(kind)
-    if cls is None:
-        raise RecipeError(
-            f"unknown model kind {kind!r}; choose from {sorted(_MODEL_KINDS)}"
-        )
-    try:
-        return cls(**config)
-    except (TypeError, RecipeError) as exc:
-        raise RecipeError(
-            f"bad params for model {kind!r} (models: {sorted(_MODEL_KINDS)}): {exc}"
-        ) from exc
+    """Construct a flow model from recipe params (see :func:`model_spec`)."""
+    spec = model_spec(params)
+    return spec.cls(**spec.options)

@@ -35,11 +35,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from repro.core.distribution import PublishClass, SubscribeClass
 from repro.core.flow import FlowRecord
-from repro.core.recipe import TaskSpec
+from repro.core.recipe import parse_names, parse_param, require_param
 from repro.core.splitter import SubTask, shard_of
 from repro.errors import RecipeError
 from repro.ml.features import Datum
@@ -99,8 +99,8 @@ class PayloadEffect:
 class StreamOperator(Component):
     """Base class wiring a sub-task to flows and the module CPU.
 
-    Subclasses implement :meth:`on_record` (and optionally
-    :meth:`configure` for parameter parsing) and call :meth:`emit`.
+    Subclasses implement :meth:`on_record` (and optionally :meth:`settings`
+    and :meth:`configure`) and call :meth:`emit`.
 
     The class attributes and classmethods below are the operator's whole
     static model: placement, the lint engines, the SLO policy and the
@@ -119,8 +119,8 @@ class StreamOperator(Component):
     #: Legitimately consumes no stream (a source or a control-plane task).
     source = False
     #: Samples an attached device on its own clock: takes no inputs, and
-    #: its ``device`` param names the sensor whose channel keys are the
-    #: payload schema.
+    #: its settings carry the ``device`` whose channel keys are the payload
+    #: schema and the ``burst`` of samples the latency bound assumes.
     samples_device = False
     #: Holds cross-record state: sharding it splits that state across
     #: shards (RCP109), and each instance carries a sanitizer state cell
@@ -137,29 +137,33 @@ class StreamOperator(Component):
     forwards_every_record = False
 
     @classmethod
-    def payload_effect(cls, params: dict[str, Any]) -> PayloadEffect:
-        """Static payload contract for this configuration (base:
-        pass-through). Overridden per operator; callers must treat a
-        raising implementation as opaque (malformed params are RCP1xx's
-        job, not this one's)."""
+    def settings(cls, params: dict[str, Any]) -> Any:
+        """The one parse of a task's params, for :meth:`configure` and the
+        declarations below; a value :meth:`configure` could not use is a
+        :class:`RecipeError` naming the param (RCP100). Base: no params."""
+        return ()
+
+    @classmethod
+    def payload_effect(cls, settings: Any) -> PayloadEffect:
+        """Static payload contract for these settings (base: pass-through)."""
         return PayloadEffect()
 
     @classmethod
-    def redelivery_safe(cls, params: dict[str, Any]) -> bool:
+    def redelivery_safe(cls, settings: Any) -> bool:
         """Whether a QoS 1 duplicate leaves this configuration's state
         intact (base: yes). False where a redelivered record re-trains
         the model or re-enters the statistic (RCP210)."""
         return True
 
     @classmethod
-    def emit_rate(cls, task: TaskSpec, in_rates: list[float]) -> float:
+    def emit_rate(cls, settings: Any, in_rates: list[float], outputs: list[str]) -> float:
         """Records/second published per output stream, given the rate of
         each local input stream (base: everything passes — the worst
         case for ``filter``/``delta``)."""
         return sum(in_rates)
 
     @classmethod
-    def hold_time(cls, task: TaskSpec, ingest_hz: float, emit_hz: float) -> float:
+    def hold_time(cls, settings: Any, ingest_hz: float, emit_hz: float) -> float:
         """Fixed time a record can sit inside the operator before
         emission (base: none)."""
         return 0.0
@@ -174,8 +178,8 @@ class StreamOperator(Component):
         self.module = module
         self.application = application
         self.subtask = subtask
-        self.params = dict(subtask.params)
-        qos = int(self.params.get("qos", 0))
+        settings = self.settings(subtask.params)
+        qos = int(subtask.params.get("qos", 0))
         self.publishers: dict[str, PublishClass] = {
             stream: PublishClass(
                 module.node, module.client, application, stream, qos=qos
@@ -226,10 +230,10 @@ class StreamOperator(Component):
             self._handoff_cell = tracked_state(
                 self.runtime, f"operator.{self.name}", "handoff"
             )
-        self.configure()
+        self.configure(settings)
 
-    def configure(self) -> None:
-        """Parse ``self.params``; raise RecipeError on bad configuration."""
+    def configure(self, settings: Any) -> None:
+        """Build runtime state from the parsed :meth:`settings`."""
 
     # ------------------------------------------------------------------
     # Record flow
@@ -487,10 +491,10 @@ def create_operator(
 # --------------------------------------------------------------------------
 
 
-def _interval_capped(task: TaskSpec, ingest_hz: float) -> float:
-    """Emission rate of an operator releasing once per ``interval_s``."""
-    interval = float(task.params.get("interval_s", 0.0))
-    return min(ingest_hz, 1.0 / interval) if interval > 0 else ingest_hz
+_WindowSettings = NamedTuple(
+    "_WindowSettings",
+    [("mode", str), ("sources", Any), ("arity", int), ("count", int), ("interval_s", float)],
+)
 
 
 class WindowOperator(StreamOperator):
@@ -506,63 +510,61 @@ class WindowOperator(StreamOperator):
     buffers_records = True
 
     @classmethod
-    def payload_effect(cls, params: dict[str, Any]) -> PayloadEffect:
+    def settings(cls, params: dict[str, Any]) -> _WindowSettings:
+        mode, sources = str(params.get("mode", "align")), params.get("sources")
+        if mode == "align":
+            arity = parse_param("arity", params.get("arity", 0), int)
+            if not sources and arity <= 0:
+                raise RecipeError("align window needs param 'sources' or 'arity'")
+            return _WindowSettings(mode, sources, arity, 0, 0.0)
+        if mode == "count":
+            count = parse_param("count", params.get("count", 0), int, positive=True)
+            return _WindowSettings(mode, None, 0, count, 0.0)
+        if mode == "time":
+            interval = parse_param("interval_s", params.get("interval_s", 0), positive=True)
+            return _WindowSettings(mode, None, 0, 0, interval)
+        raise RecipeError(f"param 'mode': unknown window mode {mode!r}")
+
+    @classmethod
+    def payload_effect(cls, settings: _WindowSettings) -> PayloadEffect:
         return PayloadEffect(merges_inputs=True)
 
     @classmethod
-    def redelivery_safe(cls, params: dict[str, Any]) -> bool:
+    def redelivery_safe(cls, settings: _WindowSettings) -> bool:
         # An align-mode duplicate overwrites the same per-source slot; a
         # count/time batch would hold it twice.
-        return str(params.get("mode", "align")) == "align"
+        return settings.mode == "align"
 
     @classmethod
-    def emit_rate(cls, task: TaskSpec, in_rates: list[float]) -> float:
-        mode = str(task.params.get("mode", "align"))
-        if mode == "align":
+    def emit_rate(
+        cls, settings: _WindowSettings, in_rates: list[float], outputs: list[str]
+    ) -> float:
+        if settings.mode == "align":
             # A round completes when the slowest source reports: the
             # window ingests every stream but emits at that source's rate.
             return min((rate for rate in in_rates if rate > 0), default=0.0)
-        if mode == "count":
-            return sum(in_rates) / max(1, int(task.params.get("count", 1)))
-        return _interval_capped(task, sum(in_rates))
+        if settings.mode == "count":
+            return sum(in_rates) / settings.count
+        return min(sum(in_rates), 1.0 / settings.interval_s)
 
     @classmethod
-    def hold_time(cls, task: TaskSpec, ingest_hz: float, emit_hz: float) -> float:
-        mode = str(task.params.get("mode", "align"))
-        if mode == "align":
+    def hold_time(cls, settings: _WindowSettings, ingest_hz: float, emit_hz: float) -> float:
+        if settings.mode == "align":
             # The round's oldest contributor (the trace root) waits one
             # full period of the slowest source.
             return 1.0 / emit_hz if emit_hz > 0 else 0.0
-        if mode == "count":
-            count = max(1, int(task.params.get("count", 1)))
-            return count / ingest_hz if ingest_hz > 0 else 0.0
-        return float(task.params.get("interval_s", 0.0))
+        if settings.mode == "count":
+            return settings.count / ingest_hz if ingest_hz > 0 else 0.0
+        return settings.interval_s
 
-    def configure(self) -> None:
-        self.mode = str(self.params.get("mode", "align"))
+    def configure(self, settings: _WindowSettings) -> None:
+        self.mode, self.expected_sources, self.arity, self.count, interval = settings
         if self.mode == "align":
-            self.expected_sources: list[str] | None = self.params.get("sources")
-            self.arity = int(self.params.get("arity", 0))
-            if not self.expected_sources and self.arity <= 0:
-                raise RecipeError(
-                    f"{self.name}: align window needs 'sources' or 'arity'"
-                )
             self._pending: dict[str, FlowRecord] = {}
-        elif self.mode == "count":
-            self.count = int(self.params.get("count", 0))
-            if self.count <= 0:
-                raise RecipeError(f"{self.name}: count window needs 'count' > 0")
-            self._batch: list[FlowRecord] = []
-        elif self.mode == "time":
-            interval = float(self.params.get("interval_s", 0.0))
-            if interval <= 0:
-                raise RecipeError(
-                    f"{self.name}: time window needs 'interval_s' > 0"
-                )
-            self._batch = []
-            self.every(interval, self._flush_time)
         else:
-            raise RecipeError(f"{self.name}: unknown window mode {self.mode!r}")
+            self._batch: list[FlowRecord] = []
+            if self.mode == "time":
+                self.every(interval, self._flush_time)
         self.windows_emitted = 0
 
     def on_record(self, stream: str, record: FlowRecord) -> None:
@@ -633,49 +635,55 @@ class WindowOperator(StreamOperator):
 # --------------------------------------------------------------------------
 
 
-def _map_select(datum: Datum, params: dict[str, Any]) -> Datum:
-    keys = set(params["keys"])
+class _MapSettings(NamedTuple):
+    fn: str
+    keys: tuple[str, ...] = ()  # select, magnitude
+    mapping: dict[Any, Any] = {}  # rename (never mutated)
+    key: str = ""  # scale
+    factor: float = 1.0  # scale
+    out: str = "magnitude"  # magnitude
+    digits: int = 3  # round
+
+
+def _map_select(datum: Datum, settings: _MapSettings) -> Datum:
+    keys = set(settings.keys)
     return Datum(
         string_values={k: v for k, v in datum.string_values.items() if k in keys},
         num_values={k: v for k, v in datum.num_values.items() if k in keys},
     )
 
 
-def _map_rename(datum: Datum, params: dict[str, Any]) -> Datum:
-    mapping = dict(params["mapping"])
+def _map_rename(datum: Datum, settings: _MapSettings) -> Datum:
+    mapping = settings.mapping
     return Datum(
         string_values={mapping.get(k, k): v for k, v in datum.string_values.items()},
         num_values={mapping.get(k, k): v for k, v in datum.num_values.items()},
     )
 
 
-def _map_scale(datum: Datum, params: dict[str, Any]) -> Datum:
-    key = params["key"]
-    factor = float(params["factor"])
+def _map_scale(datum: Datum, settings: _MapSettings) -> Datum:
     nums = dict(datum.num_values)
-    if key in nums:
-        nums[key] *= factor
+    if settings.key in nums:
+        nums[settings.key] *= settings.factor
     return Datum(string_values=dict(datum.string_values), num_values=nums)
 
 
-def _map_magnitude(datum: Datum, params: dict[str, Any]) -> Datum:
-    keys = list(params["keys"])
-    out = str(params.get("out", "magnitude"))
+def _map_magnitude(datum: Datum, settings: _MapSettings) -> Datum:
     nums = dict(datum.num_values)
-    nums[out] = math.sqrt(sum(nums.get(k, 0.0) ** 2 for k in keys))
+    nums[settings.out] = math.sqrt(sum(nums.get(k, 0.0) ** 2 for k in settings.keys))
     return Datum(string_values=dict(datum.string_values), num_values=nums)
 
 
-def _map_round(datum: Datum, params: dict[str, Any]) -> Datum:
-    digits = int(params.get("digits", 3))
+def _map_round(datum: Datum, settings: _MapSettings) -> Datum:
+    digits = settings.digits
     return Datum(
         string_values=dict(datum.string_values),
         num_values={k: round(v, digits) for k, v in datum.num_values.items()},
     )
 
 
-_MAP_FNS: dict[str, Callable[[Datum, dict[str, Any]], Datum]] = {
-    "identity": lambda datum, _params: datum,
+_MAP_FNS: dict[str, Callable[[Datum, _MapSettings], Datum]] = {
+    "identity": lambda datum, _settings: datum,
     "select": _map_select,
     "rename": _map_rename,
     "scale": _map_scale,
@@ -695,41 +703,46 @@ class MapOperator(StreamOperator):
     forwards_every_record = True
 
     @classmethod
-    def payload_effect(cls, params: dict[str, Any]) -> PayloadEffect:
+    def settings(cls, params: dict[str, Any]) -> _MapSettings:
         fn = str(params.get("fn", "identity"))
+        if fn not in _MAP_FNS:
+            raise RecipeError(f"param 'fn': unknown map fn {fn!r} (known: {sorted(_MAP_FNS)})")
+        try:
+            if fn in ("select", "magnitude"):
+                out = str(params.get("out", "magnitude"))
+                return _MapSettings(fn, keys=parse_names("keys", params["keys"]), out=out)
+            if fn == "rename":
+                mapping = parse_param("mapping", params["mapping"], dict)
+                return _MapSettings(fn, mapping=mapping)
+            if fn == "scale":
+                key, factor = str(params["key"]), params["factor"]
+                return _MapSettings(fn, key=key, factor=parse_param("factor", factor))
+        except KeyError as exc:
+            raise RecipeError(f"map fn {fn!r} missing param {exc}") from None
+        if fn == "round":
+            return _MapSettings(fn, digits=parse_param("digits", params.get("digits", 3), int))
+        return _MapSettings(fn)
+
+    @classmethod
+    def payload_effect(cls, settings: _MapSettings) -> PayloadEffect:
+        fn = settings.fn
         if fn == "select":
-            keys = tuple(str(k) for k in params.get("keys", ()))
-            return PayloadEffect(reads=keys, select=keys)
+            return PayloadEffect(reads=settings.keys, select=settings.keys)
         if fn == "rename":
-            mapping = dict(params.get("mapping", {}))
-            pairs = tuple(sorted((str(k), str(v)) for k, v in mapping.items()))
+            pairs = tuple(sorted((str(k), str(v)) for k, v in settings.mapping.items()))
             return PayloadEffect(reads=tuple(k for k, _ in pairs), renames=pairs)
         if fn == "scale":
-            key = params.get("key")
-            return PayloadEffect(reads=(str(key),) if key is not None else ())
+            return PayloadEffect(reads=(settings.key,))
         if fn == "magnitude":
-            keys = tuple(str(k) for k in params.get("keys", ()))
-            out = str(params.get("out", "magnitude"))
-            return PayloadEffect(reads=keys, adds=(out,))
+            return PayloadEffect(reads=settings.keys, adds=(settings.out,))
         return PayloadEffect()
 
-    def configure(self) -> None:
-        fn_name = str(self.params.get("fn", "identity"))
-        fn = _MAP_FNS.get(fn_name)
-        if fn is None:
-            raise RecipeError(
-                f"{self.name}: unknown map fn {fn_name!r} (known: {sorted(_MAP_FNS)})"
-            )
-        self._fn = fn
-        self._fn_name = fn_name
-        # Fail fast on missing fn params using a probe datum.
-        try:
-            fn(Datum(num_values={"__probe__": 0.0}), self.params)
-        except KeyError as exc:
-            raise RecipeError(f"{self.name}: map fn {fn_name!r} missing param {exc}")
+    def configure(self, settings: _MapSettings) -> None:
+        self._fn = _MAP_FNS[settings.fn]
+        self._settings = settings
 
     def on_record(self, stream: str, record: FlowRecord) -> None:
-        transformed = self._fn(record.datum, self.params)
+        transformed = self._fn(record.datum, self._settings)
         self.emit(record.derive(self.subtask.task_id, datum=transformed))
 
 
@@ -747,6 +760,12 @@ _COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
 }
 
 
+_FilterSettings = NamedTuple(
+    "_FilterSettings",
+    [("key", str), ("value", Any), ("compare", Callable[[Any, Any], bool]), ("field", str)],
+)
+
+
 class FilterOperator(StreamOperator):
     """Passes records satisfying ``<field>[key] <op> value``.
 
@@ -757,28 +776,26 @@ class FilterOperator(StreamOperator):
     load_points = 0.5
 
     @classmethod
-    def payload_effect(cls, params: dict[str, Any]) -> PayloadEffect:
-        key = params.get("key")
-        if key is None:
-            return PayloadEffect()
-        if str(params.get("field", "datum")) == "attrs":
-            return PayloadEffect(reads_attrs=(str(key),))
-        return PayloadEffect(reads=(str(key),))
-
-    def configure(self) -> None:
+    def settings(cls, params: dict[str, Any]) -> _FilterSettings:
         try:
-            self.key = str(self.params["key"])
-            self.value = self.params["value"]
+            key, value = str(params["key"]), params["value"]
         except KeyError as exc:
-            raise RecipeError(f"{self.name}: filter missing param {exc}")
-        op = str(self.params.get("op", "gt"))
-        comparator = _COMPARATORS.get(op)
-        if comparator is None:
-            raise RecipeError(f"{self.name}: unknown filter op {op!r}")
-        self._comparator = comparator
-        self.field = str(self.params.get("field", "datum"))
-        if self.field not in ("datum", "attrs"):
-            raise RecipeError(f"{self.name}: filter field must be datum|attrs")
+            raise RecipeError(f"filter missing param {exc}") from None
+        op, field = str(params.get("op", "gt")), str(params.get("field", "datum"))
+        if op not in _COMPARATORS:
+            raise RecipeError(f"param 'op': unknown filter op {op!r}")
+        if field not in ("datum", "attrs"):
+            raise RecipeError(f"param 'field' must be datum|attrs, got {field!r}")
+        return _FilterSettings(key, value, _COMPARATORS[op], field)
+
+    @classmethod
+    def payload_effect(cls, settings: _FilterSettings) -> PayloadEffect:
+        if settings.field == "attrs":
+            return PayloadEffect(reads_attrs=(settings.key,))
+        return PayloadEffect(reads=(settings.key,))
+
+    def configure(self, settings: _FilterSettings) -> None:
+        self.key, self.value, self._comparator, self.field = settings
         self.records_dropped = 0
 
     def _lookup(self, record: FlowRecord) -> Any:
@@ -815,11 +832,15 @@ class MergeOperator(StreamOperator):
     forwards_every_record = True
 
     @classmethod
-    def payload_effect(cls, params: dict[str, Any]) -> PayloadEffect:
+    def settings(cls, params: dict[str, Any]) -> bool:
+        return bool(params.get("require_all", True))
+
+    @classmethod
+    def payload_effect(cls, settings: bool) -> PayloadEffect:
         return PayloadEffect(merges_inputs=True)
 
-    def configure(self) -> None:
-        self.require_all = bool(self.params.get("require_all", True))
+    def configure(self, settings: bool) -> None:
+        self.require_all = settings
         self._latest: dict[str, FlowRecord] = {}
 
     def export_state(self) -> dict[str, Any]:
@@ -856,6 +877,11 @@ class MergeOperator(StreamOperator):
 # --------------------------------------------------------------------------
 
 
+_StatSettings = NamedTuple(
+    "_StatSettings", [("keys", tuple[str, ...]), ("window", int), ("stats", tuple[str, ...])]
+)
+
+
 class StatOperator(StreamOperator):
     """Annotates records with sliding-window statistics.
 
@@ -867,30 +893,29 @@ class StatOperator(StreamOperator):
     stateful = True
 
     @classmethod
-    def payload_effect(cls, params: dict[str, Any]) -> PayloadEffect:
-        keys = tuple(str(k) for k in params.get("keys", ()) or ())
-        wanted = tuple(str(s) for s in params.get("stats", ["mean", "std"]))
-        return PayloadEffect(
-            reads=keys,
-            adds_attrs=tuple(f"{key}_{stat}" for key in keys for stat in wanted),
-        )
+    def settings(cls, params: dict[str, Any]) -> _StatSettings:
+        keys = parse_names("keys", require_param("keys", params.get("keys")))
+        stats = parse_names("stats", params.get("stats", ("mean", "std")))
+        bad = set(stats) - {"mean", "std", "min", "max"}
+        if bad:
+            raise RecipeError(f"param 'stats': unknown stats {sorted(bad)}")
+        window = parse_param("window", params.get("window", 64), int, positive=True)
+        return _StatSettings(keys, window, stats)
 
     @classmethod
-    def redelivery_safe(cls, params: dict[str, Any]) -> bool:
+    def payload_effect(cls, settings: _StatSettings) -> PayloadEffect:
+        keys, _window, stats = settings
+        adds = tuple(f"{key}_{stat}" for key in keys for stat in stats)
+        return PayloadEffect(reads=keys, adds_attrs=adds)
+
+    @classmethod
+    def redelivery_safe(cls, settings: _StatSettings) -> bool:
         return False
 
-    def configure(self) -> None:
-        keys = self.params.get("keys")
-        if not keys:
-            raise RecipeError(f"{self.name}: stat needs 'keys'")
-        self.keys = [str(k) for k in keys]
-        self.window = WindowStat(window=int(self.params.get("window", 64)))
-        wanted = self.params.get("stats", ["mean", "std"])
-        allowed = {"mean", "std", "min", "max"}
-        bad = set(wanted) - allowed
-        if bad:
-            raise RecipeError(f"{self.name}: unknown stats {sorted(bad)}")
-        self.wanted = list(wanted)
+    def configure(self, settings: _StatSettings) -> None:
+        keys, window, self.wanted = settings
+        self.keys = list(keys)
+        self.window = WindowStat(window=window)
 
     def export_state(self) -> dict[str, Any]:
         super().export_state()
@@ -925,6 +950,10 @@ class StatOperator(StreamOperator):
 # --------------------------------------------------------------------------
 
 
+#: Rules as (looked-up key, comparator name, operand, command), and a default.
+_CommandSettings = NamedTuple("_CommandSettings", [("rules", list), ("default", Any)])
+
+
 class CommandOperator(StreamOperator):
     """Maps analysis outputs to actuator commands via a rule table.
 
@@ -936,38 +965,30 @@ class CommandOperator(StreamOperator):
     """
 
     @classmethod
-    def payload_effect(cls, params: dict[str, Any]) -> PayloadEffect:
-        keys: list[str] = []
+    def settings(cls, params: dict[str, Any]) -> _CommandSettings:
         rules = params.get("rules")
-        for rule in rules if isinstance(rules, list) else []:
-            if not isinstance(rule, dict):
-                continue
-            when = rule.get("when")
-            if isinstance(when, dict) and "key" in when:
-                key = str(when["key"])
-                if key not in keys:
-                    keys.append(key)
-        return PayloadEffect(reads_any=tuple(keys), adds_attrs=("command",))
-
-    def configure(self) -> None:
-        rules = self.params.get("rules")
         if not isinstance(rules, list) or not rules:
-            raise RecipeError(f"{self.name}: command needs a non-empty 'rules' list")
-        self.rules: list[tuple[str, str, Any, dict[str, Any]]] = []
+            raise RecipeError("command needs a non-empty 'rules' list param")
+        parsed = []
         for i, rule in enumerate(rules):
-            when = rule.get("when", {})
-            command = rule.get("command")
+            when = rule.get("when", {}) if isinstance(rule, dict) else None
+            command = rule.get("command") if isinstance(rule, dict) else None
             if not isinstance(when, dict) or "key" not in when or command is None:
-                raise RecipeError(f"{self.name}: malformed rule #{i}: {rule!r}")
+                raise RecipeError(f"param 'rules': malformed rule #{i}: {rule!r}")
             tests = [op for op in _COMPARATORS if op in when]
             if len(tests) != 1:
-                raise RecipeError(
-                    f"{self.name}: rule #{i} needs exactly one comparator"
-                )
-            self.rules.append(
-                (str(when["key"]), tests[0], when[tests[0]], dict(command))
-            )
-        self.default_command = self.params.get("default")
+                raise RecipeError(f"param 'rules': rule #{i} needs exactly one comparator")
+            command = parse_param("rules", command, dict)
+            parsed.append((str(when["key"]), tests[0], when[tests[0]], command))
+        return _CommandSettings(parsed, params.get("default"))
+
+    @classmethod
+    def payload_effect(cls, settings: _CommandSettings) -> PayloadEffect:
+        keys = tuple(dict.fromkeys(key for key, *_rest in settings.rules))
+        return PayloadEffect(reads_any=keys, adds_attrs=("command",))
+
+    def configure(self, settings: _CommandSettings) -> None:
+        self.rules, self.default_command = settings
         self.commands_emitted = 0
 
     def _lookup(self, record: FlowRecord, key: str) -> Any:
@@ -999,6 +1020,9 @@ class CommandOperator(StreamOperator):
 # --------------------------------------------------------------------------
 
 
+_EwmaSettings = NamedTuple("_EwmaSettings", [("alpha", float), ("keys", tuple[str, ...])])
+
+
 class EwmaOperator(StreamOperator):
     """Exponentially weighted moving average of chosen numeric keys.
 
@@ -1011,21 +1035,23 @@ class EwmaOperator(StreamOperator):
     forwards_every_record = True
 
     @classmethod
-    def payload_effect(cls, params: dict[str, Any]) -> PayloadEffect:
-        return PayloadEffect(
-            reads=tuple(str(k) for k in params.get("keys", ()) or ())
-        )
+    def settings(cls, params: dict[str, Any]) -> _EwmaSettings:
+        alpha = parse_param("alpha", params.get("alpha", 0.2))
+        if not 0.0 < alpha <= 1.0:
+            raise RecipeError(f"param 'alpha' must be in (0, 1], got {alpha!r}")
+        return _EwmaSettings(alpha, parse_names("keys", params.get("keys") or ()))
 
     @classmethod
-    def redelivery_safe(cls, params: dict[str, Any]) -> bool:
+    def payload_effect(cls, settings: _EwmaSettings) -> PayloadEffect:
+        return PayloadEffect(reads=settings.keys)
+
+    @classmethod
+    def redelivery_safe(cls, settings: _EwmaSettings) -> bool:
         return False
 
-    def configure(self) -> None:
-        alpha = float(self.params.get("alpha", 0.2))
-        if not 0.0 < alpha <= 1.0:
-            raise RecipeError(f"{self.name}: alpha must be in (0, 1]")
-        self.alpha = alpha
-        self.keys = [str(k) for k in self.params.get("keys", [])] or None
+    def configure(self, settings: _EwmaSettings) -> None:
+        self.alpha, keys = settings
+        self.keys = list(keys) or None
         self._state: dict[str, float] = {}
 
     def export_state(self) -> dict[str, Any]:
@@ -1064,6 +1090,9 @@ class EwmaOperator(StreamOperator):
 # --------------------------------------------------------------------------
 
 
+_DeltaSettings = NamedTuple("_DeltaSettings", [("key", str), ("min_change", float)])
+
+
 class DeltaOperator(StreamOperator):
     """Emits only when a watched value moved by at least ``min_change``.
 
@@ -1076,16 +1105,16 @@ class DeltaOperator(StreamOperator):
     forwards_every_record = True
 
     @classmethod
-    def payload_effect(cls, params: dict[str, Any]) -> PayloadEffect:
-        key = params.get("key")
-        return PayloadEffect(reads=(str(key),) if key else ())
+    def settings(cls, params: dict[str, Any]) -> _DeltaSettings:
+        key = str(require_param("key", params.get("key")))
+        return _DeltaSettings(key, parse_param("min_change", params.get("min_change", 0.0)))
 
-    def configure(self) -> None:
-        key = self.params.get("key")
-        if not key:
-            raise RecipeError(f"{self.name}: delta needs 'key'")
-        self.key = str(key)
-        self.min_change = float(self.params.get("min_change", 0.0))
+    @classmethod
+    def payload_effect(cls, settings: _DeltaSettings) -> PayloadEffect:
+        return PayloadEffect(reads=(settings.key,))
+
+    def configure(self, settings: _DeltaSettings) -> None:
+        self.key, self.min_change = settings
         self._last: Any = None
         self.records_suppressed = 0
 
@@ -1133,18 +1162,20 @@ class ThrottleOperator(StreamOperator):
     stateful = True
 
     @classmethod
-    def emit_rate(cls, task: TaskSpec, in_rates: list[float]) -> float:
-        return _interval_capped(task, sum(in_rates))
+    def settings(cls, params: dict[str, Any]) -> float:
+        """The ``interval_s`` between passed records."""
+        return parse_param("interval_s", params.get("interval_s", 0.0), positive=True)
 
     @classmethod
-    def hold_time(cls, task: TaskSpec, ingest_hz: float, emit_hz: float) -> float:
-        return float(task.params.get("interval_s", 0.0))
+    def emit_rate(cls, settings: float, in_rates: list[float], outputs: list[str]) -> float:
+        return min(sum(in_rates), 1.0 / settings)
 
-    def configure(self) -> None:
-        interval = float(self.params.get("interval_s", 0.0))
-        if interval <= 0:
-            raise RecipeError(f"{self.name}: throttle needs 'interval_s' > 0")
-        self.interval_s = interval
+    @classmethod
+    def hold_time(cls, settings: float, ingest_hz: float, emit_hz: float) -> float:
+        return settings
+
+    def configure(self, settings: float) -> None:
+        self.interval_s = settings
         self._next_allowed = 0.0
         self.records_suppressed = 0
 
@@ -1186,14 +1217,16 @@ class DedupOperator(StreamOperator):
     forwards_every_record = True
 
     @classmethod
-    def payload_effect(cls, params: dict[str, Any]) -> PayloadEffect:
+    def settings(cls, params: dict[str, Any]) -> int:
+        """The ``window`` of remembered sample ids."""
+        return parse_param("window", params.get("window", 1024), int, positive=True)
+
+    @classmethod
+    def payload_effect(cls, settings: int) -> PayloadEffect:
         return PayloadEffect(dedups=True)
 
-    def configure(self) -> None:
-        window = int(self.params.get("window", 1024))
-        if window <= 0:
-            raise RecipeError(f"{self.name}: dedup window must be positive")
-        self._order: deque[str] = deque(maxlen=window)
+    def configure(self, settings: int) -> None:
+        self._order: deque[str] = deque(maxlen=settings)
         self._seen: set[str] = set()
         self.duplicates_dropped = 0
 

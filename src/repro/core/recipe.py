@@ -23,7 +23,32 @@ from typing import Any, Collection, Iterable
 from repro.errors import RecipeError
 from repro.util.validate import require_name
 
-__all__ = ["TaskSpec", "Recipe", "graph_problems"]
+__all__ = ["TaskSpec", "Recipe", "graph_problems", "parse_param", "parse_names", "require_param"]
+
+
+def parse_param(name: str, value: Any, kind: type = float, positive: bool = False) -> Any:
+    """Param ``name``'s ``value`` as a ``kind`` (float, int, tuple, dict), or a
+    RecipeError naming it if it does not convert (or is not > 0 where
+    ``positive``)."""
+    try:
+        parsed = kind(value)
+    except (TypeError, ValueError):
+        raise RecipeError(f"param {name!r}: {value!r} is not a {kind.__name__}") from None
+    if positive and not parsed > 0:
+        raise RecipeError(f"param {name!r} must be > 0, got {value!r}")
+    return parsed
+
+
+def parse_names(name: str, value: Any) -> tuple[str, ...]:
+    """A list param of datum keys (or other names), as strings."""
+    return tuple(str(item) for item in parse_param(name, value, tuple))
+
+
+def require_param(name: str, value: Any) -> Any:
+    """The ``value`` of a param that must be given, and not empty."""
+    if not value:
+        raise RecipeError(f"param {name!r} is required")
+    return value
 
 
 @dataclass

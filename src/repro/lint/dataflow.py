@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, NamedTuple
 
-from repro.core.operators import operator_class
 from repro.core.recipe import Recipe
 from repro.lint.callgraph import INIT_METHODS, build_callgraph
 from repro.lint.engine import LintRun
@@ -194,15 +193,13 @@ def check_recipe_payloads(
     for step in facts.values():
         task, merged, effect = step.task, step.merged, step.effect
         where = f"{recipe.name}:task {task.task_id}"
-        if effect is not None:
-            diagnostics += _check_reads(where, task, merged, effect)
-            diagnostics += _check_renames(where, merged, effect)
-            if effect.merges_inputs and len(task.inputs) > 1:
-                diagnostics += _check_collisions(where, task, step.inputs)
-            if effect.dedups:
-                diagnostics += _check_dedup(where, task, recipe, facts, merged)
-        cls = operator_class(task.operator)
-        if merged.tainted and not cls.redelivery_safe(task.params):
+        diagnostics += _check_reads(where, task, merged, effect)
+        diagnostics += _check_renames(where, merged, effect)
+        if effect.merges_inputs and len(task.inputs) > 1:
+            diagnostics += _check_collisions(where, task, step.inputs)
+        if effect.dedups:
+            diagnostics += _check_dedup(where, task, recipe, facts, merged)
+        if merged.tainted and not step.cls.redelivery_safe(step.settings):
             diagnostics.append(
                 DATAFLOW_RULES["RCP210"].diagnostic(
                     where,
@@ -356,7 +353,7 @@ def _check_dedup(
             continue
         upstream = facts[recipe.producer_of(stream)]
         producer, effect = upstream.task, upstream.effect
-        if effect is not None and effect.merges_inputs:
+        if effect.merges_inputs:
             rule = DATAFLOW_RULES["RCP212"]
             diagnostics.append(
                 rule.diagnostic(

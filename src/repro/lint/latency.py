@@ -72,7 +72,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.core.operators import operator_class
 from repro.core.recipe import Recipe, TaskSpec
 from repro.lint.rates import (
     DEFAULT_RECORD_BYTES,
@@ -359,7 +358,7 @@ def _fold(
 
     for task_id, step in facts.items():
         task = step.task
-        cls = operator_class(task.operator)
+        cls = step.cls
         cpu = _cpu_key(task, placement)
         ingest_hz = step.ingest_hz
         emit_hz = step.emit_hz
@@ -368,7 +367,8 @@ def _fold(
         resources: list[str] = [cpu]
 
         if cls.samples_device or not task.inputs:
-            burst_in = max(1.0, float(task.params.get("burst", 1.0)))
+            # A device sampler declares its burst; other sources emit singly.
+            burst_in = max(1.0, step.settings.burst) if cls.samples_device else 1.0
             latency_in = 0.0
             fixed_in = 0.0
             demand_hz = emit_hz
@@ -425,7 +425,7 @@ def _fold(
         if service_s is None:
             derivable = False
             reasons.append(f"cost model does not define op {op!r}")
-        hold = cls.hold_time(task, ingest_hz, emit_hz)
+        hold = cls.hold_time(step.settings, ingest_hz, emit_hz)
         shard_hz = demand_hz / max(1, task.parallelism)
         d_op = hop(cpu, shard_hz, burst_in, service_s)
         warmup = _warmup_cost(model, op)

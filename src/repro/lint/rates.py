@@ -1,7 +1,8 @@
 """The static recipe model: one walk over the task graph (paper §IV-C).
 
 A recipe declares its ingest rates (``rate_hz`` on sensor tasks) and its
-devices; every operator class declares how it transforms both — its
+devices; every operator class parses a task's params once, into its
+``settings``, and declares from them how it transforms both — its
 ``emit_rate`` (a ``map`` passes its input rate through, an align
 ``window`` emits at the slowest source's rate, a ``throttle`` caps at
 ``1/interval_s`` ...) and its ``payload_effect`` (which datum and
@@ -9,7 +10,7 @@ attribute keys it reads, adds, renames or selects). :func:`walk` visits
 the topological order once and yields, per task, its rates and its
 payload schemas; placement, admission (RCP110/RCP111), shedding, the
 payload checks (RCP200–RCP212) and the latency bounds (RCP24x) all read
-that one result.
+that one result. A task whose params do not parse (RCP100) is opaque.
 
 Rates times the per-record service time of the class's ``cost_op`` (the
 same :class:`~repro.runtime.costs.CostModel` the simulator charges) give
@@ -26,10 +27,11 @@ assumed record size, and warm-up surcharges are ignored (steady state).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.core.operators import PayloadEffect, StreamOperator, operator_class
 from repro.core.recipe import Recipe, TaskSpec
+from repro.errors import RecipeError
 from repro.runtime.costs import CostModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -91,11 +93,13 @@ class TaskFacts:
     """What the walk derives for one task."""
 
     task: TaskSpec
+    cls: type[StreamOperator]  # whose declarations apply (base: opaque task)
+    settings: Any  # what ``cls.settings`` parsed from the task's params
     ingest_hz: float  # records/second arriving at the task
     emit_hz: float  # records/second published per output stream
     inputs: tuple[StreamSchema, ...]  # one per ``task.inputs`` entry
     merged: StreamSchema  # the inputs' union, at-least-once taint included
-    effect: PayloadEffect | None  # ``None``: unregistered or opaque operator
+    effect: PayloadEffect
     out: StreamSchema  # every output stream's schema
 
 
@@ -132,19 +136,26 @@ def walk(
         merged = _merge_schemas(inputs)
         if tainted:
             merged = replace(merged, tainted=True)
-        emit = cls.emit_rate(task, in_rates)
-        effect = _operator_effect(cls, task.params)
+        try:
+            settings = cls.settings(task.params)
+        except RecipeError:  # RCP100: known no better than an RCP106 operator
+            cls, settings = StreamOperator, ()
+        emit = cls.emit_rate(settings, in_rates, task.outputs)
+        opaque = PayloadEffect(opaque=True)  # nothing is known of its payload
+        effect = opaque if cls is StreamOperator else cls.payload_effect(settings)
         if cls.samples_device:
-            keys = known_devices.get(str(task.params.get("device", "")))
+            keys = known_devices.get(settings.device)
             out = StreamSchema(datum=keys) if keys is not None else _OPEN
-        elif effect is None or effect.opaque:
+        elif effect.opaque:
             out = replace(_OPEN, tainted=merged.tainted, dedup_guard=merged.dedup_guard)
         else:
             out = _apply_effect(merged, effect)
-        if effect is not None and effect.dedups:
+        if effect.dedups:
             out = replace(out, tainted=False, dedup_guard=True)
         facts[task_id] = TaskFacts(
             task=task,
+            cls=cls,
+            settings=settings,
             # A device sampler's arrival rate is its own sampling rate.
             ingest_hz=emit if cls.samples_device else sum(in_rates),
             emit_hz=emit,
@@ -154,16 +165,6 @@ def walk(
             out=out,
         )
     return facts
-
-
-def _operator_effect(cls: type[StreamOperator], params: dict) -> PayloadEffect | None:
-    """The operator class's PayloadEffect, or ``None`` for unknown/opaque."""
-    if cls is StreamOperator:
-        return None  # unregistered (RCP106): nothing is known of its payload
-    try:
-        return cls.payload_effect(dict(params))
-    except Exception:
-        return None  # an effect that cannot be computed is opaque
 
 
 def _merge_schemas(inputs: list[StreamSchema]) -> StreamSchema:

@@ -6,7 +6,8 @@ is well-formed; this module verifies that *statically*, reporting
 :class:`~repro.util.validate.Diagnostic` findings instead of failing at
 simulation time:
 
-``RCP100``  task spec malformed (bad id, bad parallelism, unknown field)
+``RCP100``  task spec malformed (bad id, bad parallelism, unknown field,
+            bad operator param)
 ``RCP101``  duplicate task id
 ``RCP102``  stream produced by more than one task
 ``RCP103``  consumed stream that nothing produces / malformed external ref
@@ -67,7 +68,8 @@ RECIPE_RULES: dict[str, Rule] = {
         Rule(
             "RCP100",
             Severity.ERROR,
-            "task spec malformed (bad id, bad parallelism, unknown field)",
+            "task spec malformed (bad id, bad parallelism, unknown field, "
+            "bad operator param)",
         ),
         Rule("RCP101", Severity.ERROR, "duplicate task id"),
         Rule(
@@ -173,7 +175,8 @@ def check_recipe_dict(data: dict[str, Any]) -> list[Diagnostic]:
 
 
 def _check_tasks(name: str, tasks: list[TaskSpec]) -> list[Diagnostic]:
-    """The graph pass's problems as findings, then RCP106–RCP109."""
+    """The graph pass's problems as findings, then operator params
+    (RCP100) and RCP106–RCP109."""
     producers, _order, problems = graph_problems(tasks)
     diagnostics = [
         RECIPE_RULES[rule].diagnostic(f"{name}:{subject}", message, hint=hint)
@@ -188,8 +191,10 @@ def _check_tasks(name: str, tasks: list[TaskSpec]) -> list[Diagnostic]:
 
 
 def _check_operators(name: str, tasks: list[TaskSpec]) -> list[Diagnostic]:
+    """RCP106 per unregistered operator, then RCP100 per param a registered
+    class's ``settings`` rejects — what deploying the task would fail on."""
     known = registered_operators()
-    return [
+    diagnostics = [
         RECIPE_RULES["RCP106"].diagnostic(
             f"{name}:task {task.task_id}",
             f"unknown operator {task.operator!r}",
@@ -198,6 +203,14 @@ def _check_operators(name: str, tasks: list[TaskSpec]) -> list[Diagnostic]:
         for task in tasks
         if task.operator not in known
     ]
+    for task in tasks:
+        try:
+            operator_class(task.operator).settings(task.params)
+        except RecipeError as exc:
+            where = f"{name}:task {task.task_id}"
+            message = f"task {task.task_id!r} ({task.operator}): {exc}"
+            diagnostics.append(RECIPE_RULES["RCP100"].diagnostic(where, message))
+    return diagnostics
 
 
 def _check_qos(

@@ -16,7 +16,7 @@ Built on top, and imported lazily to keep the core cheap:
   sketches (the SLO engine's distributions);
 * :mod:`repro.obs.slo` — the online SLO engine: deadline conformance,
   burn-rate alerting, drift watch, status publication;
-* :mod:`repro.obs.export` — Prometheus/OTLP renderings of the metrics
+* :mod:`repro.obs.export` — the Prometheus rendering of the metrics
   registry and the real backend's HTTP scrape endpoint.
 
 Instrumentation is zero-cost-when-disabled: every site in the middleware

@@ -1,10 +1,9 @@
-"""Operator-facing telemetry export: Prometheus text, OTLP JSON, HTTP.
+"""Operator-facing telemetry export: Prometheus text, a console, HTTP.
 
 The sim side records metric scrapes into the trace; a *real* deployment
 needs a scrape surface instead. This module renders one
-:class:`~repro.obs.metrics.MetricsRegistry` into the two lingua-franca
-formats — the Prometheus text exposition format and an OTLP-style JSON
-document — and serves both (plus the SLO engine's report and a
+:class:`~repro.obs.metrics.MetricsRegistry` in the Prometheus text
+exposition format and serves it (plus the SLO engine's report and a
 ``top``-style plain-text console) over a minimal asyncio HTTP endpoint
 attached to an :class:`~repro.runtime.real.AsyncioRuntime`.
 
@@ -27,14 +26,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "prometheus_text",
-    "otlp_json",
     "render_top",
     "MetricsServer",
 ]
 
 _NAME_SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
 
-#: Histogram quantiles exported as Prometheus/OTLP summaries.
+#: Histogram quantiles exported as Prometheus summaries.
 _QUANTILES = (50, 95, 99)
 _ZEROS = (0.0,) * len(_QUANTILES)  # an empty histogram exports zeros, not NaN
 
@@ -98,92 +96,6 @@ def prometheus_text(registry: MetricsRegistry) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _otlp_attributes(labels: dict[str, str]) -> list[dict[str, Any]]:
-    return [
-        {"key": k, "value": {"stringValue": labels[k]}} for k in sorted(labels)
-    ]
-
-
-def otlp_json(
-    registry: MetricsRegistry, service_name: str = "repro"
-) -> dict[str, Any]:
-    """OTLP-style JSON: resourceMetrics → scopeMetrics → metrics.
-
-    Counters become monotonic cumulative sums, gauges gauges, histograms
-    summaries with the same quantiles the sim scraper records. The shape
-    follows OTLP/JSON conventions closely enough for collectors that
-    speak it, without claiming byte-level protobuf-JSON conformance.
-    """
-    metrics: list[dict[str, Any]] = []
-    for kind, key, instrument in registry.instruments():
-        name, labels = parse_metric_key(key)
-        attributes = _otlp_attributes(labels)
-        if kind == "counter":
-            metrics.append(
-                {
-                    "name": name,
-                    "sum": {
-                        "dataPoints": [
-                            {"asDouble": float(instrument.value), "attributes": attributes}
-                        ],
-                        "aggregationTemporality": 2,
-                        "isMonotonic": True,
-                    },
-                }
-            )
-        elif kind == "gauge":
-            try:
-                value = float(instrument.read())
-            except Exception:  # noqa: BLE001 - scrape isolation
-                continue
-            metrics.append(
-                {
-                    "name": name,
-                    "gauge": {
-                        "dataPoints": [{"asDouble": value, "attributes": attributes}]
-                    },
-                }
-            )
-        else:
-            stats = instrument.stats
-            values = instrument.percentiles(*_QUANTILES) if stats.count else _ZEROS
-            metrics.append(
-                {
-                    "name": name,
-                    "summary": {
-                        "dataPoints": [
-                            {
-                                "attributes": attributes,
-                                "count": stats.count,
-                                "sum": stats.mean * stats.count if stats.count else 0.0,
-                                "quantileValues": [
-                                    {"quantile": q / 100, "value": value}
-                                    for q, value in zip(_QUANTILES, values)
-                                ],
-                            }
-                        ]
-                    },
-                }
-            )
-    return {
-        "resourceMetrics": [
-            {
-                "resource": {
-                    "attributes": [
-                        {
-                            "key": "service.name",
-                            "value": {"stringValue": service_name},
-                        }
-                    ]
-                },
-                "scopeMetrics": [
-                    {"scope": {"name": "repro.obs"}, "metrics": metrics}
-                ],
-            }
-        ]
-    }
-
-
 def render_top(
     registry: MetricsRegistry | None,
     engine: Any | None = None,
@@ -228,7 +140,6 @@ class MetricsServer:
     Routes:
 
     * ``GET /metrics`` — Prometheus text format;
-    * ``GET /metrics.json`` — OTLP-style JSON;
     * ``GET /slo.json`` — the SLO engine's full report (``{}`` without one);
     * ``GET /top`` — plain-text console body (what ``repro top`` polls);
     * ``GET /healthz`` — liveness.
@@ -288,8 +199,6 @@ class MetricsServer:
     def _respond(self, path: str) -> tuple[int, str, str]:
         if path == "/metrics":
             return 200, "text/plain; version=0.0.4", prometheus_text(self._registry())
-        if path == "/metrics.json":
-            return 200, "application/json", json.dumps(otlp_json(self._registry()))
         if path == "/slo.json":
             engine = self.runtime.slo
             report = engine.report() if engine is not None else {}

@@ -79,7 +79,7 @@ def test_recipe_file_with_findings(tmp_path, capsys):
                         "id": "learn",
                         "operator": "train",
                         "inputs": ["raw"],
-                        "params": {"model": "m", "label_key": "y"},
+                        "params": {"model": "classifier", "label_key": "y"},
                     },
                 ],
             }

@@ -7,11 +7,9 @@ is checked where it can be wrong: against the profiler's per-(module, op)
 busy time on the two Pi-calibrated testbeds.
 """
 
-import pytest
 
 from repro.bench.scenarios import FIG5, PAPER, build_fig5_testbed
 from repro.core.splitter import RecipeSplit
-from repro.errors import StaticCheckError
 from repro.lint.dataflow import DRIFT_TOLERANCE
 from repro.lint.rates import subtask_demand, walk
 from repro.scenario import attach_instruments
@@ -87,10 +85,9 @@ def test_predicted_busy_matches_the_profiler_on_the_paper_testbed_at_20hz():
 # ---------------------------------------------------------------------------
 
 
-def submit_fig5(pin=None, static_check="warn"):
+def submit_fig5(pin=None):
     runtime, cluster = FIG5.build(seed=55, prepare=None)
     runtime.tracer.enabled = True
-    cluster.management.agent.static_check = static_check
     recipe = FIG5.recipe() if pin is None else pinned(FIG5.recipe(), pin)
     assignment = cluster.management.submit_recipe(recipe)
     findings = [
@@ -101,16 +98,17 @@ def submit_fig5(pin=None, static_check="warn"):
 
 
 def test_admission_rejects_the_parents_fig5_placement():
-    _assignment, findings = submit_fig5(pin=FIG5_PARENT_PLACEMENT)
+    # The verdict is an error finding on the module; like every rate
+    # finding it is traced, and the deploy goes ahead (the paper measures
+    # saturation rather than forbidding it).
+    assignment, findings = submit_fig5(pin=FIG5_PARENT_PLACEMENT)
     assert len(findings) == 1 and "error[RCP110]" in findings[0]
     assert "module pi-analysis" in findings[0] and "demand 1.11 CPU-s/s" in findings[0]
-    with pytest.raises(StaticCheckError) as excinfo:
-        submit_fig5(pin=FIG5_PARENT_PLACEMENT, static_check="strict")
-    assert [d.rule for d in excinfo.value.diagnostics] == ["RCP110"]
+    assert assignment.placements == FIG5_PARENT_PLACEMENT
 
 
 def test_admission_passes_the_placement_it_makes_and_says_how_close():
-    assignment, findings = submit_fig5(static_check="strict")
+    assignment, findings = submit_fig5()
     assert assignment.placements == FIG5_PI_PLACEMENT
     # An honest warning: `anomaly-body` alone fills 0.88 of its Pi.
     assert len(findings) == 1 and "warning[RCP111]" in findings[0]
@@ -120,6 +118,5 @@ def test_admission_passes_the_placement_it_makes_and_says_how_close():
 def test_admission_is_silent_where_the_model_prices_nothing():
     runtime, cluster = build_fig5_testbed()  # NULL_COST_MODEL
     runtime.tracer.enabled = True
-    cluster.management.agent.static_check = "strict"
     cluster.management.submit_recipe(FIG5.recipe())
     assert list(runtime.tracer.select(event="agent.static_check")) == []

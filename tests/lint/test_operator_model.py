@@ -5,7 +5,8 @@ keep name-keyed tables mirroring the operator classes by hand. The tables
 below are frozen copies of what those held when they were deleted; the
 first test pins every class declaration to them, the second shows an
 operator outside the old tables is now priced by its own ``cost_op``, and
-the third keeps name comparisons from growing back.
+the last ones keep name comparisons, and param reads outside an
+operator's ``settings``, from growing back.
 """
 
 import ast
@@ -23,6 +24,7 @@ from repro.core.operators import (
 )
 from repro.core.recipe import Recipe, TaskSpec
 from repro.core.splitter import RecipeSplit
+from repro.errors import RecipeError
 from repro.lint.latency import LatencyContext, analyze_latency
 from repro.lint.rates import placement_demand, subtask_demand, walk
 
@@ -108,6 +110,17 @@ PARAM_CASES = [
     {"rate_hz": 7.0},
 ]
 RATE_CASES = [[], [10.0], [10.0, 4.0, 0.0]]
+#: What each operator needs before ``settings`` accepts the cases above.
+REQUIRED_PARAMS = {
+    "window": {"arity": 1},
+    "filter": {"key": "k", "value": 1},
+    "stat": {"keys": ["k"]},
+    "command": {"rules": [{"when": {"key": "k", "eq": 1}, "command": {}}]},
+    "delta": {"key": "k"},
+    "mix": {"group": "g", "participants": ["p"]},
+    "sensor": {"device": "d"},
+    "actuator": {"device": "d"},
+}
 
 
 def shipped_operators() -> list[str]:
@@ -135,9 +148,16 @@ def test_class_declares_what_the_tables_held(name):
     assert cls.stateful == (name in STATEFUL_OPERATORS)
     assert (cls.stateful or cls.buffers_records) == (name in SAN_TRACKED_OPERATORS)
     assert cls.forwards_every_record == (name in FORWARDING_OPERATORS)
-    for params in PARAM_CASES:
+    for case in PARAM_CASES:
+        params = {**REQUIRED_PARAMS.get(name, {}), **case}
+        try:
+            settings = cls.settings(params)
+        except RecipeError:
+            settings = None  # RCP100: the walk treats it as opaque
         exempt = name == "window" and params.get("mode", "align") == "align"
-        assert cls.redelivery_safe(params) == (name not in NON_IDEMPOTENT or exempt)
+        if settings is not None:
+            safe = cls.redelivery_safe(settings)
+            assert safe == (name not in NON_IDEMPOTENT or exempt)
         for in_rates in RATE_CASES:
             for outputs in ([], ["out"]):
                 task = TaskSpec(
@@ -147,10 +167,14 @@ def test_class_declares_what_the_tables_held(name):
                     outputs=outputs,
                     params=params,
                 )
+                walked = walked_rates(task, in_rates)
+                if settings is None:  # pass-through rates
+                    assert walked == (sum(in_rates), sum(in_rates)), params
+                    continue
                 ingest, emit = old_rates(task, in_rates)
-                assert cls.emit_rate(task, in_rates) == emit, (params, in_rates)
-                assert walked_rates(task, in_rates) == (ingest, emit), (params, in_rates)
-                assert cls.hold_time(task, ingest, emit) == old_hold_time(
+                assert cls.emit_rate(settings, in_rates, outputs) == emit, params
+                assert walked == (ingest, emit), (params, in_rates)
+                assert cls.hold_time(settings, ingest, emit) == old_hold_time(
                     task, ingest, emit
                 ), (params, in_rates)
 
@@ -325,4 +349,59 @@ def test_no_module_outside_the_class_modules_keys_on_operator_names():
     assert not offenders, (
         "declare it on the operator class and read it through "
         f"operator_class(): {offenders}"
+    )
+
+
+# --- no param read outside an operator's settings ---------------------------
+
+
+def param_reads(source: str) -> list[int]:
+    """Lines that touch a ``.params`` other than to read its ``qos`` or to
+    hand it to a ``settings(...)`` call — the one parse per operator."""
+    tree = ast.parse(source)
+
+    def is_params(node: ast.AST) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "params"
+
+    def is_qos(node: ast.AST) -> bool:
+        return isinstance(node, ast.Constant) and node.value == "qos"
+
+    allowed: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "settings":
+                allowed.update(id(arg) for arg in node.args)
+            elif node.func.attr == "get" and node.args and is_qos(node.args[0]):
+                allowed.add(id(node.func.value))
+        elif isinstance(node, ast.Subscript) and is_qos(node.slice):
+            allowed.add(id(node.value))
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if is_params(node) and id(node) not in allowed
+    )
+
+
+def test_the_param_checker_sees_each_read_form():
+    assert param_reads(
+        'def f(task, cls):\n'
+        '    qos = int(task.params.get("qos", 0))\n'
+        '    also = task.params["qos"]\n'
+        '    settings = cls.settings(task.params)\n'
+        '    burst = task.params.get("burst", 1.0)\n'
+        '    device = task.params["device"]\n'
+        '    everything = dict(task.params)\n'
+        '    for key in task.params: pass\n'
+    ) == [5, 6, 7, 8]
+
+
+def test_lint_reads_no_operator_param_but_qos():
+    offenders = {
+        path.relative_to(SRC).as_posix(): sites
+        for path in sorted((SRC / "lint").rglob("*.py"))
+        if (sites := param_reads(path.read_text()))
+    }
+    assert not offenders, (
+        "parse it in the operator's settings() and read it from the walk's "
+        f"TaskFacts.settings: {offenders}"
     )

@@ -32,7 +32,7 @@ def sensor_train(rate_hz=5, parallelism=1):
                 "train",
                 "train",
                 inputs=["raw"],
-                params={"model": "m", "label_key": "label"},
+                params={"model": "classifier", "label_key": "label"},
                 parallelism=parallelism,
             ),
         ],
@@ -213,7 +213,7 @@ class TestRateFeasibility:
                     "learn",
                     "train",
                     inputs=["slow"],
-                    params={"model": "m", "label_key": "y"},
+                    params={"model": "classifier", "label_key": "y"},
                 ),
             ],
         )

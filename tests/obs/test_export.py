@@ -1,4 +1,4 @@
-"""Telemetry export: Prometheus text, OTLP JSON, top console, HTTP server."""
+"""Telemetry export: Prometheus text, top console, HTTP server."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import pytest
 
 from repro.obs.export import (
     MetricsServer,
-    otlp_json,
     prometheus_text,
     render_top,
 )
@@ -74,24 +73,6 @@ def test_prometheus_text_isolates_broken_gauges():
     assert "bad" not in text
 
 
-def test_otlp_json_shape():
-    doc = otlp_json(_sample_registry(), service_name="svc")
-    resource = doc["resourceMetrics"][0]
-    assert resource["resource"]["attributes"][0]["value"]["stringValue"] == "svc"
-    metrics = {m["name"]: m for m in resource["scopeMetrics"][0]["metrics"]}
-    counter = metrics["events.total"]["sum"]
-    assert counter["isMonotonic"] is True
-    assert counter["aggregationTemporality"] == 2
-    assert counter["dataPoints"][0]["asDouble"] == 3.0
-    assert metrics["queue.depth"]["gauge"]["dataPoints"][0]["asDouble"] == 7.0
-    summary = metrics["op.latency_s"]["summary"]["dataPoints"][0]
-    assert summary["count"] == 3
-    assert summary["sum"] == pytest.approx(0.06)
-    assert [q["quantile"] for q in summary["quantileValues"]] == [0.5, 0.95, 0.99]
-    # The document is JSON-serializable as-is.
-    json.dumps(doc)
-
-
 def test_render_top_lists_series():
     body = render_top(_sample_registry(), engine=None, now=12.5)
     assert body.startswith("t=12.500s")
@@ -139,7 +120,7 @@ def test_metrics_server_serves_all_routes():
         assert server.port != 0
 
         out: dict[str, str] = {}
-        paths = ("/metrics", "/metrics.json", "/slo.json", "/top", "/healthz", "/nope")
+        paths = ("/metrics", "/slo.json", "/top", "/healthz", "/nope")
         threads = [
             threading.Thread(target=_fetch, args=(server.url + p, out, p))
             for p in paths[:-1]
@@ -152,7 +133,6 @@ def test_metrics_server_serves_all_routes():
             thread.join(timeout=10)
 
         assert "events_total 9" in out["/metrics"]
-        assert json.loads(out["/metrics.json"])["resourceMetrics"]
         assert json.loads(out["/slo.json"]) == {}  # no engine installed
         assert "series:" in out["/top"]
         assert out["/healthz"] == "ok\n"

@@ -54,7 +54,7 @@ def _reference_percentile(samples: list[float], q: float) -> float:
     qs=st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=5),
 )
 def test_sort_once_percentiles_are_bit_identical_to_one_at_a_time(values, qs):
-    """Golden ``obs.metrics`` records and ``/metrics.json`` depend on it:
+    """Golden ``obs.metrics`` records and ``/metrics`` depend on it:
     the multi-quantile path returns the very floats the three separate
     sorts did, infinities and signed zeros included, and a registry
     histogram below its cap answers exactly as an unbounded recorder."""

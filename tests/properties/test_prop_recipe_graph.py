@@ -5,6 +5,9 @@ not an unconsumed stream; ``check_recipe_dict`` reports every problem as a
 finding. Drawn over recipe dicts with duplicate ids, own / foreign /
 malformed external inputs, stream names with and without ``:``, several
 producers per stream, self-loops, cycles, unknown fields and operators.
+An operator's params are its ``settings``' to parse, not the
+constructor's: their RCP100 (on a task, not a task entry) is a finding
+the constructed recipe still gets.
 """
 
 from hypothesis import given, settings
@@ -22,6 +25,12 @@ OPERATORS = ["sensor", "map", "train", "window", "merge", "mix", "no-such-op"]
 #: Constructor order of the structural rules: every malformed task, then
 #: duplicate ids, then the graph pass in its own order.
 _STRUCTURAL = {"RCP100": 0, "RCP101": 1, "RCP102": 2, "RCP103": 2, "RCP104": 2}
+
+
+def _structural(diagnostic):
+    """A finding the constructor raises on (operator params are not one)."""
+    is_param = diagnostic.rule == "RCP100" and ":task " in diagnostic.where
+    return diagnostic.rule in _STRUCTURAL and not is_param
 
 
 @st.composite
@@ -67,7 +76,7 @@ def _rows(diagnostics):
 def test_constructor_raises_iff_the_checker_finds_a_structural_error(data):
     findings = check_recipe_dict(data)
     errors = sorted(
-        (d for d in findings if d.rule in _STRUCTURAL),
+        (d for d in findings if _structural(d)),
         key=lambda d: _STRUCTURAL[d.rule],
     )
     try:
