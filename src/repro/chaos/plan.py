@@ -152,6 +152,14 @@ class Heal(FaultEvent):
     group_b: tuple[str, ...] | None = None
     kind: ClassVar[str] = "heal"
 
+    def problems(self) -> list[str]:
+        problems = super().problems()
+        if (self.group_a, self.group_b) != (None, None) and not (
+            self.group_a and self.group_b
+        ):
+            problems.append("heal needs both groups or neither")
+        return problems
+
 
 @dataclass(frozen=True)
 class LinkDegrade(FaultEvent):

@@ -8,8 +8,6 @@ reflect real overhead (the paper's 32-byte samples do not travel for free).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.net.address import Address
 
 __all__ = ["Frame", "LINK_HEADER_BYTES"]
@@ -19,19 +17,25 @@ __all__ = ["Frame", "LINK_HEADER_BYTES"]
 LINK_HEADER_BYTES = 64
 
 
-@dataclass(frozen=True, slots=True)
 class Frame:
-    """One link-layer frame in flight."""
+    """One link-layer frame in flight.
 
-    source: Address
-    destination: Address
-    payload: bytes
-    frame_id: int = 0
+    Frames compare and hash by identity: the media queue, sort and deliver
+    them but never look one up by value. ``wire_size`` — the bytes
+    occupying airtime, payload plus link headers — is fixed at
+    construction, since the sender, the medium and the receiver each read it.
+    """
 
-    @property
-    def wire_size(self) -> int:
-        """Bytes occupying airtime: payload plus link headers."""
-        return len(self.payload) + LINK_HEADER_BYTES
+    __slots__ = ("source", "destination", "payload", "frame_id", "wire_size")
+
+    def __init__(
+        self, source: Address, destination: Address, payload: bytes, frame_id: int = 0
+    ) -> None:
+        self.source = source
+        self.destination = destination
+        self.payload = payload
+        self.frame_id = frame_id
+        self.wire_size = len(payload) + LINK_HEADER_BYTES
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -137,11 +137,15 @@ class Medium(ABC):
         group_a: "Iterable[str] | None" = None,
         group_b: "Iterable[str] | None" = None,
     ) -> None:
-        """Remove a partition. With no arguments, heal every cut."""
+        """Remove a partition. With no arguments, heal every cut; groups
+        that name no cut (one omitted, or empty) are rejected."""
         if group_a is None and group_b is None:
             self._blocked_pairs.clear()
             return
-        self._blocked_pairs -= _cross_pairs(group_a or (), group_b or ())
+        pairs = _cross_pairs(group_a or (), group_b or ())
+        if not pairs:
+            raise AddressError("heal needs both groups or neither")
+        self._blocked_pairs -= pairs
 
     def is_blocked(self, station_a: str, station_b: str) -> bool:
         """True when a partition currently separates the two stations."""

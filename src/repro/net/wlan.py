@@ -350,9 +350,13 @@ class WlanMedium(Medium):
             config.bitrate_bps * bitrate_factor
         )
         if config.jitter_s > 0.0:
-            airtime += self._jitter_rng.uniform(0.0, config.jitter_s)
+            # ``uniform(0.0, jitter_s)`` is ``0.0 + jitter_s * random()``:
+            # the same single draw and the same float, without the wrapper.
+            airtime += config.jitter_s * self._jitter_rng.random()
         self._channel_cell.note_read()
-        start = max(now, self._channel_free_at)
+        start = self._channel_free_at
+        if start < now:
+            start = now
         finish = start + airtime
         self._channel_cell.note_write()
         self._channel_free_at = finish

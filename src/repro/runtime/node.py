@@ -107,7 +107,7 @@ class Node:
         index = self._op_counts[op]
         self._op_counts[op] = index + 1
         if self.cpu is not None:
-            cost = self.cost_model.cost(op, nbytes=nbytes, invocation_index=index)
+            cost = self.cost_model.cost(op, nbytes, index)
             incarnation = self._incarnation.value
             # The op name becomes the job label, which is how the
             # profiler attributes this node's busy time per operation.
@@ -175,8 +175,10 @@ class Node:
         * timers armed before the failure fire again (their callbacks were
           guarded, not cancelled), so periodic behaviour resumes without
           re-registration;
-        * in-flight CPU work queued before the failure completes normally
-          (same incarnation).
+        * CPU work queued before the failure runs only if its job completes
+          after the recovery (same incarnation); a job that completes while
+          the node is down is dropped, not deferred — a 1 s job started at
+          0, with ``fail()`` at 0.5 and ``recover()`` at 1.5, never runs.
 
         Models a brief freeze (GC pause, transient brown-out). For a crash
         that loses RAM contents, use :meth:`restart`.

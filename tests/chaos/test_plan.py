@@ -59,6 +59,9 @@ class TestValidation:
             NodeRestart(at=0.0),
             Partition(at=0.0, group_a=("a",), group_b=()),
             Partition(at=0.0, group_a=("a", "b"), group_b=("b",)),
+            Heal(at=0.0, group_a=("a",)),
+            Heal(at=0.0, group_b=("b",)),
+            Heal(at=0.0, group_a=(), group_b=("b",)),
             LinkDegrade(at=0.0, duration_s=0.0),
             LinkDegrade(at=0.0, duration_s=1.0, bitrate_factor=0.0),
             LinkDegrade(at=0.0, duration_s=1.0, bitrate_factor=1.5),

@@ -1,3 +1,9 @@
+"""The medium base class and its interface: attachment, datagram send and
+receive, the per-interface byte counters, a frame's wire size (payload plus
+link header) and the partition mask's heal rule (both groups or neither;
+an empty group names no cut).
+"""
+
 import pytest
 
 from repro.errors import AddressError, TransportError
@@ -88,3 +94,12 @@ def test_frame_ids_increment():
 def test_wire_size_includes_header():
     f = Frame(Address("a"), Address("b"), b"abc")
     assert f.wire_size == 3 + LINK_HEADER_BYTES
+
+
+@pytest.mark.parametrize("groups", [(("a",), None), (None, ("b",)), ((), ("b",))])
+def test_one_sided_heal_is_rejected_and_keeps_the_cut(groups):
+    m = LoopbackMedium()
+    m.partition(("a",), ("b",))
+    with pytest.raises(AddressError, match="both groups or neither"):
+        m.heal(*groups)
+    assert m.is_blocked("a", "b")

@@ -1,7 +1,16 @@
+"""The shared-channel WLAN model: airtime per frame, FIFO channel
+serialization, loss, interference windows and the jitter draw. Delivery
+instants are pinned bit for bit against ``WlanConfig.airtime`` plus
+``Random.uniform(0.0, jitter_s)`` from a same-seeded stream.
+"""
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.net.address import Address
+from repro.net.frame import LINK_HEADER_BYTES
 from repro.net.wlan import WlanConfig, WlanMedium
 from repro.sim.kernel import SimKernel
 from repro.util.rng import RngRegistry
@@ -123,6 +132,47 @@ def test_jitter_is_deterministic_per_seed():
 
     assert run(1) == run(1)
     assert run(1) != run(2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    jitter_s=st.sampled_from([0.0, 1e-9, 0.4e-3, 3e-3]),
+    bitrate_bps=st.sampled_from([20e6, 1e6, 54e6 / 7]),
+    first=st.integers(0, 36),
+    gaps=st.lists(st.sampled_from([0.0, 1e-4, 1e-3, 0.05]), min_size=1, max_size=8),
+)
+def test_delivery_instants_match_airtime_plus_uniform_jitter(
+    seed, jitter_s, bitrate_bps, first, gaps
+):
+    """Frames of every 37th size up to 1500 B are offered after cycling gaps;
+    the reference replays the channel with ``config.airtime`` and
+    ``uniform(0.0, jitter_s)`` on the same stream, so a one-ulp drift in
+    either formula fails."""
+    config = WlanConfig(bitrate_bps=bitrate_bps, jitter_s=jitter_s)
+    offered = [(gaps[i % len(gaps)], size) for i, size in enumerate(range(first, 1501, 37))]
+    kernel = SimKernel()
+    wlan = WlanMedium(kernel, config=config, rng=RngRegistry(seed).fork("wlan"))
+    a = wlan.attach("a")
+    b = wlan.attach("b")
+    got = []
+    b.bind("s", lambda src, data: got.append(kernel.now))
+    at = 0.0
+    for gap, size in offered:
+        at += gap
+        kernel.schedule_at(at, a.send, "c", Address("b", "s"), b"x" * size)
+    kernel.run()
+
+    jitter = RngRegistry(seed).fork("wlan").stream("wlan.jitter")
+    expected, free, at = [], 0.0, 0.0
+    for gap, size in offered:
+        at += gap
+        airtime = config.airtime(size + LINK_HEADER_BYTES)
+        if jitter_s > 0.0:
+            airtime += jitter.uniform(0.0, jitter_s)
+        free = max(at, free) + airtime
+        expected.append(free + config.propagation_delay_s)
+    assert got == expected
 
 
 class TestInterference:

@@ -34,6 +34,39 @@ def test_execute_warmup_counts_per_node(runtime):
     assert node.op_count("op") == 2
 
 
+class _ServiceLog:
+    """A profiler stand-in that records each job's service time."""
+
+    def __init__(self):
+        self.service = []
+
+    def on_cpu_start(self, cpu, label, service):
+        self.service.append(service)
+
+    def on_cpu_end(self, cpu, label, service):
+        pass
+
+
+def test_execute_charges_exactly_the_cost_model_price(runtime):
+    """Across the warm-up boundary, on an idle CPU and from the waiting
+    queue, the service time is ``CostModel.cost(op, nbytes, index)`` to the
+    last bit."""
+    op = OpCost(base_s=1.1e-3, per_byte_s=3.3e-7, warmup_extra_s=0.7e-3, warmup_ops=3)
+    model = CostModel({"op": op}, scale=1.7)
+    node = runtime.add_node("n", cost_model=model)
+    runtime.prof = log = _ServiceLog()
+    sizes = [0, 1, 33, 517, 1500, 7, 64]
+    for nbytes in sizes:  # the first finds the CPU idle, the rest wait
+        node.execute("op", lambda: None, nbytes=nbytes)
+    runtime.run_until_idle()
+    runtime.prof = None
+    assert log.service == [model.cost("op", n, i) for i, n in enumerate(sizes)]
+    assert log.service == [
+        (op.base_s + op.per_byte_s * n + (op.warmup_extra_s if i < 3 else 0.0)) * 1.7
+        for i, n in enumerate(sizes)
+    ]
+
+
 def test_failed_node_drops_compute_and_messages(runtime):
     a = runtime.add_node("a")
     b = runtime.add_node("b")
