@@ -15,7 +15,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, ClassVar
 
 from repro.errors import ProtocolError, SerializationError
-from repro.util.serialization import decode_payload, encode_fragment, encode_payload
+from repro.util.serialization import decode_payload, encode_fragment
 
 __all__ = ["PacketType", "Packet"]
 
@@ -116,8 +116,10 @@ class Packet:
 
         PUBLISH and PUBACK are written directly in canonical key order;
         every other packet, and any whose fields are not what the
-        constructors build, goes through :func:`encode_payload` — the
-        reference the direct writers must match byte for byte.
+        constructors build, goes through :func:`encode_fragment` — the
+        reference the direct writers must match byte for byte. The text is
+        pure ASCII, so ``_Wire`` is built from it directly, not from a
+        ``str.encode`` copy.
         """
         text = None
         if self.type is PacketType.PUBLISH:
@@ -130,14 +132,12 @@ class Packet:
             if type(packet_id) is int and len(self.fields) == 1:
                 text = f'{{"_t":"puback","packet_id":{packet_id}}}'
         if text is None:
-            data = encode_payload({**self.fields, "_t": self.type.value})
-        else:
-            data = text.encode("ascii")
+            text = encode_fragment({**self.fields, "_t": self.type.value})
         if WIRE_FASTPATH:
-            wire = _Wire(data)
+            wire = _Wire(text, "ascii")
             wire._packet = self
             return wire
-        return data
+        return text.encode("ascii")
 
     def _publish_text(self) -> str | None:
         """Canonical JSON of a PUBLISH shaped as :meth:`publish` builds it."""

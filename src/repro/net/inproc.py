@@ -45,13 +45,17 @@ class InprocNetwork(Medium):
         self._loop = loop
         self.latency_s = require_non_negative(latency_s, "latency_s")
         self.frames_transmitted = 0
+        self.frames_partitioned = 0  # of those, dropped at a cut
         self._queue: deque[Frame] = deque()
         self._draining = False  # a ``_drain`` is pending on the loop
 
     def transmit(self, frame: Frame) -> None:
         self.frames_transmitted += 1
-        if self.is_blocked(frame.source.station, frame.destination.station):
-            return  # partitioned: the datagram vanishes, as on a real cut
+        if self._blocked_pairs and self.is_blocked(
+            frame.source.station, frame.destination.station
+        ):
+            self.frames_partitioned += 1
+            return  # the datagram vanishes, as on a real cut
         if self.latency_s > 0.0:
             self._loop.call_later(self.latency_s, self._deliver, frame)
             return

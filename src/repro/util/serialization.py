@@ -8,6 +8,9 @@ airtime for the *actual* wire size of every message.
 Values survive a round trip exactly for: ``None``, ``bool``, ``int``,
 ``float``, ``str``, and (nested) ``list``/``dict`` of those. Tuples are
 encoded as lists (the usual JSON lossy-ness) — callers that care use lists.
+Decoding is as strict as encoding: it rejects the non-finite constants
+(``NaN``, ``Infinity``), integers over CPython's digit limit and nesting
+deeper than the recursion limit, each as :class:`SerializationError`.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from json.encoder import c_make_encoder, encode_basestring_ascii  # type: ignore[attr-defined]
-from typing import Any
+from typing import Any, NoReturn
 
 from repro.errors import SerializationError
 
@@ -60,7 +63,8 @@ def _keys_ok(value: Any) -> bool:
     *stringifies* int/float/bool/None dict keys instead of rejecting them,
     which would corrupt canonical wire bytes. This is the one check the
     encoder cannot make; it runs on what the encoder accepted, so the walk
-    never meets a cycle.
+    never meets a cycle. :func:`encode_fragment` returns before it for a
+    flat dict.
     """
     stack = [value]
     pop = stack.pop
@@ -111,6 +115,13 @@ def encode_fragment(value: Any) -> str:
     """
     try:
         text = _ENCODE(value)
+        # Every dict writes exactly one "{" outside string literals, so an
+        # exact dict with no "{" after its first holds no other dict: its
+        # keys are all there is to check, and str.join checks them in C
+        # (TypeError on the first that is not a str).
+        if type(value) is dict and text.find("{", 1) == -1:
+            "".join(value)
+            return text
     except (TypeError, ValueError) as exc:
         _check_encodable(value)  # raises with the offending path
         raise SerializationError(str(exc)) from exc
@@ -126,11 +137,22 @@ def encode_payload(value: Any) -> bytes:
     return encode_fragment(value).encode("utf-8")
 
 
+def _reject_constant(name: str) -> NoReturn:
+    raise SerializationError(f"undecodable payload: non-finite constant {name}")
+
+
+#: ``json.loads``'s decoder, but ``NaN``/``Infinity``/``-Infinity`` raise
+#: instead of parsing to floats no encoder here would write.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def decode_payload(data: bytes) -> Any:
-    """Decode bytes produced by :func:`encode_payload`."""
+    """Decode bytes produced by :func:`encode_payload`. Bytes that are not
+    UTF-8 JSON, or break a limit the module docstring names, raise
+    :class:`~repro.errors.SerializationError`."""
     try:
-        return json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return _DECODER.decode(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, digit limit
         raise SerializationError(f"undecodable payload: {exc}") from exc
 
 

@@ -52,7 +52,15 @@ WRONG_TYPE = [
     (b'{"_t":"pingreq","incarnation":"q"}', "'incarnation'"),
 ]
 #: Bytes that are not JSON at all: dropped as before, not counted as packets.
-UNDECODABLE = [b"\xff\xfe", b"not json", b"[1,2]", b'{"_t":"bogus"}']
+#: So are JSON no encoder writes: a non-finite payload (which the broker's
+#: forward could not re-encode), an integer over CPython's 4 300-digit
+#: limit, nesting past the recursion limit.
+UNDECODABLE = [
+    b"\xff\xfe", b"not json", b"[1,2]", b'{"_t":"bogus"}',
+    pytest.param(b'{"_t":"publish","payload":NaN,"topic":"a"}', id="nan-payload"),
+    pytest.param(b'{"_t":"pingreq","incarnation":' + b"7" * 5000 + b"}", id="5000-digits"),
+    pytest.param(b"[" * 100_000, id="deep-nesting"),
+]
 
 
 class Bed:

@@ -1,3 +1,7 @@
+"""The in-process medium: one global FIFO of frames, drained at most
+:data:`~repro.net.inproc.BURST_FRAMES` per loop turn, a fixed latency per
+frame when one is set, and partitions decided when a frame is transmitted."""
+
 import asyncio
 import gc
 import warnings
@@ -167,6 +171,22 @@ def test_partition_is_decided_at_transmit_time():
         runtime.run_for(0.02)
         assert got == [b"before the cut"]
         assert runtime.network.frames_transmitted == 2
+        assert runtime.network.frames_partitioned == 1
+
+
+def test_a_cut_drops_only_the_frames_that_cross_it():
+    with AsyncioRuntime() as runtime:
+        nodes = {name: runtime.add_node(name) for name in "abc"}
+        got = []
+        for name in "abc":
+            nodes[name].bind("svc", lambda src, data, name=name: got.append((name, data)))
+        runtime.network.partition(["a", "c"], ["b"])
+        for source, destination in ("ab", "ac", "ca", "cb", "ba", "bb"):
+            nodes[source].send("svc", Address(destination, "svc"), f"{source}>{destination}".encode())
+        runtime.run_for(0.02)
+        assert got == [("c", b"a>c"), ("a", b"c>a"), ("b", b"b>b")]
+        assert runtime.network.frames_transmitted == 6
+        assert runtime.network.frames_partitioned == 3
 
 
 def test_latency_delays_every_frame_by_the_latency():

@@ -75,6 +75,38 @@ def test_bytes_equal_stdlib_reference_after_a_rejection(bad, value):
     assert serialization._MARKERS == {}
 
 
+#: Dicts whose keys may be ``int``/``bool``/``None`` and whose strings may
+#: hold a ``{``: what the flat-dict exit and the walk must tell apart. Half
+#: are a str-keyed dict around them, so a bad key often sits below a good one.
+mixed_keys = st.one_of(keys, st.integers(-2, 2), st.booleans(), st.none())
+braced = st.text(alphabet="a{}", max_size=3)
+mixed_nested = st.recursive(
+    st.dictionaries(mixed_keys, st.one_of(st.integers(), braced), max_size=3),
+    lambda children: st.dictionaries(
+        mixed_keys, st.one_of(children, st.lists(children, max_size=2), braced), max_size=3
+    ),
+    max_leaves=10,
+)
+mixed_dicts = st.one_of(mixed_nested, st.dictionaries(braced, mixed_nested, min_size=1, max_size=2))
+
+
+def _has_non_str_key(value):
+    if isinstance(value, dict):
+        return any(not isinstance(k, str) or _has_non_str_key(v) for k, v in value.items())
+    return isinstance(value, list) and any(_has_non_str_key(v) for v in value)
+
+
+@given(value=mixed_dicts)
+def test_key_check_agrees_with_a_reference_walk(value):
+    if _has_non_str_key(value):
+        with pytest.raises(SerializationError, match="^non-string key at "):
+            serialization.encode_fragment(value)
+    else:
+        reference = json.dumps(value, sort_keys=True, separators=(",", ":"))
+        assert serialization.encode_fragment(value) == reference
+    assert serialization._MARKERS == {}
+
+
 datum_strategy = st.builds(
     Datum,
     string_values=st.dictionaries(keys, st.text(max_size=10), max_size=5),

@@ -1,3 +1,7 @@
+"""A runtime node: ``execute`` charges the cost model's price to the last
+bit, warm-up counted per node, idle CPU or queued alike; a failed node drops
+its compute and its messages, and a recovered one works again."""
+
 import pytest
 
 from repro.net.address import Address

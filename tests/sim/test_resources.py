@@ -1,3 +1,7 @@
+"""The simulated CPU: FIFO service at the node's speed on one or more
+servers, a bounded queue that drops the newest job, and statistics whose
+service-mean gauge equals a Welford mean over the same Pi-model costs."""
+
 import random
 
 import pytest

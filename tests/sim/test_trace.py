@@ -1,3 +1,7 @@
+"""The tracer: selection and counts, taps that fire with storage off, and
+a JSONL round trip that reprs unencodable fields and names the file and
+line of a malformed record."""
+
 import pytest
 
 from repro.errors import SerializationError

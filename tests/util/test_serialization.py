@@ -1,13 +1,19 @@
+"""Canonical payload encoding: round trips, rejections that name the
+offending path, the dict-key check on flat and nested dicts, and decoding
+that rejects what no encoder here writes."""
+
 import math
+import re
 import subprocess
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
 
 import repro
 from repro.errors import SerializationError
-from repro.util.serialization import decode_payload, encode_payload, payload_size
+from repro.util.serialization import decode_payload, encode_fragment, encode_payload, payload_size
 
 
 def test_round_trip_scalars():
@@ -41,6 +47,34 @@ def test_rejects_non_string_keys():
         encode_payload({1: "x"})
 
 
+class _Key(str):
+    pass
+
+
+#: ``(value, where its non-string key is)``: a flat dict's keys are checked
+#: in one ``str.join``; a ``{`` anywhere after the first sends the value
+#: through the walk, as does every container but an exact ``dict``.
+BAD_KEYS = [
+    ({1: "{"}, "$: 1"),  # a brace inside a string: walked
+    ({"{": {2: 0}}, "$.{: 2"),  # nested under a brace-named key
+    ({True: 1}, "$: True"),  # flat: rejected by the join
+    ({"a": "x{", "b": {None: 1}}, "$.b: None"),
+    ([{1: 2}], "$[0]: 1"),  # a list is always walked
+    (OrderedDict([(1, 2)]), "$: 1"),  # a dict subclass is always walked
+]
+
+
+@pytest.mark.parametrize("value, where", BAD_KEYS)
+def test_a_non_string_key_is_rejected_naming_its_path(value, where):
+    with pytest.raises(SerializationError, match=f"^{re.escape('non-string key at ' + where)}$"):
+        encode_fragment(value)
+
+
+def test_a_str_subclass_key_is_accepted():
+    assert encode_fragment({_Key("k"): 1, "a": "{"}) == '{"a":"{","k":1}'
+    assert encode_fragment({_Key("k"): 1}) == '{"k":1}'
+
+
 def test_rejects_unknown_types():
     with pytest.raises(SerializationError):
         encode_payload({"x": object()})
@@ -58,6 +92,11 @@ def test_decode_garbage():
         decode_payload(b"\xff\xfe")
     with pytest.raises(SerializationError):
         decode_payload(b"{not json")
+    # JSON no encoder here writes: non-finite constants, an integer over
+    # CPython's digit limit, nesting past the recursion limit.
+    for data in (b"NaN", b'{"x":-Infinity}', b"[Infinity]", b"1" * 5000, b"[" * 100_000):
+        with pytest.raises(SerializationError, match="^undecodable payload: "):
+            decode_payload(data)
 
 
 def test_payload_size_matches_encoding():
