@@ -18,7 +18,7 @@ from typing import Any
 
 from repro.net.address import Address
 from repro.mqtt.inflight import InflightTable
-from repro.mqtt.packets import Packet, PacketType, _Wire
+from repro.mqtt.packets import _PUBLISH, Packet, PacketType, _Wire
 from repro.mqtt.topics import _CACHE_CAP, TopicTree, topic_matches, validate_filter, validate_topic
 from repro.obs.context import FlowContext
 from repro.runtime.component import Component
@@ -190,13 +190,14 @@ class Broker(Component):
             # packets all store the identical timestamp, so the order of
             # these writes can never matter.
             session.last_seen = self.runtime.now
+        kind = packet.type
         try:
-            if packet.type is PacketType.PUBLISH:
+            if kind is _PUBLISH:
                 self._on_publish(source, session, packet, data)
-            elif (handler := self._handlers.get(packet.type)) is not None:
+            elif (handler := self._handlers.get(kind)) is not None:
                 handler(source, session, packet)
             else:
-                self.trace("mqtt.broker.unexpected", type=packet.type.value)
+                self.trace("mqtt.broker.unexpected", type=kind.value)
         except MQTTError as exc:  # a missing or mistyped field: count, drop
             self.stats.malformed += 1
             reason = f"{type(exc).__name__}: {exc}"
@@ -313,7 +314,7 @@ class Broker(Component):
     ) -> None:
         if session is None:
             return  # not connected; MQTT closes the socket, we drop
-        packet_id, filters = packet["packet_id"], packet["filters"]
+        packet_id, filters = packet.packet_id(), packet["filters"]
         if not isinstance(filters, list) or not all(
             isinstance(f, list) and len(f) == 2 and isinstance(f[0], str)
             and validate_filter(f[0]) and f[1] in (0, 1, 2) for f in filters
@@ -346,7 +347,7 @@ class Broker(Component):
     ) -> None:
         if session is None:
             return
-        packet_id, filters = packet["packet_id"], packet["filters"]
+        packet_id, filters = packet.packet_id(), packet["filters"]
         if not isinstance(filters, list) or not all(isinstance(f, str) for f in filters):
             raise ProtocolError(f"unsubscribe 'filters' must be strings: {filters!r}")
         self._subscriptions_cell.note_write()
@@ -391,7 +392,7 @@ class Broker(Component):
         fields = packet.fields
         payload = fields.get("payload")
         headers = fields.get("headers") or {}
-        acked = packet["packet_id"] if qos == 1 and session is not None else None
+        acked = packet.packet_id() if qos == 1 and session is not None else None
         self.stats.publishes_in += 1
         # What QoS 0 subscribers are sent; encoded only when it differs from
         # bytes already held. The copy of a plain publish is the packet
@@ -542,9 +543,7 @@ class Broker(Component):
     ) -> None:
         if session is None:
             return
-        packet_id = packet["packet_id"]
-        if type(packet_id) is not int:
-            raise ProtocolError(f"puback 'packet_id' must be an int: {packet_id!r}")
+        packet_id = packet.packet_id()
         # The inflight-window state itself is noted on session.cell below.
         self.stats.pubacks_in += 1  # repro: san-ok[SAN021] commutative counter
         if session.cell is not None:

@@ -22,7 +22,7 @@ from typing import Any, Callable
 
 from repro.errors import MQTTError, NotConnectedError, ProtocolError
 from repro.mqtt.inflight import InflightTable
-from repro.mqtt.packets import Packet, PacketType
+from repro.mqtt.packets import _CONNACK, _PUBACK, _PUBLISH, Packet, PacketType
 from repro.mqtt.topics import TopicTree, validate_filter, validate_topic
 from repro.net.address import Address
 from repro.runtime.base import TimerHandle
@@ -418,33 +418,34 @@ class MqttClient(Component):
         self.node.execute("mqtt.recv", self._handle, packet, nbytes=len(data))
 
     def _handle(self, packet: Packet) -> None:
-        if packet.type is PacketType.PUBLISH or packet.type is PacketType.PUBACK:
-            try:
-                if packet.type is PacketType.PUBLISH:
-                    self._on_publish(packet)
-                else:
-                    self._inflight.pop(packet["packet_id"], None)
-                    self.pubacks_received += 1
-            except MQTTError as exc:  # a missing or mistyped field: count, drop
-                self.malformed_received += 1
-                self.trace("mqtt.client.garbage", reason=f"{type(exc).__name__}: {exc}")
-        elif packet.type is PacketType.CONNACK:
+        kind = packet.type
+        try:
+            if kind is _PUBLISH:
+                self._on_publish(packet)
+            elif kind is _PUBACK:
+                self._inflight.pop(packet.packet_id(), None)
+                self.pubacks_received += 1
+            elif kind is _CONNACK:  # checked before any state change or callback
+                code, present = packet.get("return_code", 0), packet.get("session_present", False)
+                if type(code) is not int or type(present) is not bool:
+                    raise ProtocolError(
+                        f"connack needs an int 'return_code' and a bool 'session_present': {code!r}, {present!r}"
+                    )
+            elif kind not in (PacketType.SUBACK, PacketType.UNSUBACK, PacketType.PINGRESP):
+                self.trace("mqtt.client.unexpected", type=kind.value)  # not an ack with no state
+        except MQTTError as exc:  # a missing or mistyped field: count, drop
+            self.malformed_received += 1
+            self.trace("mqtt.client.garbage", reason=f"{type(exc).__name__}: {exc}")
+            return
+        if kind is _CONNACK:
             self._on_connack(packet)  # the application's callbacks: outside the try
-        elif packet.type in (
-            PacketType.SUBACK,
-            PacketType.UNSUBACK,
-            PacketType.PINGRESP,
-        ):
-            pass  # acknowledgements with no client-side state to update
-        else:
-            self.trace("mqtt.client.unexpected", type=packet.type.value)
 
     def _on_connack(self, packet: Packet) -> None:
-        if int(packet.get("return_code", 0)) != 0:
+        if packet.get("return_code", 0) != 0:
             self.trace("mqtt.client.refused", code=packet.get("return_code"))
             self._connecting = False
             return
-        session_present = bool(packet.get("session_present", False))
+        session_present = packet.get("session_present", False)
         was_reconnect = self._ever_connected
         self._ever_connected = True
         self.connected = True
@@ -487,7 +488,7 @@ class MqttClient(Component):
         if not isinstance(topic, str) or qos not in (0, 1):
             raise ProtocolError(f"publish needs a string topic and QoS 0 or 1: {topic!r}, {qos!r}")
         if qos == 1:
-            self._send(Packet.puback(packet["packet_id"]))
+            self._send(Packet.puback(packet.packet_id()))
         obs = self.runtime.obs
         if (
             obs is not None

@@ -22,7 +22,7 @@ from repro.runtime.state import StateCell
 __all__ = ["Inflight", "InflightTable"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Inflight:
     packet: Packet
     retries_left: int

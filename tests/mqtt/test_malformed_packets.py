@@ -36,6 +36,14 @@ TO_CLIENT = [
     ("subscriber", b'{"_t":"publish","qos":"one","topic":"a"}', "'one'"),
     ("subscriber", b'{"_t":"publish","qos":1,"topic":"a"}', "'packet_id'"),
     ("subscriber", b'{"_t":"publish","payload":1,"topic":["a"]}', "string topic"),
+    # A packet id or CONNACK field of the wrong type: the two CONNACKs and
+    # the PUBACK (which needs a publish in flight to reach a dict lookup)
+    # raised out of the client; the others were acknowledged or delivered.
+    ("subscriber", b'{"_t":"connack","return_code":"x"}', "'return_code'"),
+    ("subscriber", b'{"_t":"connack","return_code":[0]}', "'return_code'"),
+    ("subscriber", b'{"_t":"connack","return_code":0,"session_present":1}', "'session_present'"),
+    ("waiting", b'{"_t":"puback","packet_id":[1]}', "'packet_id'"),
+    ("subscriber", b'{"_t":"publish","packet_id":"7","payload":1,"qos":1,"topic":"a"}', "'packet_id'"),
 ]
 REPORTED = TO_BROKER[:4] + TO_CLIENT[:3]  # the seven of the bug report
 #: Control packets with a field of the wrong type, sent from the connected
@@ -50,6 +58,11 @@ WRONG_TYPE = [
     (b'{"_t":"subscribe","filters":[["a/b"]],"packet_id":7}', "'filters'"),
     (b'{"_t":"subscribe","filters":[[5,0]],"packet_id":7}', "'filters'"),
     (b'{"_t":"pingreq","incarnation":"q"}', "'incarnation'"),
+    # A packet id the broker would have echoed back in its acknowledgement:
+    (b'{"_t":"publish","packet_id":"7","payload":1,"qos":1,"topic":"a"}', "'packet_id'"),
+    (b'{"_t":"publish","packet_id":null,"payload":1,"qos":1,"topic":"a"}', "'packet_id'"),
+    (b'{"_t":"subscribe","filters":[["a/b",0]],"packet_id":"x"}', "'packet_id'"),
+    (b'{"_t":"unsubscribe","filters":["a"],"packet_id":[7]}', "'packet_id'"),
 ]
 #: Bytes that are not JSON at all: dropped as before, not counted as packets.
 #: So are JSON no encoder writes: a non-finite payload (which the broker's
@@ -64,8 +77,10 @@ UNDECODABLE = [
 
 
 class Bed:
-    """Broker, a publisher, a subscriber of ``a`` and a node that only sends
-    raw bytes; ``settle()`` lets everything in flight land."""
+    """Broker, a publisher, a subscriber of ``a``, a node that only sends
+    raw bytes and a client ``waiting`` on it as its broker (connected by a
+    forged CONNACK, with a QoS 1 publish that nobody acknowledges in
+    flight); ``settle()`` lets everything in flight land."""
 
     def __init__(self, runtime, settle):
         self.runtime, self.settle = runtime, settle
@@ -73,11 +88,16 @@ class Bed:
         self.publisher = MqttClient(runtime.add_node("pub"), self.broker.address, client_id="pub")
         self.subscriber = MqttClient(runtime.add_node("sub"), self.broker.address, client_id="sub")
         self.raw = runtime.add_node("raw")
+        self.waiting = MqttClient(runtime.add_node("wait"), self.raw.address("raw"), client_id="wait")
         self.got: list = []
         self.subscriber.connect()
         self.subscriber.subscribe("a", lambda _t, payload, _p: self.got.append(payload))
         self.publisher.connect()
+        self.waiting.connect()
+        self.send("waiting", b'{"_t":"connack","return_code":0,"session_present":false}')
+        self.waiting.publish("w", 0, qos=1)
         settle()
+        assert self.waiting.connected and len(self.waiting._inflight) == 1
 
     def send(self, receiver: str, datagram: bytes) -> None:
         self.raw.send("raw", getattr(self, receiver).address, datagram)
@@ -92,7 +112,9 @@ class Bed:
         }
 
     def malformed(self) -> int:
-        return self.broker.stats.malformed + self.subscriber.malformed_received
+        return self.broker.stats.malformed + sum(
+            client.malformed_received for client in (self.publisher, self.subscriber, self.waiting)
+        )
 
     def reasons(self) -> list[str]:
         return [
@@ -156,13 +178,13 @@ def test_a_wrong_type_control_field_is_dropped_before_any_side_effect(bed, datag
     assert bed.got == ["after"]
 
 
-def test_the_nine_wrong_type_cases_in_one_run(bed):
+def test_every_wrong_type_case_in_one_run(bed):
     before = bed.subscriptions()
     for datagram, _names in WRONG_TYPE:
         bed.send_from_subscriber(datagram)
     bed.settle()
-    assert bed.broker.stats.malformed == 9
-    assert len(bed.reasons()) == 9
+    assert bed.broker.stats.malformed == len(WRONG_TYPE) == 13
+    assert len(bed.reasons()) == 13
     assert bed.subscriptions() == before
     bed.publisher.publish("a", "still serving")
     bed.settle()
