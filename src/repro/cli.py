@@ -38,7 +38,7 @@ Commands
     the paper's saturation story in one screen.
 ``slo``
     Run a scenario with the online SLO engine attached and print the
-    conformance report: per-flow latency sketches vs declared deadlines,
+    conformance report: per-flow latency quantiles vs declared deadlines,
     the burn-rate alert timeline (sim-time anchors), drift findings and
     SLO3xx diagnostics. ``--strict`` fails on warnings too;
     ``--expect-burn`` inverts the gate for chaos acceptance runs (exit 0

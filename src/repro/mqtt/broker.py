@@ -73,8 +73,8 @@ class _Session:
     #: flight across a restart) and must not pass for liveness.
     incarnation: int = 0
     #: Sanitizer tag for this session's protocol state (packet-id counter,
-    #: inflight queue, liveness) — set by the broker on session creation.
-    cell: StateCell | None = None
+    #: inflight queue, liveness); built with ``inflight``.
+    cell: StateCell = field(init=False)
 
     def allocate_packet_id(self) -> int:
         pid = self.next_packet_id
@@ -247,8 +247,12 @@ class Broker(Component):
                 last_seen=self.runtime.now,
                 will=dict(will) if will else None,
             )
+            session.cell = tracked_state(
+                self.runtime, f"broker.{self.name}", f"session.{client_id}"
+            )
             session.inflight = InflightTable(
                 self.runtime,
+                session.cell,
                 self._guard,
                 self._retry_interval,
                 partial(self._retransmit, session),
@@ -262,11 +266,6 @@ class Broker(Component):
             session.last_seen = self.runtime.now
             session.connected = True
             session.will = dict(will) if will else None
-        if session.cell is None:
-            session.cell = tracked_state(
-                self.runtime, f"broker.{self.name}", f"session.{client_id}"
-            )
-            session.inflight.cell = session.cell
         session.cell.note_write()
         self._address_index[source] = client_id
         self.trace("mqtt.broker.connect", client=client_id, clean=clean)
@@ -322,8 +321,7 @@ class Broker(Component):
             raise ProtocolError(f"subscribe 'filters' must be [[filter, qos], ...]: {filters!r}")
         self._subscriptions_cell.note_write()
         self._resolution.clear()
-        if session.cell is not None:
-            session.cell.note_write()
+        session.cell.note_write()
         granted: list[int] = []
         for topic_filter, qos in filters:
             qos = min(int(qos), 1)
@@ -352,8 +350,7 @@ class Broker(Component):
             raise ProtocolError(f"unsubscribe 'filters' must be strings: {filters!r}")
         self._subscriptions_cell.note_write()
         self._resolution.clear()
-        if session.cell is not None:
-            session.cell.note_write()
+        session.cell.note_write()
         for topic_filter in filters:
             if topic_filter in session.subscriptions:
                 del session.subscriptions[topic_filter]
@@ -443,8 +440,7 @@ class Broker(Component):
             subscriber = self._sessions.get(client_id)
             if subscriber is None or not subscriber.connected:
                 continue
-            if subscriber.cell is not None:
-                subscriber.cell.note_read()
+            subscriber.cell.note_read()
             if qos == 1 and sub_qos == 1:
                 self._forward(subscriber, packet, 1, headers, retain=False)
                 continue
@@ -492,7 +488,7 @@ class Broker(Component):
         headers: dict[str, Any],
         retain: bool,
     ) -> None:
-        if qos == 1 and session.cell is not None:
+        if qos == 1:
             # Allocating a packet id and queueing the inflight entry mutate
             # the session; forward order decides the id sequence.
             session.cell.note_write()
@@ -522,14 +518,12 @@ class Broker(Component):
         return self.retry_interval_s
 
     def _retransmit(self, session: _Session, packet: Packet) -> None:
-        if session.cell is not None:
-            session.cell.note_write()
+        session.cell.note_write()
         self.stats.retransmissions += 1
         self._send(session.address, packet)
 
     def _give_up(self, session: _Session, packet_id: int, packet: Packet) -> None:
-        if session.cell is not None:
-            session.cell.note_write()
+        session.cell.note_write()
         self.stats.drops_give_up += 1
         self.trace(
             "mqtt.broker.give_up",
@@ -546,8 +540,7 @@ class Broker(Component):
         packet_id = packet.packet_id()
         # The inflight-window state itself is noted on session.cell below.
         self.stats.pubacks_in += 1  # repro: san-ok[SAN021] commutative counter
-        if session.cell is not None:
-            session.cell.note_write()
+        session.cell.note_write()
         session.inflight.pop(packet_id, None)
 
     # ------------------------------------------------------------------
@@ -590,8 +583,7 @@ class Broker(Component):
         self._on_publish(session.address, None, packet)
 
     def _remove_session(self, session: _Session, expired: bool) -> None:
-        if session.cell is not None:
-            session.cell.note_write()
+        session.cell.note_write()
         self._address_index.pop(session.address, None)
         if session.clean:
             self._cancel_inflight(

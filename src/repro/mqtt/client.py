@@ -89,7 +89,12 @@ class MqttClient(Component):
         self.max_pending_ops = 1024
         self.ops_dropped_disconnected = 0
         self._inflight = InflightTable(
-            self.runtime, self._guard, self._retry_interval, self._send, self._give_up
+            self.runtime,
+            tracked_state(node.runtime, f"mqtt.client.{client_id}", "inflight"),
+            self._guard,
+            self._retry_interval,
+            self._send,
+            self._give_up,
         )
         self._next_packet_id = 1
         self._ping_timer = None
@@ -295,6 +300,7 @@ class MqttClient(Component):
         )
         self.messages_published += 1
         if qos == 1 and packet_id is not None:
+            self._inflight.cell.note_write()
             self._inflight.put(packet_id, packet, self.max_retries)
         self._send(packet)
 
@@ -423,7 +429,9 @@ class MqttClient(Component):
             if kind is _PUBLISH:
                 self._on_publish(packet)
             elif kind is _PUBACK:
-                self._inflight.pop(packet.packet_id(), None)
+                packet_id = packet.packet_id()
+                self._inflight.cell.note_write()
+                self._inflight.pop(packet_id, None)
                 self.pubacks_received += 1
             elif kind is _CONNACK:  # checked before any state change or callback
                 code, present = packet.get("return_code", 0), packet.get("session_present", False)

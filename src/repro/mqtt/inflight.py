@@ -33,23 +33,25 @@ class InflightTable(dict[int, Inflight]):
     """Unacknowledged QoS 1 messages by packet id, oldest first, and the one
     timer that retransmits them.
 
-    ``guard`` is the owning component's ``_guard``; ``interval()`` draws the
-    seconds until an entry's next retransmission, once per arm;
-    ``resend(packet)`` transmits a retransmission; ``abandon(packet_id,
-    packet)`` reports a message dropped with its retries exhausted.
+    ``cell`` is the owner's sanitizer tag for the table: a wake-up reads
+    it, the owner notes its writes. ``guard`` is the owning component's
+    ``_guard``; ``interval()`` draws the seconds until an entry's next
+    retransmission, once per arm; ``resend(packet)`` transmits a
+    retransmission; ``abandon(packet_id, packet)`` reports a message
+    dropped with its retries exhausted.
     """
 
     def __init__(
         self,
         runtime: Runtime,
+        cell: StateCell,
         guard: Callable[[Callable[..., None]], Callable[..., None]],
         interval: Callable[[], float],
         resend: Callable[[Packet], None],
         abandon: Callable[[int, Packet], None],
     ) -> None:
         super().__init__()
-        #: The owner's sanitizer tag for this table, if it declares one.
-        self.cell: StateCell | None = None
+        self.cell = cell
         self._runtime = runtime
         self._interval = interval
         self._resend = resend
@@ -102,8 +104,7 @@ class InflightTable(dict[int, Inflight]):
         # Due means due at the instant armed for, not at ``now``: asyncio
         # may fire a timer one clock resolution early.
         due, self._timer, self._due = self._due, None, inf
-        if self.cell is not None:
-            self.cell.note_read()
+        self.cell.note_read()
         for packet_id, entry in list(self.items()):
             if entry.deadline <= due:
                 # The deadline is spent whether or not the node is up to act

@@ -12,8 +12,6 @@ The layer's core parts (see ``docs/ARCHITECTURE.md``):
 
 Built on top, and imported lazily to keep the core cheap:
 
-* :mod:`repro.obs.sketch` — mergeable fixed-memory latency quantile
-  sketches (the SLO engine's distributions);
 * :mod:`repro.obs.slo` — the online SLO engine: deadline conformance,
   burn-rate alerting, drift watch, status publication;
 * :mod:`repro.obs.export` — the Prometheus rendering of the metrics

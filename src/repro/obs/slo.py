@@ -10,8 +10,9 @@ everything it does is driven by sim time — two runs of the same
 Per declared flow (every task with a ``deadline_ms`` in the recipe):
 
 * **latency conformance** — end-to-end latency of each completed trace,
-  folded into a run-total :class:`~repro.obs.sketch.LatencySketch` and a
-  sliding :class:`~repro.obs.sketch.WindowedSketch`;
+  kept in a run-total :class:`~repro.util.stats.LatencyRecorder` (the
+  store ``repro trace --summary`` reads, so both report the same
+  quantiles) and in the long burn window's buckets (the status p95);
 * **pending-overdue tracking** — the part a completed-latency check
   cannot see. When a root span of a flow whose path always forwards
   records appears, a sim timer is armed at ``root.start + deadline``;
@@ -47,7 +48,8 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import ConfigurationError
 from repro.obs.context import SPAN_EVENT
-from repro.obs.sketch import LatencySketch, WindowedSketch
+from repro.obs.metrics import HISTOGRAM_MAX_SAMPLES
+from repro.util.stats import LatencyRecorder, percentile
 from repro.util.validate import Diagnostic, Rule, Severity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -118,12 +120,10 @@ SLO_RULES: dict[str, Rule] = {
     )
 }
 
-#: Default SLO target: 99% of records meet their declared deadline.
-DEFAULT_TARGET = 0.99
+#: The SLO target: 99% of records meet their declared deadline.
+TARGET = 0.99
 
-#: Relative accuracy of the latency sketches.
-ALPHA = 0.01
-#: Width of one good/bad bucket of the burn windows.
+#: Width of one bucket of the burn windows.
 BUCKET_S = 1.0
 #: The two burn windows: ``page`` needs both above :data:`PAGE_BURN`,
 #: ``warn`` the long one above :data:`WARN_BURN` (in error budgets).
@@ -153,16 +153,11 @@ class FlowSlo:
     deadline_s: float
     roots: tuple[str, ...] = ()
     pending: bool = False
-    target: float = DEFAULT_TARGET
 
     def __post_init__(self) -> None:
         if not self.deadline_s > 0:
             raise ConfigurationError(
                 f"flow {self.flow!r}: deadline_s must be positive"
-            )
-        if not 0.0 < self.target < 1.0:
-            raise ConfigurationError(
-                f"flow {self.flow!r}: target must be in (0, 1)"
             )
 
 
@@ -192,9 +187,7 @@ def _trace_roots(recipe: "Recipe", sink: str) -> tuple[set[str], bool]:
     return roots, conditional
 
 
-def policy_from_recipe(
-    recipe: "Recipe", target: float = DEFAULT_TARGET
-) -> list[FlowSlo]:
+def policy_from_recipe(recipe: "Recipe") -> list[FlowSlo]:
     """One :class:`FlowSlo` per task declaring ``deadline_ms``."""
     flows: list[FlowSlo] = []
     for task_id in sorted(recipe.tasks):
@@ -208,43 +201,58 @@ def policy_from_recipe(
                 deadline_s=task.deadline_ms / 1000.0,
                 roots=tuple(sorted(roots)),
                 pending=not conditional,
-                target=target,
             )
         )
     return flows
 
 
+class _Bucket:
+    __slots__ = ("bad", "good", "latencies")
+
+    def __init__(self) -> None:
+        self.bad = self.good = 0
+        self.latencies: list[float] = []
+
+
 class _BurnWindow:
-    """Good/bad event counts in :data:`BUCKET_S` buckets, reaching back
-    :data:`LONG_WINDOW_S` (bounded ring)."""
+    """Good/bad event counts and completed latencies in :data:`BUCKET_S`
+    buckets, reaching back :data:`LONG_WINDOW_S` (bounded ring)."""
 
     __slots__ = ("_buckets",)
 
     horizon = int(LONG_WINDOW_S / BUCKET_S) + 1
 
     def __init__(self) -> None:
-        self._buckets: dict[int, list[int]] = {}
+        self._buckets: dict[int, _Bucket] = {}
 
-    def add(self, t: float, good: bool) -> None:
+    def bucket(self, t: float) -> _Bucket:
         index = int(t // BUCKET_S)
         bucket = self._buckets.get(index)
         if bucket is None:
-            bucket = self._buckets[index] = [0, 0]
+            bucket = self._buckets[index] = _Bucket()
             floor = index - self.horizon
             for key in [k for k in self._buckets if k <= floor]:
                 del self._buckets[key]
-        bucket[1 if good else 0] += 1
+        return bucket
+
+    def _live(self, now: float, window_s: float) -> list[_Bucket]:
+        current = int(now // BUCKET_S)
+        first = int((now - window_s) // BUCKET_S) + 1
+        return [b for i, b in self._buckets.items() if first <= i <= current]
 
     def window(self, now: float, window_s: float) -> tuple[int, int]:
         """``(bad, total)`` over the window ending at ``now``."""
-        current = int(now // BUCKET_S)
-        first = int((now - window_s) // BUCKET_S) + 1
-        bad = total = 0
-        for index, (b, g) in self._buckets.items():
-            if first <= index <= current:
-                bad += b
-                total += b + g
-        return bad, total
+        live = self._live(now, window_s)
+        bad = sum(b.bad for b in live)
+        return bad, bad + sum(b.good for b in live)
+
+    def p95(self, now: float) -> float:
+        """95th-percentile latency over the long window; 0.0 when empty."""
+        samples = [x for b in self._live(now, LONG_WINDOW_S) for x in b.latencies]
+        return percentile(samples, 95) if samples else 0.0
+
+    def __len__(self) -> int:
+        return len(self._buckets)
 
 
 class SloEngine:
@@ -281,12 +289,8 @@ class SloEngine:
         self._publisher = publisher
 
         # Per-flow streaming state.
-        self.sketches = {f: LatencySketch(alpha=ALPHA) for f in self.flows}
-        slice_s = max(BUCKET_S, SHORT_WINDOW_S / 4.0)
-        slices = max(2, int(LONG_WINDOW_S / slice_s) + 1)
-        self.windows = {
-            f: WindowedSketch(alpha=ALPHA, slice_s=slice_s, slices=slices)
-            for f in self.flows
+        self.latencies = {
+            f: LatencyRecorder(f, cap=HISTOGRAM_MAX_SAMPLES) for f in self.flows
         }
         self._events = {f: _BurnWindow() for f in self.flows}
         self.good = {f: 0 for f in self.flows}
@@ -385,21 +389,20 @@ class SloEngine:
         handle = self._pending.pop(key, None)
         if handle is not None:
             handle.cancel()
+        self.latencies[flow.flow].add(latency)
+        bucket = self._events[flow.flow].bucket(now)
+        bucket.latencies.append(latency)
         if key in self._expired:
             # Already counted overdue when the timer fired; record the
             # eventual latency for the distribution but not the budget.
-            self.sketches[flow.flow].add(latency)
-            self.windows[flow.flow].observe(now, latency)
             return
-        good = latency <= flow.deadline_s + 1e-9
-        self.sketches[flow.flow].add(latency)
-        self.windows[flow.flow].observe(now, latency)
-        self._events[flow.flow].add(now, good)
-        if good:
+        if latency <= flow.deadline_s + 1e-9:
+            bucket.good += 1
             self.good[flow.flow] += 1
             if self._registry is not None:
                 self._registry.counter("slo.flow.good", flow=flow.flow).inc()
         else:
+            bucket.bad += 1
             self._violation(flow, trace, now, kind="late", latency=latency)
         self._evaluate(flow, now)
 
@@ -409,7 +412,7 @@ class SloEngine:
             return  # resolved in the meantime
         self._expired[key] = deadline_at
         self.overdue[flow.flow] += 1
-        self._events[flow.flow].add(deadline_at, False)
+        self._events[flow.flow].bucket(deadline_at).bad += 1
         self._violation(flow, trace, deadline_at, kind="overdue", latency=None)
         self._evaluate(flow, deadline_at)
 
@@ -447,9 +450,8 @@ class SloEngine:
         """``(short, long)`` burn rates for one flow at ``now``."""
         if now is None:
             now = self.runtime.now
-        flow = self.flows[flow_id]
         events = self._events[flow_id]
-        budget = 1.0 - flow.target
+        budget = 1.0 - TARGET
         bad_s, total_s = events.window(now, SHORT_WINDOW_S)
         bad_l, total_l = events.window(now, LONG_WINDOW_S)
         short = bad_s / total_s / budget if total_s else 0.0
@@ -581,7 +583,6 @@ class SloEngine:
         flows: dict[str, Any] = {}
         for flow_id in sorted(self.flows):
             short, long = self.burn(flow_id, now)
-            window = self.windows[flow_id].query(now)
             flows[flow_id] = {
                 "state": self.state[flow_id],
                 "burn_short": round(short, 6),
@@ -589,7 +590,7 @@ class SloEngine:
                 "good": self.good[flow_id],
                 "violations": self.violations[flow_id],
                 "overdue": self.overdue[flow_id],
-                "p95_ms": round(window.quantile(95) * 1000.0, 3),
+                "p95_ms": round(self._events[flow_id].p95(now) * 1000.0, 3),
             }
         return {
             "t": round(now, 9),
@@ -605,13 +606,13 @@ class SloEngine:
         flows: dict[str, Any] = {}
         for flow_id in sorted(self.flows):
             flow = self.flows[flow_id]
-            sketch = self.sketches[flow_id]
+            recorder = self.latencies[flow_id]
             entry: dict[str, Any] = {
                 "deadline_ms": round(flow.deadline_s * 1000.0, 3),
-                "target": flow.target,
+                "target": TARGET,
                 "pending_tracked": flow.pending,
                 "roots": list(flow.roots),
-                "count": sketch.count,
+                "count": recorder.count,
                 "good": self.good[flow_id],
                 "violations": self.violations[flow_id],
                 "overdue": self.overdue[flow_id],
@@ -619,13 +620,14 @@ class SloEngine:
                 "paged": self.paged[flow_id],
                 "warned": self.warned[flow_id],
             }
-            if sketch.count:
+            if recorder.count:
+                p50, p95, p99 = recorder.percentiles(50, 95, 99)
                 entry.update(
                     {
-                        "p50_ms": round(sketch.quantile(50) * 1000.0, 3),
-                        "p95_ms": round(sketch.quantile(95) * 1000.0, 3),
-                        "p99_ms": round(sketch.quantile(99) * 1000.0, 3),
-                        "max_ms": round(sketch.maximum * 1000.0, 3),
+                        "p50_ms": round(p50 * 1000.0, 3),
+                        "p95_ms": round(p95 * 1000.0, 3),
+                        "p99_ms": round(p99 * 1000.0, 3),
+                        "max_ms": round(recorder.maximum * 1000.0, 3),
                     }
                 )
             if flow_id in self.first_page_at:

@@ -41,7 +41,7 @@ TRACE_DIGESTS = {
         3439,
     ),
     ("broker_restart", "slo"): (
-        "fab6bd5d8b4ed38116808607b7fe5feb1eeac7cf35c70c321f41410cc4927ffa",
+        "0a803383857d384c615c64b78f2c64ba5f1ab5a986b2a8fe616a148fb24fd0a8",
         4322,
     ),
     ("bursty_wlan", "observe"): (
@@ -57,7 +57,7 @@ TRACE_DIGESTS = {
         3125,
     ),
     ("bursty_wlan", "slo"): (
-        "486e6d2361bf45064780cad2d6726c6da164c0bff946558c5929b5d5cfec4bbe",
+        "f3a8bc31c1273de40a32f97c9b2e7a9c479b8d310801eca0ae2f69ce1ee61f02",
         3885,
     ),
     ("failover", "observe"): (
@@ -73,7 +73,7 @@ TRACE_DIGESTS = {
         3602,
     ),
     ("failover", "slo"): (
-        "d1fc7a7964f2d476543eccaf095312f56b92749e43a1fd2075ba98e4ff6243c8",
+        "fe9e46bfd8061fe2777b816827bfc21b7a5b52ee448ed3a6a0d5b2c61709cf7a",
         4472,
     ),
     ("module_crash_failover", "observe"): (
@@ -89,7 +89,7 @@ TRACE_DIGESTS = {
         2943,
     ),
     ("module_crash_failover", "slo"): (
-        "8fa4c373b8548cc71bf15ca3f4b52bbdb78c3db99e60f880bff2c4776f7c1916",
+        "2e1790cf04b48828f3bc975807e19f4afd4f05d1971d732213e96792553189be",
         3698,
     ),
     ("node_restart_rejoin", "observe"): (
@@ -105,7 +105,7 @@ TRACE_DIGESTS = {
         3250,
     ),
     ("node_restart_rejoin", "slo"): (
-        "df22030272fd08e593c74fe66714c8f6dabebf6f07a450fd8cf870a849bd0d58",
+        "94ef982b77f04a45e909677ca6d691b7237c52ca5e89bf524053d00d46a62f0b",
         4007,
     ),
     ("partition_heal", "observe"): (
@@ -121,7 +121,7 @@ TRACE_DIGESTS = {
         3180,
     ),
     ("partition_heal", "slo"): (
-        "63612b1e672eec4f6bb020bd716dfac552cdbd4d75d120fd1dfb1ff0439b8c86",
+        "3870dee76fef33a689eb96c0a4e7c323e89755f56489da4d668a4dc260cde710",
         3950,
     ),
     ("sensor_flap", "observe"): (
@@ -137,7 +137,7 @@ TRACE_DIGESTS = {
         2915,
     ),
     ("sensor_flap", "slo"): (
-        "d950876254065fc7a6eb292d45202b5bb96e14e46b77025a0d693b8cb9d2fe76",
+        "6fb00a41e6eaee71a839c559206172246858deb17541c7b448f11c5e72979d68",
         3583,
     ),
 }

@@ -39,10 +39,10 @@ def _end_state(runtime) -> dict:
         "violation_log": engine.violation_log,
         "status": engine.status_snapshot(),
         "report": engine.report(),
-        "sketches": {
-            flow: (sketch.count, [sketch.quantile(q) for q in (50, 95, 99)])
-            for flow, sketch in sorted(engine.sketches.items())
-            if sketch.count
+        "latencies": {
+            flow: (recorder.count, recorder.percentiles(50, 95, 99))
+            for flow, recorder in sorted(engine.latencies.items())
+            if recorder.count
         },
         "busy": profiler.busy,
         "profile_digest": profile_digest(profiler),

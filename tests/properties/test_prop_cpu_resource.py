@@ -288,11 +288,14 @@ def test_sanitizer_sees_the_same_number_of_accesses_on_whole_scenarios():
         run(resolve(name), prepare=san.install, **kwargs)
         return san.accesses_recorded
 
-    # A wake-up of a broker session's inflight table reads the session cell
-    # once; a client's table has no cell: failover has 133 by session
-    # tables, 77 of them with nothing due (30 681 + 133). fig5 moved once,
-    # 63 539 -> 70 770, with its placement (by predicted CPU load under the
-    # Pi model): records `pi-analysis` used to queue past the 6 s now flow
-    # through the rest of the pipeline inside it.
-    assert accesses("fig5", duration_s=6.0) == 70_770
-    assert accesses("failover") == 30_814
+    # A wake-up of an inflight table reads its cell once; a client's QoS 1
+    # publish and each PUBACK it receives write its table's cell. failover:
+    # 133 wake-ups of broker session tables (77 with nothing due), 46 of
+    # client tables, 253 client publishes and 257 PUBACKs (30 681 + 133 +
+    # 46 + 253 + 257). fig5: 1 client wake-up and 12 PUBACKs (70 770 + 13;
+    # its 12 QoS 1 publishes are issued at setup, outside any event). fig5
+    # moved once before, 63 539 -> 70 770, with its placement (by predicted
+    # CPU load under the Pi model): records `pi-analysis` used to queue past
+    # the 6 s now flow through the rest of the pipeline inside it.
+    assert accesses("fig5", duration_s=6.0) == 70_783
+    assert accesses("failover") == 31_370

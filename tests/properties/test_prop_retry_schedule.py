@@ -62,9 +62,9 @@ FLOWS = (
 class PerMessageTable(dict):
     """What ``InflightTable`` replaced, behind its interface."""
 
-    def __init__(self, runtime, guard, interval, resend, abandon):
+    def __init__(self, runtime, cell, guard, interval, resend, abandon):
         super().__init__()
-        self.cell = None
+        self.cell = cell
         self._runtime, self._interval = runtime, interval
         self._resend, self._abandon = resend, abandon
         self._fire = guard(self._retry)

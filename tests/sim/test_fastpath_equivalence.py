@@ -139,7 +139,7 @@ _OBSERVER_SOURCES = frozenset({"slo", "obs", "prof"})
 def _suppress_status_publisher(monkeypatch):
     """Install enable_slo without the retained-status MQTT publisher.
 
-    The engine's *computation* (taps, timers, sketches) must be invisible
+    The engine's *computation* (taps, timers, sample stores) must be invisible
     to the application trace; the retained ``ifot/ctl/status/slo``
     publication is deliberate control-plane traffic that shares the
     simulated WLAN and therefore legitimately perturbs frame timing.
