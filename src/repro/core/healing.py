@@ -1,6 +1,6 @@
-"""Self-healing control plane: failure detection and degradation policy.
+"""Self-healing control plane: failure detection and placement policy.
 
-Two pieces the management node composes into autonomous recovery:
+Three pieces the management node composes into autonomous recovery:
 
 * :class:`FailureDetector` — a deterministic, seeded phi-accrual-style
   liveness detector over the registry heartbeats the directory already
@@ -14,6 +14,9 @@ Two pieces the management node composes into autonomous recovery:
   application (measured in the calibrated CPU-utilization currency of
   :mod:`repro.lint.rates`), decide which applications to shed, lowest
   :attr:`~repro.core.recipe.Recipe.priority` first.
+* :func:`desired` — where every led sub-task should run given the live
+  modules, and which applications to shed: the one placement decision
+  after submit. ``ManagementNode.reconcile`` issues the difference.
 
 What they did after a fault is read back from the trace by
 :mod:`repro.chaos`, which owns the fault vocabulary.
@@ -21,9 +24,10 @@ What they did after a fault is read back from the trace by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Any, Callable, Collection, Iterable, Mapping, Sequence
 
+from repro.core.assignment import Assignment, LoadAwareStrategy, ModuleInfo, TaskAssignment
 from repro.runtime.component import Component
 from repro.runtime.node import Node
 from repro.runtime.state import tracked_state
@@ -32,6 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.discovery import StreamDirectory
     from repro.core.recipe import Recipe
     from repro.core.splitter import SubTask
+    from repro.runtime.costs import CostModel
 
 __all__ = [
     "PeerRecord",
@@ -40,6 +45,8 @@ __all__ = [
     "DegradationPlan",
     "plan_degradation",
     "recipe_utilization",
+    "LedApp",
+    "desired",
 ]
 
 
@@ -370,3 +377,94 @@ def recipe_utilization(recipe: "Recipe", subtasks: Iterable["SubTask"]) -> float
         if subtask.task_id in facts:
             total += operator_load(facts[subtask.task_id], cost_model)
     return total
+
+
+# ----------------------------------------------------------------------
+# Placement after submit
+# ----------------------------------------------------------------------
+
+
+@dataclass(slots=True)
+class LedApp:
+    """An application the management node leads. ``assignment`` is where
+    each sub-task runs (updated in place: the submitter's copy stays
+    current); ``home`` is where it belongs, the submit's choice or an
+    operator's migration target; ``stranded`` holds the sub-tasks already
+    reported stuck on a module that is gone."""
+
+    recipe: Recipe
+    assignment: Assignment
+    subtasks: dict[str, SubTask]  # the split it was deployed from, in split order
+    home: dict[str, str]
+    stranded: set[str] = field(default_factory=set)
+
+
+def desired(
+    led: Mapping[str, LedApp],
+    live: Sequence[ModuleInfo],
+    settling: Collection[str],
+    cost_model: CostModel,
+) -> tuple[dict[str, dict[str, str]], DegradationPlan]:
+    """Where every led sub-task should run, and which applications to shed.
+
+    A pure function. Shedding is :func:`plan_degradation` over
+    :func:`recipe_utilization` against the live modules' summed capacity (a
+    sub-task pinned to a module that is not live demands nothing); the
+    shed applications get no placement. Of the rest, a sub-task goes home
+    once its home is live, not ``settling`` and can host it, and otherwise
+    stays on a live host. An orphan (its host is not live) is placed by one
+    load-aware assignment over the live modules, each priced by what stays
+    on it as the submit prices it (:func:`~repro.lint.rates.placement_demand`).
+    One that nothing live can host, a pinned one included, stays where it
+    is: stranded.
+    """
+    from repro.lint.rates import module_demand, placement_demand
+
+    hosts = {m.name: m for m in live}
+    plan = plan_degradation(
+        [
+            AppLoad(name, app.recipe.priority, recipe_utilization(app.recipe, [
+                s for s in app.subtasks.values() if s.pin_to is None or s.pin_to in hosts
+            ]))
+            for name, app in sorted(led.items())
+        ],
+        sum(m.capacity for m in live),
+    )
+    shed = {load.application for load in plan.shed}
+    placement: dict[str, dict[str, str]] = {}
+    orphans: dict[str, tuple[str, str]] = {}  # "<application>/<sub-task>" -> both
+    moving: list[SubTask] = []
+    for name, app in led.items():
+        if name in shed:
+            continue
+        where = placement[name] = {}
+        for sid, host in app.assignment.placements.items():
+            subtask, home = app.subtasks[sid], hosts.get(app.home[sid])
+            if home is not None and home.name not in settling and home.can_host(subtask):
+                where[sid] = home.name
+            elif host in hosts or subtask.pin_to or not any(m.can_host(subtask) for m in live):
+                where[sid] = host
+            else:
+                orphans[f"{name}/{sid}"] = (name, sid)
+                moving.append(replace(subtask, subtask_id=f"{name}/{sid}"))
+    if moving:
+        demand = {
+            f"{name}/{sid}": load
+            for name in placement
+            for sid, load in placement_demand(
+                led[name].recipe, led[name].subtasks.values(), cost_model
+            ).items()
+        }
+        carried = module_demand(
+            demand,
+            {f"{name}/{sid}": m for name, where in placement.items() for sid, m in where.items()},
+        )
+        chosen = TaskAssignment(LoadAwareStrategy()).assign(
+            moving,
+            [replace(m, base_demand=carried.get(m.name, 0.0)) for m in live],
+            {s.subtask_id: demand[s.subtask_id] for s in moving},
+        )
+        for key, module in chosen.placements.items():
+            name, sid = orphans[key]
+            placement[name][sid] = module
+    return placement, plan

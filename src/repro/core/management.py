@@ -13,7 +13,10 @@ together. Here that role is split faithfully:
 * a :class:`ManagementNode` is the operator's console: it submits recipes
   (to itself or to any module), collects status snapshots, and stops
   applications. It embeds an agent, so a "management node" is just a
-  module with no sensors.
+  module with no sensors. With auto-failover it also runs the control
+  plane's one reconciler: every failure verdict, membership edge and
+  abort calls :meth:`ManagementNode.reconcile`, which issues the
+  difference from :func:`repro.core.healing.desired`.
 
 Control-plane topics::
 
@@ -33,7 +36,7 @@ Control-plane topics::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterable
 
@@ -42,18 +45,12 @@ from repro.core.assignment import (
     AssignmentStrategy,
     CapabilityAwareStrategy,
     LoadAwareStrategy,
-    ModuleInfo,
     RoundRobinStrategy,
     TaskAssignment,
 )
 from repro.core.discovery import StreamDirectory, module_topic
 from repro.core.flow import FlowRecord, topic_for_stream
-from repro.core.healing import (
-    AppLoad,
-    FailureDetector,
-    plan_degradation,
-    recipe_utilization,
-)
+from repro.core.healing import FailureDetector, LedApp, desired
 from repro.core.node import NeuronModule
 from repro.core.operators import StreamOperator
 from repro.core.recipe import Recipe
@@ -491,6 +488,8 @@ class ModuleAgent(Component):
                 rules=sorted({d.rule for d in exc.diagnostics}),
                 findings=len(exc.diagnostics),
             )
+        except AssignmentError as exc:  # no module can host a sub-task of it
+            self.trace("agent.recipe_rejected", error=str(exc))
 
     def _checked_recipe(self, data: "Recipe | dict[str, Any]") -> Recipe:
         """The raw-dict gate of :meth:`ManagementNode.submit_recipe`."""
@@ -572,6 +571,10 @@ class ManagementNode:
     Wraps a :class:`NeuronModule` (typically one with no devices) plus its
     agent, and offers the operations the paper's management GUI exposes:
     submit an application, watch module status, tear an application down.
+    With ``auto_failover`` it also keeps what it leads placed on live
+    modules: every failure verdict, membership edge, settle timer, stop and
+    migration abort calls :meth:`reconcile`, the one path that moves a
+    sub-task after its submit (an operator's :meth:`migrate_subtask` aside).
     """
 
     def __init__(
@@ -589,9 +592,8 @@ class ManagementNode:
         self.load_sheds_performed = 0
         #: Applications shed to fit surviving capacity (degraded mode).
         self.degraded_applications: list[str] = []
-        #: Applications this node led: name -> (recipe, live assignment,
-        #: the split it was deployed from by sub-task id, in split order).
-        self._led: dict[str, tuple[Recipe, Assignment, dict[str, SubTask]]] = {}
+        #: Applications this node led, by name.
+        self._led: dict[str, LedApp] = {}
         #: In-flight migrations by (app, sid): a sub-task moves at most once
         #: at a time. A migration leaves the table the moment it is decided.
         self._migrations: dict[tuple[str, str], Migration] = {}
@@ -611,35 +613,26 @@ class ManagementNode:
             (Phase.TRANSFER, "timeout"): self._abort,
             (Phase.TRANSFER, "stopped"): self._abort,
         }
-        #: Sub-tasks failover moved off their assigned module, awaiting
-        #: fail-back when the original host rejoins: (app, sid) -> module.
-        self._displaced: dict[tuple[str, str], str] = {}
-        # Both maps are mutated from MQTT dispatch events and timers —
+        #: Modules seen to die (None) or back since the given instant, and
+        #: not yet trusted to take their sub-tasks home.
+        self._settling: dict[str, float | None] = {}
+        # All four are mutated from MQTT dispatch events and timers —
         # cross-event shared state the schedule sanitizer should see.
-        self._migrations_cell = tracked_state(
-            module.node.runtime, f"mgmt.{module.name}", "migrations"
-        )
-        self._displaced_cell = tracked_state(
-            module.node.runtime, f"mgmt.{module.name}", "displaced"
-        )
-        # The led-applications ledger and collected status reports are
-        # written from console calls / MQTT status answers and read by the
-        # healing sweeps — track them for the same reason.
-        self._led_cell = tracked_state(module.node.runtime, f"mgmt.{module.name}", "led")
-        self._status_cell = tracked_state(
-            module.node.runtime, f"mgmt.{module.name}", "status"
-        )
+        owner = f"mgmt.{module.name}"
+        self._migrations_cell = tracked_state(module.node.runtime, owner, "migrations")
+        self._settling_cell = tracked_state(module.node.runtime, owner, "settling")
+        self._led_cell = tracked_state(module.node.runtime, owner, "led")
+        self._status_cell = tracked_state(module.node.runtime, owner, "status")
         self.detector: FailureDetector | None = None
         if auto_failover:
             # The membership layer usually beats phi accrual to a clean crash
             # (the broker's last-will tombstone fires at keep-alive expiry);
-            # the detector covers the cases that leave no tombstone. Failover
-            # is idempotent — a second pass finds no orphaned placements.
+            # the detector covers the cases that leave no tombstone.
             self.detector = FailureDetector(
                 module.node,
                 self.agent.directory,
                 expected_interval_s=heartbeat_s,
-                on_confirm=self._fail_over_module,
+                on_confirm=self.reconcile,
                 exclude={module.name},
                 connected=lambda: module.client.connected,
             )
@@ -650,7 +643,8 @@ class ManagementNode:
                 (_migrate_topic("+", "ready"), self._on_migration),
             ]
         )
-        self.directory.watch_members(self._on_membership_change)
+        if auto_failover:
+            self.directory.watch_members(self._on_member)
 
     def _trace(self, event: str, **fields: Any) -> None:
         self.module.node.runtime.trace("mgmt", event, **fields)
@@ -691,7 +685,9 @@ class ManagementNode:
             return None
         assignment, subtasks = self.agent.lead_deployment(recipe, strategy)
         self._led_cell.note_write()
-        self._led[recipe.name] = (recipe, assignment, subtasks)
+        self._led[recipe.name] = LedApp(
+            recipe, assignment, subtasks, dict(assignment.placements)
+        )
         return assignment
 
     def stop_application(self, application: str) -> None:
@@ -701,13 +697,12 @@ class ManagementNode:
         (reason ``stopped``, nothing redeployed), so no late leg of it can
         bring the sub-task back.
         """
+        self._stop(application)
+        self.reconcile()
+
+    def _stop(self, application: str) -> None:
         self._led_cell.note_write()
         self._led.pop(application, None)
-        stale = [key for key in self._displaced if key[0] == application]
-        if stale:
-            self._displaced_cell.note_write()
-            for key in stale:
-                del self._displaced[key]
         for migration in list(self._migrations.values()):
             if migration.application == application:
                 self._on_migration(_migrate_topic(migration.id, "stopped"))
@@ -715,195 +710,32 @@ class ManagementNode:
             self.agent._undeploy(record.name, application)
 
     # ------------------------------------------------------------------
-    # Failover (extension: the paper's dynamic join/leave future work)
+    # The reconciler (extension: the paper's dynamic join/leave future work)
     # ------------------------------------------------------------------
 
-    def _on_membership_change(self, name: str, alive: bool) -> None:
+    def reconcile(self, lost: str | None = None) -> list[tuple[str, str, str, str]]:
+        """Issue what takes the led applications to :func:`desired`.
+
+        ``lost`` is a module just seen to die (the detector's verdict, a
+        leave edge): gone for this pass even if the directory still lists
+        it, and no sub-task's home again until it has been back for a
+        heartbeat period. A shed application is stopped. A sub-task whose
+        host is gone is undeployed there and deployed on its target (model
+        state is lost: online models re-learn from the live stream); one
+        on a live host migrates; one with a handoff in flight is left to
+        it. A stranded one is traced once (``mgmt.failover_pinned`` if it
+        is pinned, else ``mgmt.failover_stranded``). Returns each action
+        issued as ``(verb, application, sub-task, module)``.
+        """
         if not self.auto_failover:
-            return
-        if alive:
-            self._reinstate_module(name)
-        else:
-            self._fail_over_module(name)
-
-    def _reinstate_module(self, joined_module: str) -> None:
-        """Re-send every sub-task still placed on a (re)joined module.
-
-        Closes the dynamic-join/leave loop: a module that crashed and came
-        back with amnesia (or returned from the wrong side of a partition)
-        gets its assigned sub-tasks re-deployed. Deploy is idempotent on
-        the agent side — a module that kept its operators (blip) rejects
-        the duplicate and keeps running.
-        """
+            return []
+        self._settling_cell.note_write()
+        if lost is not None:
+            self._settling[lost] = None
+        live = [m for m in self.directory.module_infos() if m.name != lost]
         self._led_cell.note_read()
-        for app_name, (_recipe, assignment, subtasks) in self._led.items():
-            for sid in assignment.subtasks_on(joined_module):
-                self.agent._deploy(joined_module, app_name, subtasks[sid].to_dict())
-                self._trace(
-                    "mgmt.reinstated",
-                    application=app_name,
-                    subtask=sid,
-                    module=joined_module,
-                )
-        self._schedule_failback(joined_module)
-
-    def _schedule_failback(self, joined_module: str) -> None:
-        """Migrate sub-tasks failover displaced off ``joined_module`` home.
-
-        The rejoined module may still be running stale pre-failover
-        instances (a blip recovery keeps operators across the outage), so
-        those are undeployed first — for an amnesia restart that is a
-        no-op. The migration itself starts one heartbeat period later so
-        the rejoined module's announcements settle in every directory.
-        """
-        displaced = sorted(
-            key for key, origin in self._displaced.items() if origin == joined_module
-        )
-        if not displaced:
-            return
-        self._displaced_cell.note_write()
-        for app_name, sid in displaced:
-            del self._displaced[app_name, sid]
-            self.agent._undeploy(joined_module, app_name, sid)
-            self.agent.after(
-                self.heartbeat_s, self._fail_back, app_name, sid, joined_module
-            )
-
-    def _fail_back(
-        self, application: str, subtask_id: str, home_module: str
-    ) -> None:
-        led = self._led.get(application)
-        if led is None:
-            return
-        current = led[1].placements.get(subtask_id)
-        if current is None or current == home_module:
-            return
-        if all(r.name != home_module for r in self.directory.module_infos()):
-            # Home vanished again while the delay ran; stay put.
-            return
-        try:
-            self.migrate_subtask(application, subtask_id, home_module)
-        except DeploymentError:
-            return
-
-    def _fail_over_module(self, dead_module: str) -> None:
-        """Re-place every non-pinned sub-task that was on ``dead_module``.
-
-        Model state held by the dead module's operators is lost (online
-        models re-learn from the live stream — the middleware stores no
-        data to replay). Sub-tasks pinned to the dead module are device
-        bound and cannot move; they are reported and skipped.
-        """
-        self._shed_if_overcommitted(dead_module)
-        self._led_cell.note_read()
-        for app_name, (_recipe, assignment, subtasks) in self._led.items():
-            orphans = [
-                sid
-                for sid, module_name in assignment.placements.items()
-                if module_name == dead_module
-            ]
-            if not orphans:
-                continue
-            # The dead module may still linger in the directory when the
-            # detector beat the broker's tombstone to the verdict; never
-            # re-place orphans onto the module being failed over.
-            candidates = [
-                info
-                for info in self.directory.module_infos()
-                if info.name != dead_module
-            ]
-            movable = []
-            for sid in orphans:
-                subtask = subtasks[sid]
-                if subtask.pin_to == dead_module:
-                    self._trace(
-                        "mgmt.failover_pinned",
-                        application=app_name,
-                        subtask=sid,
-                        module=dead_module,
-                    )
-                    continue
-                movable.append(subtask)
-            if not movable:
-                continue
-            replacement = self._replace(app_name, movable, candidates)
-            self._displaced_cell.note_write()
-            for subtask in movable:
-                target = replacement.module_for(subtask.subtask_id)
-                assignment.placements[subtask.subtask_id] = target
-                self._displaced[(app_name, subtask.subtask_id)] = dead_module
-                # Defensive teardown: on a true crash this queues into a
-                # dying session and is dropped at expiry; on a false
-                # accusation it removes the stale instance so the
-                # replacement is the *only* live one (exactly-once per
-                # incarnation holds either way).
-                self.agent._undeploy(dead_module, app_name, subtask.subtask_id)
-                self.agent._deploy(target, app_name, subtask.to_dict())
-                self._trace(
-                    "mgmt.failover_moved",
-                    application=app_name,
-                    subtask=subtask.subtask_id,
-                    from_module=dead_module,
-                    to_module=target,
-                )
-            self.failovers_performed += 1
-            self.agent._publish_assignment(app_name, assignment)
-
-    def _replace(
-        self, application: str, subtasks: list[SubTask], candidates: list[ModuleInfo]
-    ) -> Assignment:
-        """Re-place ``subtasks`` of a led application by predicted load: what
-        the survivors already carry is priced from this leader's own
-        assignment table, like the initial placement (``base_load``, the
-        tie-break, is each candidate's live announced load)."""
-        from repro.lint.rates import module_demand, placement_demand
-
-        demand: dict[str, float] = {}  # keyed "<application>/<sub-task>"
-        placed: dict[str, str] = {}
-        cost_model = self.module.node.cost_model
-        for name, (recipe, assignment, split) in self._led.items():
-            for sid, load in placement_demand(recipe, split.values(), cost_model).items():
-                demand[f"{name}/{sid}"] = load
-            for sid, module in assignment.placements.items():
-                placed[f"{name}/{sid}"] = module
-        moving = {s.subtask_id: demand[f"{application}/{s.subtask_id}"] for s in subtasks}
-        for sid in moving:
-            del placed[f"{application}/{sid}"]
-        carried = module_demand(demand, placed)
-        return TaskAssignment(LoadAwareStrategy()).assign(
-            subtasks,
-            [replace(c, base_demand=carried.get(c.name, 0.0)) for c in candidates],
-            moving,
-        )
-
-    def _shed_if_overcommitted(self, dead_module: str) -> None:
-        """Graceful degradation: shed whole applications, lowest priority
-        first, when the surviving capacity cannot host everything.
-
-        Demand is measured in the calibrated CPU-utilization currency of
-        :mod:`repro.lint.rates` (the same one recipe feasibility checks
-        plan with), summed over every sub-task that will need surviving
-        capacity — already-placed survivors plus the movable orphans.
-        Sub-tasks pinned to the dead module die with their device and
-        demand nothing.
-        """
-        if not self._led:
-            return
-        capacity = sum(info.capacity for info in self.directory.module_infos())
-        loads: list[AppLoad] = []
-        for app_name, (recipe, _assignment, subtasks) in sorted(self._led.items()):
-            # (a pinned sub-task is placed where it is pinned, nowhere else)
-            demand_subtasks = [s for s in subtasks.values() if s.pin_to != dead_module]
-            loads.append(
-                AppLoad(
-                    application=app_name,
-                    priority=recipe.priority,
-                    utilization=recipe_utilization(recipe, demand_subtasks),
-                )
-            )
-        plan = plan_degradation(loads, capacity)
-        if not plan.shed and plan.feasible:
-            return
+        placement, plan = desired(self._led, live, self._settling, self.module.node.cost_model)
+        actions = []
         for victim in plan.shed:
             self.load_sheds_performed += 1
             self.degraded_applications.append(victim.application)
@@ -913,22 +745,88 @@ class ManagementNode:
                 priority=victim.priority,
                 utilization=round(victim.utilization, 4),
             )
-            self.stop_application(victim.application)
-        if not plan.feasible:
-            self._trace(
-                "mgmt.degraded",
-                residual=round(plan.residual, 4),
-                capacity=round(plan.capacity, 4),
-            )
-        self.module.client.publish(
-            "ifot/ctl/status/degraded",
-            {
-                "applications": sorted(set(self.degraded_applications)),
-                "residual": round(plan.residual, 4),
-                "capacity": round(plan.capacity, 4),
-            },
-            retain=True,
+            self._stop(victim.application)
+            actions.append(("shed", victim.application, "*", ""))
+        if plan.shed or (lost is not None and not plan.feasible):
+            residual, capacity = round(plan.residual, 4), round(plan.capacity, 4)
+            if not plan.feasible:
+                self._trace("mgmt.degraded", residual=residual, capacity=capacity)
+            applications = sorted(set(self.degraded_applications))
+            status = {"applications": applications, "residual": residual, "capacity": capacity}
+            self.module.client.publish("ifot/ctl/status/degraded", status, retain=True)
+        hosts = {m.name for m in live}
+        for name, app in self._led.items():
+            placements, moved = app.assignment.placements, False
+            for sid, host in placements.items():
+                target = placement[name][sid]
+                if (name, sid) in self._migrations:
+                    continue
+                if target == host:
+                    if host not in hosts and sid not in app.stranded:
+                        app.stranded.add(sid)
+                        event = "pinned" if app.subtasks[sid].pin_to else "stranded"
+                        self._trace(
+                            f"mgmt.failover_{event}", application=name, subtask=sid, module=host
+                        )
+                    continue
+                app.stranded.discard(sid)
+                if host in hosts:
+                    self.migrate_subtask(name, sid, target)
+                    actions.append(("migrate", name, sid, target))
+                    continue
+                placements[sid], moved = target, True
+                # On a true crash this undeploy dies with the session; after
+                # a false accusation it leaves the replacement the only copy.
+                self.agent._undeploy(host, name, sid)
+                self.agent._deploy(target, name, app.subtasks[sid].to_dict())
+                self._trace(
+                    "mgmt.failover_moved",
+                    application=name,
+                    subtask=sid,
+                    from_module=host,
+                    to_module=target,
+                )
+                actions.append(("deploy", name, sid, target))
+            if moved:
+                self.failovers_performed += 1
+                self.agent._publish_assignment(name, app.assignment)
+        return actions
+
+    def _on_member(self, name: str, alive: bool) -> None:
+        """A membership edge. A (re)joined module is re-sent every sub-task
+        placed on it (amnesia is invisible here; a module that kept its
+        operators rejects the duplicate) and loses any stale copy of one
+        whose home it is. That one moves back a heartbeat period later,
+        once the module's announcements have settled in every directory."""
+        if not alive:
+            self.reconcile(name)
+            return
+        self._led_cell.note_write()
+        for app_name, app in self._led.items():
+            for sid in app.assignment.subtasks_on(name):
+                app.stranded.discard(sid)
+                self.agent._deploy(name, app_name, app.subtasks[sid].to_dict())
+                self._trace("mgmt.reinstated", application=app_name, subtask=sid, module=name)
+        homecoming = sorted(
+            (app_name, sid)
+            for app_name, app in self._led.items()
+            for sid, home in app.home.items()
+            if home == name != app.assignment.placements[sid]
         )
+        for app_name, sid in homecoming:
+            self.agent._undeploy(name, app_name, sid)
+        self._settling_cell.note_write()
+        self._settling.pop(name, None)
+        if homecoming:
+            self._settling[name] = now = self.module.node.runtime.now
+            self.agent.after(self.heartbeat_s, self._settled, name, now)
+        self.reconcile()
+
+    def _settled(self, name: str, joined_at: float) -> None:
+        self._settling_cell.note_write()
+        if self._settling.get(name) == joined_at:  # not gone again meanwhile
+            del self._settling[name]
+            self.reconcile()
 
     # ------------------------------------------------------------------
     # Live migration coordinator (QoS1-safe operator handoff)
@@ -969,15 +867,15 @@ class ManagementNode:
             raise DeploymentError(
                 f"sub-task {subtask_id!r} of {application!r} is already migrating"
             )
-        _recipe, assignment, subtasks = led
-        source = assignment.module_for(subtask_id)
+        source = led.assignment.module_for(subtask_id)
         if source == to_module:
             return None
-        subtask = subtasks[subtask_id]  # placed, so it is in the split
+        subtask = led.subtasks[subtask_id]  # placed, so it is in the split
         if subtask.pin_to is not None and subtask.pin_to != to_module:
             raise DeploymentError(
                 f"sub-task {subtask_id!r} is pinned to {subtask.pin_to!r}"
             )
+        led.home[subtask_id] = to_module
         runtime = self.module.node.runtime
         migration = Migration(
             runtime.ids.next("migration"), application, subtask, source, to_module
@@ -1050,7 +948,7 @@ class ManagementNode:
         """The target is live: flip the placement, release the source."""
         application, subtask_id = migration.application, migration.subtask.subtask_id
         # A live migration's application is led: stopping it aborts them.
-        assignment = self._led[application][1]
+        assignment = self._led[application].assignment
         assignment.placements[subtask_id] = migration.target
         self.agent._publish_assignment(application, assignment)
         self.agent._say(
@@ -1071,12 +969,13 @@ class ManagementNode:
             obs.finish(migration.span, outcome=outcome)
 
     def _abort(self, migration: Migration, leg: str, _payload: Any) -> None:
-        """Fall back from a wedged handoff to a plain redeploy.
+        """Fall back from a wedged handoff to a plain redeploy on the target.
 
         Operator state is lost, exactly like crash failover — the one
         guarantee kept at all costs is that the paused source instance
         never resumes, so no sample is ever processed by two live
-        instances of the same sub-task.
+        instances of the same sub-task. A target that is gone too leaves
+        an orphan for :meth:`reconcile`.
         """
         application, subtask = migration.application, migration.subtask
         subtask_id = subtask.subtask_id
@@ -1096,39 +995,20 @@ class ManagementNode:
         led = self._led.get(application)
         if led is None:
             return  # stopped: there is nothing left to keep alive
-        assignment = led[1]
-        if assignment.placements.get(subtask_id) != migration.source:
-            # Crash failover already re-placed it while the handoff was in
-            # flight; a second deploy would double-instantiate.
-            return
-        candidates = self.directory.module_infos()
         target = migration.target
-        if all(info.name != target for info in candidates):
-            # The chosen target died too (double failure): pick a live one.
-            try:
-                replacement = self._replace(application, [subtask], candidates)
-                target = replacement.module_for(subtask_id)
-            except (AssignmentError, DeploymentError):
-                self._trace(
-                    "migrate.stranded",
-                    migration=migration.id,
-                    application=application,
-                    subtask=subtask_id,
-                )
-                return
         self.agent._undeploy(migration.source, application, subtask_id)
-        if target != migration.target:
-            self.agent._undeploy(migration.target, application, subtask_id)
-        self.agent._deploy(target, application, subtask.to_dict())
-        assignment.placements[subtask_id] = target
-        self.agent._publish_assignment(application, assignment)
-        self._trace(
-            "migrate.redeployed",
-            migration=migration.id,
-            application=application,
-            subtask=subtask_id,
-            to_module=target,
-        )
+        led.assignment.placements[subtask_id] = target
+        if any(info.name == target for info in self.directory.module_infos()):
+            self.agent._deploy(target, application, subtask.to_dict())
+            self.agent._publish_assignment(application, led.assignment)
+            self._trace(
+                "migrate.redeployed",
+                migration=migration.id,
+                application=application,
+                subtask=subtask_id,
+                to_module=target,
+            )
+        self.reconcile()
 
     # ------------------------------------------------------------------
     # Monitoring
@@ -1180,9 +1060,9 @@ class ManagementNode:
                 )
         if self._led:
             lines.append("applications led here:")
-            for name, (_recipe, assignment, _subtasks) in sorted(self._led.items()):
+            for name, app in sorted(self._led.items()):
                 placements = ", ".join(
-                    f"{sid}->{mod}" for sid, mod in sorted(assignment.placements.items())
+                    f"{sid}->{mod}" for sid, mod in sorted(app.assignment.placements.items())
                 )
                 lines.append(f"  {name}: {placements}")
         return "\n".join(lines)

@@ -73,7 +73,7 @@ def test_judge_task_moves_to_surviving_module():
     new_host = moved[0]["to_module"]
     assert new_host != judge_host
     # The assignment record was updated...
-    assert cluster.management._led["app"][1].module_for("judge") == new_host
+    assert cluster.management._led["app"].assignment.module_for("judge") == new_host
     # ...and judging actually resumed on the new host.
     resumed = judged_between(runtime.tracer, kill_time + 15.0, runtime.now)
     assert resumed > 10
@@ -244,3 +244,104 @@ def test_orphan_goes_to_the_survivor_with_the_lowest_predicted_load():
     cluster.settle(12.0)
     moved = runtime.tracer.select(event="mgmt.failover_moved")
     assert [(r["subtask"], r["to_module"]) for r in moved] == [("shape-2", "pi-w3")]
+
+
+def compute_cluster(keepalive_s, computes, seed=23):
+    """module-a senses; each of ``computes`` is a ``compute`` module."""
+    runtime = SimRuntime(seed=seed)
+    cluster = IFoTCluster(
+        runtime, heartbeat_s=2.0, auto_failover=True, client_keepalive_s=keepalive_s
+    )
+    cluster.add_module("module-a").attach_sensor("sample", FixedPayloadModel())
+    for name in computes:
+        cluster.add_module(name, extra_capabilities={"compute"})
+    cluster.settle(3.0)
+    return runtime, cluster
+
+
+def training_recipe(name):
+    return Recipe(
+        name,
+        [
+            TaskSpec(
+                "sense",
+                "sensor",
+                outputs=["raw"],
+                params={"device": "sample", "rate_hz": 2},
+                pin_to="module-a",
+                capabilities=["sensor:sample"],
+            ),
+            TaskSpec(
+                "train",
+                "train",
+                inputs=["raw"],
+                params={"model": "classifier", "label_key": "label"},
+                capabilities=["compute"],
+            ),
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    ("keepalive_s", "verdict"),
+    [(60.0, "detector.confirm"), (2.0, "detector.forget")],
+    ids=["detector-first", "tombstone-first"],
+)
+def test_failover_with_no_capable_survivor_strands_and_waits(keepalive_s, verdict):
+    """The only compute module dies under two applications. Whichever path
+    notices first (the phi-accrual verdict under a long keep-alive, the
+    broker's tombstone under a short one), each orphan is traced stranded
+    once and left placed, nothing raises, and a compute module that joins
+    later takes both."""
+    runtime, cluster = compute_cluster(keepalive_s, ["module-c"])
+    apps = [cluster.submit(training_recipe(name)) for name in ("app-1", "app-2")]
+    cluster.settle(3.0)
+    assert [app.assignment.module_for("train") for app in apps] == ["module-c"] * 2
+    cluster.module("module-c").node.fail()
+    cluster.settle(45.0)  # past the verdict and the directory's TTL
+    assert runtime.tracer.count(verdict) >= 1
+    stranded = runtime.tracer.select(event="mgmt.failover_stranded")
+    assert [(r["application"], r["subtask"], r["module"]) for r in stranded] == [
+        ("app-1", "train", "module-c"),
+        ("app-2", "train", "module-c"),
+    ]
+    assert runtime.tracer.count("mgmt.callback_error") == 0
+    assert runtime.tracer.count("mqtt.client.callback_error") == 0
+    assert [app.assignment.module_for("train") for app in apps] == ["module-c"] * 2
+    cluster.add_module("module-e", extra_capabilities={"compute"})
+    cluster.settle(5.0)
+    moved = runtime.tracer.select(event="mgmt.failover_moved")
+    assert [(r["application"], r["from_module"], r["to_module"]) for r in moved] == [
+        ("app-1", "module-c", "module-e"),
+        ("app-2", "module-c", "module-e"),
+    ]
+    assert {"app-1/train", "app-2/train"} <= set(cluster.module("module-e").operators)
+    assert runtime.tracer.count("mgmt.failover_stranded") == 2
+
+
+def test_fail_back_after_two_failovers_goes_to_the_home_module():
+    """``train`` starts on module-c; c dies, so it moves to d; d dies, so
+    it moves to e. d's restart must not pull it over (d was only ever a
+    stand-in); c's restart, its home, brings it back."""
+    computes = ["module-c", "module-d", "module-e"]
+    runtime, cluster = compute_cluster(2.0, computes)
+    app = cluster.submit(training_recipe("app"))
+    cluster.settle(3.0)
+    home = app.assignment.module_for("train")
+    first, second = [name for name in computes if name != home]
+    for victim in (home, first):
+        cluster.module(victim).node.fail()
+        cluster.settle(12.0)
+    moved = runtime.tracer.select(event="mgmt.failover_moved")
+    assert [(r["from_module"], r["to_module"]) for r in moved] == [(home, first), (first, second)]
+    cluster.restart_module(first)
+    cluster.settle(12.0)
+    assert runtime.tracer.count("migrate.start") == 0
+    assert app.assignment.module_for("train") == second
+    cluster.restart_module(home)
+    cluster.settle(12.0)
+    started = runtime.tracer.select(event="migrate.start")
+    assert [(r["from_module"], r["to_module"]) for r in started] == [(second, home)]
+    assert runtime.tracer.count("migrate.done") == 1
+    assert app.assignment.module_for("train") == home
+    assert [n for n in computes if "app/train" in cluster.module(n).operators] == [home]

@@ -153,3 +153,29 @@ def test_remote_submit_of_broken_recipe_does_not_crash_leader(harness):  # noqa:
     harness.cluster.management.submit_recipe(rate_recipe(5), via_module="pi-1")
     harness.settle(2.0)
     assert module.agent.recipes_led == 1
+
+
+def test_remote_submit_no_module_can_host_is_rejected_with_the_reason(harness):  # noqa: F811
+    """A recipe no module can place, shipped to a module leader, is
+    trace-rejected with the assignment error, not a generic callback error."""
+    module = harness.add_module("pi-1")
+    module.attach_sensor("sample", FixedPayloadModel())
+    harness.settle()
+    unplaceable = Recipe(
+        "gpu-app",
+        [
+            TaskSpec("sense", "sensor", outputs=["raw"], params={"device": "sample", "rate_hz": 5}),
+            TaskSpec("m", "map", inputs=["raw"], outputs=["out"], capabilities=["gpu"]),
+        ],
+    )
+    harness.cluster.management.submit_recipe(unplaceable, via_module="pi-1")
+    harness.settle(2.0)
+    rejected = harness.runtime.tracer.select(event="agent.recipe_rejected")
+    assert [r["error"] for r in rejected] == [
+        "no module provides capabilities ['gpu'] for 'm'"
+    ]
+    assert harness.runtime.tracer.count("mqtt.client.callback_error") == 0
+    assert module.agent.recipes_led == 0
+    harness.cluster.management.submit_recipe(rate_recipe(5), via_module="pi-1")
+    harness.settle(2.0)
+    assert module.agent.recipes_led == 1
