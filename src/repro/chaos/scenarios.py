@@ -423,6 +423,7 @@ def run_scenario(
     prepare: PrepareHook | None = None,
     profile: bool = False,
     slo: bool = False,
+    sample_every: int | None = None,
 ) -> Run:
     """Run a fault scenario through the pipeline, then check invariants.
 
@@ -438,7 +439,8 @@ def run_scenario(
 
         scenario = resolve(scenario, faults=True)
     outcome = run(
-        scenario, seed=seed, observe=observe, profile=profile, slo=slo, prepare=prepare
+        scenario, seed=seed, observe=observe, profile=profile, slo=slo, prepare=prepare,
+        sample_every=sample_every,
     )
     outcome.report = Invariants(outcome.tracer, outcome.cluster).check(
         recovery=scenario.recovery

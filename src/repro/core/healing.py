@@ -111,6 +111,7 @@ class FailureDetector(Component):
         on_confirm: Callable[[str], None] | None = None,
         exclude: Iterable[str] = (),
         connected: Callable[[], bool] | None = None,
+        reconnect_window_s: float = 0.0,
     ) -> None:
         super().__init__(node, f"detector@{node.name}")
         self.directory = directory
@@ -121,6 +122,9 @@ class FailureDetector(Component):
         #: own broker session, so while that session is down, silence is
         #: evidence about *us*, not about the peers.
         self.connected = connected
+        #: How long after the outage a peer may still be in its own
+        #: reconnect backoff; its silence then is not evidence either.
+        self.reconnect_window_s = float(reconnect_window_s)
         self.peers: dict[str, PeerRecord] = {}
         self.suspects_raised = 0
         self.confirms_raised = 0
@@ -239,11 +243,12 @@ class FailureDetector(Component):
             # Hold accrual while cut off from the broker (e.g. across a
             # broker restart: every peer goes silent at once because *our*
             # session is gone). Advancing last_at restarts each peer's
-            # accrual from the reconnect instant, granting the same grace
-            # a fresh heartbeat would.
+            # accrual once the peers' reconnect window after the outage
+            # has passed, granting the grace a fresh heartbeat would.
             self._peers_cell.note_write()
+            resume_at = now + self.reconnect_window_s
             for peer in self.peers.values():
-                peer.last_at = max(peer.last_at, now)
+                peer.last_at = max(peer.last_at, resume_at)
             return
         for name in sorted(self.peers):
             peer = self.peers[name]

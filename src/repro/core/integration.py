@@ -108,7 +108,7 @@ class SensorClass(StreamOperator):
             path=[self.subtask.task_id],
         )
         obs = self.runtime.obs
-        if obs is not None:
+        if obs is not None and obs.sampled(self.samples_taken):
             # Root of the span tree: sensing instant -> sample packed.
             span = obs.start_span(
                 "sense",
@@ -119,6 +119,9 @@ class SensorClass(StreamOperator):
                 device=self.device,
             )
             record.ctx = obs.finish(span)
+        slo = self.runtime.slo
+        if slo is not None:
+            slo.sensed(self.subtask.task_id, record.sample_id, sensed_at)
         self.samples_taken += 1
         self.trace(
             "sensor.sample",

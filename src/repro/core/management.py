@@ -634,7 +634,8 @@ class ManagementNode:
                 expected_interval_s=heartbeat_s,
                 on_confirm=self.reconcile,
                 exclude={module.name},
-                connected=lambda: module.client.connected,
+                connected=module.client.hearing_broker,
+                reconnect_window_s=module.client.reconnect_window_s,
             )
         module.client.subscribe_many(
             [

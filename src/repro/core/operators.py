@@ -269,27 +269,30 @@ class StreamOperator(Component):
     def _process_traced(
         self, stream: str, record: FlowRecord, enqueued_at: float
     ) -> None:
-        """Traced variant of :meth:`_process`: wraps the record in an
-        operator span covering CPU queueing + service + handling, and makes
-        that span the causal parent of everything :meth:`emit` publishes."""
+        """Traced variant of :meth:`_process`: a sampled record (one with a
+        context) is wrapped in an operator span covering CPU queueing +
+        service + handling, which becomes the causal parent of everything
+        :meth:`emit` publishes; every record feeds the latency histogram."""
         obs = self.runtime.obs
         if obs is None:
             self._process(stream, record)
             return
-        span = obs.start_span(
-            f"op.{self.subtask.operator}",
-            self.node,
-            parent=record.ctx,
-            start=enqueued_at,
-            task=self.subtask.task_id,
-            sample=record.sample_id,
-        )
-        self._obs_span = span
+        span = None
+        if record.ctx is not None:
+            span = self._obs_span = obs.start_span(
+                f"op.{self.subtask.operator}",
+                self.node,
+                parent=record.ctx,
+                start=enqueued_at,
+                task=self.subtask.task_id,
+                sample=record.sample_id,
+            )
         try:
             self._process(stream, record)
         finally:
-            self._obs_span = None
-            obs.finish(span)
+            if span is not None:
+                self._obs_span = None
+                obs.finish(span)
             if obs.metrics is not None:
                 hist = self._obs_hist
                 if hist is None:
@@ -322,6 +325,9 @@ class StreamOperator(Component):
                 self.stop()
             return
         self._consecutive_errors = 0
+        slo = self.runtime.slo
+        if slo is not None:
+            slo.completed(self.subtask.task_id, record.sample_id, record.sensed_at)
 
     def on_record(self, stream: str, record: FlowRecord) -> None:
         """Handle one input record (sources with no inputs never get this)."""

@@ -399,8 +399,8 @@ class Broker(Component):
         wire = data if plain and type(data) is _Wire else None
 
         obs = self.runtime.obs
-        if obs is not None:
-            received = headers.get("obs")
+        received = headers.get("obs") if obs is not None else None
+        if received is not None:  # a sampled trace's publish
             parent = FlowContext.from_wire(received)
             if parent is not None:
                 # Routing hop: one broker span per inbound publish, and the

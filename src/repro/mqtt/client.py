@@ -35,6 +35,9 @@ __all__ = ["MqttClient", "Subscription"]
 #: Callback signature for inbound messages: (topic, payload, packet).
 MessageCallback = Callable[[str, Any, Packet], None]
 
+#: Bounds of the seeded factor each reconnect backoff is scaled by.
+_BACKOFF_JITTER = (0.85, 1.15)
+
 
 @dataclass
 class Subscription:
@@ -209,15 +212,32 @@ class MqttClient(Component):
     def _next_backoff(self) -> float:
         # Bounds derive from the keep-alive at attempt time (½× initial,
         # 4× cap), so they follow a ``keepalive_s`` tuned after construction.
-        initial = max(self.keepalive_s / 2.0, 1e-3)
-        cap = max(4.0 * self.keepalive_s, initial)
         if self._backoff_s is None:
-            self._backoff_s = initial
+            self._backoff_s = max(self.keepalive_s / 2.0, 1e-3)
         else:
-            self._backoff_s = min(self._backoff_s * 2.0, cap)
+            self._backoff_s = min(self._backoff_s * 2.0, self._backoff_cap_s())
         # ±15% jitter (seeded stream) de-synchronizes a fleet of clients
         # reconnecting after a broker restart.
-        return self._backoff_s * self._backoff_rng.uniform(0.85, 1.15)
+        return self._backoff_s * self._backoff_rng.uniform(*_BACKOFF_JITTER)
+
+    @property
+    def reconnect_window_s(self) -> float:
+        """The longest wait between two reconnect attempts: the backoff
+        cap at its top jitter. A client that lost its session is back
+        within this long of the broker's return."""
+        return self._backoff_cap_s() * _BACKOFF_JITTER[1]
+
+    def _backoff_cap_s(self) -> float:
+        return max(4.0 * self.keepalive_s, 1e-3)
+
+    def hearing_broker(self) -> bool:
+        """Connected, and inbound silence within the watchdog's bound of
+        two keep-alive periods: past it the session is gone, whether or
+        not the watchdog's own tick has said so yet."""
+        if not self.connected:
+            return False
+        silence = self.runtime.now - self._last_inbound
+        return self.keepalive_s <= 0 or silence <= 2.0 * self.keepalive_s
 
     def _attempt_reconnect(self) -> None:
         self._reconnect_timer = None

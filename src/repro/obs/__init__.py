@@ -41,13 +41,14 @@ from repro.obs.breakdown import (
 )
 from repro.obs.context import SPAN_EVENT, FlowContext, Span
 from repro.obs.metrics import MetricsRegistry, metric_key, parse_metric_key
-from repro.obs.state import METRICS_EVENT, ObsState, enable_observability
+from repro.obs.state import METRICS_EVENT, SAMPLE_EVERY, ObsState, enable_observability
 
 __all__ = [
     "FlowContext",
     "Span",
     "SPAN_EVENT",
     "METRICS_EVENT",
+    "SAMPLE_EVERY",
     "MetricsRegistry",
     "metric_key",
     "parse_metric_key",

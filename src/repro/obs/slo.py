@@ -1,22 +1,25 @@
 """Online SLO engine: deadline conformance, burn-rate alerts, drift watch.
 
-PR 9's latency analyzer proves deadlines *before* a run and the trace
+The latency analyzer proves deadlines *before* a run and the trace
 tooling measures them *after*; this module watches them *during*. The
-engine consumes finished spans live from the runtime's ObsState (whether
-or not the trace stores them), so it works at benchmark scale, and
+engine needs no spans: a sensor reports each sample it takes
+(:meth:`SloEngine.sensed`) and a flow's sink task each record it has
+processed (:meth:`SloEngine.completed`), whose age ``now - sensed_at`` is
+the paper's latency "from the Sensing" (§V-B). So it sees every record
+whatever the span sampling stride, with observability on or off, and
 everything it does is driven by sim time — two runs of the same
 (scenario, seed) produce byte-identical SLO records.
 
 Per declared flow (every task with a ``deadline_ms`` in the recipe):
 
-* **latency conformance** — end-to-end latency of each completed trace,
+* **latency conformance** — the age of each record the sink processed,
   kept in a run-total :class:`~repro.util.stats.LatencyRecorder` (the
   store ``repro trace --summary`` reads, so both report the same
   quantiles) and in the long burn window's buckets (the status p95);
 * **pending-overdue tracking** — the part a completed-latency check
-  cannot see. When a root span of a flow whose path always forwards
-  records appears, a sim timer is armed at ``root.start + deadline``;
-  if the sink has not completed the trace by then, that is a deadline
+  cannot see. When a root of a flow whose path always forwards records
+  senses a sample, a sim timer is armed at ``sensed_at + deadline``;
+  if the sink has not processed that sample by then, that is a deadline
   violation *even though no latency sample ever shows it* (the failover
   scenario's crash window produces exactly this: sensed records that
   never reach ``train``). Flows whose path crosses a conditional
@@ -47,7 +50,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import ConfigurationError
-from repro.obs.context import SPAN_EVENT
 from repro.obs.metrics import HISTOGRAM_MAX_SAMPLES
 from repro.util.stats import LatencyRecorder, percentile
 from repro.util.validate import Diagnostic, Rule, Severity
@@ -55,7 +57,6 @@ from repro.util.validate import Diagnostic, Rule, Severity
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.recipe import Recipe
     from repro.runtime.base import Runtime
-    from repro.sim.trace import TraceRecord
 
 __all__ = [
     "SLO_RULES",
@@ -101,7 +102,7 @@ SLO_RULES: dict[str, Rule] = {
         Rule(
             "SLO302",
             Severity.WARNING,
-            "Deadline violations observed (late or overdue traces) without "
+            "Deadline violations observed (late or overdue records) without "
             "the burn rate ever reaching an alert threshold.",
         ),
         Rule(
@@ -139,10 +140,10 @@ MAX_VIOLATION_LOG = 256
 class FlowSlo:
     """The objective for one deadline-bearing flow.
 
-    ``flow`` is the sink task id (the stage label of its spans);
-    ``roots`` the source task ids whose spans open the flow's traces;
-    ``pending`` arms overdue timers on root arrival (sound only when the
-    root → sink path always forwards: every operator on it declares
+    ``flow`` is the sink task id; ``roots`` the source task ids whose
+    samples feed it; ``pending`` arms overdue timers as a root senses a
+    sample (sound only when the root → sink path always forwards: every
+    operator on it declares
     ``forwards_every_record``; conditional ones — ``command`` rules,
     ``window`` batching, ``filter``/``throttle``/``predict``/``stat``/
     ``mix`` — legitimately drop or fold records, and flows crossing them
@@ -258,9 +259,10 @@ class _BurnWindow:
 class SloEngine:
     """Streaming SLO evaluation attached to a runtime as ``runtime.slo``.
 
-    Pure consumer of the span/prof streams: it never draws from the
-    runtime RNG or id sequences, and only *adds* timer events, so the
-    application's own trace records are unchanged by its presence (the
+    Pure consumer of the sensed/completed reports and the prof stream:
+    it never draws from the runtime RNG or id sequences, and only *adds*
+    timer events, so the application's own trace records are unchanged
+    by its presence (the
     equivalence tests assert exactly that). The one deliberate exception
     is the retained status ``publisher`` — real MQTT traffic that shares
     the simulated WLAN with the application, exactly like the management
@@ -306,11 +308,9 @@ class SloEngine:
         self.status_ticks = 0
         self.node_watermarks: dict[str, dict[str, float]] = {}
 
-        # Trace bookkeeping, all bounded: root starts by trace id (purged
-        # past the pending+window horizon), armed overdue timers, and
-        # traces already counted overdue (late completions must not
-        # double-count).
-        self._roots: dict[str, float] = {}
+        # Sample bookkeeping, all bounded: armed overdue timers, and
+        # samples already counted overdue (purged past the pending+window
+        # horizon; late completions must not double-count).
         self._pending: dict[tuple[str, str], Any] = {}
         self._expired: dict[tuple[str, str], float] = {}
         max_deadline = max(
@@ -318,13 +318,6 @@ class SloEngine:
         )
         self._horizon_s = max_deadline + LONG_WINDOW_S + 2.0 * status_interval_s
 
-        # Finished spans come straight from the ObsState (no trace record
-        # is built for us); without one, from whatever feeds the tracer.
-        obs = getattr(runtime, "obs", None)
-        if obs is not None:
-            obs.add_span_consumer(self._on_span)
-        else:
-            runtime.tracer.tap(SPAN_EVENT, self._on_record)
         if status_interval_s > 0:
             profiler = getattr(runtime, "prof", None)
             if profiler is not None:  # each tick's watermark window reaches this far back
@@ -333,6 +326,7 @@ class SloEngine:
 
         # Optional: surface engine state through the shared metrics
         # registry so the telemetry exporters and `repro top` see it.
+        obs = getattr(runtime, "obs", None)
         registry = obs.metrics if obs is not None else None
         if registry is not None:
             for flow_id in sorted(self.flows):
@@ -346,46 +340,32 @@ class SloEngine:
         self._registry = registry
 
     # ------------------------------------------------------------------
-    # Span stream
+    # Record reports
     # ------------------------------------------------------------------
 
-    def _on_record(self, record: "TraceRecord") -> None:
-        """``obs.span`` tap: a span stream with no ObsState behind it."""
-        fields = record.fields
-        self._on_span(
-            record.time,
-            fields["trace"],
-            fields["parent"],
-            fields.get("task") or fields["name"],
-            fields["start"],
-        )
+    def sensed(self, task: str, sample: str, sensed_at: float) -> None:
+        """Source ``task`` sensed ``sample``: arm the overdue timer of
+        every pending flow it roots."""
+        for flow_id in self._root_flows.get(task, ()):
+            flow = self.flows[flow_id]
+            deadline_at = sensed_at + flow.deadline_s
+            self._pending[flow_id, sample] = self.runtime.call_later(
+                max(deadline_at - self.runtime.now, 0.0),
+                self._overdue, flow, sample, deadline_at,
+            )
 
-    def _on_span(
-        self, end: float, trace: str, parent: str, stage: str, start: float
-    ) -> None:
-        if not parent:
-            self._roots[trace] = start
-            for flow_id in self._root_flows.get(stage, ()):
-                self._arm(self.flows[flow_id], trace, start)
-        flow = self.flows.get(stage)
+    def completed(self, task: str, sample: str, sensed_at: float) -> None:
+        """``task`` processed a record sensed at ``sensed_at``; when it is
+        a flow's sink, the record's age is that flow's latency sample."""
+        flow = self.flows.get(task)
         if flow is not None:
-            root_start = self._roots.get(trace)
-            if root_start is None:
-                return  # trace predates the engine; nothing to anchor on
-            self._resolve(flow, trace, end - root_start, end)
-
-    def _arm(self, flow: FlowSlo, trace: str, start: float) -> None:
-        key = (flow.flow, trace)
-        deadline_at = start + flow.deadline_s
-        delay = deadline_at - self.runtime.now
-        self._pending[key] = self.runtime.call_later(
-            max(delay, 0.0), self._overdue, flow, trace, deadline_at
-        )
+            now = self.runtime.now
+            self._resolve(flow, sample, now - sensed_at, now)
 
     def _resolve(
-        self, flow: FlowSlo, trace: str, latency: float, now: float
+        self, flow: FlowSlo, sample: str, latency: float, now: float
     ) -> None:
-        key = (flow.flow, trace)
+        key = (flow.flow, sample)
         handle = self._pending.pop(key, None)
         if handle is not None:
             handle.cancel()
@@ -403,23 +383,23 @@ class SloEngine:
                 self._registry.counter("slo.flow.good", flow=flow.flow).inc()
         else:
             bucket.bad += 1
-            self._violation(flow, trace, now, kind="late", latency=latency)
+            self._violation(flow, sample, now, kind="late", latency=latency)
         self._evaluate(flow, now)
 
-    def _overdue(self, flow: FlowSlo, trace: str, deadline_at: float) -> None:
-        key = (flow.flow, trace)
+    def _overdue(self, flow: FlowSlo, sample: str, deadline_at: float) -> None:
+        key = (flow.flow, sample)
         if self._pending.pop(key, None) is None:
             return  # resolved in the meantime
         self._expired[key] = deadline_at
         self.overdue[flow.flow] += 1
         self._events[flow.flow].bucket(deadline_at).bad += 1
-        self._violation(flow, trace, deadline_at, kind="overdue", latency=None)
+        self._violation(flow, sample, deadline_at, kind="overdue", latency=None)
         self._evaluate(flow, deadline_at)
 
     def _violation(
         self,
         flow: FlowSlo,
-        trace: str,
+        sample: str,
         now: float,
         kind: str,
         latency: float | None,
@@ -430,7 +410,7 @@ class SloEngine:
         entry: dict[str, Any] = {
             "t": round(now, 9),
             "flow": flow.flow,
-            "trace": trace,
+            "sample": sample,
             "kind": kind,
             "deadline_s": flow.deadline_s,
         }
@@ -565,10 +545,6 @@ class SloEngine:
 
     def _purge(self, now: float) -> None:
         horizon = now - self._horizon_s
-        for trace, start in [
-            (t, s) for t, s in self._roots.items() if s < horizon
-        ]:
-            del self._roots[trace]
         for key, at in [(k, a) for k, a in self._expired.items() if a < horizon]:
             del self._expired[key]
 

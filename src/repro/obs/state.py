@@ -12,13 +12,18 @@ nothing when it is. :func:`enable_observability` installs an
   scraper that samples every instrument into ``obs.metrics`` trace
   records at a fixed interval.
 
+Sensor traces are head-sampled (Dapper's scheme): a sensor opens a
+root span for its sample of ordinal ``n`` only when ``n % sample_every ==
+0`` (:meth:`ObsState.sampled`), a pure function of the ordinal that draws
+no RNG. An unsampled record carries no context, so no span opens for it
+anywhere and no ``obs`` header rides with it; per-record metrics still
+see it. ``sample_every=1`` traces every record.
+
 Per-event work is done for a consumer that exists: ids are always drawn
 and the scrape timer always fires (both are part of the simulated
 schedule), but a span's record dict and the registry snapshot are built
 only when :meth:`Tracer.wants <repro.sim.trace.Tracer.wants>` them —
-trace storage on, or a tap on that event. Span consumers
-(:meth:`ObsState.add_span_consumer`, how the SLO engine listens) get
-their values without a record.
+trace storage on, or a tap on that event.
 
 Determinism contract: with the same seed and topology, two runs produce
 byte-identical trace dumps — nothing here reads wall-clock, ``random`` or
@@ -27,8 +32,9 @@ byte-identical trace dumps — nothing here reads wall-clock, ``random`` or
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
+from repro.errors import ConfigurationError
 from repro.obs.context import SPAN_EVENT, FlowContext, Span
 from repro.obs.metrics import MetricsRegistry
 
@@ -36,14 +42,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.base import Runtime
     from repro.runtime.node import Node
 
-__all__ = ["ObsState", "enable_observability", "METRICS_EVENT"]
+__all__ = ["ObsState", "enable_observability", "METRICS_EVENT", "SAMPLE_EVERY"]
 
 #: Trace event name under which metric scrapes are recorded.
 METRICS_EVENT = "obs.metrics"
 
-#: ``consumer(end, trace_id, parent_id, stage, start)``, see
-#: :meth:`ObsState.add_span_consumer`.
-SpanConsumer = Callable[[float, str, str, str, float], None]
+#: Default head-sampling stride: one sensor trace in this many is traced.
+#: The smallest power of two at which observability alone costs at most
+#: 10 % of fig5's throughput (``docs/ARCHITECTURE.md``, "What the
+#: instruments cost").
+SAMPLE_EVERY = 8
 
 #: Keys :meth:`ObsState.finish` writes itself; a span field may not reuse one.
 _RESERVED = frozenset({"trace", "span", "parent", "name", "hop", "inc", "start"})
@@ -57,14 +65,17 @@ class ObsState:
         runtime: "Runtime",
         scrape_interval_s: float = 1.0,
         metrics: bool = True,
+        sample_every: int = SAMPLE_EVERY,
     ) -> None:
+        if sample_every < 1:
+            raise ConfigurationError(f"sample_every must be >= 1, not {sample_every}")
         self.runtime = runtime
+        self.sample_every = sample_every
         self.metrics: MetricsRegistry | None = MetricsRegistry() if metrics else None
         self.scrape_interval_s = scrape_interval_s
         self.spans_emitted = 0
         self.scrapes = 0
         self._scraping = False
-        self._span_consumers: list[SpanConsumer] = []
         if self.metrics is not None and scrape_interval_s > 0:
             self._scraping = True
             runtime.call_later(scrape_interval_s, self._scrape)
@@ -72,6 +83,10 @@ class ObsState:
     # ------------------------------------------------------------------
     # Spans
     # ------------------------------------------------------------------
+
+    def sampled(self, ordinal: int) -> bool:
+        """Whether a sensor's sample number ``ordinal`` opens a trace."""
+        return ordinal % self.sample_every == 0
 
     def start_span(
         self,
@@ -105,8 +120,7 @@ class ObsState:
         """Close ``span`` now and return its context.
 
         The ``obs.span`` trace record is built only when the tracer
-        stores it or a tap wants it; span consumers, called after it, get
-        the five values they read and no record.
+        stores it or a tap wants it.
         """
         if fields:
             span.fields.update(fields)
@@ -127,9 +141,7 @@ class ObsState:
         self.spans_emitted += 1
         if not _RESERVED.isdisjoint(fields):  # consumed or not
             raise TypeError(f"reserved span field in {sorted(fields)}")
-        runtime = self.runtime
-        now = runtime.now
-        tracer = runtime.tracer
+        tracer = self.runtime.tracer
         if tracer.wants(SPAN_EVENT):
             record = {
                 "trace": ctx.trace_id,
@@ -143,19 +155,8 @@ class ObsState:
             }
             if links:
                 record["links"] = list(links)
-            tracer.emit_fields(now, node, SPAN_EVENT, record)
-        if self._span_consumers:
-            stage = fields.get("task") or name
-            for consumer in self._span_consumers:
-                consumer(now, ctx.trace_id, ctx.parent_id, stage, start)
+            tracer.emit_fields(self.runtime.now, node, SPAN_EVENT, record)
         return ctx
-
-    def add_span_consumer(self, consumer: SpanConsumer) -> None:
-        """Call ``consumer(end, trace_id, parent_id, stage, start)`` for
-        every span finished from now on (``stage`` is the span's ``task``
-        field, else its name). Unlike an ``obs.span`` tracer tap this
-        does not make :meth:`finish` build a trace record."""
-        self._span_consumers.append(consumer)
 
     def point(
         self,
@@ -216,14 +217,18 @@ def enable_observability(
     runtime: "Runtime",
     scrape_interval_s: float = 1.0,
     metrics: bool = True,
+    sample_every: int = SAMPLE_EVERY,
 ) -> ObsState:
-    """Install observability on ``runtime`` (idempotent).
+    """Install observability on ``runtime`` (idempotent), tracing one
+    sensor sample in ``sample_every``.
 
     Returns the installed :class:`ObsState`.
     """
     if runtime.obs is not None:
         return runtime.obs
-    state = ObsState(runtime, scrape_interval_s=scrape_interval_s, metrics=metrics)
+    state = ObsState(
+        runtime, scrape_interval_s=scrape_interval_s, metrics=metrics, sample_every=sample_every
+    )
     runtime.obs = state
     if state.metrics is not None:
         wlan = getattr(runtime, "wlan", None)

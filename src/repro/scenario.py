@@ -115,17 +115,22 @@ def attach_instruments(
     profile: bool = False,
     slo: "Recipe | None" = None,
     cluster: "IFoTCluster | None" = None,
+    sample_every: int | None = None,
 ) -> None:
     """The one place a scenario run turns instruments on, in one fixed
-    order: observability, profiler, SLO engine (on the deadlines ``slo``
-    declares, publishing through ``cluster``). An instrumented run exists
-    to produce its trace, so trace storage goes on with it."""
+    order: observability (tracing one sensor sample in ``sample_every``,
+    by default :data:`~repro.obs.state.SAMPLE_EVERY`), profiler, SLO
+    engine (on the deadlines ``slo`` declares, publishing through
+    ``cluster``). An instrumented run exists to produce its trace, so
+    trace storage goes on with it."""
     if observe or profile:
         runtime.tracer.enabled = True
     if observe:
-        from repro.obs import enable_observability
+        from repro.obs import SAMPLE_EVERY, enable_observability
 
-        enable_observability(runtime)
+        enable_observability(
+            runtime, sample_every=SAMPLE_EVERY if sample_every is None else sample_every
+        )
     if profile:
         from repro.prof import enable_profiling
 
@@ -145,27 +150,28 @@ def run(
     profile: bool = False,
     slo: bool = False,
     prepare: PrepareHook | None = None,
+    sample_every: int | None = None,
 ) -> Run:
     """Build, instrument, deploy and run ``scenario``.
 
     ``seed`` / ``duration_s`` default to the scenario's. ``prepare`` always
     runs on the bare runtime (the schedule sanitizer must see the t=0
-    connect storm); ``slo`` implies ``observe`` (the engine consumes the
-    span stream).
+    connect storm). ``sample_every`` is the span sampling stride under
+    ``observe``: a reader of span trees passes 1, every trace.
     """
     seed = scenario.seed if seed is None else seed
     duration_s = scenario.duration_s if duration_s is None else duration_s
-    observe = observe or slo
+    instruments = {"observe": observe, "profile": profile, "sample_every": sample_every}
 
     def on_bare_runtime(runtime: Any) -> None:
         if prepare is not None:
             prepare(runtime)
         if scenario.attach == "runtime":
-            attach_instruments(runtime, observe=observe, profile=profile)
+            attach_instruments(runtime, **instruments)
 
     runtime, cluster = scenario.build(seed=seed, prepare=on_bare_runtime)
     if scenario.attach == "cluster":
-        attach_instruments(runtime, observe=observe, profile=profile)
+        attach_instruments(runtime, **instruments)
     recipe = scenario.recipe()
     if slo:
         attach_instruments(runtime, slo=recipe, cluster=cluster)

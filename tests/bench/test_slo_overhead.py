@@ -1,7 +1,8 @@
 """SLO-on overhead smoke: the engine must ride the hot path cheaply.
 
-The engine is tap-driven with bounded state (a capped sample store per
-flow and a ring of 1 s buckets, O(1) per span), so an SLO-on run should
+The engine is fed one report per sensed sample and per sink record, with
+bounded state (a capped sample store per flow and a ring of 1 s buckets,
+O(1) per record), so an SLO-on run should
 cost at most a small multiple of an observe-only run. The band is
 deliberately generous — this is a smoke test against pathological
 regressions (e.g. an accidental O(n) scan per span), not a
@@ -48,13 +49,12 @@ def test_slo_overhead_within_band():
 
 @pytest.mark.slow
 def test_slo_state_stays_bounded():
-    """Run-length-independent memory: pending/root bookkeeping is purged."""
+    """Run-length-independent memory: pending/expired bookkeeping is purged."""
     engine = run(FIG5_ZERO_COST, observe=True, slo=True).runtime.slo
     assert engine is not None
     assert len(engine._pending) == 0 or len(engine._pending) < 100
-    # Root starts are purged past the horizon, not accumulated all run.
-    horizon_traces = len(engine._roots)
-    assert horizon_traces < 2000
+    # Overdue samples are purged past the horizon, not accumulated all run.
+    assert len(engine._expired) < 2000
     # The burn windows' bucket ring (counts and latencies) stays bounded.
     for window in engine._events.values():
         assert len(window) <= window.horizon + 1
@@ -65,7 +65,7 @@ def test_unconsumed_spans_and_scrapes_build_nothing(monkeypatch):
 
     Storage off and no ``obs.span``/``obs.metrics`` tap: every finished
     span and every scrape tick builds zero trace records and takes zero
-    registry snapshots, while the SLO engine still sees every span. One
+    registry snapshots, while the SLO engine still sees every record. One
     generic tap added mid-run gets full, correctly keyed records from
     then on.
     """
@@ -102,11 +102,11 @@ def test_unconsumed_spans_and_scrapes_build_nothing(monkeypatch):
     monkeypatch.setattr(MetricsRegistry, "snapshot", counting_snapshot)
 
     spans_before, scrapes_before = obs.spans_emitted, obs.scrapes
-    roots_before = len(engine._roots)
-    runtime.run(until=runtime.now + 4.0)
+    completed_before = engine.latencies["alert-messaging"].count
+    runtime.run(until=runtime.now + 24.0)  # past the fall planted at t = 20 s
     assert obs.spans_emitted - spans_before > 100
     assert obs.scrapes - scrapes_before >= 3
-    assert len(engine._roots) > roots_before  # the engine consumed them
+    assert engine.latencies["alert-messaging"].count > completed_before
     assert built == []
     assert snapshots == []
 

@@ -177,6 +177,30 @@ class TestFailureDetector:
         runtime.run(until=runtime.now + 3.0 * EXPECTED_S)
         assert confirmed == ["pi-1"]
 
+    @pytest.mark.parametrize("window_s", [0.0, 4.0 * EXPECTED_S])
+    def test_peers_reconnect_window_after_the_outage_is_not_evidence(self, window_s):
+        """Peers still in their reconnect backoff after our own outage stay
+        alive for the window; without one, the same silence confirms."""
+        runtime = SimRuntime(seed=11)
+        directory = FakeDirectory()
+        link = {"up": True}
+        confirmed: list[str] = []
+        FailureDetector(
+            runtime.add_node("mgmt"),
+            directory,
+            expected_interval_s=EXPECTED_S,
+            on_confirm=confirmed.append,
+            connected=lambda: link["up"],
+            reconnect_window_s=window_s,
+        )
+        beat(runtime, directory, "pi-1", 0, 1.0)
+        link["up"] = False
+        runtime.run(until=10.0)
+        link["up"] = True
+        # pi-1 is back within the window, after 3.5 expected intervals.
+        beat(runtime, directory, "pi-1", 0, runtime.now + 3.5 * EXPECTED_S)
+        assert confirmed == ([] if window_s else ["pi-1"])
+
     def test_snapshot_renders_per_peer_state(self, rig):
         runtime, directory, detector, _ = rig
         beat(runtime, directory, "pi-1", 4, 1.0)
@@ -241,3 +265,36 @@ class TestPlanDegradation:
             utilization, rel=1e-12
         )
 
+
+
+def test_client_hearing_broker_is_silence_bounded():
+    """The probe the management node's detector holds on: connected, and
+    heard from within the watchdog's two keep-alive periods."""
+    from repro.mqtt.broker import Broker
+    from repro.mqtt.client import MqttClient
+
+    runtime = SimRuntime(seed=3)
+    broker = Broker(runtime.add_node("hub"))
+    client = MqttClient(runtime.add_node("c"), broker.address, client_id="c", keepalive_s=2.0)
+    assert not client.hearing_broker()  # not connected yet
+    client.connect()
+    runtime.run(until=5.0)
+    assert client.hearing_broker()  # pings answered
+    broker.node.fail()
+    runtime.run(until=runtime.now + 4.5)
+    assert client.connected and not client.hearing_broker()  # the watchdog has not said so yet
+    assert client.reconnect_window_s == pytest.approx(4.0 * 2.0 * 1.15)
+
+
+@pytest.mark.slow
+def test_broker_restart_confirms_no_live_module():
+    """Across a broker restart every module goes silent at once, because
+    every session is gone: the detector must confirm none of them, and the
+    control plane then redeploys nothing (before, seed 9 confirmed all
+    four modules and a redeploy failed ``already deployed``)."""
+    from repro.chaos import run_scenario
+
+    for seed in range(10):
+        tracer = run_scenario("broker_restart", seed=seed).tracer
+        assert not tracer.select("detector.confirm"), seed
+        assert not tracer.select("agent.deploy_failed"), seed

@@ -13,6 +13,12 @@ The fig5 profile, fig5 observed and paper-sweep pins are the runs the
 drift gate (``lint --calibrate``), the soundness gate (``lint --validate``)
 and the Tables II/III harness read; their literals were carried over from
 the benchmark records they replace.
+
+``observe`` rows and the fig5 observed pin trace every sensor sample
+(``sample_every=1``, what every reader of span trees runs), and are the
+digests of the commit before spans were head-sampled; ``sampled`` rows
+run the default stride. ``slo`` rows run the engine without
+observability: it reads each record's age at the sink, not spans.
 """
 
 from __future__ import annotations
@@ -40,9 +46,13 @@ TRACE_DIGESTS = {
         "954aa5f86bbd820a59e6ead32e64106b2505d2584c3cd8a4b131a074beaa4387",
         3439,
     ),
+    ("broker_restart", "sampled"): (
+        "fea0834d3b19407391af1b8541ca4a1e91f7b643b96a083877d629869edce9b8",
+        3551,
+    ),
     ("broker_restart", "slo"): (
-        "0a803383857d384c615c64b78f2c64ba5f1ab5a986b2a8fe616a148fb24fd0a8",
-        4322,
+        "6c5b65c7c1cfcf7a04871f2f7b94d5026bf19ed2583c0833665b154be07204ae",
+        3435,
     ),
     ("bursty_wlan", "observe"): (
         "4e2bafa20fca53a8d29e4438a814a2f16d60eeb5ad66dd5390b2f3b33aad22d8",
@@ -56,9 +66,13 @@ TRACE_DIGESTS = {
         "2c1b2a33674eaaa76f50a3010503462e17a093cf615792e55295aebc0d19797b",
         3125,
     ),
+    ("bursty_wlan", "sampled"): (
+        "87db019a74846b6e8b0f17d80378b163a2709c7101d83b13ef3b16f60e34709e",
+        3225,
+    ),
     ("bursty_wlan", "slo"): (
-        "f3a8bc31c1273de40a32f97c9b2e7a9c479b8d310801eca0ae2f69ce1ee61f02",
-        3885,
+        "8ffba1353ebfe22f3a0a5dd2fccb3f85989e9a2fee337104a19deaea581d9863",
+        3108,
     ),
     ("failover", "observe"): (
         "ea78800df2f8e4fbeeac3ad2bf0fc4491d6ca8bea0f037b6863a1d8bdc92c5ee",
@@ -72,9 +86,13 @@ TRACE_DIGESTS = {
         "67d7fd607ef4cc20e8f11a5514bb0375ff3d20823f5470c2216f862593ab7810",
         3602,
     ),
+    ("failover", "sampled"): (
+        "a1466fd1ee2c6096ae016c45499e44b8681ca3a7c870af485bb88e01090fc104",
+        3713,
+    ),
     ("failover", "slo"): (
-        "fe9e46bfd8061fe2777b816827bfc21b7a5b52ee448ed3a6a0d5b2c61709cf7a",
-        4472,
+        "343faa1cdabbcd6d2b44b7380a095aa5132e47fed127381a1a849cc7f7ec0fd5",
+        3602,
     ),
     ("module_crash_failover", "observe"): (
         "2d4a6df642fd7f1c4e087f646a188972be68045175fbf7eebe9c88393d25d805",
@@ -88,9 +106,13 @@ TRACE_DIGESTS = {
         "40e310f8c2a00939a8e889ec2329ae2d870f66d0fa6e19df280d61ea5ef682ba",
         2943,
     ),
+    ("module_crash_failover", "sampled"): (
+        "8251b08db813c6a635c326f5300ee05a4ccad4fd8cde3cd37af00cc5d89dd013",
+        3039,
+    ),
     ("module_crash_failover", "slo"): (
-        "2e1790cf04b48828f3bc975807e19f4afd4f05d1971d732213e96792553189be",
-        3698,
+        "ec89de02968c6fff550c395ee147607e12746308595442253704c14af67c7dbf",
+        2945,
     ),
     ("node_restart_rejoin", "observe"): (
         "ddbd8c2f557802daffd3c220881d5e18d0669d2c32891fa8230da90a6ad9a731",
@@ -104,9 +126,13 @@ TRACE_DIGESTS = {
         "bc947a49f0d0b9d94d5b22b618fd69f16054ce26be1deebd9ced643a7a007840",
         3250,
     ),
+    ("node_restart_rejoin", "sampled"): (
+        "a34d679fe15f1b63320f0111fb3e056ac9425c3a3929695733c392a131050ae4",
+        3349,
+    ),
     ("node_restart_rejoin", "slo"): (
-        "94ef982b77f04a45e909677ca6d691b7237c52ca5e89bf524053d00d46a62f0b",
-        4007,
+        "97ed9e38fa22eb57d3ce40712e31b9818af5b876f2725fb56721a52b32640006",
+        3239,
     ),
     ("partition_heal", "observe"): (
         "855294dddf5c75abd9fc00ae40ccca9f2e76e97fba3df886d1bfa254ef57276f",
@@ -120,9 +146,13 @@ TRACE_DIGESTS = {
         "4da08b2bfe5e8b421da7c7da289599321e4a47fc9637cfcaa265b99ae41b08d0",
         3180,
     ),
+    ("partition_heal", "sampled"): (
+        "09200ba0fe0cd694d6ea5d7fb0beb19b3d9be39e298c96732d408c816f73ae22",
+        3280,
+    ),
     ("partition_heal", "slo"): (
-        "3870dee76fef33a689eb96c0a4e7c323e89755f56489da4d668a4dc260cde710",
-        3950,
+        "093816e859b3acf187b2f56be42220187406745c2d60c81e9b3ae9fbbccfd28e",
+        3163,
     ),
     ("sensor_flap", "observe"): (
         "ea6ac37a383263595be499bf1529c8060af472e8810d6bbe13e51f989bd52d44",
@@ -136,9 +166,13 @@ TRACE_DIGESTS = {
         "2837d120ae50ff5368a0c56588b02d935b9cc9e238e9f1c671d86396e836ef19",
         2915,
     ),
+    ("sensor_flap", "sampled"): (
+        "61d29eb4e094b9a9d0586d22c6bc5c5cf08e4bbf0eb45215f4c6d38e8fb05ab5",
+        3006,
+    ),
     ("sensor_flap", "slo"): (
-        "6fb00a41e6eaee71a839c559206172246858deb17541c7b448f11c5e72979d68",
-        3583,
+        "f28e247e82432751ae7180697b846f648e1e4da559326e5f2ba278ce90d12800",
+        2898,
     ),
 }
 
@@ -175,7 +209,13 @@ PAPER_SWEEP = {
 
 @pytest.mark.parametrize(("name", "instrument"), sorted(TRACE_DIGESTS))
 def test_chaos_trace_digest_matches_parent_commit(name, instrument):
-    flags = {} if instrument == "plain" else {instrument: True}
+    flags = {
+        "plain": {},
+        "observe": {"observe": True, "sample_every": 1},
+        "sampled": {"observe": True},
+        "profile": {"profile": True},
+        "slo": {"slo": True},
+    }[instrument]
     result = run_scenario(name, seed=0, **flags)
     assert (result.trace_digest, result.trace_records) == TRACE_DIGESTS[
         (name, instrument)
@@ -193,7 +233,7 @@ def test_fig5_profile_digest_matches_parent_commit():
 
 
 def test_fig5_observed_trace_digest_matches_parent_commit():
-    tracer = run(FIG5, observe=True).runtime.tracer
+    tracer = run(FIG5, observe=True, sample_every=1).runtime.tracer
     assert (trace_digest(tracer), len(tracer)) == FIG5_OBSERVED
 
 

@@ -308,12 +308,13 @@ class TestDeadlineRules:
 @pytest.fixture(scope="module")
 def observed_flows():
     """Per-flow latency summaries of an observed run of each scenario, at
-    its own seed and duration (fig5 55 / 30 s, failover 0 / 34 s)."""
+    its own seed and duration (fig5 55 / 30 s, failover 0 / 34 s), every
+    sample traced, as ``lint --validate`` runs it."""
     from repro.registry import resolve
     from repro.scenario import run
 
     return {
-        name: flows_from_trace(run(resolve(name), observe=True).runtime.tracer)
+        name: flows_from_trace(run(resolve(name), observe=True, sample_every=1).runtime.tracer)
         for name in ("fig5", "failover")
     }
 

@@ -180,8 +180,10 @@ def test_fig5_slo_on_leaves_app_trace_unchanged(monkeypatch):
 
 def test_failover_slo_on_leaves_app_trace_unchanged(monkeypatch):
     _suppress_status_publisher(monkeypatch)
-    base = run_scenario("failover", seed=0, observe=True)
+    # The engine needs no observability, so the base is the plain run.
+    base = run_scenario("failover", seed=0)
     slo_run = run_scenario("failover", seed=0, slo=True)
+    assert slo_run.runtime.obs is None
     assert slo_run.runtime.slo is not None
     # The engine wrote its own records (the crash window pages)...
     assert any(r.source == "slo" for r in slo_run.tracer)
