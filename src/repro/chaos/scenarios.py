@@ -423,7 +423,6 @@ def run_scenario(
     prepare: PrepareHook | None = None,
     profile: bool = False,
     slo: bool = False,
-    sample_every: int | None = None,
 ) -> Run:
     """Run a fault scenario through the pipeline, then check invariants.
 
@@ -439,8 +438,7 @@ def run_scenario(
 
         scenario = resolve(scenario, faults=True)
     outcome = run(
-        scenario, seed=seed, observe=observe, profile=profile, slo=slo, prepare=prepare,
-        sample_every=sample_every,
+        scenario, seed=seed, observe=observe, profile=profile, slo=slo, prepare=prepare
     )
     outcome.report = Invariants(outcome.tracer, outcome.cluster).check(
         recovery=scenario.recovery

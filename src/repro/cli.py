@@ -93,7 +93,7 @@ def _list_scenarios(names: list[str]) -> int:
 
 
 def _run(
-    args: argparse.Namespace, name: str, rate_hz: float | None, **instruments: int
+    args: argparse.Namespace, name: str, rate_hz: float | None, **instruments: bool
 ) -> "tuple[Run, str]":
     """Resolve and run a scenario for ``trace`` / ``prof`` / ``slo``;
     returns the run and its label. ``--seed`` / ``--duration`` default to
@@ -284,7 +284,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         tracer = Tracer.from_jsonl(Path(args.input))
         title = f"Latency breakdown — {args.input}"
     else:
-        outcome, label = _run(args, args.pipeline, args.rate, observe=True, sample_every=1)
+        outcome, label = _run(args, args.pipeline, args.rate, observe=True)
         tracer, scenario = outcome.runtime.tracer, outcome.scenario
         title = f"Latency breakdown — {label}"
     spans = spans_from_tracer(tracer)
@@ -375,7 +375,7 @@ def _recipe_findings(args: argparse.Namespace) -> list:
             # A trace dump, or an observed run of the named scenario.
             observed = _scenario_or_file(args.validate)
             trace = (
-                run(observed, observe=True, sample_every=1).runtime.tracer
+                run(observed, observe=True).runtime.tracer
                 if isinstance(observed, Scenario)
                 else observed
             )

@@ -36,6 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.discovery import StreamDirectory
     from repro.core.recipe import Recipe
     from repro.core.splitter import SubTask
+    from repro.mqtt.client import MqttClient
     from repro.runtime.costs import CostModel
 
 __all__ = [
@@ -70,6 +71,7 @@ class PeerRecord:
 
     name: str
     incarnation: int
+    #: When the peer was last heard from.
     last_at: float
     #: EWMA of observed inter-heartbeat intervals; ``None`` until the
     #: second heartbeat arrives (the prior is the announced cadence).
@@ -110,21 +112,23 @@ class FailureDetector(Component):
         expected_interval_s: float,
         on_confirm: Callable[[str], None] | None = None,
         exclude: Iterable[str] = (),
-        connected: Callable[[], bool] | None = None,
-        reconnect_window_s: float = 0.0,
+        session: "MqttClient | None" = None,
     ) -> None:
         super().__init__(node, f"detector@{node.name}")
         self.directory = directory
         self.expected_interval_s = float(expected_interval_s)
         self.on_confirm = on_confirm
         self.exclude = set(exclude)
-        #: Observer liveness probe: heartbeats arrive over the observer's
-        #: own broker session, so while that session is down, silence is
-        #: evidence about *us*, not about the peers.
-        self.connected = connected
-        #: How long after the outage a peer may still be in its own
-        #: reconnect backoff; its silence then is not evidence either.
-        self.reconnect_window_s = float(reconnect_window_s)
+        #: The observer's own broker session (``hearing_broker()`` and
+        #: ``reconnect_window_s``): heartbeats arrive over it, so while it
+        #: is down, silence is evidence about *us*, not about the peers —
+        #: nor for one reconnect window after, while peers may still be in
+        #: their own backoff. The window is the observer's client's; it
+        #: stands for the peers' because the cluster gives every client
+        #: the same keep-alive.
+        self.session = session
+        #: End of the last hold: no peer's silence accrues before it.
+        self._held_until = float("-inf")
         self.peers: dict[str, PeerRecord] = {}
         self.suspects_raised = 0
         self.confirms_raised = 0
@@ -184,7 +188,9 @@ class FailureDetector(Component):
                 previous=peer.incarnation,
             )
             return
-        interval = now - peer.last_at
+        # An interval that spans our hold measures the outage, not the
+        # peer's cadence.
+        interval = now - self._accrual_origin(peer)
         if interval > 0.0:
             peer.interval_ewma = (
                 interval
@@ -234,21 +240,24 @@ class FailureDetector(Component):
         basis = self.expected_interval_s
         if peer.interval_ewma is not None:
             basis = max(basis, peer.interval_ewma)
-        return (now - peer.last_at) / max(basis, 1e-6)
+        return max(now - self._accrual_origin(peer), 0.0) / max(basis, 1e-6)
+
+    def _accrual_origin(self, peer: PeerRecord) -> float:
+        """Where the peer's silence starts to count: its last heartbeat,
+        or the end of our last hold if later — accrual restarts there,
+        granting the grace a fresh heartbeat would."""
+        return max(peer.last_at, self._held_until)
 
     def _evaluate(self) -> None:
         now = self.runtime.now
         self._peers_cell.note_read()
-        if self.connected is not None and not self.connected():
+        session = self.session
+        if session is not None and not session.hearing_broker():
             # Hold accrual while cut off from the broker (e.g. across a
             # broker restart: every peer goes silent at once because *our*
-            # session is gone). Advancing last_at restarts each peer's
-            # accrual once the peers' reconnect window after the outage
-            # has passed, granting the grace a fresh heartbeat would.
+            # session is gone), and for the peers' reconnect window after.
             self._peers_cell.note_write()
-            resume_at = now + self.reconnect_window_s
-            for peer in self.peers.values():
-                peer.last_at = max(peer.last_at, resume_at)
+            self._held_until = now + session.reconnect_window_s
             return
         for name in sorted(self.peers):
             peer = self.peers[name]

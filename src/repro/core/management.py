@@ -634,8 +634,7 @@ class ManagementNode:
                 expected_interval_s=heartbeat_s,
                 on_confirm=self.reconcile,
                 exclude={module.name},
-                connected=module.client.hearing_broker,
-                reconnect_window_s=module.client.reconnect_window_s,
+                session=module.client,
             )
         module.client.subscribe_many(
             [

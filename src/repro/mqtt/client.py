@@ -186,8 +186,8 @@ class MqttClient(Component):
             # one is already pending).
             self._begin_reconnect()
             return
-        silence = self.runtime.now - self._last_inbound
-        if silence > 2.0 * self.keepalive_s:
+        if self._silent_too_long():
+            silence = self.runtime.now - self._last_inbound
             self.trace("mqtt.client.session_lost", silence_s=silence)
             self.connected = False
             self._connecting = False
@@ -231,13 +231,16 @@ class MqttClient(Component):
         return max(4.0 * self.keepalive_s, 1e-3)
 
     def hearing_broker(self) -> bool:
-        """Connected, and inbound silence within the watchdog's bound of
-        two keep-alive periods: past it the session is gone, whether or
-        not the watchdog's own tick has said so yet."""
-        if not self.connected:
-            return False
+        """Connected, and inbound silence within the watchdog's bound:
+        past it the session is gone, whether or not the watchdog's own
+        tick has said so yet."""
+        return self.connected and not self._silent_too_long()
+
+    def _silent_too_long(self) -> bool:
+        """The session-lost bound: no inbound packet for two keep-alive
+        periods (none without a keep-alive)."""
         silence = self.runtime.now - self._last_inbound
-        return self.keepalive_s <= 0 or silence <= 2.0 * self.keepalive_s
+        return self.keepalive_s > 0 and silence > 2.0 * self.keepalive_s
 
     def _attempt_reconnect(self) -> None:
         self._reconnect_timer = None

@@ -15,6 +15,7 @@ from functools import cached_property
 from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, Literal, Mapping
 
+from repro.obs.state import SAMPLE_EVERY
 from repro.sim.trace import Tracer, trace_digest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -115,22 +116,19 @@ def attach_instruments(
     profile: bool = False,
     slo: "Recipe | None" = None,
     cluster: "IFoTCluster | None" = None,
-    sample_every: int | None = None,
+    sample_every: int = SAMPLE_EVERY,
 ) -> None:
     """The one place a scenario run turns instruments on, in one fixed
-    order: observability (tracing one sensor sample in ``sample_every``,
-    by default :data:`~repro.obs.state.SAMPLE_EVERY`), profiler, SLO
-    engine (on the deadlines ``slo`` declares, publishing through
-    ``cluster``). An instrumented run exists to produce its trace, so
+    order: observability (tracing one sensor sample in ``sample_every``),
+    profiler, SLO engine (on the deadlines ``slo`` declares, publishing
+    through ``cluster``). An instrumented run exists to produce its trace, so
     trace storage goes on with it."""
     if observe or profile:
         runtime.tracer.enabled = True
     if observe:
-        from repro.obs import SAMPLE_EVERY, enable_observability
+        from repro.obs import enable_observability
 
-        enable_observability(
-            runtime, sample_every=SAMPLE_EVERY if sample_every is None else sample_every
-        )
+        enable_observability(runtime, sample_every=sample_every)
     if profile:
         from repro.prof import enable_profiling
 
@@ -150,18 +148,18 @@ def run(
     profile: bool = False,
     slo: bool = False,
     prepare: PrepareHook | None = None,
-    sample_every: int | None = None,
 ) -> Run:
     """Build, instrument, deploy and run ``scenario``.
 
     ``seed`` / ``duration_s`` default to the scenario's. ``prepare`` always
     runs on the bare runtime (the schedule sanitizer must see the t=0
-    connect storm). ``sample_every`` is the span sampling stride under
-    ``observe``: a reader of span trees passes 1, every trace.
+    connect storm). An observed run traces every sensor sample: its span
+    trees exist to be read (a run wanting the default stride installs
+    :func:`~repro.obs.state.enable_observability` in ``prepare``).
     """
     seed = scenario.seed if seed is None else seed
     duration_s = scenario.duration_s if duration_s is None else duration_s
-    instruments = {"observe": observe, "profile": profile, "sample_every": sample_every}
+    instruments = {"observe": observe, "profile": profile, "sample_every": 1}
 
     def on_bare_runtime(runtime: Any) -> None:
         if prepare is not None:

@@ -42,6 +42,17 @@ class FakeDirectory:
             callback(name, False)
 
 
+class FakeSession:
+    """The observer's own broker session, as the detector reads it."""
+
+    def __init__(self, reconnect_window_s: float = 0.0) -> None:
+        self.up = True
+        self.reconnect_window_s = reconnect_window_s
+
+    def hearing_broker(self) -> bool:
+        return self.up
+
+
 @pytest.fixture
 def rig():
     runtime = SimRuntime(seed=11)
@@ -154,24 +165,24 @@ class TestFailureDetector:
     def test_disconnected_observer_holds_accrual(self):
         runtime = SimRuntime(seed=11)
         directory = FakeDirectory()
-        link = {"up": True}
+        session = FakeSession()
         confirmed: list[str] = []
         detector = FailureDetector(
             runtime.add_node("mgmt"),
             directory,
             expected_interval_s=EXPECTED_S,
             on_confirm=confirmed.append,
-            connected=lambda: link["up"],
+            session=session,
         )
         beat(runtime, directory, "pi-1", 0, 1.0)
         # Our own broker session drops: every peer goes silent at once,
         # which is evidence about us, not them.
-        link["up"] = False
+        session.up = False
         runtime.run(until=20.0)
         assert detector.peers["pi-1"].state == ALIVE and not confirmed
         # Accrual restarts from the reconnect instant: no instant verdict,
         # but genuine post-reconnect silence still confirms.
-        link["up"] = True
+        session.up = True
         runtime.run(until=runtime.now + 1.5 * EXPECTED_S)
         assert detector.peers["pi-1"].state == ALIVE
         runtime.run(until=runtime.now + 3.0 * EXPECTED_S)
@@ -183,23 +194,44 @@ class TestFailureDetector:
         alive for the window; without one, the same silence confirms."""
         runtime = SimRuntime(seed=11)
         directory = FakeDirectory()
-        link = {"up": True}
+        session = FakeSession(window_s)
         confirmed: list[str] = []
         FailureDetector(
             runtime.add_node("mgmt"),
             directory,
             expected_interval_s=EXPECTED_S,
             on_confirm=confirmed.append,
-            connected=lambda: link["up"],
-            reconnect_window_s=window_s,
+            session=session,
         )
         beat(runtime, directory, "pi-1", 0, 1.0)
-        link["up"] = False
+        session.up = False
         runtime.run(until=10.0)
-        link["up"] = True
+        session.up = True
         # pi-1 is back within the window, after 3.5 expected intervals.
         beat(runtime, directory, "pi-1", 0, runtime.now + 3.5 * EXPECTED_S)
         assert confirmed == ([] if window_s else ["pi-1"])
+
+    def test_silence_after_a_hold_is_reported_whole(self):
+        """A peer that never comes back is confirmed once the hold and its
+        window have passed; the verdict reports the silence since it was
+        last heard, and phi is never negative inside the window."""
+        runtime = SimRuntime(seed=11)
+        runtime.tracer.enabled = True
+        directory = FakeDirectory()
+        session = FakeSession(4.0 * EXPECTED_S)
+        detector = FailureDetector(
+            runtime.add_node("mgmt"), directory, expected_interval_s=EXPECTED_S, session=session
+        )
+        beat(runtime, directory, "pi-1", 0, 1.0)
+        session.up = False
+        runtime.run(until=10.0)
+        session.up = True
+        runtime.run(until=runtime.now + 3.0 * EXPECTED_S)
+        assert detector.snapshot()["pi-1"]["phi"] == 0.0
+        runtime.run(until=40.0)
+        (confirm,) = runtime.tracer.select("detector.confirm")
+        assert confirm["silence_s"] == pytest.approx(confirm.time - 1.0)
+        assert confirm.time > 10.0 + session.reconnect_window_s
 
     def test_snapshot_renders_per_peer_state(self, rig):
         runtime, directory, detector, _ = rig

@@ -15,9 +15,9 @@ and the Tables II/III harness read; their literals were carried over from
 the benchmark records they replace.
 
 ``observe`` rows and the fig5 observed pin trace every sensor sample
-(``sample_every=1``, what every reader of span trees runs), and are the
-digests of the commit before spans were head-sampled; ``sampled`` rows
-run the default stride. ``slo`` rows run the engine without
+(``run`` observes at stride 1: its span trees exist to be read), and are
+the digests of the commit before spans were head-sampled; ``sampled``
+rows install observability at the default stride in ``prepare``. ``slo`` rows run the engine without
 observability: it reads each record's age at the sink, not spans.
 """
 
@@ -28,6 +28,7 @@ import pytest
 from repro.bench.harness import run_paper_experiment
 from repro.bench.scenarios import FIG5
 from repro.chaos import run_scenario
+from repro.obs import enable_observability
 from repro.prof import profile_digest
 from repro.scenario import run
 from repro.sim.trace import trace_digest
@@ -47,8 +48,8 @@ TRACE_DIGESTS = {
         3439,
     ),
     ("broker_restart", "sampled"): (
-        "fea0834d3b19407391af1b8541ca4a1e91f7b643b96a083877d629869edce9b8",
-        3551,
+        "1ea9352eac8f865c066c4470c8d2403db49aaca9a3f502c1e88e2df82cb727aa",
+        3554,
     ),
     ("broker_restart", "slo"): (
         "6c5b65c7c1cfcf7a04871f2f7b94d5026bf19ed2583c0833665b154be07204ae",
@@ -67,8 +68,8 @@ TRACE_DIGESTS = {
         3125,
     ),
     ("bursty_wlan", "sampled"): (
-        "87db019a74846b6e8b0f17d80378b163a2709c7101d83b13ef3b16f60e34709e",
-        3225,
+        "1e1608be52e52f9d7877cd268e27749888b5371300cfdaf9cd7ec78c1d03496d",
+        3228,
     ),
     ("bursty_wlan", "slo"): (
         "8ffba1353ebfe22f3a0a5dd2fccb3f85989e9a2fee337104a19deaea581d9863",
@@ -87,8 +88,8 @@ TRACE_DIGESTS = {
         3602,
     ),
     ("failover", "sampled"): (
-        "a1466fd1ee2c6096ae016c45499e44b8681ca3a7c870af485bb88e01090fc104",
-        3713,
+        "b234f77222ab418053b9b5c5b3d7d5292ea13d54087c7095894b9825aaaa9d1b",
+        3716,
     ),
     ("failover", "slo"): (
         "343faa1cdabbcd6d2b44b7380a095aa5132e47fed127381a1a849cc7f7ec0fd5",
@@ -107,8 +108,8 @@ TRACE_DIGESTS = {
         2943,
     ),
     ("module_crash_failover", "sampled"): (
-        "8251b08db813c6a635c326f5300ee05a4ccad4fd8cde3cd37af00cc5d89dd013",
-        3039,
+        "765649f63b05095f3205aa4542406eca9f7d84e9ebcf15433271840140041c16",
+        3042,
     ),
     ("module_crash_failover", "slo"): (
         "ec89de02968c6fff550c395ee147607e12746308595442253704c14af67c7dbf",
@@ -127,8 +128,8 @@ TRACE_DIGESTS = {
         3250,
     ),
     ("node_restart_rejoin", "sampled"): (
-        "a34d679fe15f1b63320f0111fb3e056ac9425c3a3929695733c392a131050ae4",
-        3349,
+        "ca7c18f45111e4ba67ef29294caaa955ed1d00b8a31ccc43fa08b3b769027206",
+        3352,
     ),
     ("node_restart_rejoin", "slo"): (
         "97ed9e38fa22eb57d3ce40712e31b9818af5b876f2725fb56721a52b32640006",
@@ -147,8 +148,8 @@ TRACE_DIGESTS = {
         3180,
     ),
     ("partition_heal", "sampled"): (
-        "09200ba0fe0cd694d6ea5d7fb0beb19b3d9be39e298c96732d408c816f73ae22",
-        3280,
+        "9d299c20db8299f6a63e23737aa2dc144d38a54f8f775cfa1e72d201df156371",
+        3283,
     ),
     ("partition_heal", "slo"): (
         "093816e859b3acf187b2f56be42220187406745c2d60c81e9b3ae9fbbccfd28e",
@@ -167,8 +168,8 @@ TRACE_DIGESTS = {
         2915,
     ),
     ("sensor_flap", "sampled"): (
-        "61d29eb4e094b9a9d0586d22c6bc5c5cf08e4bbf0eb45215f4c6d38e8fb05ab5",
-        3006,
+        "677d55f28e8aa7d41238ba916be9e47cd90889e691be30e09757dbf561ea5203",
+        3009,
     ),
     ("sensor_flap", "slo"): (
         "f28e247e82432751ae7180697b846f648e1e4da559326e5f2ba278ce90d12800",
@@ -211,8 +212,8 @@ PAPER_SWEEP = {
 def test_chaos_trace_digest_matches_parent_commit(name, instrument):
     flags = {
         "plain": {},
-        "observe": {"observe": True, "sample_every": 1},
-        "sampled": {"observe": True},
+        "observe": {"observe": True},
+        "sampled": {"observe": True, "prepare": enable_observability},
         "profile": {"profile": True},
         "slo": {"slo": True},
     }[instrument]
@@ -233,7 +234,7 @@ def test_fig5_profile_digest_matches_parent_commit():
 
 
 def test_fig5_observed_trace_digest_matches_parent_commit():
-    tracer = run(FIG5, observe=True, sample_every=1).runtime.tracer
+    tracer = run(FIG5, observe=True).runtime.tracer
     assert (trace_digest(tracer), len(tracer)) == FIG5_OBSERVED
 
 

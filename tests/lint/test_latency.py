@@ -314,7 +314,7 @@ def observed_flows():
     from repro.scenario import run
 
     return {
-        name: flows_from_trace(run(resolve(name), observe=True, sample_every=1).runtime.tracer)
+        name: flows_from_trace(run(resolve(name), observe=True).runtime.tracer)
         for name in ("fig5", "failover")
     }
 

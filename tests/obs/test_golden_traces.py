@@ -2,7 +2,7 @@
 
 Two fixed-seed scenarios — the Fig. 5 watching recipe and a chaos
 partition/heal run — are executed with observability on, tracing every
-sensor sample (``sample_every=1``), and their trace
+sensor sample (``run`` observes at stride 1), and their trace
 output is reduced to stable digests committed under ``tests/golden/``:
 
 * ``jsonl_sha256`` — hash of the full trace JSONL dump (byte-identical
@@ -44,7 +44,7 @@ def _run_fig5_zero_cost(duration_s: float):
     from repro.scenario import run
 
     zero_cost = dataclasses.replace(FIG5, build=build_fig5_testbed)
-    return run(zero_cost, seed=55, duration_s=duration_s, observe=True, sample_every=1)
+    return run(zero_cost, seed=55, duration_s=duration_s, observe=True)
 
 
 def _digests(tracer, tmp_path: Path) -> dict:
@@ -83,7 +83,7 @@ def test_fig5_trace_is_golden(tmp_path):
 def test_chaos_partition_heal_trace_is_golden(tmp_path):
     from repro.chaos.scenarios import run_scenario
 
-    result = run_scenario("partition_heal", seed=7, observe=True, sample_every=1)
+    result = run_scenario("partition_heal", seed=7, observe=True)
     assert result.report.ok
     _check_golden("chaos_partition_heal_seed7.json", _digests(result.tracer, tmp_path))
 

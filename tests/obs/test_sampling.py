@@ -5,9 +5,11 @@ A sensor opens a root span for its sample of ordinal ``n`` only when
 set is a pure function of each sensor's own sample sequence (the same
 across runs and under tie-break perturbation), every sampled trace is a
 well-formed tree, an unsampled record carries no ``obs`` header on the
-wire, and a run with observability off is untouched. The stride-1 side
-(every trace, the digests of the commit before sampling) is pinned by the
-``observe`` rows of ``tests/integration/test_pipeline_digests.py``.
+wire, and a run with observability off is untouched. ``run`` observes at
+stride 1, so these runs install the default stride in ``prepare`` first;
+the stride-1 side (every trace, the digests of the commit before
+sampling) is pinned by the ``observe`` rows of
+``tests/integration/test_pipeline_digests.py``.
 """
 
 from __future__ import annotations
@@ -33,6 +35,23 @@ DURATION_S = 10.0
 
 def _fig5(prepare=None, **flags):
     return run(FIG5_ZERO_COST, seed=55, duration_s=DURATION_S, prepare=prepare, **flags)
+
+
+def _default_stride(then=None):
+    """A ``prepare`` hook that installs observability at the default
+    stride on the bare runtime; ``run``'s own stride-1 install then keeps
+    it (:func:`enable_observability` is idempotent)."""
+
+    def prepare(runtime):
+        if then is not None:
+            then(runtime)
+        enable_observability(runtime)
+
+    return prepare
+
+
+def _sampled_fig5(then=None):
+    return _fig5(_default_stride(then), observe=True)
 
 
 def _sampled(tracer) -> list[str]:
@@ -63,7 +82,7 @@ def test_stride_must_be_positive():
 
 @pytest.mark.slow
 def test_sampled_set_is_every_strideth_sample_of_each_sensor():
-    tracer = _fig5(observe=True).tracer
+    tracer = _sampled_fig5().tracer
     sampled = _sampled(tracer)
     assert len(sampled) == len(set(sampled))
     assert set(sampled) == _expected_sampled(tracer, SAMPLE_EVERY)
@@ -74,15 +93,17 @@ def test_sampled_set_is_every_strideth_sample_of_each_sensor():
 def test_sampled_set_is_identical_across_runs_and_under_perturbation():
     """No RNG and no global counter decide: two runs, and runs whose
     equal-time events are reordered, trace the same samples."""
-    base = sorted(_sampled(_fig5(observe=True).tracer))
-    assert sorted(_sampled(_fig5(observe=True).tracer)) == base
+    base = sorted(_sampled(_sampled_fig5().tracer))
+    assert sorted(_sampled(_sampled_fig5().tracer)) == base
     for seed in (1, 2):
-        perturbed = _fig5(lambda runtime, s=seed: runtime.kernel.perturb_ties(s), observe=True)
+        perturbed = _sampled_fig5(lambda runtime, s=seed: runtime.kernel.perturb_ties(s))
         assert sorted(_sampled(perturbed.tracer)) == base
-    chaos = [sorted(_sampled(run_scenario("partition_heal", seed=7, observe=True).tracer))]
+    chaos = [sorted(_sampled(run_scenario(
+        "partition_heal", seed=7, observe=True, prepare=_default_stride()
+    ).tracer))]
     chaos.append(sorted(_sampled(run_scenario(
         "partition_heal", seed=7, observe=True,
-        prepare=lambda runtime: runtime.kernel.perturb_ties(3),
+        prepare=_default_stride(lambda runtime: runtime.kernel.perturb_ties(3)),
     ).tracer)))
     assert chaos[0] == chaos[1] and chaos[0]
 
@@ -90,7 +111,12 @@ def test_sampled_set_is_identical_across_runs_and_under_perturbation():
 @pytest.mark.slow
 @pytest.mark.parametrize("name", ["fig5", "failover"])
 def test_every_sampled_trace_is_a_complete_tree(name):
-    out = _fig5(observe=True) if name == "fig5" else run_scenario(name, seed=0, observe=True)
+    out = (
+        _sampled_fig5()
+        if name == "fig5"
+        else run_scenario(name, seed=0, observe=True, prepare=_default_stride())
+    )
+    assert out.runtime.obs.sample_every == SAMPLE_EVERY
     spans = spans_from_tracer(out.tracer)
     assert check_span_integrity(spans) == []
     roots = {s.trace_id: s for s in spans if not s.parent_id}
@@ -116,7 +142,7 @@ def test_no_unsampled_publish_carries_an_obs_header(monkeypatch):
         return real_send(self, service, destination, payload)
 
     monkeypatch.setattr(Node, "send", capture)
-    tracer = _fig5(observe=True).tracer
+    tracer = _sampled_fig5().tracer
     traced = set(_sampled(tracer))
     with_header = without = 0
     for data in sent:

@@ -18,6 +18,7 @@ from repro.chaos import run_scenario
 from repro.chaos.scenarios import build_chaos_recipe
 from repro.core.dsl import parse_recipe
 from repro.errors import ConfigurationError
+from repro.obs import enable_observability
 from repro.obs.slo import (
     SLO_ALERT_EVENT,
     SLO_VIOLATION_EVENT,
@@ -387,7 +388,7 @@ def test_online_report_matches_offline_summary(name):
     from repro.registry import resolve
     from repro.scenario import run
 
-    flags = {"slo": True, "observe": True, "sample_every": 1}
+    flags = {"slo": True, "observe": True}
     if name == "failover":
         out = run_scenario(name, seed=0, **flags)
     else:
@@ -428,7 +429,8 @@ def test_flow_count_is_every_record_the_sink_processed(name, monkeypatch):
             processed[self.subtask.task_id] += 1
 
     monkeypatch.setattr(StreamOperator, "_process", counting)
-    flags = {"slo": True, "observe": True}
+    # ``run`` observes at stride 1; install the default stride first.
+    flags = {"slo": True, "observe": True, "prepare": enable_observability}
     if name == "failover":
         out = run_scenario(name, seed=0, **flags)
     else:
