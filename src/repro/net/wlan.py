@@ -44,6 +44,7 @@ from typing import TYPE_CHECKING, Any
 from repro.net.frame import Frame
 from repro.net.medium import Medium
 from repro.sim.kernel import SimKernel
+from repro.sim.resources import NO_RUNTIME
 from repro.sim.trace import Tracer
 from repro.util.rng import RngRegistry
 from repro.util.validate import require_in_range, require_non_negative, require_positive
@@ -52,17 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.base import Runtime
 
 __all__ = ["WlanConfig", "WlanMedium", "GilbertElliottConfig"]
-
-
-class _NoRuntime:
-    """Stand-in runtime for standalone media (sanitizer and profiler
-    permanently off)."""
-
-    san: Any = None
-    prof: Any = None
-
-
-_NO_RUNTIME = _NoRuntime()
 
 
 @dataclass(frozen=True)
@@ -211,10 +201,14 @@ class WlanMedium(Medium):
         # init, so the cycle is only safe to close at construction time.
         from repro.runtime.state import tracked_state
 
-        owner: Any = runtime if runtime is not None else _NO_RUNTIME
+        owner: Any = runtime if runtime is not None else NO_RUNTIME
         # Kept for the profiler hook: airtime grants are charged to
-        # ``runtime.prof`` when profiling is enabled.
+        # ``runtime.prof``, straight into the storage its hook returned
+        # (the channel timeline's list, the station cells) once bound.
         self._owner_runtime = owner
+        self._prof: Any = None
+        self._prof_airtime: Any = None
+        self._prof_stations: Any = None
         # The pending buffer is commutative by construction: the canonical
         # flush sort erases append order.
         self._pending_cell = tracked_state(owner, "wlan", "pending")  # repro: san-ok[SAN001]
@@ -362,9 +356,24 @@ class WlanMedium(Medium):
         self._channel_free_at = finish
         self.frames_transmitted += 1
         self.total_airtime += airtime
-        prof = self._owner_runtime.prof
+        runtime = self._owner_runtime
+        prof = runtime.prof
         if prof is not None:
-            prof.on_airtime(frame.source.station, start, airtime)
+            station = frame.source.station
+            entry = (
+                self._prof_stations.get(station)
+                if prof is self._prof and runtime.san is None
+                else None
+            )
+            if entry is not None:
+                self._prof_airtime.append((start, airtime))
+                entry[0] += airtime
+                entry[1] += 1.0
+            else:
+                self._prof_airtime, self._prof_stations = prof.on_airtime(
+                    station, start, airtime
+                )
+                self._prof = prof
         delivery_time = finish + config.propagation_delay_s
 
         # A partitioned sender still transmits (burning airtime), but the

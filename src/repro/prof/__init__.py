@@ -5,9 +5,11 @@ answers *which resource the time was spent on*. It has two halves (see
 ``docs/ARCHITECTURE.md`` — "Profiling"):
 
 * :mod:`repro.prof.profiler` — the :class:`Profiler` attached to a
-  runtime as ``runtime.prof``, fed by hooks in the CPU queues
-  (:mod:`repro.sim.resources`), the WLAN medium (:mod:`repro.net.wlan`)
-  and the kernel (handler brackets via a :class:`~repro.sim.kernel.KernelMonitor`);
+  runtime as ``runtime.prof``, fed by the CPU queues
+  (:mod:`repro.sim.resources`) and the WLAN medium (:mod:`repro.net.wlan`),
+  which call its hooks once and then record each grant straight into the
+  storage they returned, and by the kernel's handler tally
+  (:attr:`SimKernel.tally <repro.sim.kernel.SimKernel.tally>`);
   it accumulates a node → domain → operation busy-time profile plus
   utilization timelines sampled into the trace on a fixed sim-time
   cadence (kernel epilogues, so samples are schedule-invariant);
@@ -18,7 +20,9 @@ answers *which resource the time was spent on*. It has two halves (see
 
 Like ``runtime.obs`` and ``runtime.san``, profiling is strictly opt-in:
 ``runtime.prof`` is ``None`` by default and every hook site guards on
-that, so the disabled cost is one attribute load per hook.
+that, so the disabled cost is one attribute load per hook. Enabled, a
+bound grant or a kernel event costs no Python call: the profiler's own
+frames run per sample tick only.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.obs.metrics import metric_key
 from repro.sim.events import EventHandle
+from repro.sim.kernel import handler_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.base import Runtime
@@ -58,6 +59,10 @@ class BusyIntegrator:
     the naive full scan, so results are bit-identical to it (profile
     digests depend on that).
 
+    A bound hook site queues grants on :attr:`pending`; the next
+    :meth:`add`, query or :meth:`retire` folds them in, in arrival order,
+    with the float operations :meth:`add` would have made.
+
     :meth:`retire` drops the prefix with ``maxend <= horizon``, which no
     window starting at or after the horizon scans, after folding it into
     each registered origin's sum in index order under the same guard (the
@@ -65,9 +70,11 @@ class BusyIntegrator:
     continues the identical sum. Other windows behind the horizon raise.
     """
 
-    __slots__ = ("_starts", "_ends", "_maxends", "_total", "_horizon", "_retired", "_folded")
+    __slots__ = ("pending", "_starts", "_ends", "_maxends", "_total", "_horizon", "_retired", "_folded")
 
     def __init__(self, origins: Iterable[float] = (0.0,)) -> None:
+        #: ``(start, duration)`` grants not folded in yet (emptied in place).
+        self.pending: list[tuple[float, float]] = []
         self._starts: list[float] = []
         self._ends: list[float] = []
         #: ``_maxends[i] == max(_ends[:i+1])`` — nondecreasing, bisectable.
@@ -80,25 +87,35 @@ class BusyIntegrator:
 
     def add(self, start: float, duration: float) -> None:
         """Record a grant of ``duration`` seconds beginning at ``start``."""
-        if duration <= 0.0:
-            return
-        end = start + duration
-        maxends = self._maxends
-        self._starts.append(start)
-        self._ends.append(end)
-        if maxends and maxends[-1] > end:
-            maxends.append(maxends[-1])
-        else:
-            maxends.append(end)
-        self._total += duration
+        self.pending.append((start, duration))
+        self._fold()
+
+    def _fold(self) -> None:
+        starts, ends, maxends = self._starts, self._ends, self._maxends
+        top = maxends[-1] if maxends else float("-inf")
+        total = self._total
+        for start, duration in self.pending:
+            if duration <= 0.0:
+                continue
+            end = start + duration
+            starts.append(start)
+            ends.append(end)
+            if top <= end:
+                top = end
+            maxends.append(top)
+            total += duration
+        self._total = total
+        self.pending.clear()
 
     @property
     def total(self) -> float:
         """Total granted busy time (including portions not yet elapsed)."""
+        self._fold()
         return self._total
 
     @property
     def grants(self) -> int:
+        self._fold()
         return self._retired + len(self._starts)
 
     def register_origin(self, origin: float) -> None:
@@ -112,6 +129,7 @@ class BusyIntegrator:
         """Fold, then drop, the intervals no window from ``horizon`` on overlaps."""
         if horizon <= self._horizon:
             return
+        self._fold()
         maxends = self._maxends
         r = bisect_right(maxends, horizon)
         starts, ends, folded = self._starts, self._ends, self._folded
@@ -132,6 +150,7 @@ class BusyIntegrator:
             return 0.0
         if b < self._horizon or (a < self._horizon and a not in self._folded):
             raise ValueError(f"window [{a}, {b}] reaches behind the horizon {self._horizon}")
+        self._fold()
         busy = self._folded.get(a, 0.0)
         starts = self._starts
         # Everything from the first ``start >= b`` onward is irrelevant
@@ -164,16 +183,15 @@ class Profiler:
     """Hierarchical busy-time profile plus sampled utilization timelines.
 
     Attached to a runtime as ``runtime.prof`` by :func:`enable_profiling`.
-    The hook surface (all guarded by ``runtime.prof is not None`` at the
-    call sites):
-
-    * :meth:`on_cpu_start` / :meth:`on_cpu_end` — bracket one CPU
-      service (:class:`~repro.sim.resources.CpuResource` dispatch and
-      completion);
-    * :meth:`on_airtime` — one WLAN channel occupation
-      (:meth:`~repro.net.wlan.WlanMedium._transmit_now`);
-    * the :class:`~repro.sim.kernel.KernelMonitor` protocol — handler
-      brackets counting events per callback.
+    The charging API is :meth:`on_cpu_start` / :meth:`on_cpu_end` (one CPU
+    service, :class:`~repro.sim.resources.CpuResource`), :meth:`on_airtime`
+    (one WLAN channel occupation) and :meth:`event_begin` (one kernel
+    handler). A CPU or WLAN site calls its hook once, to bind, and then
+    records grants into the storage the hook returned, with no Python call;
+    it calls the hook again when ``runtime.prof`` is another profiler, and
+    every time while ``runtime.san`` is set (the sanitizer sees each
+    ``prof:accounting`` write). The kernel counts handlers into
+    :attr:`SimKernel.tally <repro.sim.kernel.SimKernel.tally>`.
     """
 
     def __init__(self, runtime: "Runtime", interval_s: float = 1.0) -> None:
@@ -189,17 +207,14 @@ class Profiler:
         self._cpu_timeline: dict[str, BusyIntegrator] = {}
         #: Shared-channel airtime timeline.
         self._wlan_timeline = BusyIntegrator()
-        #: Hook bindings, resolved once per resource instead of per call:
-        #: CPU resource name -> its node's timeline; CPU resource name ->
-        #: job label -> ``_busy`` cell; station -> its airtime ``_busy`` cell.
-        self._resource_timeline: dict[str, BusyIntegrator] = {}
+        #: The busy cells the hooks hand out: CPU resource name -> job
+        #: label -> ``_busy`` cell; station -> its airtime ``_busy`` cell.
         self._resource_busy: dict[str, dict[str, list[float]]] = {}
         self._station_busy: dict[str, list[float]] = {}
-        #: Where the hooks read virtual time (one property hop, not two).
-        self._clock = getattr(runtime, "kernel", runtime)
-        #: Kernel handler brackets: callback qualname -> events executed.
-        self._event_counts: dict[str, int] = {}
-        self.events_profiled = 0
+        #: Executed kernel handlers by :func:`~repro.sim.kernel.handler_key`.
+        self._tally: dict[Any, int] = {}
+        #: Sampler series keys, built once per node and per gauge.
+        self._keys: dict[Any, Any] = {}
         self._last_sample_t = runtime.now
         self._sampling = False
         self._origins = [0.0]  # see register_origin / declare_lookback
@@ -213,38 +228,38 @@ class Profiler:
     # CPU hooks (repro.sim.resources)
     # ------------------------------------------------------------------
 
-    def on_cpu_start(self, resource_name: str, label: str, service_s: float) -> None:
-        """One job entered service on a CPU for ``service_s`` seconds."""
+    def on_cpu_start(self, resource_name: str, label: str, service_s: float) -> list:
+        """One job entered service on a CPU for ``service_s`` seconds; returns
+        the node timeline's ``pending`` list, for later ``(start, service_s)``."""
         self._cell.note_write()
-        try:
-            timeline = self._resource_timeline[resource_name]
-        except KeyError:
-            timeline = self._resource_timeline[resource_name] = (
-                self._cpu_timeline.setdefault(
-                    _node_of(resource_name), BusyIntegrator(self._origins)
-                )
-            )
-        timeline.add(self._clock.now, service_s)
+        node = _node_of(resource_name)
+        timeline = self._cpu_timeline.get(node)
+        if timeline is None:
+            timeline = self._cpu_timeline[node] = BusyIntegrator(self._origins)
+        timeline.add(self.runtime.now, service_s)
+        return timeline.pending
 
-    def on_cpu_end(self, resource_name: str, label: str, service_s: float) -> None:
-        """The job's service elapsed; charge it to the profile tree."""
+    def on_cpu_end(self, resource_name: str, label: str, service_s: float) -> dict:
+        """The job's service elapsed; charge it to the profile tree. Returns
+        the resource's label -> ``[busy_s, completions]`` cells."""
         self._cell.note_write()
-        try:
-            entry = self._resource_busy[resource_name][label]
-        except KeyError:
-            entry = self._busy.setdefault(
+        cells = self._resource_busy.setdefault(resource_name, {})
+        entry = cells.get(label)
+        if entry is None:
+            entry = cells[label] = self._busy.setdefault(
                 (_node_of(resource_name), "cpu", label), [0.0, 0.0]
             )
-            self._resource_busy.setdefault(resource_name, {})[label] = entry
         entry[0] += service_s
         entry[1] += 1.0
+        return cells
 
     # ------------------------------------------------------------------
     # WLAN hook (repro.net.wlan)
     # ------------------------------------------------------------------
 
-    def on_airtime(self, station: str, start: float, airtime_s: float) -> None:
-        """``station`` occupies the shared channel for ``airtime_s``."""
+    def on_airtime(self, station: str, start: float, airtime_s: float) -> tuple[list, dict]:
+        """``station`` occupies the shared channel for ``airtime_s``. Returns
+        the channel's ``pending`` list and the station -> airtime cells."""
         self._cell.note_write()
         self._wlan_timeline.add(start, airtime_s)
         try:
@@ -255,37 +270,12 @@ class Profiler:
             )
         entry[0] += airtime_s
         entry[1] += 1.0
-
-    # ------------------------------------------------------------------
-    # KernelMonitor protocol (handler brackets)
-    # ------------------------------------------------------------------
-
-    #: The profiler only acts on ``event_begin``; declaring the other two
-    #: hooks uninteresting lets the kernel skip their dispatch entirely.
-    wants_scheduled = False
-    wants_begin = True
-    wants_end = False
-
-    def event_scheduled(
-        self, handle: EventHandle, parent: EventHandle | None
-    ) -> None:
-        return None
+        return self._wlan_timeline.pending, self._station_busy
 
     def event_begin(self, handle: EventHandle) -> None:
-        callback = handle.callback
-        try:
-            name = callback.__qualname__
-        except AttributeError:
-            name = type(callback).__name__
-        self.events_profiled += 1
-        counts = self._event_counts
-        try:
-            counts[name] += 1
-        except KeyError:
-            counts[name] = 1
-
-    def event_end(self, handle: EventHandle) -> None:
-        return None
+        """Count one executed handler, as the kernel's tally does inline."""
+        key = handler_key(handle.callback)
+        self._tally[key] = self._tally.get(key, 0) + 1
 
     # ------------------------------------------------------------------
     # Queries (used by repro.prof.report and the bench harness)
@@ -313,7 +303,16 @@ class Profiler:
 
     @property
     def event_counts(self) -> dict[str, int]:
-        return dict(self._event_counts)
+        """Executed handlers by qualified name, in first-seen order."""
+        counts: dict[str, int] = {}
+        for key, count in self._tally.items():
+            name = key if isinstance(key, str) else getattr(key, "__qualname__", "method")
+            counts[name] = counts.get(name, 0) + count
+        return counts
+
+    @property
+    def events_profiled(self) -> int:
+        return sum(sorted(self._tally.values()))
 
     def cpu_nodes(self) -> list[str]:
         return sorted(self._cpu_timeline)
@@ -407,10 +406,14 @@ class Profiler:
                 util = busy / (window * cpu.servers)
             else:
                 util = 0.0
-            u[metric_key("prof.cpu.util", {"node": name})] = round(util, 9)
-            u[metric_key("prof.cpu.queue_peak", {"node": name})] = float(
-                cpu.take_queue_watermark()
-            )
+            keys = self._keys.get(name)
+            if keys is None:
+                keys = self._keys[name] = tuple(
+                    metric_key(series, {"node": name})
+                    for series in ("prof.cpu.util", "prof.cpu.queue_peak")
+                )
+            u[keys[0]] = round(util, 9)
+            u[keys[1]] = float(cpu.take_queue_watermark())
             for component in node.components:
                 gauges: Callable[[], dict[str, float]] | None = getattr(
                     component, "prof_gauges", None
@@ -418,10 +421,12 @@ class Profiler:
                 if gauges is None:
                     continue
                 for gauge_name in sorted(values := gauges()):
-                    key = metric_key(
-                        f"prof.{gauge_name}",
-                        {"component": component.name, "node": name},
-                    )
+                    key = self._keys.get(at := (component.name, name, gauge_name))
+                    if key is None:
+                        key = self._keys[at] = metric_key(
+                            f"prof.{gauge_name}",
+                            {"component": component.name, "node": name},
+                        )
                     u[key] = round(float(values[gauge_name]), 9)
         if getattr(runtime, "wlan", None) is not None and window > 0.0:
             share = self._wlan_timeline.busy_between(self._last_sample_t, now)
@@ -456,13 +461,6 @@ def enable_profiling(
         interval_s = obs.scrape_interval_s if obs is not None else 1.0
     profiler = Profiler(runtime, interval_s=interval_s)
     runtime.prof = profiler
-    # Handler brackets: chain behind any monitor already installed (the
-    # schedule sanitizer), preserving its view of the schedule.
-    from repro.sim.kernel import CompositeMonitor
-
-    if kernel.monitor is None:
-        kernel.monitor = profiler
-    else:
-        kernel.monitor = CompositeMonitor((kernel.monitor, profiler))
+    kernel.tally = profiler._tally
     profiler.start_sampling()
     return profiler

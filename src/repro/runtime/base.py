@@ -40,8 +40,9 @@ class Runtime(ABC):
         # every access, and None short-circuits the probe.
         self.san: Any = None
         # Sim-time profiler hook (repro.prof.Profiler), same gating: the
-        # CPU/WLAN/kernel hook sites charge resource grants to it, and
-        # None keeps the hot path at one attribute load per site.
+        # CPU and WLAN sites charge grants to it, straight into its storage
+        # once bound, and None keeps the hot path at one attribute load per
+        # site. The kernel counts handlers into the profiler's tally.
         self.prof: Any = None
         # Online SLO engine hook (repro.obs.slo.SloEngine), same gating.
         # The engine is a pure consumer of finished spans and timers; None

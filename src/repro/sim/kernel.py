@@ -8,13 +8,13 @@ MQTT broker, middleware classes) are plain callbacks scheduled here.
 Hot path
 --------
 ``run`` is the one pop/fire loop over the queue's tuple heap;
-:meth:`step` runs a single event through that same loop.  Monitor hooks
-follow the one-attribute-load gate pattern used throughout the runtime
-(``repro.runtime.state``): the ``monitor`` setter caches one bound method
-per hook (or ``None``), so a detached monitor costs nothing and a monitor
-that declares a hook uninteresting (``wants_scheduled`` /
-``wants_begin`` / ``wants_end`` = False) skips that hook's call entirely —
-the profiler, for example, only pays for ``event_begin``.
+:meth:`step` runs a single event through that same loop.  Two optional
+observers follow the one-attribute-load gate pattern used throughout the
+runtime (``repro.runtime.state``), each ``None`` by default and read once
+per ``run``: the ``monitor`` (the schedule sanitizer), whose setter caches
+its three bound hooks, and the ``tally`` mapping, which the loop bumps
+inline per executed handler — the profiler's event counts cost no Python
+call.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Any, Callable, Protocol
 from repro.errors import ClockError
 from repro.sim.events import EventHandle, EventQueue
 
-__all__ = ["CompositeMonitor", "KernelMonitor", "SimKernel"]
+__all__ = ["KernelMonitor", "SimKernel", "handler_key"]
 
 
 class KernelMonitor(Protocol):
@@ -39,11 +39,6 @@ class KernelMonitor(Protocol):
     accesses can be attributed to the running event.  ``kernel.monitor``
     is ``None`` in normal operation and every hook site guards on that, so
     the monitoring cost when disabled is one attribute load per event.
-
-    A monitor may additionally expose boolean attributes
-    ``wants_scheduled`` / ``wants_begin`` / ``wants_end`` (default: True)
-    to declare a hook it never acts on; the kernel then skips that hook's
-    dispatch entirely.
     """
 
     def event_scheduled(
@@ -55,61 +50,14 @@ class KernelMonitor(Protocol):
     def event_end(self, handle: EventHandle) -> None: ...
 
 
-class CompositeMonitor:
-    """Fan-out :class:`KernelMonitor`: forwards every hook to each child.
-
-    ``kernel.monitor`` is a single slot; when two observers need the
-    schedule at once (the sanitizer and the profiler), they are chained
-    through one of these. Children are invoked in attachment order for
-    ``event_scheduled``/``event_begin`` and in reverse order for
-    ``event_end``, so brackets nest.  Children that declare a hook
-    uninteresting via ``wants_*`` are left out of that hook's dispatch
-    list, and the composite's own ``wants_*`` flags reflect whether any
-    child remains — so hook skipping composes through the chain.
-    """
-
-    __slots__ = (
-        "monitors",
-        "_scheduled",
-        "_begin",
-        "_end",
-        "wants_scheduled",
-        "wants_begin",
-        "wants_end",
+def handler_key(callback: Callable[..., Any]) -> Any:
+    """A handler's tally key (inlined in :meth:`SimKernel.run`): a bound
+    method's function, else its name — bounded however many closures run."""
+    return (
+        getattr(callback, "__func__", None)
+        or getattr(callback, "__qualname__", None)
+        or type(callback).__name__
     )
-
-    def __init__(self, monitors: tuple[KernelMonitor, ...]) -> None:
-        self.monitors = monitors
-        self._scheduled = tuple(
-            m.event_scheduled
-            for m in monitors
-            if getattr(m, "wants_scheduled", True)
-        )
-        self._begin = tuple(
-            m.event_begin for m in monitors if getattr(m, "wants_begin", True)
-        )
-        self._end = tuple(
-            m.event_end
-            for m in reversed(monitors)
-            if getattr(m, "wants_end", True)
-        )
-        self.wants_scheduled = bool(self._scheduled)
-        self.wants_begin = bool(self._begin)
-        self.wants_end = bool(self._end)
-
-    def event_scheduled(
-        self, handle: EventHandle, parent: EventHandle | None
-    ) -> None:
-        for hook in self._scheduled:
-            hook(handle, parent)
-
-    def event_begin(self, handle: EventHandle) -> None:
-        for hook in self._begin:
-            hook(handle)
-
-    def event_end(self, handle: EventHandle) -> None:
-        for hook in self._end:
-            hook(handle)
 
 
 class SimKernel:
@@ -130,11 +78,14 @@ class SimKernel:
         self._running = False
         self._events_processed = 0
         self._monitor: KernelMonitor | None = None
-        #: Cached bound hooks (None when detached or uninterested).
+        #: Cached bound hooks (None when detached).
         self._hook_scheduled: Callable[..., None] | None = None
         self._hook_begin: Callable[..., None] | None = None
         self._hook_end: Callable[..., None] | None = None
         self._current: EventHandle | None = None
+        #: Executed handlers by :func:`handler_key` (the profiler's event
+        #: counts); ``None`` counts nothing.
+        self.tally: dict[Any, int] | None = None
 
     # ------------------------------------------------------------------
     # Clock
@@ -173,21 +124,11 @@ class SimKernel:
     def monitor(self, monitor: KernelMonitor | None) -> None:
         self._monitor = monitor
         if monitor is None:
-            self._hook_scheduled = None
-            self._hook_begin = None
-            self._hook_end = None
+            self._hook_scheduled = self._hook_begin = self._hook_end = None
             return
-        self._hook_scheduled = (
-            monitor.event_scheduled
-            if getattr(monitor, "wants_scheduled", True)
-            else None
-        )
-        self._hook_begin = (
-            monitor.event_begin if getattr(monitor, "wants_begin", True) else None
-        )
-        self._hook_end = (
-            monitor.event_end if getattr(monitor, "wants_end", True) else None
-        )
+        self._hook_scheduled = monitor.event_scheduled
+        self._hook_begin = monitor.event_begin
+        self._hook_end = monitor.event_end
 
     # ------------------------------------------------------------------
     # Schedule perturbation (see repro.san)
@@ -307,6 +248,7 @@ class SimKernel:
         pop = heappop
         hook_begin = self._hook_begin
         hook_end = self._hook_end
+        tally = self.tally
         executed = 0
         try:
             while True:
@@ -322,6 +264,17 @@ class SimKernel:
                 self._now = handle.time
                 self._events_processed += 1
                 self._current = handle
+                if tally is not None:
+                    callback = handle.callback  # handler_key, inline
+                    key = (
+                        getattr(callback, "__func__", None)
+                        or getattr(callback, "__qualname__", None)
+                        or type(callback).__name__
+                    )
+                    try:
+                        tally[key] += 1
+                    except KeyError:
+                        tally[key] = 1
                 if hook_begin is not None:
                     hook_begin(handle)
                 try:

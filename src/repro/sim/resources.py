@@ -20,7 +20,18 @@ from repro.util.validate import require_non_negative, require_positive
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.base import Runtime
 
-__all__ = ["CpuResource", "ResourceStats"]
+__all__ = ["NO_RUNTIME", "CpuResource", "ResourceStats"]
+
+
+class _NoRuntime:
+    """Stand-in runtime for standalone resources and media (sanitizer and
+    profiler permanently off)."""
+
+    san: Any = None
+    prof: Any = None
+
+
+NO_RUNTIME: Any = _NoRuntime()
 
 
 @dataclass
@@ -82,10 +93,16 @@ class CpuResource:
         ] = deque()
         self._busy = 0
         self.stats = ResourceStats()
-        # Optional owner; the profiler hook (``runtime.prof``) brackets
-        # every service through it. Standalone resources stay unprofiled.
-        self._runtime = runtime
+        # Optional owner, whose ``runtime.prof`` is charged with every
+        # service: through its hooks until they return where the grants
+        # (the node timeline's list) and completions (the label cells) of
+        # this resource go, then straight there.
+        self._runtime = runtime if runtime is not None else NO_RUNTIME
         self._window_peak_queue = 0
+        self._prof_started: Any = None
+        self._prof_grants: Any = None
+        self._prof_ended: Any = None
+        self._prof_cells: Any = None
 
     @property
     def speed(self) -> float:
@@ -173,9 +190,13 @@ class CpuResource:
         service = cost / self._speed
         self.stats.busy_time += service
         runtime = self._runtime
-        prof = None if runtime is None else runtime.prof
+        prof = runtime.prof
         if prof is not None:
-            prof.on_cpu_start(self.name, label, service)
+            if prof is self._prof_started and runtime.san is None:
+                self._prof_grants.append((self._kernel._now, service))
+            else:
+                self._prof_grants = prof.on_cpu_start(self.name, label, service)
+                self._prof_started = prof
         self._kernel.schedule(service, self._complete, label, service, on_done, args)
 
     def _complete(
@@ -190,9 +211,19 @@ class CpuResource:
         self._busy -= 1
         self.stats.jobs_completed += 1
         runtime = self._runtime
-        prof = None if runtime is None else runtime.prof
+        prof = runtime.prof
         if prof is not None:
-            prof.on_cpu_end(self.name, label, service)
+            entry = (
+                self._prof_cells.get(label)
+                if prof is self._prof_ended and runtime.san is None
+                else None
+            )
+            if entry is not None:
+                entry[0] += service
+                entry[1] += 1.0
+            else:
+                self._prof_cells = prof.on_cpu_end(self.name, label, service)
+                self._prof_ended = prof
         if on_done is not None:
             on_done(*args)
         if self._queue:

@@ -4,15 +4,19 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.scenarios import FIG5
+from repro.chaos import run_scenario
 from repro.prof import (
     PROF_SAMPLE_EVENT,
     BusyIntegrator,
     Profiler,
     enable_profiling,
 )
+from repro.prof.report import profile_digest
 from repro.runtime.costs import CostModel, OpCost
 from repro.runtime.sim import SimRuntime
-from repro.sim.kernel import CompositeMonitor, SimKernel
+from repro.san.recorder import SimSan
+from repro.scenario import run
 
 
 def work_model() -> CostModel:
@@ -146,53 +150,75 @@ def test_wlan_airtime_attributed_to_sender():
 
 
 # ----------------------------------------------------------------------
-# CompositeMonitor
+# The sanitizer and the profiler, in either install order
 # ----------------------------------------------------------------------
 
 
-class RecordingMonitor:
-    def __init__(self, log: list, tag: str) -> None:
-        self.log = log
-        self.tag = tag
-
-    def event_scheduled(self, handle, parent) -> None:
-        self.log.append((self.tag, "scheduled"))
-
-    def event_begin(self, handle) -> None:
-        self.log.append((self.tag, "begin"))
-
-    def event_end(self, handle) -> None:
-        self.log.append((self.tag, "end"))
+def _profile_only(runtime) -> None:
+    enable_profiling(runtime)
 
 
-def test_composite_monitor_nests_brackets():
-    log: list = []
-    kernel = SimKernel()
-    kernel.monitor = CompositeMonitor(
-        (RecordingMonitor(log, "a"), RecordingMonitor(log, "b"))
-    )
-    kernel.schedule(0.0, lambda: None)
-    kernel.run_until_idle()
-    assert log == [
-        ("a", "scheduled"),
-        ("b", "scheduled"),
-        ("a", "begin"),
-        ("b", "begin"),
-        ("b", "end"),  # reversed on end: brackets nest
-        ("a", "end"),
-    ]
+def _san_then_profile(runtime) -> None:
+    SimSan().install(runtime)
+    enable_profiling(runtime)
 
 
-def test_profiler_chains_behind_existing_monitor():
-    log: list = []
-    runtime = SimRuntime(seed=0)
-    runtime.kernel.monitor = RecordingMonitor(log, "san")
-    profiler = enable_profiling(runtime)
-    assert isinstance(runtime.kernel.monitor, CompositeMonitor)
-    runtime.kernel.schedule(0.0, lambda: None)
-    runtime.run(until=0.1)
-    assert ("san", "begin") in log  # prior monitor still sees events
-    assert profiler.events_profiled > 0
+def _profile_then_san(runtime) -> None:
+    enable_profiling(runtime)
+    SimSan().install(runtime)
+
+
+@pytest.mark.parametrize("scenario", ["fig5", "failover"])
+def test_sanitizer_in_either_install_order_leaves_the_profile_alone(scenario):
+    """The kernel counts handlers into the profiler's tally whatever monitor
+    it has, and a bound grant site goes back to the public hooks while the
+    sanitizer is installed: installing SimSan after the profiler used to
+    drop the profiler's kernel counts (``events_profiled`` stayed put)."""
+
+    def profile(prepare):
+        if scenario == "fig5":
+            profiler = run(FIG5, profile=True, prepare=prepare).runtime.prof
+        else:
+            profiler = run_scenario(scenario, seed=0, profile=True, prepare=prepare).runtime.prof
+        return profile_digest(profiler), profiler.events_profiled, profiler.event_counts
+
+    alone = profile(_profile_only)
+    assert alone[1] > 0
+    assert profile(_san_then_profile) == alone
+    assert profile(_profile_then_san) == alone
+
+
+class _AccountingWrites:
+    """A ``runtime.san`` hook that counts writes to the profiler's cell."""
+
+    def __init__(self):
+        self.writes = 0
+
+    def on_access(self, cell, kind):
+        self.writes += cell.key == "prof:accounting" and kind == "write"
+
+
+def test_a_sanitizer_installed_after_binding_sees_every_grant():
+    runtime = SimRuntime(seed=3, cost_model=work_model())
+    enable_profiling(runtime, interval_s=10.0)  # no sample tick in the run
+    worker, peer = runtime.add_node("worker"), runtime.add_node("peer")
+
+    def burst():
+        worker.execute("crunch", lambda: None)
+        worker.execute("light", lambda: None)
+        worker.send("out", peer.address("in"), b"frame")
+
+    burst()
+    runtime.run(until=1.0)  # the CPU and the medium bind to the profiler
+    runtime.san = san = _AccountingWrites()
+    burst()
+    runtime.run(until=2.0)
+    assert san.writes == 2 + 2 + 1  # two starts, two completions, one airtime grant
+    runtime.san = None
+    burst()
+    runtime.run(until=3.0)
+    assert runtime.prof.busy[("worker", "cpu", "crunch")][1] == 3
+    assert runtime.prof.busy[("worker", "wlan", "airtime")][1] == 3
 
 
 # ----------------------------------------------------------------------

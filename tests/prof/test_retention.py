@@ -2,8 +2,10 @@
 
 fig5 under the Pi calibration with observability, the profiler and the
 SLO engine attached, as the perf ledger's ``sim_fig5_observed`` workload
-builds it. A second, never-retiring :class:`Profiler` is fed by the same
-hooks; it holds every grant, as the profiler did before retention.
+builds it. A second, never-retiring :class:`Profiler` is fed every grant
+the live timelines fold in — appended by a bound hook site or recorded by
+a hook call alike; it holds every grant, as the profiler did before
+retention.
 """
 
 from __future__ import annotations
@@ -13,26 +15,33 @@ import pytest
 from repro.bench.calibration import pi_cost_model
 from repro.bench.scenarios import FIG5, build_fig5_testbed
 from repro.obs.slo import enable_slo
-from repro.prof import Profiler, enable_profiling
+from repro.prof import BusyIntegrator, Profiler, enable_profiling
 
 
 def _retained(profiler: Profiler) -> int:
     timelines = [profiler._wlan_timeline, *profiler._cpu_timeline.values()]
-    return sum(len(timeline._starts) for timeline in timelines)
+    return sum(len(timeline._starts) + len(timeline.pending) for timeline in timelines)
 
 
-def _tee_hooks(runtime) -> Profiler:
-    """Enable profiling; return a reference every interval hook also feeds."""
+def _tee_grants(monkeypatch, runtime) -> Profiler:
+    """Enable profiling; return a reference fed every grant the live
+    profiler's timelines fold in."""
     profiler = enable_profiling(runtime)
     reference = Profiler(runtime)
-    for hook in ("on_cpu_start", "on_airtime"):
-        live, ref = getattr(profiler, hook), getattr(reference, hook)
+    fold = BusyIntegrator._fold
 
-        def both(*args, live=live, ref=ref):
-            live(*args)
-            ref(*args)
+    def teed(timeline):
+        if timeline is profiler._wlan_timeline:
+            twin = reference._wlan_timeline
+        else:
+            nodes = [n for n, live in profiler._cpu_timeline.items() if live is timeline]
+            twin = reference._cpu_timeline.setdefault(nodes[0], BusyIntegrator()) if nodes else None
+        if twin is not None:
+            for start, duration in timeline.pending:
+                twin.add(start, duration)
+        fold(timeline)
 
-        setattr(profiler, hook, both)
+    monkeypatch.setattr(BusyIntegrator, "_fold", teed)
     return reference
 
 
@@ -53,10 +62,11 @@ def _assert_same_answers(profiler, reference, measure_from):
 
 
 @pytest.mark.slow
-def test_retained_intervals_stay_flat_and_answers_stay_exact():
+def test_retained_intervals_stay_flat_and_answers_stay_exact(monkeypatch):
     references: list[Profiler] = []
     runtime, cluster = build_fig5_testbed(
-        seed=1, observe=True, prepare=lambda bare: references.append(_tee_hooks(bare)),
+        seed=1, observe=True,
+        prepare=lambda bare: references.append(_tee_grants(monkeypatch, bare)),
         cost_model=pi_cost_model(),
     )
     runtime.tracer.enabled = False

@@ -5,8 +5,10 @@ trip and re-enters the dispatcher only when something waits. The
 reference below always appends and always dispatches; under any
 interleaving of submissions (re-entrant ones included) and clock
 advances the two must be indistinguishable: completions, aggregate
-statistics (busy time included), watermarks, profiler hook calls, drops
-and kernel events. Neither keeps per-job statistics.
+statistics (busy time included), watermarks, profiler grants, drops and
+kernel events. Neither keeps per-job statistics. The reference calls the
+profiler's hooks for every grant; the resource calls them once and then
+records into the storage they hand back, and both are recorded there.
 
 The example tests pin the other half of the hop path: the guards read
 the node's ``alive``/``incarnation`` cells directly, so the sanitizer
@@ -93,15 +95,52 @@ class ReferenceCpu:
 
 
 class RecordingProf:
+    """Logs each grant where the profiler records it: a start as it joins
+    the timeline's grant list, an end as its busy cell is charged — by a
+    hook call, or by the resource into the list and cells a call handed it."""
+
     def __init__(self, kernel):
         self._kernel = kernel
         self.calls = []
+        self._grants = {}
+        self._cells = {}
 
     def on_cpu_start(self, name, label, service):
-        self.calls.append(("start", self._kernel.now, name, label, service))
+        grants = self._grants.setdefault(name, _Grants(self.calls, name))
+        grants.append((self._kernel.now, service))
+        return grants
 
     def on_cpu_end(self, name, label, service):
-        self.calls.append(("end", self._kernel.now, name, label, service))
+        cells = self._cells.setdefault(name, {})
+        entry = cells.get(label)
+        if entry is None:
+            entry = cells[label] = _Cell(self, name, label)
+        entry[0] += service
+        entry[1] += 1.0
+        return cells
+
+
+class _Grants(list):
+    def __init__(self, log, name):
+        super().__init__()
+        self._log, self._name = log, name
+
+    def append(self, grant):
+        start, service = grant
+        self._log.append(("start", start, self._name, service))
+
+
+class _Cell(list):
+    """``[busy_s, completions]``; the count's update logs both."""
+
+    def __init__(self, prof, name, label):
+        super().__init__([0.0, 0.0])
+        self._prof, self._key = prof, (name, label)
+
+    def __setitem__(self, index, value):
+        super().__setitem__(index, value)
+        if index == 1:
+            self._prof.calls.append(("end", self._prof._kernel.now, *self._key, self[0], value))
 
 
 # ----------------------------------------------------------------------
@@ -125,7 +164,7 @@ def _observe(make_cpu, script, profiled):
     """Everything observable about one CPU driven through ``script``."""
     kernel = SimKernel()
     prof = RecordingProf(kernel) if profiled else None
-    cpu = make_cpu(kernel, SimpleNamespace(prof=prof))
+    cpu = make_cpu(kernel, SimpleNamespace(prof=prof, san=None))
     completions, watermarks = [], []
     ids = iter(range(10_000))
 

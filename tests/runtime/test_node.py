@@ -39,16 +39,22 @@ def test_execute_warmup_counts_per_node(runtime):
 
 
 class _ServiceLog:
-    """A profiler stand-in that records each job's service time."""
+    """A profiler stand-in that records each job's service time: the first
+    through the hook, the rest as the CPU appends its grants to what the
+    hook returned."""
 
     def __init__(self):
         self.service = []
 
     def on_cpu_start(self, cpu, label, service):
         self.service.append(service)
+        return self
+
+    def append(self, grant):
+        self.service.append(grant[1])
 
     def on_cpu_end(self, cpu, label, service):
-        pass
+        return {}
 
 
 def test_execute_charges_exactly_the_cost_model_price(runtime):

@@ -1,7 +1,9 @@
+import functools
+
 import pytest
 
 from repro.errors import ClockError
-from repro.sim.kernel import CompositeMonitor, SimKernel
+from repro.sim.kernel import SimKernel, handler_key
 
 
 def test_run_advances_clock_to_last_event():
@@ -103,18 +105,16 @@ def test_events_processed_counter():
 
 
 # ----------------------------------------------------------------------
-# Monitor dispatch: one run loop, hooks selected by what the monitor declares
+# Monitor dispatch: one run loop, one monitor
 # ----------------------------------------------------------------------
 
 
 class _Recorder:
     """Monitor that logs ``(name, hook, callback argument)`` per call."""
 
-    def __init__(self, name, log, **wants):
+    def __init__(self, name, log):
         self.name = name
         self.log = log
-        for hook, wanted in wants.items():
-            setattr(self, f"wants_{hook}", wanted)
 
     def event_scheduled(self, handle, parent):
         self.log.append((self.name, "scheduled", handle.args[0]))
@@ -147,40 +147,6 @@ def test_hooks_bracket_every_event():
         ("callback", "fire", "y"),
         ("m", "end", "y"),
     ]
-
-
-def test_composite_brackets_nest_in_attachment_order():
-    k = SimKernel()
-    log = []
-    k.monitor = CompositeMonitor((_Recorder("a", log), _Recorder("b", log)))
-    k.schedule(1.0, _fire, "x", log)
-    k.run()
-    assert [(name, hook) for name, hook, _ in log] == [
-        ("a", "scheduled"),
-        ("b", "scheduled"),
-        ("a", "begin"),
-        ("b", "begin"),
-        ("callback", "fire"),
-        ("b", "end"),
-        ("a", "end"),
-    ]
-
-
-@pytest.mark.parametrize("composite", [False, True])
-@pytest.mark.parametrize("unwanted", ["scheduled", "begin", "end"])
-def test_unwanted_hook_is_never_called(unwanted, composite):
-    k = SimKernel()
-    log = []
-    quiet = _Recorder("quiet", log, **{unwanted: False})
-    k.monitor = (
-        CompositeMonitor((quiet, _Recorder("loud", log))) if composite else quiet
-    )
-    k.schedule(1.0, _fire, "x", log)
-    k.run()
-    hooks = {"scheduled", "begin", "end"}
-    assert {hook for name, hook, _ in log if name == "quiet"} == hooks - {unwanted}
-    if composite:
-        assert {hook for name, hook, _ in log if name == "loud"} == hooks
 
 
 def test_raising_callback_still_ends_and_kernel_runs_again():
@@ -219,7 +185,7 @@ def test_step_fires_the_same_hooks_as_run():
     def hooks_of(drive):
         k = SimKernel()
         log = []
-        k.monitor = CompositeMonitor((_Recorder("a", log), _Recorder("b", log)))
+        k.monitor = _Recorder("a", log)
         k.schedule(1.0, _fire, "x", log)
         k.schedule(1.0, _fire, "y", log)
         drive(k)
@@ -238,3 +204,42 @@ def test_step_from_a_callback_is_rejected():
     k.schedule(0.0, lambda: None)
     with pytest.raises(ClockError):
         k.run()
+
+
+# ----------------------------------------------------------------------
+# Handler tally: counted inline, keyed so that it stays bounded
+# ----------------------------------------------------------------------
+
+
+class _Ticker:
+    def tick(self):
+        pass
+
+
+def test_tally_counts_handlers_by_function_or_name():
+    k = SimKernel()
+    k.tally = {}
+    a, b = _Ticker(), _Ticker()
+    for i in range(3):  # three closures, one name
+        k.schedule(1.0, lambda: None)
+    k.schedule(1.0, a.tick)
+    k.schedule(1.0, b.tick)
+    k.schedule(1.0, functools.partial(_fire, "p", []))
+    k.schedule(1.0, [].append, 1)
+    k.run()
+    lam = "test_tally_counts_handlers_by_function_or_name.<locals>.<lambda>"
+    assert k.tally == {lam: 3, _Ticker.tick: 2, "partial": 1, "list.append": 1}
+    assert all(handler_key(cb) in k.tally for cb in (a.tick, lambda: None, [].append))
+
+
+def test_tally_is_read_once_per_run_and_off_by_default():
+    k = SimKernel()
+    assert k.tally is None
+    seen = {}
+    k.schedule(1.0, lambda: setattr(k, "tally", seen))
+    k.schedule(2.0, lambda: None)
+    k.run()
+    assert seen == {}  # installed mid-run: the next run counts
+    k.schedule(1.0, lambda: None)
+    k.run()
+    assert sum(seen.values()) == 1 and k.events_processed == 3
