@@ -616,6 +616,8 @@ class ManagementNode:
         #: Modules seen to die (None) or back since the given instant, and
         #: not yet trusted to take their sub-tasks home.
         self._settling: dict[str, float | None] = {}
+        #: Each module's announced incarnation at its last join.
+        self._incarnations: dict[str, int | None] = {}
         # All four are mutated from MQTT dispatch events and timers —
         # cross-event shared state the schedule sanitizer should see.
         owner = f"mgmt.{module.name}"
@@ -793,20 +795,27 @@ class ManagementNode:
         return actions
 
     def _on_member(self, name: str, alive: bool) -> None:
-        """A membership edge. A (re)joined module is re-sent every sub-task
-        placed on it (amnesia is invisible here; a module that kept its
-        operators rejects the duplicate) and loses any stale copy of one
-        whose home it is. That one moves back a heartbeat period later,
-        once the module's announcements have settled in every directory."""
+        """A membership edge. A (re)joined module whose announced incarnation
+        changed rebooted and lost its RAM: it is re-sent every sub-task
+        placed on it. One that kept it (a healed partition) still runs them.
+        Either loses any stale copy of a sub-task whose home it is. That
+        one moves back a heartbeat period later, once the module's
+        announcements have settled in every directory."""
         if not alive:
             self.reconcile(name)
             return
+        incarnation = next(
+            (m.incarnation for m in self.directory.modules() if m.name == name), None
+        )
         self._led_cell.note_write()
+        rebooted = incarnation is None or self._incarnations.get(name) != incarnation
+        self._incarnations[name] = incarnation
         for app_name, app in self._led.items():
             for sid in app.assignment.subtasks_on(name):
                 app.stranded.discard(sid)
-                self.agent._deploy(name, app_name, app.subtasks[sid].to_dict())
-                self._trace("mgmt.reinstated", application=app_name, subtask=sid, module=name)
+                if rebooted:
+                    self.agent._deploy(name, app_name, app.subtasks[sid].to_dict())
+                    self._trace("mgmt.reinstated", application=app_name, subtask=sid, module=name)
         homecoming = sorted(
             (app_name, sid)
             for app_name, app in self._led.items()

@@ -318,10 +318,14 @@ class SloEngine:
         )
         self._horizon_s = max_deadline + LONG_WINDOW_S + 2.0 * status_interval_s
 
+        # Each node's CPU busy at the previous status tick, read from
+        # ``_cpu_read_of``: a tick's watermark window is the difference.
+        self._cpu_read_of = getattr(runtime, "prof", None)
+        self._cpu_read: dict[str, float] = {}
+        if self._cpu_read_of is not None:
+            for name in sorted(getattr(runtime, "nodes", None) or {}):
+                self._cpu_read[name] = self._cpu_read_of.cpu_busy(name)
         if status_interval_s > 0:
-            profiler = getattr(runtime, "prof", None)
-            if profiler is not None:  # each tick's watermark window reaches this far back
-                profiler.declare_lookback(status_interval_s)
             runtime.call_later(status_interval_s, self._tick)
 
         # Optional: surface engine state through the shared metrics
@@ -525,6 +529,8 @@ class SloEngine:
 
     def _update_watermarks(self, now: float) -> None:
         profiler = getattr(self.runtime, "prof", None)
+        if profiler is not self._cpu_read_of:  # a new profiler counts from zero
+            self._cpu_read_of, self._cpu_read = profiler, {}
         nodes = getattr(self.runtime, "nodes", None) or {}
         since = max(0.0, now - self.status_interval_s)
         for name in sorted(nodes):
@@ -536,7 +542,9 @@ class SloEngine:
                 name, {"cpu_util": 0.0, "queue_depth": 0.0}
             )
             if profiler is not None and now > since:
-                util = profiler.cpu_busy_between(name, since, now) / (now - since)
+                busy = profiler.cpu_busy(name)
+                util = (busy - self._cpu_read.get(name, 0.0)) / (now - since)
+                self._cpu_read[name] = busy
                 if util > mark["cpu_util"]:
                     mark["cpu_util"] = round(util, 9)
             depth = float(cpu.queue_length)

@@ -13,7 +13,9 @@ either. Three design points make that hold:
   airtime occupation) is recorded as a closed interval on the virtual
   timeline (:class:`BusyIntegrator`), so "busy time inside a sampling
   window" is geometric overlap, not charge-at-submit bookkeeping — a
-  node's busy time up to *t* can never exceed ``servers * t``.
+  node's busy time up to *t* can never exceed ``servers * t``. Every
+  window ends *now*: a reader keeps its previous reading of the running
+  total and takes the difference.
 * **Epilogue sampling.** The utilization sampler runs as a kernel
   *epilogue* (after every normal event of its instant, perturbed or
   not), so the state it snapshots — queue watermarks, broker occupancy —
@@ -22,8 +24,7 @@ either. Three design points make that hold:
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.obs.metrics import metric_key
 from repro.sim.events import EventHandle
@@ -43,135 +44,49 @@ _SAMPLER_PRIORITY = 2
 
 
 class BusyIntegrator:
-    """Busy intervals on the virtual timeline, queryable by window.
+    """A running busy total on the virtual timeline, read at nondecreasing instants.
 
-    Intervals are appended with nondecreasing start times (guaranteed by
-    the hook sites: a grant starts at the grant instant or later, and
-    grants arrive in virtual-time order). They may overlap (k-server
-    CPUs, queued airtime grants), so window queries sum *overlap* — for
-    a single-server resource the result can never exceed the window.
-
-    Storage is three parallel arrays — starts, ends, and a running
-    maximum of ends — so a window query bisects to the first interval
-    that can overlap and to the first that starts past the window,
-    scanning only the slice between.  The scanned intervals, their
-    summation order, and the ``overlap > 0`` guard are exactly those of
-    the naive full scan, so results are bit-identical to it (profile
-    digests depend on that).
-
-    A bound hook site queues grants on :attr:`pending`; the next
-    :meth:`add`, query or :meth:`retire` folds them in, in arrival order,
-    with the float operations :meth:`add` would have made.
-
-    :meth:`retire` drops the prefix with ``maxend <= horizon``, which no
-    window starting at or after the horizon scans, after folding it into
-    each registered origin's sum in index order under the same guard (the
-    clip at ``b`` is inactive: ``end <= horizon <= b``) — so ``[origin, b]``
-    continues the identical sum. Other windows behind the horizon raise.
+    Grants arrive as ``(start, duration)`` on :attr:`pending`: a bound hook
+    site appends there with no Python call. They may overlap (k-server
+    CPUs, queued airtime grants) and may start after the instant they are
+    recorded at (airtime queued behind the channel), never before the last
+    read. :meth:`busy_until` folds them in and adds, per grant, its overlap
+    with the span since the previous read, so it holds only the grants not
+    yet elapsed at the last read: at most ``servers`` on a CPU, plus any
+    queued airtime on the channel. A reader keeps its own previous reading;
+    the busy time of its window is the difference.
     """
 
-    __slots__ = ("pending", "_starts", "_ends", "_maxends", "_total", "_horizon", "_retired", "_folded")
+    __slots__ = ("pending", "_held", "_busy", "_read_at")
 
-    def __init__(self, origins: Iterable[float] = (0.0,)) -> None:
+    def __init__(self) -> None:
         #: ``(start, duration)`` grants not folded in yet (emptied in place).
         self.pending: list[tuple[float, float]] = []
-        self._starts: list[float] = []
-        self._ends: list[float] = []
-        #: ``_maxends[i] == max(_ends[:i+1])`` — nondecreasing, bisectable.
-        self._maxends: list[float] = []
-        self._total = 0.0
-        self._horizon = float("-inf")
-        self._retired = 0
-        #: origin -> busy seconds the retired prefix contributes to ``[origin, ·]``.
-        self._folded = dict.fromkeys(origins, 0.0)
+        #: Grants that had not elapsed at the last read.
+        self._held: list[tuple[float, float]] = []
+        self._busy = 0.0
+        self._read_at = 0.0
 
-    def add(self, start: float, duration: float) -> None:
-        """Record a grant of ``duration`` seconds beginning at ``start``."""
-        self.pending.append((start, duration))
-        self._fold()
-
-    def _fold(self) -> None:
-        starts, ends, maxends = self._starts, self._ends, self._maxends
-        top = maxends[-1] if maxends else float("-inf")
-        total = self._total
-        for start, duration in self.pending:
-            if duration <= 0.0:
-                continue
+    def busy_until(self, t: float) -> float:
+        """Busy seconds in ``[0, t]``; ``t`` may not be behind the last read."""
+        last = self._read_at
+        if t < last:
+            raise ValueError(f"read at {t} is behind the previous read at {last}")
+        busy = self._busy
+        held: list[tuple[float, float]] = []
+        for grant in self._held + self.pending:
+            start, duration = grant
             end = start + duration
-            starts.append(start)
-            ends.append(end)
-            if top <= end:
-                top = end
-            maxends.append(top)
-            total += duration
-        self._total = total
-        self.pending.clear()
-
-    @property
-    def total(self) -> float:
-        """Total granted busy time (including portions not yet elapsed)."""
-        self._fold()
-        return self._total
-
-    @property
-    def grants(self) -> int:
-        self._fold()
-        return self._retired + len(self._starts)
-
-    def register_origin(self, origin: float) -> None:
-        """Keep ``[origin, b]`` answerable after the horizon passes ``origin``."""
-        if origin < self._horizon:
-            raise ValueError(f"origin {origin} is behind the horizon {self._horizon}")
-        # The retired prefix has maxend <= horizon <= origin: it adds nothing.
-        self._folded.setdefault(origin, 0.0)
-
-    def retire(self, horizon: float) -> None:
-        """Fold, then drop, the intervals no window from ``horizon`` on overlaps."""
-        if horizon <= self._horizon:
-            return
-        self._fold()
-        maxends = self._maxends
-        r = bisect_right(maxends, horizon)
-        starts, ends, folded = self._starts, self._ends, self._folded
-        for origin, busy in folded.items():
-            for i in range(bisect_right(maxends, origin, 0, r), r):
-                start = starts[i]
-                overlap = ends[i] - (start if start > origin else origin)
-                if overlap > 0.0:
-                    busy += overlap
-            folded[origin] = busy
-        del starts[:r], ends[:r], maxends[:r]
-        self._retired += r
-        self._horizon = horizon
-
-    def busy_between(self, a: float, b: float) -> float:
-        """Aggregate busy seconds inside the window ``[a, b]``."""
-        if b <= a:
-            return 0.0
-        if b < self._horizon or (a < self._horizon and a not in self._folded):
-            raise ValueError(f"window [{a}, {b}] reaches behind the horizon {self._horizon}")
-        self._fold()
-        busy = self._folded.get(a, 0.0)
-        starts = self._starts
-        # Everything from the first ``start >= b`` onward is irrelevant
-        # (starts are nondecreasing); everything before the first running
-        # max-of-ends ``> a`` has ``end <= a`` and contributes 0.
-        hi = bisect_left(starts, b)
-        if hi == 0:
-            return busy
-        lo = bisect_right(self._maxends, a, 0, hi)
-        ends = self._ends
-        for i in range(lo, hi):
-            start = starts[i]
-            end = ends[i]
-            overlap = (end if end < b else b) - (start if start > a else a)
+            overlap = (end if end < t else t) - (start if start > last else last)
             if overlap > 0.0:
                 busy += overlap
+            if end > t:
+                held.append(grant)
+        self.pending.clear()
+        self._held = held
+        self._busy = busy
+        self._read_at = t
         return busy
-
-    def busy_up_to(self, t: float) -> float:
-        """Aggregate busy seconds in ``[0, t]``."""
-        return self.busy_between(0.0, t)
 
 
 def _node_of(resource_name: str) -> str:
@@ -207,6 +122,12 @@ class Profiler:
         self._cpu_timeline: dict[str, BusyIntegrator] = {}
         #: Shared-channel airtime timeline.
         self._wlan_timeline = BusyIntegrator()
+        #: The sampler's previous readings: node -> CPU busy, and the channel's.
+        self._sampled_cpu: dict[str, float] = {}
+        self._sampled_wlan = 0.0
+        #: The :meth:`register_origin` instant and each CPU timeline's reading there.
+        self._origin_at = 0.0
+        self._origin_busy: dict[str, float] = {}
         #: The busy cells the hooks hand out: CPU resource name -> job
         #: label -> ``_busy`` cell; station -> its airtime ``_busy`` cell.
         self._resource_busy: dict[str, dict[str, list[float]]] = {}
@@ -217,8 +138,6 @@ class Profiler:
         self._keys: dict[Any, Any] = {}
         self._last_sample_t = runtime.now
         self._sampling = False
-        self._origins = [0.0]  # see register_origin / declare_lookback
-        self._lookback_s = 0.0
         # All profiler accumulation is commutative (sums, counts, interval
         # unions), so concurrent same-instant charges are benign; the
         # sampler itself runs as an end-of-instant epilogue.
@@ -235,8 +154,8 @@ class Profiler:
         node = _node_of(resource_name)
         timeline = self._cpu_timeline.get(node)
         if timeline is None:
-            timeline = self._cpu_timeline[node] = BusyIntegrator(self._origins)
-        timeline.add(self.runtime.now, service_s)
+            timeline = self._cpu_timeline[node] = BusyIntegrator()
+        timeline.pending.append((self.runtime.now, service_s))
         return timeline.pending
 
     def on_cpu_end(self, resource_name: str, label: str, service_s: float) -> dict:
@@ -261,7 +180,7 @@ class Profiler:
         """``station`` occupies the shared channel for ``airtime_s``. Returns
         the channel's ``pending`` list and the station -> airtime cells."""
         self._cell.note_write()
-        self._wlan_timeline.add(start, airtime_s)
+        self._wlan_timeline.pending.append((start, airtime_s))
         try:
             entry = self._station_busy[station]
         except KeyError:
@@ -317,35 +236,33 @@ class Profiler:
     def cpu_nodes(self) -> list[str]:
         return sorted(self._cpu_timeline)
 
-    def cpu_busy_between(self, node: str, a: float, b: float) -> float:
+    def cpu_busy(self, node: str) -> float:
+        """CPU busy seconds of ``node`` in ``[0, now]`` (aggregate over cores)."""
         timeline = self._cpu_timeline.get(node)
-        return timeline.busy_between(a, b) if timeline is not None else 0.0
+        return timeline.busy_until(self.runtime.now) if timeline is not None else 0.0
 
-    def cpu_utilization(
-        self, node: str, since: float = 0.0, until: float | None = None
-    ) -> float:
-        """Aggregate CPU busy share of ``node`` over ``[since, until]``.
+    def cpu_utilization(self, node: str, since: float = 0.0) -> float:
+        """Aggregate CPU busy share of ``node`` over ``[since, now]``, from
+        0.0 or a :meth:`register_origin` instant.
 
         For multi-core nodes divide by the core count for per-core
         utilization (the paper's modules are all single-core).
         """
-        end = self.runtime.now if until is None else until
-        window = end - since
+        if since == 0.0:
+            before = 0.0
+        elif since == self._origin_at:
+            before = self._origin_busy.get(node, 0.0)
+        else:
+            raise ValueError(f"{since} is neither 0.0 nor the registered origin")
+        window = self.runtime.now - since
         if window <= 0.0:
             return 0.0
-        return self.cpu_busy_between(node, since, end) / window
+        return (self.cpu_busy(node) - before) / window
 
-    def wlan_busy_between(self, a: float, b: float) -> float:
-        return self._wlan_timeline.busy_between(a, b)
-
-    def wlan_utilization(
-        self, since: float = 0.0, until: float | None = None
-    ) -> float:
-        end = self.runtime.now if until is None else until
-        window = end - since
-        if window <= 0.0:
-            return 0.0
-        return self._wlan_timeline.busy_between(since, end) / window
+    def wlan_utilization(self) -> float:
+        """Channel airtime share over ``[0, now]``."""
+        now = self.runtime.now
+        return self._wlan_timeline.busy_until(now) / now if now > 0.0 else 0.0
 
     # ------------------------------------------------------------------
     # Sampling (utilization timeline into the trace)
@@ -361,23 +278,17 @@ class Profiler:
             self._tick, delay=self.interval_s, priority=_SAMPLER_PRIORITY
         )
 
-    def register_origin(self, t: float) -> None:
-        """Keep ``[t, now]`` answerable for the rest of the run (0.0 always is)."""
-        for timeline in (self._wlan_timeline, *self._cpu_timeline.values()):
-            timeline.register_origin(t)
-        self._origins.append(t)
-
-    def declare_lookback(self, seconds: float) -> None:
-        """A reader will ask about windows starting ``seconds`` before now."""
-        self._lookback_s = max(self._lookback_s, seconds)
+    def register_origin(self) -> None:
+        """Read every CPU timeline now, so :meth:`cpu_utilization` answers
+        from this instant for the rest of the run (0.0 always does)."""
+        self._origin_at = self.runtime.now
+        self._origin_busy = {node: self.cpu_busy(node) for node in self._cpu_timeline}
 
     def _tick(self) -> None:
-        if not self._sampling:
+        # A replaced profiler (``runtime.prof`` cleared or swapped) stops.
+        if self.runtime.prof is not self:
             return
         self.sample()
-        # The next sample's window starts here, a reader's at most the lookback before.
-        for timeline in (self._wlan_timeline, *self._cpu_timeline.values()):
-            timeline.retire(self._last_sample_t - self._lookback_s)
         self.runtime.kernel.schedule_epilogue(
             self._tick, delay=self.interval_s, priority=_SAMPLER_PRIORITY
         )
@@ -401,11 +312,12 @@ class Profiler:
             cpu = node.cpu
             if cpu is None:
                 continue
+            busy = self.cpu_busy(name)
             if window > 0.0:
-                busy = self.cpu_busy_between(name, self._last_sample_t, now)
-                util = busy / (window * cpu.servers)
+                util = (busy - self._sampled_cpu.get(name, 0.0)) / (window * cpu.servers)
             else:
                 util = 0.0
+            self._sampled_cpu[name] = busy
             keys = self._keys.get(name)
             if keys is None:
                 keys = self._keys[name] = tuple(
@@ -429,10 +341,11 @@ class Profiler:
                         )
                     u[key] = round(float(values[gauge_name]), 9)
         if getattr(runtime, "wlan", None) is not None and window > 0.0:
-            share = self._wlan_timeline.busy_between(self._last_sample_t, now)
-            u["prof.wlan.util"] = round(share / window, 9)
+            busy = self._wlan_timeline.busy_until(now)
+            u["prof.wlan.util"] = round((busy - self._sampled_wlan) / window, 9)
+            self._sampled_wlan = busy
         # Sampling consumes the accounting accumulators and moves the
-        # window origin the next busy_between() is measured from.
+        # window origin the next difference is measured from.
         self._cell.note_write()
         self.samples += 1
         self._last_sample_t = now

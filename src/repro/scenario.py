@@ -177,7 +177,7 @@ def run(
     cluster.settle(2.0)
     outcome = Run(scenario, seed, duration_s, runtime, cluster, runtime.now)
     if runtime.prof is not None:  # utilisation is reported over the run window
-        runtime.prof.register_origin(outcome.measure_from)
+        runtime.prof.register_origin()
     if scenario.fault_plan is None:
         runtime.run(until=runtime.now + duration_s)
         app.stop()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chaos import Invariants, build_chaos_cluster, build_chaos_recipe
+from repro.chaos import Invariants, build_chaos_cluster, build_chaos_recipe, run_scenario
 from repro.core.flow import FlowRecord, topic_for_stream
 from repro.core.recipe import Recipe, TaskSpec
 from repro.core.splitter import SubTask
@@ -342,6 +342,31 @@ class TestIncarnationHygiene:
         assert len(moved_after) == 1
         report = Invariants(runtime.tracer, cluster).check()
         assert report.ok, [c.detail for c in report.failed()]
+
+
+    def test_a_healed_partition_is_not_sent_what_it_still_runs(self):
+        """Partitioned, then healed: the module kept its RAM and its
+        operators, so its rejoin re-sends nothing (a re-send used to be
+        rejected as already deployed)."""
+        healed = run_scenario("partition_heal", seed=0)
+        assert healed.report.ok
+        for event in ("mgmt.reinstated", "agent.deploy_failed"):
+            assert healed.runtime.tracer.select(event=event) == []
+
+    def test_a_rebooted_module_is_sent_its_subtasks_again(self):
+        """A reboot announces a new incarnation: the pinned sensor task,
+        lost with the RAM, is re-sent and runs again."""
+        runtime, cluster = build_chaos_cluster(seed=7)
+        cluster.submit(build_chaos_recipe())
+        cluster.settle(3.0)
+        cluster.restart_module("module-a")
+        cluster.settle(6.0)
+        reinstated = [
+            (r["subtask"], r["module"]) for r in runtime.tracer.select(event="mgmt.reinstated")
+        ]
+        assert ("sense-a", "module-a") in reinstated
+        assert runtime.tracer.select(event="agent.deploy_failed") == []
+        assert f"{APP_CHAOS}/sense-a" in cluster.module("module-a").operators
 
 
 class TestGracefulDegradation:

@@ -31,40 +31,40 @@ def work_model() -> CostModel:
 # ----------------------------------------------------------------------
 
 
-def test_integrator_totals_and_grants():
+def _integrator(*grants: tuple[float, float]) -> BusyIntegrator:
     integrator = BusyIntegrator()
-    integrator.add(0.0, 1.0)
-    integrator.add(2.0, 0.5)
-    assert integrator.total == pytest.approx(1.5)
-    assert integrator.grants == 2
+    integrator.pending.extend(grants)
+    return integrator
+
+
+def test_integrator_totals_and_grants():
+    integrator = _integrator((0.0, 1.0), (2.0, 0.5))
+    assert integrator.busy_until(1.0) == pytest.approx(1.0)
+    assert integrator.busy_until(9.0) == pytest.approx(1.5)
+    assert integrator._held == []  # both grants elapsed
 
 
 def test_integrator_ignores_nonpositive_durations():
-    integrator = BusyIntegrator()
-    integrator.add(1.0, 0.0)
-    integrator.add(1.0, -0.5)
-    assert integrator.grants == 0
-    assert integrator.total == 0.0
+    integrator = _integrator((1.0, 0.0), (1.0, -0.5))
+    assert integrator.busy_until(5.0) == 0.0
+    assert integrator._held == []
 
 
 def test_integrator_window_overlap_clips_both_ends():
-    integrator = BusyIntegrator()
-    integrator.add(1.0, 2.0)  # busy on [1, 3]
-    assert integrator.busy_between(0.0, 4.0) == pytest.approx(2.0)
-    assert integrator.busy_between(1.5, 2.5) == pytest.approx(1.0)
-    assert integrator.busy_between(0.0, 1.0) == 0.0
-    assert integrator.busy_between(3.0, 9.0) == 0.0
-    assert integrator.busy_between(2.0, 2.0) == 0.0
-    assert integrator.busy_up_to(2.0) == pytest.approx(1.0)
+    integrator = _integrator((1.0, 2.0))  # busy on [1, 3]
+    readings = [integrator.busy_until(t) for t in (0.0, 1.0, 1.5, 2.0, 2.0, 2.5, 9.0)]
+    assert readings == pytest.approx([0.0, 0.0, 0.5, 1.0, 1.0, 1.5, 2.0])
+    assert readings[5] - readings[2] == pytest.approx(1.0)  # the window [1.5, 2.5]
+    with pytest.raises(ValueError, match="behind the previous read"):
+        integrator.busy_until(3.0)
 
 
 def test_integrator_sums_overlapping_grants():
     # Two servers busy at once: window overlap counts both.
-    integrator = BusyIntegrator()
-    integrator.add(0.0, 1.0)
-    integrator.add(0.5, 1.0)
-    assert integrator.busy_between(0.0, 2.0) == pytest.approx(2.0)
-    assert integrator.busy_between(0.5, 1.0) == pytest.approx(1.0)
+    integrator = _integrator((0.0, 1.0), (0.5, 1.0))
+    assert integrator.busy_until(0.5) == pytest.approx(0.5)
+    assert integrator.busy_until(1.0) - 0.5 == pytest.approx(1.0)
+    assert integrator.busy_until(2.0) == pytest.approx(2.0)
 
 
 # ----------------------------------------------------------------------
@@ -136,6 +136,34 @@ def test_enable_profiling_requires_a_sim_kernel():
     assert enable_profiling(FakeRealRuntime()) is None  # type: ignore[arg-type]
 
 
+def test_a_replaced_profiler_stops_sampling():
+    runtime = SimRuntime(seed=0)
+    runtime.add_node("n")
+    first = enable_profiling(runtime)
+    runtime.run(until=2.5)
+    runtime.prof = None
+    second = enable_profiling(runtime)
+    runtime.run(until=6.0)
+    times = [record.time for record in runtime.tracer.select(event=PROF_SAMPLE_EVENT)]
+    assert times == [1.0, 2.0, 3.5, 4.5, 5.5]
+    assert (first.samples, second.samples) == (2, 3)
+
+
+def test_cpu_utilization_answers_from_zero_or_a_registered_origin():
+    runtime = SimRuntime(seed=3, cost_model=work_model())
+    profiler = enable_profiling(runtime)
+    node = runtime.add_node("worker")
+    node.execute("crunch", lambda: None)  # busy on [0, 0.01]
+    runtime.run(until=0.005)
+    profiler.register_origin()
+    runtime.kernel.schedule(0.5, node.execute, "crunch", lambda: None)
+    runtime.run(until=1.0)
+    assert profiler.cpu_utilization("worker") == pytest.approx(0.020)
+    assert profiler.cpu_utilization("worker", since=0.005) == pytest.approx(0.015 / 0.995)
+    with pytest.raises(ValueError, match="nor the registered origin"):
+        profiler.cpu_utilization("worker", since=0.5)
+
+
 def test_wlan_airtime_attributed_to_sender():
     from repro.bench.harness import run_paper_experiment
 
@@ -144,9 +172,12 @@ def test_wlan_airtime_attributed_to_sender():
     wlan_keys = [key for key in busy if key[1] == "wlan"]
     assert wlan_keys, "no airtime charged"
     assert all(key[2] == "airtime" for key in wlan_keys)
-    # Aggregate per-station airtime equals the medium's own accounting.
+    # Aggregate per-station airtime equals the channel timeline, all of it
+    # elapsed; the medium also counts the airtime before profiling began.
     total = sum(busy[key][0] for key in wlan_keys)
-    assert total == pytest.approx(result.profiler._wlan_timeline.total)
+    profiler = result.profiler
+    assert total == pytest.approx(profiler.wlan_utilization() * profiler.runtime.now)
+    assert total <= profiler.runtime.wlan.total_airtime
 
 
 # ----------------------------------------------------------------------
@@ -250,11 +281,13 @@ def test_hook_bindings_are_per_instance():
 
 
 def test_bare_and_suffixed_resource_names_share_one_node_timeline():
-    profiler = Profiler(SimRuntime(seed=0))
+    runtime = SimRuntime(seed=0)
+    profiler = Profiler(runtime)
     profiler.on_cpu_start("worker.cpu", "a", 1.0)
     profiler.on_cpu_start("worker", "b", 2.0)
     profiler.on_cpu_end("worker.cpu", "a", 1.0)
     profiler.on_cpu_end("worker", "a", 2.0)
     assert profiler.cpu_nodes() == ["worker"]
-    assert profiler.cpu_busy_between("worker", 0.0, 10.0) == pytest.approx(3.0)
+    runtime.run(until=10.0)
+    assert profiler.cpu_busy("worker") == pytest.approx(3.0)
     assert profiler.busy == {("worker", "cpu", "a"): (3.0, 2)}

@@ -3,7 +3,7 @@
 The load-bearing invariant: a node's accounted CPU busy time inside any
 window can never exceed ``servers * window`` — utilization is a share,
 never more than 100%. Driven two ways: directly against the
-:class:`BusyIntegrator` interval algebra, and end-to-end through a live
+:class:`BusyIntegrator` running total, and end-to-end through a live
 simulated node fed a random job mix.
 """
 
@@ -12,12 +12,12 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.prof import BusyIntegrator, enable_profiling
+from repro.prof import PROF_SAMPLE_EVENT, BusyIntegrator, enable_profiling
 from repro.runtime.costs import CostModel, OpCost
 from repro.runtime.sim import SimRuntime
 
 # ----------------------------------------------------------------------
-# BusyIntegrator interval algebra
+# BusyIntegrator windows: two readings, one difference
 # ----------------------------------------------------------------------
 
 grants = st.lists(
@@ -33,22 +33,30 @@ windows = st.tuples(
 )
 
 
+def _window(grants: list[tuple[float, float]], a: float, b: float) -> float:
+    """Busy seconds in ``[a, b]`` of a fresh integrator holding ``grants``."""
+    integrator = BusyIntegrator()
+    integrator.pending.extend(grants)
+    before = integrator.busy_until(a)
+    return integrator.busy_until(b) - before
+
+
 @given(grants=grants, window=windows)
 def test_window_overlap_is_bounded_and_monotone(grants, window):
-    integrator = BusyIntegrator()
-    start = 0.0
+    timeline, start = [], 0.0
     for increment, duration in grants:
         start += increment  # nondecreasing starts, as the hook sites guarantee
-        integrator.add(start, duration)
+        timeline.append((start, duration))
+    granted = sum(d for _s, d in timeline)
     a, b = sorted(window)
-    busy = integrator.busy_between(a, b)
-    assert 0.0 <= busy <= integrator.total + 1e-9
+    busy = _window(timeline, a, b)
+    assert 0.0 <= busy <= granted + 1e-9
     # Widening the window can only add busy time.
-    assert busy <= integrator.busy_between(a, b + 1.0) + 1e-9
-    assert busy <= integrator.busy_between(max(0.0, a - 1.0), b) + 1e-9
+    assert busy <= _window(timeline, a, b + 1.0) + 1e-9
+    assert busy <= _window(timeline, max(0.0, a - 1.0), b) + 1e-9
     # The full timeline accounts for every grant exactly.
     end = start + max((d for _i, d in grants), default=0.0)
-    assert integrator.busy_between(0.0, end + 1.0) <= integrator.total + 1e-9
+    assert abs(_window(timeline, 0.0, end + 1.0) - granted) <= 1e-9
 
 
 @given(
@@ -62,12 +70,14 @@ def test_serial_grants_never_exceed_elapsed(durations, gap):
     integrator = BusyIntegrator()
     t = 0.0
     for duration in durations:
-        integrator.add(t, duration)
+        integrator.pending.append((t, duration))
         t += duration + gap
-    assert integrator.busy_between(0.0, t) <= t + 1e-9
     mid = t / 2.0
-    assert integrator.busy_between(0.0, mid) <= mid + 1e-9
-    assert integrator.busy_between(mid, t) <= (t - mid) + 1e-9
+    first = integrator.busy_until(mid)
+    assert first <= mid + 1e-9
+    whole = integrator.busy_until(t)
+    assert whole <= t + 1e-9
+    assert whole - first <= (t - mid) + 1e-9
 
 
 # ----------------------------------------------------------------------
@@ -101,8 +111,9 @@ def test_node_busy_time_never_exceeds_elapsed(jobs, cores, seed):
     runtime.run(until=2.0)
     elapsed = runtime.now
     assert elapsed > 0.0
-    busy = profiler.cpu_busy_between("n", 0.0, elapsed)
+    busy = profiler.cpu_busy("n")
     assert busy <= cores * elapsed + 1e-9
+    assert busy <= node.cpu.stats.busy_time + 1e-9  # the queue counts a grant when it starts
     assert 0.0 <= profiler.cpu_utilization("n") <= float(cores) + 1e-9
     # Per-op charges only cover completed work, so the busy tree is also
     # bounded by what the timeline granted.
@@ -110,7 +121,7 @@ def test_node_busy_time_never_exceeds_elapsed(jobs, cores, seed):
         seconds for (n, domain, _op), (seconds, _c) in profiler.busy.items()
         if n == "n" and domain == "cpu"
     )
-    assert charged <= profiler._cpu_timeline["n"].total + 1e-9
+    assert charged <= node.cpu.stats.busy_time + 1e-9
 
 
 # ----------------------------------------------------------------------
@@ -151,12 +162,11 @@ def _enable(runtime, hooks):
 
 
 def _state(profiler):
+    """Every timeline read now, and the profile so far."""
+    now = profiler.runtime.now
     timelines = {"wlan": profiler._wlan_timeline, **profiler._cpu_timeline}
-    arrays = {}
-    for name, timeline in timelines.items():
-        total = timeline.total  # folds what is still queued
-        arrays[name] = (timeline._starts, timeline._ends, timeline._maxends, total)
-    return arrays, profiler.busy, dict(profiler._tally), profiler.event_counts
+    readings = {name: timeline.busy_until(now) for name, timeline in timelines.items()}
+    return readings, profiler.busy, dict(profiler._tally), profiler.event_counts
 
 
 cpu_jobs = st.lists(
@@ -207,15 +217,20 @@ def test_bound_recording_equals_the_public_hooks(
             runtime.kernel.schedule(at, nodes[src].send, "out", nodes[dst].address("in"), b"x" * size)
         if restart is not None:
             runtime.kernel.schedule(restart[1], nodes[restart[0]].restart)
+        states = []
         runtime.run(until=handover_at)  # jobs in service and frames queued across the handover
+        states.append([_state(profiler) for profiler in profilers])
         if handover != "keep":
             runtime.prof = None
         if handover == "swap":
             profilers.append(_enable(runtime, hooks))
         runtime.run(until=handover_at + 0.2)
+        states.append([_state(profiler) for profiler in profilers])
         if handover == "clear-then-enable":
             profilers.append(_enable(runtime, hooks))
         runtime.run(until=2.0)
-        return [_state(profiler) for profiler in profilers]
+        states.append([_state(profiler) for profiler in profilers])
+        samples = [(r.time, r.fields) for r in runtime.tracer.select(event=PROF_SAMPLE_EVENT)]
+        return states, samples
 
     assert profiles(public=False) == profiles(public=True)
