@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any
 
 from repro.net.frame import Frame
@@ -53,6 +54,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.base import Runtime
 
 __all__ = ["WlanConfig", "WlanMedium", "GilbertElliottConfig"]
+
+#: A flush's canonical frame order, ``(source station, frame_id)``, built
+#: in C rather than by a key frame per frame.
+_FLUSH_ORDER = attrgetter("source.station", "frame_id")
 
 
 @dataclass(frozen=True)
@@ -311,7 +316,8 @@ class WlanMedium(Medium):
         *which* frames were offered during the instant, not on the
         schedule order of the events that offered them.
         """
-        self._pending_cell.note_write()
+        if self._owner_runtime.san is not None:
+            self._pending_cell.note_write()
         self._pending.append(frame)
         if not self._flush_scheduled:
             self._flush_scheduled = True
@@ -320,16 +326,17 @@ class WlanMedium(Medium):
     def _flush(self) -> None:
         """Put all frames offered during this instant on the air."""
         self._flush_scheduled = False
-        self._pending_cell.note_read()
+        if self._owner_runtime.san is not None:
+            self._pending_cell.note_read()
         pending, self._pending = self._pending, []
         if len(pending) > 1:
-            pending.sort(key=lambda f: (f.source.station, f.frame_id))
+            pending.sort(key=_FLUSH_ORDER)
         for frame in pending:
             self._transmit_now(frame)
 
     def _transmit_now(self, frame: Frame) -> None:
         """Occupy the channel with ``frame`` and schedule its delivery."""
-        now = self._kernel.now
+        now = self._kernel._now
         config = self.config
         wire_size = frame.wire_size
         degradations: list[_Degradation] = []
@@ -347,22 +354,25 @@ class WlanMedium(Medium):
             # ``uniform(0.0, jitter_s)`` is ``0.0 + jitter_s * random()``:
             # the same single draw and the same float, without the wrapper.
             airtime += config.jitter_s * self._jitter_rng.random()
-        self._channel_cell.note_read()
+        runtime = self._owner_runtime
+        san = runtime.san
+        if san is not None:
+            self._channel_cell.note_read()
         start = self._channel_free_at
         if start < now:
             start = now
         finish = start + airtime
-        self._channel_cell.note_write()
+        if san is not None:
+            self._channel_cell.note_write()
         self._channel_free_at = finish
         self.frames_transmitted += 1
         self.total_airtime += airtime
-        runtime = self._owner_runtime
         prof = runtime.prof
         if prof is not None:
             station = frame.source.station
             entry = (
                 self._prof_stations.get(station)
-                if prof is self._prof and runtime.san is None
+                if prof is self._prof and san is None
                 else None
             )
             if entry is not None:

@@ -102,13 +102,28 @@ class Node:
         real runtime the function runs immediately. Dead nodes drop work
         silently (used by failure-injection tests).
         """
-        if not self._alive.value:
+        # Cell fields are read directly unless the sanitizer is watching,
+        # when ``.value`` records the same reads in the same order.
+        san = self.runtime.san
+        if not (self._alive._value if san is None else self._alive.value):
             return
         index = self._op_counts[op]
         self._op_counts[op] = index + 1
         if self.cpu is not None:
-            cost = self.cost_model.cost(op, nbytes, index)
-            incarnation = self._incarnation.value
+            # ``CostModel.cost(op, nbytes, index)``, priced inline: the
+            # same float expression, without its two frames.
+            model = self.cost_model
+            entry = model.ops.get(op)
+            if entry is None:
+                cost = 0.0
+            else:
+                cost = entry.base_s + entry.per_byte_s * nbytes
+                if index < entry.warmup_ops:
+                    cost += entry.warmup_extra_s
+                cost *= model.scale
+            incarnation = (
+                self._incarnation._value if san is None else self._incarnation.value
+            )
             # The op name becomes the job label, which is how the
             # profiler attributes this node's busy time per operation.
             self.cpu.submit(cost, self._guarded, op, (fn, args, incarnation))
@@ -120,7 +135,10 @@ class Node:
     ) -> None:
         # Work queued before a restart belongs to a dead incarnation: its
         # closures reference components that no longer exist.
-        if self._alive.value and incarnation == self._incarnation.value:
+        if self.runtime.san is None:
+            if self._alive._value and incarnation == self._incarnation._value:
+                fn(*args)
+        elif self._alive.value and incarnation == self._incarnation.value:
             fn(*args)
 
     def op_count(self, op: str) -> int:
@@ -139,10 +157,11 @@ class Node:
         self.interface.bind(service, self._guard_receiver(receiver))
 
     def _guard_receiver(self, receiver: Receiver) -> Receiver:
+        runtime = self.runtime
         alive = self._alive
 
         def guarded(source: Address, payload: bytes) -> None:
-            if alive.value:
+            if alive._value if runtime.san is None else alive.value:
                 receiver(source, payload)
 
         return guarded
@@ -152,7 +171,8 @@ class Node:
 
     def send(self, source_service: str, destination: Address, payload: bytes) -> None:
         """Transmit a datagram from this node."""
-        if not self._alive.value:
+        alive = self._alive
+        if not (alive._value if self.runtime.san is None else alive.value):
             return
         self.interface.send(source_service, destination, payload)
 

@@ -61,7 +61,7 @@ class SimRuntime(Runtime):
 
     @property
     def now(self) -> float:
-        return self.kernel.now
+        return self.kernel._now  # one frame, not two: read on every hop
 
     def call_later(
         self, delay: float, callback: Callable[..., None], *args: Any

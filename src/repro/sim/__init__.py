@@ -13,7 +13,7 @@ small and classical:
   and assertions in tests.
 """
 
-from repro.sim.events import EventHandle, EventQueue
+from repro.sim.events import EventHandle
 from repro.sim.kernel import SimKernel
 from repro.sim.resources import CpuResource, ResourceStats
 from repro.sim.trace import TraceRecord, Tracer
@@ -21,7 +21,6 @@ from repro.sim.trace import TraceRecord, Tracer
 __all__ = [
     "CpuResource",
     "EventHandle",
-    "EventQueue",
     "ResourceStats",
     "SimKernel",
     "TraceRecord",

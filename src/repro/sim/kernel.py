@@ -7,26 +7,33 @@ MQTT broker, middleware classes) are plain callbacks scheduled here.
 
 Hot path
 --------
-``run`` is the one pop/fire loop over the queue's tuple heap;
-:meth:`step` runs a single event through that same loop.  Two optional
-observers follow the one-attribute-load gate pattern used throughout the
-runtime (``repro.runtime.state``), each ``None`` by default and read once
-per ``run``: the ``monitor`` (the schedule sanitizer), whose setter caches
-its three bound hooks, and the ``tally`` mapping, which the loop bumps
-inline per executed handler — the profiler's event counts cost no Python
-call.
+The kernel owns its heap of ``(time, tiebreak, seq, handle)`` entries
+(ordering contract: :mod:`repro.sim.events`).  Each scheduler — ``schedule``,
+``schedule_at``, ``call_soon``, ``schedule_epilogue`` — is the push itself,
+so scheduling an event costs one Python frame: they differ only in how the
+time and the tiebreak are chosen.  ``run`` is the one pop/fire loop over the
+heap; :meth:`step` runs a single event through that same loop.  Three
+optional observers follow the one-attribute-load gate pattern used
+throughout the runtime (``repro.runtime.state``), each ``None`` by default:
+the tie-break perturbation (the sanitizer's replay), read once per push; the
+``monitor`` (the schedule sanitizer), whose setter caches its three bound
+hooks, read once per push and once per ``run``; and the ``tally`` mapping,
+which the loop bumps inline per executed handler — the profiler's event
+counts cost no Python call.
 """
 
 from __future__ import annotations
 
 import random
-from heapq import heappop
+from heapq import heappop, heappush
 from typing import Any, Callable, Protocol
 
 from repro.errors import ClockError
-from repro.sim.events import EventHandle, EventQueue
+from repro.sim.events import _EPILOGUE_BASE, EventHandle
 
 __all__ = ["KernelMonitor", "SimKernel", "handler_key"]
+
+_new_handle = EventHandle.__new__
 
 
 class KernelMonitor(Protocol):
@@ -74,7 +81,11 @@ class SimKernel:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._queue = EventQueue()
+        #: Heap of ``(time, tiebreak, seq, handle)`` entries.
+        self._heap: list[tuple[float, float, int, EventHandle]] = []
+        self._seq = 0
+        #: Seeded tie-break source (see :meth:`perturb_ties`); ``None`` is FIFO.
+        self._perturb: random.Random | None = None
         self._running = False
         self._events_processed = 0
         self._monitor: KernelMonitor | None = None
@@ -104,7 +115,7 @@ class SimKernel:
     @property
     def pending(self) -> int:
         """Number of events still scheduled (including cancelled husks)."""
-        return len(self._queue)
+        return len(self._heap)
 
     @property
     def current_event(self) -> EventHandle | None:
@@ -141,30 +152,44 @@ class SimKernel:
         pseudo-random order among equal timestamps instead of FIFO (the
         timestamps themselves are untouched, and the permuted schedule is
         itself exactly reproducible from the seed — see the ordering
-        contract in :mod:`repro.sim.events`).  ``None`` restores FIFO.
+        contract in :mod:`repro.sim.events`).  Events already pending keep
+        the tiebreak they were pushed with.  ``None`` restores FIFO.
         Only the sanitizer's perturbation replay uses this; it must be
         called before the events of interest are scheduled.
         """
-        self._queue.set_perturbation(
-            None if seed is None else random.Random(seed)
-        )
+        self._perturb = None if seed is None else random.Random(seed)
 
     @property
     def perturbed(self) -> bool:
         """Whether equal-timestamp perturbation is currently installed."""
-        return self._queue.perturbed
+        return self._perturb is not None
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
 
+    # Each scheduler below is the push: a NaN time or delay fails its
+    # inverted comparison, so it is refused at no extra cost.
+
     def schedule(
         self, delay: float, callback: Callable[..., None], *args: Any
     ) -> EventHandle:
         """Run ``callback(*args)`` after ``delay`` seconds of virtual time."""
-        if delay < 0:
+        if not delay >= 0:  # noqa: SIM201 - also catches NaN
             raise ClockError(f"cannot schedule in the past (delay={delay})")
-        handle = self._queue.push(self._now + delay, callback, args)
+        time = self._now + delay
+        perturb = self._perturb
+        tiebreak = 0.0 if perturb is None else perturb.random()
+        seq = self._seq
+        self._seq = seq + 1
+        handle = _new_handle(EventHandle)
+        handle.time = time
+        handle.seq = seq
+        handle.tiebreak = tiebreak
+        handle.callback = callback
+        handle.args = args
+        handle.cancelled = False
+        heappush(self._heap, (time, tiebreak, seq, handle))
         hook = self._hook_scheduled
         if hook is not None:
             hook(handle, self._current)
@@ -174,11 +199,22 @@ class SimKernel:
         self, time: float, callback: Callable[..., None], *args: Any
     ) -> EventHandle:
         """Run ``callback(*args)`` at absolute virtual ``time``."""
-        if time < self._now:
+        if not time >= self._now:  # noqa: SIM201 - also catches NaN
             raise ClockError(
                 f"cannot schedule at t={time} before current time t={self._now}"
             )
-        handle = self._queue.push(time, callback, args)
+        perturb = self._perturb
+        tiebreak = 0.0 if perturb is None else perturb.random()
+        seq = self._seq
+        self._seq = seq + 1
+        handle = _new_handle(EventHandle)
+        handle.time = time
+        handle.seq = seq
+        handle.tiebreak = tiebreak
+        handle.callback = callback
+        handle.args = args
+        handle.cancelled = False
+        heappush(self._heap, (time, tiebreak, seq, handle))
         hook = self._hook_scheduled
         if hook is not None:
             hook(handle, self._current)
@@ -186,8 +222,21 @@ class SimKernel:
 
     def call_soon(self, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Run ``callback(*args)`` at the current instant, after pending
-        same-instant events already queued."""
-        handle = self._queue.push(self._now, callback, args)
+        same-instant events already queued.  (The clock is never NaN: every
+        other scheduler refuses one.)"""
+        time = self._now
+        perturb = self._perturb
+        tiebreak = 0.0 if perturb is None else perturb.random()
+        seq = self._seq
+        self._seq = seq + 1
+        handle = _new_handle(EventHandle)
+        handle.time = time
+        handle.seq = seq
+        handle.tiebreak = tiebreak
+        handle.callback = callback
+        handle.args = args
+        handle.cancelled = False
+        heappush(self._heap, (time, tiebreak, seq, handle))
         hook = self._hook_scheduled
         if hook is not None:
             hook(handle, self._current)
@@ -204,6 +253,10 @@ class SimKernel:
         normal event scheduled for that instant — including ones not queued
         yet, and regardless of tie-break perturbation.  Epilogues at one
         instant run in ``priority`` order (then FIFO within a priority).
+        (A normal event scheduled *while* an epilogue runs still precedes
+        any epilogue scheduled later; the contract is only meaningful for
+        the buffer-then-flush pattern, where the epilogue schedules
+        strictly-future work.)
 
         This is the flush half of the buffer-then-flush pattern (e.g. the
         WLAN medium collects same-instant transmits and flushes them onto
@@ -213,11 +266,22 @@ class SimKernel:
         flushes — e.g. chaos fault application (priority 1), so a fault at
         *t* lands after the instant's normal traffic under every schedule.
         """
-        if delay < 0:
+        if not delay >= 0:  # noqa: SIM201 - also catches NaN
             raise ClockError(f"cannot schedule in the past (delay={delay})")
-        handle = self._queue.push(
-            self._now + delay, callback, args, epilogue=True, priority=priority
-        )
+        if priority < 0:
+            raise ValueError(f"epilogue priority must be >= 0, got {priority}")
+        time = self._now + delay
+        tiebreak = _EPILOGUE_BASE + priority
+        seq = self._seq
+        self._seq = seq + 1
+        handle = _new_handle(EventHandle)
+        handle.time = time
+        handle.seq = seq
+        handle.tiebreak = tiebreak
+        handle.callback = callback
+        handle.args = args
+        handle.cancelled = False
+        heappush(self._heap, (time, tiebreak, seq, handle))
         hook = self._hook_scheduled
         if hook is not None:
             hook(handle, self._current)
@@ -244,7 +308,7 @@ class SimKernel:
         if self._running:
             raise ClockError("kernel is already running (re-entrant run call)")
         self._running = True
-        heap = self._queue._heap
+        heap = self._heap
         pop = heappop
         hook_begin = self._hook_begin
         hook_end = self._hook_end
@@ -292,7 +356,10 @@ class SimKernel:
     def run_until_idle(self, max_events: int = 10_000_000) -> None:
         """Run until no events remain; guard against runaway loops."""
         self.run(max_events=max_events)
-        if self._queue.peek_time() is not None:
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heappop(heap)
+        if heap:
             raise ClockError(
                 f"kernel still busy after {max_events} events — runaway schedule?"
             )

@@ -141,13 +141,26 @@ class CpuResource:
         stats.jobs_submitted += 1
         if not queue and self._busy < self._servers:
             # Idle server: the job would be appended and popped at once.
-            # Start it directly; the depth-1 queue it would have formed
-            # still counts in both watermarks.
+            # Start it here, as ``_start`` would; the depth-1 queue it would
+            # have formed still counts in both watermarks.
             if stats.max_queue_length < 1:
                 stats.max_queue_length = 1
             if self._window_peak_queue < 1:
                 self._window_peak_queue = 1
-            self._start(cost, on_done, label, args)
+            self._busy += 1
+            service = cost / self._speed
+            stats.busy_time += service
+            runtime = self._runtime
+            prof = runtime.prof
+            if prof is not None:
+                if prof is self._prof_started and runtime.san is None:
+                    self._prof_grants.append((self._kernel._now, service))
+                else:
+                    self._prof_grants = prof.on_cpu_start(self.name, label, service)
+                    self._prof_started = prof
+            self._kernel.schedule(
+                service, self._complete, label, service, on_done, args
+            )
             return
         if (
             self.queue_limit is not None
@@ -162,7 +175,8 @@ class CpuResource:
             stats.max_queue_length = depth
         if depth > self._window_peak_queue:
             self._window_peak_queue = depth
-        self._dispatch()
+        while self._busy < self._servers and queue:
+            self._start(*queue.popleft())
 
     def take_queue_watermark(self) -> int:
         """Peak waiting-queue depth since the last call (then reset).
@@ -174,11 +188,6 @@ class CpuResource:
         self._window_peak_queue = len(self._queue)
         return peak
 
-    def _dispatch(self) -> None:
-        queue = self._queue
-        while self._busy < self._servers and queue:
-            self._start(*queue.popleft())
-
     def _start(
         self,
         cost: float,
@@ -186,6 +195,8 @@ class CpuResource:
         label: str,
         args: tuple[Any, ...],
     ) -> None:
+        """Start a job taken from the waiting queue (an idle server's job
+        starts inline in :meth:`submit`)."""
         self._busy += 1
         service = cost / self._speed
         self.stats.busy_time += service
@@ -226,8 +237,9 @@ class CpuResource:
                 self._prof_ended = prof
         if on_done is not None:
             on_done(*args)
-        if self._queue:
-            self._dispatch()
+        queue = self._queue
+        while queue and self._busy < self._servers:
+            self._start(*queue.popleft())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

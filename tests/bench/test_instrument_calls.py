@@ -20,15 +20,16 @@ from repro.prof import enable_profiling
 
 WARM_UP_S = 10.0
 WINDOW_S = 60.0
-#: Python calls the profiler adds to the window: 4 203 measured (2 602 661
-#: against 2 598 458 plain; CPython 3.11.7) — the 60 ticks' sampling, folds
-#: and retirement, and one first-seen job label — pinned at x 1.08. Each
-#: grant cost three to six calls and each event one while the profiler was
-#: fed through hook calls and a kernel monitor: 647 334 added.
-ADDED_CALLS = 4_539
-#: Calls any one ``repro/prof/`` function may make per sample tick (the
-#: busiest, the timeline fold, runs twice per timeline: 16 at fig5's 7 CPUs).
-PER_TICK = 20
+#: Python calls the profiler adds to the window: 3 062 measured (1 700 412
+#: against 1 697 350 plain; CPython 3.11.7) — the 60 ticks' reads of each
+#: busy timeline's running total, and one first-seen job label — pinned at
+#: x 1.08. Each grant cost three to six calls and each event one while the
+#: profiler was fed through hook calls and a kernel monitor: 647 334 added.
+ADDED_CALLS = 3_306
+#: Calls any one ``repro/prof/`` function may make per sample tick: the
+#: busiest, ``busy_until``, reads each busy timeline once a tick — 8 at
+#: fig5's 7 CPUs and one channel — pinned at x 1.08.
+PER_TICK = 9
 
 
 def _totals(runtime) -> tuple[int, int, int]:

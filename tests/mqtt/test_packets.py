@@ -15,7 +15,7 @@ from repro.net.address import Address
 from repro.net.frame import Frame
 from repro.obs.context import FlowContext, Span
 from repro.runtime.state import StateCell
-from repro.sim.events import EventQueue
+from repro.sim.kernel import SimKernel
 from repro.sim.trace import TraceRecord
 
 
@@ -150,7 +150,7 @@ def test_copies_inherit_the_payload_fragment(monkeypatch):
         lambda: Packet.puback(1),
         lambda: Inflight(Packet.puback(1), 5),
         lambda: Frame(Address("a", "s"), Address("b", "s"), b"x", 1),
-        lambda: EventQueue().push(0.0, print, ()),
+        lambda: SimKernel().schedule(0.0, print),
         lambda: TraceRecord(0.0, "src", "event"),
         lambda: Span(FlowContext("t", "s"), "span", "node", 0, 0.0),
         lambda: StateCell(None, "owner:name", ("file", 1)),

@@ -1,4 +1,4 @@
-"""Property test: the event queue against a ``(time, seq)`` model.
+"""Property test: the kernel's heap against a ``(time, seq)`` model.
 
 A handle is a reference to exactly one event for as long as anyone keeps
 it: cancelling through a kept handle before its event fires removes that
@@ -12,16 +12,12 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.events import EventQueue
+from repro.sim.kernel import SimKernel
 
 
-def _fire_one(queue: EventQueue, fired: list[int]) -> bool:
-    """Pop and execute one event, like the kernel run loop."""
-    handle = queue.pop()
-    if handle is None:
-        return False
-    handle.callback(*handle.args)
-    return True
+def _fire_one(kernel: SimKernel) -> bool:
+    """One kernel step: pop and execute the next live event."""
+    return kernel.step()
 
 
 # One operation of the interleaving:
@@ -43,9 +39,9 @@ _ops = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(ops=st.lists(_ops, max_size=80))
 def test_interleavings_match_time_seq_model(ops):
-    """Random schedule/cancel/fire interleavings: the queue fires exactly
+    """Random schedule/cancel/fire interleavings: the kernel fires exactly
     the events a pure model says it should, in exactly the model's order."""
-    queue = EventQueue()
+    kernel = SimKernel()
     fired: list[int] = []
     # Model rows: [event_id, time, seq, cancelled, fired, kept_handle|None]
     model: list[list] = []
@@ -59,7 +55,7 @@ def test_interleavings_match_time_seq_model(ops):
             time = now + bump
             event_id = next_id
             next_id += 1
-            handle = queue.push(time, fired.append, (event_id,))
+            handle = kernel.schedule_at(time, fired.append, event_id)
             model.append([event_id, time, handle.seq, False, False, None])
             if keep:
                 model[-1][5] = handle
@@ -71,7 +67,7 @@ def test_interleavings_match_time_seq_model(ops):
             row = model[kept[op[1] % len(kept)]]
             # Cancel through the kept handle — even if the event already
             # fired. The model only honours pre-fire cancellation; the
-            # real queue must agree, i.e. a stale cancel must never leak
+            # real kernel must agree, i.e. a stale cancel must never leak
             # into another event.
             row[5].cancel()
             if not row[4]:
@@ -79,10 +75,10 @@ def test_interleavings_match_time_seq_model(ops):
         else:  # fire
             live = [r for r in model if not r[3] and not r[4]]
             if not live:
-                assert not _fire_one(queue, fired)
+                assert not _fire_one(kernel)
                 continue
             expected = min(live, key=lambda r: (r[1], r[2]))
-            assert _fire_one(queue, fired)
+            assert _fire_one(kernel)
             assert fired[-1] == expected[0]
             expected[4] = True
             now = expected[1]
@@ -93,7 +89,7 @@ def test_interleavings_match_time_seq_model(ops):
         key=lambda r: (r[1], r[2]),
     )
     before = len(fired)
-    while _fire_one(queue, fired):
+    while _fire_one(kernel):
         pass
     assert fired[before:] == [r[0] for r in remaining]
     # Nothing fired twice, nothing cancelled-before-fire fired at all.

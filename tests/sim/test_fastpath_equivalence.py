@@ -9,7 +9,10 @@ the same scenario under each toggle and require byte-identical digests:
 * ``packets.WIRE_FASTPATH = False`` — every packet round-trips through
   canonical JSON bytes instead of the in-process decode bypass;
 * profiler attached / detached — the kernel's run loop with and without
-  monitor hooks.
+  the profiler's tally;
+* a pass-through :class:`~repro.sim.kernel.KernelMonitor`, and the schedule
+  sanitizer attached but not perturbing — the kernel's monitor gate and
+  every tracked cell's ``runtime.san`` gate taken the other way.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from repro.chaos import run_scenario
 from repro.mqtt import packets
 from repro.prof import profile_digest
 from repro.registry import fault_scenarios
+from repro.san import SimSan
 from repro.sim.trace import trace_digest
 
 CHAOS_SCENARIOS = fault_scenarios()
@@ -36,6 +40,30 @@ def _digest_excluding(tracer, sources) -> str:
     """
     return trace_digest(r for r in tracer if r.source not in sources)
 
+
+class _PassThrough:
+    """A :class:`~repro.sim.kernel.KernelMonitor` that does nothing."""
+
+    def event_scheduled(self, handle, parent):
+        pass
+
+    def event_begin(self, handle):
+        pass
+
+    def event_end(self, handle):
+        pass
+
+
+def _attach_pass_through(runtime) -> None:
+    runtime.kernel.monitor = _PassThrough()
+
+
+def _attach_san(runtime) -> None:
+    SimSan().install(runtime)
+
+
+#: The gate branches a ``prepare`` hook can take the other way.
+GATES = {"monitor": _attach_pass_through, "san": _attach_san}
 
 #: Short fig5 run — equivalence is about digests matching across
 #: configurations, not about the full 30 s workload.
@@ -67,6 +95,21 @@ def test_hooks_on_equivalence(name, chaos_baseline):
     assert profiled.runtime.prof.events_profiled > 0
 
 
+@pytest.mark.parametrize("gate", GATES)
+@pytest.mark.parametrize("name", CHAOS_SCENARIOS)
+def test_gate_branch_equivalence(name, gate, chaos_baseline):
+    """A monitor on the kernel, or the sanitizer on the kernel and every
+    state cell, observes the run without changing it."""
+    watched = run_scenario(name, seed=0, prepare=GATES[gate])
+    base = chaos_baseline[name]
+    assert watched.runtime.kernel.monitor is not None
+    assert watched.trace_digest == base.trace_digest
+    assert (
+        watched.runtime.kernel.events_processed
+        == base.runtime.kernel.events_processed
+    )
+
+
 @pytest.mark.parametrize("name", CHAOS_SCENARIOS)
 def test_wire_fastpath_off_equivalence(name, chaos_baseline, monkeypatch):
     monkeypatch.setattr(packets, "WIRE_FASTPATH", False)
@@ -81,12 +124,16 @@ def test_wire_fastpath_off_equivalence(name, chaos_baseline, monkeypatch):
 # ----------------------------------------------------------------------
 
 
-def _run_fig5(profiled: bool = True):
+def _run_fig5(profiled: bool = True, prepare=None):
     from repro.bench.scenarios import FIG5
     from repro.scenario import run
 
     return run(
-        FIG5, seed=55, duration_s=FIG5_DURATION_S, profile=profiled
+        FIG5,
+        seed=55,
+        duration_s=FIG5_DURATION_S,
+        profile=profiled,
+        prepare=prepare,
     ).runtime
 
 
@@ -112,12 +159,24 @@ def test_fig5_wire_fastpath_off_equivalence(fig5_baseline, monkeypatch):
     assert profile_digest(runtime.prof) == fig5_baseline["profile_digest"]
 
 
-def test_fig5_hooks_off_equivalence(fig5_baseline):
-    """With no monitor attached the kernel calls no hook; the application
-    trace must not notice."""
-    runtime = _run_fig5(profiled=False)
-    assert runtime.prof is None
-    assert trace_digest(runtime.tracer) == fig5_baseline["app_trace_digest"]
+@pytest.fixture(scope="module")
+def fig5_plain():
+    return _run_fig5(profiled=False)
+
+
+def test_fig5_hooks_off_equivalence(fig5_baseline, fig5_plain):
+    """With no profiler attached the kernel tallies nothing; the
+    application trace must not notice."""
+    assert fig5_plain.prof is None
+    assert trace_digest(fig5_plain.tracer) == fig5_baseline["app_trace_digest"]
+
+
+@pytest.mark.parametrize("gate", GATES)
+def test_fig5_gate_branch_equivalence(gate, fig5_plain):
+    runtime = _run_fig5(profiled=False, prepare=GATES[gate])
+    assert runtime.kernel.monitor is not None
+    assert trace_digest(runtime.tracer) == trace_digest(fig5_plain.tracer)
+    assert runtime.kernel.events_processed == fig5_plain.kernel.events_processed
 
 
 def test_fig5_all_toggles_off_equivalence(fig5_baseline, monkeypatch):

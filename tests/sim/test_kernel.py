@@ -42,6 +42,33 @@ def test_schedule_in_past_rejected():
         k.schedule_at(4.0, lambda: None)
 
 
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        lambda k: k.schedule(float("nan"), print),
+        lambda k: k.schedule_at(float("nan"), print),
+        lambda k: k.schedule_epilogue(print, delay=float("nan")),
+    ],
+    ids=["schedule", "schedule_at", "schedule_epilogue"],
+)
+def test_nan_time_rejected(schedule):
+    """A NaN passes ``delay < 0`` and ``time < now`` alike; it must not
+    reach the heap, where it would fire first and leave ``now`` NaN."""
+    k = SimKernel()
+    fired = []
+    k.schedule(1.0, fired.append, "a")
+    k.run(until=0.5)
+    with pytest.raises(ClockError):
+        schedule(k)
+    assert k.pending == 1
+    # The clock stays a number, so ``call_soon`` (which takes no time of
+    # its own) schedules at a real instant.
+    k.call_soon(fired.append, "soon")
+    k.run()
+    assert fired == ["soon", "a"]
+    assert k.now == 1.0
+
+
 def test_call_soon_runs_at_current_time_in_order():
     k = SimKernel()
     order = []
