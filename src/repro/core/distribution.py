@@ -122,7 +122,7 @@ class SubscribeClass(Component):
     def streams(self) -> list[str]:
         return sorted(self._by_topic.values())
 
-    def _on_message(self, topic: str, payload: object, _packet: Packet) -> None:
+    def _on_message(self, topic: str, payload: object, packet: Packet) -> None:
         if self.stopped:
             return
         stream = self._by_topic.get(topic)
@@ -135,7 +135,7 @@ class SubscribeClass(Component):
             self.trace("flow.decode_error", topic=topic)
             return
         if self.runtime.obs is not None:
-            headers = _packet.get("headers") or {}
+            headers = packet.fields.get("headers") or {}
             wire = headers.get("obs")
             if wire is not None:
                 record.ctx = FlowContext.from_wire(wire)

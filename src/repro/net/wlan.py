@@ -207,12 +207,10 @@ class WlanMedium(Medium):
         from repro.runtime.state import tracked_state
 
         owner: Any = runtime if runtime is not None else NO_RUNTIME
-        # Kept for the profiler hook: airtime grants are charged to
-        # ``runtime.prof``, straight into the storage its hook returned
-        # (the channel timeline's list, the station cells) once bound.
+        # Kept for the profiler hook: airtime is charged to ``runtime.prof``,
+        # straight into the station cells its hook returned once bound.
         self._owner_runtime = owner
         self._prof: Any = None
-        self._prof_airtime: Any = None
         self._prof_stations: Any = None
         # The pending buffer is commutative by construction: the canonical
         # flush sort erases append order.
@@ -376,13 +374,10 @@ class WlanMedium(Medium):
                 else None
             )
             if entry is not None:
-                self._prof_airtime.append((start, airtime))
                 entry[0] += airtime
                 entry[1] += 1.0
             else:
-                self._prof_airtime, self._prof_stations = prof.on_airtime(
-                    station, start, airtime
-                )
+                self._prof_stations = prof.on_airtime(self, station, airtime)
                 self._prof = prof
         delivery_time = finish + config.propagation_delay_s
 
@@ -430,7 +425,7 @@ class WlanMedium(Medium):
     @property
     def channel_backlog(self) -> float:
         """Seconds of airtime currently queued ahead of a new frame."""
-        return max(0.0, self._channel_free_at - self._kernel.now)
+        return max(0.0, self._channel_free_at - self._kernel._now)
 
     def utilization(self) -> float:
         """Fraction of elapsed virtual time the channel has been busy."""

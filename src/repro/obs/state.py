@@ -32,6 +32,7 @@ byte-identical trace dumps — nothing here reads wall-clock, ``random`` or
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import ConfigurationError
@@ -55,6 +56,9 @@ SAMPLE_EVERY = 8
 
 #: Keys :meth:`ObsState.finish` writes itself; a span field may not reuse one.
 _RESERVED = frozenset({"trace", "span", "parent", "name", "hop", "inc", "start"})
+
+#: Builds a :class:`FlowContext` in C, without the namedtuple's ``__new__``.
+_new_context = partial(tuple.__new__, FlowContext)
 
 
 class ObsState:
@@ -99,22 +103,25 @@ class ObsState:
     ) -> Span:
         """Open a span; roots (``parent=None``) also open a new trace."""
         return Span(
-            self._context(parent),
+            self._context(parent, fields),
             name,
             node.name,
-            node.incarnation,
+            node._incarnation._value if self.runtime.san is None else node.incarnation,
             self.runtime.now if start is None else start,
             tuple(links),
             fields,
         )
 
-    def _context(self, parent: FlowContext | None) -> FlowContext:
-        """A new span's context: its id drawn, then (for a root) its trace's."""
+    def _context(self, parent: FlowContext | None, fields: dict) -> FlowContext:
+        """A new span's context: its fields checked, then its id drawn, then
+        (for a root) its trace's — a refused span draws nothing."""
+        if fields and not _RESERVED.isdisjoint(fields):
+            raise TypeError(f"reserved span field in {sorted(fields)}")
         ids = self.runtime.ids
         span_id = f"sp-{ids.next_int('obs.span')}"
         if parent is None:
-            return FlowContext(f"tr-{ids.next_int('obs.trace')}", span_id, "", 0)
-        return FlowContext(parent.trace_id, span_id, parent.span_id, parent.hop + 1)
+            return _new_context((f"tr-{ids.next_int('obs.trace')}", span_id, "", 0))
+        return _new_context((parent.trace_id, span_id, parent.span_id, parent.hop + 1))
 
     def finish(self, span: Span, **fields: Any) -> FlowContext:
         """Close ``span`` now and return its context.
@@ -123,6 +130,8 @@ class ObsState:
         stores it or a tap wants it.
         """
         if fields:
+            if not _RESERVED.isdisjoint(fields):  # before the span is counted
+                raise TypeError(f"reserved span field in {sorted(fields)}")
             span.fields.update(fields)
         return self._close(
             span.ctx, span.name, span.node, span.incarnation, span.start, span.links, span.fields
@@ -139,8 +148,6 @@ class ObsState:
         fields: dict[str, Any],
     ) -> FlowContext:
         self.spans_emitted += 1
-        if not _RESERVED.isdisjoint(fields):  # consumed or not
-            raise TypeError(f"reserved span field in {sorted(fields)}")
         tracer = self.runtime.tracer
         if tracer.wants(SPAN_EVENT):
             record = {
@@ -168,8 +175,9 @@ class ObsState:
     ) -> FlowContext:
         """Zero-duration span (a causal hop without a measured interval):
         ``finish(start_span(...))`` without building the :class:`Span`."""
-        ctx = self._context(parent)
-        return self._close(ctx, name, node.name, node.incarnation, self.runtime.now, links, fields)
+        ctx = self._context(parent, fields)
+        inc = node._incarnation._value if self.runtime.san is None else node.incarnation
+        return self._close(ctx, name, node.name, inc, self.runtime.now, links, fields)
 
     # ------------------------------------------------------------------
     # Metrics

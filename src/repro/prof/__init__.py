@@ -1,35 +1,18 @@
-"""Deterministic sim-time profiling: resource accounting over virtual time.
+"""Deterministic sim-time profiling: which resource the virtual time went to.
 
-PR 2's observability layer answers *how long* a flow took; this package
-answers *which resource the time was spent on*. It has two halves (see
-``docs/ARCHITECTURE.md`` — "Profiling"):
-
-* :mod:`repro.prof.profiler` — the :class:`Profiler` attached to a
-  runtime as ``runtime.prof``, fed by the CPU queues
-  (:mod:`repro.sim.resources`) and the WLAN medium (:mod:`repro.net.wlan`),
-  which call its hooks once and then record each grant straight into the
-  storage they returned, and by the kernel's handler tally
-  (:attr:`SimKernel.tally <repro.sim.kernel.SimKernel.tally>`);
-  it accumulates a node → domain → operation busy-time profile plus
-  utilization timelines sampled into the trace on a fixed sim-time
-  cadence (kernel epilogues, so samples are schedule-invariant);
-* :mod:`repro.prof.report` — exports: the "where did the millisecond
-  go" text tree, folded-stack flamegraph lines, Chrome ``trace_event``
-  counter tracks, a JSON dict, and a profile digest for regression
-  gating.
-
-Like ``runtime.obs`` and ``runtime.san``, profiling is strictly opt-in:
-``runtime.prof`` is ``None`` by default and every hook site guards on
-that, so the disabled cost is one attribute load per hook. Enabled, a
-bound grant or a kernel event costs no Python call: the profiler's own
-frames run per sample tick only.
+:mod:`repro.prof.profiler` holds the :class:`Profiler` (``runtime.prof``):
+a node → domain → operation busy-time profile, the kernel's handler counts
+and utilization timelines read from the CPUs' and the channel's own totals.
+:mod:`repro.prof.report` exports it (text tree, folded stacks, Chrome
+counters, JSON, digest). Opt-in like ``runtime.obs``: off, a hook site
+costs one attribute load; on, a grant or a kernel event costs no Python
+call (see ``docs/ARCHITECTURE.md`` — "Profiling").
 """
 
 from __future__ import annotations
 
 from repro.prof.profiler import (
     PROF_SAMPLE_EVENT,
-    BusyIntegrator,
     Profiler,
     enable_profiling,
 )
@@ -44,7 +27,6 @@ from repro.prof.report import (
 
 __all__ = [
     "PROF_SAMPLE_EVENT",
-    "BusyIntegrator",
     "Profiler",
     "enable_profiling",
     "chrome_counter_events",

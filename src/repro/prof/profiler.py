@@ -9,13 +9,12 @@ either. Three design points make that hold:
 * **Commutative accumulation.** Busy time is summed per
   ``(node, domain, operation)`` key; sums and counts are invariant to
   the order same-instant events fire in.
-* **Interval bookkeeping.** A resource grant (a CPU service, a WLAN
-  airtime occupation) is recorded as a closed interval on the virtual
-  timeline (:class:`BusyIntegrator`), so "busy time inside a sampling
-  window" is geometric overlap, not charge-at-submit bookkeeping — a
-  node's busy time up to *t* can never exceed ``servers * t``. Every
-  window ends *now*: a reader keeps its previous reading of the running
-  total and takes the difference.
+* **Readings from the resources' own totals.** A CPU's busy time is
+  ``stats.busy_time`` less the unelapsed part of its jobs in service; the
+  channel's is ``total_airtime`` less its backlog. Each is read at *now*,
+  minus its value at the bind and never below the previous reading, so a
+  node's busy time up to *t* never exceeds ``servers * t`` and a window's
+  busy time is the difference of two readings.
 * **Epilogue sampling.** The utilization sampler runs as a kernel
   *epilogue* (after every normal event of its instant, perturbed or
   not), so the state it snapshots — queue watermarks, broker occupancy —
@@ -24,6 +23,7 @@ either. Three design points make that hold:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.obs.metrics import metric_key
@@ -33,7 +33,7 @@ from repro.sim.kernel import handler_key
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.base import Runtime
 
-__all__ = ["PROF_SAMPLE_EVENT", "BusyIntegrator", "Profiler", "enable_profiling"]
+__all__ = ["PROF_SAMPLE_EVENT", "Profiler", "enable_profiling"]
 
 #: Trace event name under which utilization samples are recorded.
 PROF_SAMPLE_EVENT = "prof.sample"
@@ -43,50 +43,23 @@ PROF_SAMPLE_EVENT = "prof.sample"
 _SAMPLER_PRIORITY = 2
 
 
-class BusyIntegrator:
-    """A running busy total on the virtual timeline, read at nondecreasing instants.
+@dataclass(slots=True)
+class _Timeline:
+    """A CPU's or the channel's running total at the bind (``base``) and the
+    previous reading (``last``; readings never decrease)."""
 
-    Grants arrive as ``(start, duration)`` on :attr:`pending`: a bound hook
-    site appends there with no Python call. They may overlap (k-server
-    CPUs, queued airtime grants) and may start after the instant they are
-    recorded at (airtime queued behind the channel), never before the last
-    read. :meth:`busy_until` folds them in and adds, per grant, its overlap
-    with the span since the previous read, so it holds only the grants not
-    yet elapsed at the last read: at most ``servers`` on a CPU, plus any
-    queued airtime on the channel. A reader keeps its own previous reading;
-    the busy time of its window is the difference.
-    """
+    resource: Any
+    base: float
+    last: float = 0.0
 
-    __slots__ = ("pending", "_held", "_busy", "_read_at")
 
-    def __init__(self) -> None:
-        #: ``(start, duration)`` grants not folded in yet (emptied in place).
-        self.pending: list[tuple[float, float]] = []
-        #: Grants that had not elapsed at the last read.
-        self._held: list[tuple[float, float]] = []
-        self._busy = 0.0
-        self._read_at = 0.0
-
-    def busy_until(self, t: float) -> float:
-        """Busy seconds in ``[0, t]``; ``t`` may not be behind the last read."""
-        last = self._read_at
-        if t < last:
-            raise ValueError(f"read at {t} is behind the previous read at {last}")
-        busy = self._busy
-        held: list[tuple[float, float]] = []
-        for grant in self._held + self.pending:
-            start, duration = grant
-            end = start + duration
-            overlap = (end if end < t else t) - (start if start > last else last)
-            if overlap > 0.0:
-                busy += overlap
-            if end > t:
-                held.append(grant)
-        self.pending.clear()
-        self._held = held
-        self._busy = busy
-        self._read_at = t
-        return busy
+def _cpu_total(cpu: Any, now: float) -> float:
+    """Seconds ``cpu`` has served by ``now``: all it granted, less the unelapsed."""
+    busy = cpu.stats.busy_time
+    for end in cpu.ends_in_service:
+        if end > now:
+            busy -= end - now
+    return busy
 
 
 def _node_of(resource_name: str) -> str:
@@ -99,14 +72,13 @@ class Profiler:
 
     Attached to a runtime as ``runtime.prof`` by :func:`enable_profiling`.
     The charging API is :meth:`on_cpu_start` / :meth:`on_cpu_end` (one CPU
-    service, :class:`~repro.sim.resources.CpuResource`), :meth:`on_airtime`
-    (one WLAN channel occupation) and :meth:`event_begin` (one kernel
-    handler). A CPU or WLAN site calls its hook once, to bind, and then
-    records grants into the storage the hook returned, with no Python call;
-    it calls the hook again when ``runtime.prof`` is another profiler, and
-    every time while ``runtime.san`` is set (the sanitizer sees each
-    ``prof:accounting`` write). The kernel counts handlers into
-    :attr:`SimKernel.tally <repro.sim.kernel.SimKernel.tally>`.
+    service), :meth:`on_airtime` (one channel occupation) and
+    :meth:`event_begin` (one kernel handler). A CPU or WLAN site calls its
+    hooks once, to bind, and then charges the cells they returned inline;
+    it calls them again for another ``runtime.prof``, and every time while
+    ``runtime.san`` is set (the sanitizer sees each ``prof:accounting``
+    write). The kernel's handlers reach :attr:`_tally` through
+    :meth:`SimKernel.fold_tally <repro.sim.kernel.SimKernel.fold_tally>`.
     """
 
     def __init__(self, runtime: "Runtime", interval_s: float = 1.0) -> None:
@@ -118,10 +90,10 @@ class Profiler:
         #: (node, domain, operation) -> [busy_s, completions]; charged at
         #: grant completion, so the tree covers finished work only.
         self._busy: dict[tuple[str, str, str], list[float]] = {}
-        #: Per-node CPU busy timelines (aggregate over servers).
-        self._cpu_timeline: dict[str, BusyIntegrator] = {}
-        #: Shared-channel airtime timeline.
-        self._wlan_timeline = BusyIntegrator()
+        #: Per-node CPU busy timelines (a node's one CPU, aggregate over
+        #: servers), and the channel's once a grant has bound it.
+        self._cpu_timeline: dict[str, _Timeline] = {}
+        self._wlan_timeline: _Timeline | None = None
         #: The sampler's previous readings: node -> CPU busy, and the channel's.
         self._sampled_cpu: dict[str, float] = {}
         self._sampled_wlan = 0.0
@@ -138,35 +110,32 @@ class Profiler:
         self._keys: dict[Any, Any] = {}
         self._last_sample_t = runtime.now
         self._sampling = False
-        # All profiler accumulation is commutative (sums, counts, interval
-        # unions), so concurrent same-instant charges are benign; the
-        # sampler itself runs as an end-of-instant epilogue.
+        # All profiler accumulation is commutative (sums and counts), so
+        # concurrent same-instant charges are benign; the sampler itself
+        # runs as an end-of-instant epilogue.
         self._cell = tracked_state(runtime, "prof", "accounting")  # repro: san-ok[SAN001]
 
     # ------------------------------------------------------------------
     # CPU hooks (repro.sim.resources)
     # ------------------------------------------------------------------
 
-    def on_cpu_start(self, resource_name: str, label: str, service_s: float) -> list:
-        """One job entered service on a CPU for ``service_s`` seconds; returns
-        the node timeline's ``pending`` list, for later ``(start, service_s)``."""
+    def on_cpu_start(self, cpu: Any, label: str, service_s: float) -> None:
+        """A job entered service on ``cpu`` (its end instant already kept);
+        the first call binds the node's timeline at the CPU's total now."""
         self._cell.note_write()
-        node = _node_of(resource_name)
-        timeline = self._cpu_timeline.get(node)
-        if timeline is None:
-            timeline = self._cpu_timeline[node] = BusyIntegrator()
-        timeline.pending.append((self.runtime.now, service_s))
-        return timeline.pending
+        node = _node_of(cpu.name)
+        if node not in self._cpu_timeline:
+            self._cpu_timeline[node] = _Timeline(cpu, _cpu_total(cpu, self.runtime.now))
 
-    def on_cpu_end(self, resource_name: str, label: str, service_s: float) -> dict:
+    def on_cpu_end(self, cpu: Any, label: str, service_s: float) -> dict:
         """The job's service elapsed; charge it to the profile tree. Returns
         the resource's label -> ``[busy_s, completions]`` cells."""
         self._cell.note_write()
-        cells = self._resource_busy.setdefault(resource_name, {})
+        cells = self._resource_busy.setdefault(cpu.name, {})
         entry = cells.get(label)
         if entry is None:
             entry = cells[label] = self._busy.setdefault(
-                (_node_of(resource_name), "cpu", label), [0.0, 0.0]
+                (_node_of(cpu.name), "cpu", label), [0.0, 0.0]
             )
         entry[0] += service_s
         entry[1] += 1.0
@@ -176,11 +145,13 @@ class Profiler:
     # WLAN hook (repro.net.wlan)
     # ------------------------------------------------------------------
 
-    def on_airtime(self, station: str, start: float, airtime_s: float) -> tuple[list, dict]:
-        """``station`` occupies the shared channel for ``airtime_s``. Returns
-        the channel's ``pending`` list and the station -> airtime cells."""
+    def on_airtime(self, medium: Any, station: str, airtime_s: float) -> dict:
+        """``station`` occupied ``medium``'s channel for ``airtime_s``; the
+        first call binds the channel timeline. Returns the station cells."""
         self._cell.note_write()
-        self._wlan_timeline.pending.append((start, airtime_s))
+        if self._wlan_timeline is None:  # serial grants: unelapsed is backlog
+            busy = medium.total_airtime - medium.channel_backlog
+            self._wlan_timeline = _Timeline(medium, busy)
         try:
             entry = self._station_busy[station]
         except KeyError:
@@ -189,10 +160,10 @@ class Profiler:
             )
         entry[0] += airtime_s
         entry[1] += 1.0
-        return self._wlan_timeline.pending, self._station_busy
+        return self._station_busy
 
     def event_begin(self, handle: EventHandle) -> None:
-        """Count one executed handler, as the kernel's tally does inline."""
+        """Count one executed handler, as the kernel's fold does."""
         key = handler_key(handle.callback)
         self._tally[key] = self._tally.get(key, 0) + 1
 
@@ -223,6 +194,7 @@ class Profiler:
     @property
     def event_counts(self) -> dict[str, int]:
         """Executed handlers by qualified name, in first-seen order."""
+        self.runtime.kernel.fold_tally()
         counts: dict[str, int] = {}
         for key, count in self._tally.items():
             name = key if isinstance(key, str) else getattr(key, "__qualname__", "method")
@@ -231,15 +203,24 @@ class Profiler:
 
     @property
     def events_profiled(self) -> int:
+        self.runtime.kernel.fold_tally()
         return sum(sorted(self._tally.values()))
 
     def cpu_nodes(self) -> list[str]:
         return sorted(self._cpu_timeline)
 
     def cpu_busy(self, node: str) -> float:
-        """CPU busy seconds of ``node`` in ``[0, now]`` (aggregate over cores)."""
+        """CPU busy seconds of ``node`` (all cores) since the bind."""
+        return self._cpu_read(node, self.runtime.now)
+
+    def _cpu_read(self, node: str, now: float) -> float:
         timeline = self._cpu_timeline.get(node)
-        return timeline.busy_until(self.runtime.now) if timeline is not None else 0.0
+        if timeline is None:
+            return 0.0
+        busy = _cpu_total(timeline.resource, now) - timeline.base
+        if busy > timeline.last:
+            timeline.last = busy
+        return timeline.last
 
     def cpu_utilization(self, node: str, since: float = 0.0) -> float:
         """Aggregate CPU busy share of ``node`` over ``[since, now]``, from
@@ -259,22 +240,32 @@ class Profiler:
             return 0.0
         return (self.cpu_busy(node) - before) / window
 
+    def wlan_busy(self) -> float:
+        """Channel busy seconds since the bind."""
+        timeline = self._wlan_timeline
+        if timeline is None:
+            return 0.0
+        medium = timeline.resource
+        busy = medium.total_airtime - medium.channel_backlog - timeline.base
+        if busy > timeline.last:
+            timeline.last = busy
+        return timeline.last
+
     def wlan_utilization(self) -> float:
         """Channel airtime share over ``[0, now]``."""
         now = self.runtime.now
-        return self._wlan_timeline.busy_until(now) / now if now > 0.0 else 0.0
+        return self.wlan_busy() / now if now > 0.0 else 0.0
 
     # ------------------------------------------------------------------
     # Sampling (utilization timeline into the trace)
     # ------------------------------------------------------------------
 
     def start_sampling(self) -> None:
-        """Arm the periodic end-of-instant sampler (sim kernels only)."""
-        kernel = getattr(self.runtime, "kernel", None)
-        if kernel is None or self._sampling or self.interval_s <= 0:
+        """Arm the periodic end-of-instant sampler."""
+        if self._sampling or self.interval_s <= 0:
             return
         self._sampling = True
-        kernel.schedule_epilogue(
+        self.runtime.kernel.schedule_epilogue(
             self._tick, delay=self.interval_s, priority=_SAMPLER_PRIORITY
         )
 
@@ -312,7 +303,7 @@ class Profiler:
             cpu = node.cpu
             if cpu is None:
                 continue
-            busy = self.cpu_busy(name)
+            busy = self._cpu_read(name, now)
             if window > 0.0:
                 util = (busy - self._sampled_cpu.get(name, 0.0)) / (window * cpu.servers)
             else:
@@ -341,11 +332,12 @@ class Profiler:
                         )
                     u[key] = round(float(values[gauge_name]), 9)
         if getattr(runtime, "wlan", None) is not None and window > 0.0:
-            busy = self._wlan_timeline.busy_until(now)
+            busy = self.wlan_busy()
             u["prof.wlan.util"] = round((busy - self._sampled_wlan) / window, 9)
             self._sampled_wlan = busy
-        # Sampling consumes the accounting accumulators and moves the
+        # Sampling folds the kernel's handlers into the tally and moves the
         # window origin the next difference is measured from.
+        runtime.kernel.fold_tally()
         self._cell.note_write()
         self.samples += 1
         self._last_sample_t = now
@@ -374,6 +366,7 @@ def enable_profiling(
         interval_s = obs.scrape_interval_s if obs is not None else 1.0
     profiler = Profiler(runtime, interval_s=interval_s)
     runtime.prof = profiler
+    kernel.fold_tally()  # what ran so far is counted by the previous tally
     kernel.tally = profiler._tally
     profiler.start_sampling()
     return profiler

@@ -17,9 +17,10 @@ optional observers follow the one-attribute-load gate pattern used
 throughout the runtime (``repro.runtime.state``), each ``None`` by default:
 the tie-break perturbation (the sanitizer's replay), read once per push; the
 ``monitor`` (the schedule sanitizer), whose setter caches its three bound
-hooks, read once per push and once per ``run``; and the ``tally`` mapping,
-which the loop bumps inline per executed handler — the profiler's event
-counts cost no Python call.
+hooks, read once per push and once per ``run``; and the ``tally`` mapping:
+while it is set the loop appends each handler to a list (one C call), which
+:meth:`fold_tally` counts in at the profiler's ticks and reads and when
+``run`` returns.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class KernelMonitor(Protocol):
 
 
 def handler_key(callback: Callable[..., Any]) -> Any:
-    """A handler's tally key (inlined in :meth:`SimKernel.run`): a bound
+    """A handler's tally key (inlined in :meth:`SimKernel.fold_tally`): a bound
     method's function, else its name — bounded however many closures run."""
     return (
         getattr(callback, "__func__", None)
@@ -97,6 +98,8 @@ class SimKernel:
         #: Executed handlers by :func:`handler_key` (the profiler's event
         #: counts); ``None`` counts nothing.
         self.tally: dict[Any, int] | None = None
+        #: Handlers run since the last :meth:`fold_tally` (cleared in place).
+        self._ran: list[Callable[..., Any]] = []
 
     # ------------------------------------------------------------------
     # Clock
@@ -312,7 +315,7 @@ class SimKernel:
         pop = heappop
         hook_begin = self._hook_begin
         hook_end = self._hook_end
-        tally = self.tally
+        ran = None if self.tally is None else self._ran.append
         executed = 0
         try:
             while True:
@@ -328,17 +331,8 @@ class SimKernel:
                 self._now = handle.time
                 self._events_processed += 1
                 self._current = handle
-                if tally is not None:
-                    callback = handle.callback  # handler_key, inline
-                    key = (
-                        getattr(callback, "__func__", None)
-                        or getattr(callback, "__qualname__", None)
-                        or type(callback).__name__
-                    )
-                    try:
-                        tally[key] += 1
-                    except KeyError:
-                        tally[key] = 1
+                if ran is not None:
+                    ran(handle.callback)
                 if hook_begin is not None:
                     hook_begin(handle)
                 try:
@@ -350,8 +344,23 @@ class SimKernel:
                 executed += 1
         finally:
             self._running = False
+            if self._ran:
+                self.fold_tally()
         if until is not None and until > self._now:
             self._now = until
+
+    def fold_tally(self) -> None:
+        """Count the handlers run since the last fold into :attr:`tally`, if set."""
+        tally = self.tally
+        if tally is not None:
+            for callback in self._ran:
+                key = (  # handler_key, inline
+                    getattr(callback, "__func__", None)
+                    or getattr(callback, "__qualname__", None)
+                    or type(callback).__name__
+                )
+                tally[key] = tally.get(key, 0) + 1
+        self._ran.clear()
 
     def run_until_idle(self, max_events: int = 10_000_000) -> None:
         """Run until no events remain; guard against runaway loops."""

@@ -60,9 +60,10 @@ class CpuResource:
     fires when its service time has elapsed. A waiting job is the tuple
     ``(cost, on_done, label, args)``; a started one is its completion
     event's own arguments. No per-job statistics are kept: ``stats`` holds
-    the aggregates. ``speed`` scales costs — a node with ``speed=2.0``
-    serves every job in half its nominal cost, letting one cost model
-    describe heterogeneous hardware.
+    the aggregates (and, while a profiler is set, ``ends_in_service`` the
+    end instants of its jobs in service). ``speed`` scales costs — a node
+    with ``speed=2.0`` serves every job in half its nominal cost, letting
+    one cost model describe heterogeneous hardware.
 
     ``queue_limit`` bounds the number of *waiting* jobs. When the queue is
     full a newly submitted job is dropped on the floor (its ``on_done``
@@ -93,14 +94,13 @@ class CpuResource:
         ] = deque()
         self._busy = 0
         self.stats = ResourceStats()
+        #: End instants of the jobs in service, kept while ``runtime.prof`` is set.
+        self.ends_in_service: list[float] = []
         # Optional owner, whose ``runtime.prof`` is charged with every
-        # service: through its hooks until they return where the grants
-        # (the node timeline's list) and completions (the label cells) of
-        # this resource go, then straight there.
+        # completion: through its hooks until they return the label cells.
         self._runtime = runtime if runtime is not None else NO_RUNTIME
         self._window_peak_queue = 0
         self._prof_started: Any = None
-        self._prof_grants: Any = None
         self._prof_ended: Any = None
         self._prof_cells: Any = None
 
@@ -153,10 +153,9 @@ class CpuResource:
             runtime = self._runtime
             prof = runtime.prof
             if prof is not None:
-                if prof is self._prof_started and runtime.san is None:
-                    self._prof_grants.append((self._kernel._now, service))
-                else:
-                    self._prof_grants = prof.on_cpu_start(self.name, label, service)
+                self.ends_in_service.append(self._kernel._now + service)
+                if prof is not self._prof_started or runtime.san is not None:
+                    prof.on_cpu_start(self, label, service)
                     self._prof_started = prof
             self._kernel.schedule(
                 service, self._complete, label, service, on_done, args
@@ -203,10 +202,9 @@ class CpuResource:
         runtime = self._runtime
         prof = runtime.prof
         if prof is not None:
-            if prof is self._prof_started and runtime.san is None:
-                self._prof_grants.append((self._kernel._now, service))
-            else:
-                self._prof_grants = prof.on_cpu_start(self.name, label, service)
+            self.ends_in_service.append(self._kernel._now + service)
+            if prof is not self._prof_started or runtime.san is not None:
+                prof.on_cpu_start(self, label, service)
                 self._prof_started = prof
         self._kernel.schedule(service, self._complete, label, service, on_done, args)
 
@@ -224,6 +222,10 @@ class CpuResource:
         runtime = self._runtime
         prof = runtime.prof
         if prof is not None:
+            try:
+                self.ends_in_service.remove(self._kernel._now)
+            except ValueError:  # started while no profiler was set
+                pass
             entry = (
                 self._prof_cells.get(label)
                 if prof is self._prof_ended and runtime.san is None
@@ -233,7 +235,7 @@ class CpuResource:
                 entry[0] += service
                 entry[1] += 1.0
             else:
-                self._prof_cells = prof.on_cpu_end(self.name, label, service)
+                self._prof_cells = prof.on_cpu_end(self, label, service)
                 self._prof_ended = prof
         if on_done is not None:
             on_done(*args)

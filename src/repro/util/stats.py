@@ -136,8 +136,16 @@ class LatencyRecorder:
     def add(self, value: float) -> None:
         """Record one latency sample."""
         stats = self.stats
-        stats.add(value)
-        if stats.count % self._stride:
+        # ``stats.add(value)``, inline: the same float operations.
+        count = stats._count = stats._count + 1
+        delta = value - stats._mean
+        mean = stats._mean = stats._mean + delta / count
+        stats._m2 += delta * (value - mean)
+        if value < stats._min:
+            stats._min = value
+        if value > stats._max:
+            stats._max = value
+        if count % self._stride:
             return
         samples = self._samples
         samples.append(value)

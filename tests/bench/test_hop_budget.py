@@ -55,7 +55,10 @@ ROWS = [(0, False), (1, False), (0, True)]
 #: liveness or WLAN-cell check reads the field while no sanitizer watches:
 #: 126.11 / 256.28 / 163.10 (what the path measured just before) -> 78.11 /
 #: 165.25 / 113.10 measured (CPython 3.11.7), pinned at x 1.08.
-CALL_BUDGET = {(0, False): 84, (1, False): 178, (0, True): 122}
+#: Observed QoS 0 was set again when a span's context was built in C and its
+#: node's incarnation read as a field: 113.10 -> 107.10 measured (CPython
+#: 3.11.7), 115 = 107.10 x 1.08; the bare rows did not move.
+CALL_BUDGET = {(0, False): 84, (1, False): 178, (0, True): 115}
 #: Kernel events per message: CPU job + airtime flush + delivery per hop
 #: and CPU job, PUBACKs included at QoS 1. Spans schedule nothing.
 KERNEL_EVENTS = {(0, False): 9, (1, False): 15, (0, True): 9}

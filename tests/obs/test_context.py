@@ -166,6 +166,34 @@ def test_reserved_span_field_is_a_type_error(reserved, storage):
         obs.point("a", node, **{reserved: 1})
 
 
+@pytest.mark.parametrize("refused", ["point", "start_span", "finish"])
+def test_a_refused_span_draws_no_id_and_is_not_counted(refused):
+    """A reserved field is refused where it is given: the next span's id,
+    its trace's id and ``spans_emitted`` are those of a run without the
+    refused span (``point`` and ``start_span`` used to draw both ids, and
+    ``finish`` to count the span, before raising)."""
+
+    def run(refuse):
+        runtime = SimRuntime(seed=1)
+        obs = enable_observability(runtime, scrape_interval_s=0)
+        node = _node(runtime)
+        obs.point("a", node)
+        span = obs.start_span("b", node, k=1)
+        if refuse:
+            with pytest.raises(TypeError):
+                if refused == "point":
+                    obs.point("c", node, hop=1)
+                elif refused == "start_span":
+                    obs.start_span("c", node, inc=2)
+                else:
+                    obs.finish(span, trace="x")
+        obs.finish(span, k=2)
+        ctx = obs.point("d", node)
+        return ctx, obs.spans_emitted, runtime.tracer.select(SPAN_EVENT)[-2].fields
+
+    assert run(refuse=True) == run(refuse=False)
+
+
 def test_finish_fields_override_start_fields_in_place():
     runtime = SimRuntime(seed=1)
     obs = enable_observability(runtime, scrape_interval_s=0)

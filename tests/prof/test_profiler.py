@@ -6,12 +6,7 @@ import pytest
 
 from repro.bench.scenarios import FIG5
 from repro.chaos import run_scenario
-from repro.prof import (
-    PROF_SAMPLE_EVENT,
-    BusyIntegrator,
-    Profiler,
-    enable_profiling,
-)
+from repro.prof import PROF_SAMPLE_EVENT, Profiler, enable_profiling
 from repro.prof.report import profile_digest
 from repro.runtime.costs import CostModel, OpCost
 from repro.runtime.sim import SimRuntime
@@ -27,44 +22,61 @@ def work_model() -> CostModel:
 
 
 # ----------------------------------------------------------------------
-# BusyIntegrator
+# Readings from the resources' own totals
 # ----------------------------------------------------------------------
 
 
-def _integrator(*grants: tuple[float, float]) -> BusyIntegrator:
-    integrator = BusyIntegrator()
-    integrator.pending.extend(grants)
-    return integrator
+def _cpu_readings(jobs, at, servers=1):
+    """``cpu_busy`` of a profiled node at the instants ``at``, ``jobs``
+    being ``(submit time, service)``."""
+    runtime = SimRuntime(seed=0)
+    profiler = enable_profiling(runtime, interval_s=0.0)
+    node = runtime.add_node("worker", cpu_cores=servers)
+    for submit, service in jobs:
+        runtime.kernel.schedule(submit, node.cpu.submit, service)
+    readings = []
+    for t in at:
+        runtime.run(until=t)
+        readings.append(profiler.cpu_busy("worker"))
+    return readings
 
 
-def test_integrator_totals_and_grants():
-    integrator = _integrator((0.0, 1.0), (2.0, 0.5))
-    assert integrator.busy_until(1.0) == pytest.approx(1.0)
-    assert integrator.busy_until(9.0) == pytest.approx(1.5)
-    assert integrator._held == []  # both grants elapsed
+def test_cpu_reading_totals_elapsed_jobs():
+    assert _cpu_readings([(0.0, 1.0), (2.0, 0.5)], [1.0, 9.0]) == pytest.approx([1.0, 1.5])
 
 
-def test_integrator_ignores_nonpositive_durations():
-    integrator = _integrator((1.0, 0.0), (1.0, -0.5))
-    assert integrator.busy_until(5.0) == 0.0
-    assert integrator._held == []
+def test_cpu_reading_ignores_zero_cost_jobs():
+    readings = _cpu_readings([(1.0, 0.0), (1.0, 0.0)], [5.0])
+    assert readings == [0.0] and str(readings[0]) == "0.0"  # not -0.0
 
 
-def test_integrator_window_overlap_clips_both_ends():
-    integrator = _integrator((1.0, 2.0))  # busy on [1, 3]
-    readings = [integrator.busy_until(t) for t in (0.0, 1.0, 1.5, 2.0, 2.0, 2.5, 9.0)]
+def test_cpu_reading_clips_a_job_in_service():
+    readings = _cpu_readings([(1.0, 2.0)], [0.0, 1.0, 1.5, 2.0, 2.0, 2.5, 9.0])  # busy on [1, 3]
     assert readings == pytest.approx([0.0, 0.0, 0.5, 1.0, 1.0, 1.5, 2.0])
     assert readings[5] - readings[2] == pytest.approx(1.0)  # the window [1.5, 2.5]
-    with pytest.raises(ValueError, match="behind the previous read"):
-        integrator.busy_until(3.0)
 
 
-def test_integrator_sums_overlapping_grants():
-    # Two servers busy at once: window overlap counts both.
-    integrator = _integrator((0.0, 1.0), (0.5, 1.0))
-    assert integrator.busy_until(0.5) == pytest.approx(0.5)
-    assert integrator.busy_until(1.0) - 0.5 == pytest.approx(1.0)
-    assert integrator.busy_until(2.0) == pytest.approx(2.0)
+def test_cpu_reading_sums_overlapping_servers():
+    # Two servers busy at once: the reading counts both.
+    readings = _cpu_readings([(0.0, 1.0), (0.5, 1.0)], [0.5, 1.0, 2.0], servers=2)
+    assert readings == pytest.approx([0.5, 1.5, 2.0])
+
+
+def test_a_profiler_bound_mid_run_counts_from_the_bind():
+    """A CPU job started while no profiler was set counts as elapsed at the
+    bind; airtime queued on the channel counts as it elapses after it."""
+    runtime = SimRuntime(seed=3, cost_model=work_model())
+    worker, peer = runtime.add_node("worker"), runtime.add_node("peer")
+    worker.cpu.submit(1.0)  # busy on [0, 1], untracked
+    for _ in range(3):
+        peer.send("out", worker.address("in"), b"x" * 1000)
+    runtime.run(until=0.001)  # the channel still holds most of three frames
+    profiler = enable_profiling(runtime, interval_s=0.0)
+    worker.cpu.submit(0.5)  # waits for the server: busy on [1, 1.5]
+    peer.send("out", worker.address("in"), b"x")  # binds the channel
+    runtime.run(until=5.0)
+    assert profiler.cpu_busy("worker") == pytest.approx(0.5)
+    assert profiler.wlan_busy() == pytest.approx(runtime.wlan.total_airtime - 0.001)
 
 
 # ----------------------------------------------------------------------
@@ -261,11 +273,12 @@ def test_hook_bindings_are_per_instance():
     """The resource -> timeline / busy-cell bindings live on the profiler
     (a class-level memo used to be shared by every profiler in the
     process): one profiler's charges never show up in another's."""
-    first = Profiler(SimRuntime(seed=0))
-    second = Profiler(SimRuntime(seed=0))
-    first.on_cpu_start("worker.cpu", "crunch", 0.5)
-    first.on_cpu_end("worker.cpu", "crunch", 0.5)
-    first.on_airtime("worker", 0.0, 0.25)
+    runtime = SimRuntime(seed=0)
+    cpu = runtime.add_node("worker").cpu
+    first, second = Profiler(runtime), Profiler(runtime)
+    first.on_cpu_start(cpu, "crunch", 0.5)
+    first.on_cpu_end(cpu, "crunch", 0.5)
+    first.on_airtime(runtime.wlan, "worker", 0.25)
     assert first.busy == {
         ("worker", "cpu", "crunch"): (0.5, 1),
         ("worker", "wlan", "airtime"): (0.25, 1),
@@ -278,16 +291,3 @@ def test_hook_bindings_are_per_instance():
         if isinstance(value, (dict, list, set))
     }
     assert mutable_class_state == {}
-
-
-def test_bare_and_suffixed_resource_names_share_one_node_timeline():
-    runtime = SimRuntime(seed=0)
-    profiler = Profiler(runtime)
-    profiler.on_cpu_start("worker.cpu", "a", 1.0)
-    profiler.on_cpu_start("worker", "b", 2.0)
-    profiler.on_cpu_end("worker.cpu", "a", 1.0)
-    profiler.on_cpu_end("worker", "a", 2.0)
-    assert profiler.cpu_nodes() == ["worker"]
-    runtime.run(until=10.0)
-    assert profiler.cpu_busy("worker") == pytest.approx(3.0)
-    assert profiler.busy == {("worker", "cpu", "a"): (3.0, 2)}

@@ -37,6 +37,46 @@ def test_latency_percentiles_are_monotone_and_bounded(values):
     assert rec.minimum <= p25 <= p50 <= p95 <= rec.maximum
 
 
+class _StatsAddRecorder(LatencyRecorder):
+    """``LatencyRecorder.add`` as it was: Welford's update through
+    ``RunningStats.add``, then the sample store."""
+
+    __slots__ = ()
+
+    def add(self, value: float) -> None:
+        stats = self.stats
+        stats.add(value)
+        if stats.count % self._stride:
+            return
+        samples = self._samples
+        samples.append(value)
+        if len(samples) > self.cap:
+            self._samples = samples[1::2]
+            self._stride *= 2
+
+
+@settings(max_examples=200)
+@given(
+    values=st.lists(st.floats(width=64), max_size=120),
+    cap=st.sampled_from([math.inf, 1, 4, 17]),
+)
+def test_inline_welford_is_bit_identical_to_running_stats(values, cap):
+    """The inlined update keeps every statistic to the bit — NaN,
+    infinities and signed zeros included — and, past ``cap``, the same
+    decimated samples."""
+
+    def state(recorder: LatencyRecorder) -> list:
+        stats = recorder.stats
+        floats = (stats._mean, stats._m2, stats._min, stats._max, *recorder.samples)
+        return [stats._count, recorder._stride, [struct.pack("<d", x) for x in floats]]
+
+    inline, reference = LatencyRecorder("h", cap), _StatsAddRecorder("h", cap)
+    for value in values:
+        inline.add(value)
+        reference.add(value)
+        assert state(inline) == state(reference)
+
+
 def _reference_percentile(samples: list[float], q: float) -> float:
     """``util.stats.percentile`` as it was before the sort-once helper."""
     ordered = sorted(samples)

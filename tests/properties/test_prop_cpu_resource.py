@@ -6,9 +6,11 @@ reference below always appends and always dispatches; under any
 interleaving of submissions (re-entrant ones included) and clock
 advances the two must be indistinguishable: completions, aggregate
 statistics (busy time included), watermarks, profiler grants, drops and
-kernel events. Neither keeps per-job statistics. The reference calls the
-profiler's hooks for every grant; the resource calls them once and then
-records into the storage they hand back, and both are recorded there.
+kernel events. Neither keeps per-job statistics. Both keep the end
+instants of the jobs in service in ``ends_in_service`` while profiled. The
+reference calls the profiler's hooks for every grant; the resource calls
+them once and then charges the cells they hand back, and both are
+recorded there.
 
 The example tests pin the other half of the hop path: the guards read
 the node's ``alive``/``incarnation`` cells directly, so the sanitizer
@@ -49,6 +51,7 @@ class ReferenceCpu:
         self._queue = deque()
         self._busy = 0
         self.stats = ResourceStats()
+        self.ends_in_service = []
         self._window_peak_queue = 0
 
     def submit(self, cost, on_done=None, label="job", args=()):
@@ -80,7 +83,8 @@ class ReferenceCpu:
             service = cost / self._speed
             self.stats.busy_time += service
             if self._runtime.prof is not None:
-                self._runtime.prof.on_cpu_start(self.name, label, service)
+                self.ends_in_service.append(self._kernel.now + service)
+                self._runtime.prof.on_cpu_start(self, label, service)
             self._kernel.schedule(service, self._complete, job)
 
     def _complete(self, job):
@@ -88,46 +92,52 @@ class ReferenceCpu:
         self._busy -= 1
         self.stats.jobs_completed += 1
         if self._runtime.prof is not None:
-            self._runtime.prof.on_cpu_end(self.name, label, cost / self._speed)
+            self.ends_in_service.remove(self._kernel.now)
+            self._runtime.prof.on_cpu_end(self, label, cost / self._speed)
         if on_done is not None:
             on_done(*args)
         self._dispatch()
 
 
 class RecordingProf:
-    """Logs each grant where the profiler records it: a start as it joins
-    the timeline's grant list, an end as its busy cell is charged — by a
-    hook call, or by the resource into the list and cells a call handed it."""
+    """Logs each grant where the profiler reads it: a start as its end
+    instant joins the CPU's ``ends_in_service``, an end as the instant
+    leaves it and as the busy cell is charged — by a hook call, or by the
+    resource into the cells a call handed it."""
 
     def __init__(self, kernel):
         self._kernel = kernel
         self.calls = []
-        self._grants = {}
         self._cells = {}
 
-    def on_cpu_start(self, name, label, service):
-        grants = self._grants.setdefault(name, _Grants(self.calls, name))
-        grants.append((self._kernel.now, service))
-        return grants
+    def watch(self, cpu):
+        cpu.ends_in_service = _Ends(self.calls, self._kernel)
 
-    def on_cpu_end(self, name, label, service):
-        cells = self._cells.setdefault(name, {})
+    def on_cpu_start(self, cpu, label, service):
+        pass  # binding only: the start is logged as its end instant is kept
+
+    def on_cpu_end(self, cpu, label, service):
+        cells = self._cells.setdefault(cpu.name, {})
         entry = cells.get(label)
         if entry is None:
-            entry = cells[label] = _Cell(self, name, label)
+            entry = cells[label] = _Cell(self, cpu.name, label)
         entry[0] += service
         entry[1] += 1.0
         return cells
 
 
-class _Grants(list):
-    def __init__(self, log, name):
+class _Ends(list):
+    def __init__(self, log, kernel):
         super().__init__()
-        self._log, self._name = log, name
+        self._log, self._kernel = log, kernel
 
-    def append(self, grant):
-        start, service = grant
-        self._log.append(("start", start, self._name, service))
+    def append(self, end):
+        self._log.append(("start", self._kernel.now, end))
+        super().append(end)
+
+    def remove(self, end):
+        self._log.append(("done", self._kernel.now, end))
+        super().remove(end)
 
 
 class _Cell(list):
@@ -165,6 +175,8 @@ def _observe(make_cpu, script, profiled):
     kernel = SimKernel()
     prof = RecordingProf(kernel) if profiled else None
     cpu = make_cpu(kernel, SimpleNamespace(prof=prof, san=None))
+    if profiled:
+        prof.watch(cpu)
     completions, watermarks = [], []
     ids = iter(range(10_000))
 
@@ -190,6 +202,7 @@ def _observe(make_cpu, script, profiled):
         "watermarks": watermarks,
         "stats": vars(cpu.stats).copy(),
         "prof": prof.calls if profiled else None,
+        "in_service": list(cpu.ends_in_service),
         "end": kernel.now,
         "events": kernel.events_processed,
     }

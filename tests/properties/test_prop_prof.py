@@ -2,9 +2,10 @@
 
 The load-bearing invariant: a node's accounted CPU busy time inside any
 window can never exceed ``servers * window`` — utilization is a share,
-never more than 100%. Driven two ways: directly against the
-:class:`BusyIntegrator` running total, and end-to-end through a live
-simulated node fed a random job mix.
+never more than 100%. Driven two ways: through a bare CPU's readings at
+chosen instants, and end-to-end through a live simulated node fed a
+random job mix. Then the bound recording path against the public hooks,
+and the kernel's folded handler tally against a per-event count.
 """
 
 from __future__ import annotations
@@ -12,18 +13,20 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.prof import PROF_SAMPLE_EVENT, BusyIntegrator, enable_profiling
+from repro.prof import PROF_SAMPLE_EVENT, enable_profiling
 from repro.runtime.costs import CostModel, OpCost
 from repro.runtime.sim import SimRuntime
+from repro.san.recorder import SimSan
+from repro.sim.kernel import handler_key
 
 # ----------------------------------------------------------------------
-# BusyIntegrator windows: two readings, one difference
+# CPU readings: two readings, one difference
 # ----------------------------------------------------------------------
 
 grants = st.lists(
     st.tuples(
-        st.floats(min_value=0.0, max_value=50.0),  # start offset increment
-        st.floats(min_value=0.0, max_value=10.0),  # duration
+        st.floats(min_value=0.0, max_value=50.0),  # submit offset increment
+        st.floats(min_value=0.0, max_value=10.0),  # service
     ),
     max_size=40,
 )
@@ -33,32 +36,44 @@ windows = st.tuples(
 )
 
 
-def _window(grants: list[tuple[float, float]], a: float, b: float) -> float:
-    """Busy seconds in ``[a, b]`` of a fresh integrator holding ``grants``."""
-    integrator = BusyIntegrator()
-    integrator.pending.extend(grants)
-    before = integrator.busy_until(a)
-    return integrator.busy_until(b) - before
+def _readings(jobs: list[tuple[float, float]], at: list[float], servers: int = 1) -> list[float]:
+    """A profiled CPU's busy readings at the nondecreasing instants ``at``,
+    ``jobs`` being ``(submit time, service)``."""
+    runtime = SimRuntime(seed=0)
+    profiler = enable_profiling(runtime, interval_s=0.0)
+    node = runtime.add_node("n", cpu_cores=servers)
+    for submit, service in jobs:
+        runtime.kernel.schedule(submit, node.cpu.submit, service)
+    readings = []
+    for t in at:
+        runtime.run(until=t)
+        readings.append(profiler.cpu_busy("n"))
+    return readings
 
 
-@given(grants=grants, window=windows)
-def test_window_overlap_is_bounded_and_monotone(grants, window):
-    timeline, start = [], 0.0
-    for increment, duration in grants:
-        start += increment  # nondecreasing starts, as the hook sites guarantee
-        timeline.append((start, duration))
-    granted = sum(d for _s, d in timeline)
+@settings(max_examples=60, deadline=None)
+@given(grants=grants, window=windows, servers=st.integers(1, 3))
+def test_window_overlap_is_bounded_and_monotone(grants, window, servers):
+    jobs, submit = [], 0.0
+    for increment, service in grants:
+        submit += increment
+        jobs.append((submit, service))
+    granted = sum(service for _s, service in jobs)
     a, b = sorted(window)
-    busy = _window(timeline, a, b)
+    before, after, wider = _readings(jobs, [a, b, b + 1.0], servers)
+    busy = after - before
     assert 0.0 <= busy <= granted + 1e-9
+    assert busy <= servers * (b - a) + 1e-9
     # Widening the window can only add busy time.
-    assert busy <= _window(timeline, a, b + 1.0) + 1e-9
-    assert busy <= _window(timeline, max(0.0, a - 1.0), b) + 1e-9
-    # The full timeline accounts for every grant exactly.
-    end = start + max((d for _i, d in grants), default=0.0)
-    assert abs(_window(timeline, 0.0, end + 1.0) - granted) <= 1e-9
+    assert busy <= wider - before + 1e-9
+    earlier, _a, _b = _readings(jobs, [max(0.0, a - 1.0), a, b], servers)
+    assert busy <= after - earlier + 1e-9
+    # Once every job has been served, the readings account for all of it.
+    (whole,) = _readings(jobs, [submit + granted + 1.0], servers)
+    assert abs(whole - granted) <= 1e-9
 
 
+@settings(max_examples=60, deadline=None)
 @given(
     durations=st.lists(
         st.floats(min_value=0.001, max_value=0.5), min_size=1, max_size=30
@@ -66,16 +81,14 @@ def test_window_overlap_is_bounded_and_monotone(grants, window):
     gap=st.floats(min_value=0.0, max_value=0.2),
 )
 def test_serial_grants_never_exceed_elapsed(durations, gap):
-    """Back-to-back single-server grants: busy share of any window <= 1."""
-    integrator = BusyIntegrator()
-    t = 0.0
+    """Back-to-back single-server jobs: busy share of any window <= 1."""
+    jobs, t = [], 0.0
     for duration in durations:
-        integrator.pending.append((t, duration))
+        jobs.append((t, duration))
         t += duration + gap
     mid = t / 2.0
-    first = integrator.busy_until(mid)
+    first, whole = _readings(jobs, [mid, t])
     assert first <= mid + 1e-9
-    whole = integrator.busy_until(t)
     assert whole <= t + 1e-9
     assert whole - first <= (t - mid) + 1e-9
 
@@ -163,10 +176,35 @@ def _enable(runtime, hooks):
 
 def _state(profiler):
     """Every timeline read now, and the profile so far."""
-    now = profiler.runtime.now
-    timelines = {"wlan": profiler._wlan_timeline, **profiler._cpu_timeline}
-    readings = {name: timeline.busy_until(now) for name, timeline in timelines.items()}
-    return readings, profiler.busy, dict(profiler._tally), profiler.event_counts
+    counts = profiler.event_counts  # folds the kernel's handlers first
+    readings = {node: profiler.cpu_busy(node) for node in profiler.cpu_nodes()}
+    readings["wlan"] = profiler.wlan_busy()
+    return readings, profiler.busy, dict(profiler._tally), counts
+
+
+def _workload(runtime, jobs, sends, cores, queue_limit, restart):
+    """Three nodes fed CPU jobs, frames to each other and a restart."""
+    nodes = [
+        runtime.add_node(f"n{i}", cpu_cores=cores[i], queue_limit=queue_limit)
+        for i in range(3)
+    ]
+    for node in nodes:
+        node.bind("in", lambda source, payload, node=node: node.execute("gamma", lambda: None))
+    for i, op, at in jobs:
+        runtime.kernel.schedule(at, nodes[i].execute, op, lambda: None)
+    for src, dst, size, at in sends:
+        runtime.kernel.schedule(at, nodes[src].send, "out", nodes[dst].address("in"), b"x" * size)
+    if restart is not None:
+        runtime.kernel.schedule(restart[1], nodes[restart[0]].restart)
+    return nodes
+
+
+def _cost_model():
+    model = CostModel()
+    model.define("alpha", OpCost(base_s=0.05))
+    model.define("beta", OpCost(base_s=0.011, warmup_extra_s=0.02, warmup_ops=2))
+    model.define("gamma", OpCost(base_s=0.002, per_byte_s=1e-6))
+    return model
 
 
 cpu_jobs = st.lists(
@@ -197,26 +235,11 @@ def test_bound_recording_equals_the_public_hooks(
     jobs, sends, cores, queue_limit, restart, handover, handover_at
 ):
     def profiles(public):
-        model = CostModel()
-        model.define("alpha", OpCost(base_s=0.05))
-        model.define("beta", OpCost(base_s=0.011, warmup_extra_s=0.02, warmup_ops=2))
-        model.define("gamma", OpCost(base_s=0.002, per_byte_s=1e-6))
-        runtime = SimRuntime(seed=3, cost_model=model)
+        runtime = SimRuntime(seed=3, cost_model=_cost_model())
         hooks = _PublicPath() if public else None
         runtime.san = runtime.kernel.monitor = hooks
         profilers = [_enable(runtime, hooks)]
-        nodes = [
-            runtime.add_node(f"n{i}", cpu_cores=cores[i], queue_limit=queue_limit)
-            for i in range(3)
-        ]
-        for node in nodes:
-            node.bind("in", lambda source, payload, node=node: node.execute("gamma", lambda: None))
-        for i, op, at in jobs:
-            runtime.kernel.schedule(at, nodes[i].execute, op, lambda: None)
-        for src, dst, size, at in sends:
-            runtime.kernel.schedule(at, nodes[src].send, "out", nodes[dst].address("in"), b"x" * size)
-        if restart is not None:
-            runtime.kernel.schedule(restart[1], nodes[restart[0]].restart)
+        _workload(runtime, jobs, sends, cores, queue_limit, restart)
         states = []
         runtime.run(until=handover_at)  # jobs in service and frames queued across the handover
         states.append([_state(profiler) for profiler in profilers])
@@ -234,3 +257,94 @@ def test_bound_recording_equals_the_public_hooks(
         return states, samples
 
     assert profiles(public=False) == profiles(public=True)
+
+
+# ----------------------------------------------------------------------
+# The folded tally == a per-event count, whenever it is folded
+# ----------------------------------------------------------------------
+
+
+class _Counting:
+    """A kernel monitor that counts each handler by :func:`handler_key` as
+    it begins — as the kernel once did inline — into the reference of
+    whichever tally the kernel counts into; it forwards to SimSan when one
+    is attached."""
+
+    def __init__(self, kernel, inner):
+        self.kernel, self.inner = kernel, inner
+        self.counts: dict[int, dict] = {}
+
+    def event_scheduled(self, handle, parent):
+        if self.inner is not None:
+            self.inner.event_scheduled(handle, parent)
+
+    def event_begin(self, handle):
+        tally = self.kernel.tally
+        if tally is not None:
+            reference = self.counts.setdefault(id(tally), {})
+            key = handler_key(handle.callback)
+            reference[key] = reference.get(key, 0) + 1
+        if self.inner is not None:
+            self.inner.event_begin(handle)
+
+    def event_end(self, handle):
+        if self.inner is not None:
+            self.inner.event_end(handle)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    jobs=cpu_jobs,
+    sends=frames,
+    cores=st.lists(st.integers(1, 3), min_size=3, max_size=3),
+    restart=st.one_of(st.none(), st.tuples(st.integers(0, 2), st.floats(0.0, 0.6))),
+    handover=st.sampled_from(["keep", "clear", "swap", "clear-then-enable"]),
+    handover_at=st.floats(min_value=0.05, max_value=0.5),
+    folds=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=6),
+    interval=st.sampled_from([0.0, 0.1, 0.25]),
+    sanitized=st.booleans(),
+)
+def test_folded_tally_equals_the_inline_count(
+    jobs, sends, cores, restart, handover, handover_at, folds, interval, sanitized
+):
+    """Folds come from sample ticks, reads inside handlers and ``run``
+    returning; a handover happens inside a handler, so a running loop
+    keeps appending to the list a fold has just emptied."""
+    runtime = SimRuntime(seed=3, cost_model=_cost_model())
+    kernel = runtime.kernel
+    san = None
+    if sanitized:
+        san = SimSan()
+        san.install(runtime)
+    counting = kernel.monitor = _Counting(kernel, san)
+    profilers = [enable_profiling(runtime, interval_s=interval)]
+    _workload(runtime, jobs, sends, cores, None, restart)
+    mismatches = []
+
+    def check():
+        for profiler in profilers:
+            profiler.event_counts  # folds when the kernel counts into it
+            reference = counting.counts.get(id(profiler._tally), {})
+            if list(profiler._tally.items()) != list(reference.items()):
+                mismatches.append((runtime.now, profilers.index(profiler)))
+
+    def hand_over():
+        if handover != "keep":
+            runtime.prof = None
+        if handover == "swap":
+            profilers.append(enable_profiling(runtime, interval_s=interval))
+
+    def re_enable():
+        if handover == "clear-then-enable":
+            profilers.append(enable_profiling(runtime, interval_s=interval))
+
+    for at in folds:
+        kernel.schedule(at, check)
+    kernel.schedule(handover_at, hand_over)
+    kernel.schedule(handover_at + 0.2, re_enable)
+    runtime.run(until=handover_at + 0.1)
+    check()
+    runtime.run(until=2.0)
+    check()
+    assert mismatches == []
+    assert sum(p.events_profiled for p in profilers) == kernel.events_processed

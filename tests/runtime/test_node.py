@@ -39,21 +39,18 @@ def test_execute_warmup_counts_per_node(runtime):
 
 
 class _ServiceLog:
-    """A profiler stand-in that records each job's service time: the first
-    through the hook, the rest as the CPU appends its grants to what the
-    hook returned."""
+    """A profiler stand-in that records each job's service time as the
+    completion is charged: it hands out no cells, so every completion
+    comes back to the hook."""
 
     def __init__(self):
         self.service = []
 
     def on_cpu_start(self, cpu, label, service):
-        self.service.append(service)
-        return self
-
-    def append(self, grant):
-        self.service.append(grant[1])
+        pass
 
     def on_cpu_end(self, cpu, label, service):
+        self.service.append(service)
         return {}
 
 
